@@ -11,7 +11,7 @@ echo "== cargo clippy (workspace, warnings are errors)"
 # The vendor/ stand-ins for crates.io deps are excluded: they mirror
 # external code and are not held to the workspace lint bar.
 cargo clippy --workspace \
-    --exclude proptest --exclude criterion --exclude serde --exclude serde_derive \
+    --exclude proptest --exclude serde --exclude serde_derive \
     --exclude loom \
     --all-targets -- -D warnings
 
@@ -64,18 +64,6 @@ cargo test -p rtec-conformance --test end_to_end -q
 echo "== experiments smoke run (auditor enabled)"
 cargo run -p rtec-bench --bin experiments --release -- all --quick >/dev/null
 
-echo "== bench smoke run (committed BENCH_*.json parse + throughput floor)"
-# Re-measures the dispatch-heavy microbenchmark and fails if it drops
-# below 10% of the committed baseline — a catastrophic-regression
-# tripwire that tolerates shared-runner noise.
-cargo run -p rtec-bench --bin experiments --release -- bench --ci
-
-echo "== parallel execution smoke (determinism vs serial oracle, 2 jobs)"
-# Fresh reduced 4-segment run: the parallel driver must stay
-# byte-identical to the serial lockstep oracle; on hosts with >= 2
-# cores the run must also not be slower than serial.
-cargo run -p rtec-bench --bin experiments --release -- bench parallel --ci --jobs 2
-
 echo "== frag zero-allocation smoke (steady-state reassembly)"
 # Counting-allocator assert: after warm-up, bulk reassembly performs
 # no heap allocations (scratch-buffer reuse in rtec_core::frag).
@@ -86,14 +74,13 @@ echo "== live-runtime loopback smoke (demo + auditor, hard timeout)"
 # shows up as a hang, not a failure, so bound the run hard.
 timeout 120 cargo run -p rtec-live --release --example demo -- --audit >/dev/null
 
-echo "== gateway smoke (same-seed determinism + merged-trace audit + 10k-client shed gate)"
-# Off-bus gateway acceptance: the committed BENCH_engine.json gateway
-# section must parse, two same-seed runs must be byte-identical down to
-# the per-client sink digests, the gateway's trace records must pass
-# the T1..T8 auditor, and a 10k-client slow-consumer population must be
-# sustained with bounded lane queues and nonzero sheds. The fanout
-# workers ride the same lock-step facade, so a bug is a hang — bound it.
-timeout 240 cargo run -p rtec-bench --bin experiments --release -- bench gateway --ci
+echo "== benchmark smoke (all six workloads, 1/10 horizons, every check on)"
+# Checks per-repetition bus-time digests, the T1..T9
+# audit on the traced pass, lane occupancy <= cap at 10k clients, PDES
+# merged-trace byte-identity, and BENCHMARK.json == `rtec-benchmark
+# manifest`. Gateway workers ride the lock-step facade, so a bug is a
+# hang — bound it.
+timeout 300 benchmark/run.sh --quick
 
 echo "== chaos smoke (kill/restart 2 of 8 nodes, 5% datagram drop)"
 # Deterministic crash tolerance gate: both killed nodes must rejoin

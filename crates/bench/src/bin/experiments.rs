@@ -8,20 +8,16 @@
 //! experiments all --jobs 4    # shard the sweep over a worker pool
 //! experiments all --no-conformance  # skip the conformance linter/auditor
 //! experiments --list          # show the index
-//! experiments bench           # scheduler + experiment benchmarks → BENCH_*.json
-//! experiments bench --ci      # sanity-check against committed BENCH_*.json
-//! experiments bench live      # live-runtime throughput/latency → BENCH_engine.json
-//! experiments bench parallel  # multi-segment scaling + sweep → BENCH_engine.json
-//! experiments bench parallel --ci --jobs 2  # CI determinism/speedup smoke
-//! experiments bench gateway   # off-bus fanout grid (workers × clients) → BENCH_engine.json
-//! experiments bench gateway --ci  # determinism + audit + 10k-client shed gate
 //! experiments frag-smoke      # zero-allocation check of the frag hot path
 //! experiments chaos           # crash/recovery smoke of the live runtime
 //! experiments chaos --seed 7 --ci   # bounded CI gate, different fault stream
+//! experiments chaos gateway --ci    # gateway kill + session-resume gate
 //! ```
+//!
+//! Performance is measured by `benchmark/run.sh`, not here.
 
 use rtec_bench::experiments::all;
-use rtec_bench::{chaos_exp, gateway_perf, gw_chaos_exp, live_perf, parallel_perf, perf, RunOpts};
+use rtec_bench::{chaos_exp, gw_chaos_exp, RunOpts};
 use rtec_sim::parallel::pool_map;
 
 /// One sharded experiment: `(id, description, run fn)`.
@@ -118,74 +114,79 @@ fn frag_smoke() -> i32 {
     0
 }
 
+const USAGE: &str = "usage: experiments (all | e1..e11)... [--quick] [--seed N] [--jobs N] \
+[--no-conformance] | --list | frag-smoke | chaos [gateway] [--seed N] [--quick | --ci]";
+
+/// Reject the command line: exit 2 with the reason and the usage line.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("experiments: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// The integer value of `flag`, or a usage error.
+fn int_arg<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs an integer value")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = RunOpts::default();
     let mut selected: Vec<String> = Vec::new();
     let mut list_only = false;
-    let mut bench = false;
-    let mut live = false;
-    let mut parallel = false;
     let mut gateway = false;
     let mut chaos = false;
     let mut ci_check = false;
     let mut jobs: usize = 1;
-    let mut iter = args.into_iter();
+    let mut iter = std::env::args().skip(1).peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
             "--no-conformance" => opts.conformance = false,
             "--ci" => ci_check = true,
-            "--seed" => {
-                let v = iter.next().expect("--seed needs a value");
-                opts.seed = v.parse().expect("--seed needs an integer");
-            }
+            "--seed" => opts.seed = int_arg("--seed", iter.next()),
             "--jobs" => {
-                let v = iter.next().expect("--jobs needs a value");
-                jobs = v.parse().expect("--jobs needs an integer");
-                assert!(jobs >= 1, "--jobs needs at least 1");
+                jobs = int_arg("--jobs", iter.next());
+                if jobs == 0 {
+                    usage_error("--jobs needs at least 1");
+                }
             }
             "--list" => list_only = true,
-            "all" => selected.push("all".into()),
-            "bench" => bench = true,
-            "live" => live = true,
-            "parallel" => parallel = true,
-            "gateway" => gateway = true,
-            "chaos" => chaos = true,
+            "chaos" => {
+                chaos = true;
+                // `gateway` is a word only here: the off-bus
+                // session-resume gate instead of the bus-only smoke.
+                gateway = iter.next_if(|a| a == "gateway").is_some();
+            }
+            "bench" => {
+                eprintln!(
+                    "experiments: `bench` is gone; run benchmark/run.sh (see benchmark/README.md)"
+                );
+                std::process::exit(2);
+            }
             "frag-smoke" => std::process::exit(frag_smoke()),
             other => selected.push(other.to_lowercase()),
         }
     }
+    let registry = all();
+    if let Some(bad) = selected
+        .iter()
+        .find(|s| *s != "all" && registry.iter().all(|e| e.id != **s))
+    {
+        usage_error(&format!(
+            "unknown argument '{bad}' (--list shows the experiments)"
+        ));
+    }
     if chaos {
         // `--ci` runs the same checks on the short horizon; the smoke
-        // is deterministic either way. `chaos gateway` runs the off-bus
-        // session-resume chaos gate instead of the bus-only smoke.
+        // is deterministic either way.
         let code = if gateway {
-            gw_chaos_exp::run(opts.seed, opts.quick || ci_check)
+            gw_chaos_exp::run(opts.seed)
         } else {
             chaos_exp::run(opts.seed, opts.quick || ci_check)
         };
         std::process::exit(code);
     }
-    if bench {
-        let cfg = perf::BenchConfig {
-            quick: opts.quick || ci_check,
-            ci_check,
-            seed: opts.seed,
-            jobs,
-        };
-        if live {
-            std::process::exit(live_perf::run(&cfg));
-        }
-        if parallel {
-            std::process::exit(parallel_perf::run(&cfg));
-        }
-        if gateway {
-            std::process::exit(gateway_perf::run(&cfg));
-        }
-        std::process::exit(perf::run(&cfg));
-    }
-    let registry = all();
     if list_only || selected.is_empty() {
         eprintln!("experiments (pass ids or 'all'; --quick for a smoke run):");
         for e in &registry {
@@ -203,10 +204,6 @@ fn main() {
         .filter(|(_, e)| run_all || selected.iter().any(|s| s == e.id))
         .map(|(i, _)| i)
         .collect();
-    if chosen.is_empty() {
-        eprintln!("no matching experiment; use --list");
-        std::process::exit(2);
-    }
     if jobs > 1 {
         // Shard the sweep over a worker pool; results print in index
         // order once all workers finish, so the output is identical to

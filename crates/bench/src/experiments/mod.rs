@@ -86,3 +86,31 @@ pub fn all() -> Vec<Experiment> {
         },
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtec_sim::parallel::pool_map;
+
+    /// The sharded sweep (`experiments all --jobs N`) renders the same
+    /// tables as the serial sweep.
+    #[test]
+    fn sharded_sweep_matches_serial() {
+        let opts = RunOpts {
+            quick: true,
+            seed: 11,
+            conformance: false,
+        };
+        // Two experiments are enough to cross a worker boundary.
+        let specs: Vec<fn(&RunOpts) -> Vec<Table>> = all().iter().take(2).map(|e| e.run).collect();
+        let render = move |i: usize| {
+            (specs[i])(&opts)
+                .iter()
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let serial: Vec<String> = (0..2).map(&render).collect();
+        assert_eq!(serial, pool_map(2, 2, render));
+    }
+}

@@ -1,9 +1,9 @@
 //! Minimal JSON tree, writer, and parser.
 //!
-//! The workspace deliberately vendors no `serde_json`; the benchmark
-//! reports need exactly one thing from JSON — a self-describing file a
-//! CI gate can parse back — so this module implements the subset used
-//! by `BENCH_engine.json` / `BENCH_experiments.json`: objects with
+//! The workspace deliberately vendors no `serde_json`. The one consumer
+//! is `benchmark/` (where performance numbers live, see
+//! `benchmark/README.md`), which needs a self-describing file a gate can
+//! parse back; this module implements the subset it uses: objects with
 //! string keys (insertion-ordered), arrays, strings, finite numbers,
 //! booleans and null. The writer emits pretty-printed, round-trippable
 //! output; the parser accepts any standard JSON document built from

@@ -11,18 +11,20 @@
 //!
 //! Every experiment is deterministic for a given seed (printed with its
 //! output) and scales its simulated horizon down under `--quick`.
+//!
+//! The crate also hosts the two chaos gates ([`chaos_exp`],
+//! [`gw_chaos_exp`]). It measures no performance: that is `benchmark/`
+//! (see `benchmark/README.md`), which imports [`experiments`], [`json`]
+//! and [`RunOpts`] from here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod chaos_exp;
 pub mod experiments;
-pub mod gateway_perf;
 pub mod gw_chaos_exp;
 pub mod json;
-pub mod live_perf;
 pub mod parallel_perf;
-pub mod perf;
 pub mod table;
 
 pub use table::Table;

@@ -1,428 +1,9 @@
-//! Parallel-execution benchmark (`experiments bench parallel`).
-//!
-//! Two measurements, both against the serial lockstep oracle the
-//! differential proptest certifies byte-identical:
-//!
-//! * **Segment scaling** — a line topology of 1/2/4/8 bus segments,
-//!   each carrying the same local publisher load plus a chained relay
-//!   route (1 ms store-and-forward latency = the conservative
-//!   lookahead). Every row runs the identical workload serially and
-//!   with one thread per segment, asserts the segment reports are
-//!   byte-identical (traces, forward counters, dispatch counts), and
-//!   records both wall times, the speedup, and the barrier-stall
-//!   fraction.
-//! * **Experiment sweep** — the full E1–E11 table regeneration run
-//!   once serially and once through the [`pool_map`] worker pool,
-//!   asserting the rendered tables are identical and recording both
-//!   wall times.
-//!
-//! Results merge into `BENCH_engine.json` under the `"parallel"` key.
-//! Every row is an honest measurement on the machine that ran it:
-//! `cpu_cores` is recorded because on a single-core host the speedup
-//! ceiling is 1× and the numbers document barrier overhead instead of
-//! scaling (see DESIGN.md's parallel-execution section).
-//!
-//! With `--ci` nothing is written: the committed `parallel` section
-//! must parse, and a fresh reduced 4-segment run must stay
-//! byte-identical to its serial oracle. The speedup floor (≥ 1.0 on 4
-//! segments) is only enforced when the host has ≥ 2 usable cores —
-//! on fewer, parallel execution cannot beat serial by construction.
-
-use crate::json::{self, Value};
-use crate::perf::{BenchConfig, ENGINE_REPORT};
-use crate::{experiments, RunOpts};
-use rtec_core::prelude::*;
-use rtec_core::topology::Topology;
-use rtec_sim::parallel::pool_map;
-use std::time::Instant;
-
-/// Segment counts of the scaling rows.
-const SIZES: [usize; 4] = [1, 2, 4, 8];
-/// Local publishers per segment.
-const PUBLISHERS: u8 = 6;
-/// Store-and-forward latency of every relay route — the conservative
-/// lookahead, i.e. 10 lockstep quanta per window.
-const RELAY_LATENCY: Duration = Duration::from_ms(1);
+//! Host shape. The module keeps its name because `benchmark/` imports
+//! `rtec_bench::parallel_perf::cpu_cores` and may not be edited here.
 
 /// Usable cores on this host.
 pub fn cpu_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Build the `n`-segment line: per segment, [`PUBLISHERS`] local SRT
-/// publishers into one sink, plus segment 0's first subject relayed
-/// hop by hop down the line. Node layout per segment: publishers
-/// `0..PUBLISHERS`, sink `PUBLISHERS`, relay egress `PUBLISHERS + 1`
-/// (also the default gateway), relay ingress `PUBLISHERS + 2` —
-/// distinct identities, because a CAN controller never receives its
-/// own frames and an intermediate hop must re-relay what arrived.
-fn build(n: usize, seed: u64) -> Topology {
-    let mut topo = Topology::new();
-    for seg in 0..n {
-        let config = NetworkConfig {
-            nodes: PUBLISHERS as usize + 3,
-            seed: seed ^ (seg as u64).wrapping_mul(0x9E37_79B9),
-            ..NetworkConfig::default()
-        };
-        topo.add_segment(config, NodeId(PUBLISHERS + 1));
-        topo.setup(seg, move |net| {
-            let sink = NodeId(PUBLISHERS);
-            for p in 0..PUBLISHERS {
-                let subject = Subject::new(0x600 + seg as u64 * 0x10 + u64::from(p));
-                {
-                    let mut api = net.api();
-                    api.announce(NodeId(p), subject, ChannelSpec::srt(SrtSpec::default()))
-                        .expect("announce bench subject");
-                    let _ = api
-                        .subscribe(sink, subject, SubscribeSpec::default())
-                        .expect("subscribe bench sink");
-                }
-                let period = Duration::from_us(200 + 37 * u64::from(p));
-                let phase = Duration::from_us(17 * (u64::from(p) + 1));
-                let mut k = 0u8;
-                net.every(period, phase, move |api| {
-                    k = k.wrapping_add(1);
-                    let _ = api.publish(NodeId(p), subject, Event::new(subject, vec![p, k]));
-                });
-            }
-        });
-        topo.probe(seg, |net| net.dispatched().to_le_bytes().to_vec());
-    }
-    // Chain relay: segment 0's first subject crosses every hop.
-    let relayed = Subject::new(0x600);
-    for i in 0..n.saturating_sub(1) {
-        topo.forward_via(
-            relayed,
-            i,
-            i + 1,
-            NodeId(PUBLISHERS + 2),
-            NodeId(PUBLISHERS + 1),
-            RELAY_LATENCY,
-            SrtSpec::default(),
-        );
-    }
-    topo
-}
-
-struct ScalingRow {
-    segments: usize,
-    events: u64,
-    serial_wall_s: f64,
-    parallel_wall_s: f64,
-    windows: u64,
-    stall_frac: f64,
-}
-
-impl ScalingRow {
-    fn speedup(&self) -> f64 {
-        self.serial_wall_s / self.parallel_wall_s.max(1e-9)
-    }
-}
-
-/// One scaling row: identical workload, serial then parallel, with the
-/// byte-identity assert in between.
-fn scaling_row(n: usize, horizon: Duration, seed: u64) -> ScalingRow {
-    let until = Time::ZERO + horizon;
-    let t0 = Instant::now();
-    let serial = build(n, seed).run_serial(until);
-    let serial_wall_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let parallel = build(n, seed).run_parallel(until);
-    let parallel_wall_s = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        serial.segments, parallel.segments,
-        "parallel topology run diverged from the serial oracle at {n} segments"
-    );
-    let stats = parallel.parallel.expect("parallel run reports stats");
-    ScalingRow {
-        segments: n,
-        events: serial.total_dispatched(),
-        serial_wall_s,
-        parallel_wall_s,
-        windows: stats.windows,
-        stall_frac: stats.stall_fraction(),
-    }
-}
-
-/// Run the E1–E11 sweep with `jobs` workers, returning the wall time
-/// and every rendered table (in experiment order, regardless of which
-/// worker produced it).
-fn sweep(opts: RunOpts, jobs: usize) -> (f64, Vec<String>) {
-    let specs: Vec<fn(&RunOpts) -> Vec<crate::Table>> =
-        experiments::all().iter().map(|e| e.run).collect();
-    let n = specs.len();
-    let t0 = Instant::now();
-    let outs = pool_map(n, jobs, move |i| {
-        (specs[i])(&opts)
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    });
-    (t0.elapsed().as_secs_f64(), outs)
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn parallel_report(
-    cfg: &BenchConfig,
-    horizon: Duration,
-    rows: &[ScalingRow],
-    sweep_jobs: usize,
-    sweep_serial_s: f64,
-    sweep_parallel_s: f64,
-) -> Value {
-    let scaling = rows
-        .iter()
-        .map(|r| {
-            obj(vec![
-                ("segments", Value::num(r.segments as f64)),
-                ("events", Value::num(r.events as f64)),
-                ("serial_wall_ms", Value::num(round3(r.serial_wall_s * 1e3))),
-                (
-                    "parallel_wall_ms",
-                    Value::num(round3(r.parallel_wall_s * 1e3)),
-                ),
-                ("speedup", Value::num(round3(r.speedup()))),
-                ("windows", Value::num(r.windows as f64)),
-                ("barrier_stall_frac", Value::num(round3(r.stall_frac))),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("schema", Value::str("rtec-bench-parallel-v1")),
-        ("mode", Value::str(if cfg.quick { "quick" } else { "full" })),
-        ("seed", Value::num(cfg.seed as f64)),
-        ("cpu_cores", Value::num(cpu_cores() as f64)),
-        ("quantum_us", Value::num(100.0)),
-        (
-            "relay_latency_us",
-            Value::num(RELAY_LATENCY.as_ns() as f64 / 1e3),
-        ),
-        ("horizon_ms", Value::num(horizon.as_ns() as f64 / 1e6)),
-        ("scaling", Value::Arr(scaling)),
-        (
-            "sweep",
-            obj(vec![
-                ("experiments", Value::num(experiments::all().len() as f64)),
-                ("jobs", Value::num(sweep_jobs as f64)),
-                ("serial_wall_ms", Value::num(round3(sweep_serial_s * 1e3))),
-                (
-                    "parallel_wall_ms",
-                    Value::num(round3(sweep_parallel_s * 1e3)),
-                ),
-                (
-                    "speedup",
-                    Value::num(round3(sweep_serial_s / sweep_parallel_s.max(1e-9))),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Run the parallel benchmark and merge its section into the engine
-/// report. Returns a process exit code.
-pub fn run(cfg: &BenchConfig) -> i32 {
-    if cfg.ci_check {
-        return ci_check(cfg);
-    }
-    let horizon = if cfg.quick {
-        Duration::from_ms(150)
-    } else {
-        Duration::from_ms(1_000)
-    };
-    let cores = cpu_cores();
-    eprintln!(
-        "== parallel topology scaling ({} of bus time, {cores} core(s)) ==",
-        if cfg.quick { "150 ms" } else { "1 s" }
-    );
-    let rows: Vec<ScalingRow> = SIZES
-        .iter()
-        .map(|&n| {
-            let row = scaling_row(n, horizon, cfg.seed);
-            eprintln!(
-                "  {n} segment(s): {:>9} events  serial {:>8.2} ms | parallel {:>8.2} ms = {:>5.2}x  (stall {:>4.1}%, {} windows)",
-                row.events,
-                row.serial_wall_s * 1e3,
-                row.parallel_wall_s * 1e3,
-                row.speedup(),
-                row.stall_frac * 100.0,
-                row.windows,
-            );
-            row
-        })
-        .collect();
-
-    let sweep_jobs = if cfg.jobs > 1 { cfg.jobs } else { cores };
-    let opts = RunOpts {
-        quick: true,
-        seed: cfg.seed,
-        conformance: false,
-    };
-    eprintln!("== experiment sweep (quick, {sweep_jobs} job(s) vs serial) ==");
-    let (serial_s, serial_tables) = sweep(opts, 1);
-    let (parallel_s, parallel_tables) = sweep(opts, sweep_jobs);
-    assert_eq!(
-        serial_tables, parallel_tables,
-        "sharded sweep produced different tables than the serial sweep"
-    );
-    eprintln!(
-        "  E1–E11: serial {:.2} ms | {} jobs {:.2} ms = {:.2}x (tables identical)",
-        serial_s * 1e3,
-        sweep_jobs,
-        parallel_s * 1e3,
-        serial_s / parallel_s.max(1e-9)
-    );
-
-    let section = parallel_report(cfg, horizon, &rows, sweep_jobs, serial_s, parallel_s);
-    // Merge under "parallel", preserving every other committed section.
-    let mut root = std::fs::read_to_string(ENGINE_REPORT)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .unwrap_or_else(|| Value::Obj(Vec::new()));
-    if let Value::Obj(fields) = &mut root {
-        fields.retain(|(k, _)| k != "parallel");
-        fields.push(("parallel".to_string(), section));
-    }
-    match std::fs::write(ENGINE_REPORT, root.to_pretty()) {
-        Ok(()) => {
-            eprintln!("merged parallel section into {ENGINE_REPORT}");
-            0
-        }
-        Err(e) => {
-            eprintln!("bench parallel: cannot write {ENGINE_REPORT}: {e}");
-            1
-        }
-    }
-}
-
-/// CI smoke: committed section parses; a fresh reduced 4-segment run
-/// is byte-identical to its serial oracle (asserted inside
-/// [`scaling_row`]); and on a multi-core host the parallel run is not
-/// slower than serial.
-fn ci_check(cfg: &BenchConfig) -> i32 {
-    let committed = match std::fs::read_to_string(ENGINE_REPORT) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("bench parallel --ci: cannot read {ENGINE_REPORT}: {e}");
-            return 1;
-        }
-    };
-    let root = match json::parse(&committed) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("bench parallel --ci: {ENGINE_REPORT} does not parse: {e}");
-            return 1;
-        }
-    };
-    let Some(section) = root.get("parallel") else {
-        eprintln!("bench parallel --ci: {ENGINE_REPORT} has no parallel section");
-        return 1;
-    };
-    if section
-        .get("scaling")
-        .and_then(Value::as_arr)
-        .is_none_or(|rows| rows.is_empty())
-    {
-        eprintln!("bench parallel --ci: committed parallel section has no scaling rows");
-        return 1;
-    }
-    eprintln!("== bench parallel --ci: 4-segment determinism + speedup smoke ==");
-    let row = scaling_row(4, Duration::from_ms(150), cfg.seed);
-    eprintln!(
-        "  4 segments: serial {:.2} ms | parallel {:.2} ms = {:.2}x (stall {:.1}%)",
-        row.serial_wall_s * 1e3,
-        row.parallel_wall_s * 1e3,
-        row.speedup(),
-        row.stall_frac * 100.0
-    );
-    let cores = cpu_cores();
-    if cores >= 2 && row.speedup() < 1.0 {
-        eprintln!(
-            "bench parallel --ci: speedup {:.2}x < 1.0 on a {cores}-core host — barrier overhead regression?",
-            row.speedup()
-        );
-        return 1;
-    }
-    if cores < 2 {
-        eprintln!(
-            "bench parallel --ci: single core — speedup floor not applicable, determinism checked"
-        );
-    }
-    eprintln!("bench parallel --ci: ok");
-    0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The bench workload itself is deterministic and byte-identical
-    /// across drivers at a tiny horizon (the assert lives inside
-    /// `scaling_row`), and the report section round-trips through the
-    /// JSON parser.
-    #[test]
-    fn scaling_row_is_deterministic_and_report_parses() {
-        let row = scaling_row(2, Duration::from_ms(20), 7);
-        assert!(row.events > 0, "workload dispatched nothing");
-        assert!(row.windows > 0, "no conservative windows ran");
-        let cfg = BenchConfig {
-            quick: true,
-            ci_check: false,
-            seed: 7,
-            jobs: 1,
-        };
-        let report = parallel_report(&cfg, Duration::from_ms(20), &[row], 2, 0.5, 0.3);
-        let text = report.to_pretty();
-        let back = json::parse(&text).expect("section parses");
-        assert!(back.get("cpu_cores").and_then(Value::as_f64).is_some());
-        assert_eq!(
-            back.get("scaling").and_then(Value::as_arr).map(|a| a.len()),
-            Some(1)
-        );
-    }
-
-    /// The sharded sweep renders the same tables as the serial sweep.
-    #[test]
-    fn sharded_sweep_matches_serial() {
-        let opts = RunOpts {
-            quick: true,
-            seed: 11,
-            conformance: false,
-        };
-        // Two experiments are enough to cross a worker boundary.
-        let specs: Vec<fn(&RunOpts) -> Vec<crate::Table>> =
-            experiments::all().iter().take(2).map(|e| e.run).collect();
-        let serial: Vec<String> = specs
-            .iter()
-            .map(|run| {
-                run(&opts)
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            })
-            .collect();
-        let sharded = pool_map(specs.len(), 2, move |i| {
-            (specs[i])(&opts)
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        });
-        assert_eq!(serial, sharded);
-    }
 }

@@ -294,10 +294,8 @@ const RULES: &[TextRule] = &[
         id: RuleId::StrayWallClock,
         // `parallel.rs` is allowed: its wall-clock reads only feed the
         // barrier-stall accounting reported next to bench results —
-        // never simulated time, which stays fully virtual. `meter.rs`
-        // is the gateway's equivalent quarantine: client-observed
-        // latency sampling that never feeds back into scheduling.
-        allow_files: &["clock.rs", "udp.rs", "parallel.rs", "meter.rs"],
+        // never simulated time, which stays fully virtual.
+        allow_files: &["clock.rs", "udp.rs", "parallel.rs"],
         needles: &["Instant::now()", "SystemTime::now()"],
         unless_on_line: None,
         fix: "take timestamps from clock::Pacer / the broker's Welcome",
@@ -473,14 +471,13 @@ mod tests {
     }
 
     #[test]
-    fn c5_allows_the_gateway_latency_meter() {
-        // meter.rs is the gateway's wall-clock quarantine, like
-        // parallel.rs in rtec-sim.
-        let rep = lint_gateway("meter.rs", "let t = Instant::now();\n");
-        assert!(!rep.fired(RuleId::StrayWallClock), "{rep}");
-        // The quarantine is C5-only: the other rules still apply.
-        let rep = lint_gateway("meter.rs", "use std::sync::Mutex;\n");
-        assert!(rep.fired(RuleId::DirectStdSync), "{rep}");
+    fn c5_gives_the_gateway_no_wall_clock_exemption() {
+        // The gateway is purely bus-time: none of its files is on the
+        // allow-list, the former `meter.rs` quarantine included.
+        for name in ["meter.rs", "gateway.rs", "session.rs", "net.rs"] {
+            let rep = lint_gateway(name, "let t = Instant::now();\n");
+            assert!(rep.fired(RuleId::StrayWallClock), "{name}: {rep}");
+        }
     }
 
     #[test]

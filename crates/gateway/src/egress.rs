@@ -64,7 +64,9 @@ pub struct EgressEntry {
     pub release_ns: u64,
     /// Validity end in bus time (SRT only).
     pub expiry_ns: Option<u64>,
-    /// Wall-clock stamp taken at gateway ingress (latency accounting).
+    /// Always 0. The gateway reads no wall clock; the field stays only
+    /// because `benchmark/src/kernels.rs` builds this struct by name and
+    /// that directory is frozen — drop it with the next benchmark change.
     pub ingress_wall_ns: u64,
     /// Raw payload bytes (for batch re-encoding), shared across lanes.
     pub payload: Arc<Vec<u8>>,

@@ -37,7 +37,6 @@ use crate::client::{ClientSink, ClientSinkSpec, SinkDigest, SinkHandle, SinkStat
 use crate::egress::{
     EgressEntry, EgressQueue, FlushItem, FlushVerdict, LaneStats, PushOutcome, SlowConsumerPolicy,
 };
-use crate::meter::Stopwatch;
 use crate::session::{compute_replay, ResumeClaim, SessionCore, SessionSink, SessionStore};
 use crate::wire::{self, BatchEntry, ClassWatermarks, EventMsg, FragMsg, Reason, ToClient};
 use rtec_core::event::Delivery;
@@ -50,9 +49,6 @@ use std::collections::{BTreeMap, HashMap};
 
 pub use crate::session::SessionStats;
 pub use crate::wire::ResumeVerdict;
-
-/// Cap on wall-latency samples kept per shard (bench accounting only).
-const LAT_SAMPLE_CAP: usize = 1 << 14;
 
 /// Bounded `Busy` retries while replaying a resume suffix; a sink that
 /// stays busy this long is treated as dead and the resume aborts.
@@ -123,7 +119,6 @@ struct IngressEvent {
     wire_ns: u64,
     delivered_ns: u64,
     expiry_ns: Option<u64>,
-    ingress_wall_ns: u64,
     payload: Vec<u8>,
 }
 
@@ -218,7 +213,6 @@ struct ShardReport {
     shard: usize,
     stats: ShardStats,
     lanes: Vec<LaneReport>,
-    latencies_ns: Vec<u64>,
 }
 
 /// Whole-gateway aggregate counters.
@@ -266,8 +260,9 @@ impl GatewayStats {
     }
 }
 
-/// Everything a finished gateway yields.
-#[derive(Clone, Debug, Default)]
+/// Everything a finished gateway yields. Purely bus-time: same seed ⇒
+/// equal reports.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GatewayReport {
     /// Aggregate counters.
     pub stats: GatewayStats,
@@ -276,14 +271,8 @@ pub struct GatewayReport {
     /// Per-lane outcomes, sorted by (client, shard). Lane digests are
     /// the determinism contract: same seed ⇒ byte-identical.
     pub lanes: Vec<LaneReport>,
-    /// Client-observed wall latencies (ingress → sink accept), sorted.
-    /// Wall-clock, so *not* part of the determinism contract.
-    pub latencies_ns: Vec<u64>,
     /// Session lifecycle and replay counters.
     pub sessions: SessionStats,
-    /// Wall-clock resume durations (replay start → lane reattached).
-    /// Wall-clock, so *not* part of the determinism contract.
-    pub resume_wall_ns: Vec<u64>,
 }
 
 struct Inner {
@@ -301,7 +290,6 @@ struct Inner {
     /// so sequence numbers keep counting across gateway-node restarts
     /// — a resumed client must never see `seq` go backwards.
     seqs: Arc<Mutex<HashMap<u64, u32>>>,
-    sw: Stopwatch,
 }
 
 /// Handle to a running gateway (cheap to clone; all clones address the
@@ -327,7 +315,6 @@ impl Gateway {
     /// Spawn the fanout workers and return the gateway handle.
     pub fn new(cfg: GatewayConfig) -> Gateway {
         let workers = cfg.workers.max(1);
-        let sw = Stopwatch::start();
         let now_wm = Arc::new(AtomicU64::new(0));
         let sessions = Arc::new(Mutex::new(SessionStore::new(
             cfg.session_ttl_ns,
@@ -351,10 +338,8 @@ impl Gateway {
                 closed: Vec::new(),
                 watermark_ns: 0,
                 stats: ShardStats::default(),
-                latencies_ns: Vec::new(),
                 sessions: Arc::clone(&sessions),
                 meta: Arc::clone(&meta),
-                sw,
                 trace: cfg.sink.clone(),
                 src: cfg.sink.intern(&format!("gateway.shard{shard}")),
             };
@@ -410,7 +395,6 @@ impl Gateway {
                 sessions,
                 now_wm,
                 seqs: Arc::new(Mutex::new(HashMap::new())),
-                sw,
             }),
         }
     }
@@ -773,7 +757,6 @@ impl Gateway {
             seqs: Arc::clone(&self.inner.seqs),
             now_wm: Arc::clone(&self.inner.now_wm),
             workers: self.inner.workers,
-            sw: self.inner.sw,
         })
     }
 
@@ -815,7 +798,6 @@ impl Gateway {
             out.stats.undelivered += sr.stats.undelivered;
             out.stats.oversized += sr.stats.oversized;
             out.shards.push(sr.stats);
-            out.latencies_ns.extend(sr.latencies_ns);
             for lane in sr.lanes {
                 out.stats.delivered_msgs += lane.stats.delivered_msgs;
                 out.stats.delivered_hrt += lane.stats.delivered_hrt;
@@ -832,16 +814,7 @@ impl Gateway {
             }
         }
         out.lanes.sort_by_key(|l| (l.client, l.shard));
-        out.latencies_ns.sort_unstable();
-        {
-            let store = self
-                .inner
-                .sessions
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            out.sessions = store.stats;
-            out.resume_wall_ns = store.resume_wall_ns.clone();
-        }
+        out.sessions = self.session_stats();
         out
     }
 }
@@ -882,7 +855,6 @@ struct GatewayBehavior {
     seqs: Arc<Mutex<HashMap<u64, u32>>>,
     now_wm: Arc<AtomicU64>,
     workers: usize,
-    sw: Stopwatch,
 }
 
 impl Behavior for GatewayBehavior {
@@ -911,7 +883,6 @@ impl Behavior for GatewayBehavior {
             wire_ns: delivery.wire_completed_at.as_ns(),
             delivered_ns,
             expiry_ns: meta.stale_ns.map(|s| delivered_ns.saturating_add(s)),
-            ingress_wall_ns: self.sw.elapsed_ns(),
             payload: delivery.event.content.clone(),
         };
         let shard = Subject::new(uid).shard_of(self.workers);
@@ -950,10 +921,8 @@ struct WorkerState {
     closed: Vec<LaneReport>,
     watermark_ns: u64,
     stats: ShardStats,
-    latencies_ns: Vec<u64>,
     sessions: Arc<Mutex<SessionStore>>,
     meta: Arc<Mutex<HashMap<u64, SubjectMeta>>>,
-    sw: Stopwatch,
     trace: SharedTraceSink,
     src: SourceId,
 }
@@ -1016,14 +985,7 @@ impl WorkerState {
             if let Some(s) = sink.as_mut() {
                 // Last call: drain what the sink will still take, then
                 // say goodbye.
-                flush_sink(
-                    queue,
-                    s,
-                    self.watermark_ns,
-                    self.batch_max,
-                    &self.sw,
-                    &mut self.latencies_ns,
-                );
+                flush_sink(queue, s, self.watermark_ns, self.batch_max);
                 let _ = s.offer(&wire::encode_to_client(&ToClient::Disconnect {
                     reason: Reason::Shutdown,
                 }));
@@ -1048,7 +1010,6 @@ impl WorkerState {
     /// suffix through the shared sink, reattach the local lane, flush
     /// the backlog, then open the gate for the session's other shards.
     fn resume(&mut self, msg: ResumeMsg) {
-        let start_wall = self.sw.elapsed_ns();
         let wm = match msg.wm {
             WmSource::Known(wm) => wm,
             WmSource::Deferred(f) => f(),
@@ -1121,11 +1082,10 @@ impl WorkerState {
         if !dead {
             self.flush_and_settle(msg.client);
         }
-        let wall_ns = self.sw.elapsed_ns().saturating_sub(start_wall);
         self.sessions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .resume_done(msg.client, &plan, wall_ns, dead);
+            .resume_done(msg.client, &plan, dead);
         let at = Time::from_ns(msg.now_ns.max(self.watermark_ns));
         self.trace.emit_fields(
             at,
@@ -1275,14 +1235,7 @@ impl WorkerState {
             let Some(s) = sink.as_mut() else {
                 return;
             };
-            flush_sink(
-                queue,
-                s,
-                self.watermark_ns,
-                self.batch_max,
-                &self.sw,
-                &mut self.latencies_ns,
-            )
+            flush_sink(queue, s, self.watermark_ns, self.batch_max)
         };
         if alive {
             return;
@@ -1315,14 +1268,7 @@ impl WorkerState {
                 if let Some(s) = sink.as_mut() {
                     // Last call: drain what the sink will still take,
                     // then say goodbye.
-                    flush_sink(
-                        queue,
-                        s,
-                        u64::MAX,
-                        self.batch_max,
-                        &self.sw,
-                        &mut self.latencies_ns,
-                    );
+                    flush_sink(queue, s, u64::MAX, self.batch_max);
                     let _ = s.offer(&wire::encode_to_client(&ToClient::Disconnect {
                         reason: Reason::Shutdown,
                     }));
@@ -1360,7 +1306,6 @@ impl WorkerState {
             shard: self.shard,
             stats: self.stats,
             lanes,
-            latencies_ns: self.latencies_ns,
         }
     }
 }
@@ -1419,23 +1364,17 @@ fn notify_sheds(
     lane.queue.stats.shed_notified = notified_now;
 }
 
-/// Drain a lane's queue into a sink, recording accept latencies.
-/// Returns `false` when the sink reported itself gone (nothing is
+/// Drain a lane's queue into a sink. Returns `false` when the sink reported itself gone (nothing is
 /// popped in that case — see [`EgressQueue::flush`]).
 fn flush_sink(
     queue: &mut EgressQueue,
     sink: &mut SinkHandle,
     watermark: u64,
     batch_max: usize,
-    sw: &Stopwatch,
-    latencies: &mut Vec<u64>,
 ) -> bool {
     queue.flush(watermark, batch_max, |item| {
-        let (bytes, stamps): (std::borrow::Cow<'_, [u8]>, Vec<u64>) = match &item {
-            FlushItem::Single(e) => (
-                std::borrow::Cow::Borrowed(e.encoded.as_slice()),
-                vec![e.ingress_wall_ns],
-            ),
+        let bytes: std::borrow::Cow<'_, [u8]> = match &item {
+            FlushItem::Single(e) => std::borrow::Cow::Borrowed(e.encoded.as_slice()),
             FlushItem::Batch(es) => {
                 let msg = ToClient::Batch {
                     entries: es
@@ -1449,22 +1388,11 @@ fn flush_sink(
                         })
                         .collect(),
                 };
-                (
-                    std::borrow::Cow::Owned(wire::encode_to_client(&msg)),
-                    es.iter().map(|e| e.ingress_wall_ns).collect(),
-                )
+                std::borrow::Cow::Owned(wire::encode_to_client(&msg))
             }
         };
         match sink.offer(&bytes) {
-            SinkStatus::Accepted => {
-                let now = sw.elapsed_ns();
-                for stamp in stamps {
-                    if latencies.len() < LAT_SAMPLE_CAP {
-                        latencies.push(now.saturating_sub(stamp));
-                    }
-                }
-                FlushVerdict::Taken
-            }
+            SinkStatus::Accepted => FlushVerdict::Taken,
             SinkStatus::Busy => FlushVerdict::Blocked,
             SinkStatus::Gone => FlushVerdict::Lost,
         }
@@ -1496,7 +1424,7 @@ fn encode_entries(ev: &IngressEvent, frag_chunk: usize) -> Vec<EgressEntry> {
         wire_ns: ev.wire_ns,
         release_ns: ev.delivered_ns,
         expiry_ns: ev.expiry_ns,
-        ingress_wall_ns: ev.ingress_wall_ns,
+        ingress_wall_ns: 0,
         payload: Arc::new(Vec::new()),
         encoded: Arc::new(Vec::new()),
         frag: false,
@@ -1560,7 +1488,6 @@ mod tests {
             wire_ns: 0,
             delivered_ns: 0,
             expiry_ns: None,
-            ingress_wall_ns: 0,
             payload: vec![0xAB; len],
         }
     }

@@ -25,13 +25,15 @@
 //! queued events to the latest per subject. All worker threads go
 //! through the `rtec_live::sync` facade, so the loom model checker and
 //! the C1–C6 source lints cover this crate like the rest of the
-//! runtime, and same-seed runs with simulated clients are
-//! byte-identical ([`SimClientSink`] digests).
+//! runtime, and same-seed runs with simulated clients yield equal
+//! [`GatewayReport`]s ([`SimClientSink`] digests included). The crate
+//! takes no wall-clock timestamps; what the gateway costs is measured
+//! from outside, at the client sinks, by `benchmark/` (see
+//! `benchmark/README.md`).
 
 pub mod client;
 pub mod egress;
 pub mod gateway;
-pub mod meter;
 pub mod net;
 pub mod reconnect;
 pub mod session;

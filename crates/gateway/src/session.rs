@@ -37,9 +37,6 @@ use rtec_live::sync::atomic::{AtomicU64, Ordering};
 use rtec_live::sync::{Arc, Mutex};
 use std::collections::{HashMap, VecDeque};
 
-/// Cap on stored wall-clock resume durations (bench accounting only).
-const RESUME_SAMPLE_CAP: usize = 1 << 12;
-
 /// Ring index for a class.
 fn class_idx(class: ChannelClass) -> usize {
     match class {
@@ -312,9 +309,6 @@ pub(crate) struct SessionStore {
     by_token: HashMap<u64, u32>,
     by_client: HashMap<u32, SessionEntry>,
     pub stats: SessionStats,
-    /// Wall-clock resume durations (replay start → lane reattached),
-    /// capped; bench accounting only, never part of determinism.
-    pub resume_wall_ns: Vec<u64>,
 }
 
 /// splitmix64 — deterministic, collision-free token minting.
@@ -335,7 +329,6 @@ impl SessionStore {
             by_token: HashMap::new(),
             by_client: HashMap::new(),
             stats: SessionStats::default(),
-            resume_wall_ns: Vec::new(),
         }
     }
 
@@ -452,8 +445,8 @@ impl SessionStore {
         })
     }
 
-    /// Record a completed (or aborted) resume, with its wall duration.
-    pub(crate) fn resume_done(&mut self, client: u32, plan: &ReplayPlan, wall_ns: u64, dead: bool) {
+    /// Record a completed (or aborted) resume.
+    pub(crate) fn resume_done(&mut self, client: u32, plan: &ReplayPlan, dead: bool) {
         if dead {
             self.stats.aborted += 1;
             // The new sink died mid-replay: back to detached so the
@@ -470,9 +463,6 @@ impl SessionStore {
             self.stats.gap_frames += plan.gap_frames;
             self.stats.srt_stale_skipped += plan.stale_skipped;
             self.stats.replay_bytes += plan.replay_bytes;
-        }
-        if self.resume_wall_ns.len() < RESUME_SAMPLE_CAP {
-            self.resume_wall_ns.push(wall_ns);
         }
     }
 }

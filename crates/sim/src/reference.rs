@@ -1,16 +1,11 @@
 //! Reference scheduler: the engine's original `BinaryHeap` + lazy-cancel
 //! tombstone design, preserved verbatim as an executable specification.
 //!
-//! Two consumers keep this alive:
-//!
-//! * **Differential property tests** drive the timing wheel and this
-//!   heap with the same random schedule/cancel/advance sequence and
-//!   assert identical dispatch order and clock advance — the
-//!   determinism contract (ties fire in scheduling order) must survive
-//!   any future queue swap.
-//! * **`rtec-bench`** measures it as the pre-wheel baseline, so the
-//!   recorded speedup in `BENCH_engine.json` is against real code, not
-//!   a number in a commit message.
+//! The differential property test (`tests/prop.rs`) keeps this alive:
+//! it drives the timing wheel and this heap with the same random
+//! schedule/cancel/advance sequence and asserts identical dispatch
+//! order and clock advance — the determinism contract (ties fire in
+//! scheduling order) must survive any future queue swap.
 //!
 //! It deliberately keeps the old design's flaw: cancelling an
 //! already-fired timer inserts a tombstone that is never reclaimed
