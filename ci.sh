@@ -15,10 +15,11 @@ cargo clippy --workspace \
     --exclude loom \
     --all-targets -- -D warnings
 
-echo "== rtec-verify (concurrency-hygiene source lints C1..C6)"
+echo "== rtec-verify (source lints: concurrency hygiene C1..C6, sans-IO machine C7)"
 # The loom model checker only covers code routed through the
 # rtec_live::sync facade; this pass statically rejects anything that
-# would escape it (see DESIGN.md §6).
+# would escape it (see DESIGN.md §6); C7 keeps the channel-class
+# machine free of clocks, threads, sockets, sinks, bus and transport.
 cargo run -q -p rtec-conformance --bin rtec-verify -- .
 
 echo "== cargo test (workspace)"
@@ -61,8 +62,12 @@ echo "== conformance fault-injection suite"
 cargo test -p rtec-conformance --test fault_injection -q
 cargo test -p rtec-conformance --test end_to_end -q
 
-echo "== experiments smoke run (auditor enabled)"
-cargo run -p rtec-bench --bin experiments --release -- all --quick >/dev/null
+echo "== experiments smoke run (auditor enabled, tables diffed against the golden)"
+# Same seed, same bytes: any refactor of the simulator stack must leave
+# every experiment table untouched. Regenerate the golden only for a
+# change that is *meant* to move a number, and say so in CHANGES.md.
+cargo run -p rtec-bench --bin experiments --release -- all --quick --seed 42 \
+    | diff -u crates/bench/tests/golden/all_quick_seed42.txt -
 
 echo "== frag zero-allocation smoke (steady-state reassembly)"
 # Counting-allocator assert: after warm-up, bulk reassembly performs

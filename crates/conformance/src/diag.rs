@@ -90,11 +90,14 @@ pub enum RuleId {
     StrayWallClock,
     /// Runtime threads must be spawned named, via `thread::Builder`.
     UnnamedThreadSpawn,
+    /// The channel-class machine names no clock, thread, socket, sink,
+    /// bus or transport.
+    MachineNamesIo,
 }
 
 impl RuleId {
     /// All rules: static configuration, then trace, then source lints.
-    pub const ALL: [RuleId; 23] = [
+    pub const ALL: [RuleId; 24] = [
         RuleId::SlotOverlap,
         RuleId::SlotSetupMargin,
         RuleId::PriorityBandPartition,
@@ -118,9 +121,10 @@ impl RuleId {
         RuleId::StraySleep,
         RuleId::StrayWallClock,
         RuleId::UnnamedThreadSpawn,
+        RuleId::MachineNamesIo,
     ];
 
-    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C6`).
+    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C7`).
     pub fn code(self) -> &'static str {
         match self {
             RuleId::SlotOverlap => "S1",
@@ -146,6 +150,7 @@ impl RuleId {
             RuleId::StraySleep => "C4",
             RuleId::StrayWallClock => "C5",
             RuleId::UnnamedThreadSpawn => "C6",
+            RuleId::MachineNamesIo => "C7",
         }
     }
 
@@ -176,6 +181,7 @@ impl RuleId {
             | RuleId::StraySleep
             | RuleId::StrayWallClock
             | RuleId::UnnamedThreadSpawn => "DESIGN.md §6",
+            RuleId::MachineNamesIo => "DESIGN.md §5",
         }
     }
 
@@ -224,6 +230,10 @@ impl RuleId {
             }
             RuleId::UnnamedThreadSpawn => {
                 "runtime threads must be spawned named, via thread::Builder"
+            }
+            RuleId::MachineNamesIo => {
+                "the channel-class machine is sans-IO: clocks, threads, sockets, sinks, \
+                 the bus and transports belong to its hosts"
             }
         }
     }

@@ -1,6 +1,7 @@
-//! Concurrency-hygiene source lints (`C1`..`C6`) for the concurrent
-//! runtimes: the live broker/node threads and the parallel simulation
-//! driver.
+//! Source lints: concurrency hygiene (`C1`..`C6`) for the concurrent
+//! runtimes — the live broker/node threads and the parallel simulation
+//! driver — and the sans-IO contract (`C7`) of the channel-class
+//! machine they and the simulator host.
 //!
 //! The loom model-check suites (see `crates/live/tests/loom_model.rs`
 //! and `crates/sim/tests/loom_model.rs`) only prove anything about
@@ -19,6 +20,8 @@
 //! | `C4` | `thread::sleep` outside clock pacing / retry backoff / chaos |
 //! | `C5` | `Instant::now()`/`SystemTime::now()` outside clock + sockets |
 //! | `C6` | bare `thread::spawn(..)` (runtime threads must be named)     |
+//! | `C7` | clock, thread, socket, sink, bus or transport names in the    |
+//! |      | channel-class machine (`crates/core/src/machine.rs` only)    |
 //!
 //! The pass is textual, not syntactic — deliberately: it must run in
 //! CI with no rustc internals and no third-party parser. To keep the
@@ -30,7 +33,9 @@
 //! concurrent files of `rtec-sim` (`parallel.rs`, `sync.rs`); the rest
 //! of the simulation stack is single-threaded by construction (its
 //! `trace.rs` ring, for instance, predates the facade and stays out of
-//! scope).
+//! scope). `C7` is the one rule with a scope of its own: it runs on
+//! `rtec_core::machine` alone, and `C1`..`C6` do not (the machine may
+//! share its calendar through a plain `std::sync::Arc`).
 
 use crate::diag::{Report, RuleId};
 use std::fs;
@@ -309,12 +314,39 @@ const RULES: &[TextRule] = &[
     },
 ];
 
+/// The one file `C7` guards (and `C1`..`C6` skip).
+const MACHINE_PATH: &str = "crates/core/src/machine.rs";
+
+/// `C7`: everything the sans-IO machine must leave to its hosts.
+const MACHINE_RULES: &[TextRule] = &[TextRule {
+    id: RuleId::MachineNamesIo,
+    // `TraceSink` also catches `SharedTraceSink`.
+    needles: &[
+        "std::time",
+        "std::thread",
+        "std::net",
+        "rtec_sim::sync",
+        "TraceSink",
+        "CanBus",
+        "Ctx",
+        "NodeTransport",
+    ],
+    allow_files: &[],
+    unless_on_line: None,
+    fix: "take it as an Input or ask for it with an Output; the hosts own all I/O",
+}];
+
 /// Lint a set of already-loaded sources. Pure — the unit of testing.
 pub fn lint_sources(files: &[SrcFile]) -> Report {
     let mut report = Report::new();
     for file in files {
         let code = blank_test_blocks(&strip_noncode(&file.text));
-        for rule in RULES {
+        let rules = if file.path.ends_with(MACHINE_PATH) {
+            MACHINE_RULES
+        } else {
+            RULES
+        };
+        for rule in rules {
             if rule.allow_files.contains(&file.file_name()) {
                 continue;
             }
@@ -341,15 +373,20 @@ pub fn lint_sources(files: &[SrcFile]) -> Report {
     report
 }
 
-/// Lint the concurrent sources under a workspace root: every `.rs`
-/// file below `crates/live/src` and `crates/gateway/src`, plus
-/// `rtec-sim`'s parallel driver and sync facade, in path order.
+/// Lint the scoped sources under a workspace root: every `.rs` file
+/// below `crates/live/src` and `crates/gateway/src`, `rtec-sim`'s
+/// parallel driver and sync facade, and the channel-class machine, in
+/// path order.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     for dir in ["crates/live/src", "crates/gateway/src"] {
         collect_rs(&root.join(dir), &mut files)?;
     }
-    for extra in ["crates/sim/src/parallel.rs", "crates/sim/src/sync.rs"] {
+    for extra in [
+        "crates/sim/src/parallel.rs",
+        "crates/sim/src/sync.rs",
+        MACHINE_PATH,
+    ] {
         let path = root.join(extra);
         files.push(SrcFile {
             path: path.display().to_string(),
@@ -492,6 +529,34 @@ mod tests {
     }
 
     #[test]
+    fn c7_fires_on_every_io_name_in_the_machine_only() {
+        for stmt in [
+            "let t = std::time::Instant::now();",
+            "std::thread::yield_now();",
+            "use std::net::UdpSocket;",
+            "use rtec_sim::sync::Mutex;",
+            "fn emit(sink: &TraceSink) {}",
+            "fn emit(sink: &SharedTraceSink) {}",
+            "fn send(bus: &mut CanBus) {}",
+            "fn arm(ctx: &mut Ctx<NetEvent>) {}",
+            "fn send(t: &mut dyn NodeTransport) {}",
+        ] {
+            let rep = lint_sources(&[SrcFile::new(MACHINE_PATH, stmt)]);
+            assert!(rep.fired(RuleId::MachineNamesIo), "{stmt}: {rep}");
+        }
+        // The machine is outside the facade rules (it shares its
+        // calendar through a plain Arc) ...
+        let rep = lint_sources(&[SrcFile::new(MACHINE_PATH, "use std::sync::Arc;\n")]);
+        assert!(rep.passes(), "{rep}");
+        // ... and its hosts are outside C7: they own the I/O.
+        let rep = lint_one(
+            "node.rs",
+            "fn f(t: &mut dyn NodeTransport, s: &SharedTraceSink) {}\n",
+        );
+        assert!(rep.passes(), "{rep}");
+    }
+
+    #[test]
     fn comments_and_strings_do_not_fire() {
         let rep = lint_one(
             "node.rs",
@@ -563,5 +628,10 @@ mod tests {
             .to_path_buf();
         let rep = lint_workspace(&root).expect("walk crates/live/src");
         assert!(rep.passes(), "{rep}");
+        // The walk really reaches the machine: planting a violation in
+        // a copy of it is caught by the same entry point's rules.
+        let machine = fs::read_to_string(root.join(MACHINE_PATH)).expect("machine source");
+        let planted = SrcFile::new(MACHINE_PATH, machine + "\nfn f(bus: &CanBus) {}\n");
+        assert!(lint_sources(&[planted]).fired(RuleId::MachineNamesIo));
     }
 }

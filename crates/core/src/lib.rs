@@ -43,7 +43,7 @@ pub mod bridge;
 pub mod channel;
 pub mod event;
 pub mod frag;
-pub mod hooks;
+pub mod machine;
 pub mod network;
 pub mod node;
 pub mod policy;
@@ -67,7 +67,6 @@ pub use channel::{
     ChannelClass, ChannelException, ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec,
 };
 pub use event::{Event, EventQueue, Subject};
-pub use hooks::{RuntimeClock, TxHook};
 pub use network::{ClockSyncConfig, Network, NetworkBuilder, NetworkConfig};
 pub use policy::{EdfOrder, EdfQueue};
 pub use stats::{ChannelStats, NetStats};

@@ -2,24 +2,27 @@
 //! discrete-event engine.
 //!
 //! [`Network`] is the top-level object applications construct. It owns
-//! an [`Engine`] whose model, [`NetWorld`], implements all three channel
-//! classes:
+//! an [`Engine`] whose model, [`NetWorld`], is the *simulator host* of
+//! the channel-class machine: every node carries one
+//! [`crate::machine::NodeMachine`], which makes all HRT/SRT/NRT
+//! decisions, and the world does only what differs by construction
+//! between a simulated and a live node:
 //!
-//! * **HRT** — [`NetWorld::install_calendar`] runs the off-line
-//!   admission test over every announced HRT channel and then replays
-//!   the calendar round by round: each slot raises `SlotReady` (stage
-//!   the published event), `SlotLst` (submit at the reserved priority
-//!   0 — the CAN arbitration now guarantees the next transmission), and
-//!   `SlotDeliver` per subscriber (deliver exactly at the slot's
-//!   delivery deadline, cancelling jitter). Redundant retransmissions
-//!   are issued only while the bus reports a receiver missed the frame
-//!   (`all_received == false`) and stop as soon as reception is
-//!   consistent — the bandwidth-reclaiming behaviour of §3.2.
-//! * **SRT** — per-node EDF queues; the head message is submitted with
-//!   a priority derived from its transmission deadline
-//!   ([`rtec_analysis::edf::priority_for_deadline`]) and promoted as
-//!   its laxity shrinks. Misses and expirations raise local exceptions.
-//! * **NRT** — fixed-priority FIFO senders with optional fragmentation.
+//! * it feeds the machine — application publishes, calendar and SRT
+//!   timer events, bus receptions and completions — together with the
+//!   node's *local* reading of global time, and carries out its
+//!   outputs against the bus model (`submit`, `abort`, `update_id`),
+//!   the engine (timers, translated back to true time through the
+//!   node's clock) and the application endpoints (queues, handlers);
+//!   an abort is answered inline from [`CanBus::abort`];
+//! * it arms the calendar: [`NetWorld::install_calendar`] runs the
+//!   off-line admission test and each `RoundStart` fans out the
+//!   round's `SlotReady`/`SlotLst`/`SlotDeliver` events in a fixed
+//!   order (which is what fixes engine tie-breaks run to run);
+//! * it runs the binding and clock-synchronization protocols, whose
+//!   frames never reach the machine;
+//! * it keeps the omniscient [`NetStats`] (latencies in true time,
+//!   looked up across nodes), which no real node could.
 
 use crate::api::NetApi;
 use crate::binding::{
@@ -30,24 +33,24 @@ use crate::channel::{
     validate_nrt_priority, ChannelClass, ChannelError, ChannelException, ChannelSpec, SubscribeSpec,
 };
 use crate::event::{Delivery, Event, EventQueue, Subject};
+use crate::machine::{ChannelMeta, Input, MachineConfig, Output, PublishError, SrtTimer};
 use crate::node::{
-    pack_tag, unpack_tag, ActiveSlot, ExcHandler, NodeState, NotifyHandler, NrtTransfer,
-    PublisherState, SrtMsg, SubscriptionState, TagKind,
+    pack_tag, unpack_tag, ExcHandler, NodeState, NotifyHandler, PublisherState, SubscriptionState,
+    TagKind,
 };
 use crate::stats::NetStats;
 use rtec_analysis::admission::{AdmissionError, CalendarPlan, SlotRequest};
-use rtec_analysis::edf::{next_promotion_time, priority_for_deadline, PrioritySlotConfig};
-use rtec_analysis::wctt::wcct_single;
+use rtec_analysis::edf::PrioritySlotConfig;
 use rtec_can::{
     AcceptanceFilter, BusConfig, CanBus, CanEvent, CanId, FaultInjector, FaultModel, Frame,
-    MapScheduler, NodeId, Notification, TxRequest, PRIO_HRT, PRIO_NRT_MIN,
+    MapScheduler, NodeId, Notification, TxHandle, TxRequest, PRIO_NRT_MIN,
 };
 use rtec_clock::{ClockParams, LocalClock};
 use rtec_sim::{Ctx, Duration, Engine, Model, RngStreams, SourceId, Time, TraceSink};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-/// Maximum inline (single-frame) event content.
-pub const MAX_INLINE_CONTENT: usize = 8;
+pub use crate::machine::MAX_INLINE_CONTENT;
 
 /// Events of the network world.
 #[derive(Clone, Copy, Debug)]
@@ -82,24 +85,13 @@ pub enum NetEvent {
         /// Node performing delivery (subscriber) or cleanup (publisher).
         node: NodeId,
     },
-    /// Dynamic priority promotion check for an SRT message.
-    SrtPromote {
+    /// A per-message SRT timer (deadline, expiration or promotion
+    /// check) the node's machine asked for.
+    SrtTimer {
         /// Owning node.
         node: NodeId,
-        /// Message sequence number.
-        seq: u32,
-    },
-    /// Transmission-deadline check for an SRT message.
-    SrtDeadline {
-        /// Owning node.
-        node: NodeId,
-        /// Message sequence number.
-        seq: u32,
-    },
-    /// Expiration check for an SRT message.
-    SrtExpire {
-        /// Owning node.
-        node: NodeId,
+        /// Which timer.
+        timer: SrtTimer,
         /// Message sequence number.
         seq: u32,
     },
@@ -218,14 +210,6 @@ impl std::fmt::Display for CalendarError {
 }
 impl std::error::Error for CalendarError {}
 
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ChannelMeta {
-    pub subject: Subject,
-    pub class: ChannelClass,
-    pub sporadic: bool,
-    pub fragmented: bool,
-}
-
 /// A boxed recurring application closure.
 type RecurringFn = Box<dyn FnMut(&mut NetApi<'_>)>;
 /// A boxed one-shot application closure.
@@ -246,34 +230,24 @@ pub struct NetWorld {
     pub(crate) registry: SubjectRegistry,
     pub(crate) channel_table: HashMap<u16, ChannelMeta>,
     pub(crate) subscribers: HashMap<u16, Vec<NodeId>>,
-    pub(crate) calendar: Option<CalendarPlan>,
+    pub(crate) calendar: Option<Arc<CalendarPlan>>,
     pub(crate) calendar_start: Time,
     pub(crate) config: NetworkConfig,
     trace: TraceSink,
-    /// Per-node interned trace sources, indexed `[node][Tec]`. Rebuilt
-    /// whenever the sink is replaced; hot emit sites pass these handles
+    /// Per-node interned trace sources, indexed `[node][class]`. Rebuilt
+    /// whenever the sink is replaced; emit sites pass these handles
     /// instead of formatting a `String` source per event.
     trace_srcs: Vec<[SourceId; 3]>,
     one_shots: Vec<Option<OneShotFn>>,
     recurring: Vec<RecurringTask>,
-    /// Slots that went empty: (node, etag) → (ready, deadline) in true
-    /// time, for the NotReady exception.
-    empty_slots: HashMap<(u8, u16), (Time, Time)>,
     /// Publish instants of staged HRT events, for latency accounting.
     hrt_publish_times: HashMap<(u16, u64, usize), Time>,
+    /// Scratch buffer the node machines push their outputs into.
+    out: Vec<Output>,
 }
 
 fn wrap_can(ev: CanEvent) -> NetEvent {
     NetEvent::Can(ev)
-}
-
-/// Which of a node's event-channel handlers a trace record comes from
-/// (index into `NetWorld::trace_srcs`).
-#[derive(Clone, Copy)]
-enum Tec {
-    Hrt = 0,
-    Srt = 1,
-    Nrt = 2,
 }
 
 impl NetWorld {
@@ -292,15 +266,6 @@ impl NetWorld {
                 ]
             })
             .collect();
-    }
-
-    /// Cached interned trace source for one of `node`'s channel handlers.
-    #[inline]
-    fn tec_src(&mut self, node: NodeId, tec: Tec) -> SourceId {
-        if self.trace_srcs.len() != self.nodes.len() {
-            self.rebuild_trace_srcs();
-        }
-        self.trace_srcs[node.index()][tec as usize]
     }
 
     fn new(config: NetworkConfig) -> Self {
@@ -331,7 +296,19 @@ impl NetWorld {
                     .as_ref()
                     .and_then(|c| c.get(i).copied())
                     .unwrap_or(ClockParams::PERFECT);
-                NodeState::new(NodeId(i as u8), LocalClock::new(params))
+                NodeState::new(
+                    LocalClock::new(params),
+                    MachineConfig {
+                        node: NodeId(i as u8),
+                        priority_slots: config.priority_slots,
+                        timing: config.bus.timing,
+                        // The simulated middleware queues are unbounded.
+                        srt_queue_cap: usize::MAX,
+                        nrt_queue_cap: usize::MAX,
+                        hrt_deferred_delivery: config.hrt_deferred_delivery,
+                        srt_dynamic_promotion: config.srt_dynamic_promotion,
+                    },
+                )
             })
             .collect();
         NetWorld {
@@ -348,14 +325,14 @@ impl NetWorld {
             trace_srcs: Vec::new(),
             one_shots: Vec::new(),
             recurring: Vec::new(),
-            empty_slots: HashMap::new(),
             hrt_publish_times: HashMap::new(),
+            out: Vec::new(),
         }
     }
 
     /// The installed calendar, if any.
     pub fn calendar(&self) -> Option<&CalendarPlan> {
-        self.calendar.as_ref()
+        self.calendar.as_deref()
     }
 
     /// First round start (true time) of the installed calendar, if any.
@@ -414,12 +391,12 @@ impl NetWorld {
 
     /// Peak SRT queue length observed on a node.
     pub fn srt_peak_queue(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].srt.peak_queue()
+        self.nodes[node.index()].machine.srt_queue().peak()
     }
 
     /// Current SRT queue length on a node.
     pub fn srt_queue_len(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].srt.queue.len()
+        self.nodes[node.index()].machine.srt_queue().len()
     }
 
     // ------------------------------------------------------------------
@@ -438,6 +415,198 @@ impl NetWorld {
             .clock
             .true_time_when_reads(g)
             .max(true_now)
+    }
+
+    // ------------------------------------------------------------------
+    // Hosting the node machines
+    // ------------------------------------------------------------------
+
+    /// Queue a frame on `node`'s controller.
+    fn submit(
+        &mut self,
+        ctx: &mut Ctx<NetEvent>,
+        node: NodeId,
+        frame: Frame,
+        tag: u64,
+    ) -> TxHandle {
+        let mut sched = MapScheduler::new(ctx, wrap_can);
+        self.bus.submit(
+            &mut sched,
+            node,
+            TxRequest {
+                frame,
+                single_shot: false,
+                tag,
+            },
+        )
+    }
+
+    /// Feed `input` to `node`'s machine at the node's current reading
+    /// of global time and carry out its outputs in order. An abort is
+    /// answered inline from the bus model, so its consequences (e.g.
+    /// submitting the new EDF head) land in the same engine event.
+    /// `published` is the publish instant to account a deferred HRT
+    /// delivery against, when the caller knows it.
+    fn step(
+        &mut self,
+        ctx: &mut Ctx<NetEvent>,
+        node: NodeId,
+        input: Input,
+        published: Option<Time>,
+    ) -> Result<(), PublishError> {
+        let n = node.index();
+        let now = ctx.now();
+        let g = self.nodes[n].clock.read(now);
+        let mut out = std::mem::take(&mut self.out);
+        let result = self.nodes[n].machine.handle(g, input, &mut out);
+        let mut abort_result = None;
+        loop {
+            for output in out.drain(..) {
+                match output {
+                    Output::Submit { class, frame, tag } => {
+                        let handle = self.submit(ctx, node, frame, tag);
+                        self.nodes[n].tx.set(class, handle);
+                    }
+                    Output::Abort { class } => {
+                        let tx = &mut self.nodes[n].tx;
+                        let aborted = tx
+                            .get(class)
+                            .is_some_and(|h| self.bus.abort(node, h) && tx.release(class, h));
+                        abort_result = Some(Input::AbortResult { class, aborted });
+                    }
+                    Output::UpdateId { id } => {
+                        // Fails harmlessly if the frame is on the wire
+                        // right now (it is about to complete).
+                        if let Some(handle) = self.nodes[n].tx.get(ChannelClass::Srt) {
+                            self.bus.update_id(node, handle, id);
+                        }
+                    }
+                    Output::ArmTimer { at, timer, seq } => {
+                        let t = self.true_at(node, at, now);
+                        ctx.at(t, NetEvent::SrtTimer { node, timer, seq });
+                    }
+                    Output::Deliver {
+                        etag,
+                        meta,
+                        delivery,
+                    } => self.deliver(node, etag, meta, delivery, now, published),
+                    Output::Filtered { etag } => self.stats.channel_mut(etag).filtered += 1,
+                    Output::Raise { etag, exc } => self.raise(node, etag, &exc),
+                    Output::Trace {
+                        class,
+                        kind,
+                        fields,
+                        len,
+                    } => {
+                        if self.trace.is_enabled() {
+                            let src = self.trace_srcs[n][class as usize];
+                            self.trace.emit_fields(now, src, kind, &fields[..len]);
+                        }
+                    }
+                }
+            }
+            let Some(input) = abort_result.take() else {
+                break;
+            };
+            self.nodes[n]
+                .machine
+                .handle(g, input, &mut out)
+                .expect("only Publish can be refused");
+        }
+        self.out = out;
+        result
+    }
+
+    /// Hand a delivery to the subscriber's queue and handler, and
+    /// account it.
+    fn deliver(
+        &mut self,
+        node: NodeId,
+        etag: u16,
+        meta: Option<ChannelMeta>,
+        delivery: Delivery,
+        now: Time,
+        published: Option<Time>,
+    ) {
+        // Omniscient latency accounting: the publish instant of the
+        // message the sender currently has on the wire for this etag.
+        let published = published.or_else(|| {
+            let sender = &self
+                .nodes
+                .get(delivery.event.attributes.origin?.index())?
+                .machine;
+            match meta? {
+                m if m.class == ChannelClass::Srt => sender
+                    .srt_submitted()
+                    .filter(|msg| msg.etag == etag)
+                    .map(|msg| msg.stamp),
+                m if m.fragmented => sender
+                    .nrt_queue()
+                    .front()
+                    .filter(|t| t.etag == etag)
+                    .map(|t| t.stamp),
+                _ => None,
+            }
+        });
+        let uid = delivery.event.subject.uid();
+        let Some(sub) = self.nodes[node.index()].subscriptions.get_mut(&uid) else {
+            return;
+        };
+        // Clone only when a notify handler needs a borrow after the
+        // queue takes ownership; the common path moves.
+        match sub.notify.as_mut() {
+            Some(h) => {
+                sub.queue.push(delivery.clone());
+                h(&delivery);
+            }
+            None => sub.queue.push(delivery),
+        }
+        let last = sub.last_delivery.replace(now);
+        let ch = self.stats.channel_mut(etag);
+        ch.delivered += 1;
+        if let Some(pt) = published {
+            ch.latency_ns.record(now.saturating_since(pt).as_ns());
+        }
+        if let Some(last) = last {
+            ch.inter_delivery_ns
+                .record(now.saturating_since(last).as_ns());
+        }
+    }
+
+    /// Count a machine-raised exception and hand it to the endpoint it
+    /// concerns: `MissingEvent` and reassembly faults are the
+    /// subscriber's, everything else the publisher's.
+    fn raise(&mut self, node: NodeId, etag: u16, exc: &ChannelException) {
+        self.stats.exceptions += 1;
+        let ch = self.stats.channel_mut(etag);
+        let to_subscriber = match exc {
+            ChannelException::DeadlineMissed { .. } => {
+                ch.deadline_misses += 1;
+                false
+            }
+            ChannelException::Expired { .. } => {
+                ch.expired_drops += 1;
+                false
+            }
+            ChannelException::RedundancyExhausted { .. } => {
+                ch.redundancy_exhausted += 1;
+                false
+            }
+            ChannelException::MissingEvent { .. } => {
+                ch.missing_events += 1;
+                true
+            }
+            ChannelException::NotReady { .. } => false,
+            ChannelException::Fault { .. } => true,
+        };
+        let (ns, uid) = (&mut self.nodes[node.index()], exc.subject().uid());
+        if to_subscriber {
+            if let Some(s) = ns.subscriptions.get_mut(&uid) {
+                s.raise(exc);
+            }
+        } else if let Some(p) = ns.publishers.get_mut(&uid) {
+            p.raise(exc);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -520,6 +689,7 @@ impl NetWorld {
         if let Some(etag) = sub.etag {
             // Release the hardware filter and the dissemination entry —
             // a strictly local operation (§2.2.1).
+            self.nodes[node.index()].machine.cancel_subscription(etag);
             self.bus
                 .controller_mut(node)
                 .remove_filters(|f| *f == AcceptanceFilter::for_etag(etag));
@@ -544,7 +714,11 @@ impl NetWorld {
                 "HRT publications cannot be cancelled while the calendar is active",
             ));
         }
+        let etag = pub_state.etag;
         self.nodes[node.index()].publishers.remove(&subject.uid());
+        if let Some(etag) = etag {
+            self.nodes[node.index()].machine.cancel_publication(etag);
+        }
         Ok(())
     }
 
@@ -553,150 +727,31 @@ impl NetWorld {
         ctx: &mut Ctx<NetEvent>,
         node: NodeId,
         subject: Subject,
-        mut event: Event,
+        event: Event,
     ) -> Result<(), ChannelError> {
-        let n = node.index();
-        let now_true = ctx.now();
-        let now_global = self.global_now(node, now_true);
-        let pub_state = self.nodes[n]
+        let pub_state = self.nodes[node.index()]
             .publishers
             .get_mut(&subject.uid())
             .ok_or(ChannelError::NotAnnounced(subject))?;
-        event.attributes.origin = Some(node);
-        if event.attributes.timestamp.is_none() {
-            event.attributes.timestamp = Some(now_global);
-        }
         let Some(etag) = pub_state.etag else {
             // Binding still in flight: queue the publication.
             pub_state.pending_publishes.push_back(event);
             return Ok(());
         };
-        let spec = pub_state.spec;
-        match spec {
-            ChannelSpec::Hrt(h) => {
-                if event.content.len() > usize::from(h.dlc) {
-                    return Err(ChannelError::PayloadTooLong {
-                        len: event.content.len(),
-                        max: usize::from(h.dlc),
-                    });
+        let stamp = ctx.now();
+        self.step(ctx, node, Input::Publish { etag, event, stamp }, None)
+            .map_err(|e| match e {
+                PublishError::PayloadTooLong { len, max } => {
+                    ChannelError::PayloadTooLong { len, max }
                 }
-                if self.calendar.is_none() {
-                    return Err(ChannelError::CalendarState(
-                        "publish on an HRT channel requires an installed calendar",
-                    ));
-                }
-                self.stats.channel_mut(etag).published += 1;
-                let pub_state = self.nodes[n]
-                    .publishers
-                    .get_mut(&subject.uid())
-                    .expect("exists");
-                pub_state.staged = Some(event);
-                // If the current slot just went empty and this publish
-                // missed it, tell the application (§2.2.1 awareness).
-                if let Some(&(ready, deadline)) = self.empty_slots.get(&(node.0, etag)) {
-                    if now_true > ready && now_true <= deadline {
-                        self.empty_slots.remove(&(node.0, etag));
-                        let exc = ChannelException::NotReady {
-                            subject,
-                            slot_ready_at: ready,
-                        };
-                        self.stats.exceptions += 1;
-                        self.nodes[n]
-                            .publishers
-                            .get_mut(&subject.uid())
-                            .expect("exists")
-                            .raise(&exc);
-                    }
-                }
-                Ok(())
-            }
-            ChannelSpec::Srt(s) => {
-                if event.content.len() > MAX_INLINE_CONTENT {
-                    return Err(ChannelError::PayloadTooLong {
-                        len: event.content.len(),
-                        max: MAX_INLINE_CONTENT,
-                    });
-                }
-                self.stats.channel_mut(etag).published += 1;
-                let deadline = event
-                    .attributes
-                    .deadline
-                    .unwrap_or(now_global + s.default_deadline);
-                let expiration = event
-                    .attributes
-                    .expiration
-                    .or_else(|| s.default_expiration.map(|d| now_global + d));
-                let srt = &mut self.nodes[n].srt;
-                let seq = srt.next_seq;
-                srt.next_seq += 1;
-                srt.queue.push(SrtMsg {
-                    seq,
-                    etag,
-                    subject,
-                    event,
-                    deadline,
-                    expiration,
-                    missed: false,
-                    published_at: now_true,
-                });
-                // Deadline and expiration supervision.
-                let t_deadline = self.true_at(node, deadline, now_true);
-                ctx.at(t_deadline, NetEvent::SrtDeadline { node, seq });
-                if let Some(exp) = expiration {
-                    let t_exp = self.true_at(node, exp, now_true);
-                    ctx.at(t_exp, NetEvent::SrtExpire { node, seq });
-                }
-                self.srt_reconsider(ctx, node);
-                Ok(())
-            }
-            ChannelSpec::Nrt(nrt) => {
-                let payloads = if nrt.fragmented {
-                    crate::frag::try_fragment(&event.content).map_err(|_| {
-                        ChannelError::PayloadTooLong {
-                            len: event.content.len(),
-                            max: crate::frag::MAX_MESSAGE_LEN,
-                        }
-                    })?
-                } else {
-                    if event.content.len() > MAX_INLINE_CONTENT {
-                        return Err(ChannelError::PayloadTooLong {
-                            len: event.content.len(),
-                            max: MAX_INLINE_CONTENT,
-                        });
-                    }
-                    vec![event.content.clone()]
-                };
-                self.stats.channel_mut(etag).published += 1;
-                let (frags, bytes) = (payloads.len(), event.content.len());
-                let transfer = NrtTransfer {
-                    etag,
-                    subject,
-                    payloads,
-                    next: 0,
-                    priority: nrt.priority,
-                    handle: None,
-                    published_at: now_true,
-                };
-                self.nodes[n].nrt.queue.push_back(transfer);
-                if self.trace.is_enabled() {
-                    let src = self.tec_src(node, Tec::Nrt);
-                    self.trace.emit_fields(
-                        now_true,
-                        src,
-                        "nrt_enqueue",
-                        &[
-                            ("etag", u64::from(etag)),
-                            ("node", u64::from(node.0)),
-                            ("frags", frags as u64),
-                            ("bytes", bytes as u64),
-                            ("fragmented", u64::from(nrt.fragmented)),
-                        ],
-                    );
-                }
-                self.nrt_dispatch(ctx, node);
-                Ok(())
-            }
-        }
+                PublishError::NoCalendar => ChannelError::CalendarState(
+                    "publish on an HRT channel requires an installed calendar",
+                ),
+                PublishError::UnknownChannel => ChannelError::NotAnnounced(subject),
+                PublishError::Backpressure => unreachable!("simulated queues are unbounded"),
+            })?;
+        self.stats.channel_mut(etag).published += 1;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -741,16 +796,8 @@ impl NetWorld {
             CanId::new(PRIO_NRT_MIN, node.0, ETAG_BIND_REQUEST),
             &req.encode(),
         );
-        let mut sched = MapScheduler::new(ctx, wrap_can);
-        self.bus.submit(
-            &mut sched,
-            node,
-            TxRequest {
-                frame,
-                single_shot: false,
-                tag: pack_tag(TagKind::Bind, ETAG_BIND_REQUEST, u32::from(pending.seq)),
-            },
-        );
+        let tag = pack_tag(TagKind::Bind, ETAG_BIND_REQUEST, u32::from(pending.seq));
+        self.submit(ctx, node, frame, tag);
     }
 
     fn complete_binding(
@@ -765,33 +812,27 @@ impl NetWorld {
         if let Some(p) = self.nodes[n].publishers.get_mut(&subject.uid()) {
             p.etag = Some(etag);
             flush = std::mem::take(&mut p.pending_publishes);
-            let (class, sporadic, fragmented) = match p.spec {
-                ChannelSpec::Hrt(h) => (ChannelClass::Hrt, h.sporadic, false),
-                ChannelSpec::Srt(_) => (ChannelClass::Srt, false, false),
-                ChannelSpec::Nrt(nr) => (ChannelClass::Nrt, false, nr.fragmented),
-            };
-            let meta = ChannelMeta {
-                subject,
-                class,
-                sporadic,
-                fragmented,
-            };
-            let entry = self.channel_table.entry(etag).or_insert(meta);
-            if entry.class != meta.class {
-                let exc = ChannelException::Fault {
-                    subject,
-                    reason: "channel class conflicts with an existing publisher".into(),
-                };
+            let (spec, meta) = (p.spec, ChannelMeta::of(subject, &p.spec));
+            self.nodes[n].machine.announce(etag, subject, spec);
+            let known = *self.channel_table.entry(etag).or_insert(meta);
+            for ns in &mut self.nodes {
+                ns.machine.learn_channel(etag, known);
+            }
+            if known.class != meta.class {
                 self.stats.exceptions += 1;
-                self.nodes[n]
-                    .publishers
-                    .get_mut(&subject.uid())
-                    .expect("exists")
-                    .raise(&exc);
+                let reason = "channel class conflicts with an existing publisher";
+                if let Some(p) = self.nodes[n].publishers.get_mut(&subject.uid()) {
+                    p.raise(&ChannelException::Fault {
+                        subject,
+                        reason: reason.into(),
+                    });
+                }
             }
         }
         if let Some(s) = self.nodes[n].subscriptions.get_mut(&subject.uid()) {
             s.etag = Some(etag);
+            let (filter, meta) = (s.spec.clone(), self.channel_table.get(&etag).copied());
+            self.nodes[n].machine.subscribe(etag, subject, filter, meta);
             // Dynamic binding delegates the subject filtering to the
             // controller hardware (§2.1).
             self.bus
@@ -808,13 +849,12 @@ impl NetWorld {
             // surface as exceptions because the original call returned
             // long ago.
             if let Err(e) = self.publish(ctx, node, subject, event) {
-                let exc = ChannelException::Fault {
-                    subject,
-                    reason: format!("deferred publish failed: {e}"),
-                };
                 self.stats.exceptions += 1;
                 if let Some(p) = self.nodes[n].publishers.get_mut(&subject.uid()) {
-                    p.raise(&exc);
+                    p.raise(&ChannelException::Fault {
+                        subject,
+                        reason: format!("deferred publish failed: {e}"),
+                    });
                 }
             }
         }
@@ -846,15 +886,21 @@ impl NetWorld {
                 }
             }
         }
-        let plan = CalendarPlan::plan(
-            self.config.round,
-            &requests,
-            self.config.bus.timing,
-            self.config.gap,
-        )
-        .map_err(CalendarError::Admission)?;
+        let plan = Arc::new(
+            CalendarPlan::plan(
+                self.config.round,
+                &requests,
+                self.config.bus.timing,
+                self.config.gap,
+            )
+            .map_err(CalendarError::Admission)?,
+        );
         self.calendar_start = ctx.now() + self.config.calendar_start_delay;
         ctx.at(self.calendar_start, NetEvent::RoundStart { round: 0 });
+        for ns in &mut self.nodes {
+            ns.machine
+                .install_calendar(Arc::clone(&plan), self.calendar_start);
+        }
         self.calendar = Some(plan);
         Ok(())
     }
@@ -909,426 +955,37 @@ impl NetWorld {
         ctx.at(next_round_at, NetEvent::RoundStart { round: round + 1 });
     }
 
-    fn slot_info(&self, slot: usize) -> (u16, NodeId, bool) {
+    /// Etag and publisher of calendar slot `slot`.
+    fn slot_info(&self, slot: usize) -> (u16, NodeId) {
         let plan = self.calendar.as_ref().expect("calendar installed");
         let s = &plan.slots[slot];
-        let sporadic = self
-            .channel_table
-            .get(&s.etag)
-            .map(|m| m.sporadic)
-            .unwrap_or(false);
-        (s.etag, s.publisher, sporadic)
+        (s.etag, s.publisher)
     }
 
     fn on_slot_ready(&mut self, ctx: &mut Ctx<NetEvent>, round: u64, slot: usize) {
-        let now = ctx.now();
-        let (etag, publisher, _) = self.slot_info(slot);
-        let plan = self.calendar.as_ref().expect("calendar installed");
-        let s = &plan.slots[slot];
-        let base = self.calendar_start + plan.round * round;
-        let lst_true = self.true_at(publisher, base + s.lst(), now);
-        let deadline_true = self.true_at(publisher, base + s.deadline(), now);
-        let n = publisher.index();
-        let Some(p) = self.nodes[n].publisher_by_etag(etag) else {
-            return; // publication cancelled
-        };
-        if let Some(event) = p.staged.take() {
-            let publish_time = event
-                .attributes
-                .timestamp
-                .map(|_| now) // latency measured from staging consumption
-                .unwrap_or(now);
-            p.active = Some(ActiveSlot {
-                round,
-                slot_idx: slot,
-                event,
-                handle: None,
-                submitted: false,
-                succeeded: false,
-                middleware_retx: 0,
-                lst_true,
-                deadline_true,
-                first_completion: None,
-            });
+        let (etag, publisher) = self.slot_info(slot);
+        let _ = self.step(ctx, publisher, Input::SlotReady { round, slot }, None);
+        let machine = &self.nodes[publisher.index()].machine;
+        if machine
+            .hrt_active(etag)
+            .is_some_and(|a| a.round == round && a.slot == slot)
+        {
+            // Latency is measured from the staging's consumption.
             self.hrt_publish_times
-                .insert((etag, round, slot), publish_time);
-            self.empty_slots.remove(&(publisher.0, etag));
-        } else {
-            // Slot goes unused: the reservation is simply reclaimed by
-            // lower-priority traffic (nothing is submitted).
-            self.empty_slots
-                .insert((publisher.0, etag), (now, deadline_true));
-        }
-        if self.trace.is_enabled() {
-            let src = self.tec_src(publisher, Tec::Hrt);
-            self.trace.emit_fields(
-                now,
-                src,
-                "slot_ready",
-                &[
-                    ("etag", u64::from(etag)),
-                    ("round", round),
-                    ("slot", slot as u64),
-                    ("node", u64::from(publisher.0)),
-                ],
-            );
-        }
-    }
-
-    fn on_slot_lst(&mut self, ctx: &mut Ctx<NetEvent>, round: u64, slot: usize) {
-        let (etag, publisher, _) = self.slot_info(slot);
-        let n = publisher.index();
-        let Some(p) = self.nodes[n].publisher_by_etag(etag) else {
-            return;
-        };
-        let Some(active) = p.active.as_mut() else {
-            return; // empty slot
-        };
-        if active.round != round || active.slot_idx != slot || active.submitted {
-            return;
-        }
-        active.submitted = true;
-        let frame = Frame::new(
-            CanId::new(PRIO_HRT, publisher.0, etag),
-            &active.event.content,
-        );
-        let tag = pack_tag(TagKind::Hrt, etag, slot as u32);
-        let mut sched = MapScheduler::new(ctx, wrap_can);
-        let handle = self.bus.submit(
-            &mut sched,
-            publisher,
-            TxRequest {
-                frame,
-                single_shot: false,
-                tag,
-            },
-        );
-        if let Some(p) = self.nodes[n].publisher_by_etag(etag) {
-            if let Some(active) = p.active.as_mut() {
-                active.handle = Some(handle);
-            }
+                .insert((etag, round, slot), ctx.now());
         }
     }
 
     fn on_slot_deliver(&mut self, ctx: &mut Ctx<NetEvent>, round: u64, slot: usize, node: NodeId) {
-        let now = ctx.now();
-        let (etag, publisher, sporadic) = self.slot_info(slot);
+        let (etag, publisher) = self.slot_info(slot);
         if node == publisher {
             // Publisher-side slot cleanup.
-            let n = node.index();
-            let Some(p) = self.nodes[n].publisher_by_etag(etag) else {
-                return;
-            };
-            let Some(active) = p.active.take() else {
-                self.empty_slots.remove(&(node.0, etag));
-                return;
-            };
-            if active.round != round || active.slot_idx != slot {
-                p.active = Some(active); // belongs to a different slot
-                return;
-            }
-            let subject = p.subject;
-            if !active.succeeded {
-                if let Some(handle) = active.handle {
-                    // Withdraw whatever is still pending; the slot is
-                    // over.
-                    self.bus.abort(node, handle);
-                }
-                let exc = ChannelException::RedundancyExhausted {
-                    subject,
-                    attempts: active.middleware_retx + 1,
-                };
-                self.stats.exceptions += 1;
-                self.stats.channel_mut(etag).redundancy_exhausted += 1;
-                if let Some(p) = self.nodes[n].publisher_by_etag(etag) {
-                    p.raise(&exc);
-                }
-            }
-            return;
+            let _ = self.step(ctx, node, Input::SlotDeadline { round, slot }, None);
+        } else if self.config.hrt_deferred_delivery {
+            // Subscriber-side delivery at the deadline (jitter removal).
+            let published = self.hrt_publish_times.remove(&(etag, round, slot));
+            let _ = self.step(ctx, node, Input::SlotDeliver { round, slot }, published);
         }
-        // Subscriber-side delivery at the deadline (jitter removal).
-        if !self.config.hrt_deferred_delivery {
-            // Immediate-delivery ablation: events were delivered on
-            // reception; there is no deferred buffer to check.
-            return;
-        }
-        let publish_time = self.hrt_publish_times.remove(&(etag, round, slot));
-        let global_deadline = self.global_now(node, now);
-        let n = node.index();
-        let Some(sub) = self.nodes[n].subscription_by_etag(etag) else {
-            return;
-        };
-        match sub.hrt_buffer.remove(&(round, slot)) {
-            Some((event, wire_t)) => {
-                let subject = sub.subject;
-                let origin = event.attributes.origin;
-                if !sub.spec.passes(origin) {
-                    self.stats.channel_mut(etag).filtered += 1;
-                    return;
-                }
-                let delivery = Delivery {
-                    event,
-                    delivered_at: global_deadline,
-                    wire_completed_at: wire_t,
-                };
-                // Clone only when a notify handler needs a borrow after
-                // the queue takes ownership; the common path moves.
-                match sub.notify.as_mut() {
-                    Some(h) => {
-                        sub.queue.push(delivery.clone());
-                        h(&delivery);
-                    }
-                    None => sub.queue.push(delivery),
-                }
-                let last = sub.last_delivery.replace(now);
-                let _ = subject;
-                let ch = self.stats.channel_mut(etag);
-                ch.delivered += 1;
-                if let Some(pt) = publish_time {
-                    ch.latency_ns.record(now.saturating_since(pt).as_ns());
-                }
-                if let Some(last) = last {
-                    ch.inter_delivery_ns
-                        .record(now.saturating_since(last).as_ns());
-                }
-                if self.trace.is_enabled() {
-                    let src = self.tec_src(node, Tec::Hrt);
-                    self.trace.emit_fields(
-                        now,
-                        src,
-                        "hrt_deliver",
-                        &[
-                            ("etag", u64::from(etag)),
-                            ("round", round),
-                            ("slot", slot as u64),
-                            ("node", u64::from(node.0)),
-                            ("wire", wire_t.as_ns()),
-                        ],
-                    );
-                }
-            }
-            None => {
-                if !sporadic {
-                    let subject = sub.subject;
-                    let exc = ChannelException::MissingEvent {
-                        subject,
-                        expected_at: global_deadline,
-                    };
-                    self.stats.exceptions += 1;
-                    self.stats.channel_mut(etag).missing_events += 1;
-                    if let Some(sub) = self.nodes[n].subscription_by_etag(etag) {
-                        sub.raise(&exc);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Which (round, slot) window an HRT frame with `etag` from
-    /// `publisher` completing at global time `g` belongs to.
-    fn hrt_window(&self, etag: u16, publisher: u8, g: Time) -> Option<(u64, usize)> {
-        let plan = self.calendar.as_ref()?;
-        if g < self.calendar_start {
-            return None;
-        }
-        let offset = g.saturating_since(self.calendar_start);
-        let round = offset / plan.round;
-        let in_round = offset % plan.round;
-        for (idx, s) in plan.slots.iter().enumerate() {
-            if s.etag == etag
-                && s.publisher.0 == publisher
-                && in_round >= s.start
-                && in_round <= s.deadline()
-            {
-                return Some((round, idx));
-            }
-        }
-        None
-    }
-
-    // ------------------------------------------------------------------
-    // SRT
-    // ------------------------------------------------------------------
-
-    /// Re-evaluate the EDF head after an enqueue: if a newly published
-    /// message is more urgent than the one currently submitted to the
-    /// controller, withdraw the submitted frame (possible while it has
-    /// not won arbitration) and dispatch the new head.
-    fn srt_reconsider(&mut self, ctx: &mut Ctx<NetEvent>, node: NodeId) {
-        let n = node.index();
-        if let Some((seq, handle, _)) = self.nodes[n].srt.inflight {
-            if let Some(h) = self.nodes[n].srt.head_index() {
-                if self.nodes[n].srt.queue[h].seq != seq && self.bus.abort(node, handle) {
-                    self.nodes[n].srt.inflight = None;
-                }
-            }
-        }
-        self.srt_dispatch(ctx, node);
-    }
-
-    fn srt_dispatch(&mut self, ctx: &mut Ctx<NetEvent>, node: NodeId) {
-        let n = node.index();
-        if self.nodes[n].srt.inflight.is_some() {
-            return;
-        }
-        let Some(head) = self.nodes[n].srt.head_index() else {
-            return;
-        };
-        let now_true = ctx.now();
-        let now_global = self.global_now(node, now_true);
-        let msg = &self.nodes[n].srt.queue[head];
-        let prio = priority_for_deadline(msg.deadline, now_global, &self.config.priority_slots);
-        let frame = Frame::new(CanId::new(prio, node.0, msg.etag), &msg.event.content);
-        let tag = pack_tag(TagKind::Srt, msg.etag, msg.seq);
-        let (seq, deadline) = (msg.seq, msg.deadline);
-        let mut sched = MapScheduler::new(ctx, wrap_can);
-        let handle = self.bus.submit(
-            &mut sched,
-            node,
-            TxRequest {
-                frame,
-                single_shot: false,
-                tag,
-            },
-        );
-        self.nodes[n].srt.inflight = Some((seq, handle, prio));
-        if self.config.srt_dynamic_promotion {
-            if let Some(t_g) =
-                next_promotion_time(deadline, now_global, &self.config.priority_slots)
-            {
-                let t = self.true_at(node, t_g, now_true);
-                ctx.at(t, NetEvent::SrtPromote { node, seq });
-            }
-        }
-    }
-
-    fn on_srt_promote(&mut self, ctx: &mut Ctx<NetEvent>, node: NodeId, seq: u32) {
-        let n = node.index();
-        let Some((cur_seq, handle, cur_prio)) = self.nodes[n].srt.inflight else {
-            return;
-        };
-        if cur_seq != seq {
-            return;
-        }
-        let Some(idx) = self.nodes[n].srt.find(seq) else {
-            return;
-        };
-        let now_true = ctx.now();
-        let now_global = self.global_now(node, now_true);
-        let msg = &self.nodes[n].srt.queue[idx];
-        let (etag, deadline) = (msg.etag, msg.deadline);
-        let new_prio = priority_for_deadline(deadline, now_global, &self.config.priority_slots);
-        if new_prio != cur_prio {
-            // Rewrite the pending identifier; fails harmlessly if the
-            // frame is on the wire right now (it is about to complete).
-            if self
-                .bus
-                .update_id(node, handle, CanId::new(new_prio, node.0, etag))
-            {
-                self.nodes[n].srt.inflight = Some((seq, handle, new_prio));
-            }
-        }
-        if let Some(t_g) = next_promotion_time(deadline, now_global, &self.config.priority_slots) {
-            let t = self.true_at(node, t_g, now_true);
-            ctx.at(t, NetEvent::SrtPromote { node, seq });
-        }
-    }
-
-    fn on_srt_deadline(&mut self, ctx: &mut Ctx<NetEvent>, node: NodeId, seq: u32) {
-        let _ = ctx;
-        let n = node.index();
-        let Some(idx) = self.nodes[n].srt.find(seq) else {
-            return; // already transmitted
-        };
-        let msg = &mut self.nodes[n].srt.queue[idx];
-        if msg.missed {
-            return;
-        }
-        msg.missed = true;
-        let (etag, subject, deadline) = (msg.etag, msg.subject, msg.deadline);
-        let exc = ChannelException::DeadlineMissed { subject, deadline };
-        self.stats.exceptions += 1;
-        self.stats.channel_mut(etag).deadline_misses += 1;
-        if let Some(p) = self.nodes[n].publishers.get_mut(&subject.uid()) {
-            p.raise(&exc);
-        }
-    }
-
-    fn on_srt_expire(&mut self, ctx: &mut Ctx<NetEvent>, node: NodeId, seq: u32) {
-        let n = node.index();
-        let Some(idx) = self.nodes[n].srt.find(seq) else {
-            return; // already transmitted
-        };
-        if let Some((cur_seq, handle, _)) = self.nodes[n].srt.inflight {
-            if cur_seq == seq {
-                if !self.bus.abort(node, handle) {
-                    // On the wire right now: let it complete.
-                    return;
-                }
-                self.nodes[n].srt.inflight = None;
-            }
-        }
-        let msg = self.nodes[n].srt.queue.remove(idx);
-        if self.trace.is_enabled() {
-            let src = self.tec_src(node, Tec::Srt);
-            self.trace.emit_fields(
-                ctx.now(),
-                src,
-                "srt_expire",
-                &[
-                    ("etag", u64::from(msg.etag)),
-                    ("seq", u64::from(seq)),
-                    ("node", u64::from(node.0)),
-                    ("tag", pack_tag(TagKind::Srt, msg.etag, seq)),
-                ],
-            );
-        }
-        let exc = ChannelException::Expired {
-            subject: msg.subject,
-            expiration: msg.expiration.unwrap_or(msg.deadline),
-        };
-        self.stats.exceptions += 1;
-        self.stats.channel_mut(msg.etag).expired_drops += 1;
-        if let Some(p) = self.nodes[n].publishers.get_mut(&msg.subject.uid()) {
-            p.raise(&exc);
-        }
-        self.srt_dispatch(ctx, node);
-    }
-
-    // ------------------------------------------------------------------
-    // NRT
-    // ------------------------------------------------------------------
-
-    fn nrt_dispatch(&mut self, ctx: &mut Ctx<NetEvent>, node: NodeId) {
-        let n = node.index();
-        if self.nodes[n]
-            .nrt
-            .active
-            .as_ref()
-            .is_some_and(|t| t.handle.is_some())
-        {
-            return;
-        }
-        if self.nodes[n].nrt.active.is_none() {
-            let Some(next) = self.nodes[n].nrt.queue.pop_front() else {
-                return;
-            };
-            self.nodes[n].nrt.active = Some(next);
-        }
-        let t = self.nodes[n].nrt.active.as_ref().expect("set above");
-        let frame = Frame::new(CanId::new(t.priority, node.0, t.etag), &t.payloads[t.next]);
-        let tag = pack_tag(TagKind::Nrt, t.etag, t.next as u32);
-        let mut sched = MapScheduler::new(ctx, wrap_can);
-        let handle = self.bus.submit(
-            &mut sched,
-            node,
-            TxRequest {
-                frame,
-                single_shot: false,
-                tag,
-            },
-        );
-        self.nodes[n].nrt.active.as_mut().expect("set above").handle = Some(handle);
     }
 
     // ------------------------------------------------------------------
@@ -1343,15 +1000,11 @@ impl NetWorld {
             CanId::new(sync.priority, sync.master.0, ETAG_SYNC),
             &[0u8; 8],
         );
-        let mut sched = MapScheduler::new(ctx, wrap_can);
-        self.bus.submit(
-            &mut sched,
+        self.submit(
+            ctx,
             sync.master,
-            TxRequest {
-                frame,
-                single_shot: false,
-                tag: pack_tag(TagKind::Sync, ETAG_SYNC, 0),
-            },
+            frame,
+            pack_tag(TagKind::Sync, ETAG_SYNC, 0),
         );
         // Next tick by the master's own clock.
         let now = ctx.now();
@@ -1386,12 +1039,12 @@ impl NetWorld {
             } => self.on_rx(ctx, node, frame, completed_at),
             Notification::TxCompleted {
                 node,
+                handle,
                 tag,
-                frame,
                 all_received,
                 started,
                 ..
-            } => self.on_tx_completed(ctx, node, tag, frame, all_received, started),
+            } => self.on_tx_completed(ctx, node, handle, tag, all_received, started),
             Notification::TxError { .. } => {
                 // Corruption: the controller retransmits automatically.
             }
@@ -1459,8 +1112,8 @@ impl NetWorld {
         &mut self,
         ctx: &mut Ctx<NetEvent>,
         node: NodeId,
+        handle: TxHandle,
         tag: u64,
-        frame: Frame,
         all_received: bool,
         started: Time,
     ) {
@@ -1470,128 +1123,60 @@ impl NetWorld {
             return;
         };
         let n = node.index();
-        match kind {
+        let machine = &self.nodes[n].machine;
+        // Omniscient accounting first, from the state the completion is
+        // about to change.
+        let mut hrt_retx = None;
+        let class = match kind {
             TagKind::Hrt => {
-                let Some(p) = self.nodes[n].publisher_by_etag(etag) else {
-                    return;
-                };
-                let Some(active) = p.active.as_mut() else {
-                    return;
-                };
-                let dlc = match p.spec {
-                    ChannelSpec::Hrt(h) => h.dlc,
-                    _ => 8,
-                };
-                let first_attempt =
-                    active.first_completion.is_none() && active.middleware_retx == 0;
-                let lst_true = active.lst_true;
-                let deadline_true = active.deadline_true;
-                let subject = p.subject;
-                let published_at = self
-                    .hrt_publish_times
-                    .get(&(etag, active.round, active.slot_idx))
-                    .copied();
-                if first_attempt {
+                let active = machine
+                    .hrt_active(etag)
+                    .filter(|a| a.slot as u32 == seq && a.pending);
+                if let Some(a) = active {
+                    let plan = self.calendar.as_ref().expect("calendar installed");
+                    let lst = self.calendar_start + plan.round * a.round + plan.slots[a.slot].lst();
+                    let lst_true = self.nodes[n].clock.true_time_when_reads(lst);
+                    if a.retx == 0 {
+                        self.stats
+                            .hrt_lst_blocking_ns
+                            .record(started.saturating_since(lst_true).as_ns());
+                    }
                     self.stats
-                        .hrt_lst_blocking_ns
-                        .record(started.saturating_since(lst_true).as_ns());
-                }
-                self.stats
-                    .hrt_wire_offset_ns
-                    .record(now.saturating_since(lst_true).as_ns());
-                let ch = self.stats.channel_mut(etag);
-                ch.wire_transmissions += 1;
-                let p = self.nodes[n].publisher_by_etag(etag).expect("exists");
-                let active = p.active.as_mut().expect("exists");
-                if all_received {
-                    active.succeeded = true;
-                    active.handle = None;
-                    if active.first_completion.is_none() {
-                        active.first_completion = Some(now);
-                        if let Some(pt) = published_at {
-                            self.stats
-                                .channel_mut(etag)
-                                .wire_latency_ns
-                                .record(now.saturating_since(pt).as_ns());
-                        }
+                        .hrt_wire_offset_ns
+                        .record(now.saturating_since(lst_true).as_ns());
+                    let ch = self.stats.channel_mut(etag);
+                    ch.wire_transmissions += 1;
+                    let published = self.hrt_publish_times.get(&(etag, a.round, a.slot));
+                    if let (true, Some(&pt)) = (all_received, published) {
+                        ch.wire_latency_ns.record(now.saturating_since(pt).as_ns());
                     }
-                    // Early stop: no further redundant transmissions —
-                    // the remaining slot time is reclaimed by SRT/NRT
-                    // traffic through plain priority arbitration.
-                } else {
-                    // Spend a redundant transmission if the slot still
-                    // has room for a worst-case attempt.
-                    let k = match p.spec {
-                        ChannelSpec::Hrt(h) => h.omission_degree,
-                        _ => 0,
-                    };
-                    let c = wcct_single(dlc, self.config.bus.timing);
-                    if active.middleware_retx < k && now + c <= deadline_true {
-                        active.middleware_retx += 1;
-                        let content = active.event.content.clone();
-                        let retx_frame = Frame::new(CanId::new(PRIO_HRT, node.0, etag), &content);
-                        let mut sched = MapScheduler::new(ctx, wrap_can);
-                        let handle = self.bus.submit(
-                            &mut sched,
-                            node,
-                            TxRequest {
-                                frame: retx_frame,
-                                single_shot: false,
-                                tag,
-                            },
-                        );
-                        let p = self.nodes[n].publisher_by_etag(etag).expect("exists");
-                        if let Some(a) = p.active.as_mut() {
-                            a.handle = Some(handle);
-                        }
-                        self.stats.channel_mut(etag).redundant_transmissions += 1;
-                    } else {
-                        // Give up; the publisher-side cleanup at the
-                        // deadline raises RedundancyExhausted.
-                        let p = self.nodes[n].publisher_by_etag(etag).expect("exists");
-                        if let Some(a) = p.active.as_mut() {
-                            a.handle = None;
-                        }
-                        let _ = subject;
-                    }
+                    hrt_retx = Some(a.retx);
                 }
+                ChannelClass::Hrt
             }
             TagKind::Srt => {
-                if let Some(msg) = self.nodes[n].srt.take(seq) {
+                if let Some(tx) = machine.srt_submitted().filter(|tx| tx.seq == seq) {
                     let ch = self.stats.channel_mut(etag);
                     ch.wire_transmissions += 1;
                     ch.wire_latency_ns
-                        .record(now.saturating_since(msg.published_at).as_ns());
+                        .record(now.saturating_since(tx.stamp).as_ns());
                 }
-                if self.nodes[n].srt.inflight.is_some_and(|(s, _, _)| s == seq) {
-                    self.nodes[n].srt.inflight = None;
-                }
-                self.srt_dispatch(ctx, node);
+                ChannelClass::Srt
             }
             TagKind::Nrt => {
-                let done = {
-                    let Some(t) = self.nodes[n].nrt.active.as_mut() else {
-                        return;
-                    };
-                    t.handle = None;
-                    t.next += 1;
-                    t.next >= t.payloads.len()
-                };
-                self.stats.channel_mut(etag).wire_transmissions += 1;
-                if done {
-                    let t = self.nodes[n].nrt.active.take().expect("checked");
-                    self.stats
-                        .channel_mut(etag)
-                        .wire_latency_ns
-                        .record(now.saturating_since(t.published_at).as_ns());
+                if let Some(t) = machine.nrt_queue().front() {
+                    let ch = self.stats.channel_mut(etag);
+                    ch.wire_transmissions += 1;
+                    if t.next + 1 == t.payloads.len() {
+                        ch.wire_latency_ns
+                            .record(now.saturating_since(t.stamp).as_ns());
+                    }
                 }
-                self.nrt_dispatch(ctx, node);
+                ChannelClass::Nrt
             }
-            TagKind::Bind => {
-                // Request or reply left the wire; nothing to do — the
-                // requester acts on the reply's Rx.
-                let _ = frame;
-            }
+            // Request or reply left the wire; nothing to do — the
+            // requester acts on the reply's Rx.
+            TagKind::Bind => return,
             TagKind::Sync => {
                 // The master latches its clock at the SYNC completion
                 // and distributes that timestamp in a FOLLOW-UP (the
@@ -1600,25 +1185,23 @@ impl NetWorld {
                 let Some(sync) = self.config.clock_sync else {
                     return;
                 };
-                if node != sync.master || etag != ETAG_SYNC {
-                    return;
+                if node == sync.master && etag == ETAG_SYNC {
+                    let stamp = self.global_now(sync.master, now);
+                    let follow = Frame::new(
+                        CanId::new(sync.priority, sync.master.0, ETAG_FOLLOW_UP),
+                        &stamp.as_ns().to_le_bytes(),
+                    );
+                    let tag = pack_tag(TagKind::Sync, ETAG_FOLLOW_UP, 0);
+                    self.submit(ctx, sync.master, follow, tag);
                 }
-                let stamp = self.global_now(sync.master, now);
-                let follow = Frame::new(
-                    CanId::new(sync.priority, sync.master.0, ETAG_FOLLOW_UP),
-                    &stamp.as_ns().to_le_bytes(),
-                );
-                let mut sched = MapScheduler::new(ctx, wrap_can);
-                self.bus.submit(
-                    &mut sched,
-                    sync.master,
-                    TxRequest {
-                        frame: follow,
-                        single_shot: false,
-                        tag: pack_tag(TagKind::Sync, ETAG_FOLLOW_UP, 0),
-                    },
-                );
+                return;
             }
+        };
+        self.nodes[n].tx.release(class, handle);
+        let _ = self.step(ctx, node, Input::TxDone { tag, all_received }, None);
+        let retx_now = self.nodes[n].machine.hrt_active(etag).map(|a| a.retx);
+        if hrt_retx.is_some() && retx_now > hrt_retx {
+            self.stats.channel_mut(etag).redundant_transmissions += 1;
         }
     }
 
@@ -1658,175 +1241,8 @@ impl NetWorld {
             return;
         }
         // Channel traffic.
-        let meta = self.channel_table.get(&etag).copied();
-        let origin = NodeId(frame.id.txnode());
-        let n = node.index();
-        let Some(_) = self.nodes[n].subscription_by_etag(etag) else {
-            return; // e.g. the binding agent in AcceptAll mode
-        };
-        match meta.map(|m| m.class) {
-            Some(ChannelClass::Hrt) if self.config.hrt_deferred_delivery => {
-                let g = self.global_now(node, completed_at);
-                if let Some((round, slot)) = self.hrt_window(etag, origin.0, g) {
-                    let sub = self.nodes[n].subscription_by_etag(etag).expect("exists");
-                    let event = Event {
-                        subject: sub.subject,
-                        attributes: crate::event::EventAttributes {
-                            origin: Some(origin),
-                            timestamp: Some(g),
-                            ..Default::default()
-                        },
-                        content: frame.payload().to_vec(),
-                    };
-                    sub.hrt_buffer.insert((round, slot), (event, completed_at));
-                } else {
-                    // Outside any slot window (overrun past the fault
-                    // assumption): fall back to immediate delivery.
-                    self.deliver_immediate(node, etag, origin, frame.payload(), completed_at, None);
-                }
-            }
-            Some(ChannelClass::Nrt) if meta.is_some_and(|m| m.fragmented) => {
-                match self.nodes[n]
-                    .reassembler
-                    .push((origin.0, etag), frame.payload())
-                {
-                    Ok(Some(data)) => {
-                        if self.trace.is_enabled() {
-                            let src = self.tec_src(node, Tec::Nrt);
-                            self.trace.emit_fields(
-                                completed_at,
-                                src,
-                                "nrt_complete",
-                                &[
-                                    ("etag", u64::from(etag)),
-                                    ("node", u64::from(node.0)),
-                                    ("origin", u64::from(origin.0)),
-                                    ("bytes", data.len() as u64),
-                                ],
-                            );
-                        }
-                        let publish_time = self.nrt_publish_time(origin, etag);
-                        self.deliver_immediate(
-                            node,
-                            etag,
-                            origin,
-                            &data,
-                            completed_at,
-                            publish_time,
-                        );
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        if self.trace.is_enabled() {
-                            let src = self.tec_src(node, Tec::Nrt);
-                            self.trace.emit_fields(
-                                completed_at,
-                                src,
-                                "frag_error",
-                                &[
-                                    ("etag", u64::from(etag)),
-                                    ("node", u64::from(node.0)),
-                                    ("origin", u64::from(origin.0)),
-                                ],
-                            );
-                        }
-                        let sub = self.nodes[n].subscription_by_etag(etag).expect("exists");
-                        let subject = sub.subject;
-                        let exc = ChannelException::Fault {
-                            subject,
-                            reason: format!("fragment reassembly failed: {e:?}"),
-                        };
-                        self.stats.exceptions += 1;
-                        if let Some(sub) = self.nodes[n].subscription_by_etag(etag) {
-                            sub.raise(&exc);
-                        }
-                    }
-                }
-            }
-            _ => {
-                // SRT, non-fragmented NRT, HRT in the immediate-delivery
-                // ablation, or unknown class: deliver now.
-                let publish_time = self.srt_publish_time(origin, etag);
-                self.deliver_immediate(
-                    node,
-                    etag,
-                    origin,
-                    frame.payload(),
-                    completed_at,
-                    publish_time,
-                );
-            }
-        }
-    }
-
-    /// Publish instant of the SRT message from `origin` currently on
-    /// the wire for `etag` (omniscient-stats helper).
-    fn srt_publish_time(&self, origin: NodeId, etag: u16) -> Option<Time> {
-        let sender = self.nodes.get(origin.index())?;
-        let (seq, _, _) = sender.srt.inflight?;
-        let idx = sender.srt.find(seq)?;
-        let msg = &sender.srt.queue[idx];
-        (msg.etag == etag).then_some(msg.published_at)
-    }
-
-    fn nrt_publish_time(&self, origin: NodeId, etag: u16) -> Option<Time> {
-        let sender = self.nodes.get(origin.index())?;
-        let t = sender.nrt.active.as_ref()?;
-        (t.etag == etag).then_some(t.published_at)
-    }
-
-    fn deliver_immediate(
-        &mut self,
-        node: NodeId,
-        etag: u16,
-        origin: NodeId,
-        content: &[u8],
-        completed_at: Time,
-        publish_time: Option<Time>,
-    ) {
-        let g = self.global_now(node, completed_at);
-        let n = node.index();
-        let Some(sub) = self.nodes[n].subscription_by_etag(etag) else {
-            return;
-        };
-        if !sub.spec.passes(Some(origin)) {
-            self.stats.channel_mut(etag).filtered += 1;
-            return;
-        }
-        let event = Event {
-            subject: sub.subject,
-            attributes: crate::event::EventAttributes {
-                origin: Some(origin),
-                timestamp: Some(g),
-                ..Default::default()
-            },
-            content: content.to_vec(),
-        };
-        let delivery = Delivery {
-            event,
-            delivered_at: g,
-            wire_completed_at: completed_at,
-        };
-        // As in slot delivery: move into the queue unless a notify
-        // handler still needs to borrow the delivery afterwards.
-        match sub.notify.as_mut() {
-            Some(h) => {
-                sub.queue.push(delivery.clone());
-                h(&delivery);
-            }
-            None => sub.queue.push(delivery),
-        }
-        let last = sub.last_delivery.replace(completed_at);
-        let ch = self.stats.channel_mut(etag);
-        ch.delivered += 1;
-        if let Some(pt) = publish_time {
-            ch.latency_ns
-                .record(completed_at.saturating_since(pt).as_ns());
-        }
-        if let Some(last) = last {
-            ch.inter_delivery_ns
-                .record(completed_at.saturating_since(last).as_ns());
-        }
+        let stamp = completed_at;
+        let _ = self.step(ctx, node, Input::Rx { frame, stamp }, None);
     }
 
     fn agent_handle_request(&mut self, ctx: &mut Ctx<NetEvent>, frame: Frame) {
@@ -1849,16 +1265,8 @@ impl NetWorld {
             CanId::new(PRIO_NRT_MIN, agent.0, ETAG_BIND_REPLY),
             &reply.encode(),
         );
-        let mut sched = MapScheduler::new(ctx, wrap_can);
-        self.bus.submit(
-            &mut sched,
-            agent,
-            TxRequest {
-                frame: reply_frame,
-                single_shot: false,
-                tag: pack_tag(TagKind::Bind, ETAG_BIND_REPLY, u32::from(req.seq)),
-            },
-        );
+        let tag = pack_tag(TagKind::Bind, ETAG_BIND_REPLY, u32::from(req.seq));
+        self.submit(ctx, agent, reply_frame, tag);
     }
 
     fn on_bind_reply(&mut self, ctx: &mut Ctx<NetEvent>, node: NodeId, reply: BindReply) {
@@ -1907,13 +1315,16 @@ impl Model for NetWorld {
             }
             NetEvent::RoundStart { round } => self.on_round_start(ctx, round),
             NetEvent::SlotReady { round, slot } => self.on_slot_ready(ctx, round, slot),
-            NetEvent::SlotLst { round, slot } => self.on_slot_lst(ctx, round, slot),
+            NetEvent::SlotLst { round, slot } => {
+                let (_, publisher) = self.slot_info(slot);
+                let _ = self.step(ctx, publisher, Input::SlotLst { round, slot }, None);
+            }
             NetEvent::SlotDeliver { round, slot, node } => {
                 self.on_slot_deliver(ctx, round, slot, node)
             }
-            NetEvent::SrtPromote { node, seq } => self.on_srt_promote(ctx, node, seq),
-            NetEvent::SrtDeadline { node, seq } => self.on_srt_deadline(ctx, node, seq),
-            NetEvent::SrtExpire { node, seq } => self.on_srt_expire(ctx, node, seq),
+            NetEvent::SrtTimer { node, timer, seq } => {
+                let _ = self.step(ctx, node, timer.input(seq), None);
+            }
             NetEvent::SyncTick => self.on_sync_tick(ctx),
             NetEvent::App(idx) => {
                 if let Some(f) = self.one_shots.get_mut(idx).and_then(Option::take) {

@@ -1,16 +1,17 @@
-//! Per-node middleware state.
+//! Per-node host-side middleware state of the simulator.
 //!
-//! Each node on the bus runs one middleware instance holding its
-//! publisher/subscriber channel endpoints, its SRT send queue, its NRT
-//! bulk sender and its fragment reassembler. The scheduling logic that
-//! ties this state to the bus lives in [`crate::network`]; this module
-//! defines the state types and the transmit-tag encoding that routes
-//! bus completions back to the right state machine.
+//! The channel-class decisions of a node live in
+//! [`crate::machine::NodeMachine`]; what the simulator keeps beside it
+//! per node is defined here: the application-facing endpoints (event
+//! queue, notification and exception handlers), the local clock, the
+//! dynamic-binding and clock-sync protocol state, and the handles of
+//! the machine's outstanding transmissions on the simulated bus. The
+//! module also defines the transmit-tag encoding that routes bus
+//! completions back to the right state machine.
 
-use crate::channel::{ChannelException, ChannelSpec, SubscribeSpec};
+use crate::channel::{ChannelClass, ChannelException, ChannelSpec, SubscribeSpec};
 use crate::event::{Delivery, Event, EventQueue, Subject};
-use crate::frag::Reassembler;
-use crate::policy::{EdfOrder, EdfQueue};
+use crate::machine::{MachineConfig, NodeMachine, TxSlots};
 use rtec_can::{NodeId, TxHandle};
 use rtec_clock::LocalClock;
 use rtec_sim::Time;
@@ -48,6 +49,16 @@ impl TagKind {
             TagKind::Sync => 5,
         }
     }
+    /// The channel class whose transmission slot a frame tagged with
+    /// this kind occupies; `None` for protocol traffic.
+    pub fn class(self) -> Option<ChannelClass> {
+        match self {
+            TagKind::Hrt => Some(ChannelClass::Hrt),
+            TagKind::Srt => Some(ChannelClass::Srt),
+            TagKind::Nrt => Some(ChannelClass::Nrt),
+            TagKind::Bind | TagKind::Sync => None,
+        }
+    }
     fn from_byte(b: u8) -> Option<Self> {
         match b {
             1 => Some(TagKind::Hrt),
@@ -73,31 +84,6 @@ pub fn unpack_tag(tag: u64) -> Option<(TagKind, u16, u32)> {
     Some((kind, etag, seq))
 }
 
-/// State of one HRT slot currently being served by a publisher.
-#[derive(Debug)]
-pub struct ActiveSlot {
-    /// Round the slot belongs to.
-    pub round: u64,
-    /// Index into the calendar's slot list.
-    pub slot_idx: usize,
-    /// The event being disseminated.
-    pub event: Event,
-    /// Controller handle while a transmission is pending.
-    pub handle: Option<TxHandle>,
-    /// `true` once the frame was first submitted (at the LST).
-    pub submitted: bool,
-    /// `true` once all operational nodes received the event.
-    pub succeeded: bool,
-    /// Middleware-initiated redundant retransmissions spent.
-    pub middleware_retx: u32,
-    /// True-time instant of the slot's LST (for blocking measurement).
-    pub lst_true: Time,
-    /// True-time instant of the slot's delivery deadline.
-    pub deadline_true: Time,
-    /// True-time instant of the first successful wire completion.
-    pub first_completion: Option<Time>,
-}
-
 /// A publisher endpoint of a channel on one node.
 pub struct PublisherState {
     /// The channel's subject.
@@ -108,10 +94,6 @@ pub struct PublisherState {
     pub etag: Option<u16>,
     /// Local exception handler.
     pub exception: Option<ExcHandler>,
-    /// HRT: event staged for the next slot.
-    pub staged: Option<Event>,
-    /// HRT: the slot currently in progress.
-    pub active: Option<ActiveSlot>,
     /// Events published before the binding completed (flushed on bind).
     pub pending_publishes: VecDeque<Event>,
 }
@@ -124,8 +106,6 @@ impl PublisherState {
             spec,
             etag: None,
             exception,
-            staged: None,
-            active: None,
             pending_publishes: VecDeque::new(),
         }
     }
@@ -142,7 +122,7 @@ impl PublisherState {
 pub struct SubscriptionState {
     /// The channel's subject.
     pub subject: Subject,
-    /// Subscription attributes (filters).
+    /// Subscription attributes (filters), handed to the machine on bind.
     pub spec: SubscribeSpec,
     /// Bound etag (`None` while a dynamic binding is outstanding).
     pub etag: Option<u16>,
@@ -154,9 +134,6 @@ pub struct SubscriptionState {
     pub exception: Option<ExcHandler>,
     /// Last delivery instant (true time) for inter-delivery jitter.
     pub last_delivery: Option<Time>,
-    /// HRT: events received on the wire, held until the slot's delivery
-    /// deadline, keyed by `(round, slot_idx)`.
-    pub hrt_buffer: HashMap<(u64, usize), (Event, Time)>,
 }
 
 impl SubscriptionState {
@@ -175,7 +152,6 @@ impl SubscriptionState {
             notify,
             exception,
             last_delivery: None,
-            hrt_buffer: HashMap::new(),
         }
     }
 
@@ -187,103 +163,6 @@ impl SubscriptionState {
     }
 }
 
-/// A queued soft real-time message.
-#[derive(Clone, Debug)]
-pub struct SrtMsg {
-    /// Node-local sequence number (routes completions).
-    pub seq: u32,
-    /// Channel etag.
-    pub etag: u16,
-    /// Channel subject.
-    pub subject: Subject,
-    /// The event (content goes on the wire).
-    pub event: Event,
-    /// Absolute transmission deadline (global time).
-    pub deadline: Time,
-    /// Absolute expiration (global time), if any.
-    pub expiration: Option<Time>,
-    /// Whether the deadline-miss exception already fired.
-    pub missed: bool,
-    /// Publication instant (true time, for latency stats).
-    pub published_at: Time,
-}
-
-impl EdfOrder for SrtMsg {
-    fn deadline(&self) -> Time {
-        self.deadline
-    }
-    fn seq(&self) -> u32 {
-        self.seq
-    }
-}
-
-/// The node's EDF send queue for soft real-time traffic.
-///
-/// Ordering lives in the shared [`EdfQueue`] policy (also used by the
-/// live runtime); this wrapper adds the in-flight bookkeeping that ties
-/// the queue head to a controller transmission.
-#[derive(Default)]
-pub struct SrtState {
-    /// Pending messages (the head — earliest deadline — is submitted to
-    /// the controller; the rest wait here).
-    pub queue: EdfQueue<SrtMsg>,
-    /// The submitted head: `(seq, controller handle, current priority)`.
-    pub inflight: Option<(u32, TxHandle, u8)>,
-    /// Sequence counter.
-    pub next_seq: u32,
-}
-
-impl SrtState {
-    /// Index of the earliest-deadline message, FIFO among equals.
-    pub fn head_index(&self) -> Option<usize> {
-        self.queue.head_index()
-    }
-
-    /// Find a message by sequence number.
-    pub fn find(&self, seq: u32) -> Option<usize> {
-        self.queue.find(seq)
-    }
-
-    /// Remove and return a message by sequence number.
-    pub fn take(&mut self, seq: u32) -> Option<SrtMsg> {
-        self.queue.take(seq)
-    }
-
-    /// High-water mark of the queue length (observability).
-    pub fn peak_queue(&self) -> usize {
-        self.queue.peak()
-    }
-}
-
-/// One (possibly multi-fragment) NRT transmission.
-#[derive(Clone, Debug)]
-pub struct NrtTransfer {
-    /// Channel etag.
-    pub etag: u16,
-    /// Channel subject.
-    pub subject: Subject,
-    /// CAN payloads to send, in order.
-    pub payloads: Vec<Vec<u8>>,
-    /// Next payload index to submit.
-    pub next: usize,
-    /// Fixed NRT priority.
-    pub priority: u8,
-    /// Controller handle of the fragment in flight.
-    pub handle: Option<TxHandle>,
-    /// Publication instant (true time).
-    pub published_at: Time,
-}
-
-/// The node's NRT sender: one fragment outstanding at a time, transfers
-/// served FIFO.
-#[derive(Default)]
-pub struct NrtState {
-    /// Transfer currently being sent.
-    pub active: Option<NrtTransfer>,
-    /// Transfers waiting behind it.
-    pub queue: VecDeque<NrtTransfer>,
-}
-
 /// An outstanding dynamic-binding request.
 #[derive(Clone, Copy, Debug)]
 pub struct PendingBind {
@@ -293,22 +172,20 @@ pub struct PendingBind {
     pub subject: Subject,
 }
 
-/// All middleware state of one node.
+/// Everything the simulator keeps for one node.
 pub struct NodeState {
     /// The node's bus identity (doubles as the TxNode field).
     pub id: NodeId,
     /// The node's view of global time.
     pub clock: LocalClock,
+    /// The channel-class state machine.
+    pub machine: NodeMachine,
+    /// Bus handles of the machine's outstanding transmissions.
+    pub tx: TxSlots<TxHandle>,
     /// Publisher endpoints by subject uid.
     pub publishers: HashMap<u64, PublisherState>,
     /// Subscription endpoints by subject uid.
     pub subscriptions: HashMap<u64, SubscriptionState>,
-    /// Soft real-time send queue.
-    pub srt: SrtState,
-    /// Non real-time sender.
-    pub nrt: NrtState,
-    /// Reassembly of fragmented NRT messages, keyed by (TxNode, etag).
-    pub reassembler: Reassembler<(u8, u16)>,
     /// Outstanding dynamic-binding requests (head is on the wire).
     pub bind_pending: VecDeque<PendingBind>,
     /// Binding request sequence counter.
@@ -320,31 +197,18 @@ pub struct NodeState {
 
 impl NodeState {
     /// Fresh middleware state for a node.
-    pub fn new(id: NodeId, clock: LocalClock) -> Self {
+    pub fn new(clock: LocalClock, machine: MachineConfig) -> Self {
         NodeState {
-            id,
+            id: machine.node,
             clock,
+            machine: NodeMachine::new(machine),
+            tx: TxSlots::default(),
             publishers: HashMap::new(),
             subscriptions: HashMap::new(),
-            srt: SrtState::default(),
-            nrt: NrtState::default(),
-            reassembler: Reassembler::new(),
             bind_pending: VecDeque::new(),
             bind_seq: 0,
             sync_latch: None,
         }
-    }
-
-    /// The publisher endpoint bound to `etag`, if any.
-    pub fn publisher_by_etag(&mut self, etag: u16) -> Option<&mut PublisherState> {
-        self.publishers.values_mut().find(|p| p.etag == Some(etag))
-    }
-
-    /// The subscription endpoint bound to `etag`, if any.
-    pub fn subscription_by_etag(&mut self, etag: u16) -> Option<&mut SubscriptionState> {
-        self.subscriptions
-            .values_mut()
-            .find(|s| s.etag == Some(etag))
     }
 }
 
@@ -373,52 +237,6 @@ mod tests {
     fn tag_rejects_unknown_kind() {
         assert_eq!(unpack_tag(0), None);
         assert_eq!(unpack_tag(0xFF << 56), None);
-    }
-
-    #[test]
-    fn srt_head_is_earliest_deadline_fifo_on_ties() {
-        let mut s = SrtState::default();
-        let mk = |seq: u32, deadline_us: u64| SrtMsg {
-            seq,
-            etag: 5,
-            subject: Subject::new(1),
-            event: Event::new(Subject::new(1), vec![]),
-            deadline: Time::from_us(deadline_us),
-            expiration: None,
-            missed: false,
-            published_at: Time::ZERO,
-        };
-        s.queue.push(mk(0, 300));
-        s.queue.push(mk(1, 100));
-        s.queue.push(mk(2, 100));
-        assert_eq!(s.head_index(), Some(1), "earliest deadline, lowest seq");
-        let taken = s.take(1).unwrap();
-        assert_eq!(taken.seq, 1);
-        assert_eq!(s.head_index(), Some(1)); // now msg seq=2 at index 1
-        assert_eq!(s.find(0), Some(0));
-        assert_eq!(s.find(9), None);
-        assert!(s.take(9).is_none());
-    }
-
-    #[test]
-    fn node_lookup_by_etag() {
-        let mut n = NodeState::new(NodeId(3), LocalClock::perfect());
-        let subject = Subject::new(42);
-        let mut p = PublisherState::new(
-            subject,
-            ChannelSpec::srt(crate::channel::SrtSpec::default()),
-            None,
-        );
-        p.etag = Some(77);
-        n.publishers.insert(subject.uid(), p);
-        assert!(n.publisher_by_etag(77).is_some());
-        assert!(n.publisher_by_etag(78).is_none());
-        assert!(n.subscription_by_etag(77).is_none());
-
-        let mut sub = SubscriptionState::new(subject, SubscribeSpec::default(), None, None);
-        sub.etag = Some(99);
-        n.subscriptions.insert(subject.uid(), sub);
-        assert!(n.subscription_by_etag(99).is_some());
     }
 
     #[test]

@@ -1,13 +1,9 @@
-//! Runtime-agnostic scheduling policy shared by the simulator and the
-//! live runtime.
+//! The EDF ordering policy of the soft real-time send queue.
 //!
 //! The SRTEC send queue is EDF-ordered: the head is the entry with the
 //! earliest transmission deadline, FIFO among equal deadlines (lowest
-//! sequence number wins). The deterministic simulator
-//! ([`crate::network::NetWorld`]) and the multi-threaded live runtime
-//! (`rtec-live`) both drive their soft real-time dispatch off this one
-//! queue type, so the paper's §3.2 dispatch rule cannot drift between
-//! the two.
+//! sequence number wins). [`crate::machine::NodeMachine`] keeps one
+//! such queue per node and submits only its head (§3.4).
 
 use std::ops::{Index, IndexMut};
 

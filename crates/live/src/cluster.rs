@@ -57,9 +57,9 @@ pub struct ClusterConfig {
     pub prio_cfg: PrioritySlotConfig,
     /// Fault injection plan for the bus.
     pub fault: FaultPlan,
-    /// Per-channel SRT queue bound.
+    /// Per-node SRT queue bound.
     pub srt_queue_cap: usize,
-    /// Per-channel NRT queue bound (in frames).
+    /// Per-node NRT queue bound (in frames).
     pub nrt_queue_cap: usize,
     /// Record structured trace events (needed for auditing).
     pub trace: bool,

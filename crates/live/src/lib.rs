@@ -1,9 +1,10 @@
 //! `rtec-live`: a multi-threaded live runtime for the event-channel
 //! model — real threads, real IPC, the same protocol as the simulator.
 //!
-//! Each node of the cluster runs as its own thread hosting the three
-//! channel classes (hard, soft, non real-time) on top of a
-//! [`transport::NodeTransport`]. A central broker thread reproduces the
+//! Each node of the cluster runs as its own thread hosting the
+//! channel-class machine the simulator also hosts
+//! (`rtec_core::machine::NodeMachine`: hard, soft and non real-time
+//! channels) on top of a [`transport::NodeTransport`]. A central broker thread reproduces the
 //! CAN bus: bitwise-priority arbitration over the pending frames,
 //! non-preemptive transmission paced by a configurable bit-clock
 //! ([`clock::BitClock`]), and broadcast-with-acknowledgement so hard
@@ -47,9 +48,9 @@ use rtec_analysis::admission::AdmissionError;
 /// Errors surfaced by the live runtime.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LiveError {
-    /// `publish` was refused because the channel's bounded queue is
-    /// full and the newcomer (or an in-flight message) would be the
-    /// drop victim. Carries the subject uid.
+    /// `publish` was refused because the node's bounded queue is full
+    /// and the newcomer (or an in-flight message) would be the drop
+    /// victim. Carries the subject uid.
     Backpressure(u64),
     /// A subject has no etag binding in the cluster configuration.
     UnboundSubject(u64),

@@ -1,5 +1,5 @@
-//! The node runtime: one thread per node, hosting the three channel
-//! classes' publisher/subscriber state machines over a [`NodeTransport`].
+//! The node runtime: one thread per node, hosting the channel-class
+//! machine over a [`NodeTransport`].
 //!
 //! A node is *purely reactive*: every action originates from a broker
 //! message (`Welcome`, `Timer`, `Deliver`, `TxDone`, `AbortResult`,
@@ -8,34 +8,38 @@
 //! is how the broker knows the node has quiesced — the lock-step that
 //! makes live runs deterministic even over real transports.
 //!
-//! The class logic is the paper's, shared with the simulator:
+//! Every HRT/SRT/NRT decision is made by
+//! [`rtec_core::machine::NodeMachine`], the same machine the simulator
+//! hosts. [`LiveNode`] is its *live host* and does only what differs by
+//! construction from a simulated node:
 //!
-//! * **HRT** — calendar slots from [`rtec_analysis::admission`]; the
-//!   staged event is activated at the slot's ready instant, submitted
-//!   at the Latest Start Time with the reserved priority
-//!   [`PRIO_HRT`], retransmitted only while the broker reports a
-//!   receiver missed it, and delivered at the slot deadline.
-//! * **SRT** — the [`EdfQueue`] extracted into `rtec_core::policy`,
-//!   deadline → priority mapping and promotion instants from
-//!   [`rtec_analysis::edf`], expiration drops mapped onto the bounded
-//!   queue's overflow policy.
-//! * **NRT** — fixed-priority FIFO with the fragmentation scheme from
-//!   `rtec_core::frag`, one fragment in flight at a time.
+//! * it turns broker messages into machine inputs (bus time is global
+//!   time here, so no clock translation) and machine outputs into
+//!   broker requests; an `Abort` is answered later, by the broker's
+//!   `AbortResult` message;
+//! * it arms the calendar timers through the broker: one ready timer
+//!   per published slot and one delivery timer per subscribed slot,
+//!   each re-armed every round, plus LST and deadline timers only for
+//!   slots that actually activated an event (which keeps the broker's
+//!   turn count down);
+//! * it runs the transport loop and [`Behavior`] dispatch, appends to
+//!   the shared delivery log, and leaves a crash snapshot behind for
+//!   its next incarnation.
 
 use crate::sync::{Arc, Mutex};
 use crate::transport::NodeTransport;
 use crate::wire::{ToBroker, ToNode};
 use crate::LiveError;
-use rtec_analysis::admission::{CalendarPlan, PlannedSlot};
-use rtec_analysis::edf::{next_promotion_time, priority_for_deadline, PrioritySlotConfig};
-use rtec_analysis::wctt::wcct_single;
-use rtec_can::bits::BitTiming;
-use rtec_can::{CanId, Frame, NodeId, PRIO_HRT, PRIO_NRT_MIN, PRIO_SRT_MAX, PRIO_SRT_MIN};
-use rtec_core::channel::{ChannelClass, ChannelException, ChannelSpec, HrtSpec, NrtSpec, SrtSpec};
+use rtec_analysis::admission::CalendarPlan;
+use rtec_analysis::edf::PrioritySlotConfig;
+use rtec_can::NodeId;
+use rtec_core::channel::{ChannelClass, ChannelException, ChannelSpec, SubscribeSpec};
 use rtec_core::event::{Delivery, Event, Subject};
-use rtec_core::frag::{try_fragment, Reassembler};
-use rtec_core::node::{pack_tag, TagKind};
-use rtec_core::policy::{EdfOrder, EdfQueue};
+use rtec_core::machine::{
+    ChannelMeta, Input, MachineConfig, NodeMachine, NrtTransfer, Output, PublishError, SrtTimer,
+    TxSlots,
+};
+use rtec_core::node::unpack_tag;
 use rtec_sim::{Duration, SharedTraceSink, SourceId, Time};
 use std::collections::HashMap;
 
@@ -63,25 +67,13 @@ const TK_SRT_EXPIRE: u64 = 6;
 const TK_SRT_PROMOTE: u64 = 7;
 const TK_APP: u64 = 8;
 
+/// Bits of a calendar-timer payload holding the round; the slot index
+/// sits above them.
+const ROUND_BITS: u32 = 40;
+
 fn token(kind: u64, payload: u64) -> u64 {
     debug_assert!(payload <= TK_PAYLOAD_MASK);
     (kind << TK_SHIFT) | (payload & TK_PAYLOAD_MASK)
-}
-
-/// Payload for the per-occurrence HRT publisher timers.
-fn hrt_pub_payload(pub_idx: usize, occ: usize) -> u64 {
-    ((pub_idx as u64) << 16) | occ as u64
-}
-
-/// Payload for the HRT subscriber delivery timer.
-fn hrt_sub_payload(sub_idx: usize, occ: usize, round: u64) -> u64 {
-    debug_assert!(round < 1 << 40);
-    ((sub_idx as u64) << 48) | ((occ as u64) << 40) | (round & ((1 << 40) - 1))
-}
-
-/// Payload for the per-message SRT timers.
-fn srt_payload(chan: usize, seq: u32) -> u64 {
-    ((chan as u64) << 32) | u64::from(seq)
 }
 
 // --------------------------------------------------------------------
@@ -105,11 +97,11 @@ pub struct NodeConfig {
     /// Subjects this node subscribes to (attributes mirror the
     /// publisher's — binding is static in the live runtime).
     pub subscribes: Vec<(Subject, ChannelSpec)>,
-    /// Bound on each SRT channel's EDF queue (≥ 2). Overflow maps onto
-    /// the expiration-drop policy; when the newcomer itself is the
-    /// overflow victim, `publish` returns [`LiveError::Backpressure`].
+    /// Bound on the node's SRT EDF queue (≥ 2). Overflow maps onto the
+    /// expiration-drop policy; when the newcomer itself is the overflow
+    /// victim, `publish` returns [`LiveError::Backpressure`].
     pub srt_queue_cap: usize,
-    /// Bound on each NRT channel's queue, counted in *frames*.
+    /// Bound on the node's NRT queue, counted in *frames*.
     pub nrt_queue_cap: usize,
 }
 
@@ -138,7 +130,7 @@ pub struct SharedConfig {
 
 /// State a crashing node thread leaves behind for its next incarnation.
 ///
-/// Deliberately *excludes* each channel's in-flight message: a crash
+/// Deliberately *excludes* the in-flight messages: a crash
 /// may lose the event that was on the wire, but resuming from the
 /// snapshot can never deliver one twice (at-most-once across rejoin).
 /// HRT channels are not snapshotted at all — their traffic is periodic
@@ -149,14 +141,13 @@ pub struct NodeSnapshot {
     /// reported stats span its whole lifetime rather than its last
     /// life.
     pub stats: NodeStats,
-    /// Queued (not in-flight) SRT events per channel index. Attributes
-    /// carry the original absolute deadline/expiration, so re-publishing
-    /// restores EDF order and expiry behavior.
-    srt: Vec<Vec<Event>>,
-    /// Queued NRT transfers per channel index, as ready-to-submit
-    /// fragment payload lists. A partially transmitted front transfer
-    /// is dropped with the crash (best-effort class).
-    nrt: Vec<Vec<Vec<Vec<u8>>>>,
+    /// Queued (not in-flight) SRT events. Attributes carry the original
+    /// absolute deadline/expiration, so re-publishing restores EDF
+    /// order and expiry behavior.
+    srt: Vec<Event>,
+    /// Queued NRT transfers, ready to submit. A partially transmitted
+    /// front transfer is dropped with the crash (best-effort class).
+    nrt: Vec<NrtTransfer>,
 }
 
 /// One delivery observed at a subscriber, in bus order — the unit the
@@ -194,7 +185,7 @@ pub struct NodeStats {
     pub expired: u64,
     /// `publish` calls rejected with backpressure.
     pub backpressure: u64,
-    /// High-water mark across this node's SRT queues.
+    /// High-water mark of this node's SRT queue.
     pub srt_peak_queue: usize,
 }
 
@@ -252,126 +243,25 @@ impl NodeCtx<'_> {
     /// and the channel period for rearming. The initial `on_start`
     /// publish covers round 0.
     pub fn hrt_stage_schedule(&self, subject: Subject) -> Option<(Time, Duration)> {
-        let PubRef::Hrt(idx) = self.core.pub_by_subject.get(&subject.uid())? else {
+        let &(etag, ChannelSpec::Hrt(spec)) = self.core.publishes.get(&subject.uid())? else {
             return None;
         };
-        let p = &self.core.hrt_pubs[*idx];
-        let (_, slot) = p.slots.first()?;
-        let first = self.core.shared.calendar_start + slot.start + p.spec.period;
-        Some((first.saturating_sub(STAGE_LEAD), p.spec.period))
+        let me = NodeId(self.core.node);
+        let mut slots = self.core.shared.calendar.slots.iter();
+        let slot = slots.find(|s| s.etag == etag && s.publisher == me)?;
+        let first = self.core.shared.calendar_start + slot.start + spec.period;
+        Some((first.saturating_sub(STAGE_LEAD), spec.period))
     }
-}
-
-// --------------------------------------------------------------------
-// Channel state
-// --------------------------------------------------------------------
-
-enum PubRef {
-    Hrt(usize),
-    Srt(usize),
-    Nrt(usize),
-}
-
-struct HrtPub {
-    subject: Subject,
-    etag: u16,
-    spec: HrtSpec,
-    /// This channel's slot occurrences: (index into `calendar.slots`,
-    /// the slot), ordered by start offset.
-    slots: Vec<(usize, PlannedSlot)>,
-    staged: Option<Event>,
-    active: Option<HrtActive>,
-}
-
-struct HrtActive {
-    occ: usize,
-    cal_idx: usize,
-    deadline_abs: Time,
-    event: Event,
-    /// Transmissions submitted so far (first + middleware retx).
-    sent: u32,
-    succeeded: bool,
-    handle: Option<u32>,
-}
-
-struct HrtSub {
-    subject: Subject,
-    etag: u16,
-    slots: Vec<(usize, PlannedSlot)>,
-    /// First wire arrival for the slot currently awaiting its deadline.
-    pending: Option<HrtPending>,
-}
-
-struct HrtPending {
-    round: u64,
-    occ: usize,
-    cal_idx: usize,
-    event: Event,
-    wire: Time,
-}
-
-struct SrtMsg {
-    seq: u32,
-    event: Event,
-    deadline: Time,
-    expiration: Option<Time>,
-}
-
-impl EdfOrder for SrtMsg {
-    fn deadline(&self) -> Time {
-        self.deadline
-    }
-    fn seq(&self) -> u32 {
-        self.seq
-    }
-}
-
-struct SrtChan {
-    subject: Subject,
-    etag: u16,
-    spec: SrtSpec,
-    queue: EdfQueue<SrtMsg>,
-    next_seq: u32,
-    /// (seq, handle, current priority) of the submitted head.
-    inflight: Option<(u32, u32, u8)>,
-    /// (handle, expire?) of an abort awaiting its `AbortResult`.
-    aborting: Option<(u32, bool)>,
-}
-
-struct NrtTransfer {
-    payloads: Vec<Vec<u8>>,
-    next: usize,
-}
-
-struct NrtChan {
-    etag: u16,
-    spec: NrtSpec,
-    queue: std::collections::VecDeque<NrtTransfer>,
-    queued_frames: usize,
-    inflight: Option<u32>,
-}
-
-struct NrtSub {
-    subject: Subject,
-    fragmented: bool,
-    reass: Reassembler<(u8, u16)>,
-}
-
-#[derive(Clone, Copy)]
-enum Route {
-    Hrt { pub_idx: usize },
-    Srt { chan: usize },
-    Nrt { chan: usize },
-}
-
-enum Notice {
-    Delivered(Delivery),
-    Exception(ChannelException),
 }
 
 // --------------------------------------------------------------------
 // The runtime
 // --------------------------------------------------------------------
+
+enum Notice {
+    Delivered(Delivery),
+    Exception(ChannelException),
+}
 
 /// Everything a node owns except its behavior (split so behavior
 /// callbacks can borrow the rest of the node mutably).
@@ -388,29 +278,22 @@ struct NodeCore {
     now: Time,
     transport: Box<dyn NodeTransport>,
     shared: SharedConfig,
-    round: Duration,
-    timing: BitTiming,
-    src_hrt: SourceId,
-    src_srt: SourceId,
-    src_nrt: SourceId,
+    /// Trace sources of the `hrtec`/`srtec`/`nrtec` handlers, by class.
+    srcs: [SourceId; 3],
+    machine: NodeMachine,
+    /// Scratch buffer the machine pushes its outputs into.
+    out: Vec<Output>,
     next_handle: u32,
-    routes: HashMap<u32, Route>,
-    pub_by_subject: HashMap<u64, PubRef>,
-    hrt_pubs: Vec<HrtPub>,
-    hrt_subs: Vec<HrtSub>,
-    hrt_sub_by_etag: HashMap<u16, usize>,
-    srt_chans: Vec<SrtChan>,
-    srt_sub_by_etag: HashMap<u16, Subject>,
-    nrt_chans: Vec<NrtChan>,
-    nrt_subs: Vec<NrtSub>,
-    nrt_sub_by_etag: HashMap<u16, usize>,
-    srt_queue_cap: usize,
-    nrt_queue_cap: usize,
+    /// Broker handles of the machine's outstanding transmissions.
+    tx: TxSlots<u32>,
+    /// Etag and attributes of each publication, by subject uid.
+    publishes: HashMap<u64, (u16, ChannelSpec)>,
     notices: Vec<Notice>,
     stats: NodeStats,
 }
 
-/// A live node: channel state machines plus the application behavior.
+/// A live node: the channel-class machine plus the application
+/// behavior.
 pub struct LiveNode {
     core: NodeCore,
     behavior: Box<dyn Behavior>,
@@ -426,134 +309,77 @@ impl LiveNode {
         transport: Box<dyn NodeTransport>,
         behavior: Box<dyn Behavior>,
     ) -> Result<Self, LiveError> {
-        let etags = Arc::clone(&shared.etags);
-        let calendar = Arc::clone(&shared.calendar);
-        let etag_of = move |s: Subject| -> Result<u16, LiveError> {
-            etags
-                .get(&s.uid())
-                .copied()
-                .ok_or(LiveError::UnboundSubject(s.uid()))
-        };
-        let slots_of = move |etag: u16, publisher: Option<u8>| -> Vec<(usize, PlannedSlot)> {
-            calendar
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| {
-                    s.etag == etag && publisher.is_none_or(|p| s.publisher == NodeId(p))
-                })
-                .map(|(i, s)| (i, *s))
-                .collect()
+        let etag_of = |s: Subject| -> Result<u16, LiveError> {
+            let etag = shared.etags.get(&s.uid()).copied();
+            etag.ok_or(LiveError::UnboundSubject(s.uid()))
         };
         if cfg.srt_queue_cap < 2 {
             return Err(LiveError::Config("SRT queue capacity must be >= 2".into()));
         }
-        let mut core = NodeCore {
-            node: cfg.node,
-            incarnation: cfg.incarnation,
-            welcomed: false,
-            last_deliver_ns: 0,
-            now: Time::ZERO,
-            transport,
-            round: shared.calendar.round,
+        let mut machine = NodeMachine::new(MachineConfig {
+            node: NodeId(cfg.node),
+            priority_slots: shared.prio_cfg,
             timing: shared.calendar.timing,
-            src_hrt: shared.sink.intern(&format!("node{}.hrtec", cfg.node)),
-            src_srt: shared.sink.intern(&format!("node{}.srtec", cfg.node)),
-            src_nrt: shared.sink.intern(&format!("node{}.nrtec", cfg.node)),
-            shared,
-            next_handle: 0,
-            routes: HashMap::new(),
-            pub_by_subject: HashMap::new(),
-            hrt_pubs: Vec::new(),
-            hrt_subs: Vec::new(),
-            hrt_sub_by_etag: HashMap::new(),
-            srt_chans: Vec::new(),
-            srt_sub_by_etag: HashMap::new(),
-            nrt_chans: Vec::new(),
-            nrt_subs: Vec::new(),
-            nrt_sub_by_etag: HashMap::new(),
             srt_queue_cap: cfg.srt_queue_cap,
             nrt_queue_cap: cfg.nrt_queue_cap,
-            notices: Vec::new(),
-            stats: NodeStats {
-                node: cfg.node,
-                ..NodeStats::default()
-            },
-        };
+            hrt_deferred_delivery: true,
+            srt_dynamic_promotion: true,
+        });
+        machine.install_calendar(Arc::clone(&shared.calendar), shared.calendar_start);
+        let mut publishes = HashMap::new();
         for (subject, spec) in cfg.publishes {
             let etag = etag_of(subject)?;
-            let r = match spec {
-                ChannelSpec::Hrt(h) => {
-                    let slots = slots_of(etag, Some(cfg.node));
-                    if slots.is_empty() {
+            match spec {
+                ChannelSpec::Hrt(_) => {
+                    let me = NodeId(cfg.node);
+                    let mut slots = shared.calendar.slots.iter();
+                    if !slots.any(|s| s.etag == etag && s.publisher == me) {
                         return Err(LiveError::Config(format!(
                             "HRT subject {:#x} has no calendar slot for node {}",
                             subject.uid(),
                             cfg.node
                         )));
                     }
-                    core.hrt_pubs.push(HrtPub {
-                        subject,
-                        etag,
-                        spec: h,
-                        slots,
-                        staged: None,
-                        active: None,
-                    });
-                    PubRef::Hrt(core.hrt_pubs.len() - 1)
                 }
-                ChannelSpec::Srt(s) => {
-                    core.srt_chans.push(SrtChan {
-                        subject,
-                        etag,
-                        spec: s,
-                        queue: EdfQueue::new(),
-                        next_seq: 0,
-                        inflight: None,
-                        aborting: None,
-                    });
-                    PubRef::Srt(core.srt_chans.len() - 1)
-                }
-                ChannelSpec::Nrt(nr) => {
-                    rtec_core::channel::validate_nrt_priority(&nr)
-                        .map_err(|e| LiveError::Config(e.to_string()))?;
-                    core.nrt_chans.push(NrtChan {
-                        etag,
-                        spec: nr,
-                        queue: std::collections::VecDeque::new(),
-                        queued_frames: 0,
-                        inflight: None,
-                    });
-                    PubRef::Nrt(core.nrt_chans.len() - 1)
-                }
-            };
-            core.pub_by_subject.insert(subject.uid(), r);
+                ChannelSpec::Nrt(nr) => rtec_core::channel::validate_nrt_priority(&nr)
+                    .map_err(|e| LiveError::Config(e.to_string()))?,
+                ChannelSpec::Srt(_) => {}
+            }
+            machine.announce(etag, subject, spec);
+            publishes.insert(subject.uid(), (etag, spec));
         }
         for (subject, spec) in cfg.subscribes {
-            let etag = etag_of(subject)?;
-            match spec {
-                ChannelSpec::Hrt(_) => {
-                    core.hrt_subs.push(HrtSub {
-                        subject,
-                        etag,
-                        slots: slots_of(etag, None),
-                        pending: None,
-                    });
-                    core.hrt_sub_by_etag.insert(etag, core.hrt_subs.len() - 1);
-                }
-                ChannelSpec::Srt(_) => {
-                    core.srt_sub_by_etag.insert(etag, subject);
-                }
-                ChannelSpec::Nrt(nr) => {
-                    core.nrt_subs.push(NrtSub {
-                        subject,
-                        fragmented: nr.fragmented,
-                        reass: Reassembler::new(),
-                    });
-                    core.nrt_sub_by_etag.insert(etag, core.nrt_subs.len() - 1);
-                }
-            }
+            // Binding is static: the subscriber knows the channel's
+            // class from its own (mirrored) attribute list.
+            let meta = ChannelMeta::of(subject, &spec);
+            machine.subscribe(
+                etag_of(subject)?,
+                subject,
+                SubscribeSpec::default(),
+                Some(meta),
+            );
         }
+        let src = |tec: &str| shared.sink.intern(&format!("node{}.{tec}", cfg.node));
+        let core = NodeCore {
+            node: cfg.node,
+            incarnation: cfg.incarnation,
+            welcomed: false,
+            last_deliver_ns: 0,
+            now: Time::ZERO,
+            transport,
+            srcs: [src("hrtec"), src("srtec"), src("nrtec")],
+            shared,
+            machine,
+            out: Vec::new(),
+            next_handle: 0,
+            tx: TxSlots::default(),
+            publishes,
+            notices: Vec::new(),
+            stats: NodeStats {
+                node: cfg.node,
+                ..NodeStats::default()
+            },
+        };
         Ok(LiveNode { core, behavior })
     }
 
@@ -586,13 +412,7 @@ impl LiveNode {
                 let node = self.core.node;
                 self.core.send(ToBroker::Done { node })?;
                 let mut stats = self.core.stats.clone();
-                stats.srt_peak_queue = self
-                    .core
-                    .srt_chans
-                    .iter()
-                    .map(|c| c.queue.peak())
-                    .max()
-                    .unwrap_or(0);
+                stats.srt_peak_queue = self.core.machine.srt_queue().peak();
                 return Ok(stats);
             }
             self.core.send(ToBroker::Idle)?;
@@ -615,7 +435,7 @@ impl LiveNode {
                 }
                 core.welcomed = true;
                 core.now = Time::from_ns(now_ns);
-                core.arm_hrt_ready_timers()?;
+                core.arm_calendar()?;
                 if core.incarnation > 0 {
                     core.resume_snapshot()?;
                 }
@@ -651,7 +471,8 @@ impl LiveNode {
                 }
                 core.last_deliver_ns = completed_ns;
                 core.now = Time::from_ns(completed_ns);
-                core.on_deliver(&frame)?;
+                let stamp = core.now;
+                core.step(Input::Rx { frame, stamp })?;
             }
             ToNode::TxDone {
                 handle,
@@ -660,14 +481,23 @@ impl LiveNode {
                 completed_ns,
             } => {
                 core.now = Time::from_ns(completed_ns);
-                core.on_tx_done(handle, tag, all_received)?;
+                // A handle that is no longer outstanding completed
+                // after its slot was cleaned up, or is a duplicate.
+                let class = unpack_tag(tag).and_then(|(kind, _, _)| kind.class());
+                if class.is_some_and(|c| core.tx.release(c, handle)) {
+                    core.step(Input::TxDone { tag, all_received })?;
+                }
             }
             ToNode::AbortResult {
-                handle,
-                tag,
-                aborted,
+                handle, aborted, ..
             } => {
-                core.on_abort_result(handle, tag, aborted)?;
+                // `None`: TxDone already consumed the handle.
+                if let Some(class) = core.tx.class_of(handle) {
+                    if aborted {
+                        core.tx.release(class, handle);
+                    }
+                    core.step(Input::AbortResult { class, aborted })?;
+                }
             }
             ToNode::Shutdown => return Ok(true),
         }
@@ -703,47 +533,213 @@ impl NodeCore {
         })
     }
 
-    fn alloc_handle(&mut self, route: Route) -> u32 {
-        let h = self.next_handle;
-        self.next_handle = self.next_handle.wrapping_add(1);
-        self.routes.insert(h, route);
-        h
+    // ----------------------------------------------------------------
+    // Hosting the machine
+    // ----------------------------------------------------------------
+
+    /// Feed `input` to the machine at the current bus time and turn its
+    /// outputs into broker requests, log entries and behavior notices.
+    /// The outer error is the transport's, the inner one a refused
+    /// publish.
+    fn feed(&mut self, input: Input) -> Result<Result<(), PublishError>, LiveError> {
+        let mut out = std::mem::take(&mut self.out);
+        let accepted = self.machine.handle(self.now, input, &mut out);
+        let sent = out.drain(..).try_for_each(|o| self.perform(o));
+        self.out = out;
+        sent.map(|()| accepted)
     }
 
-    fn submit(&mut self, frame: Frame, tag: u64, route: Route) -> Result<u32, LiveError> {
-        let handle = self.alloc_handle(route);
-        self.send(ToBroker::Submit { handle, tag, frame })?;
-        Ok(handle)
+    /// [`NodeCore::feed`] for every input but `Publish`.
+    fn step(&mut self, input: Input) -> Result<(), LiveError> {
+        self.feed(input)
+            .map(|accepted| accepted.expect("only Publish can be refused"))
     }
 
-    fn push_exception(&mut self, exc: ChannelException) {
-        self.stats.exceptions += 1;
-        self.notices.push(Notice::Exception(exc));
+    fn perform(&mut self, output: Output) -> Result<(), LiveError> {
+        match output {
+            Output::Submit { class, frame, tag } => {
+                let handle = self.next_handle;
+                self.next_handle = handle.wrapping_add(1);
+                self.tx.set(class, handle);
+                self.send(ToBroker::Submit { handle, tag, frame })
+            }
+            // The broker answers with `AbortResult`.
+            Output::Abort { class } => match self.tx.get(class) {
+                Some(handle) => self.send(ToBroker::Abort { handle }),
+                None => Ok(()),
+            },
+            Output::UpdateId { id } => match self.tx.get(ChannelClass::Srt) {
+                Some(handle) => self.send(ToBroker::UpdateId {
+                    handle,
+                    raw_id: id.raw(),
+                }),
+                None => Ok(()),
+            },
+            Output::ArmTimer { at, timer, seq } => {
+                let kind = match timer {
+                    SrtTimer::Deadline => TK_SRT_DEADLINE,
+                    SrtTimer::Expire => TK_SRT_EXPIRE,
+                    SrtTimer::Promote => TK_SRT_PROMOTE,
+                };
+                self.set_timer(at, token(kind, u64::from(seq)))
+            }
+            Output::Deliver {
+                etag,
+                meta: Some(meta),
+                delivery,
+            } => {
+                let origin = delivery.event.attributes.origin;
+                let rec = DeliveryRecord {
+                    node: self.node,
+                    etag,
+                    origin: origin.map_or(u8::MAX, |n| n.0),
+                    class: meta.class,
+                    bytes: delivery.event.content.clone(),
+                    wire_ns: delivery.wire_completed_at.as_ns(),
+                    delivered_ns: delivery.delivered_at.as_ns(),
+                };
+                self.shared
+                    .log
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push(rec);
+                self.stats.delivered += 1;
+                self.notices.push(Notice::Delivered(delivery));
+                Ok(())
+            }
+            // Neither arises here: binding is static, so a live
+            // subscription always knows its channel's class, and it
+            // carries no origin filter.
+            Output::Deliver { meta: None, .. } | Output::Filtered { .. } => Ok(()),
+            Output::Raise { exc, .. } => {
+                self.stats.exceptions += 1;
+                if matches!(exc, ChannelException::Expired { .. }) {
+                    self.stats.expired += 1;
+                }
+                self.notices.push(Notice::Exception(exc));
+                Ok(())
+            }
+            Output::Trace {
+                class,
+                kind,
+                fields,
+                len,
+            } => {
+                let src = self.srcs[class as usize];
+                self.shared
+                    .sink
+                    .emit_fields(self.now, src, kind, &fields[..len]);
+                Ok(())
+            }
+        }
     }
 
-    fn record_delivery(&mut self, etag: u16, class: ChannelClass, delivery: Delivery) {
-        let origin = delivery
-            .event
-            .attributes
-            .origin
-            .map(|n| n.0)
-            .unwrap_or(u8::MAX);
-        let rec = DeliveryRecord {
-            node: self.node,
-            etag,
-            origin,
-            class,
-            bytes: delivery.event.content.clone(),
-            wire_ns: delivery.wire_completed_at.as_ns(),
-            delivered_ns: delivery.delivered_at.as_ns(),
+    fn publish(&mut self, event: Event) -> Result<(), LiveError> {
+        let uid = event.subject.uid();
+        let &(etag, _) = self
+            .publishes
+            .get(&uid)
+            .ok_or(LiveError::UnboundSubject(uid))?;
+        let stamp = self.now;
+        match self.feed(Input::Publish { etag, event, stamp })? {
+            Ok(()) => {
+                self.stats.published += 1;
+                Ok(())
+            }
+            Err(PublishError::PayloadTooLong { len, max }) => {
+                Err(LiveError::PayloadTooLong { len, max })
+            }
+            Err(PublishError::Backpressure) => {
+                self.stats.backpressure += 1;
+                Err(LiveError::Backpressure(uid))
+            }
+            // Both are ruled out when the node is built.
+            Err(PublishError::UnknownChannel | PublishError::NoCalendar) => {
+                Err(LiveError::UnboundSubject(uid))
+            }
+        }
+    }
+
+    // ----------------------------------------------------------------
+    // Timers
+    // ----------------------------------------------------------------
+
+    /// Arm one calendar timer of `kind` for `slot` in `round`, at
+    /// offset `off` into the round.
+    fn arm_slot(
+        &mut self,
+        kind: u64,
+        round: u64,
+        slot: usize,
+        off: Duration,
+    ) -> Result<(), LiveError> {
+        let cal: &CalendarPlan = &self.shared.calendar;
+        let at = self.shared.calendar_start + cal.round * round + off;
+        self.set_timer(at, token(kind, ((slot as u64) << ROUND_BITS) | round))
+    }
+
+    /// At `Welcome`: arm the ready timer of every slot this node
+    /// publishes in and the delivery timer of every slot it subscribes
+    /// to, each for its first occurrence not yet past (a rejoining
+    /// node starts mid-calendar).
+    fn arm_calendar(&mut self) -> Result<(), LiveError> {
+        let cal = Arc::clone(&self.shared.calendar);
+        let elapsed = self.now.saturating_since(self.shared.calendar_start);
+        let first_round = |off: Duration| {
+            elapsed
+                .saturating_sub(off)
+                .as_ns()
+                .div_ceil(cal.round.as_ns())
         };
-        self.shared
-            .log
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(rec);
-        self.stats.delivered += 1;
-        self.notices.push(Notice::Delivered(delivery));
+        let me = NodeId(self.node);
+        for (idx, s) in cal.slots.iter().enumerate() {
+            // The calendar is planned from the publications, so a slot
+            // with this node as publisher is one it announced.
+            if s.publisher == me {
+                self.arm_slot(TK_HRT_READY, first_round(s.start), idx, s.start)?;
+            } else if self.machine.subscribes(s.etag) {
+                self.arm_slot(TK_HRT_DELIVER, first_round(s.deadline()), idx, s.deadline())?;
+            }
+        }
+        Ok(())
+    }
+
+    fn on_timer(&mut self, kind: u64, payload: u64) -> Result<(), LiveError> {
+        let seq = payload as u32;
+        let (round, slot) = (
+            payload & ((1 << ROUND_BITS) - 1),
+            (payload >> ROUND_BITS) as usize,
+        );
+        match kind {
+            TK_HRT_READY => {
+                let Some(&s) = self.shared.calendar.slots.get(slot) else {
+                    return Ok(());
+                };
+                self.step(Input::SlotReady { round, slot })?;
+                // Rearm for the next round; LST and deadline only when
+                // this round's slot actually carries an event.
+                self.arm_slot(TK_HRT_READY, round + 1, slot, s.start)?;
+                let active = self.machine.hrt_active(s.etag);
+                if active.is_some_and(|a| a.round == round && a.slot == slot) {
+                    self.arm_slot(TK_HRT_LST, round, slot, s.lst())?;
+                    self.arm_slot(TK_HRT_DEADLINE, round, slot, s.deadline())?;
+                }
+                Ok(())
+            }
+            TK_HRT_LST => self.step(Input::SlotLst { round, slot }),
+            TK_HRT_DEADLINE => self.step(Input::SlotDeadline { round, slot }),
+            TK_HRT_DELIVER => {
+                let Some(&s) = self.shared.calendar.slots.get(slot) else {
+                    return Ok(());
+                };
+                self.step(Input::SlotDeliver { round, slot })?;
+                self.arm_slot(TK_HRT_DELIVER, round + 1, slot, s.deadline())
+            }
+            TK_SRT_DEADLINE => self.step(Input::SrtDeadline { seq }),
+            TK_SRT_EXPIRE => self.step(Input::SrtExpire { seq }),
+            TK_SRT_PROMOTE => self.step(Input::SrtPromote { seq }),
+            _ => Ok(()), // unknown kinds are ignored
+        }
     }
 
     // ----------------------------------------------------------------
@@ -754,33 +750,21 @@ impl NodeCore {
     /// map, called on the way out of a failed run. In-flight messages
     /// are excluded (see [`NodeSnapshot`]).
     fn store_snapshot(&mut self) {
-        let srt: Vec<Vec<Event>> = self
-            .srt_chans
-            .iter()
-            .map(|c| {
-                let inflight_seq = c.inflight.map(|(s, _, _)| s);
-                (0..c.queue.len())
-                    .filter(|&i| Some(c.queue[i].seq) != inflight_seq)
-                    .map(|i| c.queue[i].event.clone())
-                    .collect()
-            })
-            .collect();
-        let nrt: Vec<Vec<Vec<Vec<u8>>>> = self
-            .nrt_chans
-            .iter()
-            .map(|c| {
-                c.queue
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, t)| !(i == 0 && (t.next > 0 || c.inflight.is_some())))
-                    .map(|(_, t)| t.payloads.clone())
-                    .collect()
-            })
-            .collect();
+        let submitted = self.machine.srt_submitted().map(|m| m.seq);
+        let srt = self.machine.srt_queue().iter();
+        let srt = srt.filter(|m| Some(m.seq) != submitted).map(|m| {
+            let mut event = m.event.clone();
+            event.attributes.deadline = Some(m.deadline);
+            event.attributes.expiration = m.expiration;
+            event
+        });
+        let pending = self.machine.nrt_pending();
+        let nrt = self.machine.nrt_queue().iter().enumerate();
+        let nrt = nrt.filter(|&(i, t)| !(i == 0 && (t.next > 0 || pending)));
         let snap = NodeSnapshot {
             stats: self.stats.clone(),
-            srt,
-            nrt,
+            srt: srt.collect(),
+            nrt: nrt.map(|(_, t)| t.clone()).collect(),
         };
         self.shared
             .snapshots
@@ -803,758 +787,22 @@ impl NodeCore {
         let Some(snap) = snap else {
             return Ok(());
         };
-        for events in snap.srt {
-            for event in events {
-                if let Err(LiveError::Transport(e)) = self.publish(event) {
-                    return Err(LiveError::Transport(e));
-                }
+        for event in snap.srt {
+            if let Err(LiveError::Transport(e)) = self.publish(event) {
+                return Err(LiveError::Transport(e));
             }
         }
-        for (chan, transfers) in snap.nrt.into_iter().enumerate() {
-            if chan >= self.nrt_chans.len() {
-                break;
-            }
-            for payloads in transfers {
-                let c = &mut self.nrt_chans[chan];
-                c.queued_frames += payloads.len();
-                c.queue.push_back(NrtTransfer { payloads, next: 0 });
-            }
-            self.nrt_dispatch(chan)?;
+        let mut out = std::mem::take(&mut self.out);
+        for transfer in snap.nrt {
+            self.machine.requeue_nrt(transfer, &mut out);
         }
+        let sent = out.drain(..).try_for_each(|o| self.perform(o));
+        self.out = out;
+        sent?;
         // The re-publishes above were already counted by the life that
         // first accepted them: the carried counters replace, not add to,
         // whatever the resume itself just bumped.
         self.stats = snap.stats;
         Ok(())
-    }
-
-    // ----------------------------------------------------------------
-    // Publishing
-    // ----------------------------------------------------------------
-
-    fn publish(&mut self, event: Event) -> Result<(), LiveError> {
-        let subject = event.subject;
-        let Some(r) = self.pub_by_subject.get(&subject.uid()) else {
-            return Err(LiveError::UnboundSubject(subject.uid()));
-        };
-        match *r {
-            PubRef::Hrt(idx) => self.publish_hrt(idx, event),
-            PubRef::Srt(idx) => self.publish_srt(idx, event),
-            PubRef::Nrt(idx) => self.publish_nrt(idx, event),
-        }
-    }
-
-    /// HRT publish: stage for the next slot (most-recent-value
-    /// semantics — a later publish before the ready instant overwrites).
-    fn publish_hrt(&mut self, idx: usize, event: Event) -> Result<(), LiveError> {
-        let p = &mut self.hrt_pubs[idx];
-        if event.content.len() > p.spec.dlc as usize {
-            return Err(LiveError::PayloadTooLong {
-                len: event.content.len(),
-                max: p.spec.dlc as usize,
-            });
-        }
-        p.staged = Some(event);
-        self.stats.published += 1;
-        Ok(())
-    }
-
-    fn publish_srt(&mut self, idx: usize, mut event: Event) -> Result<(), LiveError> {
-        if event.content.len() > 8 {
-            return Err(LiveError::PayloadTooLong {
-                len: event.content.len(),
-                max: 8,
-            });
-        }
-        let now = self.now;
-        let (etag, node) = (self.srt_chans[idx].etag, self.node);
-        let c = &mut self.srt_chans[idx];
-        let deadline = event
-            .attributes
-            .deadline
-            .unwrap_or(now + c.spec.default_deadline);
-        let expiration = event
-            .attributes
-            .expiration
-            .or(c.spec.default_expiration.map(|d| now + d));
-        event.attributes.deadline = Some(deadline);
-        event.attributes.expiration = expiration;
-        event.attributes.timestamp = Some(now);
-
-        // Bounded queue: overflow drops the entry EDF would serve last.
-        if c.queue.len() >= self.srt_queue_cap {
-            let victim = c.queue.overflow_victim().expect("cap >= 2, queue full");
-            let v = &c.queue[victim];
-            let victim_is_newcomer = deadline >= v.deadline();
-            let victim_inflight = c.inflight.is_some_and(|(s, _, _)| s == v.seq());
-            if victim_is_newcomer || victim_inflight {
-                self.stats.backpressure += 1;
-                return Err(LiveError::Backpressure(event.subject.uid()));
-            }
-            let dropped = c.queue.remove(victim);
-            let subject = c.subject;
-            let (src, tag) = (self.src_srt, pack_tag(TagKind::Srt, etag, dropped.seq));
-            self.shared.sink.emit_fields(
-                now,
-                src,
-                "srt_expire",
-                &[
-                    ("etag", u64::from(etag)),
-                    ("seq", u64::from(dropped.seq)),
-                    ("node", u64::from(node)),
-                    ("tag", tag),
-                ],
-            );
-            self.stats.expired += 1;
-            self.push_exception(ChannelException::Expired {
-                subject,
-                expiration: dropped.expiration.unwrap_or(now),
-            });
-        }
-
-        let c = &mut self.srt_chans[idx];
-        let seq = c.next_seq;
-        c.next_seq = c.next_seq.wrapping_add(1);
-        c.queue.push(SrtMsg {
-            seq,
-            event,
-            deadline,
-            expiration,
-        });
-        self.stats.published += 1;
-        self.set_timer(deadline, token(TK_SRT_DEADLINE, srt_payload(idx, seq)))?;
-        if let Some(exp) = expiration {
-            self.set_timer(exp, token(TK_SRT_EXPIRE, srt_payload(idx, seq)))?;
-        }
-        self.srt_reconsider(idx)
-    }
-
-    fn publish_nrt(&mut self, idx: usize, event: Event) -> Result<(), LiveError> {
-        let now = self.now;
-        let node = self.node;
-        let c = &self.nrt_chans[idx];
-        let (etag, fragmented) = (c.etag, c.spec.fragmented);
-        let payloads = if fragmented {
-            try_fragment(&event.content).map_err(|_| LiveError::PayloadTooLong {
-                len: event.content.len(),
-                max: rtec_core::frag::MAX_MESSAGE_LEN,
-            })?
-        } else {
-            if event.content.len() > 8 {
-                return Err(LiveError::PayloadTooLong {
-                    len: event.content.len(),
-                    max: 8,
-                });
-            }
-            vec![event.content.clone()]
-        };
-        if self.nrt_chans[idx].queued_frames + payloads.len() > self.nrt_queue_cap {
-            self.stats.backpressure += 1;
-            return Err(LiveError::Backpressure(event.subject.uid()));
-        }
-        self.shared.sink.emit_fields(
-            now,
-            self.src_nrt,
-            "nrt_enqueue",
-            &[
-                ("etag", u64::from(etag)),
-                ("node", u64::from(node)),
-                ("frags", payloads.len() as u64),
-                ("bytes", event.content.len() as u64),
-                ("fragmented", u64::from(fragmented)),
-            ],
-        );
-        let c = &mut self.nrt_chans[idx];
-        c.queued_frames += payloads.len();
-        c.queue.push_back(NrtTransfer { payloads, next: 0 });
-        self.stats.published += 1;
-        self.nrt_dispatch(idx)
-    }
-
-    // ----------------------------------------------------------------
-    // Timers
-    // ----------------------------------------------------------------
-
-    fn arm_hrt_ready_timers(&mut self) -> Result<(), LiveError> {
-        let arms: Vec<(Time, u64)> = self
-            .hrt_pubs
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, p)| {
-                let base = self.shared.calendar_start;
-                p.slots
-                    .iter()
-                    .enumerate()
-                    .map(move |(occ, (_, s))| {
-                        (
-                            base + s.start,
-                            token(TK_HRT_READY, hrt_pub_payload(pi, occ)),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (at, tok) in arms {
-            self.set_timer(at, tok)?;
-        }
-        Ok(())
-    }
-
-    fn on_timer(&mut self, kind: u64, payload: u64) -> Result<(), LiveError> {
-        match kind {
-            TK_HRT_READY => {
-                let (pi, occ) = ((payload >> 16) as usize, (payload & 0xFFFF) as usize);
-                self.on_hrt_ready(pi, occ)
-            }
-            TK_HRT_LST => {
-                let (pi, occ) = ((payload >> 16) as usize, (payload & 0xFFFF) as usize);
-                self.on_hrt_lst(pi, occ)
-            }
-            TK_HRT_DEADLINE => {
-                let (pi, occ) = ((payload >> 16) as usize, (payload & 0xFFFF) as usize);
-                self.on_hrt_deadline(pi, occ)
-            }
-            TK_HRT_DELIVER => {
-                let si = (payload >> 48) as usize;
-                let occ = ((payload >> 40) & 0xFF) as usize;
-                let round = payload & ((1 << 40) - 1);
-                self.on_hrt_deliver(si, occ, round)
-            }
-            TK_SRT_DEADLINE => {
-                let (chan, seq) = ((payload >> 32) as usize, payload as u32);
-                self.on_srt_deadline(chan, seq)
-            }
-            TK_SRT_EXPIRE => {
-                let (chan, seq) = ((payload >> 32) as usize, payload as u32);
-                self.on_srt_expire(chan, seq)
-            }
-            TK_SRT_PROMOTE => {
-                let (chan, seq) = ((payload >> 32) as usize, payload as u32);
-                self.on_srt_promote(chan, seq)
-            }
-            _ => Ok(()), // unknown kinds are ignored
-        }
-    }
-
-    fn on_hrt_ready(&mut self, pi: usize, occ: usize) -> Result<(), LiveError> {
-        let p = &mut self.hrt_pubs[pi];
-        let (cal_idx, slot) = p.slots[occ];
-        let round = {
-            let elapsed = self.now.saturating_since(self.shared.calendar_start);
-            elapsed.saturating_sub(slot.start).as_ns() / self.round.as_ns()
-        };
-        let base = self.shared.calendar_start + self.round * round;
-        let etag = p.etag;
-        let staged = p.staged.take();
-        let activated = staged.is_some();
-        if let Some(event) = staged {
-            p.active = Some(HrtActive {
-                occ,
-                cal_idx,
-                deadline_abs: base + slot.deadline(),
-                event,
-                sent: 0,
-                succeeded: false,
-                handle: None,
-            });
-        }
-        self.shared.sink.emit_fields(
-            self.now,
-            self.src_hrt,
-            "slot_ready",
-            &[
-                ("etag", u64::from(etag)),
-                ("round", round),
-                ("slot", cal_idx as u64),
-                ("node", u64::from(self.node)),
-            ],
-        );
-        // Rearm for the next round; arm LST + deadline for this one.
-        self.set_timer(
-            base + self.round + slot.start,
-            token(TK_HRT_READY, hrt_pub_payload(pi, occ)),
-        )?;
-        if activated {
-            self.set_timer(
-                base + slot.lst(),
-                token(TK_HRT_LST, hrt_pub_payload(pi, occ)),
-            )?;
-            self.set_timer(
-                base + slot.deadline(),
-                token(TK_HRT_DEADLINE, hrt_pub_payload(pi, occ)),
-            )?;
-        }
-        Ok(())
-    }
-
-    fn on_hrt_lst(&mut self, pi: usize, occ: usize) -> Result<(), LiveError> {
-        let p = &mut self.hrt_pubs[pi];
-        let Some(act) = p.active.as_ref() else {
-            return Ok(());
-        };
-        if act.occ != occ || act.sent > 0 {
-            return Ok(());
-        }
-        let frame = Frame::new(
-            CanId::new(PRIO_HRT, self.node, p.etag),
-            &act.event.content.clone(),
-        );
-        let tag = pack_tag(TagKind::Hrt, p.etag, act.cal_idx as u32);
-        let handle = self.submit(frame, tag, Route::Hrt { pub_idx: pi })?;
-        let act = self.hrt_pubs[pi].active.as_mut().expect("checked above");
-        act.handle = Some(handle);
-        act.sent = 1;
-        Ok(())
-    }
-
-    fn on_hrt_deadline(&mut self, pi: usize, occ: usize) -> Result<(), LiveError> {
-        let p = &mut self.hrt_pubs[pi];
-        let Some(act) = p.active.take_if(|a| a.occ == occ) else {
-            return Ok(());
-        };
-        let subject = p.subject;
-        if let Some(handle) = act.handle {
-            self.send(ToBroker::Abort { handle })?;
-        }
-        if act.sent > 0 && !act.succeeded {
-            self.push_exception(ChannelException::RedundancyExhausted {
-                subject,
-                attempts: act.sent,
-            });
-        }
-        Ok(())
-    }
-
-    fn on_hrt_deliver(&mut self, si: usize, occ: usize, round: u64) -> Result<(), LiveError> {
-        let s = &mut self.hrt_subs[si];
-        let Some(pend) = s.pending.take_if(|p| p.round == round && p.occ == occ) else {
-            return Ok(());
-        };
-        let (etag, node) = (s.etag, self.node);
-        self.shared.sink.emit_fields(
-            self.now,
-            self.src_hrt,
-            "hrt_deliver",
-            &[
-                ("etag", u64::from(etag)),
-                ("round", round),
-                ("slot", pend.cal_idx as u64),
-                ("node", u64::from(node)),
-                ("wire", pend.wire.as_ns()),
-            ],
-        );
-        let delivery = Delivery {
-            event: pend.event,
-            delivered_at: self.now,
-            wire_completed_at: pend.wire,
-        };
-        self.record_delivery(etag, ChannelClass::Hrt, delivery);
-        Ok(())
-    }
-
-    fn on_srt_deadline(&mut self, chan: usize, seq: u32) -> Result<(), LiveError> {
-        let c = &self.srt_chans[chan];
-        let Some(idx) = c.queue.find(seq) else {
-            return Ok(()); // already transmitted or dropped
-        };
-        let subject = c.subject;
-        let deadline = c.queue[idx].deadline;
-        self.push_exception(ChannelException::DeadlineMissed { subject, deadline });
-        Ok(())
-    }
-
-    fn on_srt_expire(&mut self, chan: usize, seq: u32) -> Result<(), LiveError> {
-        let c = &mut self.srt_chans[chan];
-        let Some(idx) = c.queue.find(seq) else {
-            return Ok(());
-        };
-        if let Some((iseq, handle, _)) = c.inflight {
-            if iseq == seq {
-                // Submitted: try to pull it back before it reaches the
-                // wire. If an abort is already pending, upgrade it to
-                // an expiration.
-                match c.aborting.as_mut() {
-                    Some((ah, expire)) if *ah == handle => *expire = true,
-                    Some(_) => {}
-                    None => {
-                        c.aborting = Some((handle, true));
-                        self.send(ToBroker::Abort { handle })?;
-                    }
-                }
-                return Ok(());
-            }
-        }
-        self.srt_drop_expired(chan, idx)?;
-        self.srt_reconsider(chan)
-    }
-
-    /// Drop a queued (not in-flight) SRT message as expired: trace,
-    /// exception, counters.
-    fn srt_drop_expired(&mut self, chan: usize, idx: usize) -> Result<(), LiveError> {
-        let c = &mut self.srt_chans[chan];
-        let msg = c.queue.remove(idx);
-        let (etag, subject) = (c.etag, c.subject);
-        let tag = pack_tag(TagKind::Srt, etag, msg.seq);
-        self.shared.sink.emit_fields(
-            self.now,
-            self.src_srt,
-            "srt_expire",
-            &[
-                ("etag", u64::from(etag)),
-                ("seq", u64::from(msg.seq)),
-                ("node", u64::from(self.node)),
-                ("tag", tag),
-            ],
-        );
-        self.stats.expired += 1;
-        self.push_exception(ChannelException::Expired {
-            subject,
-            expiration: msg.expiration.unwrap_or(self.now),
-        });
-        Ok(())
-    }
-
-    fn on_srt_promote(&mut self, chan: usize, seq: u32) -> Result<(), LiveError> {
-        let c = &self.srt_chans[chan];
-        let Some((iseq, handle, prio)) = c.inflight else {
-            return Ok(());
-        };
-        if iseq != seq || c.aborting.is_some() {
-            return Ok(());
-        }
-        let Some(idx) = c.queue.find(seq) else {
-            return Ok(());
-        };
-        let deadline = c.queue[idx].deadline;
-        let etag = c.etag;
-        let new_prio = priority_for_deadline(deadline, self.now, &self.shared.prio_cfg);
-        if new_prio != prio {
-            self.send(ToBroker::UpdateId {
-                handle,
-                raw_id: CanId::new(new_prio, self.node, etag).raw(),
-            })?;
-            self.srt_chans[chan].inflight = Some((seq, handle, new_prio));
-        }
-        if let Some(at) = next_promotion_time(deadline, self.now, &self.shared.prio_cfg) {
-            self.set_timer(at, token(TK_SRT_PROMOTE, srt_payload(chan, seq)))?;
-        }
-        Ok(())
-    }
-
-    /// Re-evaluate an SRT channel's head: submit it if the wire slot is
-    /// free, or abort the in-flight message if EDF changed its mind.
-    fn srt_reconsider(&mut self, chan: usize) -> Result<(), LiveError> {
-        let c = &self.srt_chans[chan];
-        if c.aborting.is_some() {
-            return Ok(()); // decision pending at the broker
-        }
-        let Some(head_idx) = c.queue.head_index() else {
-            return Ok(());
-        };
-        let head_seq = c.queue[head_idx].seq;
-        match c.inflight {
-            None => {
-                let msg = &c.queue[head_idx];
-                let (etag, deadline, seq) = (c.etag, msg.deadline, msg.seq);
-                let content = msg.event.content.clone();
-                let prio = priority_for_deadline(deadline, self.now, &self.shared.prio_cfg);
-                let frame = Frame::new(CanId::new(prio, self.node, etag), &content);
-                let tag = pack_tag(TagKind::Srt, etag, seq);
-                let handle = self.submit(frame, tag, Route::Srt { chan })?;
-                self.srt_chans[chan].inflight = Some((seq, handle, prio));
-                if let Some(at) = next_promotion_time(deadline, self.now, &self.shared.prio_cfg) {
-                    self.set_timer(at, token(TK_SRT_PROMOTE, srt_payload(chan, seq)))?;
-                }
-                Ok(())
-            }
-            Some((iseq, handle, _)) if iseq != head_seq => {
-                // A more urgent message arrived: reclaim the wire slot.
-                self.srt_chans[chan].aborting = Some((handle, false));
-                self.send(ToBroker::Abort { handle })
-            }
-            Some(_) => Ok(()),
-        }
-    }
-
-    fn nrt_dispatch(&mut self, chan: usize) -> Result<(), LiveError> {
-        let c = &self.nrt_chans[chan];
-        if c.inflight.is_some() {
-            return Ok(());
-        }
-        let Some(t) = c.queue.front() else {
-            return Ok(());
-        };
-        let (etag, prio) = (c.etag, c.spec.priority);
-        let payload = t.payloads[t.next].clone();
-        // T5: the tag's sequence field is the fragment index.
-        let tag = pack_tag(TagKind::Nrt, etag, t.next as u32);
-        let frame = Frame::new(CanId::new(prio, self.node, etag), &payload);
-        let handle = self.submit(frame, tag, Route::Nrt { chan })?;
-        self.nrt_chans[chan].inflight = Some(handle);
-        Ok(())
-    }
-
-    // ----------------------------------------------------------------
-    // Wire events
-    // ----------------------------------------------------------------
-
-    fn on_deliver(&mut self, frame: &Frame) -> Result<(), LiveError> {
-        let id = frame.id;
-        let (prio, origin, etag) = (id.priority(), id.txnode(), id.etag());
-        if prio == PRIO_HRT {
-            self.on_deliver_hrt(etag, origin, frame.payload().to_vec())
-        } else if (PRIO_SRT_MIN..=PRIO_SRT_MAX).contains(&prio) {
-            self.on_deliver_srt(etag, origin, frame.payload().to_vec())
-        } else if prio >= PRIO_NRT_MIN {
-            self.on_deliver_nrt(etag, origin, frame.payload().to_vec())
-        } else {
-            Ok(())
-        }
-    }
-
-    fn on_deliver_hrt(&mut self, etag: u16, origin: u8, payload: Vec<u8>) -> Result<(), LiveError> {
-        let Some(&si) = self.hrt_sub_by_etag.get(&etag) else {
-            return Ok(()); // not subscribed
-        };
-        let now = self.now;
-        let cal_start = self.shared.calendar_start;
-        if now < cal_start {
-            return Ok(());
-        }
-        let elapsed = now.saturating_since(cal_start);
-        let round = elapsed.as_ns() / self.round.as_ns();
-        let off = Duration::from_ns(elapsed.as_ns() % self.round.as_ns());
-        let s = &mut self.hrt_subs[si];
-        // Locate the slot occurrence whose transmission window covers
-        // this wire completion.
-        let Some((occ, (cal_idx, slot))) = s
-            .slots
-            .iter()
-            .enumerate()
-            .find(|(_, (_, sl))| off > sl.start && off <= sl.deadline())
-            .map(|(occ, &(ci, sl))| (occ, (ci, sl)))
-        else {
-            return Ok(()); // outside any slot window
-        };
-        if s.pending.is_some() {
-            return Ok(()); // redundant retransmission of the same event
-        }
-        let subject = s.subject;
-        let mut event = Event::new(subject, payload);
-        event.attributes.origin = Some(NodeId(origin));
-        s.pending = Some(HrtPending {
-            round,
-            occ,
-            cal_idx,
-            event,
-            wire: now,
-        });
-        // Deferred delivery: exactly at the slot deadline.
-        self.set_timer(
-            cal_start + self.round * round + slot.deadline(),
-            token(TK_HRT_DELIVER, hrt_sub_payload(si, occ, round)),
-        )
-    }
-
-    fn on_deliver_srt(&mut self, etag: u16, origin: u8, payload: Vec<u8>) -> Result<(), LiveError> {
-        let Some(&subject) = self.srt_sub_by_etag.get(&etag) else {
-            return Ok(());
-        };
-        let mut event = Event::new(subject, payload);
-        event.attributes.origin = Some(NodeId(origin));
-        let delivery = Delivery {
-            event,
-            delivered_at: self.now,
-            wire_completed_at: self.now,
-        };
-        self.record_delivery(etag, ChannelClass::Srt, delivery);
-        Ok(())
-    }
-
-    fn on_deliver_nrt(&mut self, etag: u16, origin: u8, payload: Vec<u8>) -> Result<(), LiveError> {
-        let Some(&si) = self.nrt_sub_by_etag.get(&etag) else {
-            return Ok(());
-        };
-        let s = &mut self.nrt_subs[si];
-        let subject = s.subject;
-        let node = self.node;
-        if !s.fragmented {
-            let mut event = Event::new(subject, payload);
-            event.attributes.origin = Some(NodeId(origin));
-            let delivery = Delivery {
-                event,
-                delivered_at: self.now,
-                wire_completed_at: self.now,
-            };
-            self.record_delivery(etag, ChannelClass::Nrt, delivery);
-            return Ok(());
-        }
-        match s.reass.push((origin, etag), &payload) {
-            Ok(Some(data)) => {
-                self.shared.sink.emit_fields(
-                    self.now,
-                    self.src_nrt,
-                    "nrt_complete",
-                    &[
-                        ("etag", u64::from(etag)),
-                        ("node", u64::from(node)),
-                        ("origin", u64::from(origin)),
-                        ("bytes", data.len() as u64),
-                    ],
-                );
-                let mut event = Event::new(subject, data);
-                event.attributes.origin = Some(NodeId(origin));
-                let delivery = Delivery {
-                    event,
-                    delivered_at: self.now,
-                    wire_completed_at: self.now,
-                };
-                self.record_delivery(etag, ChannelClass::Nrt, delivery);
-            }
-            Ok(None) => {}
-            Err(_) => {
-                self.shared.sink.emit_fields(
-                    self.now,
-                    self.src_nrt,
-                    "frag_error",
-                    &[
-                        ("etag", u64::from(etag)),
-                        ("node", u64::from(node)),
-                        ("origin", u64::from(origin)),
-                    ],
-                );
-                self.nrt_subs[si].reass.reset(&(origin, etag));
-            }
-        }
-        Ok(())
-    }
-
-    fn on_tx_done(&mut self, handle: u32, _tag: u64, all: bool) -> Result<(), LiveError> {
-        let Some(route) = self.routes.remove(&handle) else {
-            return Ok(()); // completed after its slot was cleaned up
-        };
-        match route {
-            Route::Hrt { pub_idx } => {
-                let k = self.hrt_pubs[pub_idx].spec.omission_degree;
-                let dlc = self.hrt_pubs[pub_idx].spec.dlc;
-                let p = &mut self.hrt_pubs[pub_idx];
-                let Some(act) = p.active.as_mut() else {
-                    return Ok(());
-                };
-                if act.handle != Some(handle) {
-                    return Ok(());
-                }
-                act.handle = None;
-                if all {
-                    // Consistent reception: stop redundant transmission
-                    // early, reclaiming the rest of the slot (§3.2).
-                    act.succeeded = true;
-                    return Ok(());
-                }
-                // A receiver missed the frame: retransmit while the
-                // redundancy budget and the slot's remaining time allow.
-                let retx_fits = self.now + wcct_single(dlc, self.timing) <= act.deadline_abs;
-                if act.sent <= k && retx_fits {
-                    let etag = p.etag;
-                    let frame = Frame::new(
-                        CanId::new(PRIO_HRT, self.node, etag),
-                        &act.event.content.clone(),
-                    );
-                    let tag = pack_tag(TagKind::Hrt, etag, act.cal_idx as u32);
-                    let h = self.submit(frame, tag, Route::Hrt { pub_idx })?;
-                    let act = self.hrt_pubs[pub_idx]
-                        .active
-                        .as_mut()
-                        .expect("still active");
-                    act.handle = Some(h);
-                    act.sent += 1;
-                }
-                Ok(())
-            }
-            Route::Srt { chan } => {
-                let c = &mut self.srt_chans[chan];
-                if let Some((seq, h, _)) = c.inflight {
-                    if h == handle {
-                        c.inflight = None;
-                        if let Some(idx) = c.queue.find(seq) {
-                            c.queue.remove(idx);
-                        }
-                        if c.aborting.is_some_and(|(ah, _)| ah == handle) {
-                            // The abort raced the wire and lost; the
-                            // message went out, so it did not expire.
-                            c.aborting = None;
-                        }
-                    }
-                }
-                self.srt_reconsider(chan)
-            }
-            Route::Nrt { chan } => {
-                let c = &mut self.nrt_chans[chan];
-                if c.inflight == Some(handle) {
-                    c.inflight = None;
-                    c.queued_frames = c.queued_frames.saturating_sub(1);
-                    if let Some(t) = c.queue.front_mut() {
-                        t.next += 1;
-                        if t.next == t.payloads.len() {
-                            c.queue.pop_front();
-                        }
-                    }
-                }
-                self.nrt_dispatch(chan)
-            }
-        }
-    }
-
-    fn on_abort_result(&mut self, handle: u32, _tag: u64, aborted: bool) -> Result<(), LiveError> {
-        let Some(&route) = self.routes.get(&handle) else {
-            return Ok(()); // TxDone already consumed the handle
-        };
-        if aborted {
-            self.routes.remove(&handle);
-        }
-        match route {
-            Route::Hrt { pub_idx } => {
-                if aborted {
-                    if let Some(act) = self.hrt_pubs[pub_idx].active.as_mut() {
-                        if act.handle == Some(handle) {
-                            act.handle = None;
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Route::Srt { chan } => {
-                let c = &mut self.srt_chans[chan];
-                let Some((ah, expire)) = c.aborting else {
-                    return Ok(());
-                };
-                if ah != handle {
-                    return Ok(());
-                }
-                c.aborting = None;
-                if !aborted {
-                    // On the wire (or already completed): TxDone rules.
-                    return Ok(());
-                }
-                let seq = match c.inflight.take_if(|(_, h, _)| *h == handle) {
-                    Some((seq, _, _)) => seq,
-                    None => return self.srt_reconsider(chan),
-                };
-                if expire {
-                    if let Some(idx) = self.srt_chans[chan].queue.find(seq) {
-                        self.srt_drop_expired(chan, idx)?;
-                    }
-                }
-                // !expire: the message stays queued and is resubmitted
-                // whenever EDF makes it the head again.
-                self.srt_reconsider(chan)
-            }
-            Route::Nrt { chan } => {
-                if aborted && self.nrt_chans[chan].inflight == Some(handle) {
-                    self.nrt_chans[chan].inflight = None;
-                }
-                Ok(())
-            }
-        }
     }
 }

@@ -4,7 +4,7 @@
 
 use rtec_can::fault::{FaultModel, OmissionScope};
 use rtec_conformance::audit::{audit, handshake_anomalies, AuditContext};
-use rtec_core::channel::{ChannelClass, ChannelSpec, HrtSpec, NrtSpec, SrtSpec};
+use rtec_core::channel::{ChannelClass, ChannelException, ChannelSpec, HrtSpec, NrtSpec, SrtSpec};
 use rtec_core::event::{Event, Subject};
 use rtec_live::broker::FaultPlan;
 use rtec_live::chaos;
@@ -12,6 +12,7 @@ use rtec_live::cluster::{Cluster, ClusterConfig, LiveReport};
 use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::{ChaosPlan, Pace};
 use rtec_sim::Duration;
+use std::sync::{Arc, Mutex};
 
 const HRT_SUBJECT: Subject = Subject(0x1001);
 const SRT_SUBJECT: Subject = Subject(0x2002);
@@ -408,4 +409,133 @@ fn udp_transport_matches_loopback() {
     let over_loopback = mixed_cluster(500).run_for(run).unwrap();
     assert!(!over_udp.log.is_empty());
     assert_eq!(over_udp.log, over_loopback.log);
+}
+
+/// Every exception a node's behavior was handed.
+type ExceptionLog = Arc<Mutex<Vec<ChannelException>>>;
+
+/// Stages one HRT sample per round just ahead of the slot, except for
+/// round `skip`, where it does `instead`: nothing, or a publish `late`
+/// after the slot's ready instant.
+struct GappyHrtSource {
+    round: u64,
+    period: Duration,
+    skip: u64,
+    late: Option<Duration>,
+    log: ExceptionLog,
+}
+
+/// Application-timer payload of [`GappyHrtSource`]'s late publish.
+const LATE: u64 = 1;
+
+impl Behavior for GappyHrtSource {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        let (at, period) = ctx.hrt_stage_schedule(HRT_SUBJECT).unwrap();
+        self.period = period;
+        // `at` stages round 1; round 0 is staged one period earlier.
+        ctx.set_timer(at.saturating_sub(period), 0).unwrap();
+    }
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, payload: u64) {
+        if payload == LATE || self.round != self.skip {
+            ctx.publish(Event::new(HRT_SUBJECT, vec![self.round as u8]))
+                .unwrap();
+        } else if let Some(late) = self.late {
+            // The staging timer leads the ready instant by 100 µs.
+            let ready = ctx.now() + Duration::from_us(100);
+            ctx.set_timer(ready + late, LATE).unwrap();
+        }
+        if payload != LATE {
+            self.round += 1;
+            ctx.set_timer(ctx.now() + self.period, 0).unwrap();
+        }
+    }
+
+    fn on_exception(&mut self, _ctx: &mut NodeCtx<'_>, exception: &ChannelException) {
+        self.log.lock().unwrap().push(exception.clone());
+    }
+}
+
+struct ExceptionRecorder(ExceptionLog);
+
+impl Behavior for ExceptionRecorder {
+    fn on_exception(&mut self, _ctx: &mut NodeCtx<'_>, exception: &ChannelException) {
+        self.0.lock().unwrap().push(exception.clone());
+    }
+}
+
+/// Run a two-node cluster for five rounds in which the HRT publisher
+/// leaves round 2 out (or publishes it `late`); returns the report and
+/// what the publisher and the subscriber were told.
+fn run_gappy(
+    spec: HrtSpec,
+    late: Option<Duration>,
+) -> (LiveReport, Vec<ChannelException>, Vec<ChannelException>) {
+    let (pub_log, sub_log) = (ExceptionLog::default(), ExceptionLog::default());
+    let mut cluster = Cluster::new(ClusterConfig::default());
+    let n0 = cluster.add_node(Box::new(GappyHrtSource {
+        round: 0,
+        period: Duration::ZERO,
+        skip: 2,
+        late,
+        log: Arc::clone(&pub_log),
+    }));
+    let n1 = cluster.add_node(Box::new(ExceptionRecorder(Arc::clone(&sub_log))));
+    cluster.publish(n0, HRT_SUBJECT, ChannelSpec::Hrt(spec));
+    cluster.subscribe(n1, HRT_SUBJECT, ChannelSpec::Hrt(spec));
+    let report = cluster.run_for(Duration::from_ms(50)).unwrap();
+    let take = |log: ExceptionLog| std::mem::take(&mut *log.lock().unwrap());
+    (report, take(pub_log), take(sub_log))
+}
+
+/// §2.2.1 subscriber awareness: a periodic HRT channel whose publisher
+/// skips one round tells its subscriber so — exactly once, at that
+/// slot's delivery deadline — and keeps delivering the other rounds.
+#[test]
+fn skipped_periodic_hrt_round_raises_one_missing_event() {
+    let (report, at_publisher, at_subscriber) = run_gappy(HrtSpec::periodic_10ms(), None);
+    let slot = report.calendar.slots[0];
+    let expected_at = report.calendar_start + report.calendar.round * 2 + slot.deadline();
+    assert_eq!(
+        at_subscriber,
+        vec![ChannelException::MissingEvent {
+            subject: HRT_SUBJECT,
+            expected_at,
+        }]
+    );
+    assert!(at_publisher.is_empty(), "{at_publisher:?}");
+    let rounds: Vec<u8> = report.log.iter().map(|r| r.bytes[0]).collect();
+    assert_eq!(rounds, vec![0, 1, 3, 4]);
+    assert_eq!(report.stats[1].exceptions, 1);
+}
+
+/// A sporadic channel may leave slots empty: no exception.
+#[test]
+fn skipped_sporadic_hrt_round_raises_nothing() {
+    let (report, at_publisher, at_subscriber) = run_gappy(HrtSpec::sporadic_10ms(), None);
+    assert!(at_subscriber.is_empty(), "{at_subscriber:?}");
+    assert!(at_publisher.is_empty(), "{at_publisher:?}");
+    assert_eq!(report.log.len(), 4);
+}
+
+/// §2.2.1 publisher awareness: a publish that arrives after its slot
+/// went empty is told `NotReady`; the event waits for the next slot.
+#[test]
+fn late_hrt_publish_raises_not_ready() {
+    let late = Some(Duration::from_us(50));
+    let (report, at_publisher, at_subscriber) = run_gappy(HrtSpec::periodic_10ms(), late);
+    let slot = report.calendar.slots[0];
+    let slot_ready_at = report.calendar_start + report.calendar.round * 2 + slot.start;
+    assert_eq!(
+        at_publisher,
+        vec![ChannelException::NotReady {
+            subject: HRT_SUBJECT,
+            slot_ready_at,
+        }]
+    );
+    assert_eq!(at_subscriber.len(), 1, "{at_subscriber:?}");
+    // Round 3's regular publish overwrites the late sample (most
+    // recent value wins), so the delivered sequence is the same.
+    let rounds: Vec<u8> = report.log.iter().map(|r| r.bytes[0]).collect();
+    assert_eq!(rounds, vec![0, 1, 3, 4]);
 }
