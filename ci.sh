@@ -69,6 +69,12 @@ echo "== experiments smoke run (auditor enabled, tables diffed against the golde
 cargo run -p rtec-bench --bin experiments --release -- all --quick --seed 42 \
     | diff -u crates/bench/tests/golden/all_quick_seed42.txt -
 
+echo "== E4 + E5 in full mode, diffed against the golden (the 10^4-message backlog --quick never builds)"
+# The §4 policy testbed only piles up its overload backlog at the full
+# 4 s horizon; this is the oracle for any change to its queues.
+cargo run -p rtec-bench --bin experiments --release -- e4 e5 --seed 42 \
+    | diff -u crates/bench/tests/golden/e4_e5_full_seed42.txt -
+
 echo "== frag zero-allocation smoke (steady-state reassembly)"
 # Counting-allocator assert: after warm-up, bulk reassembly performs
 # no heap allocations (scratch-buffer reuse in rtec_core::frag).

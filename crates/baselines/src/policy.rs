@@ -24,6 +24,13 @@ use rtec_workloads::StreamSpec;
 use std::collections::HashMap;
 
 /// A priority-assignment policy.
+///
+/// **Contract.** For a fixed stream and instant a policy never ranks a
+/// later deadline ahead of an earlier one: `d1 < d2` implies
+/// `priority(s, d1, now) <= priority(s, d2, now)`. The testbed keeps
+/// one FIFO per stream and only ever compares their fronts, which is
+/// sound exactly because of this; `tests/policy_monotone.rs` checks it
+/// for every policy here, and a new policy must join that test.
 pub trait TxPolicy {
     /// Short policy name for reports.
     fn name(&self) -> &'static str;

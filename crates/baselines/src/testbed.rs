@@ -9,6 +9,13 @@
 //! mechanism the event-channel middleware uses). Deadline misses are
 //! judged at wire completion: a message whose transmission completes
 //! after its absolute deadline missed it.
+//!
+//! Queued messages live in one FIFO per stream. Within a stream,
+//! release order is deadline order is expiry order, and a [`TxPolicy`]
+//! never ranks a later deadline ahead of an earlier one, so the node's
+//! head, the completed message and "did this completion overtake an
+//! earlier deadline" are all read off the streams' *fronts*: an event
+//! costs O(streams), whatever backlog an overloaded policy piles up.
 
 use crate::policy::TxPolicy;
 use rtec_can::{
@@ -18,7 +25,7 @@ use rtec_can::{
 use rtec_sim::{Ctx, Duration, Engine, Histogram, Model, RngStreams, Time};
 use rtec_workloads::{ArrivalGen, StreamSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Offset so testbed etags avoid the reserved protocol range.
 const ETAG_BASE: u16 = 16;
@@ -124,8 +131,8 @@ pub enum TbEvent {
     },
     /// Expiration check.
     Expire {
-        /// Owning node.
-        node: NodeId,
+        /// Index of the owning stream.
+        stream_idx: usize,
         /// Message sequence number.
         seq: u64,
     },
@@ -134,7 +141,6 @@ pub enum TbEvent {
 #[derive(Clone, Debug)]
 struct TbMsg {
     seq: u64,
-    stream_idx: usize,
     released: Time,
     deadline: Time,
 }
@@ -145,8 +151,13 @@ pub struct SchedWorld<P: TxPolicy> {
     policy: P,
     streams: Vec<StreamSpec>,
     gens: Vec<ArrivalGen>,
-    queues: Vec<Vec<TbMsg>>,
-    inflight: Vec<Option<(u64, TxHandle, u8)>>,
+    /// One FIFO per stream, in release (= deadline = expiry) order.
+    queues: Vec<VecDeque<TbMsg>>,
+    /// The streams each node publishes, as indices into `streams`.
+    node_streams: Vec<Vec<usize>>,
+    /// Per node, the message at the controller — always its stream's
+    /// front — as `(seq, stream, handle, priority)`.
+    inflight: Vec<Option<(u64, usize, TxHandle, u8)>>,
     drop_on_expiry: bool,
     next_seq: u64,
     /// Outcome counters.
@@ -179,12 +190,17 @@ impl<P: TxPolicy> SchedWorld<P> {
             })
             .collect();
         let n_streams = config.streams.len();
+        let mut node_streams = vec![Vec::new(); num_nodes];
+        for (i, s) in config.streams.iter().enumerate() {
+            node_streams[s.node.index()].push(i);
+        }
         let world = SchedWorld {
             bus,
             policy,
             streams: config.streams,
             gens,
-            queues: vec![Vec::new(); num_nodes],
+            queues: vec![VecDeque::new(); n_streams],
+            node_streams,
             inflight: vec![None; num_nodes],
             drop_on_expiry: config.drop_on_expiry,
             next_seq: 0,
@@ -199,12 +215,17 @@ impl<P: TxPolicy> SchedWorld<P> {
         engine
     }
 
-    fn head_index(&self, node: usize, now: Time) -> Option<usize> {
-        (0..self.queues[node].len()).min_by_key(|&i| {
-            let m = &self.queues[node][i];
-            let s = &self.streams[m.stream_idx];
-            (self.policy.priority(s, m.deadline, now), m.deadline, m.seq)
-        })
+    /// The node's most urgent message, with its priority and stream: the
+    /// minimum of `(priority, deadline, seq)` over its streams' fronts.
+    fn head(&self, node: usize, now: Time) -> Option<(u8, usize, &TbMsg)> {
+        self.node_streams[node]
+            .iter()
+            .filter_map(|&i| {
+                let m = self.queues[i].front()?;
+                let prio = self.policy.priority(&self.streams[i], m.deadline, now);
+                Some((prio, i, m))
+            })
+            .min_by_key(|&(prio, _, m)| (prio, m.deadline, m.seq))
     }
 
     fn dispatch(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId) {
@@ -213,16 +234,14 @@ impl<P: TxPolicy> SchedWorld<P> {
             return;
         }
         let now = ctx.now();
-        let Some(idx) = self.head_index(n, now) else {
+        let Some((prio, stream_idx, m)) = self.head(n, now) else {
             return;
         };
-        let m = &self.queues[n][idx];
-        let s = &self.streams[m.stream_idx];
-        let prio = self.policy.priority(s, m.deadline, now);
+        let s = &self.streams[stream_idx];
         let etag = ETAG_BASE + s.id;
-        let payload = vec![s.id as u8; usize::from(s.dlc)];
-        let frame = Frame::new(CanId::new(prio, node.0, etag), &payload);
-        let (seq, deadline, stream_idx) = (m.seq, m.deadline, m.stream_idx);
+        let payload = &[s.id as u8; 8][..usize::from(s.dlc)];
+        let frame = Frame::new(CanId::new(prio, node.0, etag), payload);
+        let (seq, deadline) = (m.seq, m.deadline);
         let mut sched = MapScheduler::new(ctx, wrap);
         let handle = self.bus.submit(
             &mut sched,
@@ -233,7 +252,7 @@ impl<P: TxPolicy> SchedWorld<P> {
                 tag: seq,
             },
         );
-        self.inflight[n] = Some((seq, handle, prio));
+        self.inflight[n] = Some((seq, stream_idx, handle, prio));
         if let Some(t) = self
             .policy
             .next_change(&self.streams[stream_idx], deadline, now)
@@ -244,11 +263,12 @@ impl<P: TxPolicy> SchedWorld<P> {
 
     fn reconsider(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId) {
         let n = node.index();
-        if let Some((seq, handle, _)) = self.inflight[n] {
-            if let Some(idx) = self.head_index(n, ctx.now()) {
-                if self.queues[n][idx].seq != seq && self.bus.abort(node, handle) {
-                    self.inflight[n] = None;
-                }
+        if let Some((seq, _, handle, _)) = self.inflight[n] {
+            let head_changed = self
+                .head(n, ctx.now())
+                .is_some_and(|(_, _, m)| m.seq != seq);
+            if head_changed && self.bus.abort(node, handle) {
+                self.inflight[n] = None;
             }
         }
         self.dispatch(ctx, node);
@@ -268,9 +288,11 @@ impl<P: TxPolicy> SchedWorld<P> {
         self.next_seq += 1;
         let deadline = now + s.rel_deadline;
         let expiration = s.rel_expiration.map(|e| now + e);
-        self.queues[s.node.index()].push(TbMsg {
+        let queue = &mut self.queues[stream_idx];
+        // Release order is deadline order: why fronts can stand for queues.
+        debug_assert!(queue.back().is_none_or(|m| m.deadline < deadline));
+        queue.push_back(TbMsg {
             seq,
-            stream_idx,
             released: now,
             deadline,
         });
@@ -278,7 +300,7 @@ impl<P: TxPolicy> SchedWorld<P> {
         self.stats.per_stream.entry(s.id).or_default().released += 1;
         if self.drop_on_expiry {
             if let Some(exp) = expiration {
-                ctx.at(exp, TbEvent::Expire { node: s.node, seq });
+                ctx.at(exp, TbEvent::Expire { stream_idx, seq });
             }
         }
         self.reconsider(ctx, s.node);
@@ -286,26 +308,24 @@ impl<P: TxPolicy> SchedWorld<P> {
 
     fn on_promote(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, seq: u64) {
         let n = node.index();
-        let Some((cur_seq, handle, cur_prio)) = self.inflight[n] else {
+        let Some((cur_seq, stream_idx, handle, cur_prio)) = self.inflight[n] else {
             return;
         };
         if cur_seq != seq {
             return;
         }
-        let Some(idx) = self.queues[n].iter().position(|m| m.seq == seq) else {
-            return;
-        };
         let now = ctx.now();
-        let m = &self.queues[n][idx];
-        let s = &self.streams[m.stream_idx];
+        let m = &self.queues[stream_idx][0];
+        debug_assert_eq!(m.seq, seq, "the in-flight message is its stream's front");
+        let s = &self.streams[stream_idx];
         let new_prio = self.policy.priority(s, m.deadline, now);
-        let (etag, deadline, stream_idx) = (ETAG_BASE + s.id, m.deadline, m.stream_idx);
+        let (etag, deadline) = (ETAG_BASE + s.id, m.deadline);
         if new_prio != cur_prio
             && self
                 .bus
                 .update_id(node, handle, CanId::new(new_prio, node.0, etag))
         {
-            self.inflight[n] = Some((seq, handle, new_prio));
+            self.inflight[n] = Some((seq, stream_idx, handle, new_prio));
         }
         if let Some(t) = self
             .policy
@@ -318,12 +338,18 @@ impl<P: TxPolicy> SchedWorld<P> {
         }
     }
 
-    fn on_expire(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, seq: u64) {
+    fn on_expire(&mut self, ctx: &mut Ctx<TbEvent>, stream_idx: usize, seq: u64) {
+        let node = self.streams[stream_idx].node;
         let n = node.index();
-        let Some(idx) = self.queues[n].iter().position(|m| m.seq == seq) else {
-            return;
+        // Expiry order is release order, so an expiring message is its
+        // stream's front — or second, behind a predecessor that expired
+        // on the wire and is still completing.
+        let queue = &self.queues[stream_idx];
+        let first_not_older = queue.iter().position(|m| m.seq >= seq);
+        let Some(idx) = first_not_older.filter(|&i| queue[i].seq == seq) else {
+            return; // already completed
         };
-        if let Some((cur_seq, handle, _)) = self.inflight[n] {
+        if let Some((cur_seq, _, handle, _)) = self.inflight[n] {
             if cur_seq == seq {
                 if !self.bus.abort(node, handle) {
                     return; // on the wire: let it complete
@@ -331,8 +357,8 @@ impl<P: TxPolicy> SchedWorld<P> {
                 self.inflight[n] = None;
             }
         }
-        let m = self.queues[n].remove(idx);
-        let sid = self.streams[m.stream_idx].id;
+        self.queues[stream_idx].remove(idx);
+        let sid = self.streams[stream_idx].id;
         self.stats.dropped += 1;
         self.stats.per_stream.entry(sid).or_default().dropped += 1;
         self.dispatch(ctx, node);
@@ -342,20 +368,24 @@ impl<P: TxPolicy> SchedWorld<P> {
         if let Notification::TxCompleted { node, tag, .. } = note {
             let n = node.index();
             let now = ctx.now();
-            if let Some(idx) = self.queues[n].iter().position(|m| m.seq == tag) {
-                let m = self.queues[n].remove(idx);
+            if let Some((_, stream_idx, ..)) = self.inflight[n].take_if(|f| f.0 == tag) {
+                let m = self.queues[stream_idx]
+                    .pop_front()
+                    .expect("the in-flight message is its stream's front");
+                debug_assert_eq!(m.seq, tag);
                 // Priority inversion: some other queued message already
                 // had an earlier absolute deadline than the one that
-                // just completed.
+                // just completed. A stream's front is its earliest
+                // release and deadline, so the fronts decide.
                 let overtaken = self
                     .queues
                     .iter()
-                    .flatten()
+                    .filter_map(VecDeque::front)
                     .any(|o| o.deadline < m.deadline && o.released < m.released);
                 if overtaken {
                     self.stats.inversions += 1;
                 }
-                let sid = self.streams[m.stream_idx].id;
+                let sid = self.streams[stream_idx].id;
                 self.stats.completed += 1;
                 self.stats
                     .response_ns
@@ -366,9 +396,6 @@ impl<P: TxPolicy> SchedWorld<P> {
                     self.stats.missed += 1;
                     ps.missed += 1;
                 }
-            }
-            if self.inflight[n].is_some_and(|(s, _, _)| s == tag) {
-                self.inflight[n] = None;
             }
             self.dispatch(ctx, node);
         }
@@ -401,7 +428,7 @@ impl<P: TxPolicy> Model for SchedWorld<P> {
             }
             TbEvent::Release(i) => self.on_release(ctx, i),
             TbEvent::Promote { node, seq } => self.on_promote(ctx, node, seq),
-            TbEvent::Expire { node, seq } => self.on_expire(ctx, node, seq),
+            TbEvent::Expire { stream_idx, seq } => self.on_expire(ctx, stream_idx, seq),
         }
     }
 }
@@ -422,10 +449,330 @@ pub fn run_testbed<P: TxPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{EdfPolicy, FixedPriorityPolicy};
+    use crate::policy::{DualPriorityPolicy, EdfPolicy, FixedPriorityPolicy, NoPromotion};
+    use proptest::prelude::*;
     use rtec_can::bits::BitTiming;
     use rtec_sim::Rng;
     use rtec_workloads::{set_utilization, uniform_srt_set, ArrivalPattern};
+
+    /// The flat per-node queue the per-stream FIFOs replaced, kept
+    /// verbatim as the reference for `fifo_matches_flat_reference`:
+    /// every queue question is answered by scanning all queued
+    /// messages, with no appeal to stream order or policy monotonicity.
+    mod flat {
+        use super::super::*;
+
+        /// Testbed events.
+        #[derive(Clone, Copy, Debug)]
+        pub(super) enum TbEvent {
+            /// Bus activity.
+            Can(CanEvent),
+            /// A stream releases its next message.
+            Release(usize),
+            /// Policy-announced priority change for a queued message.
+            Promote {
+                /// Owning node.
+                node: NodeId,
+                /// Message sequence number.
+                seq: u64,
+            },
+            /// Expiration check.
+            Expire {
+                /// Owning node.
+                node: NodeId,
+                /// Message sequence number.
+                seq: u64,
+            },
+        }
+
+        #[derive(Clone, Debug)]
+        struct TbMsg {
+            seq: u64,
+            stream_idx: usize,
+            released: Time,
+            deadline: Time,
+        }
+
+        /// The testbed world, generic over the policy.
+        pub(super) struct SchedWorld<P: TxPolicy> {
+            bus: CanBus,
+            policy: P,
+            streams: Vec<StreamSpec>,
+            gens: Vec<ArrivalGen>,
+            queues: Vec<Vec<TbMsg>>,
+            inflight: Vec<Option<(u64, TxHandle, u8)>>,
+            drop_on_expiry: bool,
+            next_seq: u64,
+            /// Outcome counters.
+            stats: TestbedStats,
+        }
+
+        fn wrap(ev: CanEvent) -> TbEvent {
+            TbEvent::Can(ev)
+        }
+
+        impl<P: TxPolicy> SchedWorld<P> {
+            /// Build the engine with initial releases scheduled.
+            fn engine(policy: P, config: TestbedConfig) -> Engine<SchedWorld<P>> {
+                let num_nodes = config
+                    .streams
+                    .iter()
+                    .map(|s| s.node.index() + 1)
+                    .max()
+                    .unwrap_or(1);
+                let bus = CanBus::new(config.bus, num_nodes, FaultInjector::none());
+                let streams_rng = RngStreams::new(config.seed);
+                let gens: Vec<ArrivalGen> = config
+                    .streams
+                    .iter()
+                    .map(|s| {
+                        ArrivalGen::new(
+                            s.pattern,
+                            streams_rng.stream_indexed("arrivals", u64::from(s.id)),
+                        )
+                    })
+                    .collect();
+                let n_streams = config.streams.len();
+                let world = SchedWorld {
+                    bus,
+                    policy,
+                    streams: config.streams,
+                    gens,
+                    queues: vec![Vec::new(); num_nodes],
+                    inflight: vec![None; num_nodes],
+                    drop_on_expiry: config.drop_on_expiry,
+                    next_seq: 0,
+                    stats: TestbedStats::default(),
+                };
+                let mut engine = Engine::new(world);
+                for i in 0..n_streams {
+                    // First release of each stream.
+                    let t = engine.model.gens[i].next_release();
+                    engine.schedule_at(t, TbEvent::Release(i));
+                }
+                engine
+            }
+
+            fn head_index(&self, node: usize, now: Time) -> Option<usize> {
+                (0..self.queues[node].len()).min_by_key(|&i| {
+                    let m = &self.queues[node][i];
+                    let s = &self.streams[m.stream_idx];
+                    (self.policy.priority(s, m.deadline, now), m.deadline, m.seq)
+                })
+            }
+
+            fn dispatch(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId) {
+                let n = node.index();
+                if self.inflight[n].is_some() {
+                    return;
+                }
+                let now = ctx.now();
+                let Some(idx) = self.head_index(n, now) else {
+                    return;
+                };
+                let m = &self.queues[n][idx];
+                let s = &self.streams[m.stream_idx];
+                let prio = self.policy.priority(s, m.deadline, now);
+                let etag = ETAG_BASE + s.id;
+                let payload = vec![s.id as u8; usize::from(s.dlc)];
+                let frame = Frame::new(CanId::new(prio, node.0, etag), &payload);
+                let (seq, deadline, stream_idx) = (m.seq, m.deadline, m.stream_idx);
+                let mut sched = MapScheduler::new(ctx, wrap);
+                let handle = self.bus.submit(
+                    &mut sched,
+                    node,
+                    TxRequest {
+                        frame,
+                        single_shot: false,
+                        tag: seq,
+                    },
+                );
+                self.inflight[n] = Some((seq, handle, prio));
+                if let Some(t) = self
+                    .policy
+                    .next_change(&self.streams[stream_idx], deadline, now)
+                {
+                    ctx.at(t.max(now), TbEvent::Promote { node, seq });
+                }
+            }
+
+            fn reconsider(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId) {
+                let n = node.index();
+                if let Some((seq, handle, _)) = self.inflight[n] {
+                    if let Some(idx) = self.head_index(n, ctx.now()) {
+                        if self.queues[n][idx].seq != seq && self.bus.abort(node, handle) {
+                            self.inflight[n] = None;
+                        }
+                    }
+                }
+                self.dispatch(ctx, node);
+            }
+
+            fn on_release(&mut self, ctx: &mut Ctx<TbEvent>, stream_idx: usize) {
+                let now = ctx.now();
+                let s = self.streams[stream_idx];
+                // Schedule the stream's next release.
+                let next = self.gens[stream_idx].next_release();
+                ctx.at(
+                    next.max(now + Duration::from_ns(1)),
+                    TbEvent::Release(stream_idx),
+                );
+                // Enqueue this message.
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                let deadline = now + s.rel_deadline;
+                let expiration = s.rel_expiration.map(|e| now + e);
+                self.queues[s.node.index()].push(TbMsg {
+                    seq,
+                    stream_idx,
+                    released: now,
+                    deadline,
+                });
+                self.stats.released += 1;
+                self.stats.per_stream.entry(s.id).or_default().released += 1;
+                if self.drop_on_expiry {
+                    if let Some(exp) = expiration {
+                        ctx.at(exp, TbEvent::Expire { node: s.node, seq });
+                    }
+                }
+                self.reconsider(ctx, s.node);
+            }
+
+            fn on_promote(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, seq: u64) {
+                let n = node.index();
+                let Some((cur_seq, handle, cur_prio)) = self.inflight[n] else {
+                    return;
+                };
+                if cur_seq != seq {
+                    return;
+                }
+                let Some(idx) = self.queues[n].iter().position(|m| m.seq == seq) else {
+                    return;
+                };
+                let now = ctx.now();
+                let m = &self.queues[n][idx];
+                let s = &self.streams[m.stream_idx];
+                let new_prio = self.policy.priority(s, m.deadline, now);
+                let (etag, deadline, stream_idx) = (ETAG_BASE + s.id, m.deadline, m.stream_idx);
+                if new_prio != cur_prio
+                    && self
+                        .bus
+                        .update_id(node, handle, CanId::new(new_prio, node.0, etag))
+                {
+                    self.inflight[n] = Some((seq, handle, new_prio));
+                }
+                if let Some(t) = self
+                    .policy
+                    .next_change(&self.streams[stream_idx], deadline, now)
+                {
+                    ctx.at(
+                        t.max(now + Duration::from_ns(1)),
+                        TbEvent::Promote { node, seq },
+                    );
+                }
+            }
+
+            fn on_expire(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, seq: u64) {
+                let n = node.index();
+                let Some(idx) = self.queues[n].iter().position(|m| m.seq == seq) else {
+                    return;
+                };
+                if let Some((cur_seq, handle, _)) = self.inflight[n] {
+                    if cur_seq == seq {
+                        if !self.bus.abort(node, handle) {
+                            return; // on the wire: let it complete
+                        }
+                        self.inflight[n] = None;
+                    }
+                }
+                let m = self.queues[n].remove(idx);
+                let sid = self.streams[m.stream_idx].id;
+                self.stats.dropped += 1;
+                self.stats.per_stream.entry(sid).or_default().dropped += 1;
+                self.dispatch(ctx, node);
+            }
+
+            fn on_note(&mut self, ctx: &mut Ctx<TbEvent>, note: Notification) {
+                if let Notification::TxCompleted { node, tag, .. } = note {
+                    let n = node.index();
+                    let now = ctx.now();
+                    if let Some(idx) = self.queues[n].iter().position(|m| m.seq == tag) {
+                        let m = self.queues[n].remove(idx);
+                        // Priority inversion: some other queued message already
+                        // had an earlier absolute deadline than the one that
+                        // just completed.
+                        let overtaken = self
+                            .queues
+                            .iter()
+                            .flatten()
+                            .any(|o| o.deadline < m.deadline && o.released < m.released);
+                        if overtaken {
+                            self.stats.inversions += 1;
+                        }
+                        let sid = self.streams[m.stream_idx].id;
+                        self.stats.completed += 1;
+                        self.stats
+                            .response_ns
+                            .record(now.saturating_since(m.released).as_ns());
+                        let ps = self.stats.per_stream.entry(sid).or_default();
+                        ps.completed += 1;
+                        if now > m.deadline {
+                            self.stats.missed += 1;
+                            ps.missed += 1;
+                        }
+                    }
+                    if self.inflight[n].is_some_and(|(s, _, _)| s == tag) {
+                        self.inflight[n] = None;
+                    }
+                    self.dispatch(ctx, node);
+                }
+            }
+
+            fn finalize(&mut self, horizon_end: Time) {
+                self.stats.backlog = self.queues.iter().map(|q| q.len() as u64).sum();
+                self.stats.stale_backlog = self
+                    .queues
+                    .iter()
+                    .flatten()
+                    .filter(|m| m.deadline < horizon_end)
+                    .count() as u64;
+            }
+        }
+
+        impl<P: TxPolicy> Model for SchedWorld<P> {
+            type Event = TbEvent;
+
+            fn handle(&mut self, ctx: &mut Ctx<TbEvent>, ev: TbEvent) {
+                match ev {
+                    TbEvent::Can(can_ev) => {
+                        let notes = {
+                            let mut sched = MapScheduler::new(ctx, wrap);
+                            self.bus.handle(&mut sched, can_ev)
+                        };
+                        for note in notes {
+                            self.on_note(ctx, note);
+                        }
+                    }
+                    TbEvent::Release(i) => self.on_release(ctx, i),
+                    TbEvent::Promote { node, seq } => self.on_promote(ctx, node, seq),
+                    TbEvent::Expire { node, seq } => self.on_expire(ctx, node, seq),
+                }
+            }
+        }
+
+        /// Run `policy` over `config`'s workload for `horizon` of simulated
+        /// time and return the outcome.
+        pub(super) fn run_testbed<P: TxPolicy>(
+            policy: P,
+            config: TestbedConfig,
+            horizon: Duration,
+        ) -> TestbedStats {
+            let mut engine = SchedWorld::engine(policy, config);
+            engine.run_until(Time::ZERO + horizon);
+            engine.model.finalize(Time::ZERO + horizon);
+            engine.model.stats.clone()
+        }
+    }
 
     fn config(streams: Vec<StreamSpec>) -> TestbedConfig {
         TestbedConfig {
@@ -555,5 +902,109 @@ mod tests {
         // An uncontended 8-byte frame takes its exact wire time.
         assert!(stats.response_ns.min().unwrap() >= 130_000);
         assert!(stats.response_ns.max().unwrap() < 200_000);
+    }
+
+    fn us(n: u64) -> Duration {
+        Duration::from_us(n)
+    }
+
+    /// Release patterns with gaps down to a fraction of a frame time
+    /// (67–160 us), so queues build and a message can expire while its
+    /// predecessor still occupies the wire.
+    fn arb_pattern() -> impl Strategy<Value = ArrivalPattern> {
+        prop_oneof![
+            (30u64..2_000, 0u64..500, 0u64..400).prop_map(|(period, phase, jitter)| {
+                ArrivalPattern::Periodic {
+                    period: us(period),
+                    phase: us(phase),
+                    jitter: us(jitter),
+                }
+            }),
+            (20u64..1_000, 1u64..500).prop_map(|(min_gap, mean_extra)| {
+                ArrivalPattern::Sporadic {
+                    min_gap: us(min_gap),
+                    mean_extra: us(mean_extra),
+                }
+            }),
+            (40u64..2_000).prop_map(|mean_gap| ArrivalPattern::Poisson {
+                mean_gap: us(mean_gap),
+            }),
+        ]
+    }
+
+    /// One to three nodes with one to four streams each.
+    fn arb_streams() -> impl Strategy<Value = Vec<StreamSpec>> {
+        let stream = (
+            0u8..=8,
+            arb_pattern(),
+            100u64..5_000,
+            any::<bool>(),
+            40u64..3_000,
+        );
+        prop::collection::vec(prop::collection::vec(stream, 1..=4), 1..=3).prop_map(|nodes| {
+            let mut set = Vec::new();
+            for (node, streams) in nodes.into_iter().enumerate() {
+                for (dlc, pattern, deadline, expires, expiration) in streams {
+                    set.push(StreamSpec {
+                        id: set.len() as u16,
+                        node: NodeId(node as u8),
+                        dlc,
+                        pattern,
+                        rel_deadline: us(deadline),
+                        rel_expiration: expires.then_some(us(expiration)),
+                    });
+                }
+            }
+            set
+        })
+    }
+
+    /// Every field of the outcome, in a form that compares.
+    fn observable(mut stats: TestbedStats) -> impl PartialEq + std::fmt::Debug {
+        let mut per_stream: Vec<_> = stats
+            .per_stream
+            .drain()
+            .map(|(id, s)| (id, s.released, s.completed, s.missed, s.dropped))
+            .collect();
+        per_stream.sort_unstable();
+        (
+            (stats.released, stats.completed, stats.missed, stats.dropped),
+            (stats.backlog, stats.stale_backlog, stats.inversions),
+            stats.response_ns.samples().to_vec(),
+            per_stream,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The per-stream FIFOs reproduce the flat-queue testbed
+        /// exactly — inversions and the response histogram included —
+        /// under every policy, with and without expiry dropping.
+        #[test]
+        fn fifo_matches_flat_reference(set in arb_streams(), seed in any::<u64>()) {
+            let horizon = Duration::from_ms(20);
+            for drop_on_expiry in [false, true] {
+                let cfg = || TestbedConfig {
+                    bus: BusConfig::default(),
+                    streams: set.clone(),
+                    seed,
+                    drop_on_expiry,
+                };
+                macro_rules! same {
+                    ($policy:expr) => {
+                        prop_assert_eq!(
+                            observable(run_testbed($policy, cfg(), horizon)),
+                            observable(flat::run_testbed($policy, cfg(), horizon)),
+                            "drop_on_expiry={}", drop_on_expiry
+                        );
+                    };
+                }
+                same!(EdfPolicy::default());
+                same!(FixedPriorityPolicy::deadline_monotonic(&set));
+                same!(DualPriorityPolicy::new(&set, BitTiming::MBIT_1));
+                same!(NoPromotion(EdfPolicy::default()));
+            }
+        }
     }
 }

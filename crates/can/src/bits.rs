@@ -3,7 +3,7 @@
 //!
 //! All bandwidth and blocking-time arguments in the paper reduce to "how
 //! many bit times does this frame occupy the bus". We answer that
-//! exactly by serializing the frame to its on-wire bit pattern:
+//! exactly from the frame's on-wire bit pattern:
 //!
 //! ```text
 //!  stuffed region:  SOF | ID28..18 | SRR IDE | ID17..0 | RTR r1 r0 | DLC | data | CRC15
@@ -13,6 +13,11 @@
 //! Bit stuffing inserts a complement bit after every run of five equal
 //! bits in the stuffed region (the stuff bits themselves participate in
 //! subsequent runs). The fixed tail is transmitted unstuffed.
+//!
+//! [`exact_frame_bits`], called once per simulated frame, counts that
+//! pattern a byte at a time without building it; [`unstuffed_bits`],
+//! [`crc15`] and [`stuff`] do build it, as the reference the count is
+//! tested against (`tests/prop.rs`).
 //!
 //! Two closed-form bounds are also provided:
 //!
@@ -49,17 +54,15 @@ pub const ERROR_FRAME_BITS: u32 = 23;
 /// CRC-15 generator polynomial for CAN: x^15+x^14+x^10+x^8+x^7+x^4+x^3+1.
 const CRC15_POLY: u16 = 0x4599;
 
+/// Shift one bit into a CAN CRC-15 register.
+const fn crc15_step(crc: u16, bit: bool) -> u16 {
+    let feedback = bit ^ (crc >> 14 == 1);
+    ((crc << 1) & 0x7FFF) ^ if feedback { CRC15_POLY } else { 0 }
+}
+
 /// Compute the CAN CRC-15 over a bit sequence.
 pub fn crc15(bits: &[bool]) -> u16 {
-    let mut crc: u16 = 0;
-    for &bit in bits {
-        let crc_nxt = bit ^ ((crc >> 14) & 1 == 1);
-        crc = (crc << 1) & 0x7FFF;
-        if crc_nxt {
-            crc ^= CRC15_POLY;
-        }
-    }
-    crc
+    bits.iter().fold(0, |crc, &bit| crc15_step(crc, bit))
 }
 
 fn push_bits(out: &mut Vec<bool>, value: u32, width: u32) {
@@ -155,10 +158,73 @@ pub fn destuff(bits: &[bool]) -> Result<Vec<bool>, StuffError> {
     Ok(out)
 }
 
+/// `CRC15_BYTE[b]` is byte `b` shifted into an empty CRC-15 register;
+/// the CRC being linear, shifting `b` into `crc` gives
+/// `(crc << 8) ^ CRC15_BYTE[(crc >> 7) ^ b]`.
+const CRC15_BYTE: [u16; 256] = {
+    let mut table = [0; 256];
+    let mut entry = 0;
+    while entry < 256 * 8 {
+        let (byte, i) = (entry >> 3, 7 - (entry & 7));
+        table[byte] = crc15_step(table[byte], (byte >> i) & 1 == 1);
+        entry += 1;
+    }
+    table
+};
+
+/// The stuffing rule as an automaton stepped a byte at a time. A state
+/// is the last wire bit and its run length 1..=4, packed `bit << 2 |
+/// (run - 1)`: a fifth equal bit emits its stuff bit at once, leaving
+/// the complement at run 1. `STUFF_BYTE[state][byte]` packs
+/// `stuff_bits << 3 | next_state`.
+const STUFF_BYTE: [[u8; 256]; 8] = {
+    let mut table = [[0; 256]; 8];
+    let mut entry = 0;
+    while entry < 8 * 256 {
+        let (state, byte) = (entry >> 8, entry & 0xFF);
+        let (mut stuffed, mut last, mut run) = (0, state >> 2, (state & 3) + 1);
+        let mut i = 8;
+        while i > 0 {
+            i -= 1;
+            let bit = (byte >> i) & 1;
+            run = if bit == last { run + 1 } else { 1 };
+            last = bit;
+            if run == 5 {
+                (stuffed, last, run) = (stuffed + 1, bit ^ 1, 1);
+            }
+        }
+        table[state][byte] = (stuffed << 3 | last << 2 | (run - 1)) as u8;
+        entry += 1;
+    }
+    table
+};
+
 /// Exact on-wire length in bits of a frame, including stuffing and the
-/// unstuffed tail (EOF + interframe space).
+/// unstuffed tail (EOF + interframe space): the length of
+/// `stuff(&unstuffed_bits(frame))` plus [`TAIL_BITS`], built by neither.
 pub fn exact_frame_bits(frame: &Frame) -> u32 {
-    stuff(&unstuffed_bits(frame)).len() as u32 + TAIL_BITS
+    let (raw, len) = (u128::from(frame.id.raw()), frame.payload().len());
+    // SOF | ID28..18 | SRR IDE | ID17..0 | RTR r1 r0 | DLC — 39 bits, SOF
+    // the leading zero — then the payload.
+    let mut data = (raw >> 18) << 27 | 0b11 << 25 | (raw & 0x3FFFF) << 7 | len as u128;
+    for &byte in frame.payload() {
+        data = data << 8 | u128::from(byte);
+    }
+    // A zero-initialised CRC ignores leading zeros: round up to bytes.
+    let mut crc = 0u16;
+    for &byte in &data.to_be_bytes()[11 - len..] {
+        crc = ((crc << 8) & 0x7FFF) ^ CRC15_BYTE[usize::from((crc >> 7) as u8 ^ byte)];
+    }
+    // `01` in front rounds the 54 + 8·len bits of the stuffed region up
+    // to bytes and leaves the automaton where a frame starts: before
+    // SOF, after one recessive bit.
+    let wire = (1 << (39 + 8 * len) | data) << 15 | u128::from(crc);
+    let (mut state, mut stuff_bits) = (0, 0);
+    for &byte in &wire.to_be_bytes()[9 - len..] {
+        let step = STUFF_BYTE[state][usize::from(byte)];
+        (state, stuff_bits) = (usize::from(step & 7), stuff_bits + u32::from(step >> 3));
+    }
+    54 + 8 * len as u32 + stuff_bits + TAIL_BITS
 }
 
 /// Tight worst-case on-wire length in bits for an extended data frame

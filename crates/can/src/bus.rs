@@ -9,7 +9,8 @@
 //!   lowest pending identifier; the lowest identifier on the wire wins
 //!   (CAN's bitwise arbitration resolved in one step, which is exact
 //!   because identifiers are unique). The winner's frame occupies the
-//!   bus for its exact on-wire duration ([`bits::exact_frame_bits`]).
+//!   bus for its exact on-wire duration ([`bits::exact_frame_bits`],
+//!   counted once here and carried in the in-flight record).
 //! * `TxEnd` — the frame completed. Every operational node whose
 //!   acceptance filters match receives it (minus omission-fault
 //!   victims); the sender learns whether *all* operational nodes
@@ -243,6 +244,8 @@ struct Inflight {
     attempts: u32,
     started: Time,
     duration: Duration,
+    /// Full on-wire length of the frame, counted once at arbitration.
+    bits: u32,
     decision: FaultDecision,
 }
 
@@ -256,6 +259,9 @@ pub struct CanBus {
     /// Per-node suspend-transmission end (error-passive nodes pause 8
     /// bit times after transmitting).
     suspend_until: Vec<Time>,
+    /// Scratch for the per-arbitration receiver set, kept for its
+    /// capacity.
+    receivers: Vec<NodeId>,
     trace: TraceSink,
     /// Interned `"bus"` source handle for the attached sink, so hot
     /// emit sites pass a `u32` instead of a string per event.
@@ -278,6 +284,7 @@ impl CanBus {
             inflight: None,
             arb_scheduled: false,
             suspend_until: vec![Time::ZERO; num_nodes],
+            receivers: Vec::with_capacity(num_nodes),
             trace: TraceSink::disabled(),
             trace_src: TraceSink::disabled().intern("bus"),
             stats: BusStats::default(),
@@ -463,17 +470,18 @@ impl CanBus {
             p.attempts
         };
 
-        let receivers: Vec<NodeId> = self
-            .controllers
-            .iter()
-            .filter(|c| {
-                c.is_operational()
-                    && c.error_state() != crate::controller::ErrorState::BusOff
-                    && c.node() != winner_node
-            })
-            .map(|c| c.node())
-            .collect();
-        let decision = self.injector.decide(now, &frame, &receivers);
+        self.receivers.clear();
+        self.receivers.extend(
+            self.controllers
+                .iter()
+                .filter(|c| {
+                    c.is_operational()
+                        && c.error_state() != crate::controller::ErrorState::BusOff
+                        && c.node() != winner_node
+                })
+                .map(|c| c.node()),
+        );
+        let decision = self.injector.decide(now, &frame, &self.receivers);
         let full_bits = exact_frame_bits(&frame);
         let duration = match &decision {
             FaultDecision::Corrupt { fraction } => {
@@ -514,6 +522,7 @@ impl CanBus {
             attempts,
             started: now,
             duration,
+            bits: full_bits,
             decision,
         });
         notes
@@ -559,7 +568,7 @@ impl CanBus {
         }
         self.stats.busy += fl.duration;
         self.stats.busy_by_band[BusStats::band_index(fl.frame.id.priority())] += fl.duration;
-        self.stats.bits_ok += u64::from(exact_frame_bits(&fl.frame));
+        self.stats.bits_ok += u64::from(fl.bits);
         self.stats.payload_bytes_ok += u64::from(fl.frame.dlc());
         // Fault confinement: receive counters tick down on success.
         for c in &mut self.controllers {

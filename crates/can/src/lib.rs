@@ -21,8 +21,8 @@
 //!   frame is destroyed globally by an error frame and retransmitted
 //!   automatically (unless single-shot), re-entering arbitration.
 //!
-//! Frame timings are exact: frames are serialized to their on-wire bit
-//! pattern including bit stuffing and CRC-15 ([`bits`]), so bandwidth
+//! Frame timings are exact: a frame's length is counted over its on-wire
+//! bit pattern including bit stuffing and CRC-15 ([`bits`]), so bandwidth
 //! and blocking-time measurements reflect the real protocol overheads.
 //!
 //! Faults are injected by [`fault::FaultInjector`]: i.i.d. or bursty

@@ -16,6 +16,59 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         .prop_map(|(prio, tx, etag, payload)| Frame::new(CanId::new(prio, tx, etag), &payload))
 }
 
+fn reference_frame_bits(frame: &Frame) -> u32 {
+    stuff(&unstuffed_bits(frame)).len() as u32 + TAIL_BITS
+}
+
+/// Fixed corners of the streaming count: empty and full payloads of
+/// maximal, minimal and no stuffing.
+#[test]
+fn exact_frame_bits_matches_reference_at_corners() {
+    for id in [
+        CanId::from_raw(0),
+        CanId::from_raw((1 << 29) - 1),
+        CanId::new(3, 1, 2),
+    ] {
+        for fill in [0x00u8, 0xFF, 0x55] {
+            for dlc in [0usize, 8] {
+                let f = Frame::new(id, &[fill; 8][..dlc]);
+                assert_eq!(
+                    exact_frame_bits(&f),
+                    reference_frame_bits(&f),
+                    "id={:#x} fill={fill:#x} dlc={dlc}",
+                    id.raw()
+                );
+            }
+        }
+    }
+}
+
+/// An identifier ending in `1000` with DLC 0 puts two runs of five
+/// dominant bits back to back (ID2..r1, then r0..DLC0), so the second
+/// stuff bit sits exactly between the DLC and the first CRC bit — the
+/// hand-over from the data walk to the CRC walk in the streaming count.
+#[test]
+fn exact_frame_bits_with_stuff_bit_on_crc_boundary() {
+    let f = Frame::new(CanId::from_raw(0x0AAA_AAA8), &[]);
+    let bits = unstuffed_bits(&f);
+    let before_crc = stuff(&bits[..bits.len() - 15]);
+    assert!(before_crc.ends_with(&[false, false, false, false, false, true]));
+    assert_eq!(exact_frame_bits(&f), reference_frame_bits(&f));
+}
+
+proptest! {
+    // Enough cases to visit every entry of the count's byte tables.
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    /// The table-driven count equals the materialized reference:
+    /// serialize, CRC, stuff, measure (the stuffing rule as the FocusST
+    /// CAN specification, arXiv 1811.08128, states it).
+    #[test]
+    fn exact_frame_bits_matches_reference(frame in arb_frame()) {
+        prop_assert_eq!(exact_frame_bits(&frame), reference_frame_bits(&frame));
+    }
+}
+
 proptest! {
     /// Stuffing round-trips for arbitrary bit patterns.
     #[test]
