@@ -1,8 +1,8 @@
 //! The shared bus: arbitration, transmission timing, error signalling
 //! and delivery.
 //!
-//! The bus advances through discrete [`CanEvent`]s scheduled on the
-//! simulation engine:
+//! The bus advances through discrete [`CanEvent`]s scheduled on its
+//! host — the simulation engine, or the live broker's agenda:
 //!
 //! * `Arbitrate` — the bus is idle and at least one controller has a
 //!   pending frame. All operational controllers contend with their
@@ -30,10 +30,10 @@ use crate::controller::{Controller, TxHandle, TxRequest};
 use crate::fault::{FaultDecision, FaultInjector};
 use crate::frame::Frame;
 use crate::id::{CanId, NodeId};
-use rtec_sim::{Ctx, Duration, SourceId, Time, TimerId, TraceSink};
+use rtec_sim::{Ctx, Duration, Emit, SourceId, Time, TraceSink};
 use serde::{Deserialize, Serialize};
 
-/// Events the bus schedules for itself on the simulation engine.
+/// Events the bus schedules for itself on its host's [`CanScheduler`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CanEvent {
     /// Resolve arbitration among pending frames (bus idle).
@@ -47,27 +47,25 @@ pub enum CanEvent {
     BusOffRecover(NodeId),
 }
 
-/// Minimal scheduling interface the bus needs. Implemented for
-/// `Ctx<CanEvent>` directly and adaptable to any embedding event type
-/// via [`MapScheduler`].
+/// Minimal scheduling interface the bus needs of its host. Implemented
+/// for `Ctx<CanEvent>` directly, adaptable to any embedding event type
+/// via [`MapScheduler`], and small enough for a host with no engine at
+/// all (the live broker's agenda).
 pub trait CanScheduler {
-    /// Current simulated time.
+    /// Current bus time.
     fn now(&self) -> Time;
-    /// Schedule a bus event after a delay.
-    fn schedule_after(&mut self, d: Duration, ev: CanEvent) -> TimerId;
-    /// Cancel a previously scheduled bus event.
-    fn cancel(&mut self, id: TimerId);
+    /// Schedule a bus event after a delay. Events due at one instant
+    /// come back in the order they were scheduled; a host may hold an
+    /// `Arbitrate` back to the end of its instant, never move it ahead.
+    fn schedule_after(&mut self, d: Duration, ev: CanEvent);
 }
 
 impl CanScheduler for Ctx<CanEvent> {
     fn now(&self) -> Time {
         Ctx::now(self)
     }
-    fn schedule_after(&mut self, d: Duration, ev: CanEvent) -> TimerId {
-        self.after(d, ev)
-    }
-    fn cancel(&mut self, id: TimerId) {
-        Ctx::cancel(self, id)
+    fn schedule_after(&mut self, d: Duration, ev: CanEvent) {
+        self.after(d, ev);
     }
 }
 
@@ -88,12 +86,9 @@ impl<E, F: FnMut(CanEvent) -> E> CanScheduler for MapScheduler<'_, E, F> {
     fn now(&self) -> Time {
         self.ctx.now()
     }
-    fn schedule_after(&mut self, d: Duration, ev: CanEvent) -> TimerId {
+    fn schedule_after(&mut self, d: Duration, ev: CanEvent) {
         let wrapped = (self.wrap)(ev);
-        self.ctx.after(d, wrapped)
-    }
-    fn cancel(&mut self, id: TimerId) {
-        self.ctx.cancel(id)
+        self.ctx.after(d, wrapped);
     }
 }
 
@@ -249,8 +244,10 @@ struct Inflight {
     decision: FaultDecision,
 }
 
-/// The simulated CAN bus: a set of controllers sharing one wire.
-pub struct CanBus {
+/// The CAN bus model: a set of controllers sharing one wire. `S` is
+/// the trace sink of whoever hosts it — the simulator's [`TraceSink`]
+/// by default, the live broker's `SharedTraceSink`.
+pub struct CanBus<S = TraceSink> {
     config: BusConfig,
     controllers: Vec<Controller>,
     injector: FaultInjector,
@@ -262,7 +259,7 @@ pub struct CanBus {
     /// Scratch for the per-arbitration receiver set, kept for its
     /// capacity.
     receivers: Vec<NodeId>,
-    trace: TraceSink,
+    trace: S,
     /// Interned `"bus"` source handle for the attached sink, so hot
     /// emit sites pass a `u32` instead of a string per event.
     trace_src: SourceId,
@@ -271,9 +268,24 @@ pub struct CanBus {
 }
 
 impl CanBus {
-    /// Create a bus with `num_nodes` controllers (node ids `0..n`).
+    /// Create an untraced bus with `num_nodes` controllers (node ids
+    /// `0..n`).
     pub fn new(config: BusConfig, num_nodes: usize, injector: FaultInjector) -> Self {
-        assert!(num_nodes >= 1, "a bus needs at least one node");
+        CanBus::with_trace(config, num_nodes, injector, TraceSink::disabled())
+    }
+}
+
+impl<S: Emit> CanBus<S> {
+    /// Create a bus with `num_nodes` controllers tracing into `trace`.
+    ///
+    /// # Panics
+    /// If `num_nodes` exceeds the 128 the TxNode field can name.
+    pub fn with_trace(
+        config: BusConfig,
+        num_nodes: usize,
+        injector: FaultInjector,
+        trace: S,
+    ) -> Self {
         assert!(num_nodes <= 128, "TxNode field limits the bus to 128 nodes");
         CanBus {
             config,
@@ -285,14 +297,14 @@ impl CanBus {
             arb_scheduled: false,
             suspend_until: vec![Time::ZERO; num_nodes],
             receivers: Vec::with_capacity(num_nodes),
-            trace: TraceSink::disabled(),
-            trace_src: TraceSink::disabled().intern("bus"),
+            trace_src: trace.intern("bus"),
+            trace,
             stats: BusStats::default(),
         }
     }
 
     /// Attach a trace sink.
-    pub fn set_trace(&mut self, trace: TraceSink) {
+    pub fn set_trace(&mut self, trace: S) {
         self.trace_src = trace.intern("bus");
         self.trace = trace;
     }
@@ -531,7 +543,8 @@ impl CanBus {
     fn on_tx_end(&mut self, sched: &mut impl CanScheduler) -> Vec<Notification> {
         let fl = self.inflight.take().expect("TxEnd with no inflight frame");
         let now = sched.now();
-        let mut notes = Vec::new();
+        // One `Rx` per receiver plus the completion: sized once.
+        let mut notes = Vec::with_capacity(self.controllers.len() + 1);
         let victims: &[NodeId] = match &fl.decision {
             FaultDecision::Omit { victims } => victims,
             _ => &[],

@@ -1,6 +1,6 @@
 //! `rtec-verify` — the source lint pass, as a CI gate.
 //!
-//! Runs rules `C1`..`C7` (see [`rtec_conformance::srclint`]) over the
+//! Runs rules `C1`..`C8` (see [`rtec_conformance::srclint`]) over the
 //! concurrent runtimes and the channel-class machine under the given
 //! workspace root (default: the current directory) and exits non-zero
 //! on any error-severity finding. ci.sh runs this alongside the test suite; the rules it

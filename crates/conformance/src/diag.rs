@@ -93,11 +93,14 @@ pub enum RuleId {
     /// The channel-class machine names no clock, thread, socket, sink,
     /// bus or transport.
     MachineNamesIo,
+    /// The live runtime hosts the CAN bus model; it does not restate
+    /// its frame-length, error-frame or fault arithmetic.
+    LiveCopiesBusModel,
 }
 
 impl RuleId {
     /// All rules: static configuration, then trace, then source lints.
-    pub const ALL: [RuleId; 24] = [
+    pub const ALL: [RuleId; 25] = [
         RuleId::SlotOverlap,
         RuleId::SlotSetupMargin,
         RuleId::PriorityBandPartition,
@@ -122,9 +125,10 @@ impl RuleId {
         RuleId::StrayWallClock,
         RuleId::UnnamedThreadSpawn,
         RuleId::MachineNamesIo,
+        RuleId::LiveCopiesBusModel,
     ];
 
-    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C7`).
+    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C8`).
     pub fn code(self) -> &'static str {
         match self {
             RuleId::SlotOverlap => "S1",
@@ -151,6 +155,7 @@ impl RuleId {
             RuleId::StrayWallClock => "C5",
             RuleId::UnnamedThreadSpawn => "C6",
             RuleId::MachineNamesIo => "C7",
+            RuleId::LiveCopiesBusModel => "C8",
         }
     }
 
@@ -181,7 +186,7 @@ impl RuleId {
             | RuleId::StraySleep
             | RuleId::StrayWallClock
             | RuleId::UnnamedThreadSpawn => "DESIGN.md §6",
-            RuleId::MachineNamesIo => "DESIGN.md §5",
+            RuleId::MachineNamesIo | RuleId::LiveCopiesBusModel => "DESIGN.md §5",
         }
     }
 
@@ -235,6 +240,7 @@ impl RuleId {
                 "the channel-class machine is sans-IO: clocks, threads, sockets, sinks, \
                  the bus and transports belong to its hosts"
             }
+            RuleId::LiveCopiesBusModel => "the bus model lives in rtec-can; the broker hosts it",
         }
     }
 }

@@ -17,9 +17,11 @@
 //! * **[`srclint`]** — rules `C1`..`C6` run over the live runtime's
 //!   *source code*, rejecting concurrency-hygiene violations (sync
 //!   primitives bypassing the `rtec_live::sync` facade, unbounded
-//!   channels, swallowed lock/recv errors), and `C7` keeps the
-//!   channel-class machine (`rtec_core::machine`) sans-IO. The
-//!   `rtec-verify` binary drives this pass in CI.
+//!   channels, swallowed lock/recv errors), `C7` keeps the
+//!   channel-class machine (`rtec_core::machine`) sans-IO, and `C8`
+//!   keeps the live broker a host of the `rtec-can` bus model rather
+//!   than a second copy of it. The `rtec-verify` binary drives this
+//!   pass in CI.
 //!
 //! Both return a [`Report`] of [`Diagnostic`]s — rule ID, severity,
 //! message and fix hint — and never panic on broken input. The

@@ -1,7 +1,8 @@
 //! Source lints: concurrency hygiene (`C1`..`C6`) for the concurrent
 //! runtimes — the live broker/node threads and the parallel simulation
-//! driver — and the sans-IO contract (`C7`) of the channel-class
-//! machine they and the simulator host.
+//! driver — the sans-IO contract (`C7`) of the channel-class machine
+//! they and the simulator host, and the one-bus-model contract (`C8`)
+//! of the live runtime.
 //!
 //! The loom model-check suites (see `crates/live/tests/loom_model.rs`
 //! and `crates/sim/tests/loom_model.rs`) only prove anything about
@@ -22,6 +23,9 @@
 //! | `C6` | bare `thread::spawn(..)` (runtime threads must be named)     |
 //! | `C7` | clock, thread, socket, sink, bus or transport names in the    |
 //! |      | channel-class machine (`crates/core/src/machine.rs` only)    |
+//! | `C8` | `exact_frame_bits`, `ERROR_FRAME_BITS`, `FaultDecision`,     |
+//! |      | `.decide(` under `crates/live/src`: the bus model's own      |
+//! |      | arithmetic, which the broker hosts and must not restate      |
 //!
 //! The pass is textual, not syntactic — deliberately: it must run in
 //! CI with no rustc internals and no third-party parser. To keep the
@@ -35,7 +39,8 @@
 //! `trace.rs` ring, for instance, predates the facade and stays out of
 //! scope). `C7` is the one rule with a scope of its own: it runs on
 //! `rtec_core::machine` alone, and `C1`..`C6` do not (the machine may
-//! share its calendar through a plain `std::sync::Arc`).
+//! share its calendar through a plain `std::sync::Arc`). `C8` runs on
+//! `crates/live/src` on top of `C1`..`C6`.
 
 use crate::diag::{Report, RuleId};
 use std::fs;
@@ -336,6 +341,23 @@ const MACHINE_RULES: &[TextRule] = &[TextRule {
     fix: "take it as an Input or ask for it with an Output; the hosts own all I/O",
 }];
 
+/// The directory `C8` guards, on top of `C1`..`C6`.
+const LIVE_DIR: &str = "crates/live/src/";
+
+/// `C8`: what only a second copy of the bus model would need.
+const BUS_COPY_RULE: TextRule = TextRule {
+    id: RuleId::LiveCopiesBusModel,
+    needles: &[
+        "exact_frame_bits",
+        "ERROR_FRAME_BITS",
+        "FaultDecision",
+        ".decide(",
+    ],
+    allow_files: &[],
+    unless_on_line: None,
+    fix: "submit to the hosted rtec_can::CanBus and act on its notifications",
+};
+
 /// Lint a set of already-loaded sources. Pure — the unit of testing.
 pub fn lint_sources(files: &[SrcFile]) -> Report {
     let mut report = Report::new();
@@ -346,7 +368,8 @@ pub fn lint_sources(files: &[SrcFile]) -> Report {
         } else {
             RULES
         };
-        for rule in rules {
+        let live_only = file.path.contains(LIVE_DIR).then_some(&BUS_COPY_RULE);
+        for rule in rules.iter().chain(live_only) {
             if rule.allow_files.contains(&file.file_name()) {
                 continue;
             }
@@ -554,6 +577,33 @@ mod tests {
             "fn f(t: &mut dyn NodeTransport, s: &SharedTraceSink) {}\n",
         );
         assert!(rep.passes(), "{rep}");
+    }
+
+    #[test]
+    fn c8_fires_on_bus_model_arithmetic_in_the_live_runtime_only() {
+        for stmt in [
+            "let bits = exact_frame_bits(&frame);",
+            "let wreck = sent + ERROR_FRAME_BITS;",
+            "if let FaultDecision::Corrupt { .. } = decision {}",
+            "let decision = self.injector.decide(now, &frame, &receivers);",
+        ] {
+            let rep = lint_one("broker.rs", stmt);
+            assert!(rep.fired(RuleId::LiveCopiesBusModel), "{stmt}: {rep}");
+        }
+        // Hosting the bus is the point: building its injector, handing
+        // it frames and pacing by whole-frame durations are all fine ...
+        let rep = lint_one(
+            "broker.rs",
+            concat!(
+                "let bus = CanBus::with_trace(cfg, n, FaultInjector::none(), sink);\n",
+                "let h = self.bus.submit(&mut self.agenda, node, request);\n",
+                "let d = self.timing.frame_duration(frame);\n",
+            ),
+        );
+        assert!(rep.passes(), "{rep}");
+        // ... and the rule stops at the live runtime's door.
+        let gateway = SrcFile::new("crates/gateway/src/gateway.rs", "exact_frame_bits(&f);");
+        assert!(lint_sources(&[gateway]).passes());
     }
 
     #[test]

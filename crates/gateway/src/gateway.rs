@@ -141,6 +141,9 @@ struct ResumeMsg {
     uids: Vec<u64>,
     core: Arc<Mutex<SessionCore>>,
     wm: WmSource,
+    /// The verdict is already on the wire and in the session counters
+    /// ([`Gateway::begin_resume`]).
+    announced: bool,
     /// Bus-time high-water mark captured at the caller — deterministic
     /// when the caller is the gateway behavior thread.
     now_ns: u64,
@@ -529,9 +532,10 @@ impl Gateway {
         };
         let shared: Arc<Mutex<Box<dyn ClientSink>>> =
             Arc::new(Mutex::new(Box::new(SessionSink::new(core, sink))));
-        let senders = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(senders) = senders.as_ref() else {
-            return;
+        let pool = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(senders) = pool.as_ref() else {
+            drop(pool);
+            return self.park_without_lanes(client);
         };
         for (shard, uids) in split_shards(&uids, self.inner.workers) {
             let _ = senders[shard].send(GwMsg::Register {
@@ -572,22 +576,46 @@ impl Gateway {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .preview(&wm);
+        // Counted before the caller can put it on the wire: a client
+        // that has read its verdict is in the report, whatever
+        // `finish` races the commit.
+        *self
+            .inner
+            .sessions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .verdict_counter(verdict) += 1;
         Ok(ResumePending { claim, wm, verdict })
     }
 
     /// Start the replay and reattach the session's lanes to `sink`.
     pub fn commit_resume(&self, pending: ResumePending, sink: Box<dyn ClientSink>) {
-        self.do_resume(pending.claim, WmSource::Known(pending.wm), sink);
+        self.do_resume(pending.claim, WmSource::Known(pending.wm), true, sink);
     }
 
-    /// The `Welcome` never reached the client: put the session back in
-    /// the detached state so the client can retry within the TTL.
+    /// The `Welcome` never reached the client: take its verdict back
+    /// out of the counters and put the session back in the detached
+    /// state so the client can retry within the TTL.
     pub fn abort_resume(&self, pending: ResumePending) {
+        let mut store = self
+            .inner
+            .sessions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        *store.verdict_counter(pending.verdict) -= 1;
+        store.detach(pending.claim.client);
+    }
+
+    /// The worker pool is gone ([`Gateway::finish`] won the race): a
+    /// session just attached or claimed has no lanes to live on, so
+    /// park it — resumable within the TTL — rather than leave it
+    /// `Attached` to nothing.
+    fn park_without_lanes(&self, client: u32) {
         self.inner
             .sessions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .detach(pending.claim.client);
+            .detach(client);
     }
 
     /// One-shot resume for in-process sinks: claim, replay, reattach.
@@ -605,11 +633,17 @@ impl Gateway {
             .unwrap_or_else(|e| e.into_inner())
             .claim_resume(token)?;
         let out = (claim.client, claim.incarnation);
-        self.do_resume(claim, wm, sink);
+        self.do_resume(claim, wm, false, sink);
         Ok(out)
     }
 
-    fn do_resume(&self, claim: ResumeClaim, wm: WmSource, sink: Box<dyn ClientSink>) {
+    fn do_resume(
+        &self,
+        claim: ResumeClaim,
+        wm: WmSource,
+        announced: bool,
+        sink: Box<dyn ClientSink>,
+    ) {
         let now_ns = self.inner.now_wm.load(Ordering::SeqCst);
         let shared: Arc<Mutex<Box<dyn ClientSink>>> = Arc::new(Mutex::new(Box::new(
             SessionSink::new(Arc::clone(&claim.core), sink),
@@ -620,9 +654,10 @@ impl Gateway {
         }
         let designated = *by_shard.keys().next().expect("nonempty shard set");
         let gate = Arc::new(AtomicBool::new(false));
-        let senders = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(senders) = senders.as_ref() else {
-            return;
+        let pool = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(senders) = pool.as_ref() else {
+            drop(pool);
+            return self.park_without_lanes(claim.client);
         };
         // Park every old lane first (FIFO per shard ⇒ the park lands
         // before the reattach), then reattach: the designated shard
@@ -643,6 +678,7 @@ impl Gateway {
                     uids,
                     core: Arc::clone(&claim.core),
                     wm: wm.take().expect("single designated shard"),
+                    announced,
                     now_ns,
                     shared: Arc::clone(&shared),
                     policy: claim.policy,
@@ -1085,7 +1121,7 @@ impl WorkerState {
         self.sessions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .resume_done(msg.client, &plan, dead);
+            .resume_done(msg.client, &plan, dead, msg.announced);
         let at = Time::from_ns(msg.now_ns.max(self.watermark_ns));
         self.trace.emit_fields(
             at,
@@ -1525,6 +1561,49 @@ mod tests {
             over,
             "fragments must cover the payload exactly"
         );
+    }
+
+    /// The wire handshake's two steps with `finish` forced in between
+    /// (the race a fast client can win on real sockets): the verdict a
+    /// client may already have read is in the report, and the session
+    /// the commit finds no worker for is parked, not left `Attached` to
+    /// nothing. A `Welcome` that never left takes its verdict back.
+    #[test]
+    fn a_verdict_is_counted_before_the_wire_and_survives_finish() {
+        struct TakeAll;
+        impl ClientSink for TakeAll {
+            fn offer(&mut self, _bytes: &[u8]) -> SinkStatus {
+                SinkStatus::Accepted
+            }
+        }
+        let subject = Subject::new(0x2002);
+        let gateway = Gateway::new(GatewayConfig::default());
+        let srt = rtec_core::channel::SrtSpec::default();
+        gateway.bind(subject, &ChannelSpec::Srt(srt));
+        let client = gateway.reserve_client();
+        let token = gateway.open_session(client, &[subject], None);
+        gateway.attach_session(client, Box::new(TakeAll));
+        gateway.detach_session(client, 0);
+
+        let unsent = gateway
+            .begin_resume(token, ClassWatermarks::default())
+            .expect("claim");
+        assert_eq!(gateway.session_stats().resumed, 1);
+        gateway.abort_resume(unsent);
+        assert_eq!(gateway.session_stats().resumed, 0, "taken back");
+
+        let pending = gateway
+            .begin_resume(token, ClassWatermarks::default())
+            .expect("claim");
+        assert_eq!(pending.verdict(), ResumeVerdict::Resumed);
+        let report = gateway.finish();
+        gateway.commit_resume(pending, Box::new(TakeAll));
+        assert_eq!(
+            report.sessions.resumed, 1,
+            "the report agrees with the wire"
+        );
+        let parked = gateway.session_stats().detached;
+        assert_eq!(parked, 3, "sever, aborted resume, commit after finish");
     }
 
     /// Shed notices carry the class of what was actually shed: an SRT

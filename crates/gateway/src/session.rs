@@ -445,17 +445,34 @@ impl SessionStore {
         })
     }
 
-    /// Record a completed (or aborted) resume.
-    pub(crate) fn resume_done(&mut self, client: u32, plan: &ReplayPlan, dead: bool) {
+    /// The counter a resume verdict is accounted under. A verdict is
+    /// counted where it is decided: for a wire resume that is before
+    /// `Welcome` carries it, so the report never trails what a client
+    /// has already read.
+    pub(crate) fn verdict_counter(&mut self, verdict: ResumeVerdict) -> &mut u64 {
+        match verdict {
+            ResumeVerdict::Gap => &mut self.stats.gapped,
+            _ => &mut self.stats.resumed,
+        }
+    }
+
+    /// Record a completed (or aborted) resume. `announced`: the verdict
+    /// went out on the wire, and into the counters, before the replay.
+    pub(crate) fn resume_done(
+        &mut self,
+        client: u32,
+        plan: &ReplayPlan,
+        dead: bool,
+        announced: bool,
+    ) {
         if dead {
             self.stats.aborted += 1;
             // The new sink died mid-replay: back to detached so the
             // client can try again within the TTL.
             self.detach(client);
         } else {
-            match plan.verdict {
-                ResumeVerdict::Gap => self.stats.gapped += 1,
-                _ => self.stats.resumed += 1,
+            if !announced {
+                *self.verdict_counter(plan.verdict) += 1;
             }
             self.stats.replayed_hrt += plan.replayed[0];
             self.stats.replayed_srt += plan.replayed[1];

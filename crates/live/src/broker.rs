@@ -1,13 +1,15 @@
-//! The bus broker: one thread reproducing CAN semantics for a cluster
+//! The bus broker: one thread hosting the CAN bus model for a cluster
 //! of node threads.
 //!
-//! The broker owns bus time. It keeps every node's submitted frames,
-//! resolves bitwise-priority arbitration whenever the wire goes idle
-//! (lowest raw 29-bit identifier wins, exactly like the simulator's
-//! [`rtec_can::bus`]), paces the winning transmission with the
-//! [`BitClock`], and broadcasts completions to every other node — the
-//! sender learns `all_received`, which is what lets HRT publishers skip
-//! redundant retransmissions (§3.2 of the paper).
+//! The broker owns bus time and an [`rtec_can::CanBus`] — the bus model
+//! the simulator hosts too, so arbitration, frame timing, error frames,
+//! retransmission and TEC/REC fault confinement are stated once, in
+//! `rtec-can`. The broker adds what only a live host has: it paces the
+//! bus's events with the [`BitClock`], carries submits, aborts and
+//! completions between the bus and the node threads in lock-step
+//! turns, and supervises the *links and threads* the bus model knows
+//! nothing about. The sender learns `all_received`, which is what lets
+//! HRT publishers skip redundant retransmissions (§3.2 of the paper).
 //!
 //! # Lock-step protocol
 //!
@@ -18,8 +20,11 @@
 //! as far as broker state is concerned — a deterministic function of
 //! the event timeline, even over real sockets and under wall pacing.
 //!
-//! Within one bus instant the order is fixed: wire completions are
-//! processed before timers, timers in arming order, and deliveries
+//! Everything due sits on one agenda keyed `(at_ns, rank, seq)`, so
+//! the order within one bus instant is fixed and written once
+//! ([`Rank`]): the wire < timers in arming order < restarts in node
+//! order < the heartbeat round < arbitration, so that every frame
+//! submitted at an instant contends against every other. Deliveries
 //! fan out in increasing node order with the sender's `TxDone` last.
 //!
 //! Completion turns are **batched**: all of a frame's `Deliver`
@@ -34,17 +39,20 @@
 //!
 //! # Fault tolerance
 //!
-//! Unless [`BrokerConfig::strict`] is set, a node fault is not
-//! terminal. The broker keeps a per-node health state mirroring CAN
+//! *Wire* faults are the bus model's: a controller whose attempts keep
+//! dying turns error-passive, then bus-off — each request it still
+//! held is answered with a negative `TxDone` — and recovers by itself.
+//! *Link and thread* faults are the broker's. Unless
+//! [`BrokerConfig::strict`] is set, a node fault is not terminal. The broker keeps a per-node health state mirroring CAN
 //! fault confinement (§3.5 of the paper): **active** (normal),
 //! **passive** (reachable but flaky — its SRT/NRT submissions are shed
 //! at admission and its HRT `TxDone` acks are forced to
 //! `all_received = false`, so time redundancy always spends the extra
 //! retransmissions), **down** (crashed, stalled, or babbling past the
-//! turn budget — quarantined, its pending frames abandoned, a
-//! supervised restart scheduled with exponential backoff in *bus*
-//! time), and **off** (restart budget exhausted: the live analogue of
-//! bus-off without auto-recovery). Restarts are delegated to a
+//! turn budget — quarantined, its controller non-operational and its
+//! pending frames abandoned, a supervised restart scheduled with
+//! exponential backoff in *bus* time), and **off** (restart budget
+//! exhausted: the live analogue of bus-off without auto-recovery). Restarts are delegated to a
 //! [`NodeSupervisor`] — the cluster runner's implementation respawns
 //! the node thread with a bumped incarnation and the broker re-runs
 //! the Welcome handshake so the node can resync its state. Heartbeat
@@ -58,9 +66,12 @@ use crate::clock::{BitClock, Pace};
 use crate::transport::{BrokerTransport, NodeTransport, Relink, TransportError};
 use crate::wire::{ToBroker, ToNode};
 use crate::LiveError;
-use rtec_can::bits::{exact_frame_bits, BitTiming, ERROR_FRAME_BITS};
-use rtec_can::fault::{FaultDecision, FaultInjector, FaultModel};
-use rtec_can::{CanId, Frame, NodeId, PRIO_HRT};
+use rtec_can::bits::BitTiming;
+use rtec_can::fault::{FaultInjector, FaultModel};
+use rtec_can::{
+    BusConfig, CanBus, CanEvent, CanId, CanScheduler, FilterMode, NodeId, Notification, TxHandle,
+    TxRequest, PRIO_HRT,
+};
 use rtec_sim::{Duration, Rng, SharedTraceSink, SourceId, Time};
 use std::collections::BTreeMap;
 
@@ -300,45 +311,90 @@ impl NodeFault {
     }
 }
 
-/// A frame a node has submitted and is waiting to see on the wire.
-struct PendingFrame {
+/// A submit the bus has not yet answered: the node's own handle, the
+/// bus's, and the tag both echo.
+#[derive(Clone, Copy)]
+struct Outstanding {
     handle: u32,
+    on_bus: TxHandle,
     tag: u64,
-    frame: Frame,
-    attempts: u32,
 }
 
-/// The transmission currently occupying the wire.
-struct Inflight {
-    node: u8,
-    handle: u32,
-    tag: u64,
-    frame: Frame,
-    attempts: u32,
-    completes: Time,
-    decision: FaultDecision,
+/// Where one instant's events stand relative to each other: the tie
+/// order of the lock-step protocol (see the module doc).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Rank {
+    /// The wire: a completion, an error frame, a bus-off recovery — in
+    /// the order the bus scheduled them.
+    Wire,
+    /// Node timers, in arming order.
+    Timer,
+    /// Supervised restarts, in node order.
+    Restart,
+    /// The heartbeat probe round (computed, never queued).
+    Heartbeat,
+    /// Arbitration: after everything that could still submit.
+    Arbitrate,
+}
+
+/// Something queued on the agenda.
+enum Due {
+    Bus(CanEvent),
+    Timer { node: u8, token: u64 },
+    Restart { node: u8, incarnation: u32 },
+}
+
+/// Bus time and everything due on it, keyed `((at_ns, rank), seq)`. It
+/// is also the scheduler the hosted bus arms its own events on.
+struct Agenda {
+    clock: BitClock,
+    due: BTreeMap<((u64, Rank), u64), Due>,
+    seq: u64,
+}
+
+impl Agenda {
+    fn now_ns(&self) -> u64 {
+        self.clock.now().as_ns()
+    }
+
+    fn insert(&mut self, at_ns: u64, due: Due) {
+        let (rank, seq) = match due {
+            Due::Bus(CanEvent::Arbitrate) => (Rank::Arbitrate, self.seq),
+            Due::Bus(_) => (Rank::Wire, self.seq),
+            Due::Timer { .. } => (Rank::Timer, self.seq),
+            Due::Restart { node, .. } => (Rank::Restart, u64::from(node)),
+        };
+        self.seq += 1;
+        self.due.insert(((at_ns, rank), seq), due);
+    }
+}
+
+impl CanScheduler for Agenda {
+    fn now(&self) -> Time {
+        self.clock.now()
+    }
+
+    fn schedule_after(&mut self, d: Duration, ev: CanEvent) {
+        self.insert((self.clock.now() + d).as_ns(), Due::Bus(ev));
+    }
 }
 
 /// The central bus thread.
 pub struct Broker<T: BrokerTransport> {
     transport: T,
-    clock: BitClock,
+    agenda: Agenda,
+    bus: CanBus<SharedTraceSink>,
     sink: SharedTraceSink,
     src_bus: SourceId,
-    injector: FaultInjector,
     strict: bool,
     heartbeat: Option<u64>,
     recv_timeout: std::time::Duration,
-    pending: Vec<Vec<PendingFrame>>,
-    timers: BTreeMap<(u64, u64), (u8, u64)>,
-    timer_seq: u64,
-    inflight: Option<Inflight>,
+    /// Per node, its submits the bus still holds or has on the wire.
+    tx: Vec<Vec<Outstanding>>,
     health: Vec<Health>,
     incarnation: Vec<u32>,
     /// Bus time of the last completed lock-step exchange per node.
     last_contact: Vec<u64>,
-    /// Scheduled supervised restarts: `(due_ns, node) → new incarnation`.
-    restarts_due: BTreeMap<(u64, u8), u32>,
     sup_log: Vec<SupEvent>,
     stats: BrokerStats,
 }
@@ -349,26 +405,40 @@ type Sup<'a> = Option<&'a mut dyn NodeSupervisor>;
 impl<T: BrokerTransport> Broker<T> {
     /// Build a broker over `transport`, tracing into `sink` under the
     /// source name `"bus"` (same as the simulator).
+    ///
+    /// # Panics
+    /// If the transport serves more than the 128 nodes a CAN bus can
+    /// name; [`crate::Cluster`] refuses such a cluster with an error.
     pub fn new(config: BrokerConfig, transport: T, sink: SharedTraceSink) -> Self {
         let nodes = transport.node_count();
-        let src_bus = sink.intern("bus");
+        let bus_config = BusConfig {
+            timing: config.timing,
+            ..BusConfig::default()
+        };
+        let mut bus = CanBus::with_trace(bus_config, nodes, config.fault.injector(), sink.clone());
+        for node in 0..nodes as u8 {
+            // Subject filtering is the node machine's for now: every
+            // completion is offered to every live node.
+            bus.controller_mut(NodeId(node))
+                .set_filter_mode(FilterMode::AcceptAll);
+        }
         Broker {
             transport,
-            clock: BitClock::new(config.timing, config.pace),
+            agenda: Agenda {
+                clock: BitClock::new(config.timing, config.pace),
+                due: BTreeMap::new(),
+                seq: 0,
+            },
+            bus,
+            src_bus: sink.intern("bus"),
             sink,
-            src_bus,
-            injector: config.fault.injector(),
             strict: config.strict,
             heartbeat: config.heartbeat.map(|d| d.as_ns()),
             recv_timeout: config.recv_timeout,
-            pending: (0..nodes).map(|_| Vec::new()).collect(),
-            timers: BTreeMap::new(),
-            timer_seq: 0,
-            inflight: None,
+            tx: vec![Vec::new(); nodes],
             health: vec![Health::Active; nodes],
             incarnation: vec![0; nodes],
             last_contact: vec![0; nodes],
-            restarts_due: BTreeMap::new(),
             sup_log: Vec::new(),
             stats: BrokerStats::default(),
         }
@@ -391,7 +461,7 @@ impl<T: BrokerTransport> Broker<T> {
         self.transport
             .rendezvous(self.recv_timeout)
             .map_err(LiveError::Transport)?;
-        let now_ns = self.clock.now().as_ns();
+        let now_ns = self.agenda.now_ns();
         for node in 0..nodes {
             // The initial handshake is not supervised: a cluster that
             // cannot even form reports the failure immediately.
@@ -405,29 +475,35 @@ impl<T: BrokerTransport> Broker<T> {
             .map_err(|f| self.fault_to_error(node as u8, &f))?;
         }
         loop {
-            // Fire everything already due before arbitrating: frames
-            // submitted by one timer handler must contend against
-            // frames submitted by other handlers at the same instant.
-            if let Some(at) = self.next_event_time() {
-                if at <= self.clock.now() {
-                    self.process_next_event(&mut sup)?;
-                    continue;
-                }
-            }
-            if self.inflight.is_none() && self.pending.iter().any(|p| !p.is_empty()) {
-                self.arbitrate()?;
+            // Pop and fire the agenda's head — or the heartbeat round,
+            // which is computed rather than queued, when it ranks first.
+            let head = self.agenda.due.keys().next().map(|key| key.0);
+            let beat = (0..nodes).filter_map(|n| self.heartbeat_due(n)).min();
+            let beat = beat.map(|at| (at, Rank::Heartbeat));
+            let next = head.into_iter().chain(beat).min();
+            let Some((at_ns, rank)) = next.filter(|&(at, _)| at <= until.as_ns()) else {
+                break;
+            };
+            self.agenda.clock.advance_to(Time::from_ns(at_ns));
+            if rank == Rank::Heartbeat {
+                self.probe_silent_nodes(&mut sup)?;
                 continue;
             }
-            match self.next_event_time() {
-                Some(at) if at <= until => {
-                    self.clock.advance_to(at);
-                    self.process_next_event(&mut sup)?;
+            match self.agenda.due.pop_first().expect("head exists").1 {
+                Due::Bus(ev) => self.on_bus_event(ev, &mut sup)?,
+                Due::Timer { node, token } => {
+                    let now_ns = self.agenda.now_ns();
+                    if let Err(fault) = self.send_and_drain(node, ToNode::Timer { token, now_ns }) {
+                        self.handle_fault(node, fault, &mut sup)?;
+                    }
                 }
-                _ => break,
+                Due::Restart { node, incarnation } => {
+                    self.do_restart(node, incarnation, &mut sup)?
+                }
             }
         }
-        self.clock.advance_to(until);
-        let now_ns = self.clock.now().as_ns();
+        self.agenda.clock.advance_to(until);
+        let now_ns = self.agenda.now_ns();
         for node in 0..nodes {
             if !self.health[node].is_reachable() {
                 continue; // dead threads are reaped by the supervisor
@@ -445,7 +521,14 @@ impl<T: BrokerTransport> Broker<T> {
                 self.health[node] = Health::Off;
             }
         }
-        Ok(self.stats.clone())
+        let bus = &self.bus.stats;
+        Ok(BrokerStats {
+            arbitrations: bus.arbitrations,
+            frames_ok: bus.frames_ok - bus.frames_with_omission,
+            frames_with_omission: bus.frames_with_omission,
+            frames_corrupted: bus.frames_corrupted,
+            ..self.stats.clone()
+        })
     }
 
     /// Supervision transitions recorded during the last run.
@@ -479,281 +562,119 @@ impl<T: BrokerTransport> Broker<T> {
         }
     }
 
-    /// The bus time the next heartbeat probe is due, if probing is on
-    /// and any reachable node could go silent.
-    fn next_heartbeat(&self) -> Option<Time> {
+    /// The bus time (ns) `node`'s silence reaches the heartbeat
+    /// interval, if probing is on and the node is there to be probed.
+    fn heartbeat_due(&self, node: usize) -> Option<u64> {
         let every = self.heartbeat?;
-        self.health
-            .iter()
-            .zip(&self.last_contact)
-            .filter(|(h, _)| h.is_reachable())
-            .map(|(_, &last)| last.saturating_add(every))
-            .min()
-            .map(Time::from_ns)
+        let reachable = self.health[node].is_reachable();
+        reachable.then(|| self.last_contact[node].saturating_add(every))
     }
 
-    /// The earliest upcoming event. Ties resolve completion < timer <
-    /// restart < heartbeat (matching `process_next_event`).
-    fn next_event_time(&self) -> Option<Time> {
-        [
-            self.inflight.as_ref().map(|t| t.completes),
-            self.timers.keys().next().map(|&(at, _)| Time::from_ns(at)),
-            self.restarts_due
-                .keys()
-                .next()
-                .map(|&(at, _)| Time::from_ns(at)),
-            self.next_heartbeat(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
-
-    fn process_next_event(&mut self, sup: &mut Sup<'_>) -> Result<(), LiveError> {
-        let now = self.clock.now();
-        let completion = self.inflight.as_ref().map(|t| t.completes);
-        let timer = self.timers.keys().next().map(|&(at, _)| Time::from_ns(at));
-        let restart = self
-            .restarts_due
-            .keys()
-            .next()
-            .map(|&(at, _)| Time::from_ns(at));
-        let due = self.next_event_time().unwrap_or(now);
-        if completion == Some(due) {
-            return self.finish_transmission(sup);
-        }
-        if timer == Some(due) {
-            let (&key, &(node, token)) = self.timers.iter().next().expect("timer exists");
-            self.timers.remove(&key);
-            let now_ns = self.clock.now().as_ns();
-            if !self.health[node as usize].is_reachable() {
-                return Ok(()); // armed by an incarnation that died since
-            }
-            return match self.send_and_drain(node, ToNode::Timer { token, now_ns }) {
-                Ok(()) => Ok(()),
-                Err(fault) => self.handle_fault(node, fault, sup),
-            };
-        }
-        if restart == Some(due) {
-            let (&(at, node), &new_inc) = self.restarts_due.iter().next().expect("restart due");
-            self.restarts_due.remove(&(at, node));
-            return self.do_restart(node, new_inc, sup);
-        }
-        // Heartbeat: probe every reachable node whose silence reached
-        // the interval, in node order.
-        if let Some(every) = self.heartbeat {
-            let now_ns = now.as_ns();
-            for node in 0..self.health.len() as u8 {
-                if !self.health[node as usize].is_reachable()
-                    || self.last_contact[node as usize].saturating_add(every) > now_ns
-                {
-                    continue;
-                }
+    /// Heartbeat round: probe every node whose silence reached the
+    /// interval, in node order.
+    fn probe_silent_nodes(&mut self, sup: &mut Sup<'_>) -> Result<(), LiveError> {
+        let now_ns = self.agenda.now_ns();
+        for node in 0..self.health.len() {
+            if self.heartbeat_due(node).is_some_and(|at| at <= now_ns) {
                 self.stats.pings += 1;
-                match self.send_and_drain(node, ToNode::Ping { nonce: now_ns }) {
-                    Ok(()) => {}
-                    Err(fault) => self.handle_fault(node, fault, sup)?,
+                let ping = ToNode::Ping { nonce: now_ns };
+                if let Err(fault) = self.send_and_drain(node as u8, ping) {
+                    self.handle_fault(node as u8, fault, sup)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Resolve arbitration among all pending frames at the current
-    /// instant and start the winning transmission.
-    fn arbitrate(&mut self) -> Result<(), LiveError> {
-        let now = self.clock.now();
-        // One candidate per node: its highest-priority pending frame.
-        let mut candidates: Vec<(u32, u8)> = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter_map(|(node, frames)| {
-                frames
-                    .iter()
-                    .map(|p| p.frame.id.raw())
-                    .min()
-                    .map(|raw| (raw, node as u8))
-            })
-            .collect();
-        debug_assert!(!candidates.is_empty());
-        candidates.sort_unstable();
-        let (winner_raw, winner_node) = candidates[0];
-        self.stats.arbitrations += 1;
-        if self.sink.is_enabled() {
-            let mut fields: Vec<(&'static str, u64)> = candidates
-                .iter()
-                .map(|&(raw, node)| ("cand", (u64::from(node) << 32) | u64::from(raw)))
-                .collect();
-            fields.push(("win", u64::from(winner_raw)));
-            self.sink.emit_fields(now, self.src_bus, "arb", &fields);
-        }
-        let frames = &mut self.pending[winner_node as usize];
-        let idx = frames
-            .iter()
-            .position(|p| p.frame.id.raw() == winner_raw)
-            .expect("winner frame pending");
-        let mut won = frames.remove(idx);
-        won.attempts += 1;
-
-        let receivers: Vec<NodeId> = (0..self.pending.len() as u8)
-            .filter(|&n| n != winner_node)
-            .map(NodeId)
-            .collect();
-        let decision = self.injector.decide(now, &won.frame, &receivers);
-        let full_bits = exact_frame_bits(&won.frame);
-        let duration = match &decision {
-            FaultDecision::Corrupt { fraction } => {
-                let sent = ((f64::from(full_bits) * fraction).ceil() as u32).clamp(1, full_bits);
-                self.clock.timing().duration_of(sent + ERROR_FRAME_BITS)
-            }
-            _ => self.clock.timing().duration_of(full_bits),
-        };
-        self.sink.emit_fields(
-            now,
-            self.src_bus,
-            match decision {
-                FaultDecision::Corrupt { .. } => "tx_start_corrupt",
-                FaultDecision::Omit { .. } => "tx_start_omit",
-                FaultDecision::Ok => "tx_start",
-            },
-            &[
-                ("id", u64::from(winner_raw)),
-                ("node", u64::from(winner_node)),
-                ("attempt", u64::from(won.attempts)),
-                ("tag", won.tag),
-            ],
-        );
-        self.inflight = Some(Inflight {
-            node: winner_node,
-            handle: won.handle,
-            tag: won.tag,
-            frame: won.frame,
-            attempts: won.attempts,
-            completes: now + duration,
-            decision,
-        });
-        Ok(())
-    }
-
-    fn finish_transmission(&mut self, sup: &mut Sup<'_>) -> Result<(), LiveError> {
-        let tx = self.inflight.take().expect("completion without inflight");
-        self.clock.advance_to(tx.completes);
-        let now = self.clock.now();
-        if let FaultDecision::Corrupt { .. } = tx.decision {
-            // An error frame destroyed the attempt: nobody received it
-            // and the controller re-enters arbitration automatically
-            // (CAN's built-in retransmission — invisible to the node).
-            self.stats.frames_corrupted += 1;
-            self.sink.emit_fields(
-                now,
-                self.src_bus,
-                "tx_error",
-                &[
-                    ("id", u64::from(tx.frame.id.raw())),
-                    ("node", u64::from(tx.node)),
-                    ("attempt", u64::from(tx.attempts)),
-                    ("tag", tx.tag),
-                ],
-            );
-            if self.health[tx.node as usize].is_reachable() {
-                self.pending[tx.node as usize].push(PendingFrame {
-                    handle: tx.handle,
-                    tag: tx.tag,
-                    frame: tx.frame,
-                    attempts: tx.attempts,
-                });
-            } else {
-                // The sender died while its frame was on the wire; the
-                // controller that would retransmit is gone with it.
-                self.stats.frames_abandoned += 1;
-            }
-            return Ok(());
-        }
-        let victims: Vec<NodeId> = match &tx.decision {
-            FaultDecision::Omit { victims } => victims.clone(),
-            _ => Vec::new(),
-        };
-        // Broadcast to every other node (minus omission victims), in
-        // node order; the sender's TxDone goes last so its reaction
-        // (e.g. an HRT retransmission) arbitrates after deliveries.
-        //
-        // The turn is batched: every message of this completion goes
-        // out before any node's replies are drained, so all nodes
-        // process their delivery concurrently instead of serializing
-        // one lock-step round-trip per receiver (the 2→32-node
-        // throughput cliff). Broker state stays deterministic because
-        // the replies are still drained in the same fixed order —
-        // receivers ascending, sender last — and each node's own
-        // message stream is unchanged.
-        //
-        // A down or failing receiver counts as an omission victim of
-        // sorts: it clears `delivered_all`, so HRT time redundancy
-        // spends its extra retransmissions exactly as it would for a
-        // lossy wire (§3.5's degradation story). Send faults are noted
-        // and routed through supervision only after the whole batch is
-        // drained, keeping the turn order fixed.
-        let completed_ns = now.as_ns();
-        let mut delivered_all = victims.is_empty();
+    /// Let the bus handle one of its events and carry what it reports
+    /// to the nodes, as one batched turn (module doc): every message
+    /// goes out before anyone is drained, replies are drained in the
+    /// order sent — the bus reports receivers ascending and the sender
+    /// last, so the sender's reaction (e.g. an HRT retransmission)
+    /// arbitrates after the deliveries — and send faults reach
+    /// supervision only after the whole batch is drained.
+    fn on_bus_event(&mut self, ev: CanEvent, sup: &mut Sup<'_>) -> Result<(), LiveError> {
+        let completed_ns = self.agenda.now_ns();
+        let mut reached_all = true;
         let mut turn: Vec<u8> = Vec::new();
         let mut faults: Vec<(u8, NodeFault)> = Vec::new();
-        for node in 0..self.pending.len() as u8 {
-            if node == tx.node || victims.contains(&NodeId(node)) {
-                continue;
+        let mut post = |transport: &mut T, node: NodeId, msg: ToNode| {
+            let sent = transport.send(node.0, msg).map_err(NodeFault::from_send);
+            let ok = sent.is_ok();
+            match sent {
+                Ok(()) => turn.push(node.0),
+                Err(fault) => faults.push((node.0, fault)),
             }
-            if !self.health[node as usize].is_reachable() {
-                delivered_all = false;
-                continue;
-            }
-            match self.transport.send(
-                node,
-                ToNode::Deliver {
-                    completed_ns,
-                    frame: tx.frame,
-                },
-            ) {
-                Ok(()) => turn.push(node),
-                Err(e) => {
-                    delivered_all = false;
-                    faults.push((node, NodeFault::from_send(e)));
+            ok
+        };
+        for note in self.bus.handle(&mut self.agenda, ev) {
+            match note {
+                Notification::Rx { node, frame, .. } => {
+                    let msg = ToNode::Deliver {
+                        completed_ns,
+                        frame,
+                    };
+                    reached_all &= post(&mut self.transport, node, msg);
                 }
-            }
-        }
-        if delivered_all {
-            self.stats.frames_ok += 1;
-        } else {
-            self.stats.frames_with_omission += 1;
-        }
-        self.sink.emit_fields(
-            now,
-            self.src_bus,
-            "tx_end",
-            &[
-                ("id", u64::from(tx.frame.id.raw())),
-                ("node", u64::from(tx.node)),
-                ("attempt", u64::from(tx.attempts)),
-                ("tag", tx.tag),
-                ("all", u64::from(delivered_all)),
-            ],
-        );
-        let sender_health = self.health[tx.node as usize];
-        if sender_health.is_reachable() {
-            // An error-passive sender never gets a clean ack: forcing
-            // `all_received = false` keeps its HRT time redundancy on
-            // (the paper's error-passive degradation) without touching
-            // the honest `all` field traced above.
-            let acked = delivered_all && !matches!(sender_health, Health::Passive { .. });
-            match self.transport.send(
-                tx.node,
-                ToNode::TxDone {
-                    handle: tx.handle,
-                    tag: tx.tag,
-                    all_received: acked,
-                    completed_ns,
-                },
-            ) {
-                Ok(()) => turn.push(tx.node),
-                Err(e) => faults.push((tx.node, NodeFault::from_send(e))),
+                Notification::TxCompleted {
+                    node,
+                    handle,
+                    all_received,
+                    ..
+                } => {
+                    let table = &mut self.tx[node.index()];
+                    let Some(idx) = table.iter().position(|o| o.on_bus == handle) else {
+                        continue; // the sender died with its frame on the wire
+                    };
+                    let done = table.remove(idx);
+                    // The bus's verdict covers its operational
+                    // controllers. A receiver that is down, off or
+                    // just failed its delivery counts as one more
+                    // omission victim, and an error-passive sender
+                    // never gets a clean ack: either clears what the
+                    // sender is told — so HRT time redundancy spends
+                    // its retransmissions as for a lossy wire (§3.5) —
+                    // without touching the `all` the bus traced.
+                    let sender = node.index();
+                    let all_received = all_received
+                        && reached_all
+                        && self.health[sender] == Health::Active
+                        && (0..self.health.len())
+                            .all(|n| n == sender || self.health[n].is_reachable());
+                    let msg = ToNode::TxDone {
+                        handle: done.handle,
+                        tag: done.tag,
+                        all_received,
+                        completed_ns,
+                    };
+                    post(&mut self.transport, node, msg);
+                }
+                Notification::TxFailed { node, .. } => {
+                    // Bus-off emptied the controller's queue (a live
+                    // request is never single-shot): every request the
+                    // node still had on the bus is lost, and each is
+                    // told so rather than left waiting.
+                    for lost in std::mem::take(&mut self.tx[node.index()]) {
+                        let msg = ToNode::TxDone {
+                            handle: lost.handle,
+                            tag: lost.tag,
+                            all_received: false,
+                            completed_ns,
+                        };
+                        post(&mut self.transport, node, msg);
+                    }
+                }
+                Notification::TxError { node, handle, .. } => {
+                    // The controller retransmits by itself (invisible
+                    // to the node) — unless the sender died while its
+                    // frame was on the wire and took the queue along.
+                    if !self.tx[node.index()].iter().any(|o| o.on_bus == handle) {
+                        self.stats.frames_abandoned += 1;
+                    }
+                }
+                // TEC/REC transitions stay inside the bus model; TxNode
+                // uniqueness is the node id's.
+                Notification::ErrorStateChanged { .. } | Notification::DuplicateId { .. } => {}
             }
         }
         for node in turn {
@@ -808,7 +729,7 @@ impl<T: BrokerTransport> Broker<T> {
                         // silence), keeping the wire for HRT traffic.
                         self.stats.frames_shed += 1;
                         self.sink.emit_fields(
-                            self.clock.now(),
+                            self.agenda.clock.now(),
                             self.src_bus,
                             "shed",
                             &[("node", u64::from(node)), ("id", u64::from(frame.id.raw()))],
@@ -820,23 +741,27 @@ impl<T: BrokerTransport> Broker<T> {
                                     handle,
                                     tag,
                                     all_received: false,
-                                    completed_ns: self.clock.now().as_ns(),
+                                    completed_ns: self.agenda.now_ns(),
                                 },
                             )
                             .map_err(NodeFault::from_send)?;
                         outstanding += 1;
                     } else {
-                        self.pending[node as usize].push(PendingFrame {
-                            handle,
-                            tag,
+                        let request = TxRequest {
                             frame,
-                            attempts: 0,
+                            single_shot: false,
+                            tag,
+                        };
+                        let on_bus = self.bus.submit(&mut self.agenda, NodeId(node), request);
+                        self.tx[node as usize].push(Outstanding {
+                            handle,
+                            on_bus,
+                            tag,
                         });
                     }
                 }
                 ToBroker::TimerReq { at_ns, token } => {
-                    self.timers.insert((at_ns, self.timer_seq), (node, token));
-                    self.timer_seq += 1;
+                    self.agenda.insert(at_ns, Due::Timer { node, token });
                 }
                 ToBroker::Abort { handle } => {
                     let (aborted, tag) = self.try_abort(node, handle);
@@ -853,16 +778,12 @@ impl<T: BrokerTransport> Broker<T> {
                     outstanding += 1;
                 }
                 ToBroker::UpdateId { handle, raw_id } => {
-                    // Too late once the frame is on the wire; silently
-                    // keep the old identifier then (the node's promote
-                    // timer raced the arbitration and lost).
-                    if let Ok(id) = CanId::try_from_raw(raw_id) {
-                        if let Some(p) = self.pending[node as usize]
-                            .iter_mut()
-                            .find(|p| p.handle == handle)
-                        {
-                            p.frame.id = id;
-                        }
+                    // The bus refuses once the frame is on the wire;
+                    // silently keep the old identifier then (the node's
+                    // promote timer raced the arbitration and lost).
+                    let known = self.tx[node as usize].iter().find(|o| o.handle == handle);
+                    if let (Ok(id), Some(o)) = (CanId::try_from_raw(raw_id), known) {
+                        self.bus.update_id(NodeId(node), o.on_bus, id);
                     }
                 }
                 ToBroker::Pong { .. } => {} // liveness evidence; noted below
@@ -884,12 +805,12 @@ impl<T: BrokerTransport> Broker<T> {
                 }
             }
         }
-        self.last_contact[node as usize] = self.clock.now().as_ns();
+        self.last_contact[node as usize] = self.agenda.now_ns();
         if let Health::Passive { clean, strikes } = self.health[node as usize] {
             if clean + 1 >= PASSIVE_CLEAN_EXCHANGES {
                 self.health[node as usize] = Health::Active;
                 self.trace_node_event("node_active", node, 0);
-                let now_ns = self.clock.now().as_ns();
+                let now_ns = self.agenda.now_ns();
                 self.log_sup(now_ns, node, SupKind::Active, "");
             } else {
                 self.health[node as usize] = Health::Passive {
@@ -922,7 +843,7 @@ impl<T: BrokerTransport> Broker<T> {
                         strikes: 0,
                     };
                     self.trace_node_event("node_passive", node, fault.code());
-                    let now_ns = self.clock.now().as_ns();
+                    let now_ns = self.agenda.now_ns();
                     self.log_sup(now_ns, node, SupKind::Passive, fault.reason());
                     return Ok(());
                 }
@@ -943,32 +864,42 @@ impl<T: BrokerTransport> Broker<T> {
         self.mark_down(node, &fault, sup)
     }
 
-    /// Quarantine `node`: sever its link, abandon its queued work, and
-    /// ask the supervisor (if any) when to restart it.
+    /// Quarantine `node`: sever its link, abandon what it had queued
+    /// short of the wire, take its controller off the bus, and ask the
+    /// supervisor (if any) when to restart it.
     fn mark_down(
         &mut self,
         node: u8,
         fault: &NodeFault,
         sup: &mut Sup<'_>,
     ) -> Result<(), LiveError> {
-        let now_ns = self.clock.now().as_ns();
+        let now_ns = self.agenda.now_ns();
         let inc = self.incarnation[node as usize];
         self.trace_node_event("node_down", node, fault.code());
         self.stats.node_downs += 1;
         self.log_sup(now_ns, node, SupKind::Down, fault.reason());
         self.transport.unlink(node);
         self.health[node as usize] = Health::Down;
-        self.stats.frames_abandoned += self.pending[node as usize].len() as u64;
-        self.pending[node as usize].clear();
-        self.timers.retain(|_, &mut (n, _)| n != node);
+        for o in std::mem::take(&mut self.tx[node as usize]) {
+            // Refused for the frame on the wire: non-preemptible.
+            if self.bus.abort(NodeId(node), o.on_bus) {
+                self.stats.frames_abandoned += 1;
+            }
+        }
+        self.bus.controller_mut(NodeId(node)).set_operational(false);
+        // Timers die with the incarnation that armed them.
+        self.agenda
+            .due
+            .retain(|_, due| !matches!(due, Due::Timer { node: n, .. } if *n == node));
         let backoff = match sup {
             Some(s) => s.on_down(node, inc, now_ns, fault.reason()),
             None => None,
         };
         match backoff {
             Some(backoff_ns) => {
-                self.restarts_due
-                    .insert((now_ns.saturating_add(backoff_ns), node), inc + 1);
+                let incarnation = inc + 1;
+                let due = Due::Restart { node, incarnation };
+                self.agenda.insert(now_ns.saturating_add(backoff_ns), due);
             }
             None => {
                 self.health[node as usize] = Health::Off;
@@ -983,7 +914,7 @@ impl<T: BrokerTransport> Broker<T> {
     /// node thread via the supervisor, and re-run the Welcome handshake
     /// under the bumped incarnation.
     fn do_restart(&mut self, node: u8, new_inc: u32, sup: &mut Sup<'_>) -> Result<(), LiveError> {
-        let now_ns = self.clock.now().as_ns();
+        let now_ns = self.agenda.now_ns();
         let link = match self.transport.relink(node) {
             Ok(Relink::Link(l)) => Some(l),
             Ok(Relink::Reconnect) => None,
@@ -1004,6 +935,7 @@ impl<T: BrokerTransport> Broker<T> {
         // possibly off once the budget runs out).
         self.incarnation[node as usize] = new_inc;
         self.health[node as usize] = Health::Active;
+        self.bus.controller_mut(NodeId(node)).set_operational(true);
         if reconnect {
             if let Err(e) = self.transport.rendezvous_node(node, self.recv_timeout) {
                 return self.handle_fault(node, NodeFault::from_recv(e), sup);
@@ -1041,7 +973,7 @@ impl<T: BrokerTransport> Broker<T> {
     /// The `code` field carries the fault code or incarnation.
     fn trace_node_event(&self, kind: &'static str, node: u8, code: u64) {
         self.sink.emit_fields(
-            self.clock.now(),
+            self.agenda.clock.now(),
             self.src_bus,
             kind,
             &[("node", u64::from(node)), ("code", code)],
@@ -1060,20 +992,19 @@ impl<T: BrokerTransport> Broker<T> {
     }
 
     /// Abort `handle` if it has not reached the wire yet. Returns
-    /// `(aborted, tag)`; an unknown or in-flight handle cannot be
-    /// aborted (non-preemptive transmission).
+    /// `(aborted, tag)`; an unknown handle cannot be aborted, and the
+    /// bus refuses the in-flight one (non-preemptive transmission).
     fn try_abort(&mut self, node: u8, handle: u32) -> (bool, u64) {
-        if let Some(tx) = &self.inflight {
-            if tx.node == node && tx.handle == handle {
-                return (false, tx.tag);
-            }
+        let table = &mut self.tx[node as usize];
+        let Some(idx) = table.iter().position(|o| o.handle == handle) else {
+            return (false, 0);
+        };
+        let Outstanding { on_bus, tag, .. } = table[idx];
+        let aborted = self.bus.abort(NodeId(node), on_bus);
+        if aborted {
+            table.remove(idx);
         }
-        let frames = &mut self.pending[node as usize];
-        if let Some(idx) = frames.iter().position(|p| p.handle == handle) {
-            let p = frames.remove(idx);
-            return (true, p.tag);
-        }
-        (false, 0)
+        (aborted, tag)
     }
 }
 
@@ -1081,7 +1012,7 @@ impl<T: BrokerTransport> Broker<T> {
 mod tests {
     use super::*;
     use crate::transport::TransportError;
-    use rtec_sim::SharedTraceSink;
+    use rtec_can::Frame;
 
     fn broker_with<T: BrokerTransport>(strict: bool, transport: T) -> Broker<T> {
         Broker::new(
@@ -1270,5 +1201,249 @@ mod tests {
         broker.incarnation[0] = 2;
         broker.drain(0).expect("drain succeeds");
         assert_eq!(broker.stats.hello_replays, 1);
+    }
+
+    /// `nodes` scripted nodes: each answers from its own queue of
+    /// replies (`Idle` once that is empty, `Done` to a `Shutdown`), and
+    /// every message sent is kept — and noted in the trace ring, so the
+    /// sends interleave with the bus's own records in one sequence.
+    struct Recorder {
+        replies: Vec<std::collections::VecDeque<ToBroker>>,
+        sent: Vec<(u8, ToNode)>,
+        sink: SharedTraceSink,
+    }
+
+    impl Recorder {
+        fn new(replies: Vec<Vec<ToBroker>>, sink: SharedTraceSink) -> Self {
+            Recorder {
+                replies: replies.into_iter().map(Into::into).collect(),
+                sent: Vec::new(),
+                sink,
+            }
+        }
+    }
+
+    impl BrokerTransport for Recorder {
+        fn node_count(&self) -> usize {
+            self.replies.len()
+        }
+
+        fn send(&mut self, node: u8, msg: ToNode) -> Result<(), TransportError> {
+            let (kind, arg) = match msg {
+                ToNode::Welcome { incarnation, .. } => ("welcome", u64::from(incarnation)),
+                ToNode::Deliver { .. } => ("deliver", 0),
+                ToNode::TxDone { handle, .. } => ("tx_done", u64::from(handle)),
+                ToNode::AbortResult { handle, .. } => ("abort_result", u64::from(handle)),
+                ToNode::Ping { .. } => ("ping", 0),
+                ToNode::Timer { token, .. } => ("timer", token),
+                ToNode::Shutdown => ("shutdown", 0),
+            };
+            let src = self.sink.intern("sent");
+            let fields = [("node", u64::from(node)), ("arg", arg)];
+            self.sink.emit_fields(Time::ZERO, src, kind, &fields);
+            self.sent.push((node, msg));
+            Ok(())
+        }
+
+        fn recv_from(
+            &mut self,
+            node: u8,
+            _timeout: std::time::Duration,
+        ) -> Result<ToBroker, TransportError> {
+            let last = self.sent.iter().rev().find(|(n, _)| *n == node);
+            Ok(match self.replies[node as usize].pop_front() {
+                Some(reply) => reply,
+                None if matches!(last, Some((_, ToNode::Shutdown))) => ToBroker::Done { node },
+                None => ToBroker::Idle,
+            })
+        }
+
+        fn relink(&mut self, _node: u8) -> Result<Relink, TransportError> {
+            Ok(Relink::Reconnect)
+        }
+    }
+
+    /// Restarts any node on request; never asked for a backoff here.
+    struct Respawner;
+
+    impl NodeSupervisor for Respawner {
+        fn on_down(&mut self, _: u8, _: u32, _: u64, _: &'static str) -> Option<u64> {
+            None
+        }
+
+        fn respawn(
+            &mut self,
+            _: u8,
+            _: u32,
+            _: u64,
+            _: Option<Box<dyn NodeTransport>>,
+        ) -> Result<(), LiveError> {
+            Ok(())
+        }
+    }
+
+    fn submit(handle: u32, tag: u64, priority: u8) -> ToBroker {
+        ToBroker::Submit {
+            handle,
+            tag,
+            frame: Frame::new(CanId::new(priority, 0, 1), &[0x5A]),
+        }
+    }
+
+    /// One instant holding one of everything fires in rank order: the
+    /// wire completion, the timers in arming order, the restart, the
+    /// heartbeat round, and only then arbitration.
+    #[test]
+    fn one_instant_fires_in_the_documented_rank_order() {
+        let frame_time =
+            BitTiming::MBIT_1.frame_duration(&Frame::new(CanId::new(5, 0, 1), &[0x5A]));
+        let at_ns = frame_time.as_ns();
+        let sink = SharedTraceSink::enabled();
+        let transport = Recorder::new(
+            vec![
+                // Node 0 puts a frame on the wire at 0 — it completes
+                // at `at_ns` — and answers its TxDone with the next
+                // submit, which asks for an arbitration at `at_ns`.
+                vec![submit(1, 0xA, 5), ToBroker::Idle, submit(2, 0xB, 5)],
+                // Node 1 arms two timers for `at_ns`, out of token order.
+                vec![
+                    ToBroker::TimerReq { at_ns, token: 11 },
+                    ToBroker::TimerReq { at_ns, token: 10 },
+                ],
+                // Node 2 is down, its restart due at `at_ns` (below).
+                vec![],
+                // Node 3 stays silent: its heartbeat is due at `at_ns`.
+                vec![],
+            ],
+            sink.clone(),
+        );
+        // Every receiver is an omission victim, so the completion turn
+        // touches the sender alone and node 3's silence is unbroken.
+        let fault = FaultPlan {
+            model: Some(FaultModel::Iid {
+                corruption_p: 0.0,
+                omission_p: 1.0,
+                omission_scope: rtec_can::OmissionScope::AllReceivers,
+            }),
+            seed: 1,
+        };
+        let config = BrokerConfig {
+            fault,
+            heartbeat: Some(frame_time),
+            ..BrokerConfig::default()
+        };
+        let mut broker = Broker::new(config, transport, sink.clone());
+        broker.health[2] = Health::Down;
+        broker.bus.controller_mut(NodeId(2)).set_operational(false);
+        let restart = Due::Restart {
+            node: 2,
+            incarnation: 1,
+        };
+        broker.agenda.insert(at_ns, restart);
+        broker
+            .run_supervised(Time::from_ns(at_ns), Some(&mut Respawner))
+            .expect("run");
+
+        let ring = sink.events();
+        let from = ring
+            .iter()
+            .position(|e| e.kind == "tx_end")
+            .expect("tx_end");
+        let fired: Vec<(&str, u64)> = ring[from..]
+            .iter()
+            .filter(|e| e.kind != "shutdown")
+            .map(|e| (e.kind, e.field("arg").or(e.field("node")).unwrap_or(0)))
+            .collect();
+        assert_eq!(
+            fired,
+            vec![
+                ("tx_end", 0),
+                ("tx_done", 1),
+                ("timer", 11),
+                ("timer", 10),
+                ("welcome", 1),
+                ("node_up", 2),
+                ("ping", 0),
+                ("arb", 0),
+                ("tx_start_omit", 0),
+            ]
+        );
+        let pinged: Vec<u8> = broker
+            .transport
+            .sent
+            .iter()
+            .filter(|(_, m)| matches!(m, ToNode::Ping { .. }))
+            .map(|&(n, _)| n)
+            .collect();
+        assert_eq!(
+            pinged,
+            vec![3],
+            "everyone else was heard from at this instant"
+        );
+    }
+
+    /// The abort and `UpdateId` races, answered by the hosted bus: the
+    /// frame on the wire can be neither withdrawn nor re-prioritised
+    /// (the refusal names its tag), a queued one can, and a handle the
+    /// broker never saw is `(false, 0)`.
+    #[test]
+    fn abort_and_update_id_race_the_wire_through_the_bus() {
+        let promoted = CanId::new(0, 0, 1).raw();
+        let transport = Recorder::new(
+            vec![vec![
+                // Welcome turn: two submits (the first wins the wire
+                // at 0) and a timer that fires mid-frame.
+                submit(1, 0xA, 5),
+                submit(2, 0xB, 9),
+                ToBroker::TimerReq {
+                    at_ns: 10_000,
+                    token: 0,
+                },
+                ToBroker::Idle,
+                // Timer turn, with frame 1 in flight.
+                ToBroker::Abort { handle: 1 },
+                ToBroker::UpdateId {
+                    handle: 1,
+                    raw_id: promoted,
+                },
+                ToBroker::Abort { handle: 99 },
+                ToBroker::Abort { handle: 2 },
+            ]],
+            SharedTraceSink::enabled(),
+        );
+        let mut broker = broker_with(true, transport);
+        let stats = broker.run_supervised(Time::from_ms(1), None).expect("run");
+
+        let answers: Vec<&ToNode> = broker
+            .transport
+            .sent
+            .iter()
+            .map(|(_, m)| m)
+            .filter(|m| matches!(m, ToNode::AbortResult { .. } | ToNode::TxDone { .. }))
+            .collect();
+        let abort_result = |handle, tag, aborted| ToNode::AbortResult {
+            handle,
+            tag,
+            aborted,
+        };
+        let frame_time =
+            BitTiming::MBIT_1.frame_duration(&Frame::new(CanId::new(5, 0, 1), &[0x5A]));
+        assert_eq!(
+            answers,
+            vec![
+                &abort_result(1, 0xA, false),
+                &abort_result(99, 0, false),
+                &abort_result(2, 0xB, true),
+                // Frame 1 completes under the identifier it started
+                // with, on time; frame 2 never reaches the wire.
+                &ToNode::TxDone {
+                    handle: 1,
+                    tag: 0xA,
+                    all_received: true,
+                    completed_ns: frame_time.as_ns(),
+                },
+            ]
+        );
+        assert_eq!((stats.arbitrations, stats.frames_ok), (1, 1));
     }
 }

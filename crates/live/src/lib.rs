@@ -4,12 +4,13 @@
 //! Each node of the cluster runs as its own thread hosting the
 //! channel-class machine the simulator also hosts
 //! (`rtec_core::machine::NodeMachine`: hard, soft and non real-time
-//! channels) on top of a [`transport::NodeTransport`]. A central broker thread reproduces the
-//! CAN bus: bitwise-priority arbitration over the pending frames,
-//! non-preemptive transmission paced by a configurable bit-clock
-//! ([`clock::BitClock`]), and broadcast-with-acknowledgement so hard
-//! real-time publishers can skip redundant retransmissions (§3.2 of the
-//! paper).
+//! channels) on top of a [`transport::NodeTransport`]. A central broker
+//! thread hosts the CAN bus model the simulator also hosts
+//! (`rtec_can::CanBus`: bitwise-priority arbitration, non-preemptive
+//! transmission, error frames, fault confinement), paced by a
+//! configurable bit-clock ([`clock::BitClock`]), and carries its
+//! broadcast-with-acknowledgement to the nodes so hard real-time
+//! publishers can skip redundant retransmissions (§3.2 of the paper).
 //!
 //! Two transports ship with the crate: an in-process loopback
 //! ([`transport::loopback`], deterministic, used by tests and

@@ -10,7 +10,7 @@ use rtec_live::broker::FaultPlan;
 use rtec_live::chaos;
 use rtec_live::cluster::{Cluster, ClusterConfig, LiveReport};
 use rtec_live::node::{Behavior, NodeCtx};
-use rtec_live::{ChaosPlan, Pace};
+use rtec_live::{ChaosPlan, LiveError, NodeTransport, Pace, ToBroker, ToNode, TransportError};
 use rtec_sim::Duration;
 use std::sync::{Arc, Mutex};
 
@@ -538,4 +538,104 @@ fn late_hrt_publish_raises_not_ready() {
     // recent value wins), so the delivered sequence is the same.
     let rounds: Vec<u8> = report.log.iter().map(|r| r.bytes[0]).collect();
     assert_eq!(rounds, vec![0, 1, 3, 4]);
+}
+
+/// Records every `TxDone` a node is sent, on its way in.
+struct TxDoneSpy {
+    inner: Box<dyn NodeTransport>,
+    acks: Arc<Mutex<Vec<bool>>>,
+}
+
+impl NodeTransport for TxDoneSpy {
+    fn send(&mut self, msg: ToBroker) -> Result<(), TransportError> {
+        self.inner.send(msg)
+    }
+
+    fn recv(&mut self, timeout: std::time::Duration) -> Result<ToNode, TransportError> {
+        let msg = self.inner.recv(timeout)?;
+        if let ToNode::TxDone { all_received, .. } = msg {
+            self.acks.lock().unwrap().push(all_received);
+        }
+        Ok(msg)
+    }
+}
+
+/// A wire that corrupts every attempt: the live bus follows CAN fault
+/// confinement exactly as the simulator's does (it is the same bus
+/// model). The sender's TEC climbs by 8 per error frame, so its
+/// controller goes bus-off after 32 straight attempts instead of
+/// retransmitting forever; the node is told its request is lost (a
+/// negative `TxDone`, not silence); and the controller recovers by
+/// itself in time for the next round.
+#[test]
+fn a_wire_that_corrupts_everything_drives_the_sender_bus_off_and_back() {
+    const ROUNDS: usize = 8;
+    let cfg = ClusterConfig {
+        pace: Pace::Virtual,
+        fault: FaultPlan {
+            model: Some(FaultModel::Iid {
+                corruption_p: 1.0,
+                omission_p: 0.0,
+                omission_scope: OmissionScope::AllReceivers,
+            }),
+            seed: 7,
+        },
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(cfg);
+    let n0 = cluster.add_node(Box::new(HrtSource {
+        counter: 0,
+        period: Duration::from_ms(10),
+    }));
+    let n1 = cluster.add_node(Box::new(Quiet));
+    let hrt = ChannelSpec::Hrt(HrtSpec::periodic_10ms());
+    cluster.publish(n0, HRT_SUBJECT, hrt);
+    cluster.subscribe(n1, HRT_SUBJECT, hrt);
+    let acks = Arc::new(Mutex::new(Vec::new()));
+    let spy = Arc::clone(&acks);
+    let report = cluster
+        .run_for_wrapped(Duration::from_ms(80), &mut move |node, inner| {
+            if node == n0 {
+                let acks = Arc::clone(&spy);
+                Box::new(TxDoneSpy { inner, acks })
+            } else {
+                inner
+            }
+        })
+        .unwrap();
+
+    let count = |kind: &str| report.trace.iter().filter(|e| e.kind == kind).count();
+    assert_eq!(count("tx_error"), 32 * ROUNDS, "TEC += 8 up to 256");
+    assert_eq!(count("bus_off_recover"), ROUNDS);
+    assert_eq!(report.broker.frames_corrupted, (32 * ROUNDS) as u64);
+    assert_eq!(report.broker.frames_ok, 0);
+    assert_eq!(
+        *acks.lock().unwrap(),
+        vec![false; ROUNDS],
+        "one negative TxDone per lost request"
+    );
+    assert!(report.log.is_empty(), "nothing can have been delivered");
+}
+
+/// The hosted bus model names at most 128 nodes (the 7-bit TxNode
+/// field). Neither end of the range panics: an empty cluster runs an
+/// idle bus to an empty report, an oversized one is refused up front.
+#[test]
+fn node_count_out_of_range_is_an_empty_report_or_an_error_never_a_panic() {
+    let empty = Cluster::new(ClusterConfig::default())
+        .run_for(Duration::from_ms(5))
+        .unwrap();
+    assert!(empty.stats.is_empty() && empty.log.is_empty());
+    assert_eq!(empty.broker.arbitrations, 0);
+
+    let mut oversized = Cluster::new(ClusterConfig::default());
+    for _ in 0..129 {
+        oversized.add_node(Box::new(Quiet));
+    }
+    assert_eq!(
+        oversized.run_for(Duration::from_ms(5)).err(),
+        Some(LiveError::Config(
+            "129 nodes exceed the CAN TxNode field (128)".into()
+        ))
+    );
 }

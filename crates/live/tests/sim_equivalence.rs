@@ -3,15 +3,17 @@
 //! (loopback, virtual pacing) must hand every subscriber the same
 //! events.
 //!
-//! Both stacks host the same `rtec_core::machine::NodeMachine`, so what
-//! this compares is the two *hosts* and the two *bus models*
-//! (`rtec_can::bus::CanBus` vs `rtec_live::broker::Broker`): per
+//! Both stacks host the same `rtec_core::machine::NodeMachine` over the
+//! same bus model, `rtec_can::bus::CanBus`, so what this compares is
+//! the two pairs of *hosts* — `NetWorld` on the event engine (FIFO
+//! same-instant order) against `LiveNode` threads around
+//! `rtec_live::broker::Broker`'s ranked agenda and lock-step turns: per
 //! subscriber the sequence of `(etag, origin, class, bytes)` is
 //! identical, every HRT event is delivered at the same bus instant (its
 //! slot deadline), and every frame completes on the wire at the same
-//! bus instant — the two bus models agree on this scenario frame for
-//! frame, which is the baseline ROADMAP item 4(a)'s reference automata
-//! start from.
+//! bus instant — the two hosts feed the one bus the same submissions in
+//! a compatible order, frame for frame, which is the baseline ROADMAP
+//! item 3's reference automata start from.
 
 use rtec_can::NodeId;
 use rtec_core::channel::{ChannelClass, ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec};

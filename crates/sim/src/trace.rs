@@ -503,6 +503,47 @@ impl SharedTraceSink {
     }
 }
 
+/// What a hot-path emitter needs of a trace sink, so one component
+/// (the CAN bus model) can trace into the single-threaded simulator's
+/// [`TraceSink`] or the live runtime's [`SharedTraceSink`] alike.
+pub trait Emit {
+    /// Whether events are currently recorded.
+    fn is_enabled(&self) -> bool;
+    /// Intern a source name; see [`TraceSink::intern`].
+    fn intern(&self, name: &str) -> SourceId;
+    /// Emit a record; see [`TraceSink::emit_fields`].
+    fn emit_fields(&self, time: Time, source: SourceId, kind: &'static str, fields: Fields<'_>);
+}
+
+/// Borrowed key/value payload of one record.
+pub type Fields<'a> = &'a [(&'static str, u64)];
+
+impl Emit for TraceSink {
+    fn is_enabled(&self) -> bool {
+        TraceSink::is_enabled(self)
+    }
+    fn intern(&self, name: &str) -> SourceId {
+        TraceSink::intern(self, name)
+    }
+    #[inline]
+    fn emit_fields(&self, time: Time, source: SourceId, kind: &'static str, fields: Fields<'_>) {
+        TraceSink::emit_fields(self, time, source, kind, fields)
+    }
+}
+
+impl Emit for SharedTraceSink {
+    fn is_enabled(&self) -> bool {
+        SharedTraceSink::is_enabled(self)
+    }
+    fn intern(&self, name: &str) -> SourceId {
+        SharedTraceSink::intern(self, name)
+    }
+    #[inline]
+    fn emit_fields(&self, time: Time, source: SourceId, kind: &'static str, fields: Fields<'_>) {
+        SharedTraceSink::emit_fields(self, time, source, kind, fields)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
