@@ -543,8 +543,9 @@ impl<S: Emit> CanBus<S> {
     fn on_tx_end(&mut self, sched: &mut impl CanScheduler) -> Vec<Notification> {
         let fl = self.inflight.take().expect("TxEnd with no inflight frame");
         let now = sched.now();
-        // One `Rx` per receiver plus the completion: sized once.
-        let mut notes = Vec::with_capacity(self.controllers.len() + 1);
+        // One `Rx` per *accepting* receiver plus the completion — a
+        // handful however many controllers listen, so grow from empty.
+        let mut notes = Vec::new();
         let victims: &[NodeId] = match &fl.decision {
             FaultDecision::Omit { victims } => victims,
             _ => &[],

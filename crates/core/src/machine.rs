@@ -245,6 +245,13 @@ pub enum Output {
         /// The message it supervises.
         seq: u32,
     },
+    /// Message `seq` left the SRT queue, so every [`Output::ArmTimer`]
+    /// naming it is moot. Advisory, once per message: a host may
+    /// withdraw those timers, and a stale timer input is a no-op.
+    Disarm {
+        /// The message.
+        seq: u32,
+    },
     /// Hand an event to the application.
     Deliver {
         /// The channel.
@@ -1061,6 +1068,7 @@ impl NodeMachine {
     /// Drop the queued message at `idx` as expired: trace + exception.
     fn srt_drop_expired(&mut self, idx: usize, out: &mut Vec<Output>) {
         let msg = self.srt.remove(idx);
+        out.push(Output::Disarm { seq: msg.seq });
         out.push(trace(
             ChannelClass::Srt,
             "srt_expire",
@@ -1128,7 +1136,9 @@ impl NodeMachine {
         match unpack_tag(tag) {
             Some((TagKind::Hrt, etag, slot)) => self.hrt_tx_done(now, etag, slot, all, out),
             Some((TagKind::Srt, _, seq)) => {
-                self.srt.take(seq);
+                if self.srt.take(seq).is_some() {
+                    out.push(Output::Disarm { seq });
+                }
                 if self.srt_tx_is(seq) {
                     // A pending abort raced the wire and lost: the
                     // message went out, so it did not expire.

@@ -485,6 +485,8 @@ impl NetWorld {
                         let t = self.true_at(node, at, now);
                         ctx.at(t, NetEvent::SrtTimer { node, timer, seq });
                     }
+                    // A stale event on the engine's wheel wakes no thread.
+                    Output::Disarm { .. } => {}
                     Output::Deliver {
                         etag,
                         meta,

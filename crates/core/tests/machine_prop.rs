@@ -374,12 +374,16 @@ struct Harness {
     due: Vec<(Time, u64, Due)>,
     next_id: u64,
     // Observations.
+    outputs: usize,
     submitted: u64,
     completed: u64,
     withdrawn: u64,
     srt_deadlines: HashMap<u32, Time>,
     srt_sent: HashSet<u32>,
     srt_expired: HashSet<u32>,
+    /// Messages the machine said `Disarm` for. Their timers stay on
+    /// the list all the same, so each still fires — as a stale input.
+    srt_disarmed: HashSet<u32>,
     hrt_attempts: HashMap<(u64, usize), u32>,
     nrt_published: VecDeque<Vec<u8>>,
     nrt_wire: Reassembler<u8>,
@@ -412,12 +416,14 @@ impl Harness {
             abort_queue: VecDeque::new(),
             next_id: due.len() as u64,
             due,
+            outputs: 0,
             submitted: 0,
             completed: 0,
             withdrawn: 0,
             srt_deadlines: HashMap::new(),
             srt_sent: HashSet::new(),
             srt_expired: HashSet::new(),
+            srt_disarmed: HashSet::new(),
             hrt_attempts: HashMap::new(),
             nrt_published: VecDeque::new(),
             nrt_wire: Reassembler::new(),
@@ -442,6 +448,7 @@ impl Harness {
         if accepted.is_err() {
             prop_assert!(out.is_empty(), "a refused publish has no effects");
         }
+        self.outputs += out.len();
         for o in out {
             match o {
                 Output::Submit { class, frame, tag } => {
@@ -486,6 +493,11 @@ impl Harness {
                     }
                     let id = self.id();
                     self.due.push((at.max(self.now), id, Due::Srt(timer, seq)));
+                }
+                Output::Disarm { seq } => {
+                    prop_assert!(self.srt_disarmed.insert(seq), "disarmed twice: {seq}");
+                    let queued = self.m.srt_queue().find(seq);
+                    prop_assert!(queued.is_none(), "disarmed while still queued: {seq}");
                 }
                 Output::Trace {
                     kind: "srt_expire",
@@ -656,8 +668,23 @@ impl Harness {
             Due::Lst(round, slot) => Input::SlotLst { round, slot },
             Due::Deadline(round, slot) => Input::SlotDeadline { round, slot },
         };
+        // What makes withdrawing a disarmed message's timers safe: fired
+        // anyway, however much later, they find nothing to do.
+        let stale = matches!(due, Due::Srt(_, seq) if self.srt_disarmed.contains(&seq));
+        let before = stale.then(|| (self.outputs, self.srt_state()));
         self.feed(input)?.expect("not a publish");
+        if let Some(before) = before {
+            let after = (self.outputs, self.srt_state());
+            prop_assert_eq!(before, after, "a stale {:?} was not a no-op", due);
+        }
         Ok(true)
+    }
+
+    /// The machine's observable SRT state: each queued message with its
+    /// deadline-miss flag, and the one submitted.
+    fn srt_state(&self) -> (Vec<(u32, bool)>, Option<u32>) {
+        let queue = self.m.srt_queue().iter().map(|m| (m.seq, m.missed));
+        (queue.collect(), self.m.srt_submitted().map(|tx| tx.seq))
     }
 
     fn publish(&mut self, kind: u8, a: u32, b: u32) -> Result<(), TestCaseError> {
@@ -720,13 +747,14 @@ impl Harness {
         // Every handle ended in exactly one of TxDone / aborted ...
         prop_assert_eq!(self.submitted, self.completed + self.withdrawn);
         // ... and every accepted SRT message in exactly one of sent /
-        // expired.
+        // expired, its timers disarmed (once: see `feed`) either way.
         for seq in self.srt_deadlines.keys() {
             let (sent, expired) = (self.srt_sent.contains(seq), self.srt_expired.contains(seq));
             prop_assert!(
                 sent != expired,
                 "SRT message {seq}: sent {sent}, expired {expired}"
             );
+            prop_assert!(self.srt_disarmed.contains(seq), "never disarmed: {seq}");
         }
         Ok(())
     }

@@ -20,6 +20,19 @@
 //! as far as broker state is concerned — a deterministic function of
 //! the event timeline, even over real sockets and under wall pacing.
 //!
+//! A turn goes only to a node that can act on it. A completion is
+//! *addressed*: a node `Listen`s in its `Welcome` turn, which installs
+//! acceptance filters in its controller (where the simulator keeps them
+//! too), and the bus reports an `Rx` only where one matches —
+//! `all_received` it computes from omission victims and operational
+//! state, never from filters. A timer is *withdrawn* (`TimerCancel`)
+//! once the machine says its message left the queue (`Output::Disarm`).
+//! The argument above holds for the sparser turn: who is sent a message
+//! at an instant is a function of broker state alone (filter banks, the
+//! sender, the agenda), every addressed node is still drained to `Idle`
+//! in the same fixed order, and a withdrawn timer is one whose turn
+//! would have drawn no reply but `Idle`.
+//!
 //! Everything due sits on one agenda keyed `(at_ns, rank, seq)`, so
 //! the order within one bus instant is fixed and written once
 //! ([`Rank`]): the wire < timers in arming order < restarts in node
@@ -69,8 +82,8 @@ use crate::LiveError;
 use rtec_can::bits::BitTiming;
 use rtec_can::fault::{FaultInjector, FaultModel};
 use rtec_can::{
-    BusConfig, CanBus, CanEvent, CanId, CanScheduler, FilterMode, NodeId, Notification, TxHandle,
-    TxRequest, PRIO_HRT,
+    AcceptanceFilter, BusConfig, CanBus, CanEvent, CanId, CanScheduler, NodeId, Notification,
+    TxHandle, TxRequest, PRIO_HRT,
 };
 use rtec_sim::{Duration, Rng, SharedTraceSink, SourceId, Time};
 use std::collections::BTreeMap;
@@ -367,6 +380,14 @@ impl Agenda {
         self.seq += 1;
         self.due.insert(((at_ns, rank), seq), due);
     }
+
+    /// Drop `node`'s armed timers carrying `token` (`None`: all of them).
+    fn cancel_timers(&mut self, node: u8, token: Option<u64>) {
+        self.due.retain(|_, due| {
+            !matches!(due, Due::Timer { node: n, token: t }
+                if *n == node && token.is_none_or(|token| token == *t))
+        });
+    }
 }
 
 impl CanScheduler for Agenda {
@@ -397,6 +418,9 @@ pub struct Broker<T: BrokerTransport> {
     last_contact: Vec<u64>,
     sup_log: Vec<SupEvent>,
     stats: BrokerStats,
+    /// Scratch of [`Broker::on_bus_event`]: who was posted to, who failed.
+    turn: Vec<u8>,
+    faults: Vec<(u8, NodeFault)>,
 }
 
 /// Shorthand for the optional supervisor threaded through the run.
@@ -415,13 +439,6 @@ impl<T: BrokerTransport> Broker<T> {
             timing: config.timing,
             ..BusConfig::default()
         };
-        let mut bus = CanBus::with_trace(bus_config, nodes, config.fault.injector(), sink.clone());
-        for node in 0..nodes as u8 {
-            // Subject filtering is the node machine's for now: every
-            // completion is offered to every live node.
-            bus.controller_mut(NodeId(node))
-                .set_filter_mode(FilterMode::AcceptAll);
-        }
         Broker {
             transport,
             agenda: Agenda {
@@ -429,7 +446,7 @@ impl<T: BrokerTransport> Broker<T> {
                 due: BTreeMap::new(),
                 seq: 0,
             },
-            bus,
+            bus: CanBus::with_trace(bus_config, nodes, config.fault.injector(), sink.clone()),
             src_bus: sink.intern("bus"),
             sink,
             strict: config.strict,
@@ -441,6 +458,8 @@ impl<T: BrokerTransport> Broker<T> {
             last_contact: vec![0; nodes],
             sup_log: Vec::new(),
             stats: BrokerStats::default(),
+            turn: Vec::new(),
+            faults: Vec::new(),
         }
     }
 
@@ -596,8 +615,8 @@ impl<T: BrokerTransport> Broker<T> {
     fn on_bus_event(&mut self, ev: CanEvent, sup: &mut Sup<'_>) -> Result<(), LiveError> {
         let completed_ns = self.agenda.now_ns();
         let mut reached_all = true;
-        let mut turn: Vec<u8> = Vec::new();
-        let mut faults: Vec<(u8, NodeFault)> = Vec::new();
+        let mut turn = std::mem::take(&mut self.turn);
+        let mut faults = std::mem::take(&mut self.faults);
         let mut post = |transport: &mut T, node: NodeId, msg: ToNode| {
             let sent = transport.send(node.0, msg).map_err(NodeFault::from_send);
             let ok = sent.is_ok();
@@ -677,15 +696,16 @@ impl<T: BrokerTransport> Broker<T> {
                 Notification::ErrorStateChanged { .. } | Notification::DuplicateId { .. } => {}
             }
         }
-        for node in turn {
+        for node in turn.drain(..) {
             if let Err(fault) = self.drain(node) {
                 faults.push((node, fault));
             }
         }
-        for (node, fault) in faults {
-            self.handle_fault(node, fault, sup)?;
-        }
-        Ok(())
+        let handled = faults
+            .drain(..)
+            .try_for_each(|(node, fault)| self.handle_fault(node, fault, sup));
+        (self.turn, self.faults) = (turn, faults);
+        handled
     }
 
     /// Send one message to `node` and pump its replies until it
@@ -762,6 +782,13 @@ impl<T: BrokerTransport> Broker<T> {
                 }
                 ToBroker::TimerReq { at_ns, token } => {
                     self.agenda.insert(at_ns, Due::Timer { node, token });
+                }
+                ToBroker::TimerCancel { token } => self.agenda.cancel_timers(node, Some(token)),
+                ToBroker::Listen { etag } => {
+                    let filter = AcceptanceFilter::for_etag(etag);
+                    let controller = self.bus.controller_mut(NodeId(node));
+                    controller.remove_filters(|f| *f == filter);
+                    controller.add_filter(filter);
                 }
                 ToBroker::Abort { handle } => {
                     let (aborted, tag) = self.try_abort(node, handle);
@@ -886,11 +913,11 @@ impl<T: BrokerTransport> Broker<T> {
                 self.stats.frames_abandoned += 1;
             }
         }
-        self.bus.controller_mut(NodeId(node)).set_operational(false);
-        // Timers die with the incarnation that armed them.
-        self.agenda
-            .due
-            .retain(|_, due| !matches!(due, Due::Timer { node: n, .. } if *n == node));
+        // Timers and filters die with the incarnation that armed them.
+        let controller = self.bus.controller_mut(NodeId(node));
+        controller.set_operational(false);
+        controller.set_filters(Vec::new());
+        self.agenda.cancel_timers(node, None);
         let backoff = match sup {
             Some(s) => s.on_down(node, inc, now_ns, fault.reason()),
             None => None,
@@ -1380,6 +1407,133 @@ mod tests {
             vec![3],
             "everyone else was heard from at this instant"
         );
+    }
+
+    fn submit_on(handle: u32, etag: u16) -> ToBroker {
+        ToBroker::Submit {
+            handle,
+            tag: u64::from(handle),
+            frame: Frame::new(CanId::new(5, 0, etag), &[0x5A]),
+        }
+    }
+
+    /// A completion is addressed by acceptance filter: only the node
+    /// that listens to the frame's etag is delivered to (once, however
+    /// often it said so), a frame nobody listens to posts its `TxDone`
+    /// alone, and neither costs the sender its clean ack.
+    #[test]
+    fn a_completion_is_delivered_to_listeners_only() {
+        let (x, y) = (7, 8);
+        let transport = Recorder::new(
+            vec![
+                vec![submit_on(1, x), submit_on(2, y)],
+                vec![],
+                vec![ToBroker::Listen { etag: x }, ToBroker::Listen { etag: x }],
+            ],
+            SharedTraceSink::disabled(),
+        );
+        let mut broker = broker_with(true, transport);
+        let stats = broker.run_supervised(Time::from_ms(1), None).expect("run");
+        assert_eq!(stats.frames_ok, 2);
+
+        // (node, the `Deliver`'s etag or the `TxDone`'s handle, ack).
+        let posted: Vec<(u8, u16, bool)> = broker
+            .transport
+            .sent
+            .iter()
+            .filter_map(|(node, msg)| match msg {
+                ToNode::Deliver { frame, .. } => Some((*node, frame.id.etag(), true)),
+                ToNode::TxDone {
+                    handle,
+                    all_received,
+                    ..
+                } => Some((*node, *handle as u16, *all_received)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(posted, vec![(2, x, true), (0, 1, true), (0, 2, true)]);
+    }
+
+    /// `TimerCancel` withdraws exactly the sender's timers carrying the
+    /// token — every one of them, nobody else's and none of its others —
+    /// and naming an unknown or already-fired token changes nothing.
+    #[test]
+    fn timer_cancel_withdraws_exactly_the_named_timers() {
+        let arm = |at_ns, token| ToBroker::TimerReq { at_ns, token };
+        let transport = Recorder::new(
+            vec![
+                vec![
+                    arm(1_000, 1),
+                    arm(1_000, 2),
+                    arm(2_000, 1),
+                    arm(3_000, 3),
+                    ToBroker::TimerCancel { token: 1 },
+                    ToBroker::TimerCancel { token: 99 },
+                    ToBroker::Idle,
+                    // Timer 2 fires; timer 3's turn cancels it, late.
+                    ToBroker::Idle,
+                    ToBroker::TimerCancel { token: 2 },
+                ],
+                vec![arm(1_000, 1), arm(4_000, 2)],
+            ],
+            SharedTraceSink::disabled(),
+        );
+        let mut broker = broker_with(true, transport);
+        broker.run_supervised(Time::from_ms(1), None).expect("run");
+
+        let fired: Vec<(u8, u64, u64)> = broker
+            .transport
+            .sent
+            .iter()
+            .filter_map(|(node, msg)| match msg {
+                ToNode::Timer { token, now_ns } => Some((*node, *token, *now_ns)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fired,
+            vec![(0, 2, 1_000), (1, 1, 1_000), (0, 3, 3_000), (1, 2, 4_000)]
+        );
+    }
+
+    /// Acceptance filters die with the incarnation that listed them:
+    /// after a restart the bank holds what the new incarnation listens
+    /// to and nothing of the old.
+    #[test]
+    fn a_restarted_node_is_delivered_only_what_it_listed_again() {
+        let (x, y) = (CanId::new(5, 0, 7), CanId::new(5, 0, 8));
+        let transport = Recorder::new(
+            vec![
+                vec![],
+                vec![
+                    ToBroker::Listen { etag: x.etag() },
+                    ToBroker::Listen { etag: y.etag() },
+                    ToBroker::Idle,
+                    ToBroker::Listen { etag: y.etag() },
+                ],
+            ],
+            SharedTraceSink::disabled(),
+        );
+        let mut broker = broker_with(false, transport);
+        let accepted = |broker: &Broker<Recorder>| {
+            let bank = broker.bus.controller(NodeId(1));
+            (bank.accepts(x), bank.accepts(y))
+        };
+        let welcome = |incarnation| ToNode::Welcome {
+            now_ns: 0,
+            incarnation,
+        };
+        broker.send_and_drain(1, welcome(0)).expect("welcome");
+        assert_eq!(accepted(&broker), (true, true));
+
+        let mut sup: Sup<'_> = Some(&mut Respawner);
+        broker
+            .mark_down(1, &NodeFault::Disconnected, &mut sup)
+            .expect("down");
+        assert_eq!(accepted(&broker), (false, false));
+        broker.do_restart(1, 1, &mut sup).expect("restart");
+        assert_eq!(accepted(&broker), (false, true));
+        assert_eq!(broker.stats.node_restarts, 1);
     }
 
     /// The abort and `UpdateId` races, answered by the hosted bus: the

@@ -288,6 +288,8 @@ struct NodeCore {
     tx: TxSlots<u32>,
     /// Etag and attributes of each publication, by subject uid.
     publishes: HashMap<u64, (u16, ChannelSpec)>,
+    /// Etag of each subscription, in declaration order.
+    listens: Vec<u16>,
     notices: Vec<Notice>,
     stats: NodeStats,
 }
@@ -348,16 +350,14 @@ impl LiveNode {
             machine.announce(etag, subject, spec);
             publishes.insert(subject.uid(), (etag, spec));
         }
+        let mut listens = Vec::with_capacity(cfg.subscribes.len());
         for (subject, spec) in cfg.subscribes {
             // Binding is static: the subscriber knows the channel's
             // class from its own (mirrored) attribute list.
             let meta = ChannelMeta::of(subject, &spec);
-            machine.subscribe(
-                etag_of(subject)?,
-                subject,
-                SubscribeSpec::default(),
-                Some(meta),
-            );
+            let etag = etag_of(subject)?;
+            machine.subscribe(etag, subject, SubscribeSpec::default(), Some(meta));
+            listens.push(etag);
         }
         let src = |tec: &str| shared.sink.intern(&format!("node{}.{tec}", cfg.node));
         let core = NodeCore {
@@ -374,6 +374,7 @@ impl LiveNode {
             next_handle: 0,
             tx: TxSlots::default(),
             publishes,
+            listens,
             notices: Vec::new(),
             stats: NodeStats {
                 node: cfg.node,
@@ -435,6 +436,11 @@ impl LiveNode {
                 }
                 core.welcomed = true;
                 core.now = Time::from_ns(now_ns);
+                // Every incarnation: no filter outlives a node going down.
+                for &etag in &core.listens {
+                    let listen = ToBroker::Listen { etag };
+                    core.transport.send(listen).map_err(LiveError::Transport)?;
+                }
                 core.arm_calendar()?;
                 if core.incarnation > 0 {
                     core.resume_snapshot()?;
@@ -583,6 +589,13 @@ impl NodeCore {
                 };
                 self.set_timer(at, token(kind, u64::from(seq)))
             }
+            // One-way, in this turn: the timers will not cost one each.
+            Output::Disarm { seq } => [TK_SRT_DEADLINE, TK_SRT_EXPIRE, TK_SRT_PROMOTE]
+                .into_iter()
+                .try_for_each(|kind| {
+                    let token = token(kind, u64::from(seq));
+                    self.send(ToBroker::TimerCancel { token })
+                }),
             Output::Deliver {
                 etag,
                 meta: Some(meta),

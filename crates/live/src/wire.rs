@@ -68,6 +68,19 @@ pub enum ToBroker {
         /// Opaque token echoed back when it fires.
         token: u64,
     },
+    /// Accept completions on the channel bound to `etag` (an acceptance
+    /// filter, installed idempotently). Sent per subscription in the
+    /// `Welcome` turn of every incarnation: no filter outlives a node.
+    Listen {
+        /// The subscribed channel's etag.
+        etag: u16,
+    },
+    /// Withdraw this node's armed [`ToBroker::TimerReq`]s carrying
+    /// `token`; an unknown or already-fired token is a no-op.
+    TimerCancel {
+        /// Token from the request.
+        token: u64,
+    },
     /// Liveness reply to a broker [`ToNode::Ping`].
     Pong {
         /// The sender's node id.
@@ -191,7 +204,9 @@ impl From<CodecError> for WireError {
 }
 
 // Message kind bytes. ToBroker and ToNode share one numbering space so
-// a misrouted datagram fails loudly instead of aliasing.
+// a misrouted datagram fails loudly instead of aliasing. `Listen` and
+// `TimerCancel` are safe to duplicate by construction, and `ChaosPlan`
+// drops and duplicates `Deliver`s only, so it can lose neither.
 const K_HELLO: u8 = 1;
 const K_SUBMIT: u8 = 2;
 const K_ABORT: u8 = 3;
@@ -200,6 +215,8 @@ const K_TIMER_REQ: u8 = 5;
 const K_IDLE: u8 = 6;
 const K_DONE: u8 = 7;
 const K_PONG: u8 = 8;
+const K_LISTEN: u8 = 9;
+const K_TIMER_CANCEL: u8 = 10;
 const K_WELCOME: u8 = 16;
 const K_DELIVER: u8 = 17;
 const K_TX_DONE: u8 = 18;
@@ -252,6 +269,14 @@ pub fn encode_to_broker(msg: &ToBroker) -> Vec<u8> {
             out.push(*node);
             out.extend_from_slice(&incarnation.to_le_bytes());
             out.extend_from_slice(&nonce.to_le_bytes());
+        }
+        ToBroker::Listen { etag } => {
+            header(K_LISTEN, &mut out);
+            out.extend_from_slice(&etag.to_le_bytes());
+        }
+        ToBroker::TimerCancel { token } => {
+            header(K_TIMER_CANCEL, &mut out);
+            out.extend_from_slice(&token.to_le_bytes());
         }
         ToBroker::Idle => header(K_IDLE, &mut out),
         ToBroker::Done { node } => {
@@ -402,6 +427,18 @@ pub fn decode_to_broker(buf: &[u8]) -> Result<ToBroker, WireError> {
             }),
             n => Err(bad(n)),
         },
+        K_LISTEN => match body {
+            &[lo, hi] => Ok(ToBroker::Listen {
+                etag: u16::from_le_bytes([lo, hi]),
+            }),
+            _ => Err(bad(body.len())),
+        },
+        K_TIMER_CANCEL => match body.len() {
+            8 => Ok(ToBroker::TimerCancel {
+                token: le_u64(body),
+            }),
+            n => Err(bad(n)),
+        },
         k => Err(WireError::BadKind(k)),
     }
 }
@@ -503,6 +540,8 @@ mod tests {
                 at_ns: u64::MAX,
                 token: 7,
             },
+            ToBroker::Listen { etag: 0x3FFF },
+            ToBroker::TimerCancel { token: u64::MAX },
             ToBroker::Idle,
             ToBroker::Done { node: 0 },
         ];

@@ -69,8 +69,14 @@ fn broker(
     )
 }
 
-/// Drive one scripted node: submit `frames` on `Welcome`, resubmit up
-/// to `resubmits` times when a `TxDone` reports an omission, stay
+/// Every etag a scenario puts on the wire: the first frames use 1 and
+/// 2, a scripted retransmission `10 + node`.
+const ETAGS: [u16; 4] = [1, 2, 10, 11];
+
+/// Drive one scripted node: on `Welcome` listen to every scenario etag
+/// (a completion is addressed by acceptance filter, so a node that
+/// never listens is never delivered to) and submit `frames`, resubmit
+/// up to `resubmits` times when a `TxDone` reports an omission, stay
 /// reactive otherwise, and return everything observed.
 fn scripted_node(
     mut t: Box<dyn NodeTransport>,
@@ -84,6 +90,9 @@ fn scripted_node(
     loop {
         match t.recv(TIMEOUT).expect("node recv") {
             ToNode::Welcome { .. } => {
+                for etag in ETAGS {
+                    t.send(ToBroker::Listen { etag }).expect("listen");
+                }
                 for frame in frames.take().into_iter().flatten() {
                     let handle = next_handle;
                     next_handle += 1;
@@ -223,23 +232,28 @@ impl NodeSupervisor for ModelSup {
 }
 
 /// Supervisor ↔ node restart handshake under every schedule: the only
-/// receiver exits right after the initial handshake, so delivering the
-/// sender's first frame declares it down; the supervisor respawns it
-/// over a freshly minted loopback link, the broker re-welcomes
-/// incarnation 1, and the sender's scripted retransmission reaches the
-/// restarted node — under every interleaving of broker, sender, and
-/// both incarnations of node 0.
+/// receiver listens to the sender's first frame and exits right after
+/// the initial handshake, so delivering that frame declares it down;
+/// the supervisor respawns it over a freshly minted loopback link, the
+/// broker re-welcomes incarnation 1, and the sender's scripted
+/// retransmission reaches the restarted node — under every
+/// interleaving of broker, sender, and both incarnations of node 0.
+/// Incarnation 0 never listened to the retransmission's etag and no
+/// filter survives a node going down, so it is incarnation 1's own
+/// `Listen` that addresses the retransmission to it.
 #[test]
 fn restart_handshake_rejoins_under_all_schedules() {
     let stats = loom::explore(|| {
         let (bt, mut nts) = loopback(2);
         let n1_t = nts.pop().expect("node 1 endpoint");
         let mut n0_t = nts.pop().expect("node 0 endpoint");
-        // Incarnation 0 of node 0: answer the Welcome, then crash
-        // (drop the endpoint).
+        // Incarnation 0 of node 0: answer the Welcome — listening to
+        // the sender's first frame only — then crash (drop the
+        // endpoint).
         let h0 = thread::spawn(move || match n0_t.recv(TIMEOUT).expect("welcome") {
             ToNode::Welcome { incarnation, .. } => {
                 assert_eq!(incarnation, 0);
+                n0_t.send(ToBroker::Listen { etag: 2 }).expect("listen");
                 n0_t.send(ToBroker::Idle).expect("idle");
             }
             other => panic!("expected Welcome, got {other:?}"),
@@ -308,7 +322,7 @@ fn restart_handshake_rejoins_under_all_schedules() {
         assert_eq!(
             obs0,
             vec![Obs::Deliver(retransmit_raw)],
-            "the restarted incarnation must receive the retransmission"
+            "the restarted incarnation's own Listen must bring it the retransmission"
         );
     });
     assert!(stats.executions >= 2, "exploration must branch: {stats:?}");

@@ -540,24 +540,40 @@ fn late_hrt_publish_raises_not_ready() {
     assert_eq!(rounds, vec![0, 1, 3, 4]);
 }
 
-/// Records every `TxDone` a node is sent, on its way in.
-struct TxDoneSpy {
+/// Everything the nodes were sent, each node's in arrival order.
+type Seen = Arc<Mutex<Vec<(u8, ToNode)>>>;
+
+/// Records every message a node is sent, on its way in.
+struct RecvSpy {
+    node: u8,
     inner: Box<dyn NodeTransport>,
-    acks: Arc<Mutex<Vec<bool>>>,
+    seen: Seen,
 }
 
-impl NodeTransport for TxDoneSpy {
+impl NodeTransport for RecvSpy {
     fn send(&mut self, msg: ToBroker) -> Result<(), TransportError> {
         self.inner.send(msg)
     }
 
     fn recv(&mut self, timeout: std::time::Duration) -> Result<ToNode, TransportError> {
         let msg = self.inner.recv(timeout)?;
-        if let ToNode::TxDone { all_received, .. } = msg {
-            self.acks.lock().unwrap().push(all_received);
-        }
+        self.seen.lock().unwrap().push((self.node, msg.clone()));
         Ok(msg)
     }
+}
+
+/// Run `cluster` with a [`RecvSpy`] on every node.
+fn run_spied(cluster: Cluster, run: Duration) -> (LiveReport, Vec<(u8, ToNode)>) {
+    let seen = Seen::default();
+    let spy = Arc::clone(&seen);
+    let report = cluster
+        .run_for_wrapped(run, &mut move |node, inner| {
+            let seen = Arc::clone(&spy);
+            Box::new(RecvSpy { node, inner, seen })
+        })
+        .unwrap();
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    (report, seen)
 }
 
 /// A wire that corrupts every attempt: the live bus follows CAN fault
@@ -591,18 +607,11 @@ fn a_wire_that_corrupts_everything_drives_the_sender_bus_off_and_back() {
     let hrt = ChannelSpec::Hrt(HrtSpec::periodic_10ms());
     cluster.publish(n0, HRT_SUBJECT, hrt);
     cluster.subscribe(n1, HRT_SUBJECT, hrt);
-    let acks = Arc::new(Mutex::new(Vec::new()));
-    let spy = Arc::clone(&acks);
-    let report = cluster
-        .run_for_wrapped(Duration::from_ms(80), &mut move |node, inner| {
-            if node == n0 {
-                let acks = Arc::clone(&spy);
-                Box::new(TxDoneSpy { inner, acks })
-            } else {
-                inner
-            }
-        })
-        .unwrap();
+    let (report, seen) = run_spied(cluster, Duration::from_ms(80));
+    let acks = seen.iter().filter_map(|(node, msg)| match msg {
+        ToNode::TxDone { all_received, .. } if *node == n0 => Some(*all_received),
+        _ => None,
+    });
 
     let count = |kind: &str| report.trace.iter().filter(|e| e.kind == kind).count();
     assert_eq!(count("tx_error"), 32 * ROUNDS, "TEC += 8 up to 256");
@@ -610,11 +619,70 @@ fn a_wire_that_corrupts_everything_drives_the_sender_bus_off_and_back() {
     assert_eq!(report.broker.frames_corrupted, (32 * ROUNDS) as u64);
     assert_eq!(report.broker.frames_ok, 0);
     assert_eq!(
-        *acks.lock().unwrap(),
+        acks.collect::<Vec<_>>(),
         vec![false; ROUNDS],
         "one negative TxDone per lost request"
     );
     assert!(report.log.is_empty(), "nothing can have been delivered");
+}
+
+/// A broker turn goes only to a node that can act on it. A completion
+/// is addressed by acceptance filter, so a node that subscribes to
+/// nothing and publishes nothing is sent its `Welcome`, heartbeat
+/// `Ping`s and `Shutdown` — nothing else — while the others exchange
+/// over a hundred frames; and a message's timers are withdrawn when it
+/// leaves the SRT queue, so no SRT timer reaches the publisher for a
+/// message whose `TxDone` it already has.
+#[test]
+fn an_unaddressed_node_is_not_woken_and_dead_srt_timers_never_fire() {
+    let cfg = ClusterConfig {
+        pace: Pace::Virtual,
+        heartbeat: Some(Duration::from_ms(10)),
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(cfg);
+    let publisher = cluster.add_node(Box::new(SrtSource {
+        every: Duration::from_us(300),
+        phase: Duration::from_us(100),
+        counter: 0,
+    }));
+    let subscriber = cluster.add_node(Box::new(Quiet));
+    let bystander = cluster.add_node(Box::new(Quiet));
+    let srt = ChannelSpec::Srt(SrtSpec::default());
+    cluster.publish(publisher, SRT_SUBJECT, srt);
+    cluster.subscribe(subscriber, SRT_SUBJECT, srt);
+    let (report, seen) = run_spied(cluster, Duration::from_ms(45));
+    assert!(report.broker.frames_ok >= 100, "{:?}", report.broker);
+    assert_eq!(report.log.len() as u64, report.broker.frames_ok);
+
+    let at_bystander: Vec<&ToNode> = seen
+        .iter()
+        .filter(|(node, _)| *node == bystander)
+        .map(|(_, msg)| msg)
+        .collect();
+    let (first, rest) = at_bystander.split_first().expect("welcomed");
+    let (last, pings) = rest.split_last().expect("shut down");
+    assert!(matches!(first, ToNode::Welcome { .. }), "{first:?}");
+    assert!(matches!(last, ToNode::Shutdown), "{last:?}");
+    assert!(pings.iter().all(|m| matches!(m, ToNode::Ping { .. })));
+    assert_eq!(pings.len(), 4, "one probe per silent 10 ms");
+
+    // `node.rs` keeps a timer's kind in the token's top byte (5..=7
+    // are the SRT timers) and the message's sequence number below it.
+    let mut done = std::collections::HashSet::new();
+    for (_, msg) in seen.iter().filter(|(node, _)| *node == publisher) {
+        match *msg {
+            ToNode::TxDone { tag, .. } => {
+                let (_, _, seq) = rtec_core::node::unpack_tag(tag).expect("an SRT tag");
+                done.insert(seq);
+            }
+            ToNode::Timer { token, .. } if (5..=7).contains(&(token >> 56)) => {
+                assert!(!done.contains(&(token as u32)), "dead timer {token:#x}");
+            }
+            _ => {}
+        }
+    }
+    assert!(done.len() >= 100);
 }
 
 /// The hosted bus model names at most 128 nodes (the 7-bit TxNode

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rtec_can::{CanId, Frame};
 use rtec_live::wire::{
-    decode_to_broker, decode_to_node, encode_to_broker, encode_to_node, ToBroker, ToNode,
+    decode_to_broker, decode_to_node, encode_to_broker, encode_to_node, ToBroker, ToNode, WireError,
 };
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -35,6 +35,8 @@ fn arb_to_broker() -> impl Strategy<Value = ToBroker> {
         (any::<u32>(), 0u32..(1 << 29))
             .prop_map(|(handle, raw_id)| ToBroker::UpdateId { handle, raw_id }),
         (any::<u64>(), any::<u64>()).prop_map(|(at_ns, token)| ToBroker::TimerReq { at_ns, token }),
+        any::<u16>().prop_map(|etag| ToBroker::Listen { etag }),
+        any::<u64>().prop_map(|token| ToBroker::TimerCancel { token }),
         Just(ToBroker::Idle),
         any::<u8>().prop_map(|node| ToBroker::Done { node }),
     ]
@@ -84,6 +86,15 @@ proptest! {
     fn to_node_round_trips(msg in arb_to_node()) {
         let bytes = encode_to_node(&msg);
         prop_assert_eq!(decode_to_node(&bytes).unwrap(), msg);
+    }
+
+    /// The two directions share one kind space: no node → broker
+    /// datagram decodes as a broker → node message, so a misrouted
+    /// `Listen` or `TimerCancel` fails loudly like every older kind.
+    #[test]
+    fn misrouted_datagrams_are_bad_kinds(msg in arb_to_broker()) {
+        let bytes = encode_to_broker(&msg);
+        prop_assert_eq!(decode_to_node(&bytes), Err(WireError::BadKind(bytes[3])));
     }
 
     /// Arbitrary byte strings never panic either decoder; they decode
@@ -142,13 +153,19 @@ proptest! {
     /// Truncating or extending the incarnation/heartbeat bodies to any
     /// length their layouts do not allow is rejected cleanly. Hello is
     /// valid at exactly 1 (legacy) or 5 bytes, Pong at 13, Ping at 8,
-    /// Welcome at 8 (legacy) or 12.
+    /// Welcome at 8 (legacy) or 12; so are the fixed-size bodies of
+    /// Listen (kind 9, 2 bytes) and TimerCancel (kind 10, 8 bytes).
     #[test]
     fn handshake_and_heartbeat_bodies_are_length_checked(len in 0usize..32) {
-        for (kind, valid) in [(1u8, vec![1usize, 5]), (8, vec![13])] {
+        for (kind, valid) in [(1u8, vec![1usize, 5]), (8, vec![13]), (9, vec![2]), (10, vec![8])] {
             let mut buf = vec![b'R', b'L', 1, kind];
             buf.resize(4 + len, 0);
-            prop_assert_eq!(decode_to_broker(&buf).is_ok(), valid.contains(&len));
+            let decoded = decode_to_broker(&buf);
+            if valid.contains(&len) {
+                prop_assert!(decoded.is_ok(), "{:?}", decoded);
+            } else {
+                prop_assert_eq!(decoded, Err(WireError::BadLength { kind, got: len }));
+            }
         }
         for (kind, valid) in [(16u8, vec![8usize, 12]), (22, vec![8])] {
             let mut buf = vec![b'R', b'L', 1, kind];
