@@ -43,14 +43,14 @@ use rtec_sim::{Duration, SharedTraceSink, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Fanout shards; subjects split across them, each chaos client is
-/// confined to one shard so its delivery stream is a single FIFO (the
-/// determinism contract of the in-process resume path).
+/// Fanout workers. A client has one lane, on one worker, so each chaos
+/// client's delivery stream is a single FIFO (the determinism contract
+/// of the in-process resume path) whatever it subscribes to.
 const WORKERS: usize = 2;
 /// Per-class replay ring bound — deliberately small so the gap client's
 /// lost tail overruns it and mints explicit `Gap` notices.
 const RING_CAP: usize = 4;
-/// Bound of each (client, shard) egress queue.
+/// Bound of each client's egress queue.
 const QUEUE_CAP: usize = 32;
 /// Trace ring bound (the audited merged trace must drop nothing).
 const TRACE_CAPACITY: usize = 1 << 16;
@@ -260,10 +260,10 @@ pub(crate) type ResumeOutcome = (usize, Result<(), u8>);
 
 /// A cluster node that replays the resume schedule on bus-time timers.
 /// Because node turns are serialized by the broker, each
-/// `resume_session` call lands at a deterministic position in the
-/// shard FIFO — the whole point of driving resumes from a node instead
-/// of a free-running thread. The client watermarks resolve *on the
-/// designated worker* ([`WmSource::Deferred`]), at the resume's queue
+/// `resume_session` call lands at a deterministic position in its
+/// client's worker FIFO — the whole point of driving resumes from a
+/// node instead of a free-running thread. The client watermarks resolve
+/// *on that worker* ([`WmSource::Deferred`]), at the resume's queue
 /// position, where the link is also flipped back to connected.
 pub(crate) struct ResumeDriver {
     pub(crate) gw: Gateway,
@@ -303,14 +303,14 @@ impl Behavior for ResumeDriver {
     }
 }
 
-/// Per-client fault/resume profile inside each shard group.
+/// Per-client fault/resume profile inside each subject group.
 struct Profile {
     severs: Vec<u64>,
     lose_tail: u64,
     resumes: Vec<Duration>,
 }
 
-/// The four client roles replicated per shard: a single-sever client,
+/// The four client roles replicated per subject group: a single-sever client,
 /// a double-sever client, an undisturbed control, and a "gap" client
 /// whose lost in-flight tail exceeds the replay ring.
 fn profiles() -> Vec<Profile> {
@@ -408,8 +408,9 @@ fn run_once(seed: u64, run: Duration) -> Result<RunArtifacts, String> {
         gateway.bind(*subject, spec);
     }
 
-    // Shard-confined chaos clients: each subscribes to every subject of
-    // exactly one shard, so its delivery stream is one worker's FIFO.
+    // Two subject groups, split by `shard_of`; each chaos client
+    // subscribes to every subject of one group. The groups only shape
+    // the scenario: every client's stream is one worker's FIFO anyway.
     let mut groups: BTreeMap<usize, Vec<Subject>> = BTreeMap::new();
     for (subject, _) in &topo {
         groups

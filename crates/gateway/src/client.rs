@@ -93,24 +93,24 @@ impl ClientSink for SimClientSink {
     }
 }
 
-/// How a registering client's sink(s) are minted.
+/// How a registering client's sink is minted.
 ///
-/// A client's subscriptions may span several fanout shards; each shard
-/// owns its lane's state. `PerShard` mints one independent sink per
-/// lane (the deterministic choice: no cross-shard lock ordering, one
-/// digest per lane); `Shared` hands every lane the same sink behind a
-/// mutex (the socket case: one TCP stream, many shards).
+/// A client has exactly one lane, on the fanout worker that owns it.
+/// `PerShard` mints that lane's sink from a closure, once per client,
+/// called with the client id and its worker (the deterministic choice:
+/// one digest per client, no lock); `Shared` hands the lane a sink
+/// behind a mutex the caller keeps a handle to (the socket case).
 pub enum ClientSinkSpec {
-    /// One sink per (client, shard) lane, minted by the closure.
+    /// One sink per client, minted by the closure from `(client, worker)`.
     PerShard(Box<dyn Fn(u32, usize) -> Box<dyn ClientSink> + Send + Sync>),
-    /// One sink shared by all of the client's lanes.
+    /// A sink the caller shares with the client's lane.
     Shared(Arc<Mutex<Box<dyn ClientSink>>>),
 }
 
 impl ClientSinkSpec {
-    /// Per-lane [`SimClientSink`]s: lane seeds are derived from
-    /// `seed`, the client id and the shard index, so adding clients or
-    /// shards never perturbs another lane's schedule.
+    /// Per-client [`SimClientSink`]s: seeds are derived from `seed`, the
+    /// client id and its worker, so adding clients or workers never
+    /// perturbs another client's schedule.
     pub fn sim(seed: u64, accept_permille: u16) -> Self {
         ClientSinkSpec::PerShard(Box::new(move |client, shard| {
             Box::new(SimClientSink::new(
@@ -120,7 +120,7 @@ impl ClientSinkSpec {
         }))
     }
 
-    /// Mint the sink handle for one (client, shard) lane.
+    /// Mint the sink handle of `client`'s lane on worker `shard`.
     pub(crate) fn instantiate(&self, client: u32, shard: usize) -> SinkHandle {
         match self {
             ClientSinkSpec::PerShard(mint) => SinkHandle::Own(mint(client, shard)),
@@ -139,7 +139,7 @@ fn lane_seed(seed: u64, client: u32, shard: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A worker-held sink: owned per lane, or shared across lanes.
+/// A worker-held sink: owned by the lane, or shared with the caller.
 pub(crate) enum SinkHandle {
     Own(Box<dyn ClientSink>),
     Shared(Arc<Mutex<Box<dyn ClientSink>>>),

@@ -1,6 +1,6 @@
 //! Per-lane egress queues: bounded, class-aware, shed-on-pressure.
 //!
-//! Every (client, shard) pair owns one [`EgressQueue`]. The queue
+//! Every client owns one [`EgressQueue`]. The queue
 //! preserves the paper's per-class semantics off-bus:
 //!
 //! * **HRT** (§3.2): released in order at the delivery deadline
@@ -121,7 +121,7 @@ pub enum PushOutcome {
     Disconnect,
 }
 
-/// A bounded, class-aware queue for one (client, shard) lane.
+/// A bounded, class-aware queue for one client's lane.
 #[derive(Debug)]
 pub struct EgressQueue {
     cap: usize,
@@ -222,16 +222,57 @@ impl EgressQueue {
                 }
             }
         }
-        match entry.class {
-            ChannelClass::Hrt => self.hrt.push_back(entry),
-            ChannelClass::Srt => self.srt.push_back(entry),
-            ChannelClass::Nrt => self.nrt.push_back(entry),
-        }
+        self.class_queue(entry.class).push_back(entry);
         self.stats.peak = self.stats.peak.max(self.len());
         if shed_something {
             PushOutcome::Shed
         } else {
             PushOutcome::Queued
+        }
+    }
+
+    /// Whether `entry` may skip the queue: nothing is queued ahead of
+    /// it, it is releasable at `watermark` (HRT past its release stamp,
+    /// SRT not stale) and it is not a fragment — exactly when `push`
+    /// followed by `flush` would queue it and offer it alone at once.
+    pub fn is_direct(&self, entry: &EgressEntry, watermark: u64) -> bool {
+        self.is_empty()
+            && !entry.frag
+            && match entry.class {
+                ChannelClass::Hrt => entry.release_ns <= watermark,
+                ChannelClass::Srt => entry.expiry_ns.is_none_or(|x| x > watermark),
+                ChannelClass::Nrt => true,
+            }
+    }
+
+    /// Offer an entry [`EgressQueue::is_direct`] admits straight to the
+    /// sink, counting exactly what `push` + `flush` would. Only an entry
+    /// the sink refuses is cloned into the queue, to wait for the next
+    /// flush. Returns `false` when the sink is gone.
+    pub fn offer_direct<F>(&mut self, entry: &EgressEntry, offer: F) -> bool
+    where
+        F: FnOnce(FlushItem<'_>) -> FlushVerdict,
+    {
+        self.stats.peak = self.stats.peak.max(1);
+        let verdict = offer(FlushItem::Single(entry));
+        if verdict == FlushVerdict::Taken {
+            self.stats.delivered_msgs += 1;
+            *match entry.class {
+                ChannelClass::Hrt => &mut self.stats.delivered_hrt,
+                ChannelClass::Srt => &mut self.stats.delivered_srt,
+                ChannelClass::Nrt => &mut self.stats.delivered_nrt,
+            } += 1;
+            return true;
+        }
+        self.class_queue(entry.class).push_back(entry.clone());
+        verdict == FlushVerdict::Blocked
+    }
+
+    fn class_queue(&mut self, class: ChannelClass) -> &mut VecDeque<EgressEntry> {
+        match class {
+            ChannelClass::Hrt => &mut self.hrt,
+            ChannelClass::Srt => &mut self.srt,
+            ChannelClass::Nrt => &mut self.nrt,
         }
     }
 
@@ -258,11 +299,7 @@ impl EgressQueue {
         if entry.frag || entry.class == ChannelClass::Hrt {
             return false;
         }
-        let q = match entry.class {
-            ChannelClass::Srt => &mut self.srt,
-            ChannelClass::Nrt => &mut self.nrt,
-            ChannelClass::Hrt => unreachable!(),
-        };
+        let q = self.class_queue(entry.class);
         if let Some(old) = q.iter_mut().find(|e| e.uid == entry.uid && !e.frag) {
             *old = entry.clone();
             true
@@ -274,7 +311,7 @@ impl EgressQueue {
     /// Drain ready entries into the sink closure, HRT before SRT
     /// before NRT, until the sink blocks, dies, or the queue empties.
     ///
-    /// `watermark` is the shard's bus-time high-water mark: HRT
+    /// `watermark` is the worker's bus-time high-water mark: HRT
     /// entries release only once it passes their deadline stamp, and
     /// stale SRT entries are purged before anything is offered. Small
     /// consecutive NRT entries (up to `batch_max`, within
@@ -640,5 +677,111 @@ mod tests {
         q.flush(10, 8, |_| FlushVerdict::Blocked);
         assert_eq!(q.len(), 1);
         assert_eq!(q.stats.delivered_msgs, 0);
+    }
+
+    /// A sink replaying a verdict script (cyclically) and recording the
+    /// bytes of every offer, accepted or not.
+    struct Script<'a> {
+        verdicts: &'a [u8],
+        next: usize,
+        offered: Vec<Vec<u8>>,
+    }
+
+    impl Script<'_> {
+        fn offer(&mut self, item: FlushItem<'_>) -> FlushVerdict {
+            self.offered.push(match item {
+                FlushItem::Single(e) => e.encoded.to_vec(),
+                FlushItem::Batch(es) => es.iter().flat_map(|e| e.encoded.to_vec()).collect(),
+            });
+            let v = self.verdicts[self.next % self.verdicts.len()];
+            self.next += 1;
+            match v % 8 {
+                0 => FlushVerdict::Blocked,
+                1 => FlushVerdict::Lost,
+                _ => FlushVerdict::Taken,
+            }
+        }
+    }
+
+    fn contents(q: &EgressQueue) -> Vec<(ChannelClass, u64, Vec<u8>)> {
+        [&q.hrt, &q.srt, &q.nrt]
+            .into_iter()
+            .flatten()
+            .map(|e| (e.class, e.uid, e.encoded.to_vec()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The direct offer is an exact shortcut: "offer directly when
+        /// `is_direct`, else `push` + `flush`" leaves the same counters
+        /// and the same queue, and offers the sink the same bytes, as
+        /// "`push` + `flush`" always — across all three classes,
+        /// fragments, stale SRT, held HRT, every policy, caps 1..8 and
+        /// sinks that block or vanish.
+        #[test]
+        fn direct_offer_equals_push_then_flush(
+            policy in 0u8..3,
+            cap in 1usize..=8,
+            batch_max in 1usize..=4,
+            steps in proptest::collection::vec(
+                (0u8..3, 0u64..3, proptest::prelude::any::<bool>(), 0u64..40, 0u64..30),
+                1..48,
+            ),
+            verdicts in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..32),
+        ) {
+            let policy = [
+                SlowConsumerPolicy::Disconnect,
+                SlowConsumerPolicy::ShedNrtFirst,
+                SlowConsumerPolicy::CoalesceToLatest,
+            ][policy as usize];
+            let (mut direct, mut queued) = (EgressQueue::new(cap), EgressQueue::new(cap));
+            let script = || Script { verdicts: &verdicts, next: 0, offered: Vec::new() };
+            let (mut sink_d, mut sink_q) = (script(), script());
+            let mut watermark = 0u64;
+            for (i, &(class, uid, flag, dt, window)) in steps.iter().enumerate() {
+                watermark += dt;
+                let class = [ChannelClass::Hrt, ChannelClass::Srt, ChannelClass::Nrt][class as usize];
+                // HRT: `flag` holds it past the watermark. SRT: a zero
+                // window is stale on arrival. NRT: `flag` fragments it.
+                let mut e = entry(
+                    class,
+                    uid,
+                    watermark + u64::from(flag && class == ChannelClass::Hrt) * 10,
+                    (class == ChannelClass::Srt).then_some(watermark + window % 8),
+                );
+                let entries: Vec<EgressEntry> = if flag && class == ChannelClass::Nrt {
+                    e.frag = true;
+                    (0..2u8)
+                        .map(|k| EgressEntry { encoded: Arc::new(vec![i as u8, k, 0xF]), ..e.clone() })
+                        .collect()
+                } else {
+                    e.encoded = Arc::new(vec![i as u8, class as u8]);
+                    vec![e]
+                };
+                let push_all = |q: &mut EgressQueue| {
+                    entries
+                        .iter()
+                        .all(|e| q.push(e.clone(), policy, watermark) != PushOutcome::Disconnect)
+                };
+                match entries.as_slice() {
+                    [e] if direct.is_direct(e, watermark) => {
+                        direct.offer_direct(e, |item| sink_d.offer(item));
+                    }
+                    _ => {
+                        if push_all(&mut direct) {
+                            direct.flush(watermark, batch_max, |item| sink_d.offer(item));
+                        }
+                    }
+                }
+                if push_all(&mut queued) {
+                    queued.flush(watermark, batch_max, |item| sink_q.offer(item));
+                }
+                proptest::prop_assert_eq!(direct.stats, queued.stats);
+                proptest::prop_assert_eq!(contents(&direct), contents(&queued));
+                proptest::prop_assert_eq!(&sink_d.offered, &sink_q.offered);
+            }
+        }
     }
 }

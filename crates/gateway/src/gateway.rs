@@ -1,17 +1,21 @@
-//! The gateway runtime: a cluster [`Behavior`] feeding sharded fanout
-//! workers.
+//! The gateway runtime: a cluster [`Behavior`] feeding fanout workers,
+//! each the sole owner of its share of the clients.
 //!
 //! The gateway joins the live cluster as an ordinary node — it speaks
 //! the broker protocol through the same `NodeTransport`, subscribes
 //! like any middleware instance, and obeys the lock-step turn
 //! discipline. What makes it a gateway is what happens *after*
-//! delivery: each delivered event is classified, stamped and handed to
-//! one of N fanout workers, chosen by [`Subject::shard_of`] — so all
-//! events of one subject are serialized through one worker and
-//! per-subject FIFO order costs nothing. Each worker owns the egress
-//! state of every client lane it serves (subscription table slice,
-//! bounded [`EgressQueue`]s, sinks): no cross-worker locks, and a
-//! same-seed run replays every queueing and shedding decision exactly.
+//! delivery: each delivered event is classified, stamped and handed, as
+//! one shared [`Arc`], to every one of N fanout workers. A client lives
+//! on exactly one worker (`client % workers`; ids are minted in order,
+//! so clients spread evenly) and has exactly one lane there, so the
+//! client's whole stream is one worker's FIFO in bus-delivery order:
+//! per-subject order and the HRT → SRT → NRT class order hold across
+//! everything the client subscribes to, at no cost. Each worker owns
+//! its lanes outright (subscription slots, bounded [`EgressQueue`]s,
+//! sinks, session accounting): no cross-worker locks on the hot path,
+//! and a same-seed run replays every queueing and shedding decision
+//! exactly.
 //!
 //! # Sessions and crash tolerance
 //!
@@ -20,10 +24,10 @@
 //! it stays inside its worker, keeps queueing events under its normal
 //! policies (so SRT still sheds stale, HRT is never dropped), and the
 //! session table remembers it for a bus-time TTL. A resuming client
-//! presents its token and per-class receive watermarks; the gateway
+//! presents its token and per-class receive watermarks; its worker
 //! replays exactly the in-flight suffix from the session's bounded
 //! replay ring (see `session.rs` for the per-class rules), reattaches
-//! every lane, and flushes what queued while the client was away. A
+//! the lane, and flushes what queued while the client was away. A
 //! gateway-*node* crash takes none of this down: the worker pool and
 //! session table live outside the node behavior, so the supervisor
 //! restarts the bus node and external clients resume against the new
@@ -37,15 +41,15 @@ use crate::client::{ClientSink, ClientSinkSpec, SinkDigest, SinkHandle, SinkStat
 use crate::egress::{
     EgressEntry, EgressQueue, FlushItem, FlushVerdict, LaneStats, PushOutcome, SlowConsumerPolicy,
 };
-use crate::session::{compute_replay, ResumeClaim, SessionCore, SessionSink, SessionStore};
+use crate::session::{compute_replay, ResumeClaim, SessionCore, SessionStore};
 use crate::wire::{self, BatchEntry, ClassWatermarks, EventMsg, FragMsg, Reason, ToClient};
 use rtec_core::event::Delivery;
 use rtec_core::{ChannelClass, ChannelSpec, Subject};
 use rtec_live::node::{Behavior, NodeCtx};
-use rtec_live::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use rtec_live::sync::atomic::{AtomicU64, Ordering};
 use rtec_live::sync::{mpsc, thread, Arc, Mutex};
 use rtec_sim::{SharedTraceSink, SourceId, Time};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 pub use crate::session::SessionStats;
 pub use crate::wire::ResumeVerdict;
@@ -56,9 +60,9 @@ const RESUME_OFFER_RETRIES: usize = 1 << 12;
 
 /// Gateway construction parameters.
 pub struct GatewayConfig {
-    /// Fanout worker threads (subjects are sharded across them).
+    /// Fanout worker threads (clients are spread across them).
     pub workers: usize,
-    /// Bound of each (client, shard) egress queue, in entries.
+    /// Bound of each client's egress queue, in entries.
     pub client_queue_cap: usize,
     /// Most NRT events coalesced into one batch message.
     pub nrt_batch_max: usize,
@@ -123,10 +127,10 @@ struct IngressEvent {
 }
 
 /// The client watermarks a resume repairs against: known up front (the
-/// wire handshake carries them), or resolved by the designated worker
-/// at its FIFO point — after the deregister that precedes it, when the
-/// old sink is dead and the counters are frozen — which is what makes
-/// a simulated resume deterministic.
+/// wire handshake carries them), or resolved by the client's worker at
+/// the resume's FIFO point — once the old sink is parked and the
+/// counters are frozen — which is what makes a simulated resume
+/// deterministic.
 pub enum WmSource {
     /// The watermarks as the client reported them.
     Known(ClassWatermarks),
@@ -134,39 +138,38 @@ pub enum WmSource {
     Deferred(Box<dyn FnOnce() -> ClassWatermarks + Send>),
 }
 
-/// Everything the designated shard needs to run one resume.
-struct ResumeMsg {
+/// Everything a client's worker needs to (re)attach the client's lane.
+struct Attach {
     client: u32,
-    incarnation: u32,
     uids: Vec<u64>,
+    sink: SinkHandle,
+    policy: SlowConsumerPolicy,
+    /// The session's send-side accounting; `None` for a sessionless
+    /// (v1) client.
+    session: Option<Arc<Mutex<SessionCore>>>,
+    /// Connection incarnation this sink belongs to; an attach older
+    /// than the lane's is ignored.
+    incarnation: u32,
+    /// Set for a resume: replay the missing suffix into the new sink
+    /// before it takes over the lane.
+    resume: Option<Resume>,
+}
+
+/// The replay half of a resume.
+struct Resume {
     core: Arc<Mutex<SessionCore>>,
     wm: WmSource,
     /// The verdict is already on the wire and in the session counters
     /// ([`Gateway::begin_resume`]).
     announced: bool,
     /// Bus-time high-water mark captured at the caller — deterministic
-    /// when the caller is the gateway behavior thread.
+    /// when the caller is a node thread.
     now_ns: u64,
-    shared: Arc<Mutex<Box<dyn ClientSink>>>,
-    policy: SlowConsumerPolicy,
-    gate: Arc<AtomicBool>,
 }
 
 /// Worker mailbox messages.
 enum GwMsg {
-    Register {
-        client: u32,
-        uids: Vec<u64>,
-        sink: SinkHandle,
-        policy: SlowConsumerPolicy,
-        /// Connection incarnation this sink belongs to; stale messages
-        /// (older incarnation than the lane's) are ignored.
-        incarnation: u32,
-        /// When set, hold the reattach until the designated shard has
-        /// finished replaying — fresh flushes must not overtake the
-        /// replayed suffix on the shared stream.
-        gate: Option<Arc<AtomicBool>>,
-    },
+    Attach(Box<Attach>),
     Deregister {
         client: u32,
         /// `true` parks the lane (detach in place, session resumable);
@@ -174,34 +177,36 @@ enum GwMsg {
         park: bool,
         incarnation: u32,
     },
-    Resume(Box<ResumeMsg>),
-    Event(Box<IngressEvent>),
+    Event(Arc<IngressEvent>),
     Shutdown,
 }
 
-/// Per-shard counters.
+/// Per-worker counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Events received from the bus node.
+    /// Events received from the bus node. Every worker receives every
+    /// event, so each worker counts all of the gateway node's
+    /// deliveries.
     pub ingress: u64,
-    /// (event, lane) deliveries attempted.
+    /// (event, lane) deliveries attempted on this worker's lanes.
     pub fanout: u64,
-    /// Lanes torn down by a slow-consumer policy.
+    /// Lanes torn down by a slow-consumer policy or a dead sink.
     pub disconnects: u64,
     /// Entries still queued when the lane ended.
     pub undelivered: u64,
     /// HRT/SRT events dropped because their payload cannot be encoded
     /// in a single wire frame (only NRT fragments — see
-    /// [`wire::MAX_PAYLOAD`]).
+    /// [`wire::MAX_PAYLOAD`]); counted by each worker that has a
+    /// subscriber to the event.
     pub oversized: u64,
 }
 
-/// Outcome of one (client, shard) lane.
+/// Outcome of one client's lane.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaneReport {
     /// Client id.
     pub client: u32,
-    /// Shard that served this lane.
+    /// The client's worker.
     pub shard: usize,
     /// Queue counters.
     pub stats: LaneStats,
@@ -221,9 +226,11 @@ struct ShardReport {
 /// Whole-gateway aggregate counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GatewayStats {
-    /// Events received from the bus node (summed over shards).
+    /// The gateway node's deliveries. Every worker sees every event, so
+    /// this is one worker's [`ShardStats::ingress`], not their sum.
     pub ingress: u64,
-    /// (event, lane) deliveries attempted.
+    /// (event, lane) deliveries attempted (summed over workers; a lane
+    /// lives on one).
     pub fanout: u64,
     /// Messages accepted by client sinks.
     pub delivered_msgs: u64,
@@ -249,7 +256,8 @@ pub struct GatewayStats {
     pub disconnects: u64,
     /// Entries discarded at lane end.
     pub undelivered: u64,
-    /// Un-encodable HRT/SRT bulk events dropped at ingress.
+    /// Un-encodable HRT/SRT bulk events dropped at ingress, summed over
+    /// workers (see [`ShardStats::oversized`]).
     pub oversized: u64,
     /// Highest queue occupancy any lane reached (bounded-memory
     /// witness: never exceeds the configured cap).
@@ -269,10 +277,10 @@ impl GatewayStats {
 pub struct GatewayReport {
     /// Aggregate counters.
     pub stats: GatewayStats,
-    /// Per-shard counters, indexed by shard.
+    /// Per-worker counters, indexed by worker.
     pub shards: Vec<ShardStats>,
-    /// Per-lane outcomes, sorted by (client, shard). Lane digests are
-    /// the determinism contract: same seed ⇒ byte-identical.
+    /// One per client, sorted by (client, shard). Lane digests are the
+    /// determinism contract: same seed ⇒ byte-identical.
     pub lanes: Vec<LaneReport>,
     /// Session lifecycle and replay counters.
     pub sessions: SessionStats,
@@ -302,18 +310,6 @@ pub struct Gateway {
     inner: Arc<Inner>,
 }
 
-/// Subject uids grouped by the shard that owns them.
-fn split_shards(uids: &[u64], workers: usize) -> BTreeMap<usize, Vec<u64>> {
-    let mut by_shard: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-    for &uid in uids {
-        by_shard
-            .entry(Subject::new(uid).shard_of(workers))
-            .or_default()
-            .push(uid);
-    }
-    by_shard
-}
-
 impl Gateway {
     /// Spawn the fanout workers and return the gateway handle.
     pub fn new(cfg: GatewayConfig) -> Gateway {
@@ -337,7 +333,9 @@ impl Gateway {
                 frag_chunk: cfg.frag_chunk.clamp(1, wire::MAX_PAYLOAD),
                 trace_verbose: cfg.trace_verbose,
                 subs: HashMap::new(),
-                lanes: HashMap::new(),
+                lanes: Vec::new(),
+                slots: HashMap::new(),
+                free: Vec::new(),
                 closed: Vec::new(),
                 watermark_ns: 0,
                 stats: ShardStats::default(),
@@ -351,32 +349,12 @@ impl Gateway {
                 .spawn(move || {
                     loop {
                         match rx.recv() {
-                            Ok(GwMsg::Register {
-                                client,
-                                uids,
-                                sink,
-                                policy,
-                                incarnation,
-                                gate,
-                            }) => {
-                                if let Some(gate) = gate {
-                                    // A resume is replaying on the
-                                    // designated shard: hold this
-                                    // reattach until the replayed
-                                    // suffix is on the stream, so a
-                                    // fresh flush cannot overtake it.
-                                    while !gate.load(Ordering::SeqCst) {
-                                        thread::yield_now();
-                                    }
-                                }
-                                state.register(client, uids, sink, policy, incarnation);
-                            }
+                            Ok(GwMsg::Attach(a)) => state.attach(*a),
                             Ok(GwMsg::Deregister {
                                 client,
                                 park,
                                 incarnation,
                             }) => state.deregister(client, park, incarnation),
-                            Ok(GwMsg::Resume(msg)) => state.resume(*msg),
                             Ok(GwMsg::Event(ev)) => state.on_event(&ev),
                             Ok(GwMsg::Shutdown) | Err(_) => break,
                         }
@@ -424,7 +402,7 @@ impl Gateway {
             );
     }
 
-    /// Number of fanout workers (shards).
+    /// Number of fanout workers.
     pub fn workers(&self) -> usize {
         self.inner.workers
     }
@@ -462,10 +440,9 @@ impl Gateway {
 
     /// Register a reserved client's subscriptions; delivery starts now.
     ///
-    /// The subscription set is split by shard; each involved worker
-    /// gets a `Register` message and mints the lane's sink from
-    /// `spec`. With no `policy` the gateway default applies. This is
-    /// the sessionless (v1) path: a dead sink tears the lane down.
+    /// The client's worker mints the lane's sink from `spec`. With no
+    /// `policy` the gateway default applies. This is the sessionless
+    /// (v1) path: a dead sink tears the lane down.
     pub fn register_client(
         &self,
         client: u32,
@@ -473,22 +450,15 @@ impl Gateway {
         spec: &ClientSinkSpec,
         policy: Option<SlowConsumerPolicy>,
     ) {
-        let policy = policy.unwrap_or(self.inner.default_policy);
-        let uids: Vec<u64> = subjects.iter().map(|s| s.uid()).collect();
-        let senders = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(senders) = senders.as_ref() {
-            for (shard, uids) in split_shards(&uids, self.inner.workers) {
-                let sink = spec.instantiate(client, shard);
-                let _ = senders[shard].send(GwMsg::Register {
-                    client,
-                    uids,
-                    sink,
-                    policy,
-                    incarnation: 0,
-                    gate: None,
-                });
-            }
-        }
+        self.attach(Attach {
+            client,
+            uids: subjects.iter().map(|s| s.uid()).collect(),
+            sink: spec.instantiate(client, self.worker_of(client)),
+            policy: policy.unwrap_or(self.inner.default_policy),
+            session: None,
+            incarnation: 0,
+            resume: None,
+        });
     }
 
     /// Open a session for a reserved client: the gateway remembers its
@@ -510,11 +480,10 @@ impl Gateway {
             .open(client, uids, policy)
     }
 
-    /// Attach a sink to an open session; delivery starts now. The sink
-    /// is wrapped in the session's frame accounting and shared across
-    /// the session's shards.
+    /// Attach a sink to an open session; delivery starts now. The
+    /// client's lane keeps the session's frame accounting.
     pub fn attach_session(&self, client: u32, sink: Box<dyn ClientSink>) {
-        let (uids, policy, core, incarnation) = {
+        let attach = {
             let store = self
                 .inner
                 .sessions
@@ -523,30 +492,17 @@ impl Gateway {
             let Some(e) = store.entry(client) else {
                 return;
             };
-            (
-                e.subjects.clone(),
-                e.policy,
-                Arc::clone(&e.core),
-                e.incarnation,
-            )
-        };
-        let shared: Arc<Mutex<Box<dyn ClientSink>>> =
-            Arc::new(Mutex::new(Box::new(SessionSink::new(core, sink))));
-        let pool = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(senders) = pool.as_ref() else {
-            drop(pool);
-            return self.park_without_lanes(client);
-        };
-        for (shard, uids) in split_shards(&uids, self.inner.workers) {
-            let _ = senders[shard].send(GwMsg::Register {
+            Attach {
                 client,
-                uids,
-                sink: SinkHandle::Shared(Arc::clone(&shared)),
-                policy,
-                incarnation,
-                gate: None,
-            });
-        }
+                uids: e.subjects.clone(),
+                sink: SinkHandle::Own(sink),
+                policy: e.policy,
+                session: Some(Arc::clone(&e.core)),
+                incarnation: e.incarnation,
+                resume: None,
+            }
+        };
+        self.attach(attach);
     }
 
     /// Validate a resume attempt and claim the session for a new
@@ -569,8 +525,8 @@ impl Gateway {
             .unwrap_or_else(|e| e.into_inner())
             .claim_resume(token)?;
         // Sound preview: the old sink is dead (or about to be
-        // deregistered), so the sent counters it reads are what the
-        // replay will repair against.
+        // parked), so the sent counters it reads are what the replay
+        // will repair against.
         let verdict = claim
             .core
             .lock()
@@ -588,7 +544,7 @@ impl Gateway {
         Ok(ResumePending { claim, wm, verdict })
     }
 
-    /// Start the replay and reattach the session's lanes to `sink`.
+    /// Start the replay and reattach the session's lane to `sink`.
     pub fn commit_resume(&self, pending: ResumePending, sink: Box<dyn ClientSink>) {
         self.do_resume(pending.claim, WmSource::Known(pending.wm), true, sink);
     }
@@ -604,18 +560,6 @@ impl Gateway {
             .unwrap_or_else(|e| e.into_inner());
         *store.verdict_counter(pending.verdict) -= 1;
         store.detach(pending.claim.client);
-    }
-
-    /// The worker pool is gone ([`Gateway::finish`] won the race): a
-    /// session just attached or claimed has no lanes to live on, so
-    /// park it — resumable within the TTL — rather than leave it
-    /// `Attached` to nothing.
-    fn park_without_lanes(&self, client: u32) {
-        self.inner
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .detach(client);
     }
 
     /// One-shot resume for in-process sinks: claim, replay, reattach.
@@ -645,97 +589,82 @@ impl Gateway {
         sink: Box<dyn ClientSink>,
     ) {
         let now_ns = self.inner.now_wm.load(Ordering::SeqCst);
-        let shared: Arc<Mutex<Box<dyn ClientSink>>> = Arc::new(Mutex::new(Box::new(
-            SessionSink::new(Arc::clone(&claim.core), sink),
-        )));
-        let mut by_shard = split_shards(&claim.subjects, self.inner.workers);
-        if by_shard.is_empty() {
-            by_shard.insert(0, Vec::new());
-        }
-        let designated = *by_shard.keys().next().expect("nonempty shard set");
-        let gate = Arc::new(AtomicBool::new(false));
-        let pool = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(senders) = pool.as_ref() else {
-            drop(pool);
-            return self.park_without_lanes(claim.client);
-        };
-        // Park every old lane first (FIFO per shard ⇒ the park lands
-        // before the reattach), then reattach: the designated shard
-        // replays, the rest wait on the gate.
-        for &shard in by_shard.keys() {
-            let _ = senders[shard].send(GwMsg::Deregister {
-                client: claim.client,
-                park: true,
-                incarnation: claim.incarnation.saturating_sub(1),
-            });
-        }
-        let mut wm = Some(wm);
-        for (shard, uids) in by_shard {
-            if shard == designated {
-                let _ = senders[shard].send(GwMsg::Resume(Box::new(ResumeMsg {
-                    client: claim.client,
-                    incarnation: claim.incarnation,
-                    uids,
-                    core: Arc::clone(&claim.core),
-                    wm: wm.take().expect("single designated shard"),
-                    announced,
-                    now_ns,
-                    shared: Arc::clone(&shared),
-                    policy: claim.policy,
-                    gate: Arc::clone(&gate),
-                })));
-            } else {
-                let _ = senders[shard].send(GwMsg::Register {
-                    client: claim.client,
-                    uids,
-                    sink: SinkHandle::Shared(Arc::clone(&shared)),
-                    policy: claim.policy,
-                    incarnation: claim.incarnation,
-                    gate: Some(Arc::clone(&gate)),
-                });
-            }
+        self.attach(Attach {
+            client: claim.client,
+            uids: claim.subjects,
+            sink: SinkHandle::Own(sink),
+            policy: claim.policy,
+            session: Some(Arc::clone(&claim.core)),
+            incarnation: claim.incarnation,
+            resume: Some(Resume {
+                core: claim.core,
+                wm,
+                announced,
+                now_ns,
+            }),
+        });
+    }
+
+    /// Hand an attach to the client's worker. When the worker pool is
+    /// gone ([`Gateway::finish`] won the race) a session just attached
+    /// or claimed has no lane to live on, so it is parked — resumable
+    /// within the TTL — rather than left `Attached` to nothing.
+    fn attach(&self, attach: Attach) {
+        let client = attach.client;
+        if !self.post(client, GwMsg::Attach(Box::new(attach))) {
+            self.inner
+                .sessions
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .detach(client);
         }
     }
 
-    /// A connection died under a live session: park its lanes and keep
+    /// Post `msg` to the worker that owns `client`; `false` once
+    /// [`Gateway::finish`] has taken the worker pool.
+    fn post(&self, client: u32, msg: GwMsg) -> bool {
+        let pool = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(senders) = pool.as_ref() else {
+            return false;
+        };
+        let _ = senders[self.worker_of(client)].send(msg);
+        true
+    }
+
+    /// The worker that owns `client`'s one lane.
+    fn worker_of(&self, client: u32) -> usize {
+        client as usize % self.inner.workers
+    }
+
+    /// A connection died under a live session: park its lane and keep
     /// the session resumable for the TTL. `incarnation` must be the
     /// one the connection attached or resumed with — a stale detach
     /// (the old reader noticing EOF after a fast reconnect already
     /// resumed) is ignored.
     pub fn detach_session(&self, client: u32, incarnation: u32) {
-        let uids = {
+        {
             let mut store = self
                 .inner
                 .sessions
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            let Some((uids, inc)) = store
-                .entry(client)
-                .map(|e| (e.subjects.clone(), e.incarnation))
-            else {
-                return;
-            };
-            if inc != incarnation {
+            if store.entry(client).map(|e| e.incarnation) != Some(incarnation) {
                 return;
             }
             store.detach(client);
-            uids
-        };
-        let senders = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(senders) = senders.as_ref() else {
-            return;
-        };
-        for &shard in split_shards(&uids, self.inner.workers).keys() {
-            let _ = senders[shard].send(GwMsg::Deregister {
+        }
+        self.post(
+            client,
+            GwMsg::Deregister {
                 client,
                 park: true,
                 incarnation,
-            });
-        }
+            },
+        );
     }
 
     /// End a client for good (clean `Bye`): flush what its sink will
-    /// still take, tear its lanes down, and spend its session token.
+    /// still take, tear its lane down, and spend its session token.
     /// Also the teardown path for sessionless (v1) clients.
     pub fn close_session(&self, client: u32) {
         self.inner
@@ -743,16 +672,14 @@ impl Gateway {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .end(client, true);
-        let senders = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(senders) = senders.as_ref() {
-            for tx in senders.iter() {
-                let _ = tx.send(GwMsg::Deregister {
-                    client,
-                    park: false,
-                    incarnation: u32::MAX,
-                });
-            }
-        }
+        self.post(
+            client,
+            GwMsg::Deregister {
+                client,
+                park: false,
+                incarnation: u32::MAX,
+            },
+        );
     }
 
     /// Live snapshot of the session counters (the final ones ride on
@@ -792,7 +719,6 @@ impl Gateway {
             meta,
             seqs: Arc::clone(&self.inner.seqs),
             now_wm: Arc::clone(&self.inner.now_wm),
-            workers: self.inner.workers,
         })
     }
 
@@ -828,7 +754,7 @@ impl Gateway {
         shards.sort_by_key(|s| s.shard);
         let mut out = GatewayReport::default();
         for sr in shards {
-            out.stats.ingress += sr.stats.ingress;
+            out.stats.ingress = out.stats.ingress.max(sr.stats.ingress);
             out.stats.fanout += sr.stats.fanout;
             out.stats.disconnects += sr.stats.disconnects;
             out.stats.undelivered += sr.stats.undelivered;
@@ -884,13 +810,13 @@ impl ResumePending {
     }
 }
 
-/// The gateway node's cluster behavior: classify, stamp, shard.
+/// The gateway node's cluster behavior: classify, stamp, hand to every
+/// worker.
 struct GatewayBehavior {
     senders: Vec<mpsc::SyncSender<GwMsg>>,
     meta: HashMap<u64, SubjectMeta>,
     seqs: Arc<Mutex<HashMap<u64, u32>>>,
     now_wm: Arc<AtomicU64>,
-    workers: usize,
 }
 
 impl Behavior for GatewayBehavior {
@@ -911,7 +837,7 @@ impl Behavior for GatewayBehavior {
         if delivered_ns > self.now_wm.load(Ordering::SeqCst) {
             self.now_wm.store(delivered_ns, Ordering::SeqCst);
         }
-        let ev = IngressEvent {
+        let ev = Arc::new(IngressEvent {
             uid,
             class: meta.class,
             origin: delivery.event.attributes.origin.map_or(255, |n| n.0),
@@ -920,25 +846,85 @@ impl Behavior for GatewayBehavior {
             delivered_ns,
             expiry_ns: meta.stale_ns.map(|s| delivered_ns.saturating_add(s)),
             payload: delivery.event.content.clone(),
-        };
-        let shard = Subject::new(uid).shard_of(self.workers);
-        // A full shard channel backpressures the node's turn — the bus
-        // stalls in wall time, never in bus time, and nothing drops.
-        let _ = self.senders[shard].send(GwMsg::Event(Box::new(ev)));
+        });
+        // Every worker serves its own clients, so every worker gets the
+        // event. A full worker channel backpressures the node's turn —
+        // the bus stalls in wall time, never in bus time, and nothing
+        // drops.
+        for tx in &self.senders {
+            let _ = tx.send(GwMsg::Event(Arc::clone(&ev)));
+        }
     }
 }
 
-/// One client's egress state on one shard.
+/// One client's egress state, on its worker.
 struct Lane {
     client: u32,
     queue: EgressQueue,
     /// `None` while detached: the connection died but the session is
     /// resumable, so the queue keeps filling under its policies.
     sink: Option<SinkHandle>,
+    /// The session's send-side accounting (`None` for a sessionless
+    /// client): every data frame the sink accepts is counted and kept
+    /// for replay.
+    session: Option<Arc<Mutex<SessionCore>>>,
     policy: SlowConsumerPolicy,
     gone: bool,
     /// Connection incarnation the lane last (re)attached with.
     incarnation: u32,
+}
+
+impl Lane {
+    /// Drain the queue into the sink, if one is attached. Returns
+    /// `false` when the sink reported itself gone (nothing is popped in
+    /// that case — see [`EgressQueue::flush`]).
+    fn flush(&mut self, watermark: u64, batch_max: usize) -> bool {
+        let Lane {
+            queue,
+            sink,
+            session,
+            ..
+        } = self;
+        let Some(sink) = sink.as_mut() else {
+            return true;
+        };
+        queue.flush(watermark, batch_max, |item| {
+            offer_item(sink, session.as_deref(), item)
+        })
+    }
+
+    /// Last call before the lane ends: drain what the sink will still
+    /// take, then say goodbye.
+    fn last_call(&mut self, watermark: u64, batch_max: usize) {
+        if self.gone {
+            return;
+        }
+        self.flush(watermark, batch_max);
+        if let Some(sink) = self.sink.as_mut() {
+            let _ = sink.offer(&wire::encode_to_client(&ToClient::Disconnect {
+                reason: Reason::Shutdown,
+            }));
+        }
+    }
+
+    /// Tear the lane down in place: it takes no more traffic, and what
+    /// it still queues is counted undelivered.
+    fn kill(&mut self, stats: &mut ShardStats) {
+        self.gone = true;
+        self.sink = None;
+        stats.undelivered += self.queue.drain_remaining() as u64;
+        stats.disconnects += 1;
+    }
+
+    fn report(&self, shard: usize) -> LaneReport {
+        LaneReport {
+            client: self.client,
+            shard,
+            stats: self.queue.stats,
+            digest: self.sink.as_ref().and_then(|s| s.digest()),
+            gone: self.gone,
+        }
+    }
 }
 
 /// All of one fanout worker's state; owned by its thread.
@@ -950,8 +936,14 @@ struct WorkerState {
     /// (config value, clamped to [`wire::MAX_PAYLOAD`]).
     frag_chunk: usize,
     trace_verbose: bool,
-    subs: HashMap<u64, Vec<u32>>,
-    lanes: HashMap<u32, Lane>,
+    /// Subject uid → slots of the lanes subscribed to it.
+    subs: HashMap<u64, Vec<usize>>,
+    /// The lane slab, indexed by slot. A closed lane's slot is on
+    /// `free` (and in no `subs` list) until a new client reuses it.
+    lanes: Vec<Lane>,
+    /// Client → slot, for control messages; events go through `subs`.
+    slots: HashMap<u32, usize>,
+    free: Vec<usize>,
     /// Reports of lanes torn down mid-run (clean `Bye`), so their
     /// counters still reach the final report.
     closed: Vec<LaneReport>,
@@ -964,171 +956,104 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn register(
-        &mut self,
-        client: u32,
-        uids: Vec<u64>,
-        sink: SinkHandle,
-        policy: SlowConsumerPolicy,
-        incarnation: u32,
-    ) {
-        for uid in uids {
-            let subs = self.subs.entry(uid).or_default();
-            if !subs.contains(&client) {
-                subs.push(client);
-            }
-        }
-        if let Some(lane) = self.lanes.get_mut(&client) {
-            if incarnation < lane.incarnation {
-                return; // stale reattach from a superseded connection
-            }
-            lane.incarnation = incarnation;
-            lane.policy = policy;
-            if lane.gone {
-                return;
-            }
-            lane.sink = Some(sink);
-            // Release what queued while the lane was detached.
-            self.flush_and_settle(client);
-        } else {
-            self.lanes.insert(
-                client,
-                Lane {
-                    client,
+    fn attach(&mut self, a: Attach) {
+        let slot = match self.slots.get(&a.client) {
+            Some(&slot) => slot,
+            None => {
+                let lane = Lane {
+                    client: a.client,
                     queue: EgressQueue::new(self.cap),
-                    sink: Some(sink),
-                    policy,
+                    sink: None,
+                    session: None,
+                    policy: a.policy,
                     gone: false,
-                    incarnation,
-                },
-            );
-        }
-    }
-
-    fn deregister(&mut self, client: u32, park: bool, incarnation: u32) {
-        let Some(lane) = self.lanes.get_mut(&client) else {
-            return;
+                    incarnation: a.incarnation,
+                };
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.lanes[slot] = lane;
+                        slot
+                    }
+                    None => {
+                        self.lanes.push(lane);
+                        self.lanes.len() - 1
+                    }
+                };
+                self.slots.insert(a.client, slot);
+                slot
+            }
         };
-        if incarnation < lane.incarnation {
-            return; // a newer incarnation owns this lane now
-        }
-        if park {
-            lane.sink = None;
-            return;
-        }
-        if !lane.gone {
-            let Lane { queue, sink, .. } = lane;
-            if let Some(s) = sink.as_mut() {
-                // Last call: drain what the sink will still take, then
-                // say goodbye.
-                flush_sink(queue, s, self.watermark_ns, self.batch_max);
-                let _ = s.offer(&wire::encode_to_client(&ToClient::Disconnect {
-                    reason: Reason::Shutdown,
-                }));
+        for uid in a.uids {
+            let subs = self.subs.entry(uid).or_default();
+            if !subs.contains(&slot) {
+                subs.push(slot);
             }
         }
-        let mut lane = self.lanes.remove(&client).expect("lane just borrowed");
-        lane.queue.stats.peak = lane.queue.stats.peak.max(lane.queue.len());
-        self.stats.undelivered += lane.queue.drain_remaining() as u64;
-        for subs in self.subs.values_mut() {
-            subs.retain(|&c| c != client);
+        let lane = &mut self.lanes[slot];
+        if a.incarnation < lane.incarnation {
+            return; // stale reattach from a superseded connection
         }
-        self.closed.push(LaneReport {
-            client: lane.client,
-            shard: self.shard,
-            stats: lane.queue.stats,
-            digest: lane.sink.as_ref().and_then(|s| s.digest()),
-            gone: lane.gone,
-        });
+        lane.incarnation = a.incarnation;
+        lane.policy = a.policy;
+        lane.session = a.session;
+        let mut sink = a.sink;
+        match a.resume {
+            Some(resume) => {
+                // Park the old connection first: the counters the
+                // replay repairs against are frozen from here on.
+                lane.sink = None;
+                lane.gone = false;
+                if !self.replay(a.client, &mut sink, resume) {
+                    return; // the new sink died mid-replay: stay parked
+                }
+            }
+            None if lane.gone => return,
+            None => {}
+        }
+        let lane = &mut self.lanes[slot];
+        lane.sink = Some(sink);
+        // Release what queued while the lane was detached.
+        if !lane.flush(self.watermark_ns, self.batch_max) {
+            self.sink_lost(slot);
+        }
     }
 
-    /// Run one resume on its designated shard: replay the missing
-    /// suffix through the shared sink, reattach the local lane, flush
-    /// the backlog, then open the gate for the session's other shards.
-    fn resume(&mut self, msg: ResumeMsg) {
-        let wm = match msg.wm {
+    /// Replay a resuming client's missing suffix into its new sink,
+    /// ahead of anything the lane flushes. The frames go to the raw
+    /// sink, past the lane's accounting: they were counted when first
+    /// sent. Returns `false` when the sink died mid-replay (the resume
+    /// aborts and the session stays parked).
+    fn replay(&mut self, client: u32, sink: &mut SinkHandle, resume: Resume) -> bool {
+        let wm = match resume.wm {
             WmSource::Known(wm) => wm,
             WmSource::Deferred(f) => f(),
         };
         let plan = {
             let meta = self.meta.lock().unwrap_or_else(|e| e.into_inner());
-            let core = msg.core.lock().unwrap_or_else(|e| e.into_inner());
+            let core = resume.core.lock().unwrap_or_else(|e| e.into_inner());
             compute_replay(
                 &core,
                 |uid| meta.get(&uid).and_then(|m| m.stale_ns),
-                msg.now_ns,
+                resume.now_ns,
                 &wm,
             )
         };
-        let offer = |bytes: &[u8]| -> bool {
-            let mut tries = 0usize;
-            loop {
-                let status = msg
-                    .shared
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .offer(bytes);
-                match status {
-                    SinkStatus::Accepted => return true,
-                    SinkStatus::Busy if tries < RESUME_OFFER_RETRIES => {
-                        tries += 1;
-                        thread::yield_now();
-                    }
-                    _ => return false,
-                }
-            }
-        };
-        let mut dead = false;
-        for (_, _, bytes) in &plan.notices {
-            if !offer(bytes) {
-                dead = true;
-                break;
-            }
-        }
-        if !dead {
-            for frame in &plan.frames {
-                if !offer(frame) {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        for uid in &msg.uids {
-            let subs = self.subs.entry(*uid).or_default();
-            if !subs.contains(&msg.client) {
-                subs.push(msg.client);
-            }
-        }
-        let lane = self.lanes.entry(msg.client).or_insert_with(|| Lane {
-            client: msg.client,
-            queue: EgressQueue::new(self.cap),
-            sink: None,
-            policy: msg.policy,
-            gone: false,
-            incarnation: msg.incarnation,
-        });
-        lane.incarnation = msg.incarnation;
-        lane.policy = msg.policy;
-        lane.gone = false;
-        lane.sink = if dead {
-            None
-        } else {
-            Some(SinkHandle::Shared(Arc::clone(&msg.shared)))
-        };
-        if !dead {
-            self.flush_and_settle(msg.client);
-        }
+        let notices = plan.notices.iter().map(|(_, _, bytes)| bytes.as_slice());
+        let frames = plan.frames.iter().map(|f| f.as_slice());
+        let alive = notices
+            .chain(frames)
+            .all(|bytes| offer_retrying(sink, bytes));
         self.sessions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .resume_done(msg.client, &plan, dead, msg.announced);
-        let at = Time::from_ns(msg.now_ns.max(self.watermark_ns));
+            .resume_done(client, &plan, !alive, resume.announced);
+        let at = Time::from_ns(resume.now_ns.max(self.watermark_ns));
         self.trace.emit_fields(
             at,
             self.src,
             "gw_resume",
             &[
-                ("client", u64::from(msg.client)),
+                ("client", u64::from(client)),
                 ("verdict", u64::from(plan.verdict.code())),
                 ("replayed", plan.replayed.iter().sum::<u64>()),
                 ("gaps", plan.gap_frames),
@@ -1141,22 +1066,48 @@ impl WorkerState {
                 self.src,
                 "gw_gap",
                 &[
-                    ("client", u64::from(msg.client)),
+                    ("client", u64::from(client)),
                     ("class", class_field(*class)),
                     ("count", u64::from(*count)),
                 ],
             );
         }
-        // Always opened, even on abort — the session's other shards
-        // must never spin forever.
-        msg.gate.store(true, Ordering::SeqCst);
+        alive
+    }
+
+    fn deregister(&mut self, client: u32, park: bool, incarnation: u32) {
+        let Some(&slot) = self.slots.get(&client) else {
+            return;
+        };
+        let lane = &mut self.lanes[slot];
+        if incarnation < lane.incarnation {
+            return; // a newer incarnation owns this lane now
+        }
+        if park {
+            lane.sink = None;
+            return;
+        }
+        lane.last_call(self.watermark_ns, self.batch_max);
+        self.stats.undelivered += lane.queue.drain_remaining() as u64;
+        self.closed.push(lane.report(self.shard));
+        // Drop the sink (a socket client sees its stream close) and the
+        // session now; the slot waits on `free` for the next client.
+        lane.sink = None;
+        lane.session = None;
+        self.slots.remove(&client);
+        self.free.push(slot);
+        for subs in self.subs.values_mut() {
+            subs.retain(|&s| s != slot);
+        }
     }
 
     fn on_event(&mut self, ev: &IngressEvent) {
         self.watermark_ns = self.watermark_ns.max(ev.delivered_ns);
         self.stats.ingress += 1;
-        let subscribers = match self.subs.get(&ev.uid) {
-            Some(v) if !v.is_empty() => v.clone(),
+        // Lent out of the table for the loop, so each lane can be
+        // settled through `&mut self`; no lane (un)subscribes meanwhile.
+        let slots = match self.subs.get_mut(&ev.uid) {
+            Some(v) if !v.is_empty() => std::mem::take(v),
             _ => return,
         };
         let entries = encode_entries(ev, self.frag_chunk);
@@ -1175,149 +1126,128 @@ impl WorkerState {
                     ("len", ev.payload.len() as u64),
                 ],
             );
+        } else {
+            self.stats.fanout += slots.len() as u64;
+            self.trace.emit_fields(
+                Time::from_ns(ev.delivered_ns),
+                self.src,
+                "gw_fanout",
+                &[
+                    ("uid", ev.uid),
+                    ("class", class_field(ev.class)),
+                    ("subs", slots.len() as u64),
+                ],
+            );
+            for &slot in &slots {
+                self.deliver(slot, &entries, ev.delivered_ns);
+            }
+        }
+        self.subs.insert(ev.uid, slots);
+    }
+
+    /// Hand one event's entries to the lane in `slot`: straight to an
+    /// attached sink when the queue would only pass the entry through
+    /// ([`EgressQueue::is_direct`]), else queued under the lane's policy
+    /// and flushed.
+    fn deliver(&mut self, slot: usize, entries: &[EgressEntry], at_ns: u64) {
+        let watermark = self.watermark_ns;
+        let Lane {
+            client,
+            queue,
+            sink,
+            session,
+            policy,
+            gone,
+            ..
+        } = &mut self.lanes[slot];
+        if *gone {
             return;
         }
-        self.stats.fanout += subscribers.len() as u64;
-        self.trace.emit_fields(
-            Time::from_ns(ev.delivered_ns),
+        let direct = match (entries, &sink) {
+            ([entry], Some(_)) if queue.is_direct(entry, watermark) => Some(entry),
+            _ => None,
+        };
+        if direct.is_none()
+            && !entries
+                .iter()
+                .all(|e| queue.push(e.clone(), *policy, watermark) != PushOutcome::Disconnect)
+        {
+            return self.policy_kill(slot, at_ns);
+        }
+        let Some(sink) = sink.as_mut() else {
+            return; // detached: the queue keeps filling
+        };
+        notify_sheds(
+            *client,
+            &mut queue.stats,
+            sink,
+            at_ns,
+            self.trace_verbose,
+            &self.trace,
             self.src,
-            "gw_fanout",
-            &[
-                ("uid", ev.uid),
-                ("class", class_field(ev.class)),
-                ("subs", subscribers.len() as u64),
-            ],
         );
-        for client in subscribers {
-            let disconnect = {
-                let Some(lane) = self.lanes.get_mut(&client) else {
-                    continue;
-                };
-                if lane.gone {
-                    continue;
-                }
-                let mut disconnect = false;
-                for entry in &entries {
-                    match lane
-                        .queue
-                        .push(entry.clone(), lane.policy, self.watermark_ns)
-                    {
-                        PushOutcome::Queued | PushOutcome::Shed => {}
-                        PushOutcome::Disconnect => {
-                            disconnect = true;
-                            break;
-                        }
-                    }
-                }
-                disconnect
-            };
-            if disconnect {
-                // A policy kill ends the session for good — a consumer
-                // too slow while connected would only fall further
-                // behind across a resume.
-                let lane = self.lanes.get_mut(&client).expect("lane just borrowed");
-                if let Some(sink) = lane.sink.as_mut() {
-                    let _ = sink.offer(&wire::encode_to_client(&ToClient::Disconnect {
-                        reason: Reason::Slow,
-                    }));
-                }
-                lane.gone = true;
-                lane.sink = None;
-                lane.queue.stats.peak = lane.queue.stats.peak.max(lane.queue.len());
-                self.stats.undelivered += lane.queue.drain_remaining() as u64;
-                self.stats.disconnects += 1;
-                self.sessions
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .end(client, false);
-                if self.trace_verbose {
-                    self.trace.emit_fields(
-                        Time::from_ns(ev.delivered_ns),
-                        self.src,
-                        "gw_disconnect",
-                        &[
-                            ("client", u64::from(client)),
-                            ("reason", u64::from(Reason::Slow.code())),
-                        ],
-                    );
-                }
-                continue;
-            }
-            if let Some(lane) = self.lanes.get_mut(&client) {
-                notify_sheds(
-                    lane,
-                    ev.delivered_ns,
-                    self.trace_verbose,
-                    &self.trace,
-                    self.src,
-                );
-            }
-            self.flush_and_settle(client);
+        let offer = |item: FlushItem<'_>| offer_item(sink, session.as_deref(), item);
+        let alive = match direct {
+            Some(entry) => queue.offer_direct(entry, offer),
+            None => queue.flush(watermark, self.batch_max, offer),
+        };
+        if !alive {
+            self.sink_lost(slot);
         }
     }
 
-    /// Flush a lane's queue into its sink (if attached) and settle the
-    /// outcome: a dead sink parks a resumable session's lane in place,
-    /// or tears a sessionless lane down the legacy way.
-    fn flush_and_settle(&mut self, client: u32) {
-        let alive = {
-            let Some(lane) = self.lanes.get_mut(&client) else {
-                return;
-            };
-            if lane.gone {
-                return;
-            }
-            let Lane { queue, sink, .. } = lane;
-            let Some(s) = sink.as_mut() else {
-                return;
-            };
-            flush_sink(queue, s, self.watermark_ns, self.batch_max)
-        };
-        if alive {
-            return;
+    /// A policy kill ends the session for good — a consumer too slow
+    /// while connected would only fall further behind across a resume.
+    fn policy_kill(&mut self, slot: usize, at_ns: u64) {
+        let lane = &mut self.lanes[slot];
+        if let Some(sink) = lane.sink.as_mut() {
+            let _ = sink.offer(&wire::encode_to_client(&ToClient::Disconnect {
+                reason: Reason::Slow,
+            }));
         }
+        lane.kill(&mut self.stats);
+        let client = lane.client;
+        self.sessions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .end(client, false);
+        if self.trace_verbose {
+            self.trace.emit_fields(
+                Time::from_ns(at_ns),
+                self.src,
+                "gw_disconnect",
+                &[
+                    ("client", u64::from(client)),
+                    ("reason", u64::from(Reason::Slow.code())),
+                ],
+            );
+        }
+    }
+
+    /// The lane's sink is gone: park a resumable session's lane in
+    /// place, or tear a sessionless lane down the legacy way.
+    fn sink_lost(&mut self, slot: usize) {
+        let lane = &mut self.lanes[slot];
+        lane.sink = None;
         let park = self
             .sessions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .detach(client);
-        let lane = self.lanes.get_mut(&client).expect("lane just flushed");
-        lane.sink = None;
+            .detach(lane.client);
         if !park {
-            lane.gone = true;
-            lane.queue.stats.peak = lane.queue.stats.peak.max(lane.queue.len());
-            self.stats.undelivered += lane.queue.drain_remaining() as u64;
-            self.stats.disconnects += 1;
+            lane.kill(&mut self.stats);
         }
     }
 
     fn finish(mut self) -> ShardReport {
-        let mut clients: Vec<u32> = self.lanes.keys().copied().collect();
-        clients.sort_unstable();
+        let mut live: Vec<(u32, usize)> = self.slots.iter().map(|(&c, &s)| (c, s)).collect();
+        live.sort_unstable();
         let mut lanes = std::mem::take(&mut self.closed);
-        for client in clients {
-            let Some(mut lane) = self.lanes.remove(&client) else {
-                continue;
-            };
-            if !lane.gone {
-                let Lane { queue, sink, .. } = &mut lane;
-                if let Some(s) = sink.as_mut() {
-                    // Last call: drain what the sink will still take,
-                    // then say goodbye.
-                    flush_sink(queue, s, u64::MAX, self.batch_max);
-                    let _ = s.offer(&wire::encode_to_client(&ToClient::Disconnect {
-                        reason: Reason::Shutdown,
-                    }));
-                }
-            }
+        for (_, slot) in live {
+            let lane = &mut self.lanes[slot];
+            lane.last_call(u64::MAX, self.batch_max);
             self.stats.undelivered += lane.queue.drain_remaining() as u64;
-            lanes.push(LaneReport {
-                client: lane.client,
-                shard: self.shard,
-                stats: lane.queue.stats,
-                digest: lane.sink.as_ref().and_then(|s| s.digest()),
-                gone: lane.gone,
-            });
+            lanes.push(lane.report(self.shard));
         }
         lanes.sort_by_key(|l| (l.client, l.shard));
         let delivered: u64 = lanes.iter().map(|l| l.stats.delivered_msgs).sum();
@@ -1346,34 +1276,47 @@ impl WorkerState {
     }
 }
 
+/// Offer one replayed frame, retrying a busy sink a bounded number of
+/// times. `false` when the sink is gone, or stayed busy so long it
+/// counts as gone.
+fn offer_retrying(sink: &mut SinkHandle, bytes: &[u8]) -> bool {
+    for _ in 0..=RESUME_OFFER_RETRIES {
+        match sink.offer(bytes) {
+            SinkStatus::Accepted => return true,
+            SinkStatus::Busy => thread::yield_now(),
+            SinkStatus::Gone => return false,
+        }
+    }
+    false
+}
+
 /// `(shed-NRT, cap-shed-SRT, stale-SRT)` snapshot for delta notices.
 fn shed_counts(stats: &LaneStats) -> (u64, u64, u64) {
     (stats.shed_nrt, stats.shed_srt_cap, stats.shed_srt_stale)
 }
 
-/// Offer best-effort `Shed` notices covering what this lane has shed
-/// since the last notice round, so clients observe the gap instead of
-/// silence — one notice per (class, reason), so an SRT pressure shed
-/// is never reported as NRT. A detached lane sends nothing (its sheds
-/// surface through watermark accounting at resume).
+/// Offer best-effort `Shed` notices covering what `client`'s lane has
+/// shed since the last notice round, so clients observe the gap instead
+/// of silence — one notice per (class, reason), so an SRT pressure shed
+/// is never reported as NRT. Only an attached lane is notified (a
+/// detached lane's sheds surface through watermark accounting at
+/// resume).
 fn notify_sheds(
-    lane: &mut Lane,
+    client: u32,
+    stats: &mut LaneStats,
+    sink: &mut SinkHandle,
     at_ns: u64,
     verbose: bool,
     trace: &SharedTraceSink,
     src: SourceId,
 ) {
-    let (nrt, srt_cap, srt_stale) = shed_counts(&lane.queue.stats);
-    let notified = &mut lane.queue.stats.shed_notified;
+    let (nrt, srt_cap, srt_stale) = shed_counts(stats);
+    let notified = stats.shed_notified;
     let deltas = [
         (nrt - notified[0], ChannelClass::Nrt, Reason::Slow),
         (srt_cap - notified[1], ChannelClass::Srt, Reason::Slow),
         (srt_stale - notified[2], ChannelClass::Srt, Reason::Stale),
     ];
-    let Some(sink) = lane.sink.as_mut() else {
-        return;
-    };
-    let notified_now = [nrt, srt_cap, srt_stale];
     for (count, class, reason) in deltas {
         if count == 0 {
             continue;
@@ -1389,7 +1332,7 @@ fn notify_sheds(
                 src,
                 "gw_shed",
                 &[
-                    ("client", u64::from(lane.client)),
+                    ("client", u64::from(client)),
                     ("class", class_field(class)),
                     ("reason", u64::from(reason.code())),
                     ("count", count),
@@ -1397,42 +1340,67 @@ fn notify_sheds(
             );
         }
     }
-    lane.queue.stats.shed_notified = notified_now;
+    stats.shed_notified = [nrt, srt_cap, srt_stale];
 }
 
-/// Drain a lane's queue into a sink. Returns `false` when the sink reported itself gone (nothing is
-/// popped in that case — see [`EgressQueue::flush`]).
-fn flush_sink(
-    queue: &mut EgressQueue,
+/// Offer one flush item to a lane's sink. A data frame the sink
+/// accepts is counted in the lane's session, if it has one, and kept
+/// in its replay ring: an `Event` as `(class, uid, release)`, a `Batch`
+/// or `Frag` as NRT with no subject (only SRT staleness reads the uid,
+/// and SRT is never batched or fragmented).
+fn offer_item(
     sink: &mut SinkHandle,
-    watermark: u64,
-    batch_max: usize,
-) -> bool {
-    queue.flush(watermark, batch_max, |item| {
-        let bytes: std::borrow::Cow<'_, [u8]> = match &item {
-            FlushItem::Single(e) => std::borrow::Cow::Borrowed(e.encoded.as_slice()),
-            FlushItem::Batch(es) => {
-                let msg = ToClient::Batch {
-                    entries: es
-                        .iter()
-                        .map(|e| BatchEntry {
-                            origin: e.origin,
-                            uid: e.uid,
-                            seq: e.seq,
-                            wire_ns: e.wire_ns,
-                            payload: e.payload.as_ref().clone(),
-                        })
-                        .collect(),
+    session: Option<&Mutex<SessionCore>>,
+    item: FlushItem<'_>,
+) -> FlushVerdict {
+    let status = match item {
+        FlushItem::Single(e) => {
+            let status = sink.offer(&e.encoded);
+            if let (SinkStatus::Accepted, Some(core)) = (status, session) {
+                let (class, uid, release_ns) = if e.frag {
+                    (ChannelClass::Nrt, 0, 0)
+                } else {
+                    (e.class, e.uid, e.release_ns)
                 };
-                std::borrow::Cow::Owned(wire::encode_to_client(&msg))
+                core.lock().unwrap_or_else(|e| e.into_inner()).record(
+                    class,
+                    uid,
+                    release_ns,
+                    Arc::clone(&e.encoded),
+                );
             }
-        };
-        match sink.offer(&bytes) {
-            SinkStatus::Accepted => FlushVerdict::Taken,
-            SinkStatus::Busy => FlushVerdict::Blocked,
-            SinkStatus::Gone => FlushVerdict::Lost,
+            status
         }
-    })
+        FlushItem::Batch(es) => {
+            let bytes = wire::encode_to_client(&ToClient::Batch {
+                entries: es
+                    .iter()
+                    .map(|e| BatchEntry {
+                        origin: e.origin,
+                        uid: e.uid,
+                        seq: e.seq,
+                        wire_ns: e.wire_ns,
+                        payload: e.payload.as_ref().clone(),
+                    })
+                    .collect(),
+            });
+            let status = sink.offer(&bytes);
+            if let (SinkStatus::Accepted, Some(core)) = (status, session) {
+                core.lock().unwrap_or_else(|e| e.into_inner()).record(
+                    ChannelClass::Nrt,
+                    0,
+                    0,
+                    Arc::new(bytes),
+                );
+            }
+            status
+        }
+    };
+    match status {
+        SinkStatus::Accepted => FlushVerdict::Taken,
+        SinkStatus::Busy => FlushVerdict::Blocked,
+        SinkStatus::Gone => FlushVerdict::Lost,
+    }
 }
 
 /// Timeliness class as a trace field value.
@@ -1512,8 +1480,13 @@ fn encode_entries(ev: &IngressEvent, frag_chunk: usize) -> Vec<EgressEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ClientSink;
-    use crate::client::SinkStatus;
+
+    struct TakeAll;
+    impl ClientSink for TakeAll {
+        fn offer(&mut self, _bytes: &[u8]) -> SinkStatus {
+            SinkStatus::Accepted
+        }
+    }
 
     fn ev(class: ChannelClass, len: usize) -> IngressEvent {
         IngressEvent {
@@ -1570,12 +1543,6 @@ mod tests {
     /// nothing. A `Welcome` that never left takes its verdict back.
     #[test]
     fn a_verdict_is_counted_before_the_wire_and_survives_finish() {
-        struct TakeAll;
-        impl ClientSink for TakeAll {
-            fn offer(&mut self, _bytes: &[u8]) -> SinkStatus {
-                SinkStatus::Accepted
-            }
-        }
         let subject = Subject::new(0x2002);
         let gateway = Gateway::new(GatewayConfig::default());
         let srt = rtec_core::channel::SrtSpec::default();
@@ -1619,20 +1586,16 @@ mod tests {
             }
         }
         let msgs = Arc::new(Mutex::new(Vec::new()));
-        let mut lane = Lane {
-            client: 0,
-            queue: EgressQueue::new(4),
-            sink: Some(SinkHandle::Own(Box::new(Rec(Arc::clone(&msgs))))),
-            policy: SlowConsumerPolicy::ShedNrtFirst,
-            gone: false,
-            incarnation: 0,
+        let mut sink = SinkHandle::Own(Box::new(Rec(Arc::clone(&msgs))));
+        let mut stats = LaneStats {
+            shed_nrt: 3,
+            shed_srt_cap: 2,
+            shed_srt_stale: 1,
+            ..LaneStats::default()
         };
-        lane.queue.stats.shed_nrt += 3;
-        lane.queue.stats.shed_srt_cap += 2;
-        lane.queue.stats.shed_srt_stale += 1;
-        let sink = SharedTraceSink::disabled();
-        let src = sink.intern("test");
-        notify_sheds(&mut lane, 0, false, &sink, src);
+        let trace = SharedTraceSink::disabled();
+        let src = trace.intern("test");
+        notify_sheds(0, &mut stats, &mut sink, 0, false, &trace, src);
         let got = msgs.lock().unwrap_or_else(|e| e.into_inner()).clone();
         assert_eq!(
             got,
@@ -1655,7 +1618,30 @@ mod tests {
             ]
         );
         // A second round with no new sheds is silent.
-        notify_sheds(&mut lane, 0, false, &sink, src);
+        notify_sheds(0, &mut stats, &mut sink, 0, false, &trace, src);
         assert_eq!(msgs.lock().unwrap_or_else(|e| e.into_inner()).len(), 3);
+    }
+
+    /// A session lane counts exactly the data frames its sink accepts —
+    /// an event under its class, a batch as one NRT frame — and keeps
+    /// the entry's encoded buffer in the ring instead of a copy; a
+    /// refused offer counts nothing.
+    #[test]
+    fn a_session_lane_counts_what_its_sink_accepts() {
+        let core = Mutex::new(SessionCore::new(8));
+        let mut sink = SinkHandle::Own(Box::new(TakeAll));
+        let mut queue = EgressQueue::new(8);
+        let hrt = encode_entries(&ev(ChannelClass::Hrt, 4), 256);
+        queue.push(hrt[0].clone(), SlowConsumerPolicy::ShedNrtFirst, 0);
+        for _ in 0..2 {
+            let nrt = encode_entries(&ev(ChannelClass::Nrt, 4), 256);
+            queue.push(nrt[0].clone(), SlowConsumerPolicy::ShedNrtFirst, 0);
+        }
+        queue.flush(0, 8, |_| FlushVerdict::Blocked);
+        queue.flush(0, 8, |item| offer_item(&mut sink, Some(&core), item));
+        let sent = core.lock().unwrap_or_else(|e| e.into_inner()).sent();
+        assert_eq!((sent.hrt, sent.srt, sent.nrt), (1, 0, 1));
+        assert_eq!(queue.stats.batches, 1);
+        assert_eq!(Arc::strong_count(&hrt[0].encoded), 2, "entry + ring");
     }
 }

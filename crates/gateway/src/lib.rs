@@ -18,9 +18,10 @@
 //! * **NRT** events are batched, and bulk payloads are fragment-
 //!   streamed (§2.2.3), always yielding to the real-time classes.
 //!
-//! Fanout is sharded by subject across worker threads ([`gateway`]),
-//! every client lane has a bounded queue, and a pluggable
-//! [`SlowConsumerPolicy`] decides what happens when a client cannot
+//! Fanout is sharded by client across worker threads ([`gateway`]):
+//! each client has one lane on one worker, so its class order holds
+//! across its whole stream. Every lane has a bounded queue, and a
+//! pluggable [`SlowConsumerPolicy`] decides what happens when a client cannot
 //! keep up: disconnect it, shed its NRT backlog first, or coalesce
 //! queued events to the latest per subject. All worker threads go
 //! through the `rtec_live::sync` facade, so the loom model checker and

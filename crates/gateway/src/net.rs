@@ -4,9 +4,9 @@
 //! handshaken inline (read `Hello`, then that many `Subscribe` frames,
 //! under a read timeout so a stalled half-open connection cannot wedge
 //! accepting), answered with `Welcome`, and only then registered with
-//! the gateway behind a shared stream sink — so `Welcome` is always
-//! the first frame on the wire. Fanout workers then write frames
-//! through the shared sink; a write timeout before any byte of a frame
+//! the gateway behind a stream sink — so `Welcome` is always the first
+//! frame on the wire. The client's fanout worker then writes frames
+//! through that sink; a write timeout before any byte of a frame
 //! goes out maps to [`SinkStatus::Busy`] so a stalled client builds
 //! backpressure into its bounded lane queue — where the shedding
 //! policies, not the socket, decide what gives — while a frame caught

@@ -4,13 +4,18 @@
 //! A v2 client's session outlives its connection. The gateway keeps,
 //! per session: how many *data* frames of each class it has put on the
 //! client's stream (the send-side watermark), and a bounded per-class
-//! ring of the most recently sent frames. When the link dies, the
-//! client reconnects with its token and its receive-side watermarks
-//! ([`crate::wire::ClassWatermarks`]); because the shared stream sink
-//! totally orders a session's frames and a stream delivers an in-order
-//! prefix, `sent − received` identifies *exactly* the suffix of each
-//! class's frame sequence that was in flight when the link died — and
-//! the ring holds it, up to its bound.
+//! ring of the most recently sent frames. The accounting lives in the
+//! client's one lane: the lane records each data frame its sink
+//! accepts, and the ring shares the frame's encoded buffer instead of
+//! copying it. When the link dies, the client reconnects with its token
+//! and its receive-side watermarks ([`crate::wire::ClassWatermarks`]);
+//! because one lane totally orders a session's frames and a stream
+//! delivers an in-order prefix, `sent − received` identifies *exactly*
+//! the suffix of each class's frame sequence that was in flight when the
+//! link died — and the ring holds it, up to its bound. A replayed frame
+//! goes to the raw sink, past the lane's accounting: it was counted when
+//! first sent, and counting it again would make the next resume resend
+//! frames the client already has.
 //!
 //! Resume then applies the paper's class rules to that suffix:
 //!
@@ -29,7 +34,6 @@
 //! all: a detached lane keeps its bounded egress queue inside its
 //! fanout worker, and reattaching the lane flushes it normally.
 
-use crate::client::{ClientSink, SinkDigest, SinkStatus};
 use crate::egress::SlowConsumerPolicy;
 use crate::wire::{self, ClassWatermarks, ResumeVerdict, ToClient};
 use rtec_core::ChannelClass;
@@ -59,8 +63,8 @@ struct RingFrame {
 }
 
 /// The send-side truth of one session: per-class sent counters and the
-/// bounded replay rings. Shared between the session's [`SessionSink`]
-/// (which appends) and the resume path (which reads).
+/// bounded replay rings. Shared between the session's lane (which
+/// appends) and the resume path (which reads).
 pub(crate) struct SessionCore {
     sent: ClassWatermarks,
     rings: [VecDeque<RingFrame>; 3],
@@ -77,11 +81,17 @@ impl SessionCore {
     }
 
     /// Count one accepted data frame and retain it for replay.
-    fn record(&mut self, class: ChannelClass, uid: u64, release_ns: u64, bytes: &[u8]) {
+    pub(crate) fn record(
+        &mut self,
+        class: ChannelClass,
+        uid: u64,
+        release_ns: u64,
+        bytes: Arc<Vec<u8>>,
+    ) {
         self.sent.bump(class);
         let ring = &mut self.rings[class_idx(class)];
         ring.push_back(RingFrame {
-            bytes: Arc::new(bytes.to_vec()),
+            bytes,
             uid,
             release_ns,
         });
@@ -112,40 +122,6 @@ impl SessionCore {
             }
         }
         ResumeVerdict::Resumed
-    }
-}
-
-/// A [`ClientSink`] decorator that keeps the session's send-side
-/// accounting. Every lane of a session shares one of these behind the
-/// usual shared-sink mutex, so the counters see the exact total order
-/// of frames on the stream.
-pub(crate) struct SessionSink {
-    core: Arc<Mutex<SessionCore>>,
-    inner: Box<dyn ClientSink>,
-}
-
-impl SessionSink {
-    pub(crate) fn new(core: Arc<Mutex<SessionCore>>, inner: Box<dyn ClientSink>) -> Self {
-        SessionSink { core, inner }
-    }
-}
-
-impl ClientSink for SessionSink {
-    fn offer(&mut self, bytes: &[u8]) -> SinkStatus {
-        let status = self.inner.offer(bytes);
-        if status == SinkStatus::Accepted {
-            if let Some((class, uid, release_ns)) = wire::data_frame_meta(bytes) {
-                self.core
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(class, uid, release_ns, bytes);
-            }
-        }
-        status
-    }
-
-    fn digest(&self) -> Option<SinkDigest> {
-        self.inner.digest()
     }
 }
 
@@ -253,7 +229,7 @@ enum SessionState {
 
 /// One client's session bookkeeping.
 pub(crate) struct SessionEntry {
-    /// Subject uids, for recomputing the session's shard set.
+    /// Subject uids, re-subscribed on every attach and resume.
     pub subjects: Vec<u64>,
     pub policy: SlowConsumerPolicy,
     pub core: Arc<Mutex<SessionCore>>,
@@ -300,7 +276,7 @@ pub struct SessionStats {
 
 /// The gateway's session table. All mutation happens under one mutex;
 /// the hot path (per-frame accounting) never touches it — that lives
-/// in [`SessionSink`] under the per-session core lock.
+/// in the client's lane, under the per-session core lock.
 pub(crate) struct SessionStore {
     ttl_ns: u64,
     ring_cap: usize,
@@ -500,8 +476,8 @@ mod tests {
     use super::*;
     use crate::wire::EventMsg;
 
-    fn frame(class: ChannelClass, uid: u64, release_ns: u64, tag: u8) -> Vec<u8> {
-        wire::encode_to_client(&ToClient::Event(EventMsg {
+    fn frame(class: ChannelClass, uid: u64, release_ns: u64, tag: u8) -> Arc<Vec<u8>> {
+        Arc::new(wire::encode_to_client(&ToClient::Event(EventMsg {
             class,
             origin: 0,
             uid,
@@ -509,36 +485,26 @@ mod tests {
             wire_ns: 0,
             release_ns,
             payload: vec![tag],
-        }))
+        })))
     }
 
-    struct TakeAll;
-    impl ClientSink for TakeAll {
-        fn offer(&mut self, _bytes: &[u8]) -> SinkStatus {
-            SinkStatus::Accepted
-        }
-    }
-
-    /// The sink counts data frames per class, skips control frames,
-    /// and the ring keeps only the newest `cap` frames.
+    /// The core counts data frames per class, the ring keeps only the
+    /// newest `cap` of them, and it holds the sent buffer, not a copy.
     #[test]
-    fn session_sink_counts_and_bounds_the_ring() {
-        let core = Arc::new(Mutex::new(SessionCore::new(2)));
-        let mut sink = SessionSink::new(Arc::clone(&core), Box::new(TakeAll));
-        for i in 0..4u8 {
-            sink.offer(&frame(ChannelClass::Hrt, 1, 10, i));
+    fn core_counts_and_bounds_the_ring() {
+        let mut core = SessionCore::new(2);
+        let frames: Vec<_> = (0..4u8)
+            .map(|i| frame(ChannelClass::Hrt, 1, 10, i))
+            .collect();
+        for f in &frames {
+            core.record(ChannelClass::Hrt, 1, 10, Arc::clone(f));
         }
-        sink.offer(&frame(ChannelClass::Srt, 2, 20, 9));
-        sink.offer(&wire::encode_to_client(&ToClient::Shed {
-            class: ChannelClass::Nrt,
-            reason: wire::Reason::Slow,
-            count: 1,
-        }));
-        let core = core.lock().unwrap_or_else(|e| e.into_inner());
+        core.record(ChannelClass::Srt, 2, 20, frame(ChannelClass::Srt, 2, 20, 9));
         assert_eq!(core.sent().hrt, 4);
         assert_eq!(core.sent().srt, 1);
-        assert_eq!(core.sent().nrt, 0, "control frames are not counted");
+        assert_eq!(core.sent().nrt, 0);
         assert_eq!(core.rings[0].len(), 2, "ring bounded at cap");
+        assert!(Arc::ptr_eq(&core.rings[0][1].bytes, &frames[3]));
     }
 
     /// An in-flight suffix within the ring replays exactly; nothing
@@ -550,7 +516,7 @@ mod tests {
             .map(|i| frame(ChannelClass::Hrt, 1, 10, i))
             .collect();
         for f in &frames {
-            core.record(ChannelClass::Hrt, 1, 10, f);
+            core.record(ChannelClass::Hrt, 1, 10, Arc::clone(f));
         }
         // Client saw 3 of 5: replay frames 3 and 4 only.
         let wm = ClassWatermarks {
@@ -581,7 +547,7 @@ mod tests {
         let mut core = SessionCore::new(2);
         for i in 0..6u8 {
             let f = frame(ChannelClass::Nrt, 3, 0, i);
-            core.record(ChannelClass::Nrt, 3, 0, &f);
+            core.record(ChannelClass::Nrt, 3, 0, f);
         }
         let wm = ClassWatermarks::default(); // client got nothing
         let plan = compute_replay(&core, |_| None, 0, &wm);
@@ -601,7 +567,7 @@ mod tests {
         let mut core = SessionCore::new(8);
         for (uid, release) in [(7u64, 10u64), (7, 80)] {
             let f = frame(ChannelClass::Srt, uid, release, release as u8);
-            core.record(ChannelClass::Srt, uid, release, &f);
+            core.record(ChannelClass::Srt, uid, release, f);
         }
         let wm = ClassWatermarks::default();
         // Validity 50 ns; now 100: release 10 is stale, release 80 is not.
@@ -619,7 +585,7 @@ mod tests {
     fn watermark_ahead_of_sent_is_flagged_not_replayed() {
         let mut core = SessionCore::new(4);
         let f = frame(ChannelClass::Hrt, 1, 0, 0);
-        core.record(ChannelClass::Hrt, 1, 0, &f);
+        core.record(ChannelClass::Hrt, 1, 0, f);
         let wm = ClassWatermarks {
             hrt: 5,
             ..Default::default()

@@ -11,9 +11,10 @@ use rtec_core::channel::{ChannelClass, ChannelSpec, HrtSpec, NrtSpec, SrtSpec};
 use rtec_core::event::{Event, Subject};
 use rtec_gateway::wire::{Reason, ToClient};
 use rtec_gateway::{
-    Acceptor, ClientSink, ClientSinkSpec, Gateway, GatewayClient, GatewayConfig, GatewayReport,
-    SinkStatus, SlowConsumerPolicy,
+    Acceptor, ClassWatermarks, ClientSink, ClientSinkSpec, Gateway, GatewayClient, GatewayConfig,
+    GatewayReport, SinkStatus, SlowConsumerPolicy, WmSource,
 };
+use rtec_live::chaos::{LinkChaos, LinkFault, LinkPlan};
 use rtec_live::cluster::{Cluster, ClusterConfig, LiveReport};
 use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::Pace;
@@ -109,25 +110,20 @@ impl ClientSink for GatedRecorder {
     }
 }
 
-/// Two subjects guaranteed to land on the same fanout shard.
-fn colliding_subjects(shards: usize) -> (Subject, Subject) {
-    let a = Subject::new(0x1001);
-    let target = a.shard_of(shards);
-    let b = (0x3000u64..0x4000)
-        .map(Subject::new)
-        .find(|s| s.shard_of(shards) == target)
-        .expect("no colliding subject in range");
-    (a, b)
-}
-
-/// HRT samples and NRT bulk contending for one blocked client lane:
-/// when the client finally drains, every HRT sample comes out first —
-/// released, never shed — while the NRT backlog was shed to the queue
-/// bound.
+/// HRT samples and NRT bulk contending for one blocked client: when the
+/// client finally drains, every HRT sample comes out first — released,
+/// never shed — while the NRT backlog was shed to the client's one
+/// queue bound. The two subjects hash to different `shard_of` values:
+/// the class order holds across a client's whole stream, not per
+/// subject group, and the client gets exactly one goodbye.
 #[test]
 fn hrt_beats_nrt_bulk_under_client_contention() {
     let workers = 3;
-    let (hrt_subject, nrt_subject) = colliding_subjects(workers);
+    let hrt_subject = Subject::new(0x1001);
+    let nrt_subject = (0x3000u64..0x4000)
+        .map(Subject::new)
+        .find(|s| s.shard_of(workers) != hrt_subject.shard_of(workers))
+        .expect("no subject on another shard in range");
     let cfg = ClusterConfig {
         pace: Pace::Virtual,
         nrt_queue_cap: 256,
@@ -207,6 +203,11 @@ fn hrt_beats_nrt_bulk_under_client_contention() {
         msgs.iter().any(|m| matches!(m, ToClient::Frag(_))),
         "bulk NRT should be fragment-streamed"
     );
+    let goodbyes = msgs
+        .iter()
+        .filter(|m| matches!(m, ToClient::Disconnect { .. }))
+        .count();
+    assert_eq!(goodbyes, 1, "one client, one lane, one goodbye");
     assert!(
         matches!(
             msgs.last(),
@@ -286,11 +287,25 @@ fn mixed_run(sink: Option<SharedTraceSink>) -> (LiveReport, GatewayReport, u8) {
     (report, gw, gw_node)
 }
 
+/// The counters of a run: one lane per client, however many workers its
+/// subjects hash to, and `ingress` is the gateway node's deliveries
+/// (every worker sees every event; the count is not summed over them).
+fn check_mixed_counters(report: &LiveReport, gw: &GatewayReport, gw_node: u8) {
+    let clients: std::collections::BTreeSet<u32> = gw.lanes.iter().map(|l| l.client).collect();
+    assert_eq!(clients.len(), 5, "every client reports");
+    assert_eq!(gw.lanes.len(), 5, "one LaneReport per client");
+    let deliveries = report.log.iter().filter(|r| r.node == gw_node).count() as u64;
+    assert!(deliveries > 0);
+    assert_eq!(gw.stats.ingress, deliveries);
+    assert!(gw.shards.iter().all(|s| s.ingress == deliveries));
+}
+
 /// Same seed ⇒ equal gateway reports (sink digests, lane stats, shard
 /// and session counters) across two independent runs (threads and all).
 #[test]
 fn same_seed_gateway_runs_are_byte_identical() {
-    let (ra, ga, _) = mixed_run(None);
+    let (ra, ga, gw_node) = mixed_run(None);
+    check_mixed_counters(&ra, &ga, gw_node);
     let (rb, gb, _) = mixed_run(None);
     assert_eq!(ra.log, rb.log, "cluster delivery logs diverged");
     assert_eq!(ga, gb, "gateway reports diverged");
@@ -307,7 +322,8 @@ fn same_seed_gateway_runs_are_byte_identical() {
 #[test]
 fn merged_gateway_trace_passes_conformance_audit() {
     let sink = SharedTraceSink::enabled();
-    let (report, gw, _) = mixed_run(Some(sink.clone()));
+    let (report, gw, gw_node) = mixed_run(Some(sink.clone()));
+    check_mixed_counters(&report, &gw, gw_node);
     assert!(gw.stats.delivered_msgs > 0);
     assert_eq!(sink.dropped(), 0, "trace ring overflowed");
     let mut trace = sink.events();
@@ -750,4 +766,122 @@ fn bye_spends_the_session_but_a_sever_keeps_it_resumable() {
     assert_eq!(gw.sessions.ended_clean, 1, "one polite goodbye");
     assert_eq!(gw.sessions.refused, 1, "one refused (spent) token");
     assert_eq!(gw.sessions.resumed, 1, "one successful resume");
+}
+
+/// The client side of a chaotic session link: the link's fault machine,
+/// the watermarks a reconnect reports, and the HRT seqs received.
+struct LinkedClient {
+    link: LinkChaos,
+    wm: ClassWatermarks,
+    hrt_seqs: Vec<u32>,
+}
+
+/// One connection's sink over a [`LinkedClient`]: a lost frame is
+/// accepted (the write succeeded) but never received, and a severed
+/// link reports the sink gone.
+struct LinkedSink(Arc<Mutex<LinkedClient>>);
+
+impl ClientSink for LinkedSink {
+    fn offer(&mut self, bytes: &[u8]) -> SinkStatus {
+        let mut c = self.0.lock().unwrap();
+        match c.link.on_frame() {
+            LinkFault::Severed => return SinkStatus::Gone,
+            LinkFault::Lose => return SinkStatus::Accepted,
+            LinkFault::Deliver | LinkFault::DeliverDelayed(_) => {}
+        }
+        if let Ok(ToClient::Event(e)) = rtec_gateway::wire::decode_to_client(bytes) {
+            c.wm.bump(e.class);
+            c.hrt_seqs.push(e.seq);
+        }
+        SinkStatus::Accepted
+    }
+}
+
+/// Resumes one session at fixed bus times, resolving the watermarks on
+/// the client's worker ([`WmSource::Deferred`]).
+struct Resumer {
+    gw: Gateway,
+    token: u64,
+    client: Arc<Mutex<LinkedClient>>,
+    at: Vec<Duration>,
+}
+
+impl Behavior for Resumer {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        for &at in &self.at {
+            ctx.set_timer(ctx.now() + at, 0).unwrap();
+        }
+    }
+
+    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _payload: u64) {
+        let c = Arc::clone(&self.client);
+        let wm = WmSource::Deferred(Box::new(move || {
+            let mut c = c.lock().unwrap();
+            c.link.reconnected();
+            c.wm
+        }));
+        let sink = Box::new(LinkedSink(Arc::clone(&self.client)));
+        self.gw.resume_session(self.token, wm, sink).unwrap();
+    }
+}
+
+/// Two severs, each losing the last frame in flight: the second resume
+/// replays only what the second connection lost. A replayed frame is
+/// not counted as sent again, so HRT stays exactly-once (§3.2) and
+/// `replayed_hrt` equals the frames lost, not more.
+#[test]
+fn a_second_resume_does_not_resend_replayed_frames() {
+    let hrt_subject = Subject::new(0x1001);
+    let cfg = ClusterConfig {
+        pace: Pace::Virtual,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(cfg);
+    let n0 = cluster.add_node(Box::new(HrtSource {
+        subject: hrt_subject,
+        counter: 0,
+        period: Duration::from_ms(10),
+    }));
+    let hrt = ChannelSpec::Hrt(HrtSpec::periodic_10ms());
+    cluster.publish(n0, hrt_subject, hrt);
+
+    let gateway = Gateway::new(GatewayConfig {
+        workers: 2,
+        ..GatewayConfig::default()
+    });
+    gateway.bind(hrt_subject, &hrt);
+    let client = Arc::new(Mutex::new(LinkedClient {
+        link: LinkChaos::new(LinkPlan {
+            severs: vec![3, 3],
+            lose_tail: 1,
+            ..LinkPlan::default()
+        }),
+        wm: ClassWatermarks::default(),
+        hrt_seqs: Vec::new(),
+    }));
+    let id = gateway.reserve_client();
+    let token = gateway.open_session(id, &[hrt_subject], None);
+    gateway.attach_session(id, Box::new(LinkedSink(Arc::clone(&client))));
+    let gw_node = cluster.add_node(gateway.behavior());
+    cluster.subscribe(gw_node, hrt_subject, hrt);
+    cluster.add_node(Box::new(Resumer {
+        gw: gateway.clone(),
+        token,
+        client: Arc::clone(&client),
+        at: vec![Duration::from_ms(60), Duration::from_ms(120)],
+    }));
+
+    let report = cluster.run_for(Duration::from_ms(160)).unwrap();
+    let gw = gateway.finish();
+
+    let delivered = report.log.iter().filter(|r| r.node == gw_node).count() as u32;
+    let c = client.lock().unwrap();
+    assert_eq!(c.link.stats().severs, 2, "both severs happened");
+    let expected: Vec<u32> = (0..delivered).collect();
+    assert_eq!(
+        c.hrt_seqs, expected,
+        "HRT duplicated or lost across resumes"
+    );
+    assert_eq!(gw.sessions.resumed, 2);
+    assert_eq!(gw.sessions.replayed_hrt, c.link.stats().lost);
 }
