@@ -123,9 +123,6 @@ impl Behavior for NrtPulse {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
 /// One chaotic client's receive-side record, shared between every sink
 /// incarnation the session goes through. Mirrors what a real
 /// `GatewayClient` tracks: per-class watermarks (`Gap` notices bump
@@ -147,10 +144,7 @@ impl ClientState {
             link,
             wm: ClassWatermarks::default(),
             hrt_seqs: BTreeMap::new(),
-            digest: SinkDigest {
-                frames: 0,
-                digest: FNV_OFFSET,
-            },
+            digest: SinkDigest::new(),
             gaps: Vec::new(),
             sheds: 0,
             decode_errors: 0,
@@ -158,10 +152,7 @@ impl ClientState {
     }
 
     fn record(&mut self, bytes: &[u8]) {
-        self.digest.frames += 1;
-        for &b in bytes {
-            self.digest.digest = (self.digest.digest ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.digest.absorb(bytes);
         match wire::decode_to_client(bytes) {
             Ok(ToClient::Event(ev)) => match ev.class {
                 ChannelClass::Hrt => {

@@ -8,6 +8,10 @@
 //! determinism harness and the bench (its acceptance schedule is a
 //! pure function of its seed, so same-seed runs produce byte-identical
 //! delivery digests), and the socket-backed sink in [`crate::net`].
+//!
+//! A digest is a [`SinkDigest`]: [`SimClientSink`] and the clients of
+//! the gateway chaos experiment fold every accepted frame into one with
+//! [`SinkDigest::absorb`], so the fingerprint is defined once.
 
 use rtec_live::sync::{Arc, Mutex};
 use rtec_sim::Rng;
@@ -24,13 +28,64 @@ pub enum SinkStatus {
 }
 
 /// Delivery fingerprint of a sink: how many messages it accepted and a
-/// chained digest over their exact bytes (order-sensitive).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// chained digest over their exact bytes.
+///
+/// [`SinkDigest::absorb`] folds a frame in 8 bytes at a time as
+/// little-endian words (the tail zero-padded), each fold a bijection of
+/// the running state, then closes the frame by folding in its length.
+/// Changing any byte of a frame therefore always changes the digest,
+/// and so does zero-padding a frame within its last word (only the
+/// folded length tells the two apart); longer padding, a moved frame
+/// boundary or reordered frames change it with overwhelming
+/// probability. The digest is a checksum for same-seed comparison, not
+/// a cryptographic hash.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SinkDigest {
     /// Messages accepted.
     pub frames: u64,
-    /// FNV-1a chain over every accepted message's bytes.
+    /// Word-wise chain over every accepted message's bytes and length.
     pub digest: u64,
+}
+
+/// Starting state of an empty digest (any nonzero constant would do).
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// Odd multiplier of one fold (the 64-bit golden ratio).
+const DIGEST_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl SinkDigest {
+    /// The fingerprint of a sink that accepted nothing yet.
+    pub const fn new() -> Self {
+        SinkDigest {
+            frames: 0,
+            digest: DIGEST_SEED,
+        }
+    }
+
+    /// Count one accepted frame and chain its bytes into the digest.
+    pub fn absorb(&mut self, bytes: &[u8]) {
+        // xor, odd multiply and rotate are each bijective, so one fold
+        // is a bijection of the state for a fixed word and of the word
+        // for a fixed state.
+        let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(DIGEST_MUL).rotate_left(29);
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut h = self.digest;
+        for &w in words {
+            h = fold(h, u64::from_le_bytes(w));
+        }
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            h = fold(h, u64::from_le_bytes(w));
+        }
+        self.digest = fold(h, bytes.len() as u64);
+        self.frames += 1;
+    }
+}
+
+impl Default for SinkDigest {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Where encoded gateway → client messages go.
@@ -43,9 +98,6 @@ pub trait ClientSink: Send {
         None
     }
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// A simulated client with a seeded acceptance schedule.
 ///
@@ -66,10 +118,7 @@ impl SimClientSink {
         SimClientSink {
             rng: Rng::seed_from_u64(seed),
             accept_permille,
-            acc: SinkDigest {
-                frames: 0,
-                digest: FNV_OFFSET,
-            },
+            acc: SinkDigest::new(),
         }
     }
 }
@@ -81,10 +130,7 @@ impl ClientSink for SimClientSink {
         if !take {
             return SinkStatus::Busy;
         }
-        for &b in bytes {
-            self.acc.digest = (self.acc.digest ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        self.acc.frames += 1;
+        self.acc.absorb(bytes);
         SinkStatus::Accepted
     }
 
@@ -186,6 +232,67 @@ mod tests {
             assert_eq!(s.offer(b"x"), SinkStatus::Accepted);
         }
         assert_eq!(s.digest().unwrap().frames, 100);
+    }
+
+    fn fingerprint(frames: &[Vec<u8>]) -> SinkDigest {
+        let mut d = SinkDigest::new();
+        for f in frames {
+            d.absorb(f);
+        }
+        d
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Same frames in the same order give the same fingerprint; a
+        /// flipped bit, an appended zero byte, a moved frame boundary
+        /// or two swapped frames each change it. Frames of 0..=40 bytes
+        /// cross the 8-byte word boundary and leave every tail length.
+        #[test]
+        fn fingerprint_pins_bytes_boundaries_and_order(
+            frames in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=40),
+                1..6,
+            ),
+            pick in proptest::prelude::any::<usize>(),
+            bit in proptest::prelude::any::<usize>(),
+            cut in proptest::prelude::any::<usize>(),
+        ) {
+            let d = fingerprint(&frames);
+            proptest::prop_assert_eq!(d, fingerprint(&frames));
+            proptest::prop_assert_eq!(d.frames, frames.len() as u64);
+            let i = pick % frames.len();
+
+            if !frames[i].is_empty() {
+                let mut flipped = frames.clone();
+                let b = bit % (flipped[i].len() * 8);
+                flipped[i][b / 8] ^= 1 << (b % 8);
+                proptest::prop_assert_ne!(fingerprint(&flipped), d, "bit flip");
+            }
+
+            let mut padded = frames.clone();
+            padded[i].push(0);
+            proptest::prop_assert_ne!(fingerprint(&padded), d, "appended zero byte");
+
+            if frames.len() >= 2 {
+                let j = i % (frames.len() - 1);
+                let joined = [frames[j].as_slice(), frames[j + 1].as_slice()].concat();
+                let k = cut % (joined.len() + 1);
+                if k != frames[j].len() {
+                    let mut moved = frames.clone();
+                    moved[j] = joined[..k].to_vec();
+                    moved[j + 1] = joined[k..].to_vec();
+                    proptest::prop_assert_ne!(fingerprint(&moved), d, "moved boundary");
+                }
+                let k = (j + 1 + cut % (frames.len() - 1)) % frames.len();
+                if frames[j] != frames[k] {
+                    let mut swapped = frames.clone();
+                    swapped.swap(j, k);
+                    proptest::prop_assert_ne!(fingerprint(&swapped), d, "swapped frames");
+                }
+            }
+        }
     }
 
     #[test]

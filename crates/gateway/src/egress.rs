@@ -123,11 +123,16 @@ pub enum PushOutcome {
 
 /// A bounded, class-aware queue for one client's lane.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub struct EgressQueue {
     cap: usize,
     hrt: VecDeque<EgressEntry>,
     srt: VecDeque<EgressEntry>,
     nrt: VecDeque<EgressEntry>,
+    /// A lower bound on the expiry of every queued SRT entry
+    /// (`u64::MAX` when none has one): lowered by every SRT enqueue,
+    /// reset to the exact minimum by every sweep.
+    srt_floor: u64,
     /// Counters, maintained by `push`/`flush`.
     pub stats: LaneStats,
 }
@@ -162,6 +167,7 @@ impl EgressQueue {
             hrt: VecDeque::new(),
             srt: VecDeque::new(),
             nrt: VecDeque::new(),
+            srt_floor: u64::MAX,
             stats: LaneStats::default(),
         }
     }
@@ -178,10 +184,28 @@ impl EgressQueue {
 
     /// Drop queued SRT entries whose validity window closed at or
     /// before `watermark` (bus ns). Returns how many were dropped.
+    ///
+    /// The queue keeps a floor at or below every queued SRT expiry
+    /// (every SRT enqueue lowers it; nothing assumes expiries arrive in
+    /// order, since subjects have their own validity windows). While
+    /// the floor is above `watermark` no entry can be stale, so the
+    /// sweep is skipped outright; a sweep resets the floor to the
+    /// exact minimum of what it keeps.
     pub fn purge_stale_srt(&mut self, watermark: u64) -> u64 {
+        if self.srt_floor > watermark {
+            return 0;
+        }
         let before = self.srt.len();
-        self.srt
-            .retain(|e| e.expiry_ns.is_none_or(|x| x > watermark));
+        let mut floor = u64::MAX;
+        self.srt.retain(|e| match e.expiry_ns {
+            Some(x) if x <= watermark => false,
+            Some(x) => {
+                floor = floor.min(x);
+                true
+            }
+            None => true,
+        });
+        self.srt_floor = floor;
         let dropped = (before - self.srt.len()) as u64;
         self.stats.shed_srt_stale += dropped;
         dropped
@@ -222,7 +246,7 @@ impl EgressQueue {
                 }
             }
         }
-        self.class_queue(entry.class).push_back(entry);
+        self.enqueue(entry);
         self.stats.peak = self.stats.peak.max(self.len());
         if shed_something {
             PushOutcome::Shed
@@ -264,7 +288,7 @@ impl EgressQueue {
             } += 1;
             return true;
         }
-        self.class_queue(entry.class).push_back(entry.clone());
+        self.enqueue(entry.clone());
         verdict == FlushVerdict::Blocked
     }
 
@@ -273,6 +297,19 @@ impl EgressQueue {
             ChannelClass::Hrt => &mut self.hrt,
             ChannelClass::Srt => &mut self.srt,
             ChannelClass::Nrt => &mut self.nrt,
+        }
+    }
+
+    /// Append `entry` to its class queue, keeping the SRT floor.
+    fn enqueue(&mut self, entry: EgressEntry) {
+        self.lower_srt_floor(&entry);
+        self.class_queue(entry.class).push_back(entry);
+    }
+
+    /// Keep the floor at or below `entry`'s expiry if it is queued SRT.
+    fn lower_srt_floor(&mut self, entry: &EgressEntry) {
+        if let (ChannelClass::Srt, Some(x)) = (entry.class, entry.expiry_ns) {
+            self.srt_floor = self.srt_floor.min(x);
         }
     }
 
@@ -300,12 +337,12 @@ impl EgressQueue {
             return false;
         }
         let q = self.class_queue(entry.class);
-        if let Some(old) = q.iter_mut().find(|e| e.uid == entry.uid && !e.frag) {
-            *old = entry.clone();
-            true
-        } else {
-            false
-        }
+        let Some(old) = q.iter_mut().find(|e| e.uid == entry.uid && !e.frag) else {
+            return false;
+        };
+        *old = entry.clone();
+        self.lower_srt_floor(entry);
+        true
     }
 
     /// Drain ready entries into the sink closure, HRT before SRT
@@ -781,6 +818,63 @@ mod tests {
                 proptest::prop_assert_eq!(direct.stats, queued.stats);
                 proptest::prop_assert_eq!(contents(&direct), contents(&queued));
                 proptest::prop_assert_eq!(&sink_d.offered, &sink_q.offered);
+            }
+        }
+
+        /// The floor-gated sweep is exact: after every step, on a copy
+        /// of the queue, `purge_stale_srt(at)` drops exactly the queued
+        /// SRT entries a brute-force scan finds expired at `at`, and
+        /// leaves none — probed at a random point ahead and at the
+        /// earliest queued expiry, where a floor left too high shows
+        /// first. Two subjects with different validity windows, plus
+        /// per-event jitter, keep expiries out of push order (within a
+        /// subject too, so a coalesce replacement can lower the floor);
+        /// the steps run every policy at caps 1..4, direct offers the
+        /// sink refuses (requeues) and flushes of a mostly busy sink.
+        #[test]
+        fn stale_sweep_matches_brute_force(
+            policy in 0u8..3,
+            cap in 1usize..=4,
+            steps in proptest::collection::vec(
+                (0u8..3, 0u64..2, 0u64..4, 0u64..16, 0u64..24, 0u8..8),
+                1..48,
+            ),
+        ) {
+            let policy = [
+                SlowConsumerPolicy::Disconnect,
+                SlowConsumerPolicy::ShedNrtFirst,
+                SlowConsumerPolicy::CoalesceToLatest,
+            ][policy as usize];
+            let mut q = EgressQueue::new(cap);
+            let mut watermark = 0u64;
+            for &(class, uid, dt, jitter, probe, verdict) in &steps {
+                watermark += dt;
+                let class = [ChannelClass::Hrt, ChannelClass::Srt, ChannelClass::Nrt][class as usize];
+                let window = [3, 24][uid as usize] + jitter;
+                let e = entry(
+                    class,
+                    uid,
+                    watermark,
+                    (class == ChannelClass::Srt).then_some(watermark + window),
+                );
+                // One offer in eight is taken, so queues fill and shed.
+                let offer = |_: FlushItem<'_>| {
+                    if verdict == 0 { FlushVerdict::Taken } else { FlushVerdict::Blocked }
+                };
+                if q.is_direct(&e, watermark) {
+                    q.offer_direct(&e, offer);
+                } else if q.push(e, policy, watermark) != PushOutcome::Disconnect {
+                    q.flush(watermark, 4, offer);
+                }
+                let earliest = q.srt.iter().filter_map(|e| e.expiry_ns).min();
+                for at in [Some(watermark + probe), earliest].into_iter().flatten() {
+                    let mut p = q.clone();
+                    let expired = |e: &EgressEntry| e.expiry_ns.is_some_and(|x| x <= at);
+                    let stale = p.srt.iter().filter(|e| expired(e)).count() as u64;
+                    proptest::prop_assert_eq!(p.purge_stale_srt(at), stale);
+                    proptest::prop_assert_eq!(p.stats.shed_srt_stale - q.stats.shed_srt_stale, stale);
+                    proptest::prop_assert!(!p.srt.iter().any(expired));
+                }
             }
         }
     }

@@ -339,6 +339,7 @@ impl Gateway {
                 closed: Vec::new(),
                 watermark_ns: 0,
                 stats: ShardStats::default(),
+                notice_buf: Vec::new(),
                 sessions: Arc::clone(&sessions),
                 meta: Arc::clone(&meta),
                 trace: cfg.sink.clone(),
@@ -949,6 +950,8 @@ struct WorkerState {
     closed: Vec<LaneReport>,
     watermark_ns: u64,
     stats: ShardStats,
+    /// Reused encode buffer for `Shed` notices.
+    notice_buf: Vec<u8>,
     sessions: Arc<Mutex<SessionStore>>,
     meta: Arc<Mutex<HashMap<u64, SubjectMeta>>>,
     trace: SharedTraceSink,
@@ -1181,10 +1184,9 @@ impl WorkerState {
             *client,
             &mut queue.stats,
             sink,
+            &mut self.notice_buf,
             at_ns,
-            self.trace_verbose,
-            &self.trace,
-            self.src,
+            self.trace_verbose.then_some((&self.trace, self.src)),
         );
         let offer = |item: FlushItem<'_>| offer_item(sink, session.as_deref(), item);
         let alive = match direct {
@@ -1300,15 +1302,16 @@ fn shed_counts(stats: &LaneStats) -> (u64, u64, u64) {
 /// of silence — one notice per (class, reason), so an SRT pressure shed
 /// is never reported as NRT. Only an attached lane is notified (a
 /// detached lane's sheds surface through watermark accounting at
-/// resume).
+/// resume). Each notice is encoded into `buf`, the worker's reused
+/// buffer, so a notice allocates nothing; `trace` is where a verbose
+/// worker records them.
 fn notify_sheds(
     client: u32,
     stats: &mut LaneStats,
     sink: &mut SinkHandle,
+    buf: &mut Vec<u8>,
     at_ns: u64,
-    verbose: bool,
-    trace: &SharedTraceSink,
-    src: SourceId,
+    trace: Option<(&SharedTraceSink, SourceId)>,
 ) {
     let (nrt, srt_cap, srt_stale) = shed_counts(stats);
     let notified = stats.shed_notified;
@@ -1321,12 +1324,17 @@ fn notify_sheds(
         if count == 0 {
             continue;
         }
-        let _ = sink.offer(&wire::encode_to_client(&ToClient::Shed {
-            class,
-            reason,
-            count: count.min(u64::from(u32::MAX)) as u32,
-        }));
-        if verbose {
+        buf.clear();
+        wire::encode_to_client_into(
+            &ToClient::Shed {
+                class,
+                reason,
+                count: count.min(u64::from(u32::MAX)) as u32,
+            },
+            buf,
+        );
+        let _ = sink.offer(buf);
+        if let Some((trace, src)) = trace {
             trace.emit_fields(
                 Time::from_ns(at_ns),
                 src,
@@ -1593,9 +1601,8 @@ mod tests {
             shed_srt_stale: 1,
             ..LaneStats::default()
         };
-        let trace = SharedTraceSink::disabled();
-        let src = trace.intern("test");
-        notify_sheds(0, &mut stats, &mut sink, 0, false, &trace, src);
+        let mut buf = Vec::new();
+        notify_sheds(0, &mut stats, &mut sink, &mut buf, 0, None);
         let got = msgs.lock().unwrap_or_else(|e| e.into_inner()).clone();
         assert_eq!(
             got,
@@ -1618,7 +1625,7 @@ mod tests {
             ]
         );
         // A second round with no new sheds is silent.
-        notify_sheds(0, &mut stats, &mut sink, 0, false, &trace, src);
+        notify_sheds(0, &mut stats, &mut sink, &mut buf, 0, None);
         assert_eq!(msgs.lock().unwrap_or_else(|e| e.into_inner()).len(), 3);
     }
 

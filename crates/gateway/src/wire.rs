@@ -433,13 +433,20 @@ pub fn encode_to_gateway(msg: &ToGateway) -> Vec<u8> {
 /// Encode a gateway → client message.
 pub fn encode_to_client(msg: &ToClient) -> Vec<u8> {
     let mut out = Vec::with_capacity(48);
+    encode_to_client_into(msg, &mut out);
+    out
+}
+
+/// Append the encoding of a gateway → client message to `out`, so a
+/// caller that reuses one buffer encodes without allocating.
+pub fn encode_to_client_into(msg: &ToClient, out: &mut Vec<u8>) {
     match msg {
         ToClient::Welcome {
             client,
             now_ns,
             session,
         } => {
-            header(K_WELCOME, &mut out);
+            header(K_WELCOME, out);
             out.extend_from_slice(&client.to_le_bytes());
             out.extend_from_slice(&now_ns.to_le_bytes());
             // v2 tail: token 0 means "no session" (in-process client).
@@ -451,57 +458,56 @@ pub fn encode_to_client(msg: &ToClient) -> Vec<u8> {
             out.push(verdict.code());
         }
         ToClient::Event(ev) => {
-            header(K_EVENT, &mut out);
+            header(K_EVENT, out);
             out.push(class_code(ev.class));
             out.push(ev.origin);
             out.extend_from_slice(&ev.uid.to_le_bytes());
             out.extend_from_slice(&ev.seq.to_le_bytes());
             out.extend_from_slice(&ev.wire_ns.to_le_bytes());
             out.extend_from_slice(&ev.release_ns.to_le_bytes());
-            push_payload(&ev.payload, &mut out);
+            push_payload(&ev.payload, out);
         }
         ToClient::Batch { entries } => {
-            header(K_BATCH, &mut out);
+            header(K_BATCH, out);
             out.push(entries.len().min(255) as u8);
             for e in entries.iter().take(255) {
                 out.push(e.origin);
                 out.extend_from_slice(&e.uid.to_le_bytes());
                 out.extend_from_slice(&e.seq.to_le_bytes());
                 out.extend_from_slice(&e.wire_ns.to_le_bytes());
-                push_payload(&e.payload, &mut out);
+                push_payload(&e.payload, out);
             }
         }
         ToClient::Frag(fr) => {
-            header(K_FRAG, &mut out);
+            header(K_FRAG, out);
             out.push(fr.origin);
             out.extend_from_slice(&fr.uid.to_le_bytes());
             out.extend_from_slice(&fr.seq.to_le_bytes());
             out.extend_from_slice(&fr.wire_ns.to_le_bytes());
             out.extend_from_slice(&fr.offset.to_le_bytes());
             out.extend_from_slice(&fr.total.to_le_bytes());
-            push_payload(&fr.chunk, &mut out);
+            push_payload(&fr.chunk, out);
         }
         ToClient::Shed {
             class,
             reason,
             count,
         } => {
-            header(K_SHED, &mut out);
+            header(K_SHED, out);
             out.push(class_code(*class));
             out.push(reason.code());
             out.extend_from_slice(&count.to_le_bytes());
         }
         ToClient::Gap { class, count } => {
-            header(K_GAP, &mut out);
+            header(K_GAP, out);
             out.push(class_code(*class));
             out.extend_from_slice(&count.to_le_bytes());
         }
         ToClient::Disconnect { reason } => {
-            header(K_DISCONNECT, &mut out);
+            header(K_DISCONNECT, out);
             out.push(reason.code());
         }
     }
-    out
 }
 
 /// Append a `u16`-length-prefixed byte string.

@@ -12,9 +12,9 @@
 use proptest::prelude::*;
 use rtec_core::ChannelClass;
 use rtec_gateway::wire::{
-    decode_to_client, decode_to_gateway, encode_to_client, encode_to_gateway, BatchEntry,
-    ClassWatermarks, EventMsg, FragMsg, Reason, ResumeReq, ResumeVerdict, SessionInfo, ToClient,
-    ToGateway, WireError, MAGIC, WIRE_VERSION,
+    decode_to_client, decode_to_gateway, encode_to_client, encode_to_client_into,
+    encode_to_gateway, BatchEntry, ClassWatermarks, EventMsg, FragMsg, Reason, ResumeReq,
+    ResumeVerdict, SessionInfo, ToClient, ToGateway, WireError, MAGIC, WIRE_VERSION,
 };
 
 fn arb_class() -> impl Strategy<Value = ChannelClass> {
@@ -228,6 +228,21 @@ proptest! {
     fn to_client_round_trips(msg in arb_to_client()) {
         let bytes = encode_to_client(&msg);
         prop_assert_eq!(decode_to_client(&bytes).unwrap(), msg);
+    }
+
+    /// The appending encoder is the same codec: after any prefix it
+    /// adds exactly `encode_to_client`'s bytes and leaves the prefix
+    /// as it was.
+    #[test]
+    fn encode_into_appends_exactly_the_encoding(
+        msg in arb_to_client(),
+        prefix in prop::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let mut buf = prefix.clone();
+        encode_to_client_into(&msg, &mut buf);
+        prop_assert_eq!(&buf[..prefix.len()], prefix.as_slice());
+        let whole = encode_to_client(&msg);
+        prop_assert_eq!(&buf[prefix.len()..], whole.as_slice());
     }
 
     /// Arbitrary byte strings never panic either decoder.
