@@ -96,11 +96,14 @@ pub enum RuleId {
     /// The live runtime hosts the CAN bus model; it does not restate
     /// its frame-length, error-frame or fault arithmetic.
     LiveCopiesBusModel,
+    /// The broker and gateway protocols put integers on the wire only
+    /// through the message kernel in `rtec_can::codec`.
+    HandRolledCodec,
 }
 
 impl RuleId {
     /// All rules: static configuration, then trace, then source lints.
-    pub const ALL: [RuleId; 25] = [
+    pub const ALL: [RuleId; 26] = [
         RuleId::SlotOverlap,
         RuleId::SlotSetupMargin,
         RuleId::PriorityBandPartition,
@@ -126,9 +129,10 @@ impl RuleId {
         RuleId::UnnamedThreadSpawn,
         RuleId::MachineNamesIo,
         RuleId::LiveCopiesBusModel,
+        RuleId::HandRolledCodec,
     ];
 
-    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C8`).
+    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C9`).
     pub fn code(self) -> &'static str {
         match self {
             RuleId::SlotOverlap => "S1",
@@ -156,6 +160,7 @@ impl RuleId {
             RuleId::UnnamedThreadSpawn => "C6",
             RuleId::MachineNamesIo => "C7",
             RuleId::LiveCopiesBusModel => "C8",
+            RuleId::HandRolledCodec => "C9",
         }
     }
 
@@ -186,7 +191,9 @@ impl RuleId {
             | RuleId::StraySleep
             | RuleId::StrayWallClock
             | RuleId::UnnamedThreadSpawn => "DESIGN.md §6",
-            RuleId::MachineNamesIo | RuleId::LiveCopiesBusModel => "DESIGN.md §5",
+            RuleId::MachineNamesIo | RuleId::LiveCopiesBusModel | RuleId::HandRolledCodec => {
+                "DESIGN.md §5"
+            }
         }
     }
 
@@ -241,6 +248,9 @@ impl RuleId {
                  the bus and transports belong to its hosts"
             }
             RuleId::LiveCopiesBusModel => "the bus model lives in rtec-can; the broker hosts it",
+            RuleId::HandRolledCodec => {
+                "the wire kernel lives in rtec_can::codec; the protocols are written on it"
+            }
         }
     }
 }

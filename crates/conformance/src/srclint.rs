@@ -1,8 +1,9 @@
 //! Source lints: concurrency hygiene (`C1`..`C6`) for the concurrent
 //! runtimes — the live broker/node threads and the parallel simulation
 //! driver — the sans-IO contract (`C7`) of the channel-class machine
-//! they and the simulator host, and the one-bus-model contract (`C8`)
-//! of the live runtime.
+//! they and the simulator host, the one-bus-model contract (`C8`) of
+//! the live runtime, and the one-wire-kernel contract (`C9`) of the
+//! broker and gateway protocols.
 //!
 //! The loom model-check suites (see `crates/live/tests/loom_model.rs`
 //! and `crates/sim/tests/loom_model.rs`) only prove anything about
@@ -26,6 +27,10 @@
 //! | `C8` | `exact_frame_bits`, `ERROR_FRAME_BITS`, `FaultDecision`,     |
 //! |      | `.decide(` under `crates/live/src`: the bus model's own      |
 //! |      | arithmetic, which the broker hosts and must not restate      |
+//! | `C9` | `from_le_bytes`/`to_le_bytes`/`from_be_bytes`/`to_be_bytes`  |
+//! |      | under `crates/live/src` and `crates/gateway/src` (bar the    |
+//! |      | sink fingerprint in `client.rs`): byte order belongs to the  |
+//! |      | wire kernel in `rtec_can::codec`                             |
 //!
 //! The pass is textual, not syntactic — deliberately: it must run in
 //! CI with no rustc internals and no third-party parser. To keep the
@@ -40,7 +45,8 @@
 //! scope). `C7` is the one rule with a scope of its own: it runs on
 //! `rtec_core::machine` alone, and `C1`..`C6` do not (the machine may
 //! share its calendar through a plain `std::sync::Arc`). `C8` runs on
-//! `crates/live/src` on top of `C1`..`C6`.
+//! `crates/live/src` on top of `C1`..`C6`, and `C9` on both
+//! `crates/live/src` and `crates/gateway/src`.
 
 use crate::diag::{Report, RuleId};
 use std::fs;
@@ -358,6 +364,25 @@ const BUS_COPY_RULE: TextRule = TextRule {
     fix: "submit to the hosted rtec_can::CanBus and act on its notifications",
 };
 
+/// The other directory `C9` guards.
+const GATEWAY_DIR: &str = "crates/gateway/src/";
+
+/// `C9`: what only a hand-rolled codec would need.
+const CODEC_RULE: TextRule = TextRule {
+    id: RuleId::HandRolledCodec,
+    needles: &[
+        "from_le_bytes",
+        "to_le_bytes",
+        "from_be_bytes",
+        "to_be_bytes",
+    ],
+    // `SinkDigest::absorb` folds a frame into a fingerprint as words;
+    // it reads bytes, it does not define a format.
+    allow_files: &["client.rs"],
+    unless_on_line: None,
+    fix: "write with rtec_can::codec::Put and read with codec::Reader (or codec::read_frame)",
+};
+
 /// Lint a set of already-loaded sources. Pure — the unit of testing.
 pub fn lint_sources(files: &[SrcFile]) -> Report {
     let mut report = Report::new();
@@ -368,8 +393,10 @@ pub fn lint_sources(files: &[SrcFile]) -> Report {
         } else {
             RULES
         };
-        let live_only = file.path.contains(LIVE_DIR).then_some(&BUS_COPY_RULE);
-        for rule in rules.iter().chain(live_only) {
+        let live = file.path.contains(LIVE_DIR);
+        let live_only = live.then_some(&BUS_COPY_RULE);
+        let wire = (live || file.path.contains(GATEWAY_DIR)).then_some(&CODEC_RULE);
+        for rule in rules.iter().chain(live_only).chain(wire) {
             if rule.allow_files.contains(&file.file_name()) {
                 continue;
             }
@@ -604,6 +631,37 @@ mod tests {
         // ... and the rule stops at the live runtime's door.
         let gateway = SrcFile::new("crates/gateway/src/gateway.rs", "exact_frame_bits(&f);");
         assert!(lint_sources(&[gateway]).passes());
+    }
+
+    #[test]
+    fn c9_fires_on_byte_order_conversions_in_both_protocol_crates() {
+        for stmt in [
+            "out.extend_from_slice(&handle.to_le_bytes());",
+            "let n = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);",
+            "let id = u32::from_be_bytes(raw);",
+            "w.write_all(&len.to_be_bytes())?;",
+        ] {
+            let rep = lint_one("wire.rs", stmt);
+            assert!(rep.fired(RuleId::HandRolledCodec), "{stmt}: {rep}");
+            let rep = lint_gateway("net.rs", stmt);
+            assert!(rep.fired(RuleId::HandRolledCodec), "{stmt}: {rep}");
+        }
+        // Writing on the kernel is the point ...
+        let rep = lint_gateway(
+            "wire.rs",
+            concat!(
+                "out.put_u64(ev.uid);\n",
+                "let uid = r.u64()?;\n",
+                "codec::write_frame(w, msg, MAX_FRAME_LEN)\n",
+            ),
+        );
+        assert!(rep.passes(), "{rep}");
+        // ... the sink fingerprint folds words, it is not a codec ...
+        let rep = lint_gateway("client.rs", "h = fold(h, u64::from_le_bytes(w));");
+        assert!(rep.passes(), "{rep}");
+        // ... and the kernel itself lives outside the rule's reach.
+        let kernel = SrcFile::new("crates/can/src/codec.rs", "v.to_le_bytes()");
+        assert!(lint_sources(&[kernel]).passes());
     }
 
     #[test]

@@ -25,8 +25,8 @@ use std::collections::VecDeque;
 
 /// Byte budget of one NRT `Batch` message (payloads plus per-entry
 /// envelopes): keeps every encoded batch comfortably under the wire
-/// codec's frame cap regardless of `batch_max` and the configured
-/// fragment threshold.
+/// codec's frame cap regardless of `batch_max` and the fragment
+/// threshold.
 const MAX_BATCH_BYTES: usize = 32 * 1024;
 /// Conservative per-entry envelope inside a `Batch` frame (fixed
 /// fields plus the payload length prefix, rounded up).

@@ -58,21 +58,15 @@ pub use crate::wire::ResumeVerdict;
 /// stays busy this long is treated as dead and the resume aborts.
 const RESUME_OFFER_RETRIES: usize = 1 << 12;
 
+/// Policy for clients that register without one of their own.
+const DEFAULT_POLICY: SlowConsumerPolicy = SlowConsumerPolicy::ShedNrtFirst;
+
 /// Gateway construction parameters.
 pub struct GatewayConfig {
     /// Fanout worker threads (clients are spread across them).
     pub workers: usize,
     /// Bound of each client's egress queue, in entries.
     pub client_queue_cap: usize,
-    /// Most NRT events coalesced into one batch message.
-    pub nrt_batch_max: usize,
-    /// NRT payloads above this many bytes are fragment-streamed.
-    pub frag_chunk: usize,
-    /// Depth of each worker's ingress channel (bounded; a full channel
-    /// backpressures the gateway node, never drops).
-    pub ingress_depth: usize,
-    /// Policy for clients that register without one of their own.
-    pub default_policy: SlowConsumerPolicy,
     /// How long (bus time) a detached session stays resumable.
     pub session_ttl_ns: u64,
     /// Per-class replay ring bound, in frames. Misses beyond it become
@@ -81,9 +75,6 @@ pub struct GatewayConfig {
     /// Trace sink shared with the cluster (see `Cluster::use_sink`) so
     /// gateway records merge into the audited trace.
     pub sink: SharedTraceSink,
-    /// Also emit per-occurrence shed/disconnect records (off by
-    /// default: a 10k-client bench would flood a bounded trace ring).
-    pub trace_verbose: bool,
 }
 
 impl Default for GatewayConfig {
@@ -91,14 +82,9 @@ impl Default for GatewayConfig {
         GatewayConfig {
             workers: 4,
             client_queue_cap: 64,
-            nrt_batch_max: 8,
-            frag_chunk: 256,
-            ingress_depth: mpsc::DEFAULT_DEPTH,
-            default_policy: SlowConsumerPolicy::ShedNrtFirst,
             session_ttl_ns: 1_000_000_000,
             resume_ring_cap: 128,
             sink: SharedTraceSink::disabled(),
-            trace_verbose: false,
         }
     }
 }
@@ -288,7 +274,6 @@ pub struct GatewayReport {
 
 struct Inner {
     workers: usize,
-    default_policy: SlowConsumerPolicy,
     senders: Mutex<Option<Vec<mpsc::SyncSender<GwMsg>>>>,
     handles: Mutex<Option<Vec<thread::JoinHandle<ShardReport>>>>,
     next_client: Mutex<u32>,
@@ -324,14 +309,12 @@ impl Gateway {
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for shard in 0..workers {
-            let (tx, rx) = mpsc::bounded(cfg.ingress_depth.max(1));
+            // Bounded: a full channel backpressures the gateway node,
+            // never drops.
+            let (tx, rx) = mpsc::bounded(mpsc::DEFAULT_DEPTH);
             let mut state = WorkerState {
                 shard,
                 cap: cfg.client_queue_cap.max(1),
-                batch_max: cfg.nrt_batch_max.max(1),
-                // Clamped so every fragment still fits a wire frame.
-                frag_chunk: cfg.frag_chunk.clamp(1, wire::MAX_PAYLOAD),
-                trace_verbose: cfg.trace_verbose,
                 subs: HashMap::new(),
                 lanes: Vec::new(),
                 slots: HashMap::new(),
@@ -369,7 +352,6 @@ impl Gateway {
         Gateway {
             inner: Arc::new(Inner {
                 workers,
-                default_policy: cfg.default_policy,
                 senders: Mutex::new(Some(senders)),
                 handles: Mutex::new(Some(handles)),
                 next_client: Mutex::new(0),
@@ -455,7 +437,7 @@ impl Gateway {
             client,
             uids: subjects.iter().map(|s| s.uid()).collect(),
             sink: spec.instantiate(client, self.worker_of(client)),
-            policy: policy.unwrap_or(self.inner.default_policy),
+            policy: policy.unwrap_or(DEFAULT_POLICY),
             session: None,
             incarnation: 0,
             resume: None,
@@ -472,7 +454,7 @@ impl Gateway {
         subjects: &[Subject],
         policy: Option<SlowConsumerPolicy>,
     ) -> u64 {
-        let policy = policy.unwrap_or(self.inner.default_policy);
+        let policy = policy.unwrap_or(DEFAULT_POLICY);
         let uids: Vec<u64> = subjects.iter().map(|s| s.uid()).collect();
         self.inner
             .sessions
@@ -879,7 +861,7 @@ impl Lane {
     /// Drain the queue into the sink, if one is attached. Returns
     /// `false` when the sink reported itself gone (nothing is popped in
     /// that case — see [`EgressQueue::flush`]).
-    fn flush(&mut self, watermark: u64, batch_max: usize) -> bool {
+    fn flush(&mut self, watermark: u64) -> bool {
         let Lane {
             queue,
             sink,
@@ -889,18 +871,18 @@ impl Lane {
         let Some(sink) = sink.as_mut() else {
             return true;
         };
-        queue.flush(watermark, batch_max, |item| {
+        queue.flush(watermark, wire::NRT_BATCH_MAX, |item| {
             offer_item(sink, session.as_deref(), item)
         })
     }
 
     /// Last call before the lane ends: drain what the sink will still
     /// take, then say goodbye.
-    fn last_call(&mut self, watermark: u64, batch_max: usize) {
+    fn last_call(&mut self, watermark: u64) {
         if self.gone {
             return;
         }
-        self.flush(watermark, batch_max);
+        self.flush(watermark);
         if let Some(sink) = self.sink.as_mut() {
             let _ = sink.offer(&wire::encode_to_client(&ToClient::Disconnect {
                 reason: Reason::Shutdown,
@@ -932,11 +914,6 @@ impl Lane {
 struct WorkerState {
     shard: usize,
     cap: usize,
-    batch_max: usize,
-    /// NRT payloads above this many bytes are fragment-streamed
-    /// (config value, clamped to [`wire::MAX_PAYLOAD`]).
-    frag_chunk: usize,
-    trace_verbose: bool,
     /// Subject uid → slots of the lanes subscribed to it.
     subs: HashMap<u64, Vec<usize>>,
     /// The lane slab, indexed by slot. A closed lane's slot is on
@@ -1016,7 +993,7 @@ impl WorkerState {
         let lane = &mut self.lanes[slot];
         lane.sink = Some(sink);
         // Release what queued while the lane was detached.
-        if !lane.flush(self.watermark_ns, self.batch_max) {
+        if !lane.flush(self.watermark_ns) {
             self.sink_lost(slot);
         }
     }
@@ -1090,7 +1067,7 @@ impl WorkerState {
             lane.sink = None;
             return;
         }
-        lane.last_call(self.watermark_ns, self.batch_max);
+        lane.last_call(self.watermark_ns);
         self.stats.undelivered += lane.queue.drain_remaining() as u64;
         self.closed.push(lane.report(self.shard));
         // Drop the sink (a socket client sees its stream close) and the
@@ -1113,7 +1090,7 @@ impl WorkerState {
             Some(v) if !v.is_empty() => std::mem::take(v),
             _ => return,
         };
-        let entries = encode_entries(ev, self.frag_chunk);
+        let entries = encode_entries(ev);
         if entries.is_empty() {
             // An HRT/SRT payload no single wire frame can carry:
             // encoding it truncated or oversized would corrupt the
@@ -1142,7 +1119,7 @@ impl WorkerState {
                 ],
             );
             for &slot in &slots {
-                self.deliver(slot, &entries, ev.delivered_ns);
+                self.deliver(slot, &entries);
             }
         }
         self.subs.insert(ev.uid, slots);
@@ -1152,10 +1129,9 @@ impl WorkerState {
     /// attached sink when the queue would only pass the entry through
     /// ([`EgressQueue::is_direct`]), else queued under the lane's policy
     /// and flushed.
-    fn deliver(&mut self, slot: usize, entries: &[EgressEntry], at_ns: u64) {
+    fn deliver(&mut self, slot: usize, entries: &[EgressEntry]) {
         let watermark = self.watermark_ns;
         let Lane {
-            client,
             queue,
             sink,
             session,
@@ -1175,23 +1151,16 @@ impl WorkerState {
                 .iter()
                 .all(|e| queue.push(e.clone(), *policy, watermark) != PushOutcome::Disconnect)
         {
-            return self.policy_kill(slot, at_ns);
+            return self.policy_kill(slot);
         }
         let Some(sink) = sink.as_mut() else {
             return; // detached: the queue keeps filling
         };
-        notify_sheds(
-            *client,
-            &mut queue.stats,
-            sink,
-            &mut self.notice_buf,
-            at_ns,
-            self.trace_verbose.then_some((&self.trace, self.src)),
-        );
+        notify_sheds(&mut queue.stats, sink, &mut self.notice_buf);
         let offer = |item: FlushItem<'_>| offer_item(sink, session.as_deref(), item);
         let alive = match direct {
             Some(entry) => queue.offer_direct(entry, offer),
-            None => queue.flush(watermark, self.batch_max, offer),
+            None => queue.flush(watermark, wire::NRT_BATCH_MAX, offer),
         };
         if !alive {
             self.sink_lost(slot);
@@ -1200,7 +1169,7 @@ impl WorkerState {
 
     /// A policy kill ends the session for good — a consumer too slow
     /// while connected would only fall further behind across a resume.
-    fn policy_kill(&mut self, slot: usize, at_ns: u64) {
+    fn policy_kill(&mut self, slot: usize) {
         let lane = &mut self.lanes[slot];
         if let Some(sink) = lane.sink.as_mut() {
             let _ = sink.offer(&wire::encode_to_client(&ToClient::Disconnect {
@@ -1208,22 +1177,10 @@ impl WorkerState {
             }));
         }
         lane.kill(&mut self.stats);
-        let client = lane.client;
         self.sessions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .end(client, false);
-        if self.trace_verbose {
-            self.trace.emit_fields(
-                Time::from_ns(at_ns),
-                self.src,
-                "gw_disconnect",
-                &[
-                    ("client", u64::from(client)),
-                    ("reason", u64::from(Reason::Slow.code())),
-                ],
-            );
-        }
+            .end(lane.client, false);
     }
 
     /// The lane's sink is gone: park a resumable session's lane in
@@ -1247,7 +1204,7 @@ impl WorkerState {
         let mut lanes = std::mem::take(&mut self.closed);
         for (_, slot) in live {
             let lane = &mut self.lanes[slot];
-            lane.last_call(u64::MAX, self.batch_max);
+            lane.last_call(u64::MAX);
             self.stats.undelivered += lane.queue.drain_remaining() as u64;
             lanes.push(lane.report(self.shard));
         }
@@ -1297,22 +1254,14 @@ fn shed_counts(stats: &LaneStats) -> (u64, u64, u64) {
     (stats.shed_nrt, stats.shed_srt_cap, stats.shed_srt_stale)
 }
 
-/// Offer best-effort `Shed` notices covering what `client`'s lane has
-/// shed since the last notice round, so clients observe the gap instead
-/// of silence — one notice per (class, reason), so an SRT pressure shed
-/// is never reported as NRT. Only an attached lane is notified (a
-/// detached lane's sheds surface through watermark accounting at
-/// resume). Each notice is encoded into `buf`, the worker's reused
-/// buffer, so a notice allocates nothing; `trace` is where a verbose
-/// worker records them.
-fn notify_sheds(
-    client: u32,
-    stats: &mut LaneStats,
-    sink: &mut SinkHandle,
-    buf: &mut Vec<u8>,
-    at_ns: u64,
-    trace: Option<(&SharedTraceSink, SourceId)>,
-) {
+/// Offer best-effort `Shed` notices covering what a lane has shed since
+/// the last notice round, so clients observe the gap instead of silence
+/// — one notice per (class, reason), so an SRT pressure shed is never
+/// reported as NRT. Only an attached lane is notified (a detached
+/// lane's sheds surface through watermark accounting at resume). Each
+/// notice is encoded into `buf`, the worker's reused buffer, so a
+/// notice allocates nothing.
+fn notify_sheds(stats: &mut LaneStats, sink: &mut SinkHandle, buf: &mut Vec<u8>) {
     let (nrt, srt_cap, srt_stale) = shed_counts(stats);
     let notified = stats.shed_notified;
     let deltas = [
@@ -1334,19 +1283,6 @@ fn notify_sheds(
             buf,
         );
         let _ = sink.offer(buf);
-        if let Some((trace, src)) = trace {
-            trace.emit_fields(
-                Time::from_ns(at_ns),
-                src,
-                "gw_shed",
-                &[
-                    ("client", u64::from(client)),
-                    ("class", class_field(class)),
-                    ("reason", u64::from(reason.code())),
-                    ("count", count),
-                ],
-            );
-        }
     }
     stats.shed_notified = [nrt, srt_cap, srt_stale];
 }
@@ -1423,11 +1359,11 @@ fn class_field(class: ChannelClass) -> u64 {
 /// Pre-encode an ingress event into the entries every subscribed lane
 /// will queue: one `Event` message, or a fragment stream for NRT bulk.
 ///
-/// Never truncates: an NRT payload above `frag_chunk` bytes is split
-/// into fragments, and an HRT/SRT payload no single frame can carry
+/// Never truncates: an NRT payload above [`wire::FRAG_CHUNK`] bytes is
+/// split into fragments, and an HRT/SRT payload no single frame can carry
 /// ([`wire::MAX_PAYLOAD`]) yields an *empty* vec — the caller drops
 /// the event explicitly instead of corrupting the stream.
-fn encode_entries(ev: &IngressEvent, frag_chunk: usize) -> Vec<EgressEntry> {
+fn encode_entries(ev: &IngressEvent) -> Vec<EgressEntry> {
     let base = EgressEntry {
         class: ev.class,
         uid: ev.uid,
@@ -1444,7 +1380,7 @@ fn encode_entries(ev: &IngressEvent, frag_chunk: usize) -> Vec<EgressEntry> {
     if ev.class != ChannelClass::Nrt && ev.payload.len() > wire::MAX_PAYLOAD {
         return Vec::new();
     }
-    if ev.class != ChannelClass::Nrt || ev.payload.len() <= frag_chunk {
+    if ev.class != ChannelClass::Nrt || ev.payload.len() <= wire::FRAG_CHUNK {
         let payload = Arc::new(ev.payload.clone());
         let encoded = Arc::new(wire::encode_to_client(&ToClient::Event(EventMsg {
             class: ev.class,
@@ -1463,7 +1399,7 @@ fn encode_entries(ev: &IngressEvent, frag_chunk: usize) -> Vec<EgressEntry> {
     }
     let total = ev.payload.len() as u32;
     ev.payload
-        .chunks(frag_chunk)
+        .chunks(wire::FRAG_CHUNK)
         .enumerate()
         .map(|(i, chunk)| {
             let encoded = Arc::new(wire::encode_to_client(&ToClient::Frag(FragMsg {
@@ -1471,7 +1407,7 @@ fn encode_entries(ev: &IngressEvent, frag_chunk: usize) -> Vec<EgressEntry> {
                 uid: ev.uid,
                 seq: ev.seq,
                 wire_ns: ev.wire_ns,
-                offset: (i * frag_chunk) as u32,
+                offset: (i * wire::FRAG_CHUNK) as u32,
                 total,
                 chunk: chunk.to_vec(),
             })));
@@ -1509,16 +1445,17 @@ mod tests {
         }
     }
 
-    /// The configured fragment threshold is what `encode_entries`
-    /// actually chunks by — not a hardcoded constant.
+    /// NRT bulk is chunked at the fragment threshold; a payload at the
+    /// threshold still goes as one `Event`.
     #[test]
-    fn configured_frag_chunk_is_honored() {
-        let entries = encode_entries(&ev(ChannelClass::Nrt, 100), 40);
+    fn nrt_bulk_fragments_at_frag_chunk() {
+        let chunk = wire::FRAG_CHUNK;
+        let entries = encode_entries(&ev(ChannelClass::Nrt, 2 * chunk + chunk / 2));
         assert_eq!(entries.len(), 3);
         assert!(entries.iter().all(|e| e.frag));
-        assert_eq!(entries[0].payload.len(), 40);
-        assert_eq!(entries[2].payload.len(), 20);
-        let single = encode_entries(&ev(ChannelClass::Nrt, 100), 256);
+        assert_eq!(entries[0].payload.len(), chunk);
+        assert_eq!(entries[2].payload.len(), chunk / 2);
+        let single = encode_entries(&ev(ChannelClass::Nrt, chunk));
         assert_eq!(single.len(), 1);
         assert!(!single[0].frag);
     }
@@ -1529,13 +1466,13 @@ mod tests {
     #[test]
     fn oversized_hrt_is_rejected_not_truncated() {
         let over = wire::MAX_PAYLOAD + 1;
-        assert!(encode_entries(&ev(ChannelClass::Hrt, over), 256).is_empty());
-        assert!(encode_entries(&ev(ChannelClass::Srt, over), 256).is_empty());
+        assert!(encode_entries(&ev(ChannelClass::Hrt, over)).is_empty());
+        assert!(encode_entries(&ev(ChannelClass::Srt, over)).is_empty());
         assert_eq!(
-            encode_entries(&ev(ChannelClass::Hrt, wire::MAX_PAYLOAD), 256).len(),
+            encode_entries(&ev(ChannelClass::Hrt, wire::MAX_PAYLOAD)).len(),
             1
         );
-        let frags = encode_entries(&ev(ChannelClass::Nrt, over), 256);
+        let frags = encode_entries(&ev(ChannelClass::Nrt, over));
         assert!(frags.len() > 1);
         assert_eq!(
             frags.iter().map(|e| e.payload.len()).sum::<usize>(),
@@ -1602,7 +1539,7 @@ mod tests {
             ..LaneStats::default()
         };
         let mut buf = Vec::new();
-        notify_sheds(0, &mut stats, &mut sink, &mut buf, 0, None);
+        notify_sheds(&mut stats, &mut sink, &mut buf);
         let got = msgs.lock().unwrap_or_else(|e| e.into_inner()).clone();
         assert_eq!(
             got,
@@ -1625,7 +1562,7 @@ mod tests {
             ]
         );
         // A second round with no new sheds is silent.
-        notify_sheds(0, &mut stats, &mut sink, &mut buf, 0, None);
+        notify_sheds(&mut stats, &mut sink, &mut buf);
         assert_eq!(msgs.lock().unwrap_or_else(|e| e.into_inner()).len(), 3);
     }
 
@@ -1638,10 +1575,10 @@ mod tests {
         let core = Mutex::new(SessionCore::new(8));
         let mut sink = SinkHandle::Own(Box::new(TakeAll));
         let mut queue = EgressQueue::new(8);
-        let hrt = encode_entries(&ev(ChannelClass::Hrt, 4), 256);
+        let hrt = encode_entries(&ev(ChannelClass::Hrt, 4));
         queue.push(hrt[0].clone(), SlowConsumerPolicy::ShedNrtFirst, 0);
         for _ in 0..2 {
-            let nrt = encode_entries(&ev(ChannelClass::Nrt, 4), 256);
+            let nrt = encode_entries(&ev(ChannelClass::Nrt, 4));
             queue.push(nrt[0].clone(), SlowConsumerPolicy::ShedNrtFirst, 0);
         }
         queue.flush(0, 8, |_| FlushVerdict::Blocked);

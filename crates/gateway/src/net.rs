@@ -127,13 +127,11 @@ impl<W: Write + Send> ClientSink for StreamSink<W> {
             Drained::Blocked => return SinkStatus::Busy,
             Drained::Dead => return SinkStatus::Gone,
         }
-        if bytes.len() > wire::MAX_FRAME_LEN {
+        // An impossible frame is refused before any byte of it is
+        // buffered.
+        if wire::write_frame(&mut self.pending, bytes).is_err() {
             return SinkStatus::Gone;
         }
-        self.pending.reserve(4 + bytes.len());
-        self.pending
-            .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        self.pending.extend_from_slice(bytes);
         match self.drain() {
             Drained::Done => SinkStatus::Accepted,
             Drained::Blocked if self.written == 0 => {

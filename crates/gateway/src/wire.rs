@@ -3,11 +3,11 @@
 //! External subscribers do not speak the broker protocol
 //! (`rtec_live::wire`, magic `"RL"`): they see events *after* channel
 //! processing, so their protocol carries delivery metadata (class,
-//! wire-completion time, release time) instead of raw CAN frames. The
-//! codec follows the same conventions as the broker one — fixed
-//! header, little-endian bodies, decoding that never panics — with a
-//! different magic so a datagram routed at the wrong boundary fails
-//! loudly instead of aliasing.
+//! wire-completion time, release time) instead of raw CAN frames. Both
+//! codecs are written on one message kernel (`rtec_can::codec`: fixed
+//! envelope, little-endian bodies, bounds-checked reads, decoding that
+//! never panics), with a different magic so a datagram routed at the
+//! wrong boundary fails loudly instead of aliasing.
 //!
 //! Layout of every message:
 //!
@@ -42,8 +42,11 @@
 //! bounded replay buffer while the client was away (§2.2.3: NRT may
 //! gap, it must not lie).
 
+use rtec_can::codec::{self, Protocol, Put, Reader};
 use rtec_core::ChannelClass;
 use std::io::{self, Read, Write};
+
+pub use rtec_can::codec::WireError;
 
 /// Magic prefix of every gateway-protocol message.
 pub const MAGIC: [u8; 2] = *b"RG";
@@ -60,6 +63,25 @@ pub const MAX_FRAME_LEN: usize = 1 << 16;
 /// length prefix. Encoders must fragment or reject larger payloads —
 /// [`encode_to_client`] panics rather than truncate.
 pub const MAX_PAYLOAD: usize = MAX_FRAME_LEN - 64;
+/// Most NRT events the gateway coalesces into one [`ToClient::Batch`].
+pub const NRT_BATCH_MAX: usize = 8;
+/// NRT payloads above this many bytes are fragment-streamed as
+/// [`ToClient::Frag`] chunks of this size.
+pub const FRAG_CHUNK: usize = 256;
+
+const _: () = assert!(
+    NRT_BATCH_MAX <= u8::MAX as usize,
+    "a Batch counts its entries in one byte"
+);
+const _: () = assert!(0 < FRAG_CHUNK && FRAG_CHUNK <= MAX_PAYLOAD);
+
+/// The envelope: every version from [`MIN_VERSION`] up decodes, newer
+/// ones with their trailing fields ignored.
+const RG: Protocol = Protocol {
+    magic: MAGIC,
+    version: WIRE_VERSION,
+    accepts: MIN_VERSION..=u8::MAX,
+};
 
 /// Why events were shed or a session was closed, as a closed enum: the
 /// wire carries one byte, and an unassigned byte from a newer peer
@@ -321,50 +343,6 @@ pub enum ToClient {
     },
 }
 
-/// A buffer failed to decode as a gateway-protocol message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// Fewer bytes than the fixed header needs.
-    Truncated(usize),
-    /// First two bytes are not [`MAGIC`].
-    BadMagic,
-    /// Version byte is below the oldest supported version.
-    BadVersion(u8),
-    /// Unknown message kind.
-    BadKind(u8),
-    /// Body length disagrees with the kind's layout.
-    BadLength {
-        /// Kind whose body was malformed.
-        kind: u8,
-        /// Bytes present after the header.
-        got: usize,
-    },
-    /// A class byte is not one of the three timeliness classes.
-    BadClass(u8),
-}
-
-impl core::fmt::Display for WireError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            WireError::Truncated(n) => write!(f, "message truncated: {n} bytes"),
-            WireError::BadMagic => write!(f, "bad magic (not a gateway-protocol message)"),
-            WireError::BadVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (oldest is {MIN_VERSION})"
-                )
-            }
-            WireError::BadKind(k) => write!(f, "unknown message kind {k}"),
-            WireError::BadLength { kind, got } => {
-                write!(f, "kind {kind}: body of {got} bytes has the wrong length")
-            }
-            WireError::BadClass(c) => write!(f, "unknown timeliness class {c}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
 // Message kind bytes. ToGateway and ToClient share one numbering space
 // so a misrouted message fails loudly instead of aliasing.
 const K_HELLO: u8 = 1;
@@ -396,19 +374,13 @@ fn class_from(code: u8) -> Result<ChannelClass, WireError> {
     }
 }
 
-fn header(kind: u8, out: &mut Vec<u8>) {
-    out.extend_from_slice(&MAGIC);
-    out.push(WIRE_VERSION);
-    out.push(kind);
-}
-
 /// Encode a client → gateway message.
 pub fn encode_to_gateway(msg: &ToGateway) -> Vec<u8> {
     let mut out = Vec::with_capacity(48);
     match msg {
         ToGateway::Hello { subs, resume } => {
-            header(K_HELLO, &mut out);
-            out.extend_from_slice(&subs.to_le_bytes());
+            RG.start(K_HELLO, &mut out);
+            out.put_u16(*subs);
             // v2 tail: token 0 means "no session to resume" — a v1
             // decoder never reads past the subs count, so the tail is
             // always written and always compatible.
@@ -416,16 +388,15 @@ pub fn encode_to_gateway(msg: &ToGateway) -> Vec<u8> {
                 Some(r) => (r.token, r.wm),
                 None => (0, ClassWatermarks::default()),
             };
-            out.extend_from_slice(&token.to_le_bytes());
-            out.extend_from_slice(&wm.hrt.to_le_bytes());
-            out.extend_from_slice(&wm.srt.to_le_bytes());
-            out.extend_from_slice(&wm.nrt.to_le_bytes());
+            for v in [token, wm.hrt, wm.srt, wm.nrt] {
+                out.put_u64(v);
+            }
         }
         ToGateway::Subscribe { uid } => {
-            header(K_SUBSCRIBE, &mut out);
-            out.extend_from_slice(&uid.to_le_bytes());
+            RG.start(K_SUBSCRIBE, &mut out);
+            out.put_u64(*uid);
         }
-        ToGateway::Bye => header(K_BYE, &mut out),
+        ToGateway::Bye => RG.start(K_BYE, &mut out),
     }
     out
 }
@@ -446,46 +417,49 @@ pub fn encode_to_client_into(msg: &ToClient, out: &mut Vec<u8>) {
             now_ns,
             session,
         } => {
-            header(K_WELCOME, out);
-            out.extend_from_slice(&client.to_le_bytes());
-            out.extend_from_slice(&now_ns.to_le_bytes());
+            RG.start(K_WELCOME, out);
+            out.put_u32(*client);
+            out.put_u64(*now_ns);
             // v2 tail: token 0 means "no session" (in-process client).
             let (token, verdict) = match session {
                 Some(s) => (s.token, s.verdict),
                 None => (0, ResumeVerdict::Fresh),
             };
-            out.extend_from_slice(&token.to_le_bytes());
+            out.put_u64(token);
             out.push(verdict.code());
         }
         ToClient::Event(ev) => {
-            header(K_EVENT, out);
+            RG.start(K_EVENT, out);
             out.push(class_code(ev.class));
             out.push(ev.origin);
-            out.extend_from_slice(&ev.uid.to_le_bytes());
-            out.extend_from_slice(&ev.seq.to_le_bytes());
-            out.extend_from_slice(&ev.wire_ns.to_le_bytes());
-            out.extend_from_slice(&ev.release_ns.to_le_bytes());
+            out.put_u64(ev.uid);
+            out.put_u32(ev.seq);
+            out.put_u64(ev.wire_ns);
+            out.put_u64(ev.release_ns);
             push_payload(&ev.payload, out);
         }
         ToClient::Batch { entries } => {
-            header(K_BATCH, out);
-            out.push(entries.len().min(255) as u8);
-            for e in entries.iter().take(255) {
+            RG.start(K_BATCH, out);
+            // Truncating would drop events the lane already counted as
+            // delivered; the gateway batches at most NRT_BATCH_MAX.
+            let count = u8::try_from(entries.len()).expect("a Batch carries at most 255 entries");
+            out.push(count);
+            for e in entries {
                 out.push(e.origin);
-                out.extend_from_slice(&e.uid.to_le_bytes());
-                out.extend_from_slice(&e.seq.to_le_bytes());
-                out.extend_from_slice(&e.wire_ns.to_le_bytes());
+                out.put_u64(e.uid);
+                out.put_u32(e.seq);
+                out.put_u64(e.wire_ns);
                 push_payload(&e.payload, out);
             }
         }
         ToClient::Frag(fr) => {
-            header(K_FRAG, out);
+            RG.start(K_FRAG, out);
             out.push(fr.origin);
-            out.extend_from_slice(&fr.uid.to_le_bytes());
-            out.extend_from_slice(&fr.seq.to_le_bytes());
-            out.extend_from_slice(&fr.wire_ns.to_le_bytes());
-            out.extend_from_slice(&fr.offset.to_le_bytes());
-            out.extend_from_slice(&fr.total.to_le_bytes());
+            out.put_u64(fr.uid);
+            out.put_u32(fr.seq);
+            out.put_u64(fr.wire_ns);
+            out.put_u32(fr.offset);
+            out.put_u32(fr.total);
             push_payload(&fr.chunk, out);
         }
         ToClient::Shed {
@@ -493,18 +467,18 @@ pub fn encode_to_client_into(msg: &ToClient, out: &mut Vec<u8>) {
             reason,
             count,
         } => {
-            header(K_SHED, out);
+            RG.start(K_SHED, out);
             out.push(class_code(*class));
             out.push(reason.code());
-            out.extend_from_slice(&count.to_le_bytes());
+            out.put_u32(*count);
         }
         ToClient::Gap { class, count } => {
-            header(K_GAP, out);
+            RG.start(K_GAP, out);
             out.push(class_code(*class));
-            out.extend_from_slice(&count.to_le_bytes());
+            out.put_u32(*count);
         }
         ToClient::Disconnect { reason } => {
-            header(K_DISCONNECT, out);
+            RG.start(K_DISCONNECT, out);
             out.push(reason.code());
         }
     }
@@ -522,308 +496,166 @@ fn push_payload(bytes: &[u8], out: &mut Vec<u8>) {
         "payload of {} bytes exceeds MAX_PAYLOAD ({MAX_PAYLOAD}); fragment or reject it upstream",
         bytes.len()
     );
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
+    out.put_bytes(bytes);
 }
 
-/// Header check shared by both decoders: returns the kind, the body,
-/// and the sender's version byte.
-fn check_header(buf: &[u8]) -> Result<(u8, &[u8], u8), WireError> {
-    if buf.len() < 4 {
-        return Err(WireError::Truncated(buf.len()));
-    }
-    if buf[..2] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[2] < MIN_VERSION {
-        return Err(WireError::BadVersion(buf[2]));
-    }
-    Ok((buf[3], &buf[4..], buf[2]))
-}
-
-/// Just the protocol version byte of a (framed) message, if the buffer
-/// is long enough to carry one. Lets a transport pick the v1 or v2
-/// handshake path without a full decode.
+/// Just the protocol version byte of a (framed) message whose envelope
+/// decodes. Lets a transport pick the v1 or v2 handshake path without a
+/// full decode.
 pub fn frame_version(buf: &[u8]) -> Option<u8> {
-    (buf.len() >= 4 && buf[..2] == MAGIC).then(|| buf[2])
+    RG.open(buf).ok().map(|r| r.version())
+}
+
+/// The fixed fields of an `Event` body in wire order — class (still a
+/// raw byte), origin, uid, seq, wire_ns, release_ns.
+fn event_head(r: &mut Reader<'_>) -> Result<(u8, u8, u64, u32, u64, u64), WireError> {
+    Ok((r.u8()?, r.u8()?, r.u64()?, r.u32()?, r.u64()?, r.u64()?))
 }
 
 /// Session-accounting peek: if `frame` is an encoded *data* frame
 /// (`Event`/`Batch`/`Frag` — the kinds a client's per-class watermark
 /// counts), return `(class, uid, release_ns)` without a full decode.
 /// Control frames (`Welcome`/`Shed`/`Gap`/`Disconnect`) and anything
-/// unrecognizable return `None`. `Batch`/`Frag` frames are NRT by
-/// construction; their uid/release fields are reported as 0 because
-/// only SRT staleness filtering consumes them.
+/// whose envelope or `Event` head does not decode return `None`.
+/// `Batch`/`Frag` frames are NRT by construction; their uid/release
+/// fields are reported as 0 because only SRT staleness filtering
+/// consumes them.
 pub fn data_frame_meta(frame: &[u8]) -> Option<(ChannelClass, u64, u64)> {
-    if frame.len() < 4 || frame[..2] != MAGIC {
-        return None;
-    }
-    match frame[3] {
-        K_EVENT if frame.len() >= 34 => {
-            let class = class_from(frame[4]).ok()?;
-            Some((class, le_u64(&frame[6..]), le_u64(&frame[26..])))
+    let mut r = RG.open(frame).ok()?;
+    match r.kind() {
+        K_EVENT => {
+            let (class, _, uid, _, _, release_ns) = event_head(&mut r).ok()?;
+            Some((class_from(class).ok()?, uid, release_ns))
         }
         K_BATCH | K_FRAG => Some((ChannelClass::Nrt, 0, 0)),
         _ => None,
     }
 }
 
-/// `body` must be exactly `want` bytes — or at least `want` when the
-/// sender speaks a newer version than ours (trailing extension bytes
-/// tolerated).
-fn fixed(kind: u8, body: &[u8], want: usize, tolerant: bool) -> Result<(), WireError> {
-    let ok = if tolerant {
-        body.len() >= want
-    } else {
-        body.len() == want
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(WireError::BadLength {
-            kind,
-            got: body.len(),
-        })
-    }
-}
-
-/// Length check for a body whose layout grew in v2: an exactly-v1 body
-/// uses the v1 length, anything newer uses the v2 length (with
-/// trailing tolerance above our own version).
-fn fixed_grown(
-    kind: u8,
-    body: &[u8],
-    version: u8,
-    v1_want: usize,
-    v2_want: usize,
-) -> Result<(), WireError> {
-    if version == 1 {
-        fixed(kind, body, v1_want, false)
-    } else {
-        fixed(kind, body, v2_want, version > WIRE_VERSION)
-    }
-}
-
-fn le_u16(b: &[u8]) -> u16 {
-    u16::from_le_bytes([b[0], b[1]])
-}
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
-/// Read a `u16`-length-prefixed byte string at `at`; returns the bytes
-/// and the offset just past them.
-fn take_payload(kind: u8, body: &[u8], at: usize) -> Result<(Vec<u8>, usize), WireError> {
-    let err = WireError::BadLength {
-        kind,
-        got: body.len(),
-    };
-    if body.len() < at + 2 {
-        return Err(err);
-    }
-    let len = usize::from(le_u16(&body[at..]));
-    let end = at + 2 + len;
-    if body.len() < end {
-        return Err(err);
-    }
-    Ok((body[at + 2..end].to_vec(), end))
-}
-
 /// Decode a client → gateway message.
 pub fn decode_to_gateway(buf: &[u8]) -> Result<ToGateway, WireError> {
-    let (kind, body, version) = check_header(buf)?;
-    let tolerant = version > WIRE_VERSION;
-    match kind {
+    let mut r = RG.open(buf)?;
+    let msg = match r.kind() {
         K_HELLO => {
-            fixed_grown(kind, body, version, 2, 34)?;
-            let subs = le_u16(body);
-            let resume = if version >= 2 {
-                let token = le_u64(&body[2..]);
-                (token != 0).then(|| ResumeReq {
-                    token,
-                    wm: ClassWatermarks {
-                        hrt: le_u64(&body[10..]),
-                        srt: le_u64(&body[18..]),
-                        nrt: le_u64(&body[26..]),
-                    },
-                })
+            let subs = r.u16()?;
+            // A v1 body ends at the subs count.
+            let resume = if r.version() >= 2 {
+                let token = r.u64()?;
+                let wm = ClassWatermarks {
+                    hrt: r.u64()?,
+                    srt: r.u64()?,
+                    nrt: r.u64()?,
+                };
+                (token != 0).then_some(ResumeReq { token, wm })
             } else {
                 None
             };
-            Ok(ToGateway::Hello { subs, resume })
+            ToGateway::Hello { subs, resume }
         }
-        K_SUBSCRIBE => {
-            fixed(kind, body, 8, tolerant)?;
-            Ok(ToGateway::Subscribe { uid: le_u64(body) })
-        }
-        K_BYE => {
-            fixed(kind, body, 0, tolerant)?;
-            Ok(ToGateway::Bye)
-        }
-        k => Err(WireError::BadKind(k)),
-    }
+        K_SUBSCRIBE => ToGateway::Subscribe { uid: r.u64()? },
+        K_BYE => ToGateway::Bye,
+        k => return Err(WireError::BadKind(k)),
+    };
+    r.finish()?;
+    Ok(msg)
 }
 
 /// Decode a gateway → client message.
+///
+/// A class byte is checked only once the body's length is: a body that
+/// is malformed *and* names no class reads `BadLength`.
 pub fn decode_to_client(buf: &[u8]) -> Result<ToClient, WireError> {
-    let (kind, body, version) = check_header(buf)?;
-    let tolerant = version > WIRE_VERSION;
-    match kind {
+    let mut r = RG.open(buf)?;
+    let msg = match r.kind() {
         K_WELCOME => {
-            fixed_grown(kind, body, version, 12, 21)?;
-            let session = if version >= 2 {
-                let token = le_u64(&body[12..]);
-                (token != 0).then(|| SessionInfo {
-                    token,
-                    verdict: ResumeVerdict::from_code(body[20]),
-                })
+            let (client, now_ns) = (r.u32()?, r.u64()?);
+            // A v1 body ends at the bus time.
+            let session = if r.version() >= 2 {
+                let token = r.u64()?;
+                let verdict = ResumeVerdict::from_code(r.u8()?);
+                (token != 0).then_some(SessionInfo { token, verdict })
             } else {
                 None
             };
-            Ok(ToClient::Welcome {
-                client: le_u32(body),
-                now_ns: le_u64(&body[4..]),
+            ToClient::Welcome {
+                client,
+                now_ns,
                 session,
-            })
+            }
         }
         K_EVENT => {
-            // class, origin, uid, seq, wire_ns, release_ns, payload.
-            fixed(kind, body, 32, true)?;
-            let (payload, end) = take_payload(kind, body, 30)?;
-            if !tolerant && end != body.len() {
-                return Err(WireError::BadLength {
-                    kind,
-                    got: body.len(),
-                });
-            }
-            Ok(ToClient::Event(EventMsg {
-                class: class_from(body[0])?,
-                origin: body[1],
-                uid: le_u64(&body[2..]),
-                seq: le_u32(&body[10..]),
-                wire_ns: le_u64(&body[14..]),
-                release_ns: le_u64(&body[22..]),
+            let (class, origin, uid, seq, wire_ns, release_ns) = event_head(&mut r)?;
+            let payload = r.bytes()?.to_vec();
+            r.finish()?;
+            return Ok(ToClient::Event(EventMsg {
+                class: class_from(class)?,
+                origin,
+                uid,
+                seq,
+                wire_ns,
+                release_ns,
                 payload,
-            }))
+            }));
         }
         K_BATCH => {
-            fixed(kind, body, 1, true)?;
-            let count = usize::from(body[0]);
-            let mut entries = Vec::with_capacity(count);
-            let mut at = 1;
+            let count = r.u8()?;
+            let mut entries = Vec::with_capacity(usize::from(count));
             for _ in 0..count {
-                // origin, uid, seq, wire_ns, payload.
-                fixed(kind, body, at + 21, true)?;
-                let origin = body[at];
-                let uid = le_u64(&body[at + 1..]);
-                let seq = le_u32(&body[at + 9..]);
-                let wire_ns = le_u64(&body[at + 13..]);
-                let (payload, end) = take_payload(kind, body, at + 21)?;
                 entries.push(BatchEntry {
-                    origin,
-                    uid,
-                    seq,
-                    wire_ns,
-                    payload,
-                });
-                at = end;
-            }
-            if !tolerant && at != body.len() {
-                return Err(WireError::BadLength {
-                    kind,
-                    got: body.len(),
+                    origin: r.u8()?,
+                    uid: r.u64()?,
+                    seq: r.u32()?,
+                    wire_ns: r.u64()?,
+                    payload: r.bytes()?.to_vec(),
                 });
             }
-            Ok(ToClient::Batch { entries })
+            ToClient::Batch { entries }
         }
-        K_FRAG => {
-            // origin, uid, seq, wire_ns, offset, total, chunk.
-            fixed(kind, body, 31, true)?;
-            let (chunk, end) = take_payload(kind, body, 29)?;
-            if !tolerant && end != body.len() {
-                return Err(WireError::BadLength {
-                    kind,
-                    got: body.len(),
-                });
-            }
-            Ok(ToClient::Frag(FragMsg {
-                origin: body[0],
-                uid: le_u64(&body[1..]),
-                seq: le_u32(&body[9..]),
-                wire_ns: le_u64(&body[13..]),
-                offset: le_u32(&body[21..]),
-                total: le_u32(&body[25..]),
-                chunk,
-            }))
-        }
+        K_FRAG => ToClient::Frag(FragMsg {
+            origin: r.u8()?,
+            uid: r.u64()?,
+            seq: r.u32()?,
+            wire_ns: r.u64()?,
+            offset: r.u32()?,
+            total: r.u32()?,
+            chunk: r.bytes()?.to_vec(),
+        }),
         K_SHED => {
-            fixed(kind, body, 6, tolerant)?;
-            Ok(ToClient::Shed {
-                class: class_from(body[0])?,
-                reason: Reason::from_code(body[1]),
-                count: le_u32(&body[2..]),
-            })
+            let (class, reason, count) = (r.u8()?, r.u8()?, r.u32()?);
+            r.finish()?;
+            return Ok(ToClient::Shed {
+                class: class_from(class)?,
+                reason: Reason::from_code(reason),
+                count,
+            });
         }
         K_GAP => {
-            fixed(kind, body, 5, tolerant)?;
-            Ok(ToClient::Gap {
-                class: class_from(body[0])?,
-                count: le_u32(&body[1..]),
-            })
+            let (class, count) = (r.u8()?, r.u32()?);
+            r.finish()?;
+            return Ok(ToClient::Gap {
+                class: class_from(class)?,
+                count,
+            });
         }
-        K_DISCONNECT => {
-            fixed(kind, body, 1, tolerant)?;
-            Ok(ToClient::Disconnect {
-                reason: Reason::from_code(body[0]),
-            })
-        }
-        k => Err(WireError::BadKind(k)),
-    }
+        K_DISCONNECT => ToClient::Disconnect {
+            reason: Reason::from_code(r.u8()?),
+        },
+        k => return Err(WireError::BadKind(k)),
+    };
+    r.finish()?;
+    Ok(msg)
 }
 
-/// Write one length-prefixed message to a stream.
+/// Write one length-prefixed message to a stream (at most
+/// [`MAX_FRAME_LEN`] bytes).
 pub fn write_frame<W: Write>(w: &mut W, msg: &[u8]) -> io::Result<()> {
-    if msg.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "message exceeds MAX_FRAME_LEN",
-        ));
-    }
-    w.write_all(&(msg.len() as u32).to_le_bytes())?;
-    w.write_all(msg)
+    codec::write_frame(w, msg, MAX_FRAME_LEN)
 }
 
 /// Read one length-prefixed message from a stream. `Ok(None)` means
 /// the peer closed the stream cleanly at a message boundary.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream closed inside a length prefix",
-                ))
-            }
-            n => got += n,
-        }
-    }
-    let len = le_u32(&len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame length exceeds MAX_FRAME_LEN",
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    Ok(Some(buf))
+    codec::read_frame(r, MAX_FRAME_LEN)
 }
 
 #[cfg(test)]
@@ -880,6 +712,23 @@ mod tests {
     #[should_panic(expected = "MAX_PAYLOAD")]
     fn oversized_payload_panics_instead_of_truncating() {
         let _ = encode_to_client(&event_with(vec![0x5A; MAX_PAYLOAD + 1]));
+    }
+
+    /// A batch its one-byte count cannot describe panics too, instead
+    /// of silently dropping the entries past 255.
+    #[test]
+    #[should_panic(expected = "255 entries")]
+    fn oversized_batch_panics_instead_of_truncating() {
+        let entry = BatchEntry {
+            origin: 0,
+            uid: 1,
+            seq: 2,
+            wire_ns: 3,
+            payload: vec![],
+        };
+        let _ = encode_to_client(&ToClient::Batch {
+            entries: vec![entry; 256],
+        });
     }
 
     #[test]
@@ -1000,6 +849,11 @@ mod tests {
             payload: vec![1, 2],
         }));
         assert_eq!(data_frame_meta(&ev), Some((ChannelClass::Srt, 42, 99)));
+        // A frame the decoder rejects is no data frame either.
+        let mut v0 = ev.clone();
+        v0[2] = 0;
+        assert_eq!(decode_to_client(&v0), Err(WireError::BadVersion(0)));
+        assert_eq!(data_frame_meta(&v0), None);
         let batch = encode_to_client(&ToClient::Batch { entries: vec![] });
         assert_eq!(data_frame_meta(&batch), Some((ChannelClass::Nrt, 0, 0)));
         let frag = encode_to_client(&ToClient::Frag(FragMsg {

@@ -2,17 +2,19 @@
 //!
 //! Both transports speak the same messages; the loopback transport
 //! passes them through channels as values, the UDP transport encodes
-//! each message as one datagram using this codec. CAN frames embedded
-//! in messages reuse the frame codec from `rtec_can::codec` (version
-//! byte, big-endian 29-bit identifier, DLC, payload), so the live wire
-//! format and any future tooling that captures raw frames agree on the
-//! frame encoding.
+//! each message as one datagram using this codec. The codec is written
+//! on the message kernel of `rtec_can::codec` (envelope, little-endian
+//! bodies, bounds-checked reads), which the gateway protocol shares.
+//! CAN frames embedded in messages reuse that module's frame codec
+//! (version byte, big-endian 29-bit identifier, DLC, payload), so the
+//! live wire format and any future tooling that captures raw frames
+//! agree on the frame encoding.
 //!
 //! Layout of every datagram:
 //!
 //! ```text
 //! bytes 0..2   magic "RL"
-//! byte  2      protocol version (currently 1)
+//! byte  2      protocol version (exactly 1; any other is rejected)
 //! byte  3      message kind
 //! bytes 4..    kind-specific body; embedded frames sit at the tail so
 //!              the frame codec's exact-length check still applies
@@ -20,13 +22,23 @@
 //!
 //! Decoding never panics; malformed buffers map to [`WireError`].
 
-use rtec_can::codec::{self, CodecError};
+use rtec_can::codec::{self, Protocol, Put};
 use rtec_can::Frame;
+
+pub use rtec_can::codec::WireError;
 
 /// Magic prefix of every live-protocol datagram.
 pub const MAGIC: [u8; 2] = *b"RL";
 /// Current protocol version (byte 2 of every datagram).
 pub const WIRE_VERSION: u8 = 1;
+
+/// The envelope: one version only. Fields added since (the incarnation
+/// of `Hello`/`Welcome`) are told apart by body length instead.
+const RL: Protocol = Protocol {
+    magic: MAGIC,
+    version: WIRE_VERSION,
+    accepts: WIRE_VERSION..=WIRE_VERSION,
+};
 
 /// Messages a node sends to the broker.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -156,53 +168,6 @@ pub enum ToNode {
     Shutdown,
 }
 
-/// A datagram failed to decode as a live-protocol message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// Fewer bytes than the fixed header needs.
-    Truncated(usize),
-    /// First two bytes are not [`MAGIC`].
-    BadMagic,
-    /// Version byte is not [`WIRE_VERSION`].
-    BadVersion(u8),
-    /// Unknown message kind.
-    BadKind(u8),
-    /// Body length disagrees with the kind's layout.
-    BadLength {
-        /// Kind whose body was malformed.
-        kind: u8,
-        /// Bytes present after the header.
-        got: usize,
-    },
-    /// An embedded CAN frame failed to decode.
-    Frame(CodecError),
-}
-
-impl core::fmt::Display for WireError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            WireError::Truncated(n) => write!(f, "datagram truncated: {n} bytes"),
-            WireError::BadMagic => write!(f, "bad magic (not a live-protocol datagram)"),
-            WireError::BadVersion(v) => {
-                write!(f, "unknown protocol version {v} (expected {WIRE_VERSION})")
-            }
-            WireError::BadKind(k) => write!(f, "unknown message kind {k}"),
-            WireError::BadLength { kind, got } => {
-                write!(f, "kind {kind}: body of {got} bytes has the wrong length")
-            }
-            WireError::Frame(e) => write!(f, "embedded frame: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<CodecError> for WireError {
-    fn from(e: CodecError) -> Self {
-        WireError::Frame(e)
-    }
-}
-
 // Message kind bytes. ToBroker and ToNode share one numbering space so
 // a misrouted datagram fails loudly instead of aliasing. `Listen` and
 // `TimerCancel` are safe to duplicate by construction, and `ChaosPlan`
@@ -225,62 +190,56 @@ const K_TIMER: u8 = 20;
 const K_SHUTDOWN: u8 = 21;
 const K_PING: u8 = 22;
 
-fn header(kind: u8, out: &mut Vec<u8>) {
-    out.extend_from_slice(&MAGIC);
-    out.push(WIRE_VERSION);
-    out.push(kind);
-}
-
 /// Encode a node → broker message as one datagram.
 pub fn encode_to_broker(msg: &ToBroker) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     match msg {
         ToBroker::Hello { node, incarnation } => {
-            header(K_HELLO, &mut out);
+            RL.start(K_HELLO, &mut out);
             out.push(*node);
-            out.extend_from_slice(&incarnation.to_le_bytes());
+            out.put_u32(*incarnation);
         }
         ToBroker::Submit { handle, tag, frame } => {
-            header(K_SUBMIT, &mut out);
-            out.extend_from_slice(&handle.to_le_bytes());
-            out.extend_from_slice(&tag.to_le_bytes());
+            RL.start(K_SUBMIT, &mut out);
+            out.put_u32(*handle);
+            out.put_u64(*tag);
             codec::encode_into(frame, &mut out);
         }
         ToBroker::Abort { handle } => {
-            header(K_ABORT, &mut out);
-            out.extend_from_slice(&handle.to_le_bytes());
+            RL.start(K_ABORT, &mut out);
+            out.put_u32(*handle);
         }
         ToBroker::UpdateId { handle, raw_id } => {
-            header(K_UPDATE_ID, &mut out);
-            out.extend_from_slice(&handle.to_le_bytes());
-            out.extend_from_slice(&raw_id.to_le_bytes());
+            RL.start(K_UPDATE_ID, &mut out);
+            out.put_u32(*handle);
+            out.put_u32(*raw_id);
         }
         ToBroker::TimerReq { at_ns, token } => {
-            header(K_TIMER_REQ, &mut out);
-            out.extend_from_slice(&at_ns.to_le_bytes());
-            out.extend_from_slice(&token.to_le_bytes());
+            RL.start(K_TIMER_REQ, &mut out);
+            out.put_u64(*at_ns);
+            out.put_u64(*token);
         }
         ToBroker::Pong {
             node,
             incarnation,
             nonce,
         } => {
-            header(K_PONG, &mut out);
+            RL.start(K_PONG, &mut out);
             out.push(*node);
-            out.extend_from_slice(&incarnation.to_le_bytes());
-            out.extend_from_slice(&nonce.to_le_bytes());
+            out.put_u32(*incarnation);
+            out.put_u64(*nonce);
         }
         ToBroker::Listen { etag } => {
-            header(K_LISTEN, &mut out);
-            out.extend_from_slice(&etag.to_le_bytes());
+            RL.start(K_LISTEN, &mut out);
+            out.put_u16(*etag);
         }
         ToBroker::TimerCancel { token } => {
-            header(K_TIMER_CANCEL, &mut out);
-            out.extend_from_slice(&token.to_le_bytes());
+            RL.start(K_TIMER_CANCEL, &mut out);
+            out.put_u64(*token);
         }
-        ToBroker::Idle => header(K_IDLE, &mut out),
+        ToBroker::Idle => RL.start(K_IDLE, &mut out),
         ToBroker::Done { node } => {
-            header(K_DONE, &mut out);
+            RL.start(K_DONE, &mut out);
             out.push(*node);
         }
     }
@@ -295,16 +254,16 @@ pub fn encode_to_node(msg: &ToNode) -> Vec<u8> {
             now_ns,
             incarnation,
         } => {
-            header(K_WELCOME, &mut out);
-            out.extend_from_slice(&now_ns.to_le_bytes());
-            out.extend_from_slice(&incarnation.to_le_bytes());
+            RL.start(K_WELCOME, &mut out);
+            out.put_u64(*now_ns);
+            out.put_u32(*incarnation);
         }
         ToNode::Deliver {
             completed_ns,
             frame,
         } => {
-            header(K_DELIVER, &mut out);
-            out.extend_from_slice(&completed_ns.to_le_bytes());
+            RL.start(K_DELIVER, &mut out);
+            out.put_u64(*completed_ns);
             codec::encode_into(frame, &mut out);
         }
         ToNode::TxDone {
@@ -313,199 +272,115 @@ pub fn encode_to_node(msg: &ToNode) -> Vec<u8> {
             all_received,
             completed_ns,
         } => {
-            header(K_TX_DONE, &mut out);
-            out.extend_from_slice(&handle.to_le_bytes());
-            out.extend_from_slice(&tag.to_le_bytes());
+            RL.start(K_TX_DONE, &mut out);
+            out.put_u32(*handle);
+            out.put_u64(*tag);
             out.push(u8::from(*all_received));
-            out.extend_from_slice(&completed_ns.to_le_bytes());
+            out.put_u64(*completed_ns);
         }
         ToNode::AbortResult {
             handle,
             tag,
             aborted,
         } => {
-            header(K_ABORT_RESULT, &mut out);
-            out.extend_from_slice(&handle.to_le_bytes());
-            out.extend_from_slice(&tag.to_le_bytes());
+            RL.start(K_ABORT_RESULT, &mut out);
+            out.put_u32(*handle);
+            out.put_u64(*tag);
             out.push(u8::from(*aborted));
         }
         ToNode::Timer { token, now_ns } => {
-            header(K_TIMER, &mut out);
-            out.extend_from_slice(&token.to_le_bytes());
-            out.extend_from_slice(&now_ns.to_le_bytes());
+            RL.start(K_TIMER, &mut out);
+            out.put_u64(*token);
+            out.put_u64(*now_ns);
         }
         ToNode::Ping { nonce } => {
-            header(K_PING, &mut out);
-            out.extend_from_slice(&nonce.to_le_bytes());
+            RL.start(K_PING, &mut out);
+            out.put_u64(*nonce);
         }
-        ToNode::Shutdown => header(K_SHUTDOWN, &mut out),
+        ToNode::Shutdown => RL.start(K_SHUTDOWN, &mut out),
     }
     out
 }
 
-fn check_header(buf: &[u8]) -> Result<(u8, &[u8]), WireError> {
-    if buf.len() < 4 {
-        return Err(WireError::Truncated(buf.len()));
-    }
-    if buf[..2] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[2] != WIRE_VERSION {
-        return Err(WireError::BadVersion(buf[2]));
-    }
-    Ok((buf[3], &buf[4..]))
-}
-
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
 /// Decode a node → broker datagram. Never panics.
 pub fn decode_to_broker(buf: &[u8]) -> Result<ToBroker, WireError> {
-    let (kind, body) = check_header(buf)?;
-    let bad = |got: usize| WireError::BadLength { kind, got };
-    match kind {
+    let mut r = RL.open(buf)?;
+    let msg = match r.kind() {
         // Version-tolerant: the original format carried only the node
         // id; such a hello is incarnation 0 by definition.
-        K_HELLO => match body {
-            [node] => Ok(ToBroker::Hello {
-                node: *node,
-                incarnation: 0,
-            }),
-            [node, rest @ ..] if rest.len() == 4 => Ok(ToBroker::Hello {
-                node: *node,
-                incarnation: le_u32(rest),
-            }),
-            _ => Err(bad(body.len())),
-        },
-        K_SUBMIT => {
-            if body.len() < 12 {
-                return Err(bad(body.len()));
-            }
-            Ok(ToBroker::Submit {
-                handle: le_u32(&body[0..4]),
-                tag: le_u64(&body[4..12]),
-                frame: codec::decode(&body[12..])?,
-            })
+        K_HELLO => {
+            let node = r.u8()?;
+            let incarnation = if r.is_empty() { 0 } else { r.u32()? };
+            ToBroker::Hello { node, incarnation }
         }
-        K_ABORT => match body.len() {
-            4 => Ok(ToBroker::Abort {
-                handle: le_u32(body),
-            }),
-            n => Err(bad(n)),
+        K_SUBMIT => ToBroker::Submit {
+            handle: r.u32()?,
+            tag: r.u64()?,
+            frame: codec::decode(r.rest())?,
         },
-        K_UPDATE_ID => match body.len() {
-            8 => Ok(ToBroker::UpdateId {
-                handle: le_u32(&body[0..4]),
-                raw_id: le_u32(&body[4..8]),
-            }),
-            n => Err(bad(n)),
+        K_ABORT => ToBroker::Abort { handle: r.u32()? },
+        K_UPDATE_ID => ToBroker::UpdateId {
+            handle: r.u32()?,
+            raw_id: r.u32()?,
         },
-        K_TIMER_REQ => match body.len() {
-            16 => Ok(ToBroker::TimerReq {
-                at_ns: le_u64(&body[0..8]),
-                token: le_u64(&body[8..16]),
-            }),
-            n => Err(bad(n)),
+        K_TIMER_REQ => ToBroker::TimerReq {
+            at_ns: r.u64()?,
+            token: r.u64()?,
         },
-        K_IDLE => match body.len() {
-            0 => Ok(ToBroker::Idle),
-            n => Err(bad(n)),
+        K_IDLE => ToBroker::Idle,
+        K_DONE => ToBroker::Done { node: r.u8()? },
+        K_PONG => ToBroker::Pong {
+            node: r.u8()?,
+            incarnation: r.u32()?,
+            nonce: r.u64()?,
         },
-        K_DONE => match body {
-            [node] => Ok(ToBroker::Done { node: *node }),
-            _ => Err(bad(body.len())),
-        },
-        K_PONG => match body.len() {
-            13 => Ok(ToBroker::Pong {
-                node: body[0],
-                incarnation: le_u32(&body[1..5]),
-                nonce: le_u64(&body[5..13]),
-            }),
-            n => Err(bad(n)),
-        },
-        K_LISTEN => match body {
-            &[lo, hi] => Ok(ToBroker::Listen {
-                etag: u16::from_le_bytes([lo, hi]),
-            }),
-            _ => Err(bad(body.len())),
-        },
-        K_TIMER_CANCEL => match body.len() {
-            8 => Ok(ToBroker::TimerCancel {
-                token: le_u64(body),
-            }),
-            n => Err(bad(n)),
-        },
-        k => Err(WireError::BadKind(k)),
-    }
+        K_LISTEN => ToBroker::Listen { etag: r.u16()? },
+        K_TIMER_CANCEL => ToBroker::TimerCancel { token: r.u64()? },
+        k => return Err(WireError::BadKind(k)),
+    };
+    r.finish()?;
+    Ok(msg)
 }
 
 /// Decode a broker → node datagram. Never panics.
 pub fn decode_to_node(buf: &[u8]) -> Result<ToNode, WireError> {
-    let (kind, body) = check_header(buf)?;
-    let bad = |got: usize| WireError::BadLength { kind, got };
-    match kind {
+    let mut r = RL.open(buf)?;
+    let msg = match r.kind() {
         // Version-tolerant: an 8-byte body is the original format with
         // no incarnation field (incarnation 0).
-        K_WELCOME => match body.len() {
-            8 => Ok(ToNode::Welcome {
-                now_ns: le_u64(body),
-                incarnation: 0,
-            }),
-            12 => Ok(ToNode::Welcome {
-                now_ns: le_u64(&body[0..8]),
-                incarnation: le_u32(&body[8..12]),
-            }),
-            n => Err(bad(n)),
-        },
-        K_DELIVER => {
-            if body.len() < 8 {
-                return Err(bad(body.len()));
+        K_WELCOME => {
+            let now_ns = r.u64()?;
+            let incarnation = if r.is_empty() { 0 } else { r.u32()? };
+            ToNode::Welcome {
+                now_ns,
+                incarnation,
             }
-            Ok(ToNode::Deliver {
-                completed_ns: le_u64(&body[0..8]),
-                frame: codec::decode(&body[8..])?,
-            })
         }
-        K_TX_DONE => match body.len() {
-            21 => Ok(ToNode::TxDone {
-                handle: le_u32(&body[0..4]),
-                tag: le_u64(&body[4..12]),
-                all_received: body[12] != 0,
-                completed_ns: le_u64(&body[13..21]),
-            }),
-            n => Err(bad(n)),
+        K_DELIVER => ToNode::Deliver {
+            completed_ns: r.u64()?,
+            frame: codec::decode(r.rest())?,
         },
-        K_ABORT_RESULT => match body.len() {
-            13 => Ok(ToNode::AbortResult {
-                handle: le_u32(&body[0..4]),
-                tag: le_u64(&body[4..12]),
-                aborted: body[12] != 0,
-            }),
-            n => Err(bad(n)),
+        K_TX_DONE => ToNode::TxDone {
+            handle: r.u32()?,
+            tag: r.u64()?,
+            all_received: r.u8()? != 0,
+            completed_ns: r.u64()?,
         },
-        K_TIMER => match body.len() {
-            16 => Ok(ToNode::Timer {
-                token: le_u64(&body[0..8]),
-                now_ns: le_u64(&body[8..16]),
-            }),
-            n => Err(bad(n)),
+        K_ABORT_RESULT => ToNode::AbortResult {
+            handle: r.u32()?,
+            tag: r.u64()?,
+            aborted: r.u8()? != 0,
         },
-        K_SHUTDOWN => match body.len() {
-            0 => Ok(ToNode::Shutdown),
-            n => Err(bad(n)),
+        K_TIMER => ToNode::Timer {
+            token: r.u64()?,
+            now_ns: r.u64()?,
         },
-        K_PING => match body.len() {
-            8 => Ok(ToNode::Ping {
-                nonce: le_u64(body),
-            }),
-            n => Err(bad(n)),
-        },
-        k => Err(WireError::BadKind(k)),
-    }
+        K_SHUTDOWN => ToNode::Shutdown,
+        K_PING => ToNode::Ping { nonce: r.u64()? },
+        k => return Err(WireError::BadKind(k)),
+    };
+    r.finish()?;
+    Ok(msg)
 }
 
 #[cfg(test)]
@@ -618,7 +493,7 @@ mod tests {
     #[test]
     fn legacy_handshake_bodies_still_parse() {
         let mut hello = Vec::new();
-        header(K_HELLO, &mut hello);
+        RL.start(K_HELLO, &mut hello);
         hello.push(7);
         assert_eq!(
             decode_to_broker(&hello),
@@ -628,7 +503,7 @@ mod tests {
             })
         );
         let mut welcome = Vec::new();
-        header(K_WELCOME, &mut welcome);
+        RL.start(K_WELCOME, &mut welcome);
         welcome.extend_from_slice(&42u64.to_le_bytes());
         assert_eq!(
             decode_to_node(&welcome),
@@ -644,7 +519,7 @@ mod tests {
     fn heartbeat_bodies_are_length_checked() {
         for len in [0usize, 7, 9, 16] {
             let mut ping = Vec::new();
-            header(K_PING, &mut ping);
+            RL.start(K_PING, &mut ping);
             ping.resize(4 + len, 0);
             assert!(matches!(
                 decode_to_node(&ping),
@@ -653,7 +528,7 @@ mod tests {
         }
         for len in [0usize, 1, 12, 14] {
             let mut pong = Vec::new();
-            header(K_PONG, &mut pong);
+            RL.start(K_PONG, &mut pong);
             pong.resize(4 + len, 0);
             assert!(matches!(
                 decode_to_broker(&pong),
