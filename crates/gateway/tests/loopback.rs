@@ -885,3 +885,210 @@ fn a_second_resume_does_not_resend_replayed_frames() {
     assert_eq!(gw.sessions.resumed, 2);
     assert_eq!(gw.sessions.replayed_hrt, c.link.stats().lost);
 }
+
+/// A TCP client whose in-flight suffix outruns the replay ring resumes
+/// with an honest gap: the `Welcome` says `Gap`, then one `Gap` notice
+/// covers exactly the frames the report counts as lost, then the ring's
+/// frames follow, oldest first.
+#[test]
+fn socket_resume_past_the_ring_announces_the_gap_before_the_ring() {
+    use rtec_gateway::wire::ResumeVerdict;
+
+    let nrt_subject = Subject::new(0x3003);
+    let cfg = ClusterConfig {
+        pace: Pace::Virtual,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(cfg);
+    let n0 = cluster.add_node(Box::new(NrtPulse {
+        subject: nrt_subject,
+        every: Duration::from_ms(3),
+        bytes: 6,
+    }));
+    let nrt = ChannelSpec::Nrt(NrtSpec::bulk());
+    cluster.publish(n0, nrt_subject, nrt);
+
+    // One worker: it offers each event to the severed client's lane
+    // before the probe's, so once the probe holds every frame the
+    // severed client's session has counted every frame too.
+    let gateway = Gateway::new(GatewayConfig {
+        workers: 1,
+        resume_ring_cap: 2,
+        ..GatewayConfig::default()
+    });
+    gateway.bind(nrt_subject, &nrt);
+    let acceptor = Acceptor::tcp(
+        gateway.clone(),
+        "127.0.0.1:0",
+        SlowConsumerPolicy::ShedNrtFirst,
+    )
+    .unwrap();
+    let mut first = GatewayClient::connect(acceptor.addr(), &[nrt_subject]).unwrap();
+    let mut probe = GatewayClient::connect(acceptor.addr(), &[nrt_subject]).unwrap();
+
+    let gw_node = cluster.add_node(gateway.behavior());
+    cluster.subscribe(gw_node, nrt_subject, nrt);
+    let report = cluster.run_for(Duration::from_ms(45)).unwrap();
+    let sent = report.log.iter().filter(|r| r.node == gw_node).count() as u32;
+    assert!(sent > 4, "too few deliveries to overrun a ring of two");
+
+    let timeout = Some(std::time::Duration::from_secs(2));
+    probe.set_read_timeout(timeout).unwrap();
+    let mut probed = 0;
+    while probed < sent {
+        match probe.recv().unwrap() {
+            Some(ToClient::Event(_)) => probed += 1,
+            Some(ToClient::Batch { entries }) => probed += entries.len() as u32,
+            Some(_) => {}
+            None => panic!("the probe's stream closed early"),
+        }
+    }
+
+    // Read a strict prefix, then sever with the rest in flight.
+    first.set_read_timeout(timeout).unwrap();
+    let mut seqs = Vec::new();
+    while seqs.len() < 2 {
+        match first.recv().unwrap() {
+            Some(ToClient::Event(e)) => seqs.push(e.seq),
+            Some(other) => panic!("expected an Event, got {other:?}"),
+            None => panic!("the first stream closed early"),
+        }
+    }
+    assert_eq!(seqs, [0, 1]);
+    let resume = first.resume_req().expect("v2 sessions carry a token");
+    drop(first);
+
+    let mut second =
+        GatewayClient::connect_resume(acceptor.addr(), &[nrt_subject], resume).unwrap();
+    let verdict = second.session.expect("resumed session").verdict;
+    assert_eq!(verdict, ResumeVerdict::Gap, "the ring cannot cover the gap");
+    second.set_read_timeout(timeout).unwrap();
+    let gap = match second.recv().unwrap() {
+        Some(ToClient::Gap { class, count }) => {
+            assert_eq!(class, ChannelClass::Nrt);
+            count
+        }
+        other => panic!("expected a Gap notice right after Welcome, got {other:?}"),
+    };
+    let mut replayed = Vec::new();
+    while replayed.len() < 2 {
+        match second.recv().unwrap() {
+            Some(ToClient::Event(e)) => replayed.push(e.seq),
+            other => panic!("expected a replayed Event, got {other:?}"),
+        }
+    }
+    assert_eq!(gap, sent - 4, "everything between the prefix and the ring");
+    assert_eq!(
+        replayed,
+        [sent - 2, sent - 1],
+        "the ring's frames, in order"
+    );
+
+    let gw = gateway.finish();
+    acceptor.stop();
+    assert_eq!(u64::from(gap), gw.sessions.gap_frames);
+    assert_eq!(gw.sessions.gapped, 1);
+    assert_eq!(gw.sessions.resumed, 0);
+}
+
+/// Records the `seq` of every `Event` it accepts.
+struct SeqRecorder(Arc<Mutex<Vec<u32>>>);
+
+impl ClientSink for SeqRecorder {
+    fn offer(&mut self, bytes: &[u8]) -> SinkStatus {
+        if let Ok(ToClient::Event(e)) = rtec_gateway::wire::decode_to_client(bytes) {
+            self.0.lock().unwrap().push(e.seq);
+        }
+        SinkStatus::Accepted
+    }
+}
+
+/// A shared [`SeqRecorder`] spec and the seqs it will record.
+fn seq_recorder() -> (ClientSinkSpec, Arc<Mutex<Vec<u32>>>) {
+    let seqs = Arc::new(Mutex::new(Vec::new()));
+    let sink: Box<dyn ClientSink> = Box::new(SeqRecorder(Arc::clone(&seqs)));
+    (ClientSinkSpec::Shared(Arc::new(Mutex::new(sink))), seqs)
+}
+
+/// Registers one more client at a bus-time timer.
+struct LateJoiner {
+    gw: Gateway,
+    subject: Subject,
+    at: Duration,
+    spec: Option<ClientSinkSpec>,
+}
+
+impl Behavior for LateJoiner {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        ctx.set_timer(ctx.now() + self.at, 0).unwrap();
+    }
+
+    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _payload: u64) {
+        if let Some(spec) = self.spec.take() {
+            self.gw.add_client(&[self.subject], &spec, None);
+        }
+    }
+}
+
+/// A subject's `seq` counts every delivery of it, whichever worker a
+/// client sits on and whenever it attached: with three workers, two
+/// clients attached from the start and one attached midway (each on
+/// its own worker) all see consecutive `seq`s, and the late client's
+/// first `seq` is the number of deliveries before it attached.
+#[test]
+fn every_worker_numbers_every_delivery() {
+    let srt_subject = Subject::new(0x2002);
+    let cfg = ClusterConfig {
+        pace: Pace::Virtual,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(cfg);
+    let n0 = cluster.add_node(Box::new(SrtSource {
+        subject: srt_subject,
+        every: Duration::from_ms(2),
+        counter: 0,
+    }));
+    let srt = ChannelSpec::Srt(SrtSpec::default());
+    cluster.publish(n0, srt_subject, srt);
+
+    let gateway = Gateway::new(GatewayConfig {
+        workers: 3,
+        ..GatewayConfig::default()
+    });
+    gateway.bind(srt_subject, &srt);
+    let early: Vec<_> = (0..2)
+        .map(|_| {
+            let (spec, seqs) = seq_recorder();
+            gateway.add_client(&[srt_subject], &spec, None);
+            seqs
+        })
+        .collect();
+    let (late_spec, late) = seq_recorder();
+    let gw_node = cluster.add_node(gateway.behavior());
+    cluster.subscribe(gw_node, srt_subject, srt);
+    cluster.add_node(Box::new(LateJoiner {
+        gw: gateway.clone(),
+        subject: srt_subject,
+        at: Duration::from_ms(30),
+        spec: Some(late_spec),
+    }));
+
+    let report = cluster.run_for(Duration::from_ms(60)).unwrap();
+    let gw = gateway.finish();
+
+    let shards: std::collections::BTreeSet<usize> = gw.lanes.iter().map(|l| l.shard).collect();
+    assert_eq!(shards.len(), 3, "one client per worker");
+    let delivered = report.log.iter().filter(|r| r.node == gw_node).count() as u32;
+    for seqs in &early {
+        let expected: Vec<u32> = (0..delivered).collect();
+        assert_eq!(*seqs.lock().unwrap(), expected, "an early client");
+    }
+    // Every event after the attach reaches the late client, so a run
+    // of consecutive seqs ending at the last delivery starts at the
+    // number of deliveries before the attach.
+    let late = late.lock().unwrap();
+    let first = *late.first().expect("the late client received nothing");
+    assert!(first > 0, "the late client attached before any delivery");
+    let expected: Vec<u32> = (first..delivered).collect();
+    assert_eq!(*late, expected, "the late client's seqs");
+}
