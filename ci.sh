@@ -15,14 +15,16 @@ cargo clippy --workspace \
     --exclude loom \
     --all-targets -- -D warnings
 
-echo "== rtec-verify (source lints C1..C9: concurrency hygiene C1..C6, sans-IO machine C7, one bus model C8, one wire kernel C9)"
+echo "== rtec-verify (source lints C1..C10: concurrency hygiene C1..C6, sans-IO machine C7, one bus model C8, one wire kernel C9, single-owner lane state C10)"
 # The loom model checker only covers code routed through the
 # rtec_live::sync facade; this pass statically rejects anything that
 # would escape it (see DESIGN.md §6); C7 keeps the channel-class
 # machine free of clocks, threads, sockets, sinks, bus and transport;
 # C8 keeps the live broker a host of rtec-can's bus model, not a copy;
 # C9 keeps byte order out of the broker and gateway protocol crates,
-# which write and read through rtec_can::codec's kernel.
+# which write and read through rtec_can::codec's kernel; C10 keeps
+# locks, atomics, channels, threads and I/O out of the gateway lane's
+# state (session.rs, egress.rs), which only its worker touches.
 cargo run -q -p rtec-conformance --bin rtec-verify -- .
 
 echo "== cargo test (workspace)"

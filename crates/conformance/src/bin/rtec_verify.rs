@@ -1,8 +1,8 @@
 //! `rtec-verify` — the source lint pass, as a CI gate.
 //!
-//! Runs rules `C1`..`C9` (see [`rtec_conformance::srclint`]) over the
-//! concurrent runtimes, their wire protocols and the channel-class
-//! machine under the given workspace root (default: the current
+//! Runs rules `C1`..`C10` (see [`rtec_conformance::srclint`]) over the
+//! concurrent runtimes, their wire protocols, the gateway lane's state
+//! and the channel-class machine under the given workspace root (default: the current
 //! directory) and exits non-zero on any error-severity finding. ci.sh runs this alongside the test suite; the rules it
 //! enforces are what make the `cfg(loom)` model-check suite's coverage
 //! claims meaningful.

@@ -99,11 +99,15 @@ pub enum RuleId {
     /// The broker and gateway protocols put integers on the wire only
     /// through the message kernel in `rtec_can::codec`.
     HandRolledCodec,
+    /// The gateway lane's state (session accounting, egress queue) has
+    /// one owner, its worker: it names no lock, atomic, channel, thread
+    /// or I/O.
+    SharedLaneState,
 }
 
 impl RuleId {
     /// All rules: static configuration, then trace, then source lints.
-    pub const ALL: [RuleId; 26] = [
+    pub const ALL: [RuleId; 27] = [
         RuleId::SlotOverlap,
         RuleId::SlotSetupMargin,
         RuleId::PriorityBandPartition,
@@ -130,9 +134,10 @@ impl RuleId {
         RuleId::MachineNamesIo,
         RuleId::LiveCopiesBusModel,
         RuleId::HandRolledCodec,
+        RuleId::SharedLaneState,
     ];
 
-    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C9`).
+    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C10`).
     pub fn code(self) -> &'static str {
         match self {
             RuleId::SlotOverlap => "S1",
@@ -161,6 +166,7 @@ impl RuleId {
             RuleId::MachineNamesIo => "C7",
             RuleId::LiveCopiesBusModel => "C8",
             RuleId::HandRolledCodec => "C9",
+            RuleId::SharedLaneState => "C10",
         }
     }
 
@@ -194,6 +200,7 @@ impl RuleId {
             RuleId::MachineNamesIo | RuleId::LiveCopiesBusModel | RuleId::HandRolledCodec => {
                 "DESIGN.md §5"
             }
+            RuleId::SharedLaneState => "DESIGN.md §9",
         }
     }
 
@@ -250,6 +257,10 @@ impl RuleId {
             RuleId::LiveCopiesBusModel => "the bus model lives in rtec-can; the broker hosts it",
             RuleId::HandRolledCodec => {
                 "the wire kernel lives in rtec_can::codec; the protocols are written on it"
+            }
+            RuleId::SharedLaneState => {
+                "a gateway lane's state has one owner, its worker: no locks, atomics, \
+                 channels, threads or I/O"
             }
         }
     }

@@ -20,9 +20,11 @@
 //!   channels, swallowed lock/recv errors), `C7` keeps the
 //!   channel-class machine (`rtec_core::machine`) sans-IO, `C8`
 //!   keeps the live broker a host of the `rtec-can` bus model rather
-//!   than a second copy of it, and `C9` keeps the broker and gateway
-//!   protocols on the one wire kernel of `rtec_can::codec`. The
-//!   `rtec-verify` binary drives this pass in CI.
+//!   than a second copy of it, `C9` keeps the broker and gateway
+//!   protocols on the one wire kernel of `rtec_can::codec`, and `C10`
+//!   keeps locks, atomics, channels, threads and I/O out of the
+//!   gateway lane's single-owner state. The `rtec-verify` binary
+//!   drives this pass in CI.
 //!
 //! Both return a [`Report`] of [`Diagnostic`]s — rule ID, severity,
 //! message and fix hint — and never panic on broken input. The

@@ -2,8 +2,9 @@
 //! runtimes — the live broker/node threads and the parallel simulation
 //! driver — the sans-IO contract (`C7`) of the channel-class machine
 //! they and the simulator host, the one-bus-model contract (`C8`) of
-//! the live runtime, and the one-wire-kernel contract (`C9`) of the
-//! broker and gateway protocols.
+//! the live runtime, the one-wire-kernel contract (`C9`) of the
+//! broker and gateway protocols, and the single-owner contract (`C10`)
+//! of a gateway lane's state.
 //!
 //! The loom model-check suites (see `crates/live/tests/loom_model.rs`
 //! and `crates/sim/tests/loom_model.rs`) only prove anything about
@@ -31,6 +32,9 @@
 //! |      | under `crates/live/src` and `crates/gateway/src` (bar the    |
 //! |      | sink fingerprint in `client.rs`): byte order belongs to the  |
 //! |      | wire kernel in `rtec_can::codec`                             |
+//! | `C10`| `Mutex`, `RwLock`, `Condvar`, `atomic`/`Atomic`, `mpsc`,      |
+//! |      | `thread`, `std::net`, `std::io` in `crates/gateway/src/`     |
+//! |      | `session.rs` and `egress.rs`: the lane's state has one owner |
 //!
 //! The pass is textual, not syntactic — deliberately: it must run in
 //! CI with no rustc internals and no third-party parser. To keep the
@@ -45,8 +49,11 @@
 //! scope). `C7` is the one rule with a scope of its own: it runs on
 //! `rtec_core::machine` alone, and `C1`..`C6` do not (the machine may
 //! share its calendar through a plain `std::sync::Arc`). `C8` runs on
-//! `crates/live/src` on top of `C1`..`C6`, and `C9` on both
-//! `crates/live/src` and `crates/gateway/src`.
+//! `crates/live/src` on top of `C1`..`C6`, `C9` on both
+//! `crates/live/src` and `crates/gateway/src`, and `C10` on the two
+//! gateway files that hold a lane's state, on top of `C1`..`C6` and
+//! `C9`. `Arc` stays allowed there: the frames a lane shares with the
+//! other lanes and its replay ring are immutable.
 
 use crate::diag::{Report, RuleId};
 use std::fs;
@@ -383,6 +390,24 @@ const CODEC_RULE: TextRule = TextRule {
     fix: "write with rtec_can::codec::Put and read with codec::Reader (or codec::read_frame)",
 };
 
+/// The files `C10` guards: a gateway lane's session accounting and
+/// egress queue, which only the lane's worker ever touches.
+const LANE_STATE_FILES: &[&str] = &[
+    "crates/gateway/src/session.rs",
+    "crates/gateway/src/egress.rs",
+];
+
+/// `C10`: what only state shared between threads, or doing I/O, needs.
+const LANE_STATE_RULE: TextRule = TextRule {
+    id: RuleId::SharedLaneState,
+    needles: &[
+        "Mutex", "RwLock", "Condvar", "atomic", "Atomic", "mpsc", "thread", "std::net", "std::io",
+    ],
+    allow_files: &[],
+    unless_on_line: None,
+    fix: "keep the state in the lane its worker owns; pass bus time and frames in as arguments",
+};
+
 /// Lint a set of already-loaded sources. Pure — the unit of testing.
 pub fn lint_sources(files: &[SrcFile]) -> Report {
     let mut report = Report::new();
@@ -396,7 +421,11 @@ pub fn lint_sources(files: &[SrcFile]) -> Report {
         let live = file.path.contains(LIVE_DIR);
         let live_only = live.then_some(&BUS_COPY_RULE);
         let wire = (live || file.path.contains(GATEWAY_DIR)).then_some(&CODEC_RULE);
-        for rule in rules.iter().chain(live_only).chain(wire) {
+        let lane_state = LANE_STATE_FILES
+            .iter()
+            .any(|f| file.path.ends_with(f))
+            .then_some(&LANE_STATE_RULE);
+        for rule in rules.iter().chain(live_only).chain(wire).chain(lane_state) {
             if rule.allow_files.contains(&file.file_name()) {
                 continue;
             }
@@ -662,6 +691,41 @@ mod tests {
         // ... and the kernel itself lives outside the rule's reach.
         let kernel = SrcFile::new("crates/can/src/codec.rs", "v.to_le_bytes()");
         assert!(lint_sources(&[kernel]).passes());
+    }
+
+    #[test]
+    fn c10_fires_on_sync_and_io_names_in_the_lane_state_only() {
+        for stmt in [
+            // What the session module held while its core was shared.
+            "use rtec_live::sync::atomic::{AtomicU64, Ordering};",
+            "use rtec_live::sync::{Arc, Mutex};",
+            "pub core: Arc<Mutex<SessionCore>>,",
+            "now_wm: Arc<AtomicU64>,",
+            "let g: RwLock<u8> = RwLock::new(0);",
+            "cv: Condvar,",
+            "tx: mpsc::SyncSender<u64>,",
+            "crate::sync::thread::yield_now();",
+            "use std::net::TcpStream;",
+            "fn write(w: &mut dyn std::io::Write) {}",
+        ] {
+            for name in ["session.rs", "egress.rs"] {
+                let rep = lint_gateway(name, stmt);
+                assert!(rep.fired(RuleId::SharedLaneState), "{name}: {stmt}: {rep}");
+            }
+        }
+        // Shared immutable frames are the point of the ring ...
+        let rep = lint_gateway(
+            "session.rs",
+            concat!(
+                "use rtec_live::sync::Arc;\n",
+                "struct RingFrame { bytes: Arc<Vec<u8>>, expiry_ns: Option<u64> }\n",
+                "fn detach(&mut self, client: u32, now: u64) -> bool { true }\n",
+            ),
+        );
+        assert!(rep.passes(), "{rep}");
+        // ... and the worker that owns the lane holds the locks.
+        let rep = lint_gateway("gateway.rs", "sessions: Arc<Mutex<SessionStore>>,\n");
+        assert!(!rep.fired(RuleId::SharedLaneState), "{rep}");
     }
 
     #[test]

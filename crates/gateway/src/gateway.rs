@@ -19,19 +19,25 @@
 //!
 //! # Sessions and crash tolerance
 //!
-//! A v2 client's session outlives its connection. When a sink dies
-//! (severed TCP link, killed client), the lane is *detached in place*:
-//! it stays inside its worker, keeps queueing events under its normal
-//! policies (so SRT still sheds stale, HRT is never dropped), and the
-//! session table remembers it for a bus-time TTL. A resuming client
-//! presents its token and per-class receive watermarks; its worker
-//! replays exactly the in-flight suffix from the session's bounded
-//! replay ring (see `session.rs` for the per-class rules), reattaches
-//! the lane, and flushes what queued while the client was away. A
-//! gateway-*node* crash takes none of this down: the worker pool and
-//! session table live outside the node behavior, so the supervisor
-//! restarts the bus node and external clients resume against the new
-//! incarnation.
+//! A v2 client's session outlives its connection. Its send-side state
+//! — per-class sent counts and replay rings — is owned by its lane, on
+//! its worker, and the worker numbers every event itself: every worker
+//! sees every delivery in the same order, so all of them agree on each
+//! subject's `seq` without sharing a counter. When a sink dies (severed
+//! TCP link, killed client), the lane is *detached in place*: it stays
+//! inside its worker, keeps queueing events under its normal policies
+//! (so SRT still sheds stale, HRT is never dropped), and the session
+//! table remembers it for a bus-time TTL. A resume is one message to
+//! the client's worker: carrying the token's claim and the client's
+//! per-class receive watermarks, it makes the worker decide the verdict,
+//! replay exactly the in-flight suffix from the lane's bounded replay
+//! ring (see `session.rs` for the per-class rules) — behind a `Welcome`
+//! carrying that verdict, for a socket client — count the verdict once
+//! the replay completes, reattach the lane, and flush what queued while
+//! the client was away. A gateway-*node* crash takes none of this down:
+//! the worker pool and session table live outside the node behavior, so
+//! the supervisor restarts the bus node and external clients resume
+//! against the new incarnation.
 //!
 //! Workers are spawned through the `rtec_live::sync` facade, so the
 //! loom model checker and the srclint C1–C6 rules cover this crate the
@@ -41,21 +47,24 @@ use crate::client::{ClientSink, ClientSinkSpec, SinkDigest, SinkHandle, SinkStat
 use crate::egress::{
     EgressEntry, EgressQueue, FlushItem, FlushVerdict, LaneStats, PushOutcome, SlowConsumerPolicy,
 };
-use crate::session::{compute_replay, ResumeClaim, SessionCore, SessionStore};
-use crate::wire::{self, BatchEntry, ClassWatermarks, EventMsg, FragMsg, Reason, ToClient};
+use crate::session::{compute_replay, ReplayPlan, SessionCore, SessionStore};
+use crate::wire::{
+    self, BatchEntry, ClassWatermarks, EventMsg, FragMsg, Reason, SessionInfo, ToClient,
+};
 use rtec_core::event::Delivery;
 use rtec_core::{ChannelClass, ChannelSpec, Subject};
 use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::sync::atomic::{AtomicU64, Ordering};
-use rtec_live::sync::{mpsc, thread, Arc, Mutex};
+use rtec_live::sync::{mpsc, thread, Arc, Mutex, MutexGuard};
 use rtec_sim::{SharedTraceSink, SourceId, Time};
 use std::collections::HashMap;
 
 pub use crate::session::SessionStats;
 pub use crate::wire::ResumeVerdict;
 
-/// Bounded `Busy` retries while replaying a resume suffix; a sink that
-/// stays busy this long is treated as dead and the resume aborts.
+/// Bounded `Busy` retries while offering a resume's `Welcome` and
+/// replay; a sink that stays busy this long is treated as dead and the
+/// resume aborts.
 const RESUME_OFFER_RETRIES: usize = 1 << 12;
 
 /// Policy for clients that register without one of their own.
@@ -105,7 +114,6 @@ struct IngressEvent {
     uid: u64,
     class: ChannelClass,
     origin: u8,
-    seq: u32,
     wire_ns: u64,
     delivered_ns: u64,
     expiry_ns: Option<u64>,
@@ -130,27 +138,26 @@ struct Attach {
     uids: Vec<u64>,
     sink: SinkHandle,
     policy: SlowConsumerPolicy,
-    /// The session's send-side accounting; `None` for a sessionless
-    /// (v1) client.
-    session: Option<Arc<Mutex<SessionCore>>>,
+    /// A session client: the lane keeps its send-side accounting.
+    /// `false` for a sessionless (v1) client.
+    session: bool,
     /// Connection incarnation this sink belongs to; an attach older
     /// than the lane's is ignored.
     incarnation: u32,
-    /// Set for a resume: replay the missing suffix into the new sink
-    /// before it takes over the lane.
+    /// Set for a session's resume: replay the missing suffix into the
+    /// new sink before it takes over the lane.
     resume: Option<Resume>,
 }
 
 /// The replay half of a resume.
 struct Resume {
-    core: Arc<Mutex<SessionCore>>,
     wm: WmSource,
-    /// The verdict is already on the wire and in the session counters
-    /// ([`Gateway::begin_resume`]).
-    announced: bool,
     /// Bus-time high-water mark captured at the caller — deterministic
     /// when the caller is a node thread.
     now_ns: u64,
+    /// The session token, for a socket resume: the worker offers
+    /// `Welcome` with the verdict ahead of the replay.
+    welcome: Option<u64>,
 }
 
 /// Worker mailbox messages.
@@ -277,15 +284,16 @@ struct Inner {
     senders: Mutex<Option<Vec<mpsc::SyncSender<GwMsg>>>>,
     handles: Mutex<Option<Vec<thread::JoinHandle<ShardReport>>>>,
     next_client: Mutex<u32>,
-    meta: Arc<Mutex<HashMap<u64, SubjectMeta>>>,
+    meta: Mutex<HashMap<u64, SubjectMeta>>,
     sessions: Arc<Mutex<SessionStore>>,
     /// Bus-time high-water mark over all deliveries: the session TTL
     /// clock, advanced by the behavior thread.
     now_wm: Arc<AtomicU64>,
-    /// Per-subject egress sequence counters. Shared (not per-behavior)
-    /// so sequence numbers keep counting across gateway-node restarts
-    /// — a resumed client must never see `seq` go backwards.
-    seqs: Arc<Mutex<HashMap<u64, u32>>>,
+}
+
+/// Lock `m`, recovering the data of a poisoned lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Handle to a running gateway (cheap to clone; all clones address the
@@ -300,12 +308,7 @@ impl Gateway {
     pub fn new(cfg: GatewayConfig) -> Gateway {
         let workers = cfg.workers.max(1);
         let now_wm = Arc::new(AtomicU64::new(0));
-        let sessions = Arc::new(Mutex::new(SessionStore::new(
-            cfg.session_ttl_ns,
-            cfg.resume_ring_cap,
-            Arc::clone(&now_wm),
-        )));
-        let meta: Arc<Mutex<HashMap<u64, SubjectMeta>>> = Arc::new(Mutex::new(HashMap::new()));
+        let sessions = Arc::new(Mutex::new(SessionStore::new(cfg.session_ttl_ns)));
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for shard in 0..workers {
@@ -315,6 +318,8 @@ impl Gateway {
             let mut state = WorkerState {
                 shard,
                 cap: cfg.client_queue_cap.max(1),
+                ring_cap: cfg.resume_ring_cap,
+                seqs: HashMap::new(),
                 subs: HashMap::new(),
                 lanes: Vec::new(),
                 slots: HashMap::new(),
@@ -324,7 +329,7 @@ impl Gateway {
                 stats: ShardStats::default(),
                 notice_buf: Vec::new(),
                 sessions: Arc::clone(&sessions),
-                meta: Arc::clone(&meta),
+                now_wm: Arc::clone(&now_wm),
                 trace: cfg.sink.clone(),
                 src: cfg.sink.intern(&format!("gateway.shard{shard}")),
             };
@@ -355,10 +360,9 @@ impl Gateway {
                 senders: Mutex::new(Some(senders)),
                 handles: Mutex::new(Some(handles)),
                 next_client: Mutex::new(0),
-                meta,
+                meta: Mutex::new(HashMap::new()),
                 sessions,
                 now_wm,
-                seqs: Arc::new(Mutex::new(HashMap::new())),
             }),
         }
     }
@@ -372,17 +376,13 @@ impl Gateway {
             ChannelSpec::Srt(s) => s.default_expiration.map(|d| d.as_ns()),
             _ => None,
         };
-        self.inner
-            .meta
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(
-                subject.uid(),
-                SubjectMeta {
-                    class: spec.class(),
-                    stale_ns,
-                },
-            );
+        lock(&self.inner.meta).insert(
+            subject.uid(),
+            SubjectMeta {
+                class: spec.class(),
+                stale_ns,
+            },
+        );
     }
 
     /// Number of fanout workers.
@@ -411,11 +411,7 @@ impl Gateway {
     /// handshake (e.g. write `Welcome` carrying the id) before any
     /// fanout worker can write to the client's sink.
     pub fn reserve_client(&self) -> u32 {
-        let mut next = self
-            .inner
-            .next_client
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut next = lock(&self.inner.next_client);
         let id = *next;
         *next += 1;
         id
@@ -438,7 +434,7 @@ impl Gateway {
             uids: subjects.iter().map(|s| s.uid()).collect(),
             sink: spec.instantiate(client, self.worker_of(client)),
             policy: policy.unwrap_or(DEFAULT_POLICY),
-            session: None,
+            session: false,
             incarnation: 0,
             resume: None,
         });
@@ -456,22 +452,14 @@ impl Gateway {
     ) -> u64 {
         let policy = policy.unwrap_or(DEFAULT_POLICY);
         let uids: Vec<u64> = subjects.iter().map(|s| s.uid()).collect();
-        self.inner
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .open(client, uids, policy)
+        lock(&self.inner.sessions).open(client, uids, policy)
     }
 
     /// Attach a sink to an open session; delivery starts now. The
     /// client's lane keeps the session's frame accounting.
     pub fn attach_session(&self, client: u32, sink: Box<dyn ClientSink>) {
         let attach = {
-            let store = self
-                .inner
-                .sessions
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let store = lock(&self.inner.sessions);
             let Some(e) = store.entry(client) else {
                 return;
             };
@@ -480,7 +468,7 @@ impl Gateway {
                 uids: e.subjects.clone(),
                 sink: SinkHandle::Own(sink),
                 policy: e.policy,
-                session: Some(Arc::clone(&e.core)),
+                session: true,
                 incarnation: e.incarnation,
                 resume: None,
             }
@@ -488,104 +476,54 @@ impl Gateway {
         self.attach(attach);
     }
 
-    /// Validate a resume attempt and claim the session for a new
-    /// incarnation, *without* starting the replay — so a transport can
-    /// write `Welcome` (carrying the verdict) before any replayed
-    /// frame hits the stream. Follow with [`Gateway::commit_resume`]
-    /// or [`Gateway::abort_resume`].
-    ///
-    /// On `Err` the token is spent; the caller falls back to a fresh
-    /// session.
-    pub fn begin_resume(
-        &self,
-        token: u64,
-        wm: ClassWatermarks,
-    ) -> Result<ResumePending, ResumeVerdict> {
-        let claim = self
-            .inner
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .claim_resume(token)?;
-        // Sound preview: the old sink is dead (or about to be
-        // parked), so the sent counters it reads are what the replay
-        // will repair against.
-        let verdict = claim
-            .core
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .preview(&wm);
-        // Counted before the caller can put it on the wire: a client
-        // that has read its verdict is in the report, whatever
-        // `finish` races the commit.
-        *self
-            .inner
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .verdict_counter(verdict) += 1;
-        Ok(ResumePending { claim, wm, verdict })
-    }
-
-    /// Start the replay and reattach the session's lane to `sink`.
-    pub fn commit_resume(&self, pending: ResumePending, sink: Box<dyn ClientSink>) {
-        self.do_resume(pending.claim, WmSource::Known(pending.wm), true, sink);
-    }
-
-    /// The `Welcome` never reached the client: take its verdict back
-    /// out of the counters and put the session back in the detached
-    /// state so the client can retry within the TTL.
-    pub fn abort_resume(&self, pending: ResumePending) {
-        let mut store = self
-            .inner
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        *store.verdict_counter(pending.verdict) -= 1;
-        store.detach(pending.claim.client);
-    }
-
-    /// One-shot resume for in-process sinks: claim, replay, reattach.
-    /// Returns `(client, incarnation)` or the refusal verdict.
+    /// Resume a session onto an in-process sink: claim the token, then
+    /// have the client's worker replay what the client missed and
+    /// reattach its lane. Returns `(client, incarnation)` or the refusal
+    /// verdict (the token is spent; the caller opens a fresh session).
     pub fn resume_session(
         &self,
         token: u64,
         wm: WmSource,
         sink: Box<dyn ClientSink>,
     ) -> Result<(u32, u32), ResumeVerdict> {
-        let claim = self
-            .inner
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .claim_resume(token)?;
-        let out = (claim.client, claim.incarnation);
-        self.do_resume(claim, wm, false, sink);
-        Ok(out)
+        self.resume(token, wm, sink, false)
     }
 
-    fn do_resume(
+    /// The one resume path. A claimed resume is one message to the
+    /// client's worker, which decides the verdict from the lane's own
+    /// accounting, replays, and counts the verdict once the replay
+    /// completes (a sink that refuses or dies counts `aborted` and the
+    /// session parks again). With `welcome` (the socket path) the
+    /// worker first offers the new sink a `Welcome` carrying the token
+    /// and that verdict, so it is the first frame on the stream.
+    pub(crate) fn resume(
         &self,
-        claim: ResumeClaim,
+        token: u64,
         wm: WmSource,
-        announced: bool,
         sink: Box<dyn ClientSink>,
-    ) {
-        let now_ns = self.inner.now_wm.load(Ordering::SeqCst);
+        welcome: bool,
+    ) -> Result<(u32, u32), ResumeVerdict> {
+        let now_ns = self.now();
+        let claim = lock(&self.inner.sessions).claim_resume(token, now_ns)?;
         self.attach(Attach {
             client: claim.client,
             uids: claim.subjects,
             sink: SinkHandle::Own(sink),
             policy: claim.policy,
-            session: Some(Arc::clone(&claim.core)),
+            session: true,
             incarnation: claim.incarnation,
             resume: Some(Resume {
-                core: claim.core,
                 wm,
-                announced,
                 now_ns,
+                welcome: welcome.then_some(claim.token),
             }),
         });
+        Ok((claim.client, claim.incarnation))
+    }
+
+    /// The session TTL clock: the bus-time high-water mark.
+    fn now(&self) -> u64 {
+        self.inner.now_wm.load(Ordering::SeqCst)
     }
 
     /// Hand an attach to the client's worker. When the worker pool is
@@ -595,18 +533,14 @@ impl Gateway {
     fn attach(&self, attach: Attach) {
         let client = attach.client;
         if !self.post(client, GwMsg::Attach(Box::new(attach))) {
-            self.inner
-                .sessions
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .detach(client);
+            lock(&self.inner.sessions).detach(client, self.now());
         }
     }
 
     /// Post `msg` to the worker that owns `client`; `false` once
     /// [`Gateway::finish`] has taken the worker pool.
     fn post(&self, client: u32, msg: GwMsg) -> bool {
-        let pool = self.inner.senders.lock().unwrap_or_else(|e| e.into_inner());
+        let pool = lock(&self.inner.senders);
         let Some(senders) = pool.as_ref() else {
             return false;
         };
@@ -626,15 +560,11 @@ impl Gateway {
     /// resumed) is ignored.
     pub fn detach_session(&self, client: u32, incarnation: u32) {
         {
-            let mut store = self
-                .inner
-                .sessions
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let mut store = lock(&self.inner.sessions);
             if store.entry(client).map(|e| e.incarnation) != Some(incarnation) {
                 return;
             }
-            store.detach(client);
+            store.detach(client, self.now());
         }
         self.post(
             client,
@@ -650,11 +580,7 @@ impl Gateway {
     /// still take, tear its lane down, and spend its session token.
     /// Also the teardown path for sessionless (v1) clients.
     pub fn close_session(&self, client: u32) {
-        self.inner
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .end(client, true);
+        lock(&self.inner.sessions).end(client, true);
         self.post(
             client,
             GwMsg::Deregister {
@@ -668,39 +594,21 @@ impl Gateway {
     /// Live snapshot of the session counters (the final ones ride on
     /// [`GatewayReport::sessions`]).
     pub fn session_stats(&self) -> SessionStats {
-        self.inner
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .stats
+        lock(&self.inner.sessions).stats
     }
 
     /// The cluster behavior for the gateway node. Bind every subject
     /// first ([`Gateway::bind`]); deliveries for unbound subjects are
     /// ignored.
     ///
-    /// May be called once per gateway-*node* incarnation: sequence
-    /// counters and the TTL clock are shared across behaviors, so a
-    /// supervised restart of the bus node does not disturb client
+    /// May be called once per gateway-*node* incarnation: the workers
+    /// (which number the events) and the TTL clock outlive behaviors,
+    /// so a supervised restart of the bus node does not disturb client
     /// sessions.
     pub fn behavior(&self) -> Box<dyn Behavior> {
-        let senders = self
-            .inner
-            .senders
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-            .unwrap_or_default();
-        let meta = self
-            .inner
-            .meta
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
         Box::new(GatewayBehavior {
-            senders,
-            meta,
-            seqs: Arc::clone(&self.inner.seqs),
+            senders: lock(&self.inner.senders).clone().unwrap_or_default(),
+            meta: lock(&self.inner.meta).clone(),
             now_wm: Arc::clone(&self.inner.now_wm),
         })
     }
@@ -709,24 +617,12 @@ impl Gateway {
     /// take) and collect the report. Idempotent: a second call returns
     /// an empty report.
     pub fn finish(&self) -> GatewayReport {
-        if let Some(senders) = self
-            .inner
-            .senders
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
+        if let Some(senders) = lock(&self.inner.senders).take() {
             for tx in &senders {
                 let _ = tx.send(GwMsg::Shutdown);
             }
         }
-        let handles = self
-            .inner
-            .handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .unwrap_or_default();
+        let handles = lock(&self.inner.handles).take().unwrap_or_default();
         let mut shards: Vec<ShardReport> = Vec::with_capacity(handles.len());
         for h in handles {
             match h.join() {
@@ -764,41 +660,11 @@ impl Gateway {
     }
 }
 
-/// A resume claim waiting for its transport to finish the handshake.
-pub struct ResumePending {
-    claim: ResumeClaim,
-    wm: ClassWatermarks,
-    verdict: ResumeVerdict,
-}
-
-impl ResumePending {
-    /// The resumed client's id.
-    pub fn client(&self) -> u32 {
-        self.claim.client
-    }
-
-    /// The session token (unchanged across resumes).
-    pub fn token(&self) -> u64 {
-        self.claim.token
-    }
-
-    /// The new connection incarnation.
-    pub fn incarnation(&self) -> u32 {
-        self.claim.incarnation
-    }
-
-    /// The verdict the `Welcome` should carry.
-    pub fn verdict(&self) -> ResumeVerdict {
-        self.verdict
-    }
-}
-
 /// The gateway node's cluster behavior: classify, stamp, hand to every
 /// worker.
 struct GatewayBehavior {
     senders: Vec<mpsc::SyncSender<GwMsg>>,
     meta: HashMap<u64, SubjectMeta>,
-    seqs: Arc<Mutex<HashMap<u64, u32>>>,
     now_wm: Arc<AtomicU64>,
 }
 
@@ -807,13 +673,6 @@ impl Behavior for GatewayBehavior {
         let uid = delivery.event.subject.uid();
         let Some(meta) = self.meta.get(&uid) else {
             return;
-        };
-        let seq = {
-            let mut seqs = self.seqs.lock().unwrap_or_else(|e| e.into_inner());
-            let s = seqs.entry(uid).or_insert(0);
-            let v = *s;
-            *s += 1;
-            v
         };
         let delivered_ns = delivery.delivered_at.as_ns();
         // Single writer (the node thread); monotonic by construction.
@@ -824,7 +683,6 @@ impl Behavior for GatewayBehavior {
             uid,
             class: meta.class,
             origin: delivery.event.attributes.origin.map_or(255, |n| n.0),
-            seq,
             wire_ns: delivery.wire_completed_at.as_ns(),
             delivered_ns,
             expiry_ns: meta.stale_ns.map(|s| delivered_ns.saturating_add(s)),
@@ -847,10 +705,11 @@ struct Lane {
     /// `None` while detached: the connection died but the session is
     /// resumable, so the queue keeps filling under its policies.
     sink: Option<SinkHandle>,
-    /// The session's send-side accounting (`None` for a sessionless
-    /// client): every data frame the sink accepts is counted and kept
-    /// for replay.
-    session: Option<Arc<Mutex<SessionCore>>>,
+    /// The session's send-side accounting, owned here (`None` for a
+    /// sessionless client): every data frame the sink accepts is
+    /// counted and kept for replay. Boxed so a sessionless lane stays
+    /// one pointer wide: a worker's slab may hold thousands of lanes.
+    session: Option<Box<SessionCore>>,
     policy: SlowConsumerPolicy,
     gone: bool,
     /// Connection incarnation the lane last (re)attached with.
@@ -872,7 +731,7 @@ impl Lane {
             return true;
         };
         queue.flush(watermark, wire::NRT_BATCH_MAX, |item| {
-            offer_item(sink, session.as_deref(), item)
+            offer_item(sink, session.as_deref_mut(), item)
         })
     }
 
@@ -914,6 +773,12 @@ impl Lane {
 struct WorkerState {
     shard: usize,
     cap: usize,
+    /// Per-class replay ring bound of each session lane's core.
+    ring_cap: usize,
+    /// Subject uid → the next delivery's `seq`. Every worker receives
+    /// every delivery in the gateway node's order, and the workers
+    /// outlive node restarts, so each worker's count is the gateway's.
+    seqs: HashMap<u64, u32>,
     /// Subject uid → slots of the lanes subscribed to it.
     subs: HashMap<u64, Vec<usize>>,
     /// The lane slab, indexed by slot. A closed lane's slot is on
@@ -930,7 +795,8 @@ struct WorkerState {
     /// Reused encode buffer for `Shed` notices.
     notice_buf: Vec<u8>,
     sessions: Arc<Mutex<SessionStore>>,
-    meta: Arc<Mutex<HashMap<u64, SubjectMeta>>>,
+    /// The gateway's TTL clock, read when this worker parks a session.
+    now_wm: Arc<AtomicU64>,
     trace: SharedTraceSink,
     src: SourceId,
 }
@@ -975,22 +841,39 @@ impl WorkerState {
         }
         lane.incarnation = a.incarnation;
         lane.policy = a.policy;
-        lane.session = a.session;
         let mut sink = a.sink;
-        match a.resume {
-            Some(resume) => {
-                // Park the old connection first: the counters the
-                // replay repairs against are frozen from here on.
+        if a.session {
+            // The lane owns its session's accounting from the first
+            // attach on; a session opened but never attached resumes
+            // onto a fresh core.
+            let core = lane
+                .session
+                .get_or_insert_with(|| Box::new(SessionCore::new(self.ring_cap)));
+            if let Some(Resume {
+                wm,
+                now_ns,
+                welcome,
+            }) = a.resume
+            {
+                // Park the old connection first. Only this thread
+                // appends to the core, so the counters the plan
+                // repairs against stay frozen until the replay is out.
                 lane.sink = None;
                 lane.gone = false;
-                if !self.replay(a.client, &mut sink, resume) {
-                    return; // the new sink died mid-replay: stay parked
+                let wm = match wm {
+                    WmSource::Known(wm) => wm,
+                    WmSource::Deferred(f) => f(),
+                };
+                let plan = compute_replay(core, now_ns, &wm);
+                if !self.replay(a.client, &mut sink, &plan, now_ns, welcome) {
+                    return; // the new sink refused or died: stay parked
                 }
             }
-            None if lane.gone => return,
-            None => {}
         }
         let lane = &mut self.lanes[slot];
+        if lane.gone {
+            return;
+        }
         lane.sink = Some(sink);
         // Release what queued while the lane was detached.
         if !lane.flush(self.watermark_ns) {
@@ -999,35 +882,40 @@ impl WorkerState {
     }
 
     /// Replay a resuming client's missing suffix into its new sink,
-    /// ahead of anything the lane flushes. The frames go to the raw
-    /// sink, past the lane's accounting: they were counted when first
-    /// sent. Returns `false` when the sink died mid-replay (the resume
-    /// aborts and the session stays parked).
-    fn replay(&mut self, client: u32, sink: &mut SinkHandle, resume: Resume) -> bool {
-        let wm = match resume.wm {
-            WmSource::Known(wm) => wm,
-            WmSource::Deferred(f) => f(),
-        };
-        let plan = {
-            let meta = self.meta.lock().unwrap_or_else(|e| e.into_inner());
-            let core = resume.core.lock().unwrap_or_else(|e| e.into_inner());
-            compute_replay(
-                &core,
-                |uid| meta.get(&uid).and_then(|m| m.stale_ns),
-                resume.now_ns,
-                &wm,
-            )
-        };
+    /// ahead of anything the lane flushes — behind a `Welcome` carrying
+    /// the verdict, for a socket resume. The frames go to the raw sink,
+    /// past the lane's accounting: they were counted when first sent.
+    /// Returns `false` when the sink refused or died (the resume aborts
+    /// and the session stays parked).
+    fn replay(
+        &mut self,
+        client: u32,
+        sink: &mut SinkHandle,
+        plan: &ReplayPlan,
+        now_ns: u64,
+        welcome: Option<u64>,
+    ) -> bool {
+        let welcome = welcome.map(|token| {
+            wire::encode_to_client(&ToClient::Welcome {
+                client,
+                now_ns: 0,
+                session: Some(SessionInfo {
+                    token,
+                    verdict: plan.verdict,
+                }),
+            })
+        });
         let notices = plan.notices.iter().map(|(_, _, bytes)| bytes.as_slice());
         let frames = plan.frames.iter().map(|f| f.as_slice());
-        let alive = notices
+        let alive = welcome
+            .iter()
+            .map(Vec::as_slice)
+            .chain(notices)
             .chain(frames)
             .all(|bytes| offer_retrying(sink, bytes));
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .resume_done(client, &plan, !alive, resume.announced);
-        let at = Time::from_ns(resume.now_ns.max(self.watermark_ns));
+        let now = self.now_wm.load(Ordering::SeqCst);
+        lock(&self.sessions).resume_done(client, plan, !alive, now);
+        let at = Time::from_ns(now_ns.max(self.watermark_ns));
         self.trace.emit_fields(
             at,
             self.src,
@@ -1084,13 +972,18 @@ impl WorkerState {
     fn on_event(&mut self, ev: &IngressEvent) {
         self.watermark_ns = self.watermark_ns.max(ev.delivered_ns);
         self.stats.ingress += 1;
+        // Numbered before anything can return early: a delivery this
+        // worker has no subscriber for, or cannot encode, still counts.
+        let next = self.seqs.entry(ev.uid).or_insert(0);
+        let seq = *next;
+        *next = seq.wrapping_add(1);
         // Lent out of the table for the loop, so each lane can be
         // settled through `&mut self`; no lane (un)subscribes meanwhile.
         let slots = match self.subs.get_mut(&ev.uid) {
             Some(v) if !v.is_empty() => std::mem::take(v),
             _ => return,
         };
-        let entries = encode_entries(ev);
+        let entries = encode_entries(ev, seq);
         if entries.is_empty() {
             // An HRT/SRT payload no single wire frame can carry:
             // encoding it truncated or oversized would corrupt the
@@ -1157,7 +1050,7 @@ impl WorkerState {
             return; // detached: the queue keeps filling
         };
         notify_sheds(&mut queue.stats, sink, &mut self.notice_buf);
-        let offer = |item: FlushItem<'_>| offer_item(sink, session.as_deref(), item);
+        let offer = |item: FlushItem<'_>| offer_item(sink, session.as_deref_mut(), item);
         let alive = match direct {
             Some(entry) => queue.offer_direct(entry, offer),
             None => queue.flush(watermark, wire::NRT_BATCH_MAX, offer),
@@ -1177,10 +1070,7 @@ impl WorkerState {
             }));
         }
         lane.kill(&mut self.stats);
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .end(lane.client, false);
+        lock(&self.sessions).end(lane.client, false);
     }
 
     /// The lane's sink is gone: park a resumable session's lane in
@@ -1188,12 +1078,8 @@ impl WorkerState {
     fn sink_lost(&mut self, slot: usize) {
         let lane = &mut self.lanes[slot];
         lane.sink = None;
-        let park = self
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .detach(lane.client);
-        if !park {
+        let now = self.now_wm.load(Ordering::SeqCst);
+        if !lock(&self.sessions).detach(lane.client, now) {
             lane.kill(&mut self.stats);
         }
     }
@@ -1289,29 +1175,19 @@ fn notify_sheds(stats: &mut LaneStats, sink: &mut SinkHandle, buf: &mut Vec<u8>)
 
 /// Offer one flush item to a lane's sink. A data frame the sink
 /// accepts is counted in the lane's session, if it has one, and kept
-/// in its replay ring: an `Event` as `(class, uid, release)`, a `Batch`
-/// or `Frag` as NRT with no subject (only SRT staleness reads the uid,
-/// and SRT is never batched or fragmented).
+/// in its replay ring with the entry's expiry: an `Event` or `Frag`
+/// under its class, a `Batch` as NRT (only SRT has an expiry, and SRT
+/// is never batched or fragmented).
 fn offer_item(
     sink: &mut SinkHandle,
-    session: Option<&Mutex<SessionCore>>,
+    session: Option<&mut SessionCore>,
     item: FlushItem<'_>,
 ) -> FlushVerdict {
     let status = match item {
         FlushItem::Single(e) => {
             let status = sink.offer(&e.encoded);
             if let (SinkStatus::Accepted, Some(core)) = (status, session) {
-                let (class, uid, release_ns) = if e.frag {
-                    (ChannelClass::Nrt, 0, 0)
-                } else {
-                    (e.class, e.uid, e.release_ns)
-                };
-                core.lock().unwrap_or_else(|e| e.into_inner()).record(
-                    class,
-                    uid,
-                    release_ns,
-                    Arc::clone(&e.encoded),
-                );
+                core.record(e.class, e.expiry_ns, Arc::clone(&e.encoded));
             }
             status
         }
@@ -1330,12 +1206,7 @@ fn offer_item(
             });
             let status = sink.offer(&bytes);
             if let (SinkStatus::Accepted, Some(core)) = (status, session) {
-                core.lock().unwrap_or_else(|e| e.into_inner()).record(
-                    ChannelClass::Nrt,
-                    0,
-                    0,
-                    Arc::new(bytes),
-                );
+                core.record(ChannelClass::Nrt, None, Arc::new(bytes));
             }
             status
         }
@@ -1356,19 +1227,20 @@ fn class_field(class: ChannelClass) -> u64 {
     }
 }
 
-/// Pre-encode an ingress event into the entries every subscribed lane
-/// will queue: one `Event` message, or a fragment stream for NRT bulk.
+/// Pre-encode an ingress event, numbered `seq`, into the entries every
+/// subscribed lane will queue: one `Event` message, or a fragment
+/// stream for NRT bulk.
 ///
 /// Never truncates: an NRT payload above [`wire::FRAG_CHUNK`] bytes is
 /// split into fragments, and an HRT/SRT payload no single frame can carry
 /// ([`wire::MAX_PAYLOAD`]) yields an *empty* vec — the caller drops
 /// the event explicitly instead of corrupting the stream.
-fn encode_entries(ev: &IngressEvent) -> Vec<EgressEntry> {
+fn encode_entries(ev: &IngressEvent, seq: u32) -> Vec<EgressEntry> {
     let base = EgressEntry {
         class: ev.class,
         uid: ev.uid,
         origin: ev.origin,
-        seq: ev.seq,
+        seq,
         wire_ns: ev.wire_ns,
         release_ns: ev.delivered_ns,
         expiry_ns: ev.expiry_ns,
@@ -1386,7 +1258,7 @@ fn encode_entries(ev: &IngressEvent) -> Vec<EgressEntry> {
             class: ev.class,
             origin: ev.origin,
             uid: ev.uid,
-            seq: ev.seq,
+            seq,
             wire_ns: ev.wire_ns,
             release_ns: ev.delivered_ns,
             payload: ev.payload.clone(),
@@ -1405,7 +1277,7 @@ fn encode_entries(ev: &IngressEvent) -> Vec<EgressEntry> {
             let encoded = Arc::new(wire::encode_to_client(&ToClient::Frag(FragMsg {
                 origin: ev.origin,
                 uid: ev.uid,
-                seq: ev.seq,
+                seq,
                 wire_ns: ev.wire_ns,
                 offset: (i * wire::FRAG_CHUNK) as u32,
                 total,
@@ -1432,12 +1304,29 @@ mod tests {
         }
     }
 
+    /// Refuses every offer.
+    struct Refuse;
+    impl ClientSink for Refuse {
+        fn offer(&mut self, _bytes: &[u8]) -> SinkStatus {
+            SinkStatus::Gone
+        }
+    }
+
+    /// Decodes and keeps every frame it accepts.
+    struct Rec(Arc<Mutex<Vec<ToClient>>>);
+    impl ClientSink for Rec {
+        fn offer(&mut self, bytes: &[u8]) -> SinkStatus {
+            let msg = wire::decode_to_client(bytes).expect("undecodable frame");
+            lock(&self.0).push(msg);
+            SinkStatus::Accepted
+        }
+    }
+
     fn ev(class: ChannelClass, len: usize) -> IngressEvent {
         IngressEvent {
             uid: 1,
             class,
             origin: 0,
-            seq: 0,
             wire_ns: 0,
             delivered_ns: 0,
             expiry_ns: None,
@@ -1450,12 +1339,12 @@ mod tests {
     #[test]
     fn nrt_bulk_fragments_at_frag_chunk() {
         let chunk = wire::FRAG_CHUNK;
-        let entries = encode_entries(&ev(ChannelClass::Nrt, 2 * chunk + chunk / 2));
+        let entries = encode_entries(&ev(ChannelClass::Nrt, 2 * chunk + chunk / 2), 0);
         assert_eq!(entries.len(), 3);
         assert!(entries.iter().all(|e| e.frag));
         assert_eq!(entries[0].payload.len(), chunk);
         assert_eq!(entries[2].payload.len(), chunk / 2);
-        let single = encode_entries(&ev(ChannelClass::Nrt, chunk));
+        let single = encode_entries(&ev(ChannelClass::Nrt, chunk), 0);
         assert_eq!(single.len(), 1);
         assert!(!single[0].frag);
     }
@@ -1466,13 +1355,13 @@ mod tests {
     #[test]
     fn oversized_hrt_is_rejected_not_truncated() {
         let over = wire::MAX_PAYLOAD + 1;
-        assert!(encode_entries(&ev(ChannelClass::Hrt, over)).is_empty());
-        assert!(encode_entries(&ev(ChannelClass::Srt, over)).is_empty());
+        assert!(encode_entries(&ev(ChannelClass::Hrt, over), 0).is_empty());
+        assert!(encode_entries(&ev(ChannelClass::Srt, over), 0).is_empty());
         assert_eq!(
-            encode_entries(&ev(ChannelClass::Hrt, wire::MAX_PAYLOAD)).len(),
+            encode_entries(&ev(ChannelClass::Hrt, wire::MAX_PAYLOAD), 0).len(),
             1
         );
-        let frags = encode_entries(&ev(ChannelClass::Nrt, over));
+        let frags = encode_entries(&ev(ChannelClass::Nrt, over), 0);
         assert!(frags.len() > 1);
         assert_eq!(
             frags.iter().map(|e| e.payload.len()).sum::<usize>(),
@@ -1481,55 +1370,85 @@ mod tests {
         );
     }
 
-    /// The wire handshake's two steps with `finish` forced in between
-    /// (the race a fast client can win on real sockets): the verdict a
-    /// client may already have read is in the report, and the session
-    /// the commit finds no worker for is parked, not left `Attached` to
-    /// nothing. A `Welcome` that never left takes its verdict back.
+    /// A resume's verdict is counted when its replay completes, on the
+    /// client's worker. A sink that refuses everything (here, the
+    /// `Welcome`) aborts the resume: `aborted`, no verdict, and the
+    /// session parks, resumable again. A resume posted after `finish`
+    /// parks without counting. A completed socket resume's first frame
+    /// is a `Welcome` carrying the verdict that was counted.
     #[test]
-    fn a_verdict_is_counted_before_the_wire_and_survives_finish() {
+    fn a_verdict_is_counted_when_its_replay_completes() {
         let subject = Subject::new(0x2002);
+        let srt = ChannelSpec::Srt(rtec_core::channel::SrtSpec::default());
+        let none = || WmSource::Known(ClassWatermarks::default());
         let gateway = Gateway::new(GatewayConfig::default());
-        let srt = rtec_core::channel::SrtSpec::default();
-        gateway.bind(subject, &ChannelSpec::Srt(srt));
+        gateway.bind(subject, &srt);
         let client = gateway.reserve_client();
         let token = gateway.open_session(client, &[subject], None);
         gateway.attach_session(client, Box::new(TakeAll));
         gateway.detach_session(client, 0);
 
-        let unsent = gateway
-            .begin_resume(token, ClassWatermarks::default())
+        gateway
+            .resume(token, none(), Box::new(Refuse), true)
             .expect("claim");
-        assert_eq!(gateway.session_stats().resumed, 1);
-        gateway.abort_resume(unsent);
-        assert_eq!(gateway.session_stats().resumed, 0, "taken back");
+        let s = gateway.finish().sessions;
+        assert_eq!((s.aborted, s.resumed, s.gapped), (1, 0, 0));
+        assert_eq!(s.detached, 2, "the sever, then the aborted resume");
 
-        let pending = gateway
-            .begin_resume(token, ClassWatermarks::default())
+        let again = gateway.resume_session(token, none(), Box::new(TakeAll));
+        assert_eq!(again, Ok((client, 2)), "the aborted session resumes");
+        let s = gateway.session_stats();
+        assert_eq!((s.aborted, s.resumed, s.gapped), (1, 0, 0));
+        assert_eq!(s.detached, 3, "no worker: parked, not counted");
+
+        // Three NRT frames go out; a ring of one keeps the last.
+        let gateway = Gateway::new(GatewayConfig {
+            workers: 1,
+            resume_ring_cap: 1,
+            ..GatewayConfig::default()
+        });
+        gateway.bind(subject, &srt);
+        let client = gateway.reserve_client();
+        let token = gateway.open_session(client, &[subject], None);
+        gateway.attach_session(client, Box::new(TakeAll));
+        for _ in 0..3 {
+            let nrt = IngressEvent {
+                uid: subject.uid(),
+                ..ev(ChannelClass::Nrt, 4)
+            };
+            gateway.post(client, GwMsg::Event(Arc::new(nrt)));
+        }
+        gateway.detach_session(client, 0);
+        let msgs = Arc::new(Mutex::new(Vec::new()));
+        gateway
+            .resume(token, none(), Box::new(Rec(Arc::clone(&msgs))), true)
             .expect("claim");
-        assert_eq!(pending.verdict(), ResumeVerdict::Resumed);
-        let report = gateway.finish();
-        gateway.commit_resume(pending, Box::new(TakeAll));
-        assert_eq!(
-            report.sessions.resumed, 1,
-            "the report agrees with the wire"
+        let s = gateway.finish().sessions;
+        assert_eq!((s.gapped, s.resumed, s.aborted, s.gap_frames), (1, 0, 0, 2));
+        let got = lock(&msgs).clone();
+        let welcome = ToClient::Welcome {
+            client,
+            now_ns: 0,
+            session: Some(SessionInfo {
+                token,
+                verdict: ResumeVerdict::Gap,
+            }),
+        };
+        let gap = ToClient::Gap {
+            class: ChannelClass::Nrt,
+            count: 2,
+        };
+        assert_eq!(got[..2], [welcome, gap]);
+        assert!(
+            matches!(&got[2..], [ToClient::Event(e), ToClient::Disconnect { .. }] if e.seq == 2),
+            "the ring's one frame, then the shutdown goodbye: {got:?}"
         );
-        let parked = gateway.session_stats().detached;
-        assert_eq!(parked, 3, "sever, aborted resume, commit after finish");
     }
 
     /// Shed notices carry the class of what was actually shed: an SRT
     /// pressure shed is reported as SRT, never lumped in as NRT.
     #[test]
     fn shed_notices_carry_the_shed_class() {
-        struct Rec(Arc<Mutex<Vec<ToClient>>>);
-        impl ClientSink for Rec {
-            fn offer(&mut self, bytes: &[u8]) -> SinkStatus {
-                let msg = wire::decode_to_client(bytes).expect("undecodable notice");
-                self.0.lock().unwrap_or_else(|e| e.into_inner()).push(msg);
-                SinkStatus::Accepted
-            }
-        }
         let msgs = Arc::new(Mutex::new(Vec::new()));
         let mut sink = SinkHandle::Own(Box::new(Rec(Arc::clone(&msgs))));
         let mut stats = LaneStats {
@@ -1572,18 +1491,18 @@ mod tests {
     /// refused offer counts nothing.
     #[test]
     fn a_session_lane_counts_what_its_sink_accepts() {
-        let core = Mutex::new(SessionCore::new(8));
+        let mut core = SessionCore::new(8);
         let mut sink = SinkHandle::Own(Box::new(TakeAll));
         let mut queue = EgressQueue::new(8);
-        let hrt = encode_entries(&ev(ChannelClass::Hrt, 4));
+        let hrt = encode_entries(&ev(ChannelClass::Hrt, 4), 0);
         queue.push(hrt[0].clone(), SlowConsumerPolicy::ShedNrtFirst, 0);
         for _ in 0..2 {
-            let nrt = encode_entries(&ev(ChannelClass::Nrt, 4));
+            let nrt = encode_entries(&ev(ChannelClass::Nrt, 4), 0);
             queue.push(nrt[0].clone(), SlowConsumerPolicy::ShedNrtFirst, 0);
         }
         queue.flush(0, 8, |_| FlushVerdict::Blocked);
-        queue.flush(0, 8, |item| offer_item(&mut sink, Some(&core), item));
-        let sent = core.lock().unwrap_or_else(|e| e.into_inner()).sent();
+        queue.flush(0, 8, |item| offer_item(&mut sink, Some(&mut core), item));
+        let sent = core.sent();
         assert_eq!((sent.hrt, sent.srt, sent.nrt), (1, 0, 1));
         assert_eq!(queue.stats.batches, 1);
         assert_eq!(Arc::strong_count(&hrt[0].encoded), 2, "entry + ring");

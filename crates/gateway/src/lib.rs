@@ -43,8 +43,7 @@ pub mod wire;
 pub use client::{ClientSink, ClientSinkSpec, SimClientSink, SinkDigest, SinkStatus};
 pub use egress::{EgressQueue, LaneStats, SlowConsumerPolicy};
 pub use gateway::{
-    Gateway, GatewayConfig, GatewayReport, GatewayStats, LaneReport, ResumePending, ShardStats,
-    WmSource,
+    Gateway, GatewayConfig, GatewayReport, GatewayStats, LaneReport, ShardStats, WmSource,
 };
 pub use net::{Acceptor, GatewayClient};
 pub use reconnect::{ReconnectPolicy, ReconnectStats, ReconnectingClient, Target};

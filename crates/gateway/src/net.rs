@@ -14,9 +14,14 @@
 //! client's length-prefixed framing intact.
 //!
 //! A v2 `Hello` may carry a session token and per-class delivery
-//! watermarks: the gateway then *resumes* the session — `Welcome`
-//! answers with the verdict, and the missing frame suffix replays
-//! right behind it (see `session.rs`). A v1 `Hello` gets the legacy
+//! watermarks: the gateway then *resumes* the session. A resume is the
+//! same one message to the client's worker as an in-process resume: the
+//! worker decides the verdict from the lane's own accounting and offers
+//! the new stream sink a `Welcome` carrying it as its first frame, then
+//! the `Gap` notices, then the missing frame suffix (see `session.rs`),
+//! so the verdict a client reads always matches what follows it. A
+//! refused token is answered here, with an `Expired` `Welcome` opening a
+//! fresh session on the same stream. A v1 `Hello` gets the legacy
 //! sessionless path. Each admitted connection also gets a reader
 //! thread watching for `Bye` (clean close: lanes flush and the session
 //! token is spent) versus EOF or an error (sever: lanes park and the
@@ -29,7 +34,7 @@
 
 use crate::client::{ClientSink, ClientSinkSpec, SinkStatus};
 use crate::egress::SlowConsumerPolicy;
-use crate::gateway::Gateway;
+use crate::gateway::{Gateway, WmSource};
 use crate::wire::{
     self, ClassWatermarks, ResumeReq, ResumeVerdict, SessionInfo, ToClient, ToGateway,
 };
@@ -337,36 +342,25 @@ fn admit<S: Stream>(gateway: &Gateway, stream: S, policy: SlowConsumerPolicy) ->
             }
         }
     }
-    let sink: Box<dyn ClientSink> = Box::new(StreamSink::new(stream.try_clone_stream()?));
-    // Welcome must be the first frame on the stream, wholly written
-    // before any fanout worker can address this client's sink — so the
-    // id is reserved (or the resume claimed) up front, and the step
-    // that lets workers write (attach/commit/register) happens only
-    // after the handshake reply is out.
-    let mut out = stream;
     let resume_attempted = resume.is_some();
     if let Some(req) = resume {
-        if let Ok(pending) = gateway.begin_resume(req.token, req.wm) {
-            let (client, incarnation) = (pending.client(), pending.incarnation());
-            let welcome = ToClient::Welcome {
-                client,
-                now_ns: 0,
-                session: Some(SessionInfo {
-                    token: pending.token(),
-                    verdict: pending.verdict(),
-                }),
-            };
-            if let Err(e) = wire::write_frame(&mut out, &wire::encode_to_client(&welcome)) {
-                gateway.abort_resume(pending);
-                return Err(e);
-            }
-            gateway.commit_resume(pending, sink);
-            out.clear_read_timeout()?;
+        // The client's worker offers the new sink `Welcome`, with the
+        // verdict it decides, as its first frame, ahead of the replay.
+        let sink = Box::new(StreamSink::new(stream.try_clone_stream()?));
+        let wm = WmSource::Known(req.wm);
+        if let Ok((client, incarnation)) = gateway.resume(req.token, wm, sink, true) {
+            stream.clear_read_timeout()?;
             spawn_reader(gateway.clone(), reader, client, Some(incarnation));
             return Ok(());
         }
         // Token refused: fall through to a fresh session.
     }
+    let sink: Box<dyn ClientSink> = Box::new(StreamSink::new(stream.try_clone_stream()?));
+    // Welcome must be the first frame on the stream, wholly written
+    // before any fanout worker can address this client's sink — so the
+    // id is reserved up front, and the step that lets workers write
+    // (attach/register) happens only after the handshake reply is out.
+    let mut out = stream;
     let client = gateway.reserve_client();
     let session = if v2 {
         let token = gateway.open_session(client, &subjects, Some(policy));

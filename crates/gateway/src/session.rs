@@ -4,11 +4,14 @@
 //! A v2 client's session outlives its connection. The gateway keeps,
 //! per session: how many *data* frames of each class it has put on the
 //! client's stream (the send-side watermark), and a bounded per-class
-//! ring of the most recently sent frames. The accounting lives in the
-//! client's one lane: the lane records each data frame its sink
-//! accepts, and the ring shares the frame's encoded buffer instead of
-//! copying it. When the link dies, the client reconnects with its token
-//! and its receive-side watermarks ([`crate::wire::ClassWatermarks`]);
+//! ring of the most recently sent frames. The accounting is a
+//! [`SessionCore`] owned by the client's one lane, on the client's one
+//! worker: the lane records each data frame its sink accepts, and the
+//! ring shares the frame's encoded buffer instead of copying it. No
+//! other thread reads or writes it, so it takes no lock, and a resume
+//! is decided on that worker too. When the link dies, the client
+//! reconnects with its token and its receive-side watermarks
+//! ([`crate::wire::ClassWatermarks`]);
 //! because one lane totally orders a session's frames and a stream
 //! delivers an in-order prefix, `sent − received` identifies *exactly*
 //! the suffix of each class's frame sequence that was in flight when the
@@ -37,8 +40,7 @@
 use crate::egress::SlowConsumerPolicy;
 use crate::wire::{self, ClassWatermarks, ResumeVerdict, ToClient};
 use rtec_core::ChannelClass;
-use rtec_live::sync::atomic::{AtomicU64, Ordering};
-use rtec_live::sync::{Arc, Mutex};
+use rtec_live::sync::Arc;
 use std::collections::{HashMap, VecDeque};
 
 /// Ring index for a class.
@@ -55,16 +57,14 @@ const CLASSES: [ChannelClass; 3] = [ChannelClass::Hrt, ChannelClass::Srt, Channe
 /// One sent data frame retained for possible replay.
 struct RingFrame {
     bytes: Arc<Vec<u8>>,
-    /// Subject uid (0 for Batch/Frag frames — only SRT staleness
-    /// filtering reads it, and SRT is never batched or fragmented).
-    uid: u64,
-    /// Bus-time release stamp (validity anchor for SRT).
-    release_ns: u64,
+    /// The entry's validity end in bus time: set for SRT only (never
+    /// batched or fragmented), whose replay skips a stale frame.
+    expiry_ns: Option<u64>,
 }
 
 /// The send-side truth of one session: per-class sent counters and the
-/// bounded replay rings. Shared between the session's lane (which
-/// appends) and the resume path (which reads).
+/// bounded replay rings. Owned by the session's lane, which appends to
+/// it and replays from it.
 pub(crate) struct SessionCore {
     sent: ClassWatermarks,
     rings: [VecDeque<RingFrame>; 3],
@@ -84,17 +84,12 @@ impl SessionCore {
     pub(crate) fn record(
         &mut self,
         class: ChannelClass,
-        uid: u64,
-        release_ns: u64,
+        expiry_ns: Option<u64>,
         bytes: Arc<Vec<u8>>,
     ) {
         self.sent.bump(class);
         let ring = &mut self.rings[class_idx(class)];
-        ring.push_back(RingFrame {
-            bytes,
-            uid,
-            release_ns,
-        });
+        ring.push_back(RingFrame { bytes, expiry_ns });
         if ring.len() > self.ring_cap {
             ring.pop_front();
         }
@@ -105,34 +100,16 @@ impl SessionCore {
     pub(crate) fn sent(&self) -> ClassWatermarks {
         self.sent
     }
-
-    /// Cheap resume-verdict preview for the handshake reply: `Gap` iff
-    /// some class is missing more frames than the ring still holds.
-    /// (Stale-SRT skips keep the `Resumed` verdict — they are the
-    /// §2.2.2 rule, not loss.)
-    pub(crate) fn preview(&self, wm: &ClassWatermarks) -> ResumeVerdict {
-        for class in CLASSES {
-            let sent = self.sent.of(class);
-            let got = wm.of(class);
-            if got > sent {
-                continue;
-            }
-            if (sent - got) as usize > self.rings[class_idx(class)].len() {
-                return ResumeVerdict::Gap;
-            }
-        }
-        ResumeVerdict::Resumed
-    }
 }
 
-/// What a resume replays, computed from the core under one lock.
+/// What a resume replays, computed from the core on its lane's worker.
 pub(crate) struct ReplayPlan {
     /// Encoded `Gap` notices, sent before any replayed frame; each
     /// covers frames the client must account for but will never get.
     pub notices: Vec<(ChannelClass, u32, Vec<u8>)>,
     /// The frames to resend, oldest first, HRT then SRT then NRT.
     pub frames: Vec<Arc<Vec<u8>>>,
-    /// The verdict the handshake reports.
+    /// The resume's verdict (a socket resume's `Welcome` carries it).
     pub verdict: ResumeVerdict,
     /// Frames replayed per class (HRT, SRT, NRT).
     pub replayed: [u64; 3],
@@ -148,14 +125,9 @@ pub(crate) struct ReplayPlan {
 
 /// Decide what a resuming client gets, per the class rules above.
 ///
-/// `stale_of(uid)` is the subject's staleness budget (SRT validity
-/// window, bus ns); `now_wm` the gateway's bus-time high-water mark.
-pub(crate) fn compute_replay(
-    core: &SessionCore,
-    stale_of: impl Fn(u64) -> Option<u64>,
-    now_wm: u64,
-    wm: &ClassWatermarks,
-) -> ReplayPlan {
+/// `now_wm` is the gateway's bus-time high-water mark: a ring frame
+/// whose expiry is at or before it is stale.
+pub(crate) fn compute_replay(core: &SessionCore, now_wm: u64, wm: &ClassWatermarks) -> ReplayPlan {
     let mut plan = ReplayPlan {
         notices: Vec::new(),
         frames: Vec::new(),
@@ -182,13 +154,9 @@ pub(crate) fn compute_replay(
         let mut stale = 0u64;
         let start = ring.len() - avail;
         for f in ring.iter().skip(start) {
-            if class == ChannelClass::Srt {
-                if let Some(budget) = stale_of(f.uid) {
-                    if f.release_ns.saturating_add(budget) <= now_wm {
-                        stale += 1;
-                        continue;
-                    }
-                }
+            if f.expiry_ns.is_some_and(|x| x <= now_wm) {
+                stale += 1;
+                continue;
             }
             plan.replay_bytes += f.bytes.len() as u64;
             plan.frames.push(Arc::clone(&f.bytes));
@@ -232,7 +200,6 @@ pub(crate) struct SessionEntry {
     /// Subject uids, re-subscribed on every attach and resume.
     pub subjects: Vec<u64>,
     pub policy: SlowConsumerPolicy,
-    pub core: Arc<Mutex<SessionCore>>,
     /// Bumped on every resume; stale `Deregister`s from a dead
     /// connection's reader carry an older incarnation and are ignored.
     pub incarnation: u32,
@@ -246,14 +213,17 @@ pub struct SessionStats {
     pub opened: u64,
     /// Connections detached with the session kept resumable.
     pub detached: u64,
-    /// Resumes completed with every missing frame replayed.
+    /// Resumes completed with every missing frame replayed (counted
+    /// when the replay completes).
     pub resumed: u64,
     /// Resumes completed with a `Gap` verdict (ring overrun).
     pub gapped: u64,
     /// Resume attempts refused: token unknown, session ended, or TTL
     /// elapsed.
     pub refused: u64,
-    /// Resumes aborted because the new sink died mid-replay.
+    /// Resumes aborted because the new sink refused its `Welcome` or
+    /// died mid-replay; the session parks again, and no verdict is
+    /// counted.
     pub aborted: u64,
     /// Sessions closed by a clean `Bye`.
     pub ended_clean: u64,
@@ -274,13 +244,13 @@ pub struct SessionStats {
     pub replay_bytes: u64,
 }
 
-/// The gateway's session table. All mutation happens under one mutex;
-/// the hot path (per-frame accounting) never touches it — that lives
-/// in the client's lane, under the per-session core lock.
+/// The gateway's session table: tokens, lifecycle states and the TTL.
+/// Its owner keeps it under one mutex, taken by open, attach, detach,
+/// resume and end; the hot path (per-frame accounting) never touches it
+/// — that is the lane's own [`SessionCore`]. Bus time comes in as an
+/// argument (`now`), so the table reads no clock.
 pub(crate) struct SessionStore {
     ttl_ns: u64,
-    ring_cap: usize,
-    now_wm: Arc<AtomicU64>,
     opened: u64,
     by_token: HashMap<u64, u32>,
     by_client: HashMap<u32, SessionEntry>,
@@ -296,20 +266,14 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 impl SessionStore {
-    pub(crate) fn new(ttl_ns: u64, ring_cap: usize, now_wm: Arc<AtomicU64>) -> Self {
+    pub(crate) fn new(ttl_ns: u64) -> Self {
         SessionStore {
             ttl_ns,
-            ring_cap,
-            now_wm,
             opened: 0,
             by_token: HashMap::new(),
             by_client: HashMap::new(),
             stats: SessionStats::default(),
         }
-    }
-
-    fn now(&self) -> u64 {
-        self.now_wm.load(Ordering::SeqCst)
     }
 
     /// Open a session for a reserved client id; returns its token
@@ -332,7 +296,6 @@ impl SessionStore {
             SessionEntry {
                 subjects,
                 policy,
-                core: Arc::new(Mutex::new(SessionCore::new(self.ring_cap))),
                 incarnation: 0,
                 state: SessionState::Attached,
             },
@@ -345,18 +308,11 @@ impl SessionStore {
         self.by_client.get(&client)
     }
 
-    /// The session's core, for wrapping a sink.
-    #[cfg(test)]
-    pub(crate) fn core_of(&self, client: u32) -> Option<Arc<Mutex<SessionCore>>> {
-        self.by_client.get(&client).map(|e| Arc::clone(&e.core))
-    }
-
-    /// A lane's sink died (or its connection reader saw EOF): keep the
-    /// session resumable. Returns `true` when the client has a live
-    /// session worth parking — `false` tells the worker to tear the
-    /// lane down the legacy way.
-    pub(crate) fn detach(&mut self, client: u32) -> bool {
-        let now = self.now();
+    /// A lane's sink died (or its connection reader saw EOF) at bus
+    /// time `now`: keep the session resumable. Returns `true` when the
+    /// client has a live session worth parking — `false` tells the
+    /// worker to tear the lane down the legacy way.
+    pub(crate) fn detach(&mut self, client: u32, now: u64) -> bool {
         match self.by_client.get_mut(&client) {
             Some(e) if e.state == SessionState::Attached => {
                 e.state = SessionState::Detached { at_wm: now };
@@ -383,32 +339,31 @@ impl SessionStore {
         }
     }
 
-    /// Validate a resume attempt and, if it holds, claim the session
-    /// for a new incarnation. On refusal the token is spent: an
-    /// expired entry is removed, and the caller opens a fresh session.
-    pub(crate) fn claim_resume(&mut self, token: u64) -> Result<ResumeClaim, ResumeVerdict> {
+    /// Validate a resume attempt at bus time `now` and, if it holds,
+    /// claim the session for a new incarnation. On refusal the token is
+    /// spent: an ended or expired entry is removed (as is a token whose
+    /// entry is gone), and the caller opens a fresh session.
+    pub(crate) fn claim_resume(
+        &mut self,
+        token: u64,
+        now: u64,
+    ) -> Result<ResumeClaim, ResumeVerdict> {
         let Some(&client) = self.by_token.get(&token) else {
             self.stats.refused += 1;
             return Err(ResumeVerdict::Expired);
         };
-        let now = self.now();
         let ttl = self.ttl_ns;
-        let entry = self
-            .by_client
-            .get_mut(&client)
-            .expect("token map points at a live entry");
-        let expired = match entry.state {
-            SessionState::Ended => true,
-            SessionState::Detached { at_wm } => now.saturating_sub(at_wm) > ttl,
-            SessionState::Attached => false,
-        };
-        if expired {
+        let live = self.by_client.get_mut(&client).filter(|e| match e.state {
+            SessionState::Ended => false,
+            SessionState::Detached { at_wm } => now.saturating_sub(at_wm) <= ttl,
+            SessionState::Attached => true,
+        });
+        let Some(entry) = live else {
             self.by_token.remove(&token);
             self.by_client.remove(&client);
             self.stats.refused += 1;
             return Err(ResumeVerdict::Expired);
-        }
-        let entry = self.by_client.get_mut(&client).expect("checked above");
+        };
         entry.incarnation += 1;
         entry.state = SessionState::Attached;
         Ok(ResumeClaim {
@@ -417,39 +372,23 @@ impl SessionStore {
             incarnation: entry.incarnation,
             policy: entry.policy,
             subjects: entry.subjects.clone(),
-            core: Arc::clone(&entry.core),
         })
     }
 
-    /// The counter a resume verdict is accounted under. A verdict is
-    /// counted where it is decided: for a wire resume that is before
-    /// `Welcome` carries it, so the report never trails what a client
-    /// has already read.
-    pub(crate) fn verdict_counter(&mut self, verdict: ResumeVerdict) -> &mut u64 {
-        match verdict {
-            ResumeVerdict::Gap => &mut self.stats.gapped,
-            _ => &mut self.stats.resumed,
-        }
-    }
-
-    /// Record a completed (or aborted) resume. `announced`: the verdict
-    /// went out on the wire, and into the counters, before the replay.
-    pub(crate) fn resume_done(
-        &mut self,
-        client: u32,
-        plan: &ReplayPlan,
-        dead: bool,
-        announced: bool,
-    ) {
+    /// Record a resume whose replay ended at bus time `now`: its
+    /// verdict and replay counters once it completed, or `aborted`
+    /// when the new sink refused or died (`dead`).
+    pub(crate) fn resume_done(&mut self, client: u32, plan: &ReplayPlan, dead: bool, now: u64) {
         if dead {
             self.stats.aborted += 1;
-            // The new sink died mid-replay: back to detached so the
-            // client can try again within the TTL.
-            self.detach(client);
+            // Back to detached so the client can try again within the
+            // TTL.
+            self.detach(client, now);
         } else {
-            if !announced {
-                *self.verdict_counter(plan.verdict) += 1;
-            }
+            *match plan.verdict {
+                ResumeVerdict::Gap => &mut self.stats.gapped,
+                _ => &mut self.stats.resumed,
+            } += 1;
             self.stats.replayed_hrt += plan.replayed[0];
             self.stats.replayed_srt += plan.replayed[1];
             self.stats.replayed_nrt += plan.replayed[2];
@@ -461,14 +400,13 @@ impl SessionStore {
 }
 
 /// A validated resume, claimed for a new incarnation: everything the
-/// commit step needs to rebuild the client's lanes.
+/// client's worker needs to reattach its lane.
 pub(crate) struct ResumeClaim {
     pub client: u32,
     pub token: u64,
     pub incarnation: u32,
     pub policy: SlowConsumerPolicy,
     pub subjects: Vec<u64>,
-    pub core: Arc<Mutex<SessionCore>>,
 }
 
 #[cfg(test)]
@@ -497,9 +435,13 @@ mod tests {
             .map(|i| frame(ChannelClass::Hrt, 1, 10, i))
             .collect();
         for f in &frames {
-            core.record(ChannelClass::Hrt, 1, 10, Arc::clone(f));
+            core.record(ChannelClass::Hrt, None, Arc::clone(f));
         }
-        core.record(ChannelClass::Srt, 2, 20, frame(ChannelClass::Srt, 2, 20, 9));
+        core.record(
+            ChannelClass::Srt,
+            Some(70),
+            frame(ChannelClass::Srt, 2, 20, 9),
+        );
         assert_eq!(core.sent().hrt, 4);
         assert_eq!(core.sent().srt, 1);
         assert_eq!(core.sent().nrt, 0);
@@ -516,14 +458,14 @@ mod tests {
             .map(|i| frame(ChannelClass::Hrt, 1, 10, i))
             .collect();
         for f in &frames {
-            core.record(ChannelClass::Hrt, 1, 10, Arc::clone(f));
+            core.record(ChannelClass::Hrt, None, Arc::clone(f));
         }
         // Client saw 3 of 5: replay frames 3 and 4 only.
         let wm = ClassWatermarks {
             hrt: 3,
             ..Default::default()
         };
-        let plan = compute_replay(&core, |_| None, 100, &wm);
+        let plan = compute_replay(&core, 100, &wm);
         assert_eq!(plan.verdict, ResumeVerdict::Resumed);
         assert_eq!(plan.replayed, [2, 0, 0]);
         assert_eq!(plan.gap_frames, 0);
@@ -537,7 +479,7 @@ mod tests {
             hrt: 5,
             ..Default::default()
         };
-        assert!(compute_replay(&core, |_| None, 100, &wm).frames.is_empty());
+        assert!(compute_replay(&core, 100, &wm).frames.is_empty());
     }
 
     /// A suffix longer than the ring yields a `Gap` notice for the
@@ -547,10 +489,10 @@ mod tests {
         let mut core = SessionCore::new(2);
         for i in 0..6u8 {
             let f = frame(ChannelClass::Nrt, 3, 0, i);
-            core.record(ChannelClass::Nrt, 3, 0, f);
+            core.record(ChannelClass::Nrt, None, f);
         }
         let wm = ClassWatermarks::default(); // client got nothing
-        let plan = compute_replay(&core, |_| None, 0, &wm);
+        let plan = compute_replay(&core, 0, &wm);
         assert_eq!(plan.verdict, ResumeVerdict::Gap);
         assert_eq!(plan.replayed, [0, 0, 2]);
         assert_eq!(plan.gap_frames, 4);
@@ -565,13 +507,13 @@ mod tests {
     #[test]
     fn stale_srt_is_skipped_not_replayed() {
         let mut core = SessionCore::new(8);
+        // Validity 50 ns; now 100: release 10 is stale, release 80 is not.
         for (uid, release) in [(7u64, 10u64), (7, 80)] {
             let f = frame(ChannelClass::Srt, uid, release, release as u8);
-            core.record(ChannelClass::Srt, uid, release, f);
+            core.record(ChannelClass::Srt, Some(release + 50), f);
         }
         let wm = ClassWatermarks::default();
-        // Validity 50 ns; now 100: release 10 is stale, release 80 is not.
-        let plan = compute_replay(&core, |_| Some(50), 100, &wm);
+        let plan = compute_replay(&core, 100, &wm);
         assert_eq!(plan.verdict, ResumeVerdict::Resumed);
         assert_eq!(plan.replayed, [0, 1, 0]);
         assert_eq!(plan.stale_skipped, 1);
@@ -585,12 +527,12 @@ mod tests {
     fn watermark_ahead_of_sent_is_flagged_not_replayed() {
         let mut core = SessionCore::new(4);
         let f = frame(ChannelClass::Hrt, 1, 0, 0);
-        core.record(ChannelClass::Hrt, 1, 0, f);
+        core.record(ChannelClass::Hrt, None, f);
         let wm = ClassWatermarks {
             hrt: 5,
             ..Default::default()
         };
-        let plan = compute_replay(&core, |_| None, 0, &wm);
+        let plan = compute_replay(&core, 0, &wm);
         assert!(plan.anomaly);
         assert_eq!(plan.replayed, [0, 0, 0]);
     }
@@ -599,39 +541,49 @@ mod tests {
     /// → expire lifecycle enforces the TTL in bus time.
     #[test]
     fn store_lifecycle_and_ttl() {
-        let now = Arc::new(AtomicU64::new(0));
-        let mut store = SessionStore::new(100, 8, Arc::clone(&now));
+        let mut store = SessionStore::new(100);
         let t1 = store.open(1, vec![10], SlowConsumerPolicy::ShedNrtFirst);
         let t2 = store.open(2, vec![11], SlowConsumerPolicy::ShedNrtFirst);
         assert_ne!(t1, 0);
         assert_ne!(t2, 0);
         assert_ne!(t1, t2);
         // Unknown token refused.
-        assert!(store.claim_resume(t1 ^ t2 ^ 0x55).is_err());
+        assert!(store.claim_resume(t1 ^ t2 ^ 0x55, 0).is_err());
         // Detach at wm 50; within TTL at 100 the claim succeeds and
         // bumps the incarnation.
-        now.store(50, Ordering::SeqCst);
-        assert!(store.detach(1));
-        now.store(100, Ordering::SeqCst);
-        let claim = store.claim_resume(t1).expect("within TTL");
+        assert!(store.detach(1, 50));
+        let claim = store.claim_resume(t1, 100).expect("within TTL");
         assert_eq!((claim.client, claim.incarnation), (1, 1));
         // Detach again; past the TTL the claim is refused and the
         // entry is gone.
-        now.store(120, Ordering::SeqCst);
-        assert!(store.detach(1));
-        now.store(240, Ordering::SeqCst);
+        assert!(store.detach(1, 120));
         assert!(matches!(
-            store.claim_resume(t1),
+            store.claim_resume(t1, 240),
             Err(ResumeVerdict::Expired)
         ));
-        assert!(store.core_of(1).is_none());
+        assert!(store.entry(1).is_none());
         // Ended sessions never resume.
         store.end(2, true);
         assert!(matches!(
-            store.claim_resume(t2),
+            store.claim_resume(t2, 240),
             Err(ResumeVerdict::Expired)
         ));
         assert_eq!(store.stats.ended_clean, 1);
         assert_eq!(store.stats.refused, 3);
+    }
+
+    /// A token whose entry is gone (it comes off a socket, so nothing
+    /// vouches for it) is refused like an expired one and spent.
+    #[test]
+    fn an_orphaned_token_is_refused_not_a_panic() {
+        let mut store = SessionStore::new(100);
+        let token = store.open(1, vec![10], SlowConsumerPolicy::ShedNrtFirst);
+        store.by_client.remove(&1);
+        assert!(matches!(
+            store.claim_resume(token, 0),
+            Err(ResumeVerdict::Expired)
+        ));
+        assert!(store.by_token.is_empty(), "the orphan is spent");
+        assert_eq!(store.stats.refused, 1);
     }
 }
