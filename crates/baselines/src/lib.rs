@@ -5,10 +5,11 @@
 //!
 //! * **fixed-priority schemes** (CanOpen/SDS/DeviceNet-style static
 //!   identifiers; deadline-monotonic assignment per Tindell & Burns)
-//!   and the more flexible **dual-priority** scheme of Davis — all
-//!   implemented as [`policy`] objects for the message-scheduling
-//!   [`testbed`], which runs *identical workloads* under each policy
-//!   over the same simulated bus;
+//!   and the more flexible **dual-priority** scheme of Davis — each a
+//!   [`policy`] assigning every stream a per-channel SRT priority of
+//!   the middleware's own node machine; the message-scheduling
+//!   [`testbed`] hosts one machine per node and runs *identical
+//!   workloads* under each policy over the same simulated bus;
 //! * **time-triggered schemes** (TTCAN, TTP-like): [`ttcan`] models a
 //!   TTCAN-style system matrix of exclusive and arbitrating windows —
 //!   exclusive windows are wasted when unused, redundant transmissions
@@ -25,7 +26,6 @@ pub mod testbed;
 pub mod ttcan;
 pub mod ttpa;
 
-pub use policy::{DualPriorityPolicy, EdfPolicy, FixedPriorityPolicy, NoPromotion, TxPolicy};
-pub use testbed::{run_testbed, StreamStats, TestbedConfig, TestbedStats};
+pub use testbed::{run_testbed, without_expiry, StreamStats, TestbedConfig, TestbedStats};
 pub use ttcan::{run_ttcan, TtcanConfig, TtcanStats, Window, WindowKind};
 pub use ttpa::{round_wire_time, run_ttpa, TtpaConfig, TtpaStats};

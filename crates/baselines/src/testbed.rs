@@ -1,31 +1,30 @@
 //! The message-scheduling testbed: identical workloads, interchangeable
-//! priority policies, one shared bus.
+//! SRT priorities, one shared bus.
 //!
-//! Each stream releases messages according to its arrival pattern; each
-//! node keeps a queue and always contends with its most urgent message
-//! under the active [`TxPolicy`] (re-evaluated on release and at every
-//! policy-announced priority change, with the controller's pending
-//! frame withdrawn and resubmitted when the head changes — the same
-//! mechanism the event-channel middleware uses). Deadline misses are
+//! The testbed is one more host of [`NodeMachine`], beside the
+//! simulator's `NetWorld` and the live runtime's `LiveNode`: one machine
+//! per node on a [`CanBus`], each stream an SRT channel of its node's
+//! machine. A policy is a choice of [`SrtPriority`] per stream (see
+//! [`crate::policy`]), so the send queue, the promotion timers and the
+//! withdraw-and-resubmit of a more urgent newcomer are the middleware's
+//! own. A release is an [`Input::Publish`]; the host arms every timer,
+//! answers aborts inline from the bus model and applies identifier
+//! rewrites. A stream with `rel_expiration: None` keeps its messages
+//! queued best-effort forever (the classic baseline behaviour); one with
+//! an expiration has them dropped when it passes. Deadline misses are
 //! judged at wire completion: a message whose transmission completes
 //! after its absolute deadline missed it.
-//!
-//! Queued messages live in one FIFO per stream. Within a stream,
-//! release order is deadline order is expiry order, and a [`TxPolicy`]
-//! never ranks a later deadline ahead of an earlier one, so the node's
-//! head, the completed message and "did this completion overtake an
-//! earlier deadline" are all read off the streams' *fronts*: an event
-//! costs O(streams), whatever backlog an overloaded policy piles up.
 
-use crate::policy::TxPolicy;
-use rtec_can::{
-    BusConfig, CanBus, CanEvent, CanId, FaultInjector, Frame, MapScheduler, NodeId, Notification,
-    TxHandle, TxRequest,
-};
+use rtec_analysis::edf::PrioritySlotConfig;
+use rtec_can::{BusConfig, CanBus, CanEvent, FaultInjector, MapScheduler, NodeId, Notification};
+use rtec_can::{TxHandle, TxRequest};
+use rtec_core::channel::{ChannelException, ChannelSpec, SrtPriority, SrtSpec};
+use rtec_core::machine::{Input, MachineConfig, NodeMachine, Output, SrtTimer, SrtTx};
+use rtec_core::{Event, Subject};
 use rtec_sim::{Ctx, Duration, Engine, Histogram, Model, RngStreams, Time};
 use rtec_workloads::{ArrivalGen, StreamSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Offset so testbed etags avoid the reserved protocol range.
 const ETAG_BASE: u16 = 16;
@@ -39,10 +38,19 @@ pub struct TestbedConfig {
     pub streams: Vec<StreamSpec>,
     /// Run seed (drives all arrival processes).
     pub seed: u64,
-    /// Remove messages from the queue when their expiration passes
-    /// (the event-channel behaviour; `false` keeps them best-effort
-    /// forever, the classic baseline behaviour).
-    pub drop_on_expiry: bool,
+    /// The machines' deadline → priority mapping of
+    /// [`SrtPriority::Slots`] channels.
+    pub priority_slots: PrioritySlotConfig,
+}
+
+/// `set` with every expiration removed: its messages stay queued until
+/// they are sent, however late.
+pub fn without_expiry(set: &[StreamSpec]) -> Vec<StreamSpec> {
+    let keep = |s: &StreamSpec| StreamSpec {
+        rel_expiration: None,
+        ..*s
+    };
+    set.iter().map(keep).collect()
 }
 
 /// Per-stream outcome counters.
@@ -115,62 +123,46 @@ impl TestbedStats {
     }
 }
 
-/// Testbed events.
 #[derive(Clone, Copy, Debug)]
-pub enum TbEvent {
+enum TbEvent {
     /// Bus activity.
     Can(CanEvent),
     /// A stream releases its next message.
     Release(usize),
-    /// Policy-announced priority change for a queued message.
-    Promote {
-        /// Owning node.
+    /// A timer `node`'s machine armed for message `seq` fired.
+    Timer {
         node: NodeId,
-        /// Message sequence number.
-        seq: u64,
-    },
-    /// Expiration check.
-    Expire {
-        /// Index of the owning stream.
-        stream_idx: usize,
-        /// Message sequence number.
-        seq: u64,
+        timer: SrtTimer,
+        seq: u32,
     },
 }
 
-#[derive(Clone, Debug)]
-struct TbMsg {
-    seq: u64,
-    released: Time,
-    deadline: Time,
-}
-
-/// The testbed world, generic over the policy.
-pub struct SchedWorld<P: TxPolicy> {
+/// The testbed world: a bus and one node machine per node.
+struct SchedWorld {
     bus: CanBus,
-    policy: P,
+    machines: Vec<NodeMachine>,
+    /// Per node, the bus handle of the machine's submitted SRT frame.
+    tx: Vec<Option<TxHandle>>,
     streams: Vec<StreamSpec>,
     gens: Vec<ArrivalGen>,
-    /// One FIFO per stream, in release (= deadline = expiry) order.
-    queues: Vec<VecDeque<TbMsg>>,
-    /// The streams each node publishes, as indices into `streams`.
-    node_streams: Vec<Vec<usize>>,
-    /// Per node, the message at the controller — always its stream's
-    /// front — as `(seq, stream, handle, priority)`.
-    inflight: Vec<Option<(u64, usize, TxHandle, u8)>>,
-    drop_on_expiry: bool,
-    next_seq: u64,
-    /// Outcome counters.
-    pub stats: TestbedStats,
+    /// Scratch buffer the machines push their outputs into.
+    out: Vec<Output>,
+    stats: TestbedStats,
 }
 
 fn wrap(ev: CanEvent) -> TbEvent {
     TbEvent::Can(ev)
 }
 
-impl<P: TxPolicy> SchedWorld<P> {
-    /// Build the engine with initial releases scheduled.
-    pub fn engine(policy: P, config: TestbedConfig) -> Engine<SchedWorld<P>> {
+impl SchedWorld {
+    /// Build the engine with initial releases scheduled; `priorities`
+    /// holds each stream's, index-aligned with `config.streams`.
+    fn engine(priorities: &[SrtPriority], config: TestbedConfig) -> Engine<SchedWorld> {
+        assert_eq!(
+            priorities.len(),
+            config.streams.len(),
+            "one priority per stream"
+        );
         let num_nodes = config
             .streams
             .iter()
@@ -178,6 +170,27 @@ impl<P: TxPolicy> SchedWorld<P> {
             .max()
             .unwrap_or(1);
         let bus = CanBus::new(config.bus, num_nodes, FaultInjector::none());
+        let mut machines: Vec<NodeMachine> = (0..num_nodes)
+            .map(|i| {
+                NodeMachine::new(MachineConfig {
+                    node: NodeId(i as u8),
+                    priority_slots: config.priority_slots,
+                    timing: config.bus.timing,
+                    srt_queue_cap: usize::MAX,
+                    nrt_queue_cap: usize::MAX,
+                    hrt_deferred_delivery: true,
+                })
+            })
+            .collect();
+        for (s, &priority) in config.streams.iter().zip(priorities) {
+            let spec = SrtSpec {
+                default_deadline: s.rel_deadline,
+                default_expiration: s.rel_expiration,
+                priority,
+            };
+            let subject = Subject::new(u64::from(s.id));
+            machines[s.node.index()].announce(ETAG_BASE + s.id, subject, ChannelSpec::Srt(spec));
+        }
         let streams_rng = RngStreams::new(config.seed);
         let gens: Vec<ArrivalGen> = config
             .streams
@@ -190,20 +203,13 @@ impl<P: TxPolicy> SchedWorld<P> {
             })
             .collect();
         let n_streams = config.streams.len();
-        let mut node_streams = vec![Vec::new(); num_nodes];
-        for (i, s) in config.streams.iter().enumerate() {
-            node_streams[s.node.index()].push(i);
-        }
         let world = SchedWorld {
             bus,
-            policy,
+            machines,
+            tx: vec![None; num_nodes],
             streams: config.streams,
             gens,
-            queues: vec![VecDeque::new(); n_streams],
-            node_streams,
-            inflight: vec![None; num_nodes],
-            drop_on_expiry: config.drop_on_expiry,
-            next_seq: 0,
+            out: Vec::new(),
             stats: TestbedStats::default(),
         };
         let mut engine = Engine::new(world);
@@ -215,204 +221,136 @@ impl<P: TxPolicy> SchedWorld<P> {
         engine
     }
 
-    /// The node's most urgent message, with its priority and stream: the
-    /// minimum of `(priority, deadline, seq)` over its streams' fronts.
-    fn head(&self, node: usize, now: Time) -> Option<(u8, usize, &TbMsg)> {
-        self.node_streams[node]
-            .iter()
-            .filter_map(|&i| {
-                let m = self.queues[i].front()?;
-                let prio = self.policy.priority(&self.streams[i], m.deadline, now);
-                Some((prio, i, m))
-            })
-            .min_by_key(|&(prio, _, m)| (prio, m.deadline, m.seq))
-    }
-
-    fn dispatch(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId) {
+    /// Feed `input` to `node`'s machine and carry out its outputs in
+    /// order. An abort is answered inline from the bus model, so its
+    /// consequences (submitting the new head) land in the same event.
+    fn step(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, input: Input) {
         let n = node.index();
-        if self.inflight[n].is_some() {
-            return;
-        }
         let now = ctx.now();
-        let Some((prio, stream_idx, m)) = self.head(n, now) else {
-            return;
-        };
-        let s = &self.streams[stream_idx];
-        let etag = ETAG_BASE + s.id;
-        let payload = &[s.id as u8; 8][..usize::from(s.dlc)];
-        let frame = Frame::new(CanId::new(prio, node.0, etag), payload);
-        let (seq, deadline) = (m.seq, m.deadline);
-        let mut sched = MapScheduler::new(ctx, wrap);
-        let handle = self.bus.submit(
-            &mut sched,
-            node,
-            TxRequest {
-                frame,
-                single_shot: false,
-                tag: seq,
-            },
-        );
-        self.inflight[n] = Some((seq, stream_idx, handle, prio));
-        if let Some(t) = self
-            .policy
-            .next_change(&self.streams[stream_idx], deadline, now)
-        {
-            ctx.at(t.max(now), TbEvent::Promote { node, seq });
-        }
-    }
-
-    fn reconsider(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId) {
-        let n = node.index();
-        if let Some((seq, _, handle, _)) = self.inflight[n] {
-            let head_changed = self
-                .head(n, ctx.now())
-                .is_some_and(|(_, _, m)| m.seq != seq);
-            if head_changed && self.bus.abort(node, handle) {
-                self.inflight[n] = None;
+        let mut out = std::mem::take(&mut self.out);
+        let mut input = Some(input);
+        while let Some(next) = input.take() {
+            self.machines[n]
+                .handle(now, next, &mut out)
+                .expect("a testbed channel takes every publish");
+            for output in out.drain(..) {
+                match output {
+                    Output::Submit { frame, tag, .. } => {
+                        let request = TxRequest {
+                            frame,
+                            single_shot: false,
+                            tag,
+                        };
+                        let mut sched = MapScheduler::new(ctx, wrap);
+                        self.tx[n] = Some(self.bus.submit(&mut sched, node, request));
+                    }
+                    Output::Abort { class } => {
+                        let aborted = self.tx[n].is_some_and(|h| self.bus.abort(node, h));
+                        if aborted {
+                            self.tx[n] = None;
+                        }
+                        input = Some(Input::AbortResult { class, aborted });
+                    }
+                    Output::UpdateId { id } => {
+                        if let Some(handle) = self.tx[n] {
+                            self.bus.update_id(node, handle, id);
+                        }
+                    }
+                    Output::ArmTimer { at, timer, seq } => {
+                        ctx.at(at, TbEvent::Timer { node, timer, seq });
+                    }
+                    Output::Raise {
+                        etag,
+                        exc: ChannelException::Expired { .. },
+                    } => {
+                        self.stats.dropped += 1;
+                        self.stream_stats(etag).dropped += 1;
+                    }
+                    _ => {}
+                }
             }
         }
-        self.dispatch(ctx, node);
+        self.out = out;
+    }
+
+    fn stream_stats(&mut self, etag: u16) -> &mut StreamStats {
+        self.stats.per_stream.entry(etag - ETAG_BASE).or_default()
     }
 
     fn on_release(&mut self, ctx: &mut Ctx<TbEvent>, stream_idx: usize) {
         let now = ctx.now();
         let s = self.streams[stream_idx];
-        // Schedule the stream's next release.
+        // Schedule the stream's next release first, so same-instant
+        // releases keep their order.
         let next = self.gens[stream_idx].next_release();
         ctx.at(
             next.max(now + Duration::from_ns(1)),
             TbEvent::Release(stream_idx),
         );
-        // Enqueue this message.
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let deadline = now + s.rel_deadline;
-        let expiration = s.rel_expiration.map(|e| now + e);
-        let queue = &mut self.queues[stream_idx];
-        // Release order is deadline order: why fronts can stand for queues.
-        debug_assert!(queue.back().is_none_or(|m| m.deadline < deadline));
-        queue.push_back(TbMsg {
-            seq,
-            released: now,
-            deadline,
-        });
+        let etag = ETAG_BASE + s.id;
         self.stats.released += 1;
-        self.stats.per_stream.entry(s.id).or_default().released += 1;
-        if self.drop_on_expiry {
-            if let Some(exp) = expiration {
-                ctx.at(exp, TbEvent::Expire { stream_idx, seq });
-            }
-        }
-        self.reconsider(ctx, s.node);
+        self.stream_stats(etag).released += 1;
+        let content = vec![s.id as u8; usize::from(s.dlc)];
+        let event = Event::new(Subject::new(u64::from(s.id)), content);
+        let publish = Input::Publish {
+            etag,
+            event,
+            stamp: now,
+        };
+        self.step(ctx, s.node, publish);
     }
 
-    fn on_promote(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, seq: u64) {
-        let n = node.index();
-        let Some((cur_seq, stream_idx, handle, cur_prio)) = self.inflight[n] else {
-            return;
-        };
-        if cur_seq != seq {
-            return;
-        }
-        let now = ctx.now();
-        let m = &self.queues[stream_idx][0];
-        debug_assert_eq!(m.seq, seq, "the in-flight message is its stream's front");
-        let s = &self.streams[stream_idx];
-        let new_prio = self.policy.priority(s, m.deadline, now);
-        let (etag, deadline) = (ETAG_BASE + s.id, m.deadline);
-        if new_prio != cur_prio
-            && self
-                .bus
-                .update_id(node, handle, CanId::new(new_prio, node.0, etag))
-        {
-            self.inflight[n] = Some((seq, stream_idx, handle, new_prio));
-        }
-        if let Some(t) = self
-            .policy
-            .next_change(&self.streams[stream_idx], deadline, now)
-        {
-            ctx.at(
-                t.max(now + Duration::from_ns(1)),
-                TbEvent::Promote { node, seq },
-            );
-        }
-    }
-
-    fn on_expire(&mut self, ctx: &mut Ctx<TbEvent>, stream_idx: usize, seq: u64) {
-        let node = self.streams[stream_idx].node;
-        let n = node.index();
-        // Expiry order is release order, so an expiring message is its
-        // stream's front — or second, behind a predecessor that expired
-        // on the wire and is still completing.
-        let queue = &self.queues[stream_idx];
-        let first_not_older = queue.iter().position(|m| m.seq >= seq);
-        let Some(idx) = first_not_older.filter(|&i| queue[i].seq == seq) else {
-            return; // already completed
-        };
-        if let Some((cur_seq, _, handle, _)) = self.inflight[n] {
-            if cur_seq == seq {
-                if !self.bus.abort(node, handle) {
-                    return; // on the wire: let it complete
-                }
-                self.inflight[n] = None;
-            }
-        }
-        self.queues[stream_idx].remove(idx);
-        let sid = self.streams[stream_idx].id;
-        self.stats.dropped += 1;
-        self.stats.per_stream.entry(sid).or_default().dropped += 1;
-        self.dispatch(ctx, node);
+    /// Account the completion of `tx`, the message a node had submitted.
+    fn on_completed(&mut self, now: Time, tx: SrtTx) {
+        // Priority inversion: some other queued message already had an
+        // earlier absolute deadline than the one that just completed. A
+        // channel's front is its earliest release and deadline, so the
+        // fronts decide.
+        let overtaken = (self.machines.iter())
+            .flat_map(|m| m.srt_queue().fronts())
+            .any(|o| o.deadline < tx.deadline && o.stamp < tx.stamp);
+        self.stats.inversions += u64::from(overtaken);
+        self.stats.completed += 1;
+        let response = now.saturating_since(tx.stamp).as_ns();
+        self.stats.response_ns.record(response);
+        let missed = now > tx.deadline;
+        self.stats.missed += u64::from(missed);
+        let ps = self.stream_stats(tx.etag);
+        ps.completed += 1;
+        ps.missed += u64::from(missed);
     }
 
     fn on_note(&mut self, ctx: &mut Ctx<TbEvent>, note: Notification) {
-        if let Notification::TxCompleted { node, tag, .. } = note {
+        if let Notification::TxCompleted {
+            node,
+            handle,
+            tag,
+            all_received,
+            ..
+        } = note
+        {
             let n = node.index();
-            let now = ctx.now();
-            if let Some((_, stream_idx, ..)) = self.inflight[n].take_if(|f| f.0 == tag) {
-                let m = self.queues[stream_idx]
-                    .pop_front()
-                    .expect("the in-flight message is its stream's front");
-                debug_assert_eq!(m.seq, tag);
-                // Priority inversion: some other queued message already
-                // had an earlier absolute deadline than the one that
-                // just completed. A stream's front is its earliest
-                // release and deadline, so the fronts decide.
-                let overtaken = self
-                    .queues
-                    .iter()
-                    .filter_map(VecDeque::front)
-                    .any(|o| o.deadline < m.deadline && o.released < m.released);
-                if overtaken {
-                    self.stats.inversions += 1;
-                }
-                let sid = self.streams[stream_idx].id;
-                self.stats.completed += 1;
-                self.stats
-                    .response_ns
-                    .record(now.saturating_since(m.released).as_ns());
-                let ps = self.stats.per_stream.entry(sid).or_default();
-                ps.completed += 1;
-                if now > m.deadline {
-                    self.stats.missed += 1;
-                    ps.missed += 1;
-                }
+            if self.tx[n].take_if(|h| *h == handle).is_some() {
+                let tx = self.machines[n].srt_submitted();
+                self.on_completed(ctx.now(), tx.expect("a submitted frame completed"));
             }
-            self.dispatch(ctx, node);
+            self.step(ctx, node, Input::TxDone { tag, all_received });
         }
     }
 
     fn finalize(&mut self, horizon_end: Time) {
-        self.stats.backlog = self.queues.iter().map(|q| q.len() as u64).sum();
-        self.stats.stale_backlog = self
-            .queues
-            .iter()
-            .flatten()
-            .filter(|m| m.deadline < horizon_end)
-            .count() as u64;
+        let queued = self.machines.iter().flat_map(|m| m.srt_queue().iter());
+        let (mut backlog, mut stale) = (0, 0);
+        for m in queued {
+            backlog += 1;
+            stale += u64::from(m.deadline < horizon_end);
+        }
+        self.stats.backlog = backlog;
+        self.stats.stale_backlog = stale;
     }
 }
 
-impl<P: TxPolicy> Model for SchedWorld<P> {
+impl Model for SchedWorld {
     type Event = TbEvent;
 
     fn handle(&mut self, ctx: &mut Ctx<TbEvent>, ev: TbEvent) {
@@ -427,20 +365,19 @@ impl<P: TxPolicy> Model for SchedWorld<P> {
                 }
             }
             TbEvent::Release(i) => self.on_release(ctx, i),
-            TbEvent::Promote { node, seq } => self.on_promote(ctx, node, seq),
-            TbEvent::Expire { stream_idx, seq } => self.on_expire(ctx, stream_idx, seq),
+            TbEvent::Timer { node, timer, seq } => self.step(ctx, node, timer.input(seq)),
         }
     }
 }
 
-/// Run `policy` over `config`'s workload for `horizon` of simulated
-/// time and return the outcome.
-pub fn run_testbed<P: TxPolicy>(
-    policy: P,
+/// Run `config`'s workload for `horizon` of simulated time, each stream
+/// at its priority in `priorities`, and return the outcome.
+pub fn run_testbed(
+    priorities: &[SrtPriority],
     config: TestbedConfig,
     horizon: Duration,
 ) -> TestbedStats {
-    let mut engine = SchedWorld::engine(policy, config);
+    let mut engine = SchedWorld::engine(priorities, config);
     engine.run_until(Time::ZERO + horizon);
     engine.model.finalize(Time::ZERO + horizon);
     engine.model.stats.clone()
@@ -449,18 +386,61 @@ pub fn run_testbed<P: TxPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{DualPriorityPolicy, EdfPolicy, FixedPriorityPolicy, NoPromotion};
+    use crate::policy::{deadline_monotonic, dual_priority, edf, no_promotion};
     use proptest::prelude::*;
+    use rtec_analysis::edf::{next_promotion_time, priority_for_deadline};
     use rtec_can::bits::BitTiming;
     use rtec_sim::Rng;
     use rtec_workloads::{set_utilization, uniform_srt_set, ArrivalPattern};
 
+    /// A policy as the flat reference consults it: each stream's
+    /// [`SrtPriority`], by stream id, evaluated here rather than by the
+    /// enum's own methods, so a mistake in those shows as a difference.
+    struct Ranks {
+        slots: PrioritySlotConfig,
+        by_id: HashMap<u16, SrtPriority>,
+    }
+
+    impl Ranks {
+        fn new(set: &[StreamSpec], priorities: &[SrtPriority], slots: PrioritySlotConfig) -> Self {
+            let by_id = set.iter().map(|s| s.id).zip(priorities.iter().copied());
+            Ranks {
+                slots,
+                by_id: by_id.collect(),
+            }
+        }
+        fn priority(&self, stream: &StreamSpec, deadline: Time, now: Time) -> u8 {
+            match self.by_id[&stream.id] {
+                SrtPriority::Slots => priority_for_deadline(deadline, now, &self.slots),
+                SrtPriority::Fixed(p) => p,
+                SrtPriority::Dual { low, high, lead } => {
+                    if now + lead >= deadline {
+                        high
+                    } else {
+                        low
+                    }
+                }
+            }
+        }
+        fn next_change(&self, stream: &StreamSpec, deadline: Time, now: Time) -> Option<Time> {
+            match self.by_id[&stream.id] {
+                SrtPriority::Slots => next_promotion_time(deadline, now, &self.slots),
+                SrtPriority::Fixed(_) => None,
+                SrtPriority::Dual { lead, .. } => {
+                    Some(deadline.saturating_sub(lead)).filter(|&at| at > now)
+                }
+            }
+        }
+    }
+
     /// The flat per-node queue the per-stream FIFOs replaced, kept
-    /// verbatim as the reference for `fifo_matches_flat_reference`:
+    /// verbatim as the reference for `machine_matches_flat_reference`:
     /// every queue question is answered by scanning all queued
     /// messages, with no appeal to stream order or policy monotonicity.
     mod flat {
         use super::super::*;
+        use super::Ranks;
+        use rtec_can::{CanId, Frame};
 
         /// Testbed events.
         #[derive(Clone, Copy, Debug)]
@@ -493,15 +473,14 @@ mod tests {
             deadline: Time,
         }
 
-        /// The testbed world, generic over the policy.
-        pub(super) struct SchedWorld<P: TxPolicy> {
+        /// The testbed world.
+        pub(super) struct SchedWorld {
             bus: CanBus,
-            policy: P,
+            policy: Ranks,
             streams: Vec<StreamSpec>,
             gens: Vec<ArrivalGen>,
             queues: Vec<Vec<TbMsg>>,
             inflight: Vec<Option<(u64, TxHandle, u8)>>,
-            drop_on_expiry: bool,
             next_seq: u64,
             /// Outcome counters.
             stats: TestbedStats,
@@ -511,9 +490,9 @@ mod tests {
             TbEvent::Can(ev)
         }
 
-        impl<P: TxPolicy> SchedWorld<P> {
+        impl SchedWorld {
             /// Build the engine with initial releases scheduled.
-            fn engine(policy: P, config: TestbedConfig) -> Engine<SchedWorld<P>> {
+            fn engine(policy: Ranks, config: TestbedConfig) -> Engine<SchedWorld> {
                 let num_nodes = config
                     .streams
                     .iter()
@@ -540,7 +519,6 @@ mod tests {
                     gens,
                     queues: vec![Vec::new(); num_nodes],
                     inflight: vec![None; num_nodes],
-                    drop_on_expiry: config.drop_on_expiry,
                     next_seq: 0,
                     stats: TestbedStats::default(),
                 };
@@ -630,10 +608,8 @@ mod tests {
                 });
                 self.stats.released += 1;
                 self.stats.per_stream.entry(s.id).or_default().released += 1;
-                if self.drop_on_expiry {
-                    if let Some(exp) = expiration {
-                        ctx.at(exp, TbEvent::Expire { node: s.node, seq });
-                    }
+                if let Some(exp) = expiration {
+                    ctx.at(exp, TbEvent::Expire { node: s.node, seq });
                 }
                 self.reconsider(ctx, s.node);
             }
@@ -739,7 +715,7 @@ mod tests {
             }
         }
 
-        impl<P: TxPolicy> Model for SchedWorld<P> {
+        impl Model for SchedWorld {
             type Event = TbEvent;
 
             fn handle(&mut self, ctx: &mut Ctx<TbEvent>, ev: TbEvent) {
@@ -762,8 +738,8 @@ mod tests {
 
         /// Run `policy` over `config`'s workload for `horizon` of simulated
         /// time and return the outcome.
-        pub(super) fn run_testbed<P: TxPolicy>(
-            policy: P,
+        pub(super) fn run_testbed(
+            policy: Ranks,
             config: TestbedConfig,
             horizon: Duration,
         ) -> TestbedStats {
@@ -779,7 +755,7 @@ mod tests {
             bus: BusConfig::default(),
             streams,
             seed: 11,
-            drop_on_expiry: false,
+            priority_slots: PrioritySlotConfig::paper_default(),
         }
     }
 
@@ -793,14 +769,11 @@ mod tests {
             Duration::from_ms(100),
             &mut rng,
         );
+        let set = without_expiry(&set);
         assert!(set_utilization(&set, BitTiming::MBIT_1) < 0.2);
         let horizon = Duration::from_secs(2);
-        let edf = run_testbed(EdfPolicy::default(), config(set.clone()), horizon);
-        let dm = run_testbed(
-            FixedPriorityPolicy::deadline_monotonic(&set),
-            config(set.clone()),
-            horizon,
-        );
+        let edf = run_testbed(&edf(&set), config(set.clone()), horizon);
+        let dm = run_testbed(&deadline_monotonic(&set), config(set.clone()), horizon);
         assert!(edf.released > 100);
         assert_eq!(edf.missed, 0, "EDF misses at 20% load");
         assert_eq!(dm.missed, 0, "DM misses at 20% load");
@@ -811,13 +784,10 @@ mod tests {
     fn identical_workload_across_policies() {
         let mut rng = Rng::seed_from_u64(2);
         let set = uniform_srt_set(6, 3, Duration::from_ms(5), Duration::from_ms(50), &mut rng);
+        let set = without_expiry(&set);
         let horizon = Duration::from_secs(1);
-        let a = run_testbed(EdfPolicy::default(), config(set.clone()), horizon);
-        let b = run_testbed(
-            FixedPriorityPolicy::deadline_monotonic(&set),
-            config(set.clone()),
-            horizon,
-        );
+        let a = run_testbed(&edf(&set), config(set.clone()), horizon);
+        let b = run_testbed(&deadline_monotonic(&set), config(set.clone()), horizon);
         assert_eq!(a.released, b.released, "same arrivals under both policies");
     }
 
@@ -834,9 +804,10 @@ mod tests {
                 rel_expiration: None,
             })
             .collect();
-        let stats = run_testbed(EdfPolicy::default(), config(set), Duration::from_ms(100));
+        let stats = run_testbed(&edf(&set), config(set), Duration::from_ms(100));
         assert!(stats.missed > 0, "overload must miss deadlines");
         assert!(stats.backlog > 0, "overload builds a backlog");
+        assert_eq!(stats.dropped, 0, "no expiration, no drop");
         assert!(stats.miss_ratio() > 0.5);
     }
 
@@ -852,9 +823,7 @@ mod tests {
                 rel_expiration: Some(Duration::from_us(800)),
             })
             .collect();
-        let mut cfg = config(set);
-        cfg.drop_on_expiry = true;
-        let stats = run_testbed(EdfPolicy::default(), cfg, Duration::from_ms(100));
+        let stats = run_testbed(&edf(&set), config(set), Duration::from_ms(100));
         assert!(stats.dropped > 0, "expired messages are dropped");
         assert!(
             stats.backlog <= 8,
@@ -872,13 +841,10 @@ mod tests {
         let base = uniform_srt_set(12, 6, Duration::from_ms(2), Duration::from_ms(40), &mut rng);
         let set =
             rtec_workloads::scale_load(&base, 0.92 / set_utilization(&base, BitTiming::MBIT_1));
+        let set = without_expiry(&set);
         let horizon = Duration::from_secs(2);
-        let edf = run_testbed(EdfPolicy::default(), config(set.clone()), horizon);
-        let dm = run_testbed(
-            FixedPriorityPolicy::deadline_monotonic(&set),
-            config(set.clone()),
-            horizon,
-        );
+        let edf = run_testbed(&edf(&set), config(set.clone()), horizon);
+        let dm = run_testbed(&deadline_monotonic(&set), config(set.clone()), horizon);
         assert!(
             edf.miss_ratio() <= dm.miss_ratio(),
             "EDF {} vs DM {}",
@@ -897,7 +863,7 @@ mod tests {
             rel_deadline: Duration::from_ms(1),
             rel_expiration: None,
         }];
-        let stats = run_testbed(EdfPolicy::default(), config(set), Duration::from_ms(50));
+        let stats = run_testbed(&edf(&set), config(set), Duration::from_ms(50));
         assert!(stats.response_ns.count() >= 40);
         // An uncontended 8-byte frame takes its exact wire time.
         assert!(stats.response_ns.min().unwrap() >= 130_000);
@@ -978,32 +944,40 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The per-stream FIFOs reproduce the flat-queue testbed
-        /// exactly — inversions and the response histogram included —
-        /// under every policy, with and without expiry dropping.
+        /// The machine-hosted testbed reproduces the flat-queue
+        /// testbed exactly — inversions and the response histogram
+        /// included — under every policy, with and without expiry
+        /// dropping.
         #[test]
-        fn fifo_matches_flat_reference(set in arb_streams(), seed in any::<u64>()) {
+        fn machine_matches_flat_reference(set in arb_streams(), seed in any::<u64>()) {
             let horizon = Duration::from_ms(20);
-            for drop_on_expiry in [false, true] {
+            let slots = PrioritySlotConfig::paper_default();
+            for expiring in [false, true] {
+                let streams = if expiring { set.clone() } else { without_expiry(&set) };
                 let cfg = || TestbedConfig {
                     bus: BusConfig::default(),
-                    streams: set.clone(),
+                    streams: streams.clone(),
                     seed,
-                    drop_on_expiry,
+                    priority_slots: slots,
                 };
                 macro_rules! same {
-                    ($policy:expr) => {
+                    ($priorities:expr) => {
+                        let priorities = $priorities;
                         prop_assert_eq!(
-                            observable(run_testbed($policy, cfg(), horizon)),
-                            observable(flat::run_testbed($policy, cfg(), horizon)),
-                            "drop_on_expiry={}", drop_on_expiry
+                            observable(run_testbed(&priorities, cfg(), horizon)),
+                            observable(flat::run_testbed(
+                                Ranks::new(&streams, &priorities, slots),
+                                cfg(),
+                                horizon
+                            )),
+                            "expiring={}", expiring
                         );
                     };
                 }
-                same!(EdfPolicy::default());
-                same!(FixedPriorityPolicy::deadline_monotonic(&set));
-                same!(DualPriorityPolicy::new(&set, BitTiming::MBIT_1));
-                same!(NoPromotion(EdfPolicy::default()));
+                same!(edf(&set));
+                same!(deadline_monotonic(&set));
+                same!(dual_priority(&set, BitTiming::MBIT_1));
+                same!(no_promotion(&set, &slots));
             }
         }
     }

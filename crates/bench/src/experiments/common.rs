@@ -69,6 +69,7 @@ pub fn srt_background(net: &mut Network, from: NodeId, to: NodeId, gap: Duration
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_ms(20),
                 default_expiration: Some(Duration::from_ms(60)),
+                ..SrtSpec::default()
             }),
         )
         .unwrap();

@@ -10,7 +10,7 @@
 use crate::table::{f, Table};
 use crate::RunOpts;
 use rtec_analysis::edf::{expected_tie_fraction, time_horizon, PrioritySlotConfig};
-use rtec_baselines::{run_testbed, EdfPolicy, TestbedConfig};
+use rtec_baselines::{policy, run_testbed, without_expiry, TestbedConfig};
 use rtec_can::bits::BitTiming;
 use rtec_can::BusConfig;
 use rtec_sim::{Duration, Rng};
@@ -28,6 +28,7 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
         &mut rng,
     );
     let set = scale_load(&base, 1.05 / set_utilization(&base, BitTiming::MBIT_1));
+    let set = without_expiry(&set);
     let horizon = opts.horizon(Duration::from_secs(4));
     let deadline_window = Duration::from_ms(200);
 
@@ -62,12 +63,12 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
         let ties = expected_tie_fraction(set.len() as u64, deadline_window, &cfg);
         let beyond = set.iter().filter(|s| s.rel_deadline > dh).count();
         let stats = run_testbed(
-            EdfPolicy { cfg },
+            &policy::edf(&set),
             TestbedConfig {
                 bus: BusConfig::default(),
                 streams: set.clone(),
                 seed: opts.seed,
-                drop_on_expiry: false,
+                priority_slots: cfg,
             },
             horizon,
         );

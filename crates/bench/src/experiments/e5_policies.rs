@@ -9,9 +9,8 @@
 
 use crate::table::{f, Table};
 use crate::RunOpts;
-use rtec_baselines::{
-    run_testbed, DualPriorityPolicy, EdfPolicy, FixedPriorityPolicy, NoPromotion, TestbedConfig,
-};
+use rtec_analysis::edf::PrioritySlotConfig;
+use rtec_baselines::{policy, run_testbed, without_expiry, TestbedConfig};
 use rtec_can::bits::BitTiming;
 use rtec_can::BusConfig;
 use rtec_sim::{Duration, Rng};
@@ -36,6 +35,7 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
                 spec: rtec_core::channel::ChannelSpec::srt(rtec_core::channel::SrtSpec {
                     default_deadline: s.rel_deadline,
                     default_expiration: s.rel_expiration,
+                    ..Default::default()
                 }),
             })
             .collect();
@@ -60,25 +60,21 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
     );
     for load in [0.3, 0.5, 0.7, 0.85, 0.95, 1.05, 1.2, 1.5] {
         let set = scale_load(&base, load / base_util);
-        let cfg = |drop| TestbedConfig {
+        let slots = PrioritySlotConfig::paper_default();
+        // Only the EDF+expiry column drops expired messages.
+        let cfg = |streams| TestbedConfig {
             bus: BusConfig::default(),
-            streams: set.clone(),
+            streams,
             seed: opts.seed,
-            drop_on_expiry: drop,
+            priority_slots: slots,
         };
-        let edf = run_testbed(EdfPolicy::default(), cfg(false), horizon);
-        let dm = run_testbed(
-            FixedPriorityPolicy::deadline_monotonic(&set),
-            cfg(false),
-            horizon,
-        );
-        let dual = run_testbed(
-            DualPriorityPolicy::new(&set, BitTiming::MBIT_1),
-            cfg(false),
-            horizon,
-        );
-        let edf_exp = run_testbed(EdfPolicy::default(), cfg(true), horizon);
-        let edf_static = run_testbed(NoPromotion(EdfPolicy::default()), cfg(false), horizon);
+        let keep = || cfg(without_expiry(&set));
+        let edf = run_testbed(&policy::edf(&set), keep(), horizon);
+        let dm = run_testbed(&policy::deadline_monotonic(&set), keep(), horizon);
+        let dual_prio = policy::dual_priority(&set, BitTiming::MBIT_1);
+        let dual = run_testbed(&dual_prio, keep(), horizon);
+        let edf_exp = run_testbed(&policy::edf(&set), cfg(set.clone()), horizon);
+        let edf_static = run_testbed(&policy::no_promotion(&set, &slots), keep(), horizon);
         t.row(vec![
             f(load),
             f(edf.miss_ratio()),

@@ -79,6 +79,7 @@ fn lint_flags_misconfigured_network() {
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_ms(20),
                 default_expiration: Some(Duration::from_ms(5)),
+                ..SrtSpec::default()
             }),
         )
         .unwrap();

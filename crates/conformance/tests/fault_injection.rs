@@ -196,6 +196,7 @@ fn s5_expiration_before_deadline_fires() {
         spec: ChannelSpec::srt(SrtSpec {
             default_deadline: Duration::from_ms(5),
             default_expiration: Some(Duration::from_ms(1)),
+            ..SrtSpec::default()
         }),
     });
     let rep = lint(&input);

@@ -12,7 +12,8 @@
 //! structures and triggers the subject → etag binding.
 
 use crate::event::Subject;
-use rtec_can::{NodeId, PRIO_NRT_MAX, PRIO_NRT_MIN};
+use rtec_analysis::edf::{next_promotion_time, priority_for_deadline, PrioritySlotConfig};
+use rtec_can::{NodeId, PRIO_NRT_MAX, PRIO_NRT_MIN, PRIO_SRT_MAX, PRIO_SRT_MIN};
 use rtec_sim::{Duration, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -78,6 +79,8 @@ pub struct SrtSpec {
     /// (measured from publication; `None` = never expires, the event
     /// stays queued best-effort).
     pub default_expiration: Option<Duration>,
+    /// How the channel's messages rank on the bus.
+    pub priority: SrtPriority,
 }
 
 impl Default for SrtSpec {
@@ -85,6 +88,73 @@ impl Default for SrtSpec {
         SrtSpec {
             default_deadline: Duration::from_ms(10),
             default_expiration: Some(Duration::from_ms(50)),
+            priority: SrtPriority::Slots,
+        }
+    }
+}
+
+/// The CAN priority an SRT channel's queued message contends with.
+///
+/// **Contract.** For one channel and one instant, a later deadline never
+/// ranks ahead of an earlier one: `d1 < d2` implies
+/// `priority(d1, now) <= priority(d2, now)`. The node's send queue keeps
+/// one deadline-ordered queue per channel and compares only their
+/// fronts, which is sound exactly because of this;
+/// `rtec-baselines/tests/policy_monotone.rs` checks it for every
+/// variant.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SrtPriority {
+    /// The paper's mapping (§3.4): the remaining time to the deadline,
+    /// quantized by the node's priority slots and promoted as it
+    /// shrinks.
+    #[default]
+    Slots,
+    /// One static priority (deadline-monotonic, or the laxity-at-release
+    /// ablation).
+    Fixed(u8),
+    /// Davis's dual priority: `low` until `deadline − lead`, then
+    /// `high` (numerically `high <= low`).
+    Dual {
+        /// Priority before the promotion.
+        low: u8,
+        /// Priority from the promotion on.
+        high: u8,
+        /// How long before the deadline the promotion happens.
+        lead: Duration,
+    },
+}
+
+impl SrtPriority {
+    /// The priority of a message with absolute `deadline` at `now`.
+    pub fn priority(self, slots: &PrioritySlotConfig, deadline: Time, now: Time) -> u8 {
+        match self {
+            SrtPriority::Slots => priority_for_deadline(deadline, now, slots),
+            SrtPriority::Fixed(p) => p,
+            SrtPriority::Dual { low, high, lead } => {
+                if now >= deadline.saturating_sub(lead) {
+                    high
+                } else {
+                    low
+                }
+            }
+        }
+    }
+
+    /// The next instant after `now` at which [`SrtPriority::priority`]
+    /// changes, or `None` if it is final.
+    pub fn next_change(
+        self,
+        slots: &PrioritySlotConfig,
+        deadline: Time,
+        now: Time,
+    ) -> Option<Time> {
+        match self {
+            SrtPriority::Slots => next_promotion_time(deadline, now, slots),
+            SrtPriority::Fixed(_) => None,
+            SrtPriority::Dual { lead, .. } => {
+                let promotion = deadline.saturating_sub(lead);
+                (now < promotion).then_some(promotion)
+            }
         }
     }
 }
@@ -312,7 +382,8 @@ pub enum ChannelError {
     AlreadySubscribed(Subject),
     /// Not subscribed.
     NotSubscribed(Subject),
-    /// NRT priority outside the allowed band — the middleware enforces
+    /// An NRT priority, or an SRT channel's own `Fixed`/`Dual` one,
+    /// outside its class's band — the middleware enforces
     /// `P_HRT < P_SRT < P_NRT` (§3.3).
     PriorityOutOfBand {
         /// The rejected priority value.
@@ -348,7 +419,7 @@ impl fmt::Display for ChannelError {
             ChannelError::AlreadySubscribed(s) => write!(f, "{s}: already subscribed"),
             ChannelError::NotSubscribed(s) => write!(f, "{s}: not subscribed"),
             ChannelError::PriorityOutOfBand { priority } => {
-                write!(f, "priority {priority} outside the NRT band (251..=255)")
+                write!(f, "priority {priority} outside its class's band")
             }
             ChannelError::PayloadTooLong { len, max } => {
                 write!(f, "payload of {len} bytes exceeds {max}")
@@ -376,6 +447,26 @@ pub fn validate_nrt_priority(spec: &NrtSpec) -> Result<(), ChannelError> {
             priority: spec.priority,
         })
     }
+}
+
+/// Validate the priorities an SRT channel names itself against the SRT
+/// band (1..=250); a `Dual` promotion must not lower the priority.
+pub fn validate_srt_priority(spec: &SrtSpec) -> Result<(), ChannelError> {
+    let (low, high) = match spec.priority {
+        SrtPriority::Slots => return Ok(()),
+        SrtPriority::Fixed(p) => (p, p),
+        SrtPriority::Dual { low, high, .. } => (low, high),
+    };
+    // The promoted priority's band ends at the unpromoted one.
+    for (p, band) in [
+        (low, PRIO_SRT_MIN..=PRIO_SRT_MAX),
+        (high, PRIO_SRT_MIN..=low),
+    ] {
+        if !band.contains(&p) {
+            return Err(ChannelError::PriorityOutOfBand { priority: p });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

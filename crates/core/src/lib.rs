@@ -8,7 +8,7 @@
 //! | class | guarantee | mechanism |
 //! |---|---|---|
 //! | **HRTEC** | bounded latency & jitter under a stated omission-fault assumption | calendar slot reservation + LST priority raise to the reserved top priority + time-redundant transmission with early stop + delivery at the slot deadline |
-//! | **SRTEC** | EDF best-effort with miss/expiry awareness | deadline → priority-slot mapping on the 8-bit priority field, dynamic promotion, local deadline/expiration exceptions |
+//! | **SRTEC** | EDF best-effort with miss/expiry awareness | deadline → priority-slot mapping on the 8-bit priority field, dynamic promotion (or a per-channel fixed/dual priority, [`SrtPriority`]), local deadline/expiration exceptions |
 //! | **NRTEC** | none (background) | fixed low priority, fragmentation for bulk payloads |
 //!
 //! ## Entry points
@@ -54,7 +54,8 @@ pub mod topology;
 pub mod prelude {
     pub use crate::api::NetApi;
     pub use crate::channel::{
-        ChannelClass, ChannelException, ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec,
+        ChannelClass, ChannelException, ChannelSpec, HrtSpec, NrtSpec, SrtPriority, SrtSpec,
+        SubscribeSpec,
     };
     pub use crate::event::{Event, EventQueue, Subject};
     pub use crate::network::{ClockSyncConfig, Network, NetworkBuilder, NetworkConfig};
@@ -64,7 +65,8 @@ pub mod prelude {
 
 pub use api::NetApi;
 pub use channel::{
-    ChannelClass, ChannelException, ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec,
+    ChannelClass, ChannelException, ChannelSpec, HrtSpec, NrtSpec, SrtPriority, SrtSpec,
+    SubscribeSpec,
 };
 pub use event::{Event, EventQueue, Subject};
 pub use network::{ClockSyncConfig, Network, NetworkBuilder, NetworkConfig};

@@ -19,9 +19,12 @@
 //!   `MissingEvent`, a publish that just missed its slot `NotReady`
 //!   (§2.2.1).
 //! * **SRT** (§3.3–3.4) — one EDF queue per node; only the head is
-//!   submitted, with a priority derived from its laxity and promoted as
-//!   the deadline nears; a more urgent newcomer withdraws the submitted
-//!   frame; deadline misses and expirations raise local exceptions.
+//!   submitted, with the priority its channel's [`SrtPriority`] gives it
+//!   (by default derived from its laxity and promoted as the deadline
+//!   nears); a more urgent newcomer withdraws the submitted frame;
+//!   deadline misses and expirations raise local exceptions. The §4
+//!   baselines (deadline-monotonic, dual priority) are other
+//!   `SrtPriority` values of the same machine.
 //! * **NRT** (§2.2.3) — fixed-priority FIFO transfers, fragmented when
 //!   the channel asks for it, one fragment outstanding at a time.
 //!
@@ -36,13 +39,13 @@
 //! calendar timers, local-clock ↔ global-time translation, binding and
 //! clock-sync frames, handler dispatch and measurement.
 
-use crate::channel::{ChannelClass, ChannelException, ChannelSpec, SubscribeSpec};
+use crate::channel::{ChannelClass, ChannelException, ChannelSpec, SrtPriority, SubscribeSpec};
 use crate::event::{Delivery, Event, EventAttributes, Subject};
 use crate::frag::{try_fragment, Reassembler, MAX_MESSAGE_LEN};
 use crate::node::{pack_tag, unpack_tag, TagKind};
 use crate::policy::{EdfOrder, EdfQueue};
 use rtec_analysis::admission::{CalendarPlan, PlannedSlot};
-use rtec_analysis::edf::{next_promotion_time, priority_for_deadline, PrioritySlotConfig};
+use rtec_analysis::edf::PrioritySlotConfig;
 use rtec_analysis::wctt::wcct_single;
 use rtec_can::bits::BitTiming;
 use rtec_can::{CanId, Frame, NodeId, PRIO_HRT};
@@ -61,7 +64,7 @@ pub const MAX_TRACE_FIELDS: usize = 5;
 pub struct MachineConfig {
     /// The node's bus identity (the TxNode field of every frame it sends).
     pub node: NodeId,
-    /// Deadline → priority mapping for SRT traffic.
+    /// Deadline → priority mapping of [`SrtPriority::Slots`] channels.
     pub priority_slots: PrioritySlotConfig,
     /// Bit timing of the wire (sizes the HRT retransmission check).
     pub timing: BitTiming,
@@ -72,8 +75,6 @@ pub struct MachineConfig {
     pub nrt_queue_cap: usize,
     /// Deliver HRT events at the slot deadline rather than on reception.
     pub hrt_deferred_delivery: bool,
-    /// Promote the submitted SRT frame's priority as its deadline nears.
-    pub srt_dynamic_promotion: bool,
 }
 
 /// What a node knows about a channel it subscribes to.
@@ -417,6 +418,14 @@ pub struct SrtMsg {
     pub missed: bool,
     /// The host's publication stamp.
     pub stamp: Time,
+    /// Its channel's priority.
+    pub priority: SrtPriority,
+}
+
+impl SrtMsg {
+    fn priority_at(&self, slots: &PrioritySlotConfig, now: Time) -> u8 {
+        self.priority.priority(slots, self.deadline, now)
+    }
 }
 
 impl EdfOrder for SrtMsg {
@@ -425,6 +434,9 @@ impl EdfOrder for SrtMsg {
     }
     fn seq(&self) -> u32 {
         self.seq
+    }
+    fn channel(&self) -> u16 {
+        self.etag
     }
 }
 
@@ -440,6 +452,8 @@ pub struct SrtTx {
     pub deadline: Time,
     /// The host's publication stamp.
     pub stamp: Time,
+    /// Its channel's priority.
+    pub priority: SrtPriority,
 }
 
 /// One (possibly multi-fragment) NRT transfer.
@@ -565,7 +579,7 @@ impl NodeMachine {
         self.pubs.get(&etag)?.active.as_ref()
     }
 
-    /// The SRT send queue (storage order).
+    /// The SRT send queue.
     pub fn srt_queue(&self) -> &EdfQueue<SrtMsg> {
         &self.srt
     }
@@ -696,15 +710,14 @@ impl NodeMachine {
                 // serve last — unless that is the newcomer itself or
                 // the frame already submitted.
                 if self.srt.len() >= self.cfg.srt_queue_cap {
-                    let victim = self
+                    let v = self
                         .srt
                         .overflow_victim()
                         .ok_or(PublishError::Backpressure)?;
-                    let v = &self.srt[victim];
                     if deadline >= v.deadline || self.srt_tx_is(v.seq) {
                         return Err(PublishError::Backpressure);
                     }
-                    self.srt_drop_expired(victim, out);
+                    self.srt_drop_expired(v.seq, out);
                 }
                 let seq = self.srt_next_seq;
                 self.srt_next_seq = seq.wrapping_add(1);
@@ -717,6 +730,7 @@ impl NodeMachine {
                     expiration,
                     missed: false,
                     stamp,
+                    priority: s.priority,
                 });
                 out.push(Output::ArmTimer {
                     at: deadline,
@@ -957,7 +971,7 @@ impl NodeMachine {
     /// it has not won arbitration) so the new head can go instead.
     fn srt_reconsider(&mut self, now: Time, out: &mut Vec<Output>) {
         if let (Some(tx), None) = (self.srt_tx, self.srt_abort) {
-            if self.srt.head().is_some_and(|head| head.seq != tx.seq) {
+            if self.srt_head(now).is_some_and(|head| head.seq != tx.seq) {
                 self.srt_abort = Some(false);
                 out.push(Output::Abort {
                     class: ChannelClass::Srt,
@@ -972,16 +986,22 @@ impl NodeMachine {
         self.srt_tx.is_some_and(|tx| tx.seq == seq)
     }
 
+    /// The message EDF serves first at `now`.
+    fn srt_head(&self, now: Time) -> Option<&SrtMsg> {
+        let slots = &self.cfg.priority_slots;
+        self.srt.head(|m| m.priority_at(slots, now))
+    }
+
     /// Submit the EDF head if the SRT transmission slot is free.
     fn srt_dispatch(&mut self, now: Time, out: &mut Vec<Output>) {
         if self.srt_tx.is_some() || self.srt_abort.is_some() {
             return;
         }
-        let Some(msg) = self.srt.head() else {
+        let Some(msg) = self.srt_head(now) else {
             return;
         };
         let slots = &self.cfg.priority_slots;
-        let prio = priority_for_deadline(msg.deadline, now, slots);
+        let prio = msg.priority_at(slots, now);
         out.push(Output::Submit {
             class: ChannelClass::Srt,
             frame: Frame::new(
@@ -990,21 +1010,21 @@ impl NodeMachine {
             ),
             tag: pack_tag(TagKind::Srt, msg.etag, msg.seq),
         });
-        self.srt_tx = Some(SrtTx {
+        let tx = SrtTx {
             seq: msg.seq,
             etag: msg.etag,
             deadline: msg.deadline,
             stamp: msg.stamp,
-        });
-        if self.cfg.srt_dynamic_promotion {
-            if let Some(at) = next_promotion_time(msg.deadline, now, slots) {
-                out.push(Output::ArmTimer {
-                    at,
-                    timer: SrtTimer::Promote,
-                    seq: msg.seq,
-                });
-            }
+            priority: msg.priority,
+        };
+        if let Some(at) = msg.priority.next_change(slots, msg.deadline, now) {
+            out.push(Output::ArmTimer {
+                at,
+                timer: SrtTimer::Promote,
+                seq: tx.seq,
+            });
         }
+        self.srt_tx = Some(tx);
     }
 
     fn srt_promote(&mut self, now: Time, seq: u32, out: &mut Vec<Output>) {
@@ -1018,11 +1038,11 @@ impl NodeMachine {
         // Rewriting is idempotent and fails harmlessly while the frame
         // is on the wire (it is about to complete), so the machine
         // keeps no copy of the priority the bus currently holds.
-        let prio = priority_for_deadline(msg.deadline, now, slots);
+        let prio = msg.priority.priority(slots, msg.deadline, now);
         out.push(Output::UpdateId {
             id: CanId::new(prio, self.cfg.node.0, msg.etag),
         });
-        if let Some(at) = next_promotion_time(msg.deadline, now, slots) {
+        if let Some(at) = msg.priority.next_change(slots, msg.deadline, now) {
             out.push(Output::ArmTimer {
                 at,
                 timer: SrtTimer::Promote,
@@ -1032,10 +1052,9 @@ impl NodeMachine {
     }
 
     fn srt_deadline(&mut self, seq: u32, out: &mut Vec<Output>) {
-        let Some(idx) = self.srt.find(seq) else {
+        let Some(msg) = self.srt.get_mut(seq) else {
             return; // already transmitted or dropped
         };
-        let msg = &mut self.srt[idx];
         if !std::mem::replace(&mut msg.missed, true) {
             out.push(Output::Raise {
                 etag: msg.etag,
@@ -1048,9 +1067,9 @@ impl NodeMachine {
     }
 
     fn srt_expire(&mut self, now: Time, seq: u32, out: &mut Vec<Output>) {
-        let Some(idx) = self.srt.find(seq) else {
+        if self.srt.get(seq).is_none() {
             return; // already transmitted or dropped
-        };
+        }
         if self.srt_tx_is(seq) {
             // Submitted: try to pull it back before it reaches the
             // wire; an abort already pending becomes an expiration.
@@ -1061,14 +1080,16 @@ impl NodeMachine {
             }
             return;
         }
-        self.srt_drop_expired(idx, out);
+        self.srt_drop_expired(seq, out);
         self.srt_dispatch(now, out);
     }
 
-    /// Drop the queued message at `idx` as expired: trace + exception.
-    fn srt_drop_expired(&mut self, idx: usize, out: &mut Vec<Output>) {
-        let msg = self.srt.remove(idx);
-        out.push(Output::Disarm { seq: msg.seq });
+    /// Drop queued message `seq` as expired: trace + exception.
+    fn srt_drop_expired(&mut self, seq: u32, out: &mut Vec<Output>) {
+        let Some(msg) = self.srt.take(seq) else {
+            return;
+        };
+        out.push(Output::Disarm { seq });
         out.push(trace(
             ChannelClass::Srt,
             "srt_expire",
@@ -1096,9 +1117,7 @@ impl NodeMachine {
             // Withdrawn: the message stays queued and is resubmitted
             // whenever EDF makes it the head again — unless it expired.
             if let (Some(tx), true) = (self.srt_tx.take(), expire) {
-                if let Some(idx) = self.srt.find(tx.seq) {
-                    self.srt_drop_expired(idx, out);
-                }
+                self.srt_drop_expired(tx.seq, out);
             }
         }
         // Not withdrawn: on the wire right now, TxDone rules.

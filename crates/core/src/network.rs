@@ -30,7 +30,8 @@ use crate::binding::{
     ETAG_FOLLOW_UP, ETAG_SYNC,
 };
 use crate::channel::{
-    validate_nrt_priority, ChannelClass, ChannelError, ChannelException, ChannelSpec, SubscribeSpec,
+    validate_nrt_priority, validate_srt_priority, ChannelClass, ChannelError, ChannelException,
+    ChannelSpec, SubscribeSpec,
 };
 use crate::event::{Delivery, Event, EventQueue, Subject};
 use crate::machine::{ChannelMeta, Input, MachineConfig, Output, PublishError, SrtTimer};
@@ -161,10 +162,6 @@ pub struct NetworkConfig {
     /// Deliver HRT events at the slot deadline (paper behaviour). Set
     /// `false` for the jitter ablation: deliver on wire completion.
     pub hrt_deferred_delivery: bool,
-    /// Dynamically promote SRT priorities as deadlines near (paper
-    /// behaviour). Set `false` for the ablation: priority fixed at
-    /// enqueue time.
-    pub srt_dynamic_promotion: bool,
 }
 
 impl Default for NetworkConfig {
@@ -183,7 +180,6 @@ impl Default for NetworkConfig {
             fault_model: FaultModel::None,
             seed: 42,
             hrt_deferred_delivery: true,
-            srt_dynamic_promotion: true,
         }
     }
 }
@@ -306,7 +302,6 @@ impl NetWorld {
                         srt_queue_cap: usize::MAX,
                         nrt_queue_cap: usize::MAX,
                         hrt_deferred_delivery: config.hrt_deferred_delivery,
-                        srt_dynamic_promotion: config.srt_dynamic_promotion,
                     },
                 )
             })
@@ -638,7 +633,7 @@ impl NetWorld {
                 }
             }
             ChannelSpec::Nrt(n) => validate_nrt_priority(n)?,
-            ChannelSpec::Srt(_) => {}
+            ChannelSpec::Srt(s) => validate_srt_priority(s)?,
         }
         // Cross-publisher consistency: a subject has at most one channel
         // class.
@@ -1408,11 +1403,6 @@ impl NetworkBuilder {
     /// Toggle HRT deferred delivery (ablation).
     pub fn hrt_deferred_delivery(mut self, on: bool) -> Self {
         self.config.hrt_deferred_delivery = on;
-        self
-    }
-    /// Toggle SRT dynamic promotion (ablation).
-    pub fn srt_dynamic_promotion(mut self, on: bool) -> Self {
-        self.config.srt_dynamic_promotion = on;
         self
     }
     /// Override the full configuration.

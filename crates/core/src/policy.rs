@@ -1,39 +1,48 @@
-//! The EDF ordering policy of the soft real-time send queue.
+//! The soft real-time send queue.
 //!
-//! The SRTEC send queue is EDF-ordered: the head is the entry with the
-//! earliest transmission deadline, FIFO among equal deadlines (lowest
-//! sequence number wins). [`crate::machine::NodeMachine`] keeps one
-//! such queue per node and submits only its head (§3.4).
+//! The SRTEC send queue is EDF-ordered by each channel's
+//! [`SrtPriority`](crate::channel::SrtPriority): the head is the entry
+//! with the most urgent priority now, then the earliest transmission
+//! deadline, then the lowest sequence number.
+//! [`crate::machine::NodeMachine`] keeps one such queue per node and
+//! submits only its head (§3.4).
+//!
+//! Entries live in one deadline-ordered queue per channel. A channel's
+//! priority never ranks a later deadline ahead of an earlier one, so a
+//! channel's front is its most urgent entry and the head is read off
+//! the fronts: O(channels), whatever backlog overload piles up.
 
-use std::ops::{Index, IndexMut};
+use std::collections::{BTreeMap, VecDeque};
 
 use rtec_sim::Time;
 
-/// Ordering key for entries in an [`EdfQueue`]: an absolute deadline
-/// plus a node-local sequence number that breaks ties FIFO.
+/// What an [`EdfQueue`] orders its entries by.
 pub trait EdfOrder {
     /// Absolute transmission deadline (global time).
     fn deadline(&self) -> Time;
     /// Node-local sequence number (monotonic at enqueue).
     fn seq(&self) -> u32;
+    /// The channel the entry belongs to.
+    fn channel(&self) -> u16;
 }
 
-/// An earliest-deadline-first send queue.
-///
-/// Entries stay at stable indices between mutations (the backing store
-/// is a plain `Vec`), so callers may hold an index across inspection
-/// calls; [`EdfQueue::head_index`] recomputes the EDF head on demand.
-/// The queue tracks its own high-water mark for observability.
+/// An earliest-deadline-first send queue, one deadline-ordered queue per
+/// channel. It tracks its own high-water mark for observability.
 #[derive(Debug, Clone)]
 pub struct EdfQueue<M> {
-    items: Vec<M>,
+    /// Each channel's entries in deadline order, FIFO among equals.
+    channels: Vec<(u16, VecDeque<M>)>,
+    /// Where each queued entry is: sequence number → (channel index,
+    /// deadline).
+    index: BTreeMap<u32, (usize, Time)>,
     peak: usize,
 }
 
 impl<M> Default for EdfQueue<M> {
     fn default() -> Self {
         EdfQueue {
-            items: Vec::new(),
+            channels: Vec::new(),
+            index: BTreeMap::new(),
             peak: 0,
         }
     }
@@ -45,47 +54,79 @@ impl<M: EdfOrder> EdfQueue<M> {
         EdfQueue::default()
     }
 
-    /// Enqueue an entry (position is insertion order; EDF order is
-    /// imposed by [`EdfQueue::head_index`], not by the storage).
+    /// Enqueue an entry behind its channel's entries of equal or earlier
+    /// deadline.
     pub fn push(&mut self, m: M) {
-        self.items.push(m);
-        self.peak = self.peak.max(self.items.len());
+        let ch = match self.channels.iter().position(|(c, _)| *c == m.channel()) {
+            Some(ch) => ch,
+            None => {
+                self.channels.push((m.channel(), VecDeque::new()));
+                self.channels.len() - 1
+            }
+        };
+        let queue = &mut self.channels[ch].1;
+        let at = queue.partition_point(|e| e.deadline() <= m.deadline());
+        self.index.insert(m.seq(), (ch, m.deadline()));
+        queue.insert(at, m);
+        self.peak = self.peak.max(self.index.len());
     }
 
-    /// Index of the earliest-deadline entry, FIFO among equals.
-    pub fn head_index(&self) -> Option<usize> {
-        (0..self.items.len()).min_by_key(|&i| (self.items[i].deadline(), self.items[i].seq()))
+    /// The entry EDF serves first: the minimum of `(rank, deadline,
+    /// seq)` over the channel fronts, where `rank` is the entry's
+    /// priority now.
+    pub fn head(&self, rank: impl Fn(&M) -> u8) -> Option<&M> {
+        self.fronts()
+            .min_by_key(|m| (rank(m), m.deadline(), m.seq()))
     }
 
-    /// The earliest-deadline entry, FIFO among equals.
-    pub fn head(&self) -> Option<&M> {
-        self.head_index().map(|i| &self.items[i])
+    /// Each channel's earliest-deadline entry.
+    pub fn fronts(&self) -> impl Iterator<Item = &M> {
+        self.channels.iter().filter_map(|(_, q)| q.front())
     }
 
-    /// Find an entry by sequence number.
-    pub fn find(&self, seq: u32) -> Option<usize> {
-        self.items.iter().position(|m| m.seq() == seq)
+    /// `(channel index, position)` of the entry with sequence number
+    /// `seq`.
+    fn locate(&self, seq: u32) -> Option<(usize, usize)> {
+        let &(ch, deadline) = self.index.get(&seq)?;
+        Some((ch, self.position(ch, deadline, seq)?))
     }
 
-    /// Remove and return an entry by sequence number.
+    /// Where in channel `ch` the entry `seq` with `deadline` sits: a
+    /// binary search for its deadline, then FIFO among equals.
+    fn position(&self, ch: usize, deadline: Time, seq: u32) -> Option<usize> {
+        let queue = &self.channels[ch].1;
+        let from = queue.partition_point(|e| e.deadline() < deadline);
+        (from..queue.len()).find(|&i| queue[i].seq() == seq)
+    }
+
+    /// The entry with sequence number `seq`.
+    pub fn get(&self, seq: u32) -> Option<&M> {
+        let (ch, at) = self.locate(seq)?;
+        Some(&self.channels[ch].1[at])
+    }
+
+    /// The entry with sequence number `seq`, mutably. Its deadline and
+    /// sequence number must not change.
+    pub fn get_mut(&mut self, seq: u32) -> Option<&mut M> {
+        let (ch, at) = self.locate(seq)?;
+        Some(&mut self.channels[ch].1[at])
+    }
+
+    /// Remove and return the entry with sequence number `seq`.
     pub fn take(&mut self, seq: u32) -> Option<M> {
-        self.find(seq).map(|i| self.items.remove(i))
-    }
-
-    /// Remove and return the entry at `idx` (panics when out of range,
-    /// like `Vec::remove`).
-    pub fn remove(&mut self, idx: usize) -> M {
-        self.items.remove(idx)
+        let (ch, deadline) = self.index.remove(&seq)?;
+        let at = self.position(ch, deadline, seq)?;
+        self.channels[ch].1.remove(at)
     }
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.index.len()
     }
 
     /// `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.index.is_empty()
     }
 
     /// High-water mark of the queue length since creation.
@@ -93,29 +134,16 @@ impl<M: EdfOrder> EdfQueue<M> {
         self.peak
     }
 
-    /// Iterate entries in storage (insertion) order.
+    /// Iterate entries in sequence-number order.
     pub fn iter(&self) -> impl Iterator<Item = &M> {
-        self.items.iter()
+        self.index.keys().filter_map(|&seq| self.get(seq))
     }
 
-    /// Among queued entries, the index of the one that would be dropped
-    /// by an overflow policy: the *latest* deadline, newest among equals
-    /// (the entry EDF would serve last).
-    pub fn overflow_victim(&self) -> Option<usize> {
-        (0..self.items.len()).max_by_key(|&i| (self.items[i].deadline(), self.items[i].seq()))
-    }
-}
-
-impl<M> Index<usize> for EdfQueue<M> {
-    type Output = M;
-    fn index(&self, idx: usize) -> &M {
-        &self.items[idx]
-    }
-}
-
-impl<M> IndexMut<usize> for EdfQueue<M> {
-    fn index_mut(&mut self, idx: usize) -> &mut M {
-        &mut self.items[idx]
+    /// The entry an overflow policy drops: the *latest* deadline, newest
+    /// among equals (the entry EDF would serve last).
+    pub fn overflow_victim(&self) -> Option<&M> {
+        let backs = self.channels.iter().filter_map(|(_, q)| q.back());
+        backs.max_by_key(|m| (m.deadline(), m.seq()))
     }
 }
 
@@ -126,6 +154,7 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct E {
         seq: u32,
+        channel: u16,
         deadline: Time,
     }
     impl EdfOrder for E {
@@ -135,64 +164,91 @@ mod tests {
         fn seq(&self) -> u32 {
             self.seq
         }
+        fn channel(&self) -> u16 {
+            self.channel
+        }
     }
-    fn e(seq: u32, us: u64) -> E {
+    fn e(seq: u32, channel: u16, us: u64) -> E {
         E {
             seq,
+            channel,
             deadline: Time::from_us(us),
         }
+    }
+    fn by_deadline(_: &E) -> u8 {
+        0
     }
 
     #[test]
     fn head_is_earliest_deadline_fifo_on_ties() {
         let mut q = EdfQueue::new();
-        q.push(e(0, 300));
-        q.push(e(1, 100));
-        q.push(e(2, 100));
-        assert_eq!(q.head_index(), Some(1));
-        assert_eq!(q.head().unwrap().seq, 1);
+        q.push(e(0, 1, 300));
+        q.push(e(1, 2, 100));
+        q.push(e(2, 1, 100));
+        assert_eq!(q.head(by_deadline).unwrap().seq, 1);
         assert_eq!(q.take(1).unwrap().seq, 1);
-        assert_eq!(q.head_index(), Some(1)); // seq=2 shifted to index 1
-        assert_eq!(q.find(0), Some(0));
-        assert_eq!(q.find(9), None);
+        assert_eq!(q.head(by_deadline).unwrap().seq, 2);
+        assert_eq!(q.get(0).unwrap().seq, 0);
+        assert!(q.get(9).is_none());
         assert!(q.take(9).is_none());
+    }
+
+    #[test]
+    fn rank_comes_before_the_deadline() {
+        let mut q = EdfQueue::new();
+        q.push(e(0, 1, 100));
+        q.push(e(1, 2, 900));
+        let head = q.head(|m| if m.channel == 2 { 1 } else { 5 });
+        assert_eq!(head.unwrap().seq, 1);
+    }
+
+    #[test]
+    fn a_channel_keeps_deadline_order_whatever_the_arrival_order() {
+        let mut q = EdfQueue::new();
+        q.push(e(0, 1, 500));
+        q.push(e(1, 1, 200));
+        q.push(e(2, 1, 500));
+        let fronts: Vec<u32> = q.fronts().map(|m| m.seq).collect();
+        assert_eq!(fronts, vec![1]);
+        assert_eq!(q.take(1).unwrap().seq, 1);
+        assert_eq!(q.head(by_deadline).unwrap().seq, 0, "FIFO among equals");
+        assert_eq!(q.take(0).unwrap().seq, 0);
+        assert_eq!(q.get_mut(2).unwrap().seq, 2);
     }
 
     #[test]
     fn peak_tracks_high_water_mark() {
         let mut q = EdfQueue::new();
-        q.push(e(0, 1));
-        q.push(e(1, 2));
+        q.push(e(0, 1, 1));
+        q.push(e(1, 1, 2));
         q.take(0);
-        q.push(e(2, 3));
+        q.push(e(2, 1, 3));
         assert_eq!(q.len(), 2);
         assert_eq!(q.peak(), 2);
-        q.push(e(3, 4));
+        q.push(e(3, 1, 4));
         assert_eq!(q.peak(), 3);
     }
 
     #[test]
     fn overflow_victim_is_latest_deadline_newest_on_ties() {
         let mut q = EdfQueue::new();
-        assert_eq!(q.overflow_victim(), None);
-        q.push(e(0, 300));
-        q.push(e(1, 500));
-        q.push(e(2, 500));
-        assert_eq!(q.overflow_victim(), Some(2));
-        q.remove(2);
-        assert_eq!(q.overflow_victim(), Some(1));
+        assert!(q.overflow_victim().is_none());
+        q.push(e(0, 1, 300));
+        q.push(e(1, 1, 500));
+        q.push(e(2, 2, 500));
+        assert_eq!(q.overflow_victim().unwrap().seq, 2);
+        q.take(2);
+        assert_eq!(q.overflow_victim().unwrap().seq, 1);
     }
 
     #[test]
-    fn indexing_and_iteration() {
+    fn iteration_is_in_sequence_order() {
         let mut q = EdfQueue::new();
-        q.push(e(7, 10));
-        q.push(e(8, 20));
-        assert_eq!(q[0].seq, 7);
-        q[1].deadline = Time::from_us(5);
-        assert_eq!(q.head_index(), Some(1));
+        q.push(e(7, 2, 10));
+        q.push(e(8, 1, 20));
+        q.push(e(9, 2, 5));
         let seqs: Vec<u32> = q.iter().map(|m| m.seq).collect();
-        assert_eq!(seqs, vec![7, 8]);
+        assert_eq!(seqs, vec![7, 8, 9]);
         assert!(!q.is_empty());
     }
 }

@@ -32,6 +32,7 @@ fn error_state_transitions_reach_channel_exception_handlers() {
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_ms(50),
                 default_expiration: None,
+                ..SrtSpec::default()
             }),
             move |exc| {
                 if let rtec_core::ChannelException::Fault { reason, .. } = exc {

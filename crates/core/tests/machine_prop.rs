@@ -71,7 +71,6 @@ fn machine() -> NodeMachine {
         srt_queue_cap: SRT_CAP,
         nrt_queue_cap: NRT_CAP,
         hrt_deferred_delivery: true,
-        srt_dynamic_promotion: true,
     });
     m.install_calendar(calendar(), CALENDAR_START);
     for (etag, k) in HRT_ETAGS.into_iter().zip([2, 1]) {
@@ -496,7 +495,7 @@ impl Harness {
                 }
                 Output::Disarm { seq } => {
                     prop_assert!(self.srt_disarmed.insert(seq), "disarmed twice: {seq}");
-                    let queued = self.m.srt_queue().find(seq);
+                    let queued = self.m.srt_queue().get(seq);
                     prop_assert!(queued.is_none(), "disarmed while still queued: {seq}");
                 }
                 Output::Trace {
@@ -525,16 +524,17 @@ impl Harness {
         seq: u32,
     ) -> Result<(), TestCaseError> {
         prop_assert_eq!(class, SRT);
-        let head = self.m.srt_queue().head().expect("submitted from the queue");
+        let prio = |deadline| {
+            priority_for_deadline(deadline, self.now, &PrioritySlotConfig::paper_default())
+        };
+        // The head over the whole queue, not over the channel fronts.
+        let queue = self.m.srt_queue().iter();
+        let head = queue.min_by_key(|m| (prio(m.deadline), m.deadline, m.seq));
+        let head = head.expect("submitted from the queue");
         prop_assert_eq!(seq, head.seq, "submitted message is not the EDF head");
         prop_assert!(!self.srt_expired.contains(&seq), "submitted after expiry");
         prop_assert!(!self.srt_sent.contains(&seq), "submitted twice over");
-        let prio = priority_for_deadline(
-            head.deadline,
-            self.now,
-            &PrioritySlotConfig::paper_default(),
-        );
-        prop_assert_eq!(frame.id.priority(), prio);
+        prop_assert_eq!(frame.id.priority(), prio(head.deadline));
         Ok(())
     }
 

@@ -201,6 +201,7 @@ fn srt_deadline_miss_raises_exception_but_still_transmits() {
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_us(50), // < one frame time
                 default_expiration: Some(Duration::from_ms(50)),
+                ..SrtSpec::default()
             }),
             move |exc| m.borrow_mut().push(exc.clone()),
         )
@@ -242,6 +243,7 @@ fn srt_expiration_drops_queued_messages() {
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_us(250),
                 default_expiration: Some(Duration::from_us(300)),
+                ..SrtSpec::default()
             }),
             move |exc| {
                 if matches!(exc, rtec_core::ChannelException::Expired { .. }) {
@@ -327,6 +329,65 @@ fn nrt_priority_band_is_enforced() {
         )
         .unwrap_err();
     assert_eq!(err, ChannelError::PriorityOutOfBand { priority: 100 });
+}
+
+#[test]
+fn srt_priority_band_is_enforced() {
+    let mut net = Network::builder().nodes(2).build();
+    let mut api = net.api();
+    let lead = Duration::from_ms(1);
+    let refused = [
+        (SrtPriority::Fixed(0), 0), // HRT's reserved priority
+        (SrtPriority::Fixed(251), 251),
+        (
+            SrtPriority::Dual {
+                low: 251,
+                high: 5,
+                lead,
+            },
+            251,
+        ),
+        (
+            SrtPriority::Dual {
+                low: 100,
+                high: 0,
+                lead,
+            },
+            0,
+        ),
+        // A promotion that lowers the priority breaks EDF per channel.
+        (
+            SrtPriority::Dual {
+                low: 5,
+                high: 9,
+                lead,
+            },
+            9,
+        ),
+    ];
+    for (priority, bad) in refused {
+        let spec = ChannelSpec::srt(SrtSpec {
+            priority,
+            ..SrtSpec::default()
+        });
+        let err = api.announce(NodeId(0), S1, spec).unwrap_err();
+        assert_eq!(err, ChannelError::PriorityOutOfBand { priority: bad });
+    }
+    let accepted = [
+        SrtPriority::Fixed(1),
+        SrtPriority::Dual {
+            low: 250,
+            high: 250,
+            lead,
+        },
+    ];
+    for (subject, priority) in [S1, S2].into_iter().zip(accepted) {
+        let spec = ChannelSpec::srt(SrtSpec {
+            priority,
+            ..SrtSpec::default()
+        });
+        api.announce(NodeId(1), subject, spec).unwrap();
+    }
 }
 
 #[test]
@@ -534,6 +595,7 @@ fn srt_queue_peak_tracks_buildup() {
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_ms(100),
                 default_expiration: None,
+                ..SrtSpec::default()
             }),
         )
         .unwrap();

@@ -1,6 +1,7 @@
 //! Additional middleware scenarios: many-to-many channels, ordering
 //! across announce/subscribe, promotion effects, NRT FIFO and tracing.
 
+use rtec_analysis::edf::{priority_for_deadline, PrioritySlotConfig};
 use rtec_core::channel::HrtSpec;
 use rtec_core::prelude::*;
 
@@ -128,35 +129,36 @@ fn nrt_transfers_from_one_node_are_fifo() {
 fn srt_promotion_lets_an_old_message_beat_fresh_urgent_traffic() {
     // Ablation pair: with dynamic promotion, a message that has waited
     // long enough out-prioritizes a newer message with a farther
-    // absolute deadline published elsewhere. With promotion off it
-    // keeps losing until the other node's queue empties.
+    // absolute deadline published elsewhere. With promotion off (each
+    // channel fixed at its laxity-at-release priority) it keeps losing
+    // until the other node's queue empties.
     let run = |promotion: bool| {
-        let mut net = Network::builder()
-            .nodes(3)
-            .srt_dynamic_promotion(promotion)
-            .build();
+        let mut net = Network::builder().nodes(3).build();
+        let srt = |deadline: Duration| {
+            let priority = if promotion {
+                SrtPriority::Slots
+            } else {
+                let slots = PrioritySlotConfig::paper_default();
+                SrtPriority::Fixed(priority_for_deadline(
+                    Time::ZERO + deadline,
+                    Time::ZERO,
+                    &slots,
+                ))
+            };
+            ChannelSpec::srt(SrtSpec {
+                default_deadline: deadline,
+                default_expiration: None,
+                priority,
+            })
+        };
         let a = Subject::new(1);
         let b = Subject::new(2);
         let qa = {
             let mut api = net.api();
-            api.announce(
-                NodeId(0),
-                a,
-                ChannelSpec::srt(SrtSpec {
-                    default_deadline: Duration::from_ms(3),
-                    default_expiration: None,
-                }),
-            )
-            .unwrap();
-            api.announce(
-                NodeId(1),
-                b,
-                ChannelSpec::srt(SrtSpec {
-                    default_deadline: Duration::from_ms(2),
-                    default_expiration: None,
-                }),
-            )
-            .unwrap();
+            api.announce(NodeId(0), a, srt(Duration::from_ms(3)))
+                .unwrap();
+            api.announce(NodeId(1), b, srt(Duration::from_ms(2)))
+                .unwrap();
             let qa = api
                 .subscribe(NodeId(2), a, SubscribeSpec::default())
                 .unwrap();

@@ -325,7 +325,6 @@ impl LiveNode {
             srt_queue_cap: cfg.srt_queue_cap,
             nrt_queue_cap: cfg.nrt_queue_cap,
             hrt_deferred_delivery: true,
-            srt_dynamic_promotion: true,
         });
         machine.install_calendar(Arc::clone(&shared.calendar), shared.calendar_start);
         let mut publishes = HashMap::new();
@@ -345,7 +344,8 @@ impl LiveNode {
                 }
                 ChannelSpec::Nrt(nr) => rtec_core::channel::validate_nrt_priority(&nr)
                     .map_err(|e| LiveError::Config(e.to_string()))?,
-                ChannelSpec::Srt(_) => {}
+                ChannelSpec::Srt(sr) => rtec_core::channel::validate_srt_priority(&sr)
+                    .map_err(|e| LiveError::Config(e.to_string()))?,
             }
             machine.announce(etag, subject, spec);
             publishes.insert(subject.uid(), (etag, spec));

@@ -51,6 +51,7 @@ fn main() {
                 TimelinessClass::Soft => ChannelSpec::srt(SrtSpec {
                     default_deadline: m.deadline,
                     default_expiration: Some(m.deadline * 4),
+                    ..SrtSpec::default()
                 }),
                 TimelinessClass::NonRt => ChannelSpec::nrt(NrtSpec::default()),
             };

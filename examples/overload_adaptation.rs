@@ -43,6 +43,7 @@ fn main() {
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_ms(2),
                 default_expiration: Some(Duration::from_ms(8)),
+                ..SrtSpec::default()
             }),
             move |_exc| {
                 // Local awareness: count; the publisher loop adapts.
@@ -58,6 +59,7 @@ fn main() {
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_us(400),
                 default_expiration: Some(Duration::from_ms(4)),
+                ..SrtSpec::default()
             }),
         )
         .unwrap();

@@ -50,6 +50,7 @@ fn main() {
             ChannelSpec::srt(SrtSpec {
                 default_deadline: Duration::from_ms(5),
                 default_expiration: Some(Duration::from_ms(20)),
+                ..SrtSpec::default()
             }),
         )
         .expect("announce SRT");

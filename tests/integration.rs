@@ -1,10 +1,12 @@
 //! Cross-crate integration tests: the facade crate, analytical models
 //! versus simulation, and determinism guarantees.
 
+use proptest::prelude::*;
 use rtec::analysis::admission::{CalendarPlan, SlotRequest};
-use rtec::analysis::npedf::np_edf_feasible;
+use rtec::analysis::edf::PrioritySlotConfig;
+use rtec::analysis::npedf::{np_edf_breakdown, np_edf_feasible};
 use rtec::analysis::rta::{rta_feasible, total_utilization, MessageSpec};
-use rtec::baselines::{run_testbed, EdfPolicy, FixedPriorityPolicy, TestbedConfig};
+use rtec::baselines::{policy, run_testbed, TestbedConfig, TestbedStats};
 use rtec::can::bits::BitTiming;
 use rtec::can::BusConfig;
 use rtec::clock::ClockParams;
@@ -130,12 +132,12 @@ fn rta_verdict_matches_simulation() {
     let rta = rta_feasible(&specs, BitTiming::MBIT_1);
     assert!(rta.iter().all(|r| r.feasible), "analysis predicts feasible");
     let stats = run_testbed(
-        FixedPriorityPolicy::deadline_monotonic(&streams),
+        &policy::deadline_monotonic(&streams),
         TestbedConfig {
             bus: BusConfig::default(),
             streams,
             seed: 7,
-            drop_on_expiry: false,
+            priority_slots: PrioritySlotConfig::paper_default(),
         },
         Duration::from_secs(1),
     );
@@ -143,10 +145,38 @@ fn rta_verdict_matches_simulation() {
     assert!(stats.completed > 900);
 }
 
+/// The demand-bound test's view of a stream set.
+fn np_edf_specs(set: &[StreamSpec]) -> Vec<MessageSpec> {
+    set.iter()
+        .map(|s| MessageSpec {
+            priority: 0,
+            dlc: s.dlc,
+            period: s.pattern.mean_gap(),
+            deadline: s.rel_deadline,
+            jitter: Duration::ZERO,
+        })
+        .collect()
+}
+
+/// `set` through the node machines at the paper's EDF priorities.
+fn run_machines_edf(set: Vec<StreamSpec>, seed: u64, horizon: Duration) -> TestbedStats {
+    run_testbed(
+        &policy::edf(&set),
+        TestbedConfig {
+            bus: BusConfig::default(),
+            streams: set,
+            seed,
+            priority_slots: PrioritySlotConfig::paper_default(),
+        },
+        horizon,
+    )
+}
+
 #[test]
-fn np_edf_analysis_matches_edf_testbed() {
+fn np_edf_analysis_matches_the_node_machine() {
     // A set the demand-bound test declares feasible runs miss-free
-    // under the EDF policy; an infeasible one misses.
+    // through the node machines at EDF priorities; an infeasible one
+    // misses.
     let feasible: Vec<StreamSpec> = (0..4)
         .map(|i| StreamSpec {
             id: i,
@@ -157,38 +187,59 @@ fn np_edf_analysis_matches_edf_testbed() {
             rel_expiration: None,
         })
         .collect();
-    let to_specs = |set: &[StreamSpec]| -> Vec<MessageSpec> {
-        set.iter()
-            .map(|s| MessageSpec {
-                priority: 0,
-                dlc: s.dlc,
-                period: s.pattern.mean_gap(),
-                deadline: s.rel_deadline,
-                jitter: Duration::ZERO,
-            })
-            .collect()
-    };
-    assert!(np_edf_feasible(&to_specs(&feasible), BitTiming::MBIT_1).feasible);
-    let run = |set: Vec<StreamSpec>| {
-        run_testbed(
-            EdfPolicy::default(),
-            TestbedConfig {
-                bus: BusConfig::default(),
-                streams: set,
-                seed: 13,
-                drop_on_expiry: false,
-            },
-            Duration::from_secs(1),
-        )
-    };
-    let stats = run(feasible.clone());
-    assert_eq!(stats.missed, 0, "analysis says feasible, testbed agrees");
+    assert!(np_edf_feasible(&np_edf_specs(&feasible), BitTiming::MBIT_1).feasible);
+    let stats = run_machines_edf(feasible.clone(), 13, Duration::from_secs(1));
+    assert_eq!(
+        stats.missed, 0,
+        "analysis says feasible, the machines agree"
+    );
 
     // Push the same set into infeasibility.
     let overloaded = rtec::workloads::scale_load(&feasible, 4.0); // U > 1
-    assert!(!np_edf_feasible(&to_specs(&overloaded), BitTiming::MBIT_1).feasible);
-    let stats2 = run(overloaded);
-    assert!(stats2.miss_ratio() > 0.2, "testbed confirms infeasibility");
+    assert!(!np_edf_feasible(&np_edf_specs(&overloaded), BitTiming::MBIT_1).feasible);
+    let stats2 = run_machines_edf(overloaded, 13, Duration::from_secs(1));
+    assert!(
+        stats2.miss_ratio() > 0.2,
+        "the machines confirm infeasibility"
+    );
+}
+
+/// Two to six periodic streams on up to three nodes, with constrained
+/// deadlines (`D ≤ T`).
+fn arb_np_edf_set() -> impl Strategy<Value = Vec<StreamSpec>> {
+    let stream = (0u8..=8, 500u64..20_000, 30u64..=100, 0u8..3);
+    prop::collection::vec(stream, 2..=6).prop_map(|streams| {
+        let set = streams.into_iter().enumerate();
+        set.map(|(i, (dlc, period_us, deadline_pct, node))| StreamSpec {
+            id: i as u16,
+            node: NodeId(node),
+            dlc,
+            pattern: ArrivalPattern::periodic(Duration::from_us(period_us)),
+            rel_deadline: Duration::from_us(period_us * deadline_pct / 100),
+            rel_expiration: None,
+        })
+        .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The analysis as an oracle of the machine: a set whose np-EDF
+    /// breakdown load is at least 1.1 times its own (slack for the
+    /// quantization of deadlines into priority slots) runs miss-free
+    /// for 1 s through the node machines.
+    #[test]
+    fn np_edf_feasible_sets_run_miss_free_on_the_node_machine(
+        set in arb_np_edf_set(),
+        seed in any::<u64>(),
+    ) {
+        let specs = np_edf_specs(&set);
+        let load = total_utilization(&specs, BitTiming::MBIT_1);
+        prop_assume!(np_edf_breakdown(&specs, BitTiming::MBIT_1) >= 1.1 * load);
+        let stats = run_machines_edf(set, seed, Duration::from_secs(1));
+        prop_assert_eq!(stats.missed + stats.stale_backlog, 0);
+    }
 }
 
 #[test]
@@ -299,12 +350,12 @@ fn edf_channels_and_testbed_agree_on_light_load() {
     let mut rng = Rng::seed_from_u64(3);
     let set = uniform_srt_set(6, 3, Duration::from_ms(20), Duration::from_ms(80), &mut rng);
     let tb = run_testbed(
-        EdfPolicy::default(),
+        &policy::edf(&set),
         TestbedConfig {
             bus: BusConfig::default(),
             streams: set,
             seed: 3,
-            drop_on_expiry: true,
+            priority_slots: PrioritySlotConfig::paper_default(),
         },
         Duration::from_secs(1),
     );
