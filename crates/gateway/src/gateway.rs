@@ -171,6 +171,8 @@ enum GwMsg {
         incarnation: u32,
     },
     Event(Arc<IngressEvent>),
+    /// Answered once everything queued ahead of it is processed.
+    Sync(mpsc::SyncSender<()>),
     Shutdown,
 }
 
@@ -345,6 +347,9 @@ impl Gateway {
                                 incarnation,
                             }) => state.deregister(client, park, incarnation),
                             Ok(GwMsg::Event(ev)) => state.on_event(&ev),
+                            Ok(GwMsg::Sync(done)) => {
+                                let _ = done.send(());
+                            }
                             Ok(GwMsg::Shutdown) | Err(_) => break,
                         }
                     }
@@ -504,6 +509,14 @@ impl Gateway {
         welcome: bool,
     ) -> Result<(u32, u32), ResumeVerdict> {
         let now_ns = self.now();
+        // A session still `Attached` may have lost its sink in an event
+        // its worker has not processed yet. Wait until the worker is
+        // past everything queued ahead of this resume, so the claim
+        // sees the detach (and its stamp) that event would cause.
+        let attached = lock(&self.inner.sessions).attached_client(token);
+        if let Some(client) = attached {
+            self.sync(client);
+        }
         let claim = lock(&self.inner.sessions).claim_resume(token, now_ns)?;
         self.attach(Attach {
             client: claim.client,
@@ -546,6 +559,15 @@ impl Gateway {
         };
         let _ = senders[self.worker_of(client)].send(msg);
         true
+    }
+
+    /// Block until `client`'s worker has processed every message
+    /// queued for it before this call.
+    fn sync(&self, client: u32) {
+        let (done, wait) = mpsc::bounded(1);
+        if self.post(client, GwMsg::Sync(done)) {
+            let _ = wait.recv();
+        }
     }
 
     /// The worker that owns `client`'s one lane.
@@ -795,7 +817,7 @@ struct WorkerState {
     /// Reused encode buffer for `Shed` notices.
     notice_buf: Vec<u8>,
     sessions: Arc<Mutex<SessionStore>>,
-    /// The gateway's TTL clock, read when this worker parks a session.
+    /// The gateway's TTL clock, read when a replay ends.
     now_wm: Arc<AtomicU64>,
     trace: SharedTraceSink,
     src: SourceId,
@@ -1074,12 +1096,14 @@ impl WorkerState {
     }
 
     /// The lane's sink is gone: park a resumable session's lane in
-    /// place, or tear a sessionless lane down the legacy way.
+    /// place, or tear a sessionless lane down the legacy way. The
+    /// detach is stamped with this worker's watermark, the bus time of
+    /// the offer that failed, not with the gateway's clock when the
+    /// worker gets to it.
     fn sink_lost(&mut self, slot: usize) {
         let lane = &mut self.lanes[slot];
         lane.sink = None;
-        let now = self.now_wm.load(Ordering::SeqCst);
-        if !lock(&self.sessions).detach(lane.client, now) {
+        if !lock(&self.sessions).detach(lane.client, self.watermark_ns) {
             lane.kill(&mut self.stats);
         }
     }

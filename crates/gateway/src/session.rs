@@ -308,6 +308,14 @@ impl SessionStore {
         self.by_client.get(&client)
     }
 
+    /// The client whose session `token` names, if that session is
+    /// still attached to a sink.
+    pub(crate) fn attached_client(&self, token: u64) -> Option<u32> {
+        let client = *self.by_token.get(&token)?;
+        let entry = self.by_client.get(&client)?;
+        (entry.state == SessionState::Attached).then_some(client)
+    }
+
     /// A lane's sink died (or its connection reader saw EOF) at bus
     /// time `now`: keep the session resumable. Returns `true` when the
     /// client has a live session worth parking — `false` tells the
