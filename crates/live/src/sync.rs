@@ -1,10 +1,10 @@
 //! The crate's synchronization facade — a re-export of the
 //! workspace-wide one.
 //!
-//! Every sync primitive the live runtime uses — mutexes, channels,
-//! atomics, thread spawns — is imported from here, never from
-//! `std::sync`/`std::thread` directly (lint C1 in `rtec-conformance`
-//! enforces this). The facade itself now lives in [`rtec_sim::sync`]
+//! Every sync primitive the live runtime uses — mutexes, condition
+//! variables, channels, atomics, thread spawns — is imported from
+//! here, never from `std::sync`/`std::thread` directly (lint C1 in
+//! `rtec-conformance` enforces this). The facade itself now lives in [`rtec_sim::sync`]
 //! so the parallel simulation driver (`rtec_sim::parallel`) and this
 //! runtime share one switch point: normally it resolves straight to
 //! `std`; compiled with `--cfg loom` (the ci.sh model-check job) it

@@ -1,7 +1,8 @@
 //! The workspace-wide synchronization facade.
 //!
 //! Every sync primitive the concurrent runtimes use — mutexes,
-//! channels, atomics, thread spawns — is imported from here (or from
+//! condition variables, channels, atomics, thread spawns — is imported
+//! from here (or from
 //! `rtec_live::sync`, which re-exports this module), never from
 //! `std::sync`/`std::thread` directly (lint C1 in `rtec-conformance`
 //! enforces this for the scanned sources). Normally the facade
@@ -17,14 +18,23 @@
 //!
 //! * channels are **bounded only** ([`mpsc::bounded`]): concurrent hot
 //!   paths must exert backpressure rather than buffer without limit
-//!   (lint C2);
+//!   (lint C2). A queue built by hand on [`Mutex`] + [`Condvar`] (the
+//!   live loopback link) keeps the same rule: it holds at most
+//!   [`DEFAULT_DEPTH`] entries and a push waits for room;
 //! * threads are spawned through [`thread::Builder`] so every runtime
 //!   thread carries a name (lint C6).
 
 #[cfg(loom)]
-pub use loom::sync::{Arc, Mutex, MutexGuard};
+pub use loom::sync::{Arc, Condvar, Mutex, MutexGuard};
 #[cfg(not(loom))]
-pub use std::sync::{Arc, Mutex, MutexGuard};
+pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+/// Default depth for bounded runtime queues: the facade's channels
+/// and the live loopback link. Lock-step protocols keep at most a
+/// handful of messages in flight per endpoint, so this bound is never
+/// approached in a healthy system; it exists to turn a runaway producer
+/// into visible backpressure instead of unbounded memory growth.
+pub const DEFAULT_DEPTH: usize = 1024;
 
 pub mod atomic {
     //! Atomic types (sequentially consistent under the loom stand-in,
@@ -43,14 +53,8 @@ pub mod mpsc {
     #[cfg(not(loom))]
     use std::sync::mpsc as imp;
 
+    pub use super::DEFAULT_DEPTH;
     pub use imp::{Receiver, RecvTimeoutError, SendError, SyncSender};
-
-    /// Default depth for runtime channels. Lock-step protocols keep at
-    /// most a handful of messages in flight per endpoint, so this bound
-    /// is never approached in a healthy system; it exists to turn a
-    /// runaway producer into visible backpressure instead of unbounded
-    /// memory growth.
-    pub const DEFAULT_DEPTH: usize = 1024;
 
     /// A bounded FIFO channel of the given depth.
     pub fn bounded<T>(depth: usize) -> (SyncSender<T>, Receiver<T>) {
