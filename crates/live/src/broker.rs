@@ -20,6 +20,15 @@
 //! as far as broker state is concerned — a deterministic function of
 //! the event timeline, even over real sockets and under wall pacing.
 //!
+//! A node's replies to one message form its *turn*, and a node hands
+//! the whole turn over at once ([`NodeTransport::send_turn`]): on the
+//! loopback that is one hand-off per turn, however many requests it
+//! carries. The broker still reads a turn one message at a time, so an
+//! `Abort` in the middle of a turn is answered before the rest of the
+//! turn is read; the node reads the `AbortResult` after its `Idle`, and
+//! answers it with a turn of its own. [`BrokerStats::turns`] counts the
+//! turns drained.
+//!
 //! A turn goes only to a node that can act on it. A completion is
 //! *addressed*: a node `Listen`s in its `Welcome` turn, which installs
 //! acceptance filters in its controller (where the simulator keeps them
@@ -187,6 +196,9 @@ pub struct BrokerStats {
     pub node_downs: u64,
     /// Supervised restarts completed.
     pub node_restarts: u64,
+    /// Node turns drained: replies closed by `Idle` or `Done`. Each is
+    /// one hand-off from a node thread to the broker on the loopback.
+    pub turns: u64,
 }
 
 /// Per-node health, mirroring CAN fault confinement (§3.5).
@@ -572,6 +584,7 @@ impl<T: BrokerTransport> Broker<T> {
                 .recv_from(node, self.recv_timeout)
                 .map_err(NodeFault::from_recv)?;
             if matches!(reply, ToBroker::Done { .. }) {
+                self.stats.turns += 1;
                 return Ok(());
             }
             replies += 1;
@@ -737,8 +750,10 @@ impl<T: BrokerTransport> Broker<T> {
                 .recv_from(node, self.recv_timeout)
                 .map_err(NodeFault::from_recv)?;
             match reply {
-                ToBroker::Idle => outstanding -= 1,
-                ToBroker::Done { .. } => outstanding -= 1,
+                ToBroker::Idle | ToBroker::Done { .. } => {
+                    outstanding -= 1;
+                    self.stats.turns += 1;
+                }
                 ToBroker::Submit { handle, tag, frame } => {
                     if matches!(self.health[node as usize], Health::Passive { .. })
                         && frame.id.priority() != PRIO_HRT
@@ -1141,7 +1156,12 @@ mod tests {
                 _ => ToBroker::Idle,
             },
         });
-        assert_eq!(broker.run(Time::ZERO), Ok(BrokerStats::default()));
+        // Two turns: the `Welcome`'s `Idle` and the `Shutdown`'s `Done`.
+        let turns = BrokerStats {
+            turns: 2,
+            ..BrokerStats::default()
+        };
+        assert_eq!(broker.run(Time::ZERO), Ok(turns));
     }
 
     /// Without strict mode a node that babbles mid-run is quarantined —

@@ -521,6 +521,14 @@ impl NodeTransport for ChaosNode {
         self.inner.send(msg)
     }
 
+    fn send_turn(&mut self, turn: &mut Vec<ToBroker>) -> Result<(), TransportError> {
+        if self.killed {
+            turn.clear();
+            return Err(TransportError::Disconnected);
+        }
+        self.inner.send_turn(turn)
+    }
+
     fn recv(&mut self, timeout: Duration) -> Result<ToNode, TransportError> {
         if let Some(b) = self.budget {
             if b == 0 {

@@ -466,6 +466,10 @@ impl Cluster {
         );
         let broker_result = broker.run_supervised(Time::ZERO + run, Some(&mut supervisor));
         let supervision = SupervisionReport::from_events(broker.take_sup_log());
+        // Close every link before joining: a run the broker aborted
+        // (strict mode) may leave a node waiting for room in a full
+        // mailbox, or for a message that will never come.
+        drop(broker);
 
         let mut stats = Vec::with_capacity(n);
         let mut first_node_err = None;

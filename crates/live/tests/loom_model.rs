@@ -23,7 +23,11 @@
 //!   omitted, and omitted receivers never observe a delivery;
 //! * **shutdown vs. in-flight frame**: ending the run while a frame
 //!   still occupies the wire shuts every node down cleanly — no
-//!   deadlock, no phantom completion.
+//!   deadlock, no phantom completion;
+//! * **a turn is one hand-off**: a `Submit, Submit, Abort, Idle` turn
+//!   handed over by one `send_turn` is read in order, and the
+//!   `AbortResult` the broker answers mid-turn reaches the node before
+//!   the surviving frame's `TxDone`.
 
 #![cfg(loom)]
 
@@ -47,6 +51,8 @@ enum Obs {
     Deliver(u32),
     /// Completion of an own transmission.
     TxDone { handle: u32, all_received: bool },
+    /// The broker's answer to an own `Abort`.
+    AbortResult { handle: u32, aborted: bool },
 }
 
 fn broker(
@@ -424,6 +430,95 @@ fn shutdown_with_inflight_frame_terminates_cleanly_under_all_schedules() {
             "no TxDone for a frame cut off by shutdown: {obs0:?}"
         );
         assert!(obs1.is_empty(), "nothing was delivered: {obs1:?}");
+    });
+    assert!(stats.executions >= 2, "exploration must branch: {stats:?}");
+    assert!(!stats.pruned, "lock-step scenario must be fully explored");
+}
+
+/// One whole turn per `send_turn` under every schedule: node 0 answers
+/// its `Welcome` with `Listen…, Submit 1, Submit 2, Abort 1, Idle` in a
+/// single hand-off. The broker reads it one message at a time, so
+/// frame 1 is withdrawn before it ever arbitrates and the
+/// `AbortResult` goes out in the middle of the turn; node 0 reads it
+/// after its `Idle`, as a turn of its own (answered by a second
+/// one-message turn), and only then frame 2's `TxDone`. Node 1 sees
+/// frame 2 alone.
+#[test]
+fn a_turn_handed_over_at_once_keeps_the_abort_round_trip_in_order() {
+    let stats = loom::explore(|| {
+        let (bt, mut nts) = loopback(2);
+        let n1_t = nts.pop().expect("node 1 endpoint");
+        let mut n0_t = nts.pop().expect("node 0 endpoint");
+        let f1 = Frame::new(CanId::new(3, 0, 1), &[0x01]);
+        let f2 = Frame::new(CanId::new(3, 0, 2), &[0x02]);
+        let raw2 = f2.id.raw();
+        let b = thread::Builder::new()
+            .name("model-broker".into())
+            .spawn(move || broker(bt, FaultPlan::default()).run(Time::from_ms(1)))
+            .expect("spawn broker");
+        let h0 = thread::spawn(move || {
+            let mut obs = Vec::new();
+            let mut turn = Vec::new();
+            loop {
+                match n0_t.recv(TIMEOUT).expect("node 0 recv") {
+                    ToNode::Welcome { .. } => {
+                        turn.extend(ETAGS.map(|etag| ToBroker::Listen { etag }));
+                        for (handle, frame) in [(1, f1), (2, f2)] {
+                            let tag = u64::from(handle);
+                            turn.push(ToBroker::Submit { handle, tag, frame });
+                        }
+                        turn.push(ToBroker::Abort { handle: 1 });
+                    }
+                    ToNode::AbortResult {
+                        handle, aborted, ..
+                    } => obs.push(Obs::AbortResult { handle, aborted }),
+                    ToNode::TxDone {
+                        handle,
+                        all_received,
+                        ..
+                    } => obs.push(Obs::TxDone {
+                        handle,
+                        all_received,
+                    }),
+                    ToNode::Deliver { frame, .. } => obs.push(Obs::Deliver(frame.id.raw())),
+                    ToNode::Timer { .. } | ToNode::Ping { .. } => {}
+                    ToNode::Shutdown => {
+                        turn.push(ToBroker::Done { node: 0 });
+                        n0_t.send_turn(&mut turn).expect("done");
+                        return obs;
+                    }
+                }
+                turn.push(ToBroker::Idle);
+                n0_t.send_turn(&mut turn).expect("turn");
+                assert!(turn.is_empty(), "send_turn empties the turn");
+            }
+        });
+        let h1 = thread::spawn(move || scripted_node(Box::new(n1_t), 1, Vec::new(), 0));
+        let obs0 = h0.join().expect("node 0");
+        let obs1 = h1.join().expect("node 1");
+        let stats: BrokerStats = b.join().expect("broker thread").expect("broker run");
+
+        assert_eq!(stats.arbitrations, 1, "the aborted frame never arbitrates");
+        assert_eq!(stats.frames_ok, 1);
+        assert_eq!(
+            obs0,
+            vec![
+                Obs::AbortResult {
+                    handle: 1,
+                    aborted: true
+                },
+                Obs::TxDone {
+                    handle: 2,
+                    all_received: true
+                }
+            ],
+            "the abort is answered first, then the surviving frame completes"
+        );
+        assert_eq!(
+            obs1,
+            vec![Obs::Deliver(raw2)],
+            "only frame 2 reached the wire"
+        );
     });
     assert!(stats.executions >= 2, "exploration must branch: {stats:?}");
     assert!(!stats.pruned, "lock-step scenario must be fully explored");
