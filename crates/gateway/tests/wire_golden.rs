@@ -1,9 +1,7 @@
 //! Golden bytes of both wire protocols: one fixed instance of every
 //! message kind of the broker ⇄ node protocol (`RL`, 17 kinds) and of
 //! the gateway ⇄ client protocol (`RG`, 10 kinds), encoded and compared
-//! against hex literals, plus the legacy layouts each decoder still
-//! accepts (`RL`'s 1-byte `Hello` and 8-byte `Welcome` bodies, `RG`'s
-//! version-1 `Hello` and `Welcome`).
+//! against hex literals.
 //!
 //! The round-trip proptests (`wire_prop.rs` in both crates) would pass
 //! a codec whose layout changed on both sides at once; these literals
@@ -153,26 +151,6 @@ fn broker_protocol_broker_to_node_bytes() {
     }
 }
 
-/// The pre-incarnation handshake bodies: a 1-byte `Hello` and an
-/// 8-byte `Welcome`, both incarnation 0.
-#[test]
-fn broker_protocol_legacy_handshake_bytes() {
-    assert_eq!(
-        decode_to_broker(&unhex("524c010107")),
-        Ok(ToBroker::Hello {
-            node: 7,
-            incarnation: 0
-        })
-    );
-    assert_eq!(
-        decode_to_node(&unhex("524c01100807060504030201")),
-        Ok(ToNode::Welcome {
-            now_ns: 0x0102_0304_0506_0708,
-            incarnation: 0
-        })
-    );
-}
-
 #[test]
 fn gateway_protocol_client_to_gateway_bytes() {
     let cases = [
@@ -292,25 +270,4 @@ fn gateway_protocol_gateway_to_client_bytes() {
         assert_eq!(hex(&encode_to_client(&msg)), golden, "{msg:?}");
         assert_eq!(decode_to_client(&unhex(golden)), Ok(msg));
     }
-}
-
-/// What a version-1 peer writes: a `Hello` with only the subscription
-/// count, and a `Welcome` with only the client id and bus time.
-#[test]
-fn gateway_protocol_v1_handshake_bytes() {
-    assert_eq!(
-        decode_to_gateway(&unhex("524701010302")),
-        Ok(ToGateway::Hello {
-            subs: 0x0203,
-            resume: None
-        })
-    );
-    assert_eq!(
-        decode_to_client(&unhex("524701100f0e0d0c7856341200000000")),
-        Ok(ToClient::Welcome {
-            client: 0x0C0D_0E0F,
-            now_ns: 0x1234_5678,
-            session: None
-        })
-    );
 }
