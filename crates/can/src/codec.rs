@@ -248,7 +248,6 @@ impl Protocol {
         }
         Ok(Reader {
             kind: *kind,
-            version: *version,
             strict: *version <= self.version,
             len: body.len(),
             rest: body,
@@ -262,7 +261,6 @@ impl Protocol {
 #[derive(Debug)]
 pub struct Reader<'a> {
     kind: u8,
-    version: u8,
     strict: bool,
     len: usize,
     rest: &'a [u8],
@@ -272,11 +270,6 @@ impl<'a> Reader<'a> {
     /// The message kind.
     pub fn kind(&self) -> u8 {
         self.kind
-    }
-
-    /// The sender's protocol version.
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     fn bad_length(&self) -> WireError {
@@ -330,11 +323,6 @@ impl<'a> Reader<'a> {
     /// length).
     pub fn rest(&mut self) -> &'a [u8] {
         std::mem::take(&mut self.rest)
-    }
-
-    /// Whether the whole body has been read.
-    pub fn is_empty(&self) -> bool {
-        self.rest.is_empty()
     }
 
     /// The end of the layout: a body at or below the protocol's version
@@ -462,8 +450,8 @@ mod tests {
             );
         }
         let buf = message(3, &[1]);
-        let r = P.open(&buf).unwrap();
-        assert_eq!((r.kind(), r.version(), r.is_empty()), (7, 3, false));
+        let mut r = P.open(&buf).unwrap();
+        assert_eq!((r.kind(), r.rest()), (7, &[1][..]));
     }
 
     /// Fields come back in the order `Put` wrote them, and every short

@@ -13,7 +13,6 @@
 //! the gateway chaos experiment fold every accepted frame into one with
 //! [`SinkDigest::absorb`], so the fingerprint is defined once.
 
-use rtec_live::sync::{Arc, Mutex};
 use rtec_sim::Rng;
 
 /// Outcome of offering one encoded message to a sink.
@@ -139,18 +138,16 @@ impl ClientSink for SimClientSink {
     }
 }
 
-/// How a registering client's sink is minted.
+/// How an in-process client's sink is minted.
 ///
-/// A client has exactly one lane, on the fanout worker that owns it.
-/// `PerShard` mints that lane's sink from a closure, once per client,
-/// called with the client id and its worker (the deterministic choice:
-/// one digest per client, no lock); `Shared` hands the lane a sink
-/// behind a mutex the caller keeps a handle to (the socket case).
+/// A client has exactly one lane, on the fanout worker that owns it,
+/// and the lane owns its sink outright. `PerShard` mints that sink from
+/// a closure, once per client, called with the client id and its worker
+/// (one digest per client, no lock). A caller that wants to watch what
+/// its sink receives hands the closure a clone of a recorder handle.
 pub enum ClientSinkSpec {
     /// One sink per client, minted by the closure from `(client, worker)`.
     PerShard(Box<dyn Fn(u32, usize) -> Box<dyn ClientSink> + Send + Sync>),
-    /// A sink the caller shares with the client's lane.
-    Shared(Arc<Mutex<Box<dyn ClientSink>>>),
 }
 
 impl ClientSinkSpec {
@@ -166,12 +163,10 @@ impl ClientSinkSpec {
         }))
     }
 
-    /// Mint the sink handle of `client`'s lane on worker `shard`.
-    pub(crate) fn instantiate(&self, client: u32, shard: usize) -> SinkHandle {
-        match self {
-            ClientSinkSpec::PerShard(mint) => SinkHandle::Own(mint(client, shard)),
-            ClientSinkSpec::Shared(sink) => SinkHandle::Shared(Arc::clone(sink)),
-        }
+    /// Mint the sink of `client`'s lane on worker `shard`.
+    pub(crate) fn instantiate(&self, client: u32, shard: usize) -> Box<dyn ClientSink> {
+        let ClientSinkSpec::PerShard(mint) = self;
+        mint(client, shard)
     }
 }
 
@@ -183,28 +178,6 @@ fn lane_seed(seed: u64, client: u32, shard: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// A worker-held sink: owned by the lane, or shared with the caller.
-pub(crate) enum SinkHandle {
-    Own(Box<dyn ClientSink>),
-    Shared(Arc<Mutex<Box<dyn ClientSink>>>),
-}
-
-impl SinkHandle {
-    pub(crate) fn offer(&mut self, bytes: &[u8]) -> SinkStatus {
-        match self {
-            SinkHandle::Own(s) => s.offer(bytes),
-            SinkHandle::Shared(m) => m.lock().unwrap_or_else(|e| e.into_inner()).offer(bytes),
-        }
-    }
-
-    pub(crate) fn digest(&self) -> Option<SinkDigest> {
-        match self {
-            SinkHandle::Own(s) => s.digest(),
-            SinkHandle::Shared(m) => m.lock().unwrap_or_else(|e| e.into_inner()).digest(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@
 //! loom model checker and the srclint C1–C6 rules cover this crate the
 //! same way they cover the broker and node threads.
 
-use crate::client::{ClientSink, ClientSinkSpec, SinkDigest, SinkHandle, SinkStatus};
+use crate::client::{ClientSink, ClientSinkSpec, SinkDigest, SinkStatus};
 use crate::egress::{
     EgressEntry, EgressQueue, FlushItem, FlushVerdict, LaneStats, PushOutcome, SlowConsumerPolicy,
 };
@@ -136,10 +136,10 @@ pub enum WmSource {
 struct Attach {
     client: u32,
     uids: Vec<u64>,
-    sink: SinkHandle,
+    sink: Box<dyn ClientSink>,
     policy: SlowConsumerPolicy,
     /// A session client: the lane keeps its send-side accounting.
-    /// `false` for a sessionless (v1) client.
+    /// `false` for an in-process client of [`Gateway::add_client`].
     session: bool,
     /// Connection incarnation this sink belongs to; an attach older
     /// than the lane's is ignored.
@@ -395,11 +395,12 @@ impl Gateway {
         self.inner.workers
     }
 
-    /// Register a client subscribed to `subjects`; returns its id.
+    /// Register an in-process client subscribed to `subjects`; returns
+    /// its id. Delivery starts now.
     ///
-    /// Equivalent to [`Gateway::reserve_client`] followed by
-    /// [`Gateway::register_client`], for callers with no handshake to
-    /// order against fanout.
+    /// The client's worker mints the lane's sink from `spec`. With no
+    /// `policy` the gateway default applies. The client has no session:
+    /// a dead sink tears the lane down.
     pub fn add_client(
         &self,
         subjects: &[Subject],
@@ -407,7 +408,15 @@ impl Gateway {
         policy: Option<SlowConsumerPolicy>,
     ) -> u32 {
         let client = self.reserve_client();
-        self.register_client(client, subjects, spec, policy);
+        self.attach(Attach {
+            client,
+            uids: subjects.iter().map(|s| s.uid()).collect(),
+            sink: spec.instantiate(client, self.worker_of(client)),
+            policy: policy.unwrap_or(DEFAULT_POLICY),
+            session: false,
+            incarnation: 0,
+            resume: None,
+        });
         client
     }
 
@@ -420,29 +429,6 @@ impl Gateway {
         let id = *next;
         *next += 1;
         id
-    }
-
-    /// Register a reserved client's subscriptions; delivery starts now.
-    ///
-    /// The client's worker mints the lane's sink from `spec`. With no
-    /// `policy` the gateway default applies. This is the sessionless
-    /// (v1) path: a dead sink tears the lane down.
-    pub fn register_client(
-        &self,
-        client: u32,
-        subjects: &[Subject],
-        spec: &ClientSinkSpec,
-        policy: Option<SlowConsumerPolicy>,
-    ) {
-        self.attach(Attach {
-            client,
-            uids: subjects.iter().map(|s| s.uid()).collect(),
-            sink: spec.instantiate(client, self.worker_of(client)),
-            policy: policy.unwrap_or(DEFAULT_POLICY),
-            session: false,
-            incarnation: 0,
-            resume: None,
-        });
     }
 
     /// Open a session for a reserved client: the gateway remembers its
@@ -471,7 +457,7 @@ impl Gateway {
             Attach {
                 client,
                 uids: e.subjects.clone(),
-                sink: SinkHandle::Own(sink),
+                sink,
                 policy: e.policy,
                 session: true,
                 incarnation: e.incarnation,
@@ -521,7 +507,7 @@ impl Gateway {
         self.attach(Attach {
             client: claim.client,
             uids: claim.subjects,
-            sink: SinkHandle::Own(sink),
+            sink,
             policy: claim.policy,
             session: true,
             incarnation: claim.incarnation,
@@ -600,7 +586,8 @@ impl Gateway {
 
     /// End a client for good (clean `Bye`): flush what its sink will
     /// still take, tear its lane down, and spend its session token.
-    /// Also the teardown path for sessionless (v1) clients.
+    /// Also the teardown path for an in-process client without a
+    /// session.
     pub fn close_session(&self, client: u32) {
         lock(&self.inner.sessions).end(client, true);
         self.post(
@@ -726,7 +713,7 @@ struct Lane {
     queue: EgressQueue,
     /// `None` while detached: the connection died but the session is
     /// resumable, so the queue keeps filling under its policies.
-    sink: Option<SinkHandle>,
+    sink: Option<Box<dyn ClientSink>>,
     /// The session's send-side accounting, owned here (`None` for a
     /// sessionless client): every data frame the sink accepts is
     /// counted and kept for replay. Boxed so a sessionless lane stays
@@ -749,7 +736,7 @@ impl Lane {
             session,
             ..
         } = self;
-        let Some(sink) = sink.as_mut() else {
+        let Some(sink) = sink.as_deref_mut() else {
             return true;
         };
         queue.flush(watermark, wire::NRT_BATCH_MAX, |item| {
@@ -887,7 +874,7 @@ impl WorkerState {
                     WmSource::Deferred(f) => f(),
                 };
                 let plan = compute_replay(core, now_ns, &wm);
-                if !self.replay(a.client, &mut sink, &plan, now_ns, welcome) {
+                if !self.replay(a.client, sink.as_mut(), &plan, now_ns, welcome) {
                     return; // the new sink refused or died: stay parked
                 }
             }
@@ -912,7 +899,7 @@ impl WorkerState {
     fn replay(
         &mut self,
         client: u32,
-        sink: &mut SinkHandle,
+        sink: &mut dyn ClientSink,
         plan: &ReplayPlan,
         now_ns: u64,
         welcome: Option<u64>,
@@ -1068,7 +1055,7 @@ impl WorkerState {
         {
             return self.policy_kill(slot);
         }
-        let Some(sink) = sink.as_mut() else {
+        let Some(sink) = sink.as_deref_mut() else {
             return; // detached: the queue keeps filling
         };
         notify_sheds(&mut queue.stats, sink, &mut self.notice_buf);
@@ -1096,7 +1083,7 @@ impl WorkerState {
     }
 
     /// The lane's sink is gone: park a resumable session's lane in
-    /// place, or tear a sessionless lane down the legacy way. The
+    /// place, or tear down the lane of a client without a session. The
     /// detach is stamped with this worker's watermark, the bus time of
     /// the offer that failed, not with the gateway's clock when the
     /// worker gets to it.
@@ -1148,7 +1135,7 @@ impl WorkerState {
 /// Offer one replayed frame, retrying a busy sink a bounded number of
 /// times. `false` when the sink is gone, or stayed busy so long it
 /// counts as gone.
-fn offer_retrying(sink: &mut SinkHandle, bytes: &[u8]) -> bool {
+fn offer_retrying(sink: &mut dyn ClientSink, bytes: &[u8]) -> bool {
     for _ in 0..=RESUME_OFFER_RETRIES {
         match sink.offer(bytes) {
             SinkStatus::Accepted => return true,
@@ -1171,7 +1158,7 @@ fn shed_counts(stats: &LaneStats) -> (u64, u64, u64) {
 /// lane's sheds surface through watermark accounting at resume). Each
 /// notice is encoded into `buf`, the worker's reused buffer, so a
 /// notice allocates nothing.
-fn notify_sheds(stats: &mut LaneStats, sink: &mut SinkHandle, buf: &mut Vec<u8>) {
+fn notify_sheds(stats: &mut LaneStats, sink: &mut dyn ClientSink, buf: &mut Vec<u8>) {
     let (nrt, srt_cap, srt_stale) = shed_counts(stats);
     let notified = stats.shed_notified;
     let deltas = [
@@ -1203,7 +1190,7 @@ fn notify_sheds(stats: &mut LaneStats, sink: &mut SinkHandle, buf: &mut Vec<u8>)
 /// under its class, a `Batch` as NRT (only SRT has an expiry, and SRT
 /// is never batched or fragmented).
 fn offer_item(
-    sink: &mut SinkHandle,
+    sink: &mut dyn ClientSink,
     session: Option<&mut SessionCore>,
     item: FlushItem<'_>,
 ) -> FlushVerdict {
@@ -1474,7 +1461,7 @@ mod tests {
     #[test]
     fn shed_notices_carry_the_shed_class() {
         let msgs = Arc::new(Mutex::new(Vec::new()));
-        let mut sink = SinkHandle::Own(Box::new(Rec(Arc::clone(&msgs))));
+        let mut sink = Rec(Arc::clone(&msgs));
         let mut stats = LaneStats {
             shed_nrt: 3,
             shed_srt_cap: 2,
@@ -1516,7 +1503,7 @@ mod tests {
     #[test]
     fn a_session_lane_counts_what_its_sink_accepts() {
         let mut core = SessionCore::new(8);
-        let mut sink = SinkHandle::Own(Box::new(TakeAll));
+        let mut sink = TakeAll;
         let mut queue = EgressQueue::new(8);
         let hrt = encode_entries(&ev(ChannelClass::Hrt, 4), 0);
         queue.push(hrt[0].clone(), SlowConsumerPolicy::ShedNrtFirst, 0);

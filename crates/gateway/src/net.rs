@@ -13,26 +13,28 @@
 //! mid-write is buffered and finished on the next offer, keeping the
 //! client's length-prefixed framing intact.
 //!
-//! A v2 `Hello` may carry a session token and per-class delivery
-//! watermarks: the gateway then *resumes* the session. A resume is the
-//! same one message to the client's worker as an in-process resume: the
-//! worker decides the verdict from the lane's own accounting and offers
-//! the new stream sink a `Welcome` carrying it as its first frame, then
-//! the `Gap` notices, then the missing frame suffix (see `session.rs`),
-//! so the verdict a client reads always matches what follows it. A
-//! refused token is answered here, with an `Expired` `Welcome` opening a
-//! fresh session on the same stream. A v1 `Hello` gets the legacy
-//! sessionless path. Each admitted connection also gets a reader
-//! thread watching for `Bye` (clean close: lanes flush and the session
-//! token is spent) versus EOF or an error (sever: lanes park and the
-//! session stays resumable for the TTL).
+//! Every admitted connection opens a session. A `Hello` may carry a
+//! session token and per-class delivery watermarks: the gateway then
+//! *resumes* that session. A resume is the same one message to the
+//! client's worker as an in-process resume: the worker decides the
+//! verdict from the lane's own accounting and offers the new stream
+//! sink a `Welcome` carrying it as its first frame, then the `Gap`
+//! notices, then the missing frame suffix (see `session.rs`), so the
+//! verdict a client reads always matches what follows it. A refused
+//! token is answered here, with an `Expired` `Welcome` opening a fresh
+//! session on the same stream. A `Hello` of an older protocol version
+//! does not decode, so the connection is dropped unanswered.
+//! Each admitted connection also gets a reader thread watching for
+//! `Bye` (clean close: lanes flush and the session token is spent)
+//! versus EOF or an error (sever: lanes park and the session stays
+//! resumable for the TTL).
 //!
 //! Shutdown never sleeps or polls: `stop()` raises a flag and then
 //! *connects* to the listener once, so the blocking `accept()` returns
 //! and the thread observes the flag (C4 keeps `thread::sleep` out of
 //! runtime code).
 
-use crate::client::{ClientSink, ClientSinkSpec, SinkStatus};
+use crate::client::{ClientSink, SinkStatus};
 use crate::egress::SlowConsumerPolicy;
 use crate::gateway::{Gateway, WmSource};
 use crate::wire::{
@@ -40,7 +42,7 @@ use crate::wire::{
 };
 use rtec_core::{ChannelClass, Subject};
 use rtec_live::sync::atomic::{AtomicBool, Ordering};
-use rtec_live::sync::{thread, Arc, Mutex};
+use rtec_live::sync::{thread, Arc};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -314,7 +316,7 @@ impl Acceptor {
 
 /// Handshake one accepted connection and register it as a client.
 ///
-/// A v2 `Hello` with a resume token first tries to resume the session;
+/// A `Hello` with a resume token first tries to resume the session;
 /// on refusal (unknown token, ended, TTL elapsed) the connection falls
 /// back to a fresh session and the `Welcome` verdict says `Expired` so
 /// the client knows its watermarks are void. A resume `Hello` still
@@ -325,7 +327,6 @@ fn admit<S: Stream>(gateway: &Gateway, stream: S, policy: SlowConsumerPolicy) ->
     let mut reader = stream.try_clone_stream()?;
     let first = wire::read_frame(&mut reader)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no Hello"))?;
-    let v2 = wire::frame_version(&first).is_some_and(|v| v >= 2);
     let (subs, resume) = match decode_msg(&first)? {
         ToGateway::Hello { subs, resume } => (subs, resume),
         _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "expected Hello")),
@@ -350,69 +351,51 @@ fn admit<S: Stream>(gateway: &Gateway, stream: S, policy: SlowConsumerPolicy) ->
         let wm = WmSource::Known(req.wm);
         if let Ok((client, incarnation)) = gateway.resume(req.token, wm, sink, true) {
             stream.clear_read_timeout()?;
-            spawn_reader(gateway.clone(), reader, client, Some(incarnation));
+            spawn_reader(gateway.clone(), reader, client, incarnation);
             return Ok(());
         }
         // Token refused: fall through to a fresh session.
     }
-    let sink: Box<dyn ClientSink> = Box::new(StreamSink::new(stream.try_clone_stream()?));
+    let sink = Box::new(StreamSink::new(stream.try_clone_stream()?));
     // Welcome must be the first frame on the stream, wholly written
     // before any fanout worker can address this client's sink — so the
-    // id is reserved up front, and the step that lets workers write
-    // (attach/register) happens only after the handshake reply is out.
+    // id is reserved up front, and the attach that lets workers write
+    // happens only after the handshake reply is out.
     let mut out = stream;
     let client = gateway.reserve_client();
-    let session = if v2 {
-        let token = gateway.open_session(client, &subjects, Some(policy));
-        Some(SessionInfo {
-            token,
-            verdict: if resume_attempted {
-                ResumeVerdict::Expired
-            } else {
-                ResumeVerdict::Fresh
-            },
-        })
+    let token = gateway.open_session(client, &subjects, Some(policy));
+    let verdict = if resume_attempted {
+        ResumeVerdict::Expired
     } else {
-        None
+        ResumeVerdict::Fresh
     };
     if let Err(e) = wire::write_frame(
         &mut out,
         &wire::encode_to_client(&ToClient::Welcome {
             client,
             now_ns: 0,
-            session,
+            session: Some(SessionInfo { token, verdict }),
         }),
     ) {
-        if v2 {
-            // The token never reached the client; spend it.
-            gateway.close_session(client);
-        }
+        // The token never reached the client; spend it.
+        gateway.close_session(client);
         return Err(e);
     }
-    if v2 {
-        gateway.attach_session(client, sink);
-    } else {
-        let spec = ClientSinkSpec::Shared(Arc::new(Mutex::new(sink)));
-        gateway.register_client(client, &subjects, &spec, Some(policy));
-    }
+    gateway.attach_session(client, sink);
     out.clear_read_timeout()?;
-    spawn_reader(
-        gateway.clone(),
-        reader,
-        client,
-        if v2 { Some(0) } else { None },
-    );
+    spawn_reader(gateway.clone(), reader, client, 0);
     Ok(())
 }
 
 /// Watch one admitted connection for its close: `Bye` ends the client
-/// cleanly (lanes flush, session token spent), EOF or an error parks a
-/// session's lanes for resume — a sessionless (v1) client just ends.
+/// cleanly (lanes flush, session token spent), EOF or an error parks
+/// the session's lane for resume. `incarnation` is the one the
+/// connection attached or resumed with.
 fn spawn_reader<R: io::Read + Send + 'static>(
     gateway: Gateway,
     mut reader: R,
     client: u32,
-    session_incarnation: Option<u32>,
+    incarnation: u32,
 ) {
     let _ = thread::Builder::new()
         .name(format!("gw-client-{client}"))
@@ -427,11 +410,8 @@ fn spawn_reader<R: io::Read + Send + 'static>(
                 }
                 Ok(None) | Err(_) => {
                     // Severed (or half-closed without Bye): park the
-                    // session if there is one, end the lane otherwise.
-                    match session_incarnation {
-                        Some(inc) => gateway.detach_session(client, inc),
-                        None => gateway.close_session(client),
-                    }
+                    // session.
+                    gateway.detach_session(client, incarnation);
                     return;
                 }
             }
@@ -485,8 +465,8 @@ pub struct GatewayClient {
     stream: Box<dyn ClientStream>,
     /// Client id assigned by the gateway's `Welcome`.
     pub client: u32,
-    /// Session granted by the gateway (`None` against a v1 gateway).
-    pub session: Option<SessionInfo>,
+    /// Session granted by the gateway.
+    pub session: SessionInfo,
     /// Per-class count of data frames received — what a resume `Hello`
     /// reports back so the gateway can replay exactly the in-flight
     /// suffix.
@@ -535,17 +515,27 @@ impl GatewayClient {
         Self::handshake(Box::new(stream), subjects, Some(resume))
     }
 
+    /// Send `Hello` and the subscriptions, then await a `Welcome` that
+    /// opens a session. More subjects than `Hello` can count is
+    /// `InvalidInput`, refused before any byte is written.
     fn handshake(
         mut stream: Box<dyn ClientStream>,
         subjects: &[Subject],
         resume: Option<ResumeReq>,
     ) -> io::Result<GatewayClient> {
+        let subs = u16::try_from(subjects.len()).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} subjects; a Hello counts at most {}",
+                    subjects.len(),
+                    u16::MAX
+                ),
+            )
+        })?;
         wire::write_frame(
             &mut stream,
-            &wire::encode_to_gateway(&ToGateway::Hello {
-                subs: subjects.len() as u16,
-                resume,
-            }),
+            &wire::encode_to_gateway(&ToGateway::Hello { subs, resume }),
         )?;
         for s in subjects {
             wire::write_frame(
@@ -557,21 +547,21 @@ impl GatewayClient {
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no Welcome"))?;
         let (client, session) = match wire::decode_to_client(&frame) {
             Ok(ToClient::Welcome {
-                client, session, ..
+                client,
+                session: Some(session),
+                ..
             }) => (client, session),
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("expected Welcome, got {other:?}"),
+                    format!("expected a Welcome with a session, got {other:?}"),
                 ))
             }
         };
         // A resumed session keeps its watermarks (the replay continues
         // the old count); any fresh session starts from zero.
-        let wm = match (&resume, &session) {
-            (Some(req), Some(info))
-                if matches!(info.verdict, ResumeVerdict::Resumed | ResumeVerdict::Gap) =>
-            {
+        let wm = match resume {
+            Some(req) if matches!(session.verdict, ResumeVerdict::Resumed | ResumeVerdict::Gap) => {
                 req.wm
             }
             _ => ClassWatermarks::default(),
@@ -613,12 +603,12 @@ impl GatewayClient {
     }
 
     /// What a reconnect should present to resume this session — the
-    /// token plus the current watermarks. `None` without a session.
-    pub fn resume_req(&self) -> Option<ResumeReq> {
-        self.session.as_ref().map(|s| ResumeReq {
-            token: s.token,
+    /// token plus the current watermarks.
+    pub fn resume_req(&self) -> ResumeReq {
+        ResumeReq {
+            token: self.session.token,
             wm: self.wm,
-        })
+        }
     }
 
     /// Bound how long [`GatewayClient::recv`] blocks (`None` blocks
@@ -782,5 +772,23 @@ mod tests {
             sink.offer(&vec![0u8; wire::MAX_FRAME_LEN + 1]),
             SinkStatus::Gone
         );
+    }
+
+    /// A `Welcome` that opens no session is refused: every socket
+    /// client has one to resume.
+    #[cfg(unix)]
+    #[test]
+    fn a_welcome_without_a_session_is_refused() {
+        let (ours, mut gateway_end) = UnixStream::pair().unwrap();
+        let welcome = wire::encode_to_client(&ToClient::Welcome {
+            client: 3,
+            now_ns: 0,
+            session: None,
+        });
+        wire::write_frame(&mut gateway_end, &welcome).unwrap();
+        let err = GatewayClient::handshake(Box::new(ours), &[], None)
+            .err()
+            .expect("a session-less Welcome must not complete the handshake");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -108,8 +108,8 @@ pub struct ReconnectingClient {
     policy: ReconnectPolicy,
     rng: Rng,
     inner: Option<GatewayClient>,
-    /// The resume request to present on the next dial; refreshed from
-    /// the live client at every sever.
+    /// The resume request to present on the next dial: taken from the
+    /// live client at every sever, `None` before the first.
     resume: Option<ResumeReq>,
     stats: ReconnectStats,
 }
@@ -156,7 +156,7 @@ impl ReconnectingClient {
     /// Drop the dead stream, keeping what the next dial must present.
     fn sever(&mut self) {
         if let Some(client) = self.inner.take() {
-            self.resume = client.resume_req();
+            self.resume = Some(client.resume_req());
         }
     }
 
@@ -176,17 +176,16 @@ impl ReconnectingClient {
                     if !initial {
                         self.stats.reconnects += 1;
                     }
-                    match client.session.as_ref().map(|s| s.verdict) {
-                        Some(ResumeVerdict::Resumed) => self.stats.resumed += 1,
-                        Some(ResumeVerdict::Gap) => {
+                    match client.session.verdict {
+                        ResumeVerdict::Resumed => self.stats.resumed += 1,
+                        ResumeVerdict::Gap => {
                             self.stats.resumed += 1;
                             self.stats.gap_verdicts += 1;
                         }
-                        Some(ResumeVerdict::Expired) => self.stats.expired += 1,
-                        _ => {}
+                        ResumeVerdict::Expired => self.stats.expired += 1,
+                        ResumeVerdict::Fresh | ResumeVerdict::Unknown(_) => {}
                     }
                     client.set_read_timeout(self.policy.idle_timeout)?;
-                    self.resume = client.resume_req();
                     self.inner = Some(client);
                     return Ok(());
                 }
@@ -206,10 +205,9 @@ impl ReconnectingClient {
         self.stats
     }
 
-    /// The current connection's session (None mid-outage or against a
-    /// v1 gateway).
+    /// The current connection's session (`None` mid-outage).
     pub fn session(&self) -> Option<SessionInfo> {
-        self.inner.as_ref().and_then(|c| c.session)
+        self.inner.as_ref().map(|c| c.session)
     }
 
     /// Current per-class delivery watermarks (the mid-outage snapshot

@@ -318,8 +318,9 @@ impl SessionStore {
 
     /// A lane's sink died (or its connection reader saw EOF) at bus
     /// time `now`: keep the session resumable. Returns `true` when the
-    /// client has a live session worth parking — `false` tells the
-    /// worker to tear the lane down the legacy way.
+    /// client has a live session worth parking — `false` (an in-process
+    /// client without a session, or an ended one) tells the worker to
+    /// tear the lane down.
     pub(crate) fn detach(&mut self, client: u32, now: u64) -> bool {
         match self.by_client.get_mut(&client) {
             Some(e) if e.state == SessionState::Attached => {

@@ -22,25 +22,25 @@
 //! by a little-endian `u32` length prefix ([`write_frame`] /
 //! [`read_frame`]).
 //!
-//! # Version tolerance
+//! # Versions
 //!
-//! Additive fields go at the *tail* of a body. A decoder checks bodies
-//! of its own version strictly, decodes older versions with the older
-//! (shorter) layout, and tolerates trailing bytes from newer versions
-//! — so a v1 client keeps working against a v2 gateway (it simply
-//! never resumes), and a v2 client's `Hello` decodes on a v1 gateway
-//! as a plain session open. Version 0 does not exist and is rejected.
+//! A decoder checks bodies of its own version strictly and tolerates
+//! trailing bytes from a newer version: additive fields go at the
+//! *tail* of a body, so a newer peer's messages still decode. An older
+//! version is refused with [`WireError::BadVersion`]: version 1 had no
+//! session handshake, and a client that cannot resume would get a
+//! lane that ends on any sever instead of the subscriber contract.
 //!
-//! # Version 2: session resume
+//! # Sessions
 //!
-//! Version 2 extends the handshake for crash-tolerant sessions:
-//! `Hello` gains a session token plus per-class delivery watermarks
-//! (how many frames of each class the client has received — the
-//! client-side truth the gateway filters replay against), `Welcome`
-//! gains the minted token and a [`ResumeVerdict`], and the new
-//! [`ToClient::Gap`] notice reports NRT frames that fell out of the
-//! bounded replay buffer while the client was away (§2.2.3: NRT may
-//! gap, it must not lie).
+//! The handshake opens crash-tolerant sessions: `Hello` carries a
+//! session token (0 when there is nothing to resume) plus per-class
+//! delivery watermarks (how many frames of each class the client has
+//! received — the client-side truth the gateway filters replay
+//! against), `Welcome` carries the minted token and a
+//! [`ResumeVerdict`], and the [`ToClient::Gap`] notice reports NRT
+//! frames that fell out of the bounded replay buffer while the client
+//! was away (§2.2.3: NRT may gap, it must not lie).
 
 use rtec_can::codec::{self, Protocol, Put, Reader};
 use rtec_core::ChannelClass;
@@ -52,8 +52,6 @@ pub use rtec_can::codec::WireError;
 pub const MAGIC: [u8; 2] = *b"RG";
 /// Current protocol version (byte 2 of every message).
 pub const WIRE_VERSION: u8 = 2;
-/// Oldest protocol version this decoder still accepts.
-pub const MIN_VERSION: u8 = 1;
 /// Hard cap on a framed message (length prefix included payload), so a
 /// corrupt length prefix cannot make a reader allocate gigabytes.
 pub const MAX_FRAME_LEN: usize = 1 << 16;
@@ -75,12 +73,12 @@ const _: () = assert!(
 );
 const _: () = assert!(0 < FRAG_CHUNK && FRAG_CHUNK <= MAX_PAYLOAD);
 
-/// The envelope: every version from [`MIN_VERSION`] up decodes, newer
-/// ones with their trailing fields ignored.
+/// The envelope: this version and every newer one decodes, a newer one
+/// with its trailing fields ignored.
 const RG: Protocol = Protocol {
     magic: MAGIC,
     version: WIRE_VERSION,
-    accepts: MIN_VERSION..=u8::MAX,
+    accepts: WIRE_VERSION..=u8::MAX,
 };
 
 /// Why events were shed or a session was closed, as a closed enum: the
@@ -122,11 +120,10 @@ impl Reason {
     }
 }
 
-/// The gateway's answer to a resume attempt, carried in the v2
-/// `Welcome` tail.
+/// The gateway's answer to a session handshake, carried in `Welcome`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResumeVerdict {
-    /// A new session was opened (no token offered, or v1 peer).
+    /// A new session was opened (no token offered).
     Fresh,
     /// The session resumed; every missing HRT frame is replayed
     /// exactly once (§3.2 off-bus).
@@ -201,7 +198,7 @@ impl ClassWatermarks {
     }
 }
 
-/// The resume request a v2 `Hello` may carry.
+/// The resume request a `Hello` may carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResumeReq {
     /// Session token from the previous `Welcome` (never 0).
@@ -210,7 +207,7 @@ pub struct ResumeReq {
     pub wm: ClassWatermarks,
 }
 
-/// The session description a v2 `Welcome` carries.
+/// The session description a `Welcome` carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionInfo {
     /// Token to present in a future resume (never 0).
@@ -227,8 +224,8 @@ pub enum ToGateway {
     Hello {
         /// Number of subscription messages that follow.
         subs: u16,
-        /// v2 tail: present to resume an earlier session. A v1 peer's
-        /// `Hello` decodes with `None`.
+        /// Present to resume an earlier session (token 0 on the wire
+        /// when absent).
         resume: Option<ResumeReq>,
     },
     /// Subscribe to one subject by its 64-bit uid.
@@ -303,8 +300,8 @@ pub enum ToClient {
         client: u32,
         /// Gateway bus time at session open.
         now_ns: u64,
-        /// v2 tail: the session token and resume verdict. A v1 peer's
-        /// `Welcome` decodes with `None`.
+        /// The session token and verdict. Every socket client gets
+        /// one; token 0 on the wire decodes as `None`.
         session: Option<SessionInfo>,
     },
     /// A single HRT/SRT/NRT event.
@@ -328,8 +325,8 @@ pub enum ToClient {
     },
     /// NRT frames fell out of the bounded replay buffer across a
     /// reconnect and cannot be replayed (§2.2.3 — the gap is reported,
-    /// never papered over). v2-only; a session that never resumes
-    /// never sees it.
+    /// never papered over). A session that never resumes never sees
+    /// it.
     Gap {
         /// Class of the lost frames (always NRT today).
         class: ChannelClass,
@@ -381,9 +378,7 @@ pub fn encode_to_gateway(msg: &ToGateway) -> Vec<u8> {
         ToGateway::Hello { subs, resume } => {
             RG.start(K_HELLO, &mut out);
             out.put_u16(*subs);
-            // v2 tail: token 0 means "no session to resume" — a v1
-            // decoder never reads past the subs count, so the tail is
-            // always written and always compatible.
+            // Token 0 means "no session to resume".
             let (token, wm) = match resume {
                 Some(r) => (r.token, r.wm),
                 None => (0, ClassWatermarks::default()),
@@ -420,7 +415,7 @@ pub fn encode_to_client_into(msg: &ToClient, out: &mut Vec<u8>) {
             RG.start(K_WELCOME, out);
             out.put_u32(*client);
             out.put_u64(*now_ns);
-            // v2 tail: token 0 means "no session" (in-process client).
+            // Token 0 means "no session".
             let (token, verdict) = match session {
                 Some(s) => (s.token, s.verdict),
                 None => (0, ResumeVerdict::Fresh),
@@ -499,13 +494,6 @@ fn push_payload(bytes: &[u8], out: &mut Vec<u8>) {
     out.put_bytes(bytes);
 }
 
-/// Just the protocol version byte of a (framed) message whose envelope
-/// decodes. Lets a transport pick the v1 or v2 handshake path without a
-/// full decode.
-pub fn frame_version(buf: &[u8]) -> Option<u8> {
-    RG.open(buf).ok().map(|r| r.version())
-}
-
 /// The fixed fields of an `Event` body in wire order — class (still a
 /// raw byte), origin, uid, seq, wire_ns, release_ns.
 fn event_head(r: &mut Reader<'_>) -> Result<(u8, u8, u64, u32, u64, u64), WireError> {
@@ -537,19 +525,13 @@ pub fn decode_to_gateway(buf: &[u8]) -> Result<ToGateway, WireError> {
     let mut r = RG.open(buf)?;
     let msg = match r.kind() {
         K_HELLO => {
-            let subs = r.u16()?;
-            // A v1 body ends at the subs count.
-            let resume = if r.version() >= 2 {
-                let token = r.u64()?;
-                let wm = ClassWatermarks {
-                    hrt: r.u64()?,
-                    srt: r.u64()?,
-                    nrt: r.u64()?,
-                };
-                (token != 0).then_some(ResumeReq { token, wm })
-            } else {
-                None
+            let (subs, token) = (r.u16()?, r.u64()?);
+            let wm = ClassWatermarks {
+                hrt: r.u64()?,
+                srt: r.u64()?,
+                nrt: r.u64()?,
             };
+            let resume = (token != 0).then_some(ResumeReq { token, wm });
             ToGateway::Hello { subs, resume }
         }
         K_SUBSCRIBE => ToGateway::Subscribe { uid: r.u64()? },
@@ -568,15 +550,9 @@ pub fn decode_to_client(buf: &[u8]) -> Result<ToClient, WireError> {
     let mut r = RG.open(buf)?;
     let msg = match r.kind() {
         K_WELCOME => {
-            let (client, now_ns) = (r.u32()?, r.u64()?);
-            // A v1 body ends at the bus time.
-            let session = if r.version() >= 2 {
-                let token = r.u64()?;
-                let verdict = ResumeVerdict::from_code(r.u8()?);
-                (token != 0).then_some(SessionInfo { token, verdict })
-            } else {
-                None
-            };
+            let (client, now_ns, token) = (r.u32()?, r.u64()?, r.u64()?);
+            let verdict = ResumeVerdict::from_code(r.u8()?);
+            let session = (token != 0).then_some(SessionInfo { token, verdict });
             ToClient::Welcome {
                 client,
                 now_ns,
@@ -753,40 +729,31 @@ mod tests {
         );
     }
 
-    /// A v1 `Hello`/`Welcome` (short body, version byte 1) decodes on
-    /// the v2 codec with the resume tail absent — the legacy layouts
-    /// stay strict, so a truncated v2 body cannot masquerade as v1.
+    /// A version-1 `Hello`/`Welcome` (short body, version byte 1) is
+    /// refused on its version, and the same short body stamped with the
+    /// current version is malformed.
     #[test]
-    fn v1_handshake_bodies_decode_without_resume() {
+    fn v1_handshake_bodies_are_refused() {
         let hello_v1 = [b'R', b'G', 1, 1, 3, 0];
-        assert_eq!(
-            decode_to_gateway(&hello_v1),
-            Ok(ToGateway::Hello {
-                subs: 3,
-                resume: None
-            })
-        );
+        assert_eq!(decode_to_gateway(&hello_v1), Err(WireError::BadVersion(1)));
         let mut welcome_v1 = vec![b'R', b'G', 1, 16];
         welcome_v1.extend_from_slice(&9u32.to_le_bytes());
         welcome_v1.extend_from_slice(&77u64.to_le_bytes());
-        assert_eq!(
-            decode_to_client(&welcome_v1),
-            Ok(ToClient::Welcome {
-                client: 9,
-                now_ns: 77,
-                session: None
-            })
-        );
-        // A version-2 body of v1 length is malformed, not legacy.
+        assert_eq!(decode_to_client(&welcome_v1), Err(WireError::BadVersion(1)));
         let mut stamped = hello_v1;
-        stamped[2] = 2;
+        stamped[2] = WIRE_VERSION;
         assert_eq!(
             decode_to_gateway(&stamped),
             Err(WireError::BadLength { kind: 1, got: 2 })
         );
+        welcome_v1[2] = WIRE_VERSION;
+        assert_eq!(
+            decode_to_client(&welcome_v1),
+            Err(WireError::BadLength { kind: 16, got: 12 })
+        );
     }
 
-    /// The v2 resume tail round-trips, and token 0 means "no session"
+    /// The resume fields round-trip, and token 0 means "no session"
     /// on both sides of the handshake.
     #[test]
     fn resume_tail_round_trips_and_zero_token_is_none() {

@@ -153,10 +153,10 @@ fn hrt_beats_nrt_bulk_under_client_contention() {
     gateway.bind(hrt_subject, &hrt);
     gateway.bind(nrt_subject, &nrt);
     let recorder = GatedRecorder::new();
-    let sink: Box<dyn ClientSink> = Box::new(recorder.clone());
+    let handle = recorder.clone();
     gateway.add_client(
         &[hrt_subject, nrt_subject],
-        &ClientSinkSpec::Shared(Arc::new(Mutex::new(sink))),
+        &ClientSinkSpec::PerShard(Box::new(move |_, _| Box::new(handle.clone()))),
         Some(SlowConsumerPolicy::ShedNrtFirst),
     );
     let gw_node = cluster.add_node(gateway.behavior());
@@ -523,13 +523,12 @@ fn unix_client_receives_republished_events() {
     assert!(!path.exists(), "socket file must be removed on stop()");
 }
 
-/// An unupgraded v1 client — raw version-1 frames, no resume tail, no
-/// session — still speaks to the v2 gateway: the handshake completes,
-/// events flow, and the shutdown notice arrives. (The v2 `Welcome` is
-/// longer than v1's; the v1 decoder tolerates the trailing bytes.)
+/// A version-1 client — raw version-1 frames, no resume fields — is
+/// refused: its `Hello` does not decode, so no `Welcome` is written,
+/// the stream closes, and neither a session nor a lane is opened.
 #[test]
-fn legacy_v1_client_speaks_to_a_v2_gateway() {
-    use std::io::Write as _;
+fn a_version_one_hello_is_refused() {
+    use std::io::{ErrorKind, Write as _};
 
     fn v1_frame(kind: u8, body: &[u8]) -> Vec<u8> {
         let mut msg = vec![b'R', b'G', 1, kind];
@@ -539,70 +538,59 @@ fn legacy_v1_client_speaks_to_a_v2_gateway() {
         framed
     }
 
-    let srt_subject = Subject::new(0x2002);
-    let cfg = ClusterConfig {
-        pace: Pace::Virtual,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = Cluster::new(cfg);
-    let n0 = cluster.add_node(Box::new(SrtSource {
-        subject: srt_subject,
-        every: Duration::from_ms(3),
-        counter: 0,
-    }));
-    let srt = ChannelSpec::Srt(SrtSpec::default());
-    cluster.publish(n0, srt_subject, srt);
-
     let gateway = Gateway::new(GatewayConfig::default());
-    gateway.bind(srt_subject, &srt);
     let acceptor = Acceptor::tcp(
         gateway.clone(),
         "127.0.0.1:0",
         SlowConsumerPolicy::ShedNrtFirst,
     )
     .unwrap();
-
     let mut stream = std::net::TcpStream::connect(acceptor.addr()).unwrap();
-    stream.write_all(&v1_frame(1, &1u16.to_le_bytes())).unwrap();
     stream
-        .write_all(&v1_frame(2, &srt_subject.uid().to_le_bytes()))
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .unwrap();
-    let welcome = rtec_gateway::wire::read_frame(&mut stream)
-        .unwrap()
-        .unwrap();
-    match rtec_gateway::wire::decode_to_client(&welcome).unwrap() {
-        ToClient::Welcome { session, .. } => {
-            assert!(session.is_none(), "a v1 Hello must not open a session");
+    stream.write_all(&v1_frame(1, &1u16.to_le_bytes())).unwrap();
+    // The gateway may already have closed the stream; a failed write
+    // of the subscription is part of the refusal.
+    let _ = stream.write_all(&v1_frame(2, &0x2002u64.to_le_bytes()));
+    // A close with the subscription still unread may arrive as a reset.
+    match rtec_gateway::wire::read_frame(&mut stream) {
+        Ok(Some(frame)) => panic!(
+            "a version-1 Hello was answered: {:?}",
+            rtec_gateway::wire::decode_to_client(&frame)
+        ),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            panic!("the stream stayed open: {e}")
         }
-        other => panic!("expected Welcome, got {other:?}"),
+        Ok(None) | Err(_) => {}
     }
-
-    let gw_node = cluster.add_node(gateway.behavior());
-    cluster.subscribe(gw_node, srt_subject, srt);
-    cluster.run_for(Duration::from_ms(30)).unwrap();
-    let gw = gateway.finish();
+    assert_eq!(gateway.session_stats().opened, 0);
     acceptor.stop();
+    let gw = gateway.finish();
+    assert!(gw.lanes.is_empty(), "{:?}", gw.lanes);
+}
 
-    let mut events = 0u64;
-    let mut shutdown = false;
-    while let Some(frame) = rtec_gateway::wire::read_frame(&mut stream).unwrap() {
-        match rtec_gateway::wire::decode_to_client(&frame).unwrap() {
-            ToClient::Event(e) => {
-                assert_eq!(e.uid, srt_subject.uid());
-                events += 1;
-            }
-            ToClient::Disconnect {
-                reason: Reason::Shutdown,
-            } => {
-                shutdown = true;
-                break;
-            }
-            _ => {}
-        }
-    }
-    assert!(events > 0, "no events reached the v1 client");
-    assert_eq!(gw.stats.delivered_msgs, events);
-    assert!(shutdown, "missing shutdown notice");
+/// A client with more subjects than a `Hello` can count is refused
+/// before it writes a byte, instead of announcing the count modulo
+/// 2^16 and being welcomed with an empty subscription set.
+#[test]
+fn too_many_subjects_are_refused_before_the_hello() {
+    let gateway = Gateway::new(GatewayConfig::default());
+    let acceptor = Acceptor::tcp(
+        gateway.clone(),
+        "127.0.0.1:0",
+        SlowConsumerPolicy::ShedNrtFirst,
+    )
+    .unwrap();
+    let subjects: Vec<Subject> = (0..=u64::from(u16::MAX)).map(Subject::new).collect();
+    let err = GatewayClient::connect(acceptor.addr(), &subjects)
+        .err()
+        .expect("65 536 subjects must not complete a handshake");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    // `stop` joins the acceptor, which handshakes inline.
+    acceptor.stop();
+    assert_eq!(gateway.session_stats().opened, 0);
+    assert!(gateway.finish().lanes.is_empty());
 }
 
 /// A TCP client severed mid-stream resumes its session and receives
@@ -639,12 +627,12 @@ fn severed_tcp_client_resumes_with_exact_hrt_replay() {
     assert!(
         matches!(
             first.session,
-            Some(rtec_gateway::wire::SessionInfo {
+            rtec_gateway::wire::SessionInfo {
                 verdict: ResumeVerdict::Fresh,
                 ..
-            })
+            }
         ),
-        "a v2 connect should open a fresh session"
+        "a connect should open a fresh session"
     );
 
     let gw_node = cluster.add_node(gateway.behavior());
@@ -666,12 +654,12 @@ fn severed_tcp_client_resumes_with_exact_hrt_replay() {
         }
     }
     assert_eq!(seqs.len(), 2, "expected at least two HRT deliveries");
-    let resume = first.resume_req().expect("v2 sessions carry a token");
+    let resume = first.resume_req();
     drop(first); // sever: no Bye
 
     let mut second =
         GatewayClient::connect_resume(acceptor.addr(), &[hrt_subject], resume).unwrap();
-    let verdict = second.session.expect("resumed session").verdict;
+    let verdict = second.session.verdict;
     assert_eq!(
         verdict,
         ResumeVerdict::Resumed,
@@ -740,23 +728,23 @@ fn bye_spends_the_session_but_a_sever_keeps_it_resumable() {
 
     // Clean exit: Bye + half-close, observed as a drained stream.
     let polite = GatewayClient::connect(acceptor.addr(), &[subject]).unwrap();
-    let polite_req = polite.resume_req().unwrap();
+    let polite_req = polite.resume_req();
     polite.bye().unwrap();
     let after_bye = GatewayClient::connect_resume(acceptor.addr(), &[subject], polite_req).unwrap();
     assert_eq!(
-        after_bye.session.unwrap().verdict,
+        after_bye.session.verdict,
         ResumeVerdict::Expired,
         "a Bye must spend the token; the fallback is a fresh session"
     );
 
     // Abrupt drop: the reader sees the sever and parks the session.
     let abrupt = GatewayClient::connect(acceptor.addr(), &[subject]).unwrap();
-    let abrupt_req = abrupt.resume_req().unwrap();
+    let abrupt_req = abrupt.resume_req();
     drop(abrupt);
     let after_drop =
         GatewayClient::connect_resume(acceptor.addr(), &[subject], abrupt_req).unwrap();
     assert_eq!(
-        after_drop.session.unwrap().verdict,
+        after_drop.session.verdict,
         ResumeVerdict::Resumed,
         "a severed session must stay resumable within the TTL"
     );
@@ -955,12 +943,12 @@ fn socket_resume_past_the_ring_announces_the_gap_before_the_ring() {
         }
     }
     assert_eq!(seqs, [0, 1]);
-    let resume = first.resume_req().expect("v2 sessions carry a token");
+    let resume = first.resume_req();
     drop(first);
 
     let mut second =
         GatewayClient::connect_resume(acceptor.addr(), &[nrt_subject], resume).unwrap();
-    let verdict = second.session.expect("resumed session").verdict;
+    let verdict = second.session.verdict;
     assert_eq!(verdict, ResumeVerdict::Gap, "the ring cannot cover the gap");
     second.set_read_timeout(timeout).unwrap();
     let gap = match second.recv().unwrap() {
@@ -1003,11 +991,14 @@ impl ClientSink for SeqRecorder {
     }
 }
 
-/// A shared [`SeqRecorder`] spec and the seqs it will record.
+/// A [`SeqRecorder`] spec and the seqs it will record.
 fn seq_recorder() -> (ClientSinkSpec, Arc<Mutex<Vec<u32>>>) {
     let seqs = Arc::new(Mutex::new(Vec::new()));
-    let sink: Box<dyn ClientSink> = Box::new(SeqRecorder(Arc::clone(&seqs)));
-    (ClientSinkSpec::Shared(Arc::new(Mutex::new(sink))), seqs)
+    let handle = Arc::clone(&seqs);
+    let spec = ClientSinkSpec::PerShard(Box::new(move |_, _| {
+        Box::new(SeqRecorder(Arc::clone(&handle)))
+    }));
+    (spec, seqs)
 }
 
 /// Registers one more client at a bus-time timer.

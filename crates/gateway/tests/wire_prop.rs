@@ -2,12 +2,8 @@
 //! same mold as the broker codec's (`crates/live/tests/wire_prop.rs`):
 //! every message round-trips, and arbitrary / mutated / truncated byte
 //! strings are rejected without panicking. On top of those, the
-//! version-tolerance contract — version 0 never decodes, higher
-//! version bytes may carry trailing extension bytes — and the v2
-//! compatibility oracle: a faithful reimplementation of the version 1
-//! handshake decoder must accept every v2 `Hello`/`Welcome`, because
-//! that is exactly what an unupgraded peer will run against a v2
-//! sender.
+//! version contract: no version below the current one decodes, and
+//! higher version bytes may carry trailing extension bytes.
 
 use proptest::prelude::*;
 use rtec_core::ChannelClass;
@@ -175,46 +171,6 @@ fn arb_to_client() -> impl Strategy<Value = ToClient> {
     ]
 }
 
-/// A faithful reimplementation of the version 1 handshake decoder
-/// (what PR 9 shipped): strict v1 body lengths, trailing-byte
-/// tolerance for any *newer* version byte. This is the compatibility
-/// oracle — an unupgraded v1 peer runs exactly this logic against a v2
-/// sender, so every v2 `Hello`/`Welcome` must decode here.
-mod v1 {
-    const V1_WIRE_VERSION: u8 = 1;
-
-    fn header(buf: &[u8]) -> Option<(u8, &[u8], u8)> {
-        (buf.len() >= 4 && buf[..2] == *b"RG" && buf[2] >= 1).then(|| (buf[3], &buf[4..], buf[2]))
-    }
-
-    fn body_ok(body: &[u8], want: usize, version: u8) -> bool {
-        if version > V1_WIRE_VERSION {
-            body.len() >= want
-        } else {
-            body.len() == want
-        }
-    }
-
-    /// Decode a `Hello` under the v1 layout: just the subs count.
-    pub fn decode_hello(buf: &[u8]) -> Option<u16> {
-        let (kind, body, version) = header(buf)?;
-        (kind == 1 && body_ok(body, 2, version)).then(|| u16::from_le_bytes([body[0], body[1]]))
-    }
-
-    /// Decode a `Welcome` under the v1 layout: client id and bus time.
-    pub fn decode_welcome(buf: &[u8]) -> Option<(u32, u64)> {
-        let (kind, body, version) = header(buf)?;
-        (kind == 16 && body_ok(body, 12, version)).then(|| {
-            (
-                u32::from_le_bytes([body[0], body[1], body[2], body[3]]),
-                u64::from_le_bytes([
-                    body[4], body[5], body[6], body[7], body[8], body[9], body[10], body[11],
-                ]),
-            )
-        })
-    }
-}
-
 proptest! {
     /// Client → gateway messages survive the encoding.
     #[test]
@@ -292,7 +248,7 @@ proptest! {
         prop_assert!(decode_to_client(&bytes[..keep]).is_err() || keep == bytes.len());
     }
 
-    /// Truncated resume handshakes are rejected too — a v2 `Hello` cut
+    /// Truncated resume handshakes are rejected too — a `Hello` cut
     /// anywhere inside its token or watermark tail must fail, never
     /// silently lose the resume request.
     #[test]
@@ -316,12 +272,21 @@ proptest! {
         prop_assert_eq!(decode_to_client(&bytes).unwrap(), msg);
     }
 
-    /// Version 0 never existed: always rejected.
+    /// Every version below the current one is rejected in both
+    /// directions: version 0 never existed, and version 1 had no
+    /// session handshake.
     #[test]
-    fn version_zero_is_rejected(msg in arb_to_client()) {
-        let mut bytes = encode_to_client(&msg);
-        bytes[2] = 0;
-        prop_assert_eq!(decode_to_client(&bytes), Err(WireError::BadVersion(0)));
+    fn version_zero_is_rejected(
+        to_client in arb_to_client(),
+        to_gateway in arb_to_gateway(),
+        version in 0..WIRE_VERSION,
+    ) {
+        let mut bytes = encode_to_client(&to_client);
+        bytes[2] = version;
+        prop_assert_eq!(decode_to_client(&bytes), Err(WireError::BadVersion(version)));
+        let mut bytes = encode_to_gateway(&to_gateway);
+        bytes[2] = version;
+        prop_assert_eq!(decode_to_gateway(&bytes), Err(WireError::BadVersion(version)));
     }
 
     /// Current-version bodies are strictly length-checked: any
@@ -335,26 +300,6 @@ proptest! {
         bytes.extend_from_slice(&tail);
         let bad_length = matches!(decode_to_gateway(&bytes), Err(WireError::BadLength { .. }));
         prop_assert!(bad_length);
-    }
-
-    /// Every v2 `Hello` — resume tail or not — decodes on the v1
-    /// reference decoder to the same subs count.
-    #[test]
-    fn v1_decoder_accepts_every_v2_hello(subs in any::<u16>(), resume in arb_resume()) {
-        let bytes = encode_to_gateway(&ToGateway::Hello { subs, resume });
-        prop_assert_eq!(v1::decode_hello(&bytes), Some(subs));
-    }
-
-    /// Every v2 `Welcome` — session tail or not — decodes on the v1
-    /// reference decoder to the same client id and bus time.
-    #[test]
-    fn v1_decoder_accepts_every_v2_welcome(
-        client in any::<u32>(),
-        now_ns in any::<u64>(),
-        session in arb_session(),
-    ) {
-        let bytes = encode_to_client(&ToClient::Welcome { client, now_ns, session });
-        prop_assert_eq!(v1::decode_welcome(&bytes), Some((client, now_ns)));
     }
 }
 

@@ -32,8 +32,7 @@ pub const MAGIC: [u8; 2] = *b"RL";
 /// Current protocol version (byte 2 of every datagram).
 pub const WIRE_VERSION: u8 = 1;
 
-/// The envelope: one version only. Fields added since (the incarnation
-/// of `Hello`/`Welcome`) are told apart by body length instead.
+/// The envelope: one version only, and one layout per kind.
 const RL: Protocol = Protocol {
     magic: MAGIC,
     version: WIRE_VERSION,
@@ -306,13 +305,10 @@ pub fn encode_to_node(msg: &ToNode) -> Vec<u8> {
 pub fn decode_to_broker(buf: &[u8]) -> Result<ToBroker, WireError> {
     let mut r = RL.open(buf)?;
     let msg = match r.kind() {
-        // Version-tolerant: the original format carried only the node
-        // id; such a hello is incarnation 0 by definition.
-        K_HELLO => {
-            let node = r.u8()?;
-            let incarnation = if r.is_empty() { 0 } else { r.u32()? };
-            ToBroker::Hello { node, incarnation }
-        }
+        K_HELLO => ToBroker::Hello {
+            node: r.u8()?,
+            incarnation: r.u32()?,
+        },
         K_SUBMIT => ToBroker::Submit {
             handle: r.u32()?,
             tag: r.u64()?,
@@ -346,16 +342,10 @@ pub fn decode_to_broker(buf: &[u8]) -> Result<ToBroker, WireError> {
 pub fn decode_to_node(buf: &[u8]) -> Result<ToNode, WireError> {
     let mut r = RL.open(buf)?;
     let msg = match r.kind() {
-        // Version-tolerant: an 8-byte body is the original format with
-        // no incarnation field (incarnation 0).
-        K_WELCOME => {
-            let now_ns = r.u64()?;
-            let incarnation = if r.is_empty() { 0 } else { r.u32()? };
-            ToNode::Welcome {
-                now_ns,
-                incarnation,
-            }
-        }
+        K_WELCOME => ToNode::Welcome {
+            now_ns: r.u64()?,
+            incarnation: r.u32()?,
+        },
         K_DELIVER => ToNode::Deliver {
             completed_ns: r.u64()?,
             frame: codec::decode(r.rest())?,
@@ -486,32 +476,6 @@ mod tests {
             decode_to_broker(b"RL\x01\x06\x00"),
             Err(WireError::BadLength { .. })
         ));
-    }
-
-    /// Datagrams in the pre-incarnation format (1-byte Hello body,
-    /// 8-byte Welcome body) still decode, as incarnation 0.
-    #[test]
-    fn legacy_handshake_bodies_still_parse() {
-        let mut hello = Vec::new();
-        RL.start(K_HELLO, &mut hello);
-        hello.push(7);
-        assert_eq!(
-            decode_to_broker(&hello),
-            Ok(ToBroker::Hello {
-                node: 7,
-                incarnation: 0
-            })
-        );
-        let mut welcome = Vec::new();
-        RL.start(K_WELCOME, &mut welcome);
-        welcome.extend_from_slice(&42u64.to_le_bytes());
-        assert_eq!(
-            decode_to_node(&welcome),
-            Ok(ToNode::Welcome {
-                now_ns: 42,
-                incarnation: 0
-            })
-        );
     }
 
     /// The new kinds reject every malformed body length.

@@ -131,33 +131,15 @@ proptest! {
         prop_assert!(decode_to_node(&bytes[..keep]).is_err() || keep == bytes.len());
     }
 
-    /// Pre-incarnation handshake datagrams (1-byte Hello body, 8-byte
-    /// Welcome body) decode as incarnation 0 for any node id / time, so
-    /// a node built before the supervision protocol still joins.
-    #[test]
-    fn legacy_handshakes_decode_as_incarnation_zero(node in any::<u8>(), now_ns in any::<u64>()) {
-        // Header: magic "RL", version 1, kind byte (Hello = 1, Welcome = 16).
-        let hello = [b'R', b'L', 1, 1, node].to_vec();
-        prop_assert_eq!(
-            decode_to_broker(&hello).unwrap(),
-            ToBroker::Hello { node, incarnation: 0 }
-        );
-        let mut welcome = vec![b'R', b'L', 1, 16];
-        welcome.extend_from_slice(&now_ns.to_le_bytes());
-        prop_assert_eq!(
-            decode_to_node(&welcome).unwrap(),
-            ToNode::Welcome { now_ns, incarnation: 0 }
-        );
-    }
-
     /// Truncating or extending the incarnation/heartbeat bodies to any
     /// length their layouts do not allow is rejected cleanly. Hello is
-    /// valid at exactly 1 (legacy) or 5 bytes, Pong at 13, Ping at 8,
-    /// Welcome at 8 (legacy) or 12; so are the fixed-size bodies of
-    /// Listen (kind 9, 2 bytes) and TimerCancel (kind 10, 8 bytes).
+    /// valid at exactly 5 bytes, Pong at 13, Ping at 8, Welcome at 12;
+    /// so are the fixed-size bodies of Listen (kind 9, 2 bytes) and
+    /// TimerCancel (kind 10, 8 bytes). The pre-incarnation 1-byte Hello
+    /// and 8-byte Welcome are `BadLength` like any other wrong length.
     #[test]
     fn handshake_and_heartbeat_bodies_are_length_checked(len in 0usize..32) {
-        for (kind, valid) in [(1u8, vec![1usize, 5]), (8, vec![13]), (9, vec![2]), (10, vec![8])] {
+        for (kind, valid) in [(1u8, vec![5usize]), (8, vec![13]), (9, vec![2]), (10, vec![8])] {
             let mut buf = vec![b'R', b'L', 1, kind];
             buf.resize(4 + len, 0);
             let decoded = decode_to_broker(&buf);
@@ -167,7 +149,7 @@ proptest! {
                 prop_assert_eq!(decoded, Err(WireError::BadLength { kind, got: len }));
             }
         }
-        for (kind, valid) in [(16u8, vec![8usize, 12]), (22, vec![8])] {
+        for (kind, valid) in [(16u8, vec![12usize]), (22, vec![8])] {
             let mut buf = vec![b'R', b'L', 1, kind];
             buf.resize(4 + len, 0);
             prop_assert_eq!(decode_to_node(&buf).is_ok(), valid.contains(&len));
