@@ -39,7 +39,7 @@ use rtec_live::chaos::{self, LinkChaos, LinkFault, LinkPlan, LinkStats};
 use rtec_live::cluster::{Cluster, ClusterConfig, LiveReport};
 use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::{ChaosPlan, ChaosReport, Pace};
-use rtec_sim::{Duration, SharedTraceSink, TraceEvent};
+use rtec_sim::{Duration, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -354,13 +354,11 @@ struct RunArtifacts {
 }
 
 fn run_once(seed: u64, run: Duration) -> Result<RunArtifacts, String> {
-    let sink = SharedTraceSink::enabled_with_capacity(TRACE_CAPACITY);
+    let sink = TraceSink::enabled_with_capacity(TRACE_CAPACITY);
     let cfg = ClusterConfig {
         pace: Pace::Virtual,
         restart_backoff: Duration::from_ms(1),
         nrt_queue_cap: 256,
-        trace: true,
-        trace_capacity: Some(TRACE_CAPACITY),
         ..ClusterConfig::default()
     };
     let mut cluster = Cluster::new(cfg);

@@ -30,7 +30,7 @@ use crate::controller::{Controller, TxHandle, TxRequest};
 use crate::fault::{FaultDecision, FaultInjector};
 use crate::frame::Frame;
 use crate::id::{CanId, NodeId};
-use rtec_sim::{Ctx, Duration, Emit, SourceId, Time, TraceSink};
+use rtec_sim::{Ctx, Duration, SourceId, Time, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// Events the bus schedules for itself on its host's [`CanScheduler`].
@@ -244,10 +244,10 @@ struct Inflight {
     decision: FaultDecision,
 }
 
-/// The CAN bus model: a set of controllers sharing one wire. `S` is
-/// the trace sink of whoever hosts it — the simulator's [`TraceSink`]
-/// by default, the live broker's `SharedTraceSink`.
-pub struct CanBus<S = TraceSink> {
+/// The CAN bus model: a set of controllers sharing one wire, tracing
+/// into its host's [`TraceSink`] (the simulator's or the live
+/// broker's — one sink type serves both).
+pub struct CanBus {
     config: BusConfig,
     controllers: Vec<Controller>,
     injector: FaultInjector,
@@ -256,10 +256,12 @@ pub struct CanBus<S = TraceSink> {
     /// Per-node suspend-transmission end (error-passive nodes pause 8
     /// bit times after transmitting).
     suspend_until: Vec<Time>,
-    /// Scratch for the per-arbitration receiver set, kept for its
-    /// capacity.
+    /// Scratch for the per-arbitration contender, `arb` record field
+    /// and receiver sets, kept for their capacity.
+    candidates: Vec<(CanId, NodeId)>,
+    arb_fields: Vec<(&'static str, u64)>,
     receivers: Vec<NodeId>,
-    trace: S,
+    trace: TraceSink,
     /// Interned `"bus"` source handle for the attached sink, so hot
     /// emit sites pass a `u32` instead of a string per event.
     trace_src: SourceId,
@@ -273,9 +275,7 @@ impl CanBus {
     pub fn new(config: BusConfig, num_nodes: usize, injector: FaultInjector) -> Self {
         CanBus::with_trace(config, num_nodes, injector, TraceSink::disabled())
     }
-}
 
-impl<S: Emit> CanBus<S> {
     /// Create a bus with `num_nodes` controllers tracing into `trace`.
     ///
     /// # Panics
@@ -284,7 +284,7 @@ impl<S: Emit> CanBus<S> {
         config: BusConfig,
         num_nodes: usize,
         injector: FaultInjector,
-        trace: S,
+        trace: TraceSink,
     ) -> Self {
         assert!(num_nodes <= 128, "TxNode field limits the bus to 128 nodes");
         CanBus {
@@ -296,6 +296,8 @@ impl<S: Emit> CanBus<S> {
             inflight: None,
             arb_scheduled: false,
             suspend_until: vec![Time::ZERO; num_nodes],
+            candidates: Vec::with_capacity(num_nodes),
+            arb_fields: Vec::with_capacity(num_nodes + 1),
             receivers: Vec::with_capacity(num_nodes),
             trace_src: trace.intern("bus"),
             trace,
@@ -304,7 +306,7 @@ impl<S: Emit> CanBus<S> {
     }
 
     /// Attach a trace sink.
-    pub fn set_trace(&mut self, trace: S) {
+    pub fn set_trace(&mut self, trace: TraceSink) {
         self.trace_src = trace.intern("bus");
         self.trace = trace;
     }
@@ -418,21 +420,23 @@ impl<S: Emit> CanBus<S> {
         // Gather each transmit-capable controller's contending
         // identifier; error-passive nodes sit out their suspend pause.
         let mut suspended_min: Option<Time> = None;
-        let mut candidates: Vec<(CanId, NodeId)> = self
-            .controllers
-            .iter()
-            .filter(|c| c.can_transmit())
-            .filter_map(|c| c.contending_id().map(|id| (id, c.node())))
-            .filter(|&(_, node)| {
-                let until = self.suspend_until[node.index()];
-                if now < until {
-                    suspended_min = Some(suspended_min.map_or(until, |m: Time| m.min(until)));
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.extend(
+            self.controllers
+                .iter()
+                .filter(|c| c.can_transmit())
+                .filter_map(|c| c.contending_id().map(|id| (id, c.node())))
+                .filter(|&(_, node)| {
+                    let until = self.suspend_until[node.index()];
+                    if now < until {
+                        suspended_min = Some(suspended_min.map_or(until, |m: Time| m.min(until)));
+                        false
+                    } else {
+                        true
+                    }
+                }),
+        );
         if candidates.is_empty() {
             if let Some(resume) = suspended_min {
                 // Everyone with work is suspended: retry when the first
@@ -459,12 +463,15 @@ impl<S: Emit> CanBus<S> {
         if self.trace.is_enabled() {
             // One "cand" entry per contender: node in the high half,
             // raw 29-bit identifier in the low half.
-            let mut fields: Vec<(&'static str, u64)> = candidates
-                .iter()
-                .map(|&(id, node)| ("cand", (u64::from(node.0) << 32) | u64::from(id.raw())))
-                .collect();
+            let fields = &mut self.arb_fields;
+            fields.clear();
+            fields.extend(
+                candidates
+                    .iter()
+                    .map(|&(id, node)| ("cand", (u64::from(node.0) << 32) | u64::from(id.raw()))),
+            );
             fields.push(("win", u64::from(winner_id.raw())));
-            self.trace.emit_fields(now, self.trace_src, "arb", &fields);
+            self.trace.emit_fields(now, self.trace_src, "arb", fields);
         }
 
         let controller = &mut self.controllers[winner_node.index()];

@@ -338,7 +338,7 @@ const MACHINE_PATH: &str = "crates/core/src/machine.rs";
 /// `C7`: everything the sans-IO machine must leave to its hosts.
 const MACHINE_RULES: &[TextRule] = &[TextRule {
     id: RuleId::MachineNamesIo,
-    // `TraceSink` also catches `SharedTraceSink`.
+    // `TraceSink` is the one sink type every host traces into.
     needles: &[
         "std::time",
         "std::thread",
@@ -615,7 +615,6 @@ mod tests {
             "use std::net::UdpSocket;",
             "use rtec_sim::sync::Mutex;",
             "fn emit(sink: &TraceSink) {}",
-            "fn emit(sink: &SharedTraceSink) {}",
             "fn send(bus: &mut CanBus) {}",
             "fn arm(ctx: &mut Ctx<NetEvent>) {}",
             "fn send(t: &mut dyn NodeTransport) {}",
@@ -630,7 +629,7 @@ mod tests {
         // ... and its hosts are outside C7: they own the I/O.
         let rep = lint_one(
             "node.rs",
-            "fn f(t: &mut dyn NodeTransport, s: &SharedTraceSink) {}\n",
+            "fn f(t: &mut dyn NodeTransport, s: &TraceSink) {}\n",
         );
         assert!(rep.passes(), "{rep}");
     }

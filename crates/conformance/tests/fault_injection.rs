@@ -54,7 +54,6 @@ fn ev(at_ns: u64, kind: &'static str, fields: Vec<(&'static str, u64)>) -> Trace
         time: Time::from_ns(at_ns),
         source: "test".into(),
         kind,
-        detail: String::new(),
         fields,
     }
 }

@@ -56,7 +56,7 @@ use rtec_core::{ChannelClass, ChannelSpec, Subject};
 use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::sync::atomic::{AtomicU64, Ordering};
 use rtec_live::sync::{mpsc, thread, Arc, Mutex, MutexGuard};
-use rtec_sim::{SharedTraceSink, SourceId, Time};
+use rtec_sim::{SourceId, Time, TraceSink};
 use std::collections::HashMap;
 
 pub use crate::session::SessionStats;
@@ -83,7 +83,7 @@ pub struct GatewayConfig {
     pub resume_ring_cap: usize,
     /// Trace sink shared with the cluster (see `Cluster::use_sink`) so
     /// gateway records merge into the audited trace.
-    pub sink: SharedTraceSink,
+    pub sink: TraceSink,
 }
 
 impl Default for GatewayConfig {
@@ -93,7 +93,7 @@ impl Default for GatewayConfig {
             client_queue_cap: 64,
             session_ttl_ns: 1_000_000_000,
             resume_ring_cap: 128,
-            sink: SharedTraceSink::disabled(),
+            sink: TraceSink::disabled(),
         }
     }
 }
@@ -806,7 +806,7 @@ struct WorkerState {
     sessions: Arc<Mutex<SessionStore>>,
     /// The gateway's TTL clock, read when a replay ends.
     now_wm: Arc<AtomicU64>,
-    trace: SharedTraceSink,
+    trace: TraceSink,
     src: SourceId,
 }
 

@@ -18,7 +18,7 @@ use rtec_live::chaos::{LinkChaos, LinkFault, LinkPlan};
 use rtec_live::cluster::{Cluster, ClusterConfig, LiveReport};
 use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::Pace;
-use rtec_sim::{Duration, SharedTraceSink};
+use rtec_sim::{Duration, TraceSink};
 
 /// Publishes a fresh HRT sample every calendar round.
 struct HrtSource {
@@ -221,7 +221,7 @@ fn hrt_beats_nrt_bulk_under_client_contention() {
 
 /// Build the standard mixed cluster + gateway used by the determinism
 /// and audit tests.
-fn mixed_run(sink: Option<SharedTraceSink>) -> (LiveReport, GatewayReport, u8) {
+fn mixed_run(sink: Option<TraceSink>) -> (LiveReport, GatewayReport, u8) {
     let hrt_subject = Subject::new(0x1001);
     let srt_subject = Subject::new(0x2002);
     let nrt_subject = Subject::new(0x3003);
@@ -259,7 +259,7 @@ fn mixed_run(sink: Option<SharedTraceSink>) -> (LiveReport, GatewayReport, u8) {
     let gateway = Gateway::new(GatewayConfig {
         workers: 4,
         client_queue_cap: 8,
-        sink: sink.clone().unwrap_or_else(SharedTraceSink::disabled),
+        sink: sink.clone().unwrap_or_else(TraceSink::disabled),
         ..GatewayConfig::default()
     });
     gateway.bind(hrt_subject, &hrt);
@@ -321,7 +321,7 @@ fn same_seed_gateway_runs_are_byte_identical() {
 /// combined trace still satisfies the T1..T8 auditor.
 #[test]
 fn merged_gateway_trace_passes_conformance_audit() {
-    let sink = SharedTraceSink::enabled();
+    let sink = TraceSink::enabled();
     let (report, gw, gw_node) = mixed_run(Some(sink.clone()));
     check_mixed_counters(&report, &gw, gw_node);
     assert!(gw.stats.delivered_msgs > 0);

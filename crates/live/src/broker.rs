@@ -94,7 +94,7 @@ use rtec_can::{
     AcceptanceFilter, BusConfig, CanBus, CanEvent, CanId, CanScheduler, NodeId, Notification,
     TxHandle, TxRequest, PRIO_HRT,
 };
-use rtec_sim::{Duration, Rng, SharedTraceSink, SourceId, Time};
+use rtec_sim::{Duration, Rng, SourceId, Time, TraceSink};
 use std::collections::BTreeMap;
 
 /// How long the broker waits on a node reply before declaring the node
@@ -416,8 +416,8 @@ impl CanScheduler for Agenda {
 pub struct Broker<T: BrokerTransport> {
     transport: T,
     agenda: Agenda,
-    bus: CanBus<SharedTraceSink>,
-    sink: SharedTraceSink,
+    bus: CanBus,
+    sink: TraceSink,
     src_bus: SourceId,
     strict: bool,
     heartbeat: Option<u64>,
@@ -445,7 +445,7 @@ impl<T: BrokerTransport> Broker<T> {
     /// # Panics
     /// If the transport serves more than the 128 nodes a CAN bus can
     /// name; [`crate::Cluster`] refuses such a cluster with an error.
-    pub fn new(config: BrokerConfig, transport: T, sink: SharedTraceSink) -> Self {
+    pub fn new(config: BrokerConfig, transport: T, sink: TraceSink) -> Self {
         let nodes = transport.node_count();
         let bus_config = BusConfig {
             timing: config.timing,
@@ -1063,7 +1063,7 @@ mod tests {
                 ..BrokerConfig::default()
             },
             transport,
-            SharedTraceSink::disabled(),
+            TraceSink::disabled(),
         )
     }
 
@@ -1257,11 +1257,11 @@ mod tests {
     struct Recorder {
         replies: Vec<std::collections::VecDeque<ToBroker>>,
         sent: Vec<(u8, ToNode)>,
-        sink: SharedTraceSink,
+        sink: TraceSink,
     }
 
     impl Recorder {
-        fn new(replies: Vec<Vec<ToBroker>>, sink: SharedTraceSink) -> Self {
+        fn new(replies: Vec<Vec<ToBroker>>, sink: TraceSink) -> Self {
             Recorder {
                 replies: replies.into_iter().map(Into::into).collect(),
                 sent: Vec::new(),
@@ -1345,7 +1345,7 @@ mod tests {
         let frame_time =
             BitTiming::MBIT_1.frame_duration(&Frame::new(CanId::new(5, 0, 1), &[0x5A]));
         let at_ns = frame_time.as_ns();
-        let sink = SharedTraceSink::enabled();
+        let sink = TraceSink::enabled();
         let transport = Recorder::new(
             vec![
                 // Node 0 puts a frame on the wire at 0 — it completes
@@ -1450,7 +1450,7 @@ mod tests {
                 vec![],
                 vec![ToBroker::Listen { etag: x }, ToBroker::Listen { etag: x }],
             ],
-            SharedTraceSink::disabled(),
+            TraceSink::disabled(),
         );
         let mut broker = broker_with(true, transport);
         let stats = broker.run_supervised(Time::from_ms(1), None).expect("run");
@@ -1496,7 +1496,7 @@ mod tests {
                 ],
                 vec![arm(1_000, 1), arm(4_000, 2)],
             ],
-            SharedTraceSink::disabled(),
+            TraceSink::disabled(),
         );
         let mut broker = broker_with(true, transport);
         broker.run_supervised(Time::from_ms(1), None).expect("run");
@@ -1532,7 +1532,7 @@ mod tests {
                     ToBroker::Listen { etag: y.etag() },
                 ],
             ],
-            SharedTraceSink::disabled(),
+            TraceSink::disabled(),
         );
         let mut broker = broker_with(false, transport);
         let accepted = |broker: &Broker<Recorder>| {
@@ -1583,7 +1583,7 @@ mod tests {
                 ToBroker::Abort { handle: 99 },
                 ToBroker::Abort { handle: 2 },
             ]],
-            SharedTraceSink::enabled(),
+            TraceSink::enabled(),
         );
         let mut broker = broker_with(true, transport);
         let stats = broker.run_supervised(Time::from_ms(1), None).expect("run");

@@ -14,8 +14,8 @@
 //!   via [`rtec_analysis::admission`]; an infeasible request set fails
 //!   the build, never the run,
 //! * **spawning** — one thread per node plus the broker on the calling
-//!   thread, all sharing a [`SharedTraceSink`] so the conformance
-//!   auditor can replay the merged trace.
+//!   thread, all sharing one [`TraceSink`] (clones may cross threads)
+//!   so the conformance auditor can replay the merged trace.
 
 use crate::broker::{
     Broker, BrokerConfig, BrokerStats, FaultPlan, NodeSupervisor, SupEvent, SupKind,
@@ -35,7 +35,7 @@ use rtec_can::NodeId;
 use rtec_core::binding::ETAG_FIRST_DYNAMIC;
 use rtec_core::channel::{ChannelClass, ChannelSpec};
 use rtec_core::event::Subject;
-use rtec_sim::{Duration, Rng, SharedTraceSink, Time, TraceEvent};
+use rtec_sim::{Duration, Rng, Time, TraceEvent, TraceSink};
 use std::collections::HashMap;
 
 /// Cluster-wide knobs. `Default` matches the paper's bus: 1 Mbit/s,
@@ -63,10 +63,6 @@ pub struct ClusterConfig {
     pub nrt_queue_cap: usize,
     /// Record structured trace events (needed for auditing).
     pub trace: bool,
-    /// Bound the trace ring to this many records (`None` = unbounded).
-    /// When the ring overflows, the oldest records are evicted and the
-    /// eviction count surfaces as [`LiveReport::trace_dropped`].
-    pub trace_capacity: Option<usize>,
     /// Pre-supervision behavior: any node fault aborts the run with a
     /// terminal error instead of quarantining/restarting the node.
     pub strict: bool,
@@ -98,7 +94,6 @@ impl Default for ClusterConfig {
             srt_queue_cap: 16,
             nrt_queue_cap: 64,
             trace: true,
-            trace_capacity: None,
             strict: false,
             heartbeat: Some(Duration::from_ms(50)),
             max_restarts: 4,
@@ -140,7 +135,7 @@ struct NodeDef {
 pub struct Cluster {
     cfg: ClusterConfig,
     nodes: Vec<NodeDef>,
-    sink: Option<SharedTraceSink>,
+    sink: Option<TraceSink>,
 }
 
 /// Supervision outcome of a run: every health transition the broker
@@ -229,14 +224,14 @@ impl Cluster {
 
     /// Route this cluster's structured trace into an externally owned
     /// sink instead of building a private one from
-    /// [`ClusterConfig::trace`]/`trace_capacity`.
+    /// [`ClusterConfig::trace`].
     ///
     /// Off-bus layers (the gateway's fanout workers) hand the same sink
     /// to their own emitters, so one merged, time-sorted trace covers
     /// the bus *and* everything behind it and a single T1–T8 audit pass
     /// sees the whole system. The sink decides enabled/disabled and
-    /// capacity; the config's trace flags are ignored when this is set.
-    pub fn use_sink(&mut self, sink: SharedTraceSink) {
+    /// capacity; the config's `trace` flag is ignored when this is set.
+    pub fn use_sink(&mut self, sink: TraceSink) {
         self.sink = Some(sink);
     }
 
@@ -398,11 +393,10 @@ impl Cluster {
         let calendar = Arc::new(CalendarPlan::plan(
             cfg.round, &requests, cfg.timing, cfg.gap,
         )?);
-        let sink = match (self.sink, cfg.trace, cfg.trace_capacity) {
-            (Some(shared), _, _) => shared,
-            (None, false, _) => SharedTraceSink::disabled(),
-            (None, true, None) => SharedTraceSink::enabled(),
-            (None, true, Some(cap)) => SharedTraceSink::enabled_with_capacity(cap),
+        let sink = match (self.sink, cfg.trace) {
+            (Some(sink), _) => sink,
+            (None, true) => TraceSink::enabled(),
+            (None, false) => TraceSink::disabled(),
         };
         let shared = SharedConfig {
             calendar: Arc::clone(&calendar),

@@ -46,7 +46,7 @@ use rtec_core::machine::{
     TxSlots,
 };
 use rtec_core::node::unpack_tag;
-use rtec_sim::{Duration, SharedTraceSink, SourceId, Time};
+use rtec_sim::{Duration, SourceId, Time, TraceSink};
 use std::collections::HashMap;
 
 /// How long a node waits for the next broker message before treating
@@ -127,7 +127,7 @@ pub struct SharedConfig {
     /// the final log into bus order ((wire_ns, node)).
     pub log: Arc<Mutex<Vec<DeliveryRecord>>>,
     /// Shared structured trace sink (same records as the simulator).
-    pub sink: SharedTraceSink,
+    pub sink: TraceSink,
     /// Crash snapshots, keyed by node id: written by a dying node
     /// thread on its way out, adopted by the next incarnation during
     /// its `Welcome` handshake.

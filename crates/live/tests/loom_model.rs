@@ -40,7 +40,7 @@ use rtec_live::sync::thread;
 use rtec_live::transport::{loopback, NodeTransport};
 use rtec_live::wire::{ToBroker, ToNode};
 use rtec_live::LiveError;
-use rtec_sim::{SharedTraceSink, Time};
+use rtec_sim::{Time, TraceSink};
 
 const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
 
@@ -71,7 +71,7 @@ fn broker(
             ..BrokerConfig::default()
         },
         transport,
-        SharedTraceSink::disabled(),
+        TraceSink::disabled(),
     )
 }
 
@@ -280,7 +280,7 @@ fn restart_handshake_rejoins_under_all_schedules() {
                         ..BrokerConfig::default()
                     },
                     bt,
-                    SharedTraceSink::disabled(),
+                    TraceSink::disabled(),
                 );
                 let result = broker.run_supervised(Time::from_ms(1), Some(&mut sup));
                 (result, broker.take_sup_log(), sup)

@@ -55,4 +55,4 @@ pub use rng::{Rng, RngStreams};
 pub use stats::{Histogram, OnlineStats};
 pub use telemetry::EngineTelemetry;
 pub use time::{Duration, Time};
-pub use trace::{Emit, SharedTraceSink, SourceId, TraceEvent, TraceSink};
+pub use trace::{SharedTraceSink, SourceId, TraceEvent, TraceSink};
