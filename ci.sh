@@ -19,7 +19,8 @@ echo "== cargo test (every crate outside vendor/)"
 # The root [workspace] lists default-members, so this is tier-1. It
 # includes the source lints C1..C10 (srclint's
 # `the_real_runtime_is_clean`, the same pass as `rtec-verify .`), both
-# experiment goldens and both chaos gates (crates/bench/tests/).
+# experiment goldens, both chaos gates and the zero-allocation cost
+# ratchet (crates/bench/tests/).
 cargo test -q
 
 echo "== loom model check (broker lock-step + PDES window barrier, exhaustive)"
@@ -58,11 +59,6 @@ fi
 echo "== conformance fault-injection suite"
 cargo test -p rtec-conformance --test fault_injection -q
 cargo test -p rtec-conformance --test end_to_end -q
-
-echo "== frag zero-allocation smoke (steady-state reassembly)"
-# Counting-allocator assert: after warm-up, bulk reassembly performs
-# no heap allocations (scratch-buffer reuse in rtec_core::frag).
-cargo run -p rtec-bench --bin experiments --release -- frag-smoke
 
 echo "== live-runtime loopback smoke (demo + auditor, hard timeout)"
 # The live runtime is threads in lock-step over IPC: a protocol bug

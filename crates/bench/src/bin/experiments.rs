@@ -8,7 +8,6 @@
 //! experiments all --jobs 4    # shard the sweep over a worker pool
 //! experiments all --no-conformance  # skip the conformance linter/auditor
 //! experiments --list          # show the index
-//! experiments frag-smoke      # zero-allocation check of the frag hot path
 //! experiments chaos           # crash/recovery smoke of the live runtime
 //! experiments chaos --seed 7 --ci   # bounded CI gate, different fault stream
 //! experiments chaos gateway --ci    # gateway kill + session-resume gate
@@ -27,95 +26,8 @@ type ExperimentSpec = (
     fn(&RunOpts) -> Vec<rtec_bench::Table>,
 );
 
-/// Allocation-counting wrapper around the system allocator. The only
-/// `unsafe` in the workspace: it adds nothing but a relaxed counter
-/// bump in front of `System`, and exists so `frag-smoke` can assert —
-/// not estimate — that the reassembly hot path stops allocating once
-/// its scratch buffers are warm.
-#[allow(unsafe_code)]
-mod counted_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    /// Total allocation calls (alloc, alloc_zeroed, grow-reallocs)
-    /// since process start.
-    pub fn allocations() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
-    struct Counting;
-
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc_zeroed(layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static COUNTER: Counting = Counting;
-}
-
-/// Zero-allocation smoke of the fragmentation hot path: after one
-/// warm-up transfer populates the reassembler's scratch free-list,
-/// 1000 further transfers through the same stream must perform **no**
-/// heap allocations. Runs single-threaded, before any worker pool
-/// exists, so the process-wide counter measures exactly this loop.
-fn frag_smoke() -> i32 {
-    use rtec_core::frag::{fragment, Reassembler};
-
-    let payload = vec![0xA5u8; 1536]; // a many-fragment bulk transfer
-    let frags = fragment(&payload);
-    let mut r: Reassembler<u8> = Reassembler::new();
-
-    // Warm-up: allocates the transfer buffer and map slot once.
-    let mut done = None;
-    for f in &frags {
-        done = r.push(7, f).expect("warm-up fragment stream");
-    }
-    r.recycle(done.expect("warm-up transfer completes"));
-
-    let rounds = 1000u32;
-    let before = counted_alloc::allocations();
-    for _ in 0..rounds {
-        let mut done = None;
-        for f in &frags {
-            done = r.push(7, f).expect("steady-state fragment stream");
-        }
-        r.recycle(done.expect("steady-state transfer completes"));
-    }
-    let delta = counted_alloc::allocations() - before;
-
-    eprintln!(
-        "frag-smoke: {rounds} transfers × {} fragments ({} bytes each): {delta} allocation(s)",
-        frags.len(),
-        payload.len()
-    );
-    if delta > 0 {
-        eprintln!(
-            "frag-smoke: steady-state reassembly must not allocate — scratch reuse regressed"
-        );
-        return 1;
-    }
-    eprintln!("frag-smoke: ok");
-    0
-}
-
 const USAGE: &str = "usage: experiments (all | e1..e11)... [--quick] [--seed N] [--jobs N] \
-[--no-conformance] | --list | frag-smoke | chaos [gateway] [--seed N] [--quick | --ci]";
+[--no-conformance] | --list | chaos [gateway] [--seed N] [--quick | --ci]";
 
 /// Reject the command line: exit 2 with the reason and the usage line.
 fn usage_error(msg: &str) -> ! {
@@ -164,7 +76,6 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            "frag-smoke" => std::process::exit(frag_smoke()),
             other => selected.push(other.to_lowercase()),
         }
     }

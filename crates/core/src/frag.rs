@@ -170,8 +170,9 @@ const SCRATCH_LIMIT: usize = 32;
 /// the FIRST fragment's announced total (so later fragments never
 /// reallocate), and finished buffers can be handed back with
 /// [`Reassembler::recycle`] for the next transfer to reuse (buffers of
-/// failed transfers are reclaimed internally). The bench harness
-/// asserts the zero-allocation property with a counting allocator.
+/// failed transfers are reclaimed internally). The bench crate's
+/// `cost_ratchet` test asserts the zero-allocation property with a
+/// counting allocator.
 #[derive(Clone, Debug, Default)]
 pub struct Reassembler<K: std::hash::Hash + Eq + Clone> {
     partials: HashMap<K, Partial>,
