@@ -429,6 +429,25 @@ mod tests {
     }
 
     #[test]
+    fn shared_sink_bounded_and_disabled_behaviour() {
+        let off = TraceSink::disabled();
+        let off_src = off.clone().intern("a");
+        off.clone().emit_fields(Time::ZERO, off_src, "x", &[]);
+        assert!(off.is_empty());
+        assert_eq!(off.dropped(), 0);
+        let bounded = TraceSink::enabled_with_capacity(2);
+        let writer = bounded.clone();
+        let src = writer.intern("a");
+        for i in 0..5u64 {
+            writer.emit_fields(Time::from_ns(i), src, "x", &[("i", i)]);
+        }
+        assert_eq!(bounded.len(), 2);
+        assert_eq!(bounded.dropped(), 3);
+        let seen: Vec<u64> = bounded.events().iter().filter_map(|e| e.field("i")).collect();
+        assert_eq!(seen, vec![3, 4]);
+    }
+
+    #[test]
     fn shared_sink_is_usable_across_threads() {
         let sink = TraceSink::enabled();
         let src = sink.intern("worker");
