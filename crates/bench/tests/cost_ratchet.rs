@@ -1,12 +1,19 @@
 //! Deterministic cost counts, ratcheted: hot paths whose steady state
-//! must not touch the heap, checked with a counting global allocator.
+//! must not touch the heap, checked with a counting global allocator,
+//! and the live runtime's lock-step turns per frame, pinned exactly.
 //!
 //! libtest runs tests on parallel threads, so the allocator counts per
 //! thread and each test reads only its own thread's count.
 
+use rtec_core::channel::{ChannelSpec, HrtSpec, NrtSpec, SrtSpec};
+use rtec_core::event::{Event, Subject};
 use rtec_core::frag::{fragment, Reassembler};
+use rtec_live::broker::BrokerStats;
+use rtec_live::cluster::{Cluster, ClusterConfig};
+use rtec_live::node::{Behavior, NodeCtx};
+use rtec_live::Pace;
 use rtec_sim::trace::INLINE_FIELDS;
-use rtec_sim::{Time, TraceSink};
+use rtec_sim::{Duration, Time, TraceSink};
 
 /// Allocation-counting wrapper around the system allocator: the only
 /// `unsafe` in the workspace. It adds nothing but a thread-local
@@ -131,4 +138,113 @@ fn disabled_trace_sink_allocates_nothing() {
     let n = allocations_in(|| emit_burst(&sink));
     assert_eq!(n, 0, "a disabled sink allocated");
     assert!(sink.is_empty());
+}
+
+const HRT: Subject = Subject(0xB001);
+const SRT: Subject = Subject(0xB100);
+const NRT: Subject = Subject(0xB200);
+/// First publish of the SRT and NRT sources, off the whole-µs grid.
+const PHASE: Duration = Duration::from_ns(73_300);
+
+/// A periodic publisher of deterministic payloads: the HRT source is
+/// staged ahead of its calendar slot, the others start at [`PHASE`].
+struct Source {
+    subject: Subject,
+    period: Duration,
+    len: usize,
+    n: u32,
+}
+
+impl Source {
+    fn publish(&mut self, ctx: &mut NodeCtx<'_>) {
+        let mut bytes = self.n.to_le_bytes().to_vec();
+        bytes.resize(self.len, self.n as u8 ^ 0xA5);
+        let _ = ctx.publish(Event::new(self.subject, bytes));
+        self.n += 1;
+    }
+}
+
+impl Behavior for Source {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        let first = if self.subject == HRT {
+            self.publish(ctx);
+            ctx.hrt_stage_schedule(HRT).expect("HRT slot").0
+        } else {
+            ctx.now() + PHASE
+        };
+        ctx.set_timer(first, 0).expect("arm");
+    }
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _payload: u64) {
+        self.publish(ctx);
+        ctx.set_timer(ctx.now() + self.period, 0).expect("arm");
+    }
+}
+
+struct Subscriber;
+impl Behavior for Subscriber {}
+
+/// The shape of the `live-narrow` benchmark workload, for 200 ms of bus
+/// time: an HRT channel, one SRT source every 200 µs and one 240-byte
+/// NRT bulk source every 30 ms on four nodes, one of them the
+/// subscriber, lock-step under virtual pacing.
+fn narrow_cluster_run() -> BrokerStats {
+    let mut cluster = Cluster::new(ClusterConfig {
+        pace: Pace::Virtual,
+        nrt_queue_cap: 256,
+        ..ClusterConfig::default()
+    });
+    let sources = [
+        (
+            HRT,
+            Duration::from_ms(10),
+            8,
+            ChannelSpec::Hrt(HrtSpec::periodic_10ms()),
+        ),
+        (
+            SRT,
+            Duration::from_us(200),
+            8,
+            ChannelSpec::Srt(SrtSpec::default()),
+        ),
+        (
+            NRT,
+            Duration::from_ms(30),
+            240,
+            ChannelSpec::Nrt(NrtSpec::bulk()),
+        ),
+    ];
+    for (subject, period, len, spec) in sources {
+        let source = Source {
+            subject,
+            period,
+            len,
+            n: 0,
+        };
+        let node = cluster.add_node(Box::new(source));
+        cluster.publish(node, subject, spec);
+    }
+    let sub = cluster.add_node(Box::new(Subscriber));
+    for (subject, _, _, spec) in sources {
+        cluster.subscribe(sub, subject, spec);
+    }
+    let report = cluster.run_for(Duration::from_ms(200)).expect("live run");
+    report.broker
+}
+
+/// Lock-step turns are a count, not a wall time: a narrow cluster's
+/// frames, turns and re-armed promotions are pinned exactly, and equal
+/// over three runs. A change that lowers `turns` lowers the pin; one
+/// that raises it says why in its own commit.
+#[test]
+fn narrow_cluster_turns_are_pinned() {
+    let runs: Vec<BrokerStats> = (0..3).map(|_| narrow_cluster_run()).collect();
+    assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:#?}");
+    let stats = &runs[0];
+    let counts = (stats.frames_ok, stats.turns, stats.promotes_rearmed);
+    assert_eq!(
+        counts,
+        (1354, 4166, 872),
+        "(frames_ok, turns, promotes_rearmed)"
+    );
 }

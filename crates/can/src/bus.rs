@@ -378,7 +378,11 @@ impl CanBus {
         self.controllers[node.index()].update_id(handle, new_id)
     }
 
-    fn is_handle_inflight(&self, node: NodeId, handle: TxHandle) -> bool {
+    /// `true` while `node`'s request `handle` is on the wire: then
+    /// [`CanBus::abort`] and [`CanBus::update_id`] refuse it, and it
+    /// leaves the wire only by completing or by an error frame.
+    #[inline]
+    pub fn is_handle_inflight(&self, node: NodeId, handle: TxHandle) -> bool {
         self.inflight
             .as_ref()
             .is_some_and(|f| f.node == node && f.handle == handle)

@@ -157,6 +157,61 @@ impl SrtPriority {
             }
         }
     }
+
+    /// The instants a promotion due at `at` is followed by: iterating
+    /// [`SrtPriority::next_change`] from `at` visits exactly `at`,
+    /// `at + every`, …, `last` ([`PromoteChain::after`]). `None` if `at`
+    /// is not an instant the priority changes at — a host then has no
+    /// chain to follow and must fire the timer — and for `Fixed`, which
+    /// arms no promotion.
+    pub fn promote_chain(
+        self,
+        slots: &PrioritySlotConfig,
+        deadline: Time,
+        at: Time,
+    ) -> Option<PromoteChain> {
+        match self {
+            // Every Δt_p, up to the start of the final slot.
+            SrtPriority::Slots => {
+                let remaining = deadline.saturating_since(at);
+                remaining
+                    .as_ns()
+                    .is_multiple_of(slots.slot.as_ns())
+                    .then(|| PromoteChain {
+                        every: slots.slot,
+                        last: deadline.saturating_sub(slots.slot).max(at),
+                    })
+            }
+            SrtPriority::Fixed(_) => None,
+            // One instant.
+            SrtPriority::Dual { lead, .. } => {
+                (at == deadline.saturating_sub(lead)).then_some(PromoteChain {
+                    every: lead,
+                    last: at,
+                })
+            }
+        }
+    }
+}
+
+/// The promotion instants of one submitted SRT message from some
+/// instant on, every `every` up to and including `last`
+/// ([`SrtPriority::promote_chain`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PromoteChain {
+    /// Distance between two promotions.
+    pub every: Duration,
+    /// The last promotion.
+    pub last: Time,
+}
+
+impl PromoteChain {
+    /// The promotion after the one due at `at`: `at + every` unless
+    /// that lies past `last` (or does not lie after `at`).
+    pub fn after(self, at: Time) -> Option<Time> {
+        let next = Time::from_ns(at.as_ns().checked_add(self.every.as_ns())?);
+        (at < next && next <= self.last).then_some(next)
+    }
 }
 
 /// Attributes of a non real-time channel.

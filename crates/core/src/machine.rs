@@ -39,7 +39,9 @@
 //! calendar timers, local-clock ↔ global-time translation, binding and
 //! clock-sync frames, handler dispatch and measurement.
 
-use crate::channel::{ChannelClass, ChannelException, ChannelSpec, SrtPriority, SubscribeSpec};
+use crate::channel::{
+    ChannelClass, ChannelException, ChannelSpec, PromoteChain, SrtPriority, SubscribeSpec,
+};
 use crate::event::{Delivery, Event, EventAttributes, Subject};
 use crate::frag::{try_fragment, Reassembler, MAX_MESSAGE_LEN};
 use crate::node::{pack_tag, unpack_tag, TagKind};
@@ -587,6 +589,18 @@ impl NodeMachine {
     /// The SRT message currently submitted.
     pub fn srt_submitted(&self) -> Option<SrtTx> {
         self.srt_tx
+    }
+
+    /// The chain an [`SrtTimer::Promote`] armed for queued message
+    /// `seq` at `at` re-arms along while the message stays submitted:
+    /// each promotion it handles arms the next instant of
+    /// [`SrtPriority::promote_chain`], and nothing else of the machine
+    /// changes. A host that can tell the bus would refuse the rewrite
+    /// may therefore re-arm the timer itself.
+    pub fn promote_chain(&self, seq: u32, at: Time) -> Option<PromoteChain> {
+        let msg = self.srt.get(seq)?;
+        msg.priority
+            .promote_chain(&self.cfg.priority_slots, msg.deadline, at)
     }
 
     /// The NRT transfers, the front one being sent.

@@ -442,6 +442,10 @@ impl Harness {
 
     /// Feed one input and check every output against the contracts.
     fn feed(&mut self, input: Input) -> Result<Result<(), PublishError>, TestCaseError> {
+        let promoting = match input {
+            Input::SrtPromote { seq } => Some(seq),
+            _ => None,
+        };
         let mut out = Vec::new();
         let accepted = self.m.handle(self.now, input, &mut out);
         if accepted.is_err() {
@@ -489,6 +493,17 @@ impl Harness {
                 Output::ArmTimer { at, timer, seq } => {
                     if timer == SrtTimer::Deadline {
                         self.srt_deadlines.insert(seq, at);
+                    }
+                    if timer == SrtTimer::Promote {
+                        // Every promotion starts a chain, and a
+                        // promotion re-arms along the one it fired on.
+                        let chain = self.m.promote_chain(seq, at);
+                        prop_assert!(chain.is_some(), "promotion off its chain: {seq}");
+                        let fired = self.m.promote_chain(seq, self.now);
+                        if let (Some(seq_), Some(fired)) = (promoting, fired) {
+                            prop_assert_eq!(seq_, seq);
+                            prop_assert_eq!(fired.after(self.now), Some(at));
+                        }
                     }
                     let id = self.id();
                     self.due.push((at.max(self.now), id, Due::Srt(timer, seq)));

@@ -1,11 +1,15 @@
 //! Property-based tests of the middleware's pure kernels:
-//! fragmentation, tag packing and the binding wire formats.
+//! fragmentation, tag packing, the binding wire formats and the SRT
+//! promotion chain.
 
 use proptest::prelude::*;
+use rtec_analysis::edf::PrioritySlotConfig;
 use rtec_core::binding::{BindReply, BindRequest, BindStatus, SubjectRegistry};
+use rtec_core::channel::SrtPriority;
 use rtec_core::event::Subject;
 use rtec_core::frag::{fragment, fragment_count, Reassembler};
 use rtec_core::node::{pack_tag, unpack_tag, TagKind};
+use rtec_sim::{Duration, Time};
 
 fn arb_kind() -> impl Strategy<Value = TagKind> {
     prop_oneof![
@@ -121,5 +125,69 @@ proptest! {
             prop_assert_eq!(reg.bind(Subject::new(uid)).unwrap(), etag);
         }
         prop_assert_eq!(reg.len(), uids.len());
+    }
+
+    /// The promotion chain is the machine's own re-arm sequence: from
+    /// a promotion instant `at`, iterating `SrtPriority::next_change`
+    /// visits exactly `at, at + every, …, last` — for random slot
+    /// lengths and level counts, deadlines inside one slot and beyond
+    /// the horizon ΔH, and random start instants. From an instant the
+    /// priority does not change at there is no chain, unless iterating
+    /// from it still follows one.
+    #[test]
+    fn promote_chain_is_the_next_change_sequence(
+        slot_ns in 1_000u64..500_000,
+        levels in 1u8..=250,
+        now_ns in 0u64..1_000_000_000,
+        // In slots; the horizon ΔH is `levels` slots.
+        ahead in 0.0f64..600.0,
+        dual in any::<bool>(),
+        lead_frac in 0.0f64..1.5,
+        fixed in any::<bool>(),
+        off_grid_ns in 0u64..1_000_000,
+    ) {
+        let slots = PrioritySlotConfig { slot: Duration::from_ns(slot_ns), p_min: 1, p_max: levels };
+        let now = Time::from_ns(now_ns);
+        let span = (ahead * slot_ns as f64) as u64;
+        let deadline = now + Duration::from_ns(span);
+        let policy = if fixed {
+            SrtPriority::Fixed(levels)
+        } else if dual {
+            let lead = Duration::from_ns((lead_frac * span as f64) as u64);
+            SrtPriority::Dual { low: levels, high: 1, lead }
+        } else {
+            SrtPriority::Slots
+        };
+        let visits = |from: Time| {
+            let mut seen = vec![from];
+            while let Some(t) = policy.next_change(&slots, deadline, *seen.last().unwrap()) {
+                seen.push(t);
+            }
+            seen
+        };
+        let follows = |from: Time, chain: rtec_core::channel::PromoteChain| {
+            let mut seen = vec![from];
+            while let Some(t) = chain.after(*seen.last().unwrap()) {
+                seen.push(t);
+            }
+            prop_assert_eq!(*seen.last().unwrap(), chain.last);
+            Ok(seen)
+        };
+        if let Some(at) = policy.next_change(&slots, deadline, now) {
+            let chain = policy.promote_chain(&slots, deadline, at);
+            prop_assert!(chain.is_some(), "no chain from promotion instant {:?}", at);
+            let chain = chain.unwrap();
+            prop_assert_eq!(follows(at, chain)?, visits(at));
+            if policy == SrtPriority::Slots {
+                prop_assert_eq!(chain.every, slots.slot);
+                prop_assert_eq!(chain.last, deadline.saturating_sub(slots.slot));
+            }
+        }
+        prop_assert!(!fixed || policy.promote_chain(&slots, deadline, now).is_none());
+        // Any instant: a chain, where there is one, is still exact.
+        let any = now + Duration::from_ns(off_grid_ns);
+        if let Some(chain) = policy.promote_chain(&slots, deadline, any) {
+            prop_assert_eq!(follows(any, chain)?, visits(any));
+        }
     }
 }

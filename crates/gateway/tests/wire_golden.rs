@@ -1,5 +1,5 @@
 //! Golden bytes of both wire protocols: one fixed instance of every
-//! message kind of the broker ⇄ node protocol (`RL`, 17 kinds) and of
+//! message kind of the broker ⇄ node protocol (`RL`, 18 kinds) and of
 //! the gateway ⇄ client protocol (`RG`, 10 kinds), encoded and compared
 //! against hex literals.
 //!
@@ -88,6 +88,16 @@ fn broker_protocol_node_to_broker_bytes() {
                 token: 0x0F0E_0D0C_0B0A_0908,
             },
             "524c010a08090a0b0c0d0e0f",
+        ),
+        (
+            ToBroker::PromoteReq {
+                at_ns: 0x0011_2233_4455_6677,
+                token: 0x8899_AABB_CCDD_EEFF,
+                handle: 0x0102_0304,
+                every_ns: 160_000,
+                last_ns: 0x0A0B_0C0D_0E0F_1011,
+            },
+            "524c010b7766554433221100ffeeddccbbaa998804030201007102000000000011100f0e0d0c0b0a",
         ),
     ];
     for (msg, golden) in cases {

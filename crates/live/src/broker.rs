@@ -36,11 +36,22 @@
 //! `all_received` it computes from omission victims and operational
 //! state, never from filters. A timer is *withdrawn* (`TimerCancel`)
 //! once the machine says its message left the queue (`Output::Disarm`).
+//! An SRT promotion is armed with a [`ToBroker::PromoteReq`], which
+//! names the submit it promotes and the chain the node's machine
+//! re-arms it along; when it comes due with that frame on the wire,
+//! where the bus refuses the rewrite, the broker *re-arms* it at the
+//! chain's next instant itself, sends the node nothing and counts
+//! [`BrokerStats::promotes_rearmed`].
 //! The argument above holds for the sparser turn: who is sent a message
 //! at an instant is a function of broker state alone (filter banks, the
-//! sender, the agenda), every addressed node is still drained to `Idle`
-//! in the same fixed order, and a withdrawn timer is one whose turn
-//! would have drawn no reply but `Idle`.
+//! sender, the agenda, the bus), every addressed node is still drained
+//! to `Idle` in the same fixed order, a withdrawn timer is one whose
+//! turn would have drawn no reply but `Idle`, and a re-armed promotion
+//! is one whose turn would have drawn an `UpdateId` the bus refuses and
+//! the very timer request the broker inserts in its place — under the
+//! agenda sequence number that request would have taken, so ties keep
+//! their order. A re-armed promotion is no contact: it does not reset
+//! the node's heartbeat silence or earn an error-passive node credit.
 //!
 //! Everything due sits on one agenda keyed `(at_ns, rank, seq)`, so
 //! the order within one bus instant is fixed and written once
@@ -94,6 +105,7 @@ use rtec_can::{
     AcceptanceFilter, BusConfig, CanBus, CanEvent, CanId, CanScheduler, NodeId, Notification,
     TxHandle, TxRequest, PRIO_HRT,
 };
+use rtec_core::channel::PromoteChain;
 use rtec_sim::{Duration, Rng, SourceId, Time, TraceSink};
 use std::collections::BTreeMap;
 
@@ -199,6 +211,10 @@ pub struct BrokerStats {
     /// Node turns drained: replies closed by `Idle` or `Done`. Each is
     /// one hand-off from a node thread to the broker on the loopback.
     pub turns: u64,
+    /// SRT promotions that came due with their frame on the wire, which
+    /// the broker re-armed along their chain (or dropped past its end)
+    /// instead of sending the node a `Timer` (see the module doc).
+    pub promotes_rearmed: u64,
 }
 
 /// Per-node health, mirroring CAN fault confinement (§3.5).
@@ -365,8 +381,24 @@ enum Rank {
 /// Something queued on the agenda.
 enum Due {
     Bus(CanEvent),
-    Timer { node: u8, token: u64 },
-    Restart { node: u8, incarnation: u32 },
+    Timer {
+        node: u8,
+        token: u64,
+        /// Set for an SRT promotion ([`ToBroker::PromoteReq`]).
+        promote: Option<Promote>,
+    },
+    Restart {
+        node: u8,
+        incarnation: u32,
+    },
+}
+
+/// What the broker needs to re-arm a promotion itself: the node's
+/// submit it promotes and the chain the node's machine re-arms along.
+#[derive(Clone, Copy)]
+struct Promote {
+    handle: u32,
+    chain: PromoteChain,
 }
 
 /// Bus time and everything due on it, keyed `((at_ns, rank), seq)`. It
@@ -396,7 +428,7 @@ impl Agenda {
     /// Drop `node`'s armed timers carrying `token` (`None`: all of them).
     fn cancel_timers(&mut self, node: u8, token: Option<u64>) {
         self.due.retain(|_, due| {
-            !matches!(due, Due::Timer { node: n, token: t }
+            !matches!(due, Due::Timer { node: n, token: t, .. }
                 if *n == node && token.is_none_or(|token| token == *t))
         });
     }
@@ -522,7 +554,15 @@ impl<T: BrokerTransport> Broker<T> {
             }
             match self.agenda.due.pop_first().expect("head exists").1 {
                 Due::Bus(ev) => self.on_bus_event(ev, &mut sup)?,
-                Due::Timer { node, token } => {
+                Due::Timer {
+                    node,
+                    token,
+                    promote,
+                } => {
+                    if let Some(p) = promote.filter(|p| self.on_wire(node, p.handle)) {
+                        self.rearm(node, token, p);
+                        continue;
+                    }
                     let now_ns = self.agenda.now_ns();
                     if let Err(fault) = self.send_and_drain(node, ToNode::Timer { token, now_ns }) {
                         self.handle_fault(node, fault, &mut sup)?;
@@ -796,7 +836,31 @@ impl<T: BrokerTransport> Broker<T> {
                     }
                 }
                 ToBroker::TimerReq { at_ns, token } => {
-                    self.agenda.insert(at_ns, Due::Timer { node, token });
+                    let due = Due::Timer {
+                        node,
+                        token,
+                        promote: None,
+                    };
+                    self.agenda.insert(at_ns, due);
+                }
+                ToBroker::PromoteReq {
+                    at_ns,
+                    token,
+                    handle,
+                    every_ns,
+                    last_ns,
+                } => {
+                    let chain = PromoteChain {
+                        every: Duration::from_ns(every_ns),
+                        last: Time::from_ns(last_ns),
+                    };
+                    let promote = Some(Promote { handle, chain });
+                    let due = Due::Timer {
+                        node,
+                        token,
+                        promote,
+                    };
+                    self.agenda.insert(at_ns, due);
                 }
                 ToBroker::TimerCancel { token } => self.agenda.cancel_timers(node, Some(token)),
                 ToBroker::Listen { etag } => {
@@ -1031,6 +1095,30 @@ impl<T: BrokerTransport> Broker<T> {
             kind,
             reason,
         });
+    }
+
+    /// Whether `node`'s submit `handle` is on the wire.
+    fn on_wire(&self, node: u8, handle: u32) -> bool {
+        let table = &self.tx[node as usize];
+        let known = table.iter().find(|o| o.handle == handle);
+        known.is_some_and(|o| self.bus.is_handle_inflight(NodeId(node), o.on_bus))
+    }
+
+    /// A promotion came due with its frame on the wire: the node's
+    /// machine would send an `UpdateId` the bus refuses and arm the
+    /// chain's next instant, so arm that instant here instead. The
+    /// insert takes the sequence number the node's `TimerReq` would
+    /// have taken, so same-instant ties keep their order.
+    fn rearm(&mut self, node: u8, token: u64, promote: Promote) {
+        self.stats.promotes_rearmed += 1;
+        if let Some(next) = promote.chain.after(self.agenda.clock.now()) {
+            let due = Due::Timer {
+                node,
+                token,
+                promote: Some(promote),
+            };
+            self.agenda.insert(next.as_ns(), due);
+        }
     }
 
     /// Abort `handle` if it has not reached the wire yet. Returns
@@ -1554,6 +1642,91 @@ mod tests {
         broker.do_restart(1, 1, &mut sup).expect("restart");
         assert_eq!(accepted(&broker), (false, true));
         assert_eq!(broker.stats.node_restarts, 1);
+    }
+
+    /// A promotion due while its frame is on the wire costs the node no
+    /// turn, also while the frame is being destroyed by an error frame:
+    /// the broker re-arms it along its chain, and the node's next
+    /// `Timer` arrives at the first chain instant at which the frame is
+    /// back in arbitration (here behind node 1's more urgent frame).
+    #[test]
+    fn a_promotion_due_on_the_wire_is_rearmed_through_a_wire_error() {
+        let every = 4_000;
+        let frame = |prio, node| Frame::new(CanId::new(prio, node, 1), &[0x5A; 8]);
+        let sink = TraceSink::enabled();
+        let transport = Recorder::new(
+            vec![
+                vec![
+                    ToBroker::Submit {
+                        handle: 1,
+                        tag: 0xA,
+                        frame: frame(5, 0),
+                    },
+                    ToBroker::PromoteReq {
+                        at_ns: every,
+                        token: 7,
+                        handle: 1,
+                        every_ns: every,
+                        last_ns: 1_000_000,
+                    },
+                ],
+                vec![
+                    ToBroker::TimerReq {
+                        at_ns: 3_000,
+                        token: 99,
+                    },
+                    ToBroker::Idle,
+                    ToBroker::Submit {
+                        handle: 1,
+                        tag: 0xB,
+                        frame: frame(1, 1),
+                    },
+                ],
+            ],
+            sink.clone(),
+        );
+        // Only the attempt that starts at 0 — node 0's first — dies.
+        let fault = FaultPlan {
+            model: Some(FaultModel::Window {
+                from_ns: 0,
+                to_ns: 1,
+                corruption_p: 1.0,
+            }),
+            seed: 3,
+        };
+        let config = BrokerConfig {
+            fault,
+            strict: true,
+            ..BrokerConfig::default()
+        };
+        let mut broker = Broker::new(config, transport, sink.clone());
+        let stats = broker.run_supervised(Time::from_ms(1), None).expect("run");
+        assert_eq!((stats.frames_corrupted, stats.frames_ok), (1, 2));
+
+        let error_ns = sink
+            .events()
+            .iter()
+            .find(|e| e.kind == "tx_error")
+            .expect("the first attempt dies")
+            .time
+            .as_ns();
+        let timers: Vec<(u8, u64, u64)> = broker
+            .transport
+            .sent
+            .iter()
+            .filter_map(|(node, msg)| match msg {
+                ToNode::Timer { token, now_ns } => Some((*node, *token, *now_ns)),
+                _ => None,
+            })
+            .collect();
+        let back_in_arbitration = error_ns.div_ceil(every) * every;
+        assert_eq!(
+            timers,
+            vec![(1, 99, 3_000), (0, 7, back_in_arbitration)],
+            "error frame ended at {error_ns} ns"
+        );
+        assert!(stats.promotes_rearmed > 0);
+        assert_eq!(stats.promotes_rearmed, back_in_arbitration / every - 1);
     }
 
     /// The abort and `UpdateId` races, answered by the hosted bus: the

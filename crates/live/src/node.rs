@@ -610,7 +610,24 @@ impl NodeCore {
                     SrtTimer::Expire => TK_SRT_EXPIRE,
                     SrtTimer::Promote => TK_SRT_PROMOTE,
                 };
-                self.set_timer(at, token(kind, u64::from(seq)))
+                let token = token(kind, u64::from(seq));
+                // A promotion names its submit and its chain, so the
+                // broker can re-arm it without a turn while the frame
+                // is on the wire.
+                let chain = match timer {
+                    SrtTimer::Promote => self.machine.promote_chain(seq, at),
+                    _ => None,
+                };
+                match (chain, self.tx.get(ChannelClass::Srt)) {
+                    (Some(chain), Some(handle)) => self.send(ToBroker::PromoteReq {
+                        at_ns: at.as_ns(),
+                        token,
+                        handle,
+                        every_ns: chain.every.as_ns(),
+                        last_ns: chain.last.as_ns(),
+                    }),
+                    _ => self.set_timer(at, token),
+                }
             }
             // One-way, in this turn: the timers will not cost one each.
             Output::Disarm { seq } => [TK_SRT_DEADLINE, TK_SRT_EXPIRE, TK_SRT_PROMOTE]

@@ -393,6 +393,20 @@ mod tests {
             broker.recv_from(1, Duration::from_secs(5)).unwrap(),
             ToBroker::Idle
         );
+        // The widest request, a promotion with its chain, fits one
+        // datagram like every other.
+        let promote = ToBroker::PromoteReq {
+            at_ns: 80_000,
+            token: u64::MAX,
+            handle: 7,
+            every_ns: 160_000,
+            last_ns: 9_840_000,
+        };
+        nodes[0].send(promote.clone()).unwrap();
+        assert_eq!(
+            broker.recv_from(0, Duration::from_secs(5)).unwrap(),
+            promote
+        );
     }
 
     #[test]

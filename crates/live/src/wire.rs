@@ -79,6 +79,23 @@ pub enum ToBroker {
         /// Opaque token echoed back when it fires.
         token: u64,
     },
+    /// A [`ToBroker::TimerReq`] for an SRT promotion, with what the
+    /// broker needs to re-arm it itself while the frame is on the wire,
+    /// where the bus would refuse the rewrite anyway: the submit it
+    /// promotes and the chain the node's machine would re-arm along
+    /// (`at_ns + every_ns`, … up to `last_ns`).
+    PromoteReq {
+        /// Absolute bus time of the timer.
+        at_ns: u64,
+        /// Opaque token echoed back when it fires.
+        token: u64,
+        /// Handle of the submit the timer promotes.
+        handle: u32,
+        /// Distance between two promotions.
+        every_ns: u64,
+        /// Bus time of the last promotion.
+        last_ns: u64,
+    },
     /// Accept completions on the channel bound to `etag` (an acceptance
     /// filter, installed idempotently). Sent per subscription in the
     /// `Welcome` turn of every incarnation: no filter outlives a node.
@@ -181,6 +198,7 @@ const K_DONE: u8 = 7;
 const K_PONG: u8 = 8;
 const K_LISTEN: u8 = 9;
 const K_TIMER_CANCEL: u8 = 10;
+const K_PROMOTE_REQ: u8 = 11;
 const K_WELCOME: u8 = 16;
 const K_DELIVER: u8 = 17;
 const K_TX_DONE: u8 = 18;
@@ -217,6 +235,20 @@ pub fn encode_to_broker(msg: &ToBroker) -> Vec<u8> {
             RL.start(K_TIMER_REQ, &mut out);
             out.put_u64(*at_ns);
             out.put_u64(*token);
+        }
+        ToBroker::PromoteReq {
+            at_ns,
+            token,
+            handle,
+            every_ns,
+            last_ns,
+        } => {
+            RL.start(K_PROMOTE_REQ, &mut out);
+            out.put_u64(*at_ns);
+            out.put_u64(*token);
+            out.put_u32(*handle);
+            out.put_u64(*every_ns);
+            out.put_u64(*last_ns);
         }
         ToBroker::Pong {
             node,
@@ -323,6 +355,13 @@ pub fn decode_to_broker(buf: &[u8]) -> Result<ToBroker, WireError> {
             at_ns: r.u64()?,
             token: r.u64()?,
         },
+        K_PROMOTE_REQ => ToBroker::PromoteReq {
+            at_ns: r.u64()?,
+            token: r.u64()?,
+            handle: r.u32()?,
+            every_ns: r.u64()?,
+            last_ns: r.u64()?,
+        },
         K_IDLE => ToBroker::Idle,
         K_DONE => ToBroker::Done { node: r.u8()? },
         K_PONG => ToBroker::Pong {
@@ -404,6 +443,13 @@ mod tests {
             ToBroker::TimerReq {
                 at_ns: u64::MAX,
                 token: 7,
+            },
+            ToBroker::PromoteReq {
+                at_ns: 1,
+                token: 7,
+                handle: u32::MAX,
+                every_ns: 160_000,
+                last_ns: u64::MAX,
             },
             ToBroker::Listen { etag: 0x3FFF },
             ToBroker::TimerCancel { token: u64::MAX },

@@ -1,7 +1,7 @@
-//! Differential test, simulator ↔ live runtime: one fault-free scenario
-//! run through `rtec_core::Network` and through `rtec_live::Cluster`
-//! (loopback, virtual pacing) must hand every subscriber the same
-//! events.
+//! Differential test, simulator ↔ live runtime: two fault-free
+//! scenarios run through `rtec_core::Network` and through
+//! `rtec_live::Cluster` (loopback, virtual pacing) must hand every
+//! subscriber the same events.
 //!
 //! Both stacks host the same `rtec_core::machine::NodeMachine` over the
 //! same bus model, `rtec_can::bus::CanBus`, so what this compares is
@@ -14,6 +14,12 @@
 //! bus instant — the two hosts feed the one bus the same submissions in
 //! a compatible order, frame for frame, which is the baseline ROADMAP
 //! item 3's reference automata start from.
+//!
+//! The second scenario loads the wire with two SRT publishers, so
+//! their promotions come due both while a frame waits for arbitration
+//! and while it is on the wire. The simulator hands every promotion to
+//! the machine; the live broker re-arms the ones whose frame is on the
+//! wire itself, so the simulator is the oracle for that shortcut.
 
 use rtec_can::NodeId;
 use rtec_core::channel::{ChannelClass, ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec};
@@ -272,5 +278,155 @@ fn simulator_and_live_runtime_deliver_the_same_events() {
             // instants, and the wire completion of every frame.
             assert_eq!(s, l, "node {node}, delivery {i}");
         }
+    }
+}
+
+// ---- two SRT publishers on a loaded wire ----
+
+const LOADED_RUN: Duration = Duration::from_ms(40);
+/// Each publisher's subject, period and first publish. Their ≈ 145 µs
+/// frames offer the wire ≈ 102 % of its capacity, so both nodes'
+/// queues grow, frames wait for several priority slots, and which of
+/// two waiting heads wins an arbitration depends on the priority its
+/// last promotion gave it. The phases are off the whole-µs grid (see
+/// `TICK_PHASE`), and with default deadlines so is every promotion
+/// instant.
+const LOADED: [(Subject, Duration, Duration); 2] = [
+    (SRT_A, Duration::from_us(260), Duration::from_ns(100_300)),
+    (SRT_B, Duration::from_us(310), Duration::from_ns(130_700)),
+];
+
+fn loaded_sample(node: u8, n: u64) -> Vec<u8> {
+    vec![
+        node,
+        n as u8,
+        (n >> 8) as u8,
+        0x5A,
+        0xC3,
+        node ^ n as u8,
+        0,
+        1,
+    ]
+}
+
+fn run_sim_loaded() -> Vec<Seen> {
+    let mut net = Network::builder().nodes(3).build();
+    let queues: Vec<_> = {
+        let mut api = net.api();
+        for (node, (subject, ..)) in LOADED.into_iter().enumerate() {
+            api.announce(NodeId(node as u8), subject, srt_spec())
+                .unwrap();
+        }
+        LOADED
+            .map(|(subject, ..)| {
+                let q = api.subscribe(NodeId(2), subject, SubscribeSpec::default());
+                (subject, q.unwrap())
+            })
+            .into()
+    };
+    for (node, (subject, period, phase)) in LOADED.into_iter().enumerate() {
+        let node = node as u8;
+        let mut n = 0;
+        net.every(period, phase, move |api| {
+            let event = Event::new(subject, loaded_sample(node, n));
+            api.publish(NodeId(node), subject, event).unwrap();
+            n += 1;
+        });
+    }
+    net.run_for(LOADED_RUN);
+    let registry = net.world().registry();
+    let mut seen: Vec<Seen> = queues
+        .into_iter()
+        .flat_map(|(subject, q)| {
+            let etag = registry.etag_of(subject).unwrap();
+            q.drain().into_iter().map(move |d| Seen {
+                etag,
+                origin: d.event.attributes.origin.unwrap().0,
+                class: ChannelClass::Srt,
+                bytes: d.event.content,
+                wire_ns: d.wire_completed_at.as_ns(),
+                delivered_ns: d.delivered_at.as_ns(),
+            })
+        })
+        .collect();
+    seen.sort_by_key(|s| s.wire_ns);
+    seen
+}
+
+struct LoadedApp {
+    subject: Subject,
+    period: Duration,
+    phase: Duration,
+    n: u64,
+}
+impl Behavior for LoadedApp {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        ctx.set_timer(ctx.now() + self.phase, 0).unwrap();
+    }
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _payload: u64) {
+        let bytes = loaded_sample(ctx.node(), self.n);
+        ctx.publish(Event::new(self.subject, bytes)).unwrap();
+        self.n += 1;
+        ctx.set_timer(ctx.now() + self.period, 0).unwrap();
+    }
+}
+
+fn run_live_loaded() -> (Vec<Seen>, u64) {
+    let mut cluster = Cluster::new(ClusterConfig::default());
+    for (subject, period, phase) in LOADED {
+        let app = LoadedApp {
+            subject,
+            period,
+            phase,
+            n: 0,
+        };
+        let node = cluster.add_node(Box::new(app));
+        cluster.publish(node, subject, srt_spec());
+    }
+    let sink = cluster.add_node(Box::new(Sink));
+    for (subject, ..) in LOADED {
+        cluster.subscribe(sink, subject, srt_spec());
+    }
+    let report = cluster.run_for(LOADED_RUN).unwrap();
+    let seen = report
+        .log
+        .into_iter()
+        .map(|r| Seen {
+            etag: r.etag,
+            origin: r.origin,
+            class: r.class,
+            bytes: r.bytes,
+            wire_ns: r.wire_ns,
+            delivered_ns: r.delivered_ns,
+        })
+        .collect();
+    (seen, report.broker.promotes_rearmed)
+}
+
+#[test]
+fn promotions_on_a_loaded_wire_match_the_simulator() {
+    let (sim, (live, rearmed)) = (run_sim_loaded(), run_live_loaded());
+    // The scenario exercises what it claims to: both publishers are
+    // heard, frames waited long enough to be promoted, and the broker
+    // re-armed promotions whose frame was on the wire.
+    let from = |origin| sim.iter().filter(|s| s.origin == origin).count();
+    assert!(from(0) > 100 && from(1) > 100, "{} + {}", from(0), from(1));
+    let latency = |s: &Seen| {
+        let n = u64::from(s.bytes[1]) | u64::from(s.bytes[2]) << 8;
+        let (_, period, phase) = LOADED[s.origin as usize];
+        s.wire_ns - (phase + period * n).as_ns()
+    };
+    // A 10 ms deadline on 160 µs slots is first promoted 80 µs after
+    // the publish, and no frame here takes 160 µs: one that completes
+    // more than 240 µs after its publish was still waiting then.
+    let waited = sim.iter().filter(|s| latency(s) > 240_000).count();
+    assert!(
+        waited > 100,
+        "only {waited} frames were promoted while waiting"
+    );
+    assert!(rearmed > 0, "no promotion came due on the wire");
+    assert_eq!(sim.len(), live.len(), "delivery counts differ");
+    for (i, (s, l)) in sim.iter().zip(&live).enumerate() {
+        assert_eq!(s, l, "delivery {i}");
     }
 }

@@ -35,6 +35,22 @@ fn arb_to_broker() -> impl Strategy<Value = ToBroker> {
         (any::<u32>(), 0u32..(1 << 29))
             .prop_map(|(handle, raw_id)| ToBroker::UpdateId { handle, raw_id }),
         (any::<u64>(), any::<u64>()).prop_map(|(at_ns, token)| ToBroker::TimerReq { at_ns, token }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u64>(),
+            any::<u64>()
+        )
+            .prop_map(
+                |(at_ns, token, handle, every_ns, last_ns)| ToBroker::PromoteReq {
+                    at_ns,
+                    token,
+                    handle,
+                    every_ns,
+                    last_ns,
+                }
+            ),
         any::<u16>().prop_map(|etag| ToBroker::Listen { etag }),
         any::<u64>().prop_map(|token| ToBroker::TimerCancel { token }),
         Just(ToBroker::Idle),
@@ -129,6 +145,28 @@ proptest! {
         let keep = ((bytes.len() as f64) * keep_frac) as usize;
         let _ = decode_to_node(&bytes[..keep]);
         prop_assert!(decode_to_node(&bytes[..keep]).is_err() || keep == bytes.len());
+    }
+
+    /// The same for node → broker datagrams, `PromoteReq` among them.
+    #[test]
+    fn truncated_to_broker_datagrams_never_panic(msg in arb_to_broker(), keep_frac in 0.0f64..1.0) {
+        let bytes = encode_to_broker(&msg);
+        let keep = ((bytes.len() as f64) * keep_frac) as usize;
+        prop_assert!(decode_to_broker(&bytes[..keep]).is_err() || keep == bytes.len());
+    }
+
+    /// A `PromoteReq` (kind 11) body is exactly 36 bytes; any other
+    /// length is `BadLength`.
+    #[test]
+    fn promote_req_bodies_are_length_checked(len in 0usize..64) {
+        let mut buf = vec![b'R', b'L', 1, 11];
+        buf.resize(4 + len, 0);
+        let decoded = decode_to_broker(&buf);
+        if len == 36 {
+            prop_assert!(decoded.is_ok(), "{:?}", decoded);
+        } else {
+            prop_assert_eq!(decoded, Err(WireError::BadLength { kind: 11, got: len }));
+        }
     }
 
     /// Truncating or extending the incarnation/heartbeat bodies to any
