@@ -443,7 +443,11 @@ mod tests {
         }
         assert_eq!(bounded.len(), 2);
         assert_eq!(bounded.dropped(), 3);
-        let seen: Vec<u64> = bounded.events().iter().filter_map(|e| e.field("i")).collect();
+        let seen: Vec<u64> = bounded
+            .events()
+            .iter()
+            .filter_map(|e| e.field("i"))
+            .collect();
         assert_eq!(seen, vec![3, 4]);
     }
 
