@@ -39,7 +39,6 @@
 
 pub mod api;
 pub mod binding;
-pub mod bridge;
 pub mod channel;
 pub mod event;
 pub mod frag;

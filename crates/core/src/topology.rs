@@ -1,62 +1,50 @@
 //! N-segment network topologies with per-edge gateway latency, runnable
 //! serially or with one OS thread per segment.
 //!
-//! [`crate::bridge`] is the paper's two-segment architecture in its
-//! smallest form; this module generalizes it: a [`Topology`] holds any
-//! number of bus segments (each an independent deterministic
+//! The paper assumes "publishers and subscribers are connected by a
+//! channel which spans multiple networks, e.g. a field bus, a wireless
+//! network and a wired wide area network" (§2.2.1). A [`Topology`]
+//! holds any number of bus segments (each an independent deterministic
 //! [`Network`]) joined by store-and-forward gateway routes with a
 //! per-route latency. The whole topology can then be executed two
 //! ways, with **byte-identical** results:
 //!
 //! * [`Topology::run_serial`] — all segments advance in lockstep
-//!   quanta on the calling thread (the differential oracle, the same
-//!   discipline as [`crate::bridge::Bridge::run_until`]);
+//!   quanta on the calling thread (the differential oracle);
 //! * [`Topology::run_parallel`] — one named OS thread per segment,
 //!   synchronized by conservative windows whose width is the minimum
 //!   gateway latency (the PDES lookahead); see [`rtec_sim::parallel`].
 //!
 //! Byte identity is the contract, not an aspiration: both drivers feed
 //! the same segment factories through the same
-//! [`rtec_sim::parallel::SegmentStep`] stepping discipline, and the
+//! [`rtec_sim::parallel::Segment`] stepping discipline, and the
 //! differential proptest in `crates/core/tests/parallel_vs_serial.rs`
 //! holds their traces, delivery logs, and audit verdicts equal over
 //! random topologies, seeds, and fault plans.
 //!
-//! As in the bridge, relays are republished on SRT channels under the
-//! gateway's node identity (HRT guarantees stay segment-local;
-//! far-side origin filters can exclude the gateway — §2.2.1's
-//! "same network" filter).
+//! Relays are republished on SRT channels under the gateway's node
+//! identity: HRT guarantees stay segment-local (the gateway cannot
+//! extend a segment's HRT reservation across the boundary), and a
+//! far-side origin filter can exclude the gateway — §2.2.1's "same
+//! network" filter.
 
 use crate::channel::{ChannelSpec, SrtSpec, SubscribeSpec};
 use crate::event::{Event, EventQueue, Subject};
 use crate::network::{Network, NetworkConfig};
 use rtec_can::NodeId;
 use rtec_sim::parallel::{
-    run_parallel, run_serial_windows, Envelope, ParallelSegment, ParallelStats, RoutingTable,
-    SegmentStep, WindowConfig,
+    run_parallel, run_serial_windows, Envelope, ParallelStats, RoutingTable, Segment, WindowConfig,
 };
 use rtec_sim::{Duration, Time, TraceEvent};
 
 /// A delivery crossing a segment boundary: the payload type of the
 /// topology's [`Envelope`]s.
-#[derive(Clone, Debug)]
-pub struct Relay {
+struct Relay {
     /// Subject republished on the target segment.
-    pub subject: Subject,
+    subject: Subject,
     /// The relayed event. Per-segment timing attributes are stripped
     /// when it is republished (they do not survive the hop).
-    pub event: Event,
-}
-
-/// Apply one relayed event to a network: strip the per-segment timing
-/// attributes and republish under the gateway's identity. Shared by
-/// the topology segments and the two-segment [`crate::bridge`].
-pub(crate) fn republish(net: &mut Network, gateway: NodeId, relay: Relay) {
-    let Relay { subject, mut event } = relay;
-    event.attributes.deadline = None;
-    event.attributes.expiration = None;
-    let mut api = net.api();
-    let _ = api.publish(gateway, subject, event);
+    event: Event,
 }
 
 /// A one-shot setup closure run against a segment's network at build
@@ -170,8 +158,9 @@ struct OutRoute {
     latency: Duration,
 }
 
-impl SegmentStep for GatewaySegment {
+impl Segment for GatewaySegment {
     type Relay = Relay;
+    type Report = SegmentReport;
 
     fn advance_to(&mut self, t: Time) {
         self.net.run_until(t);
@@ -195,13 +184,12 @@ impl SegmentStep for GatewaySegment {
     }
 
     fn apply(&mut self, env: Envelope<Relay>) {
+        let Relay { subject, mut event } = env.payload;
+        event.attributes.deadline = None;
+        event.attributes.expiration = None;
         let egress = self.egress[env.route as usize];
-        republish(&mut self.net, egress, env.payload);
+        let _ = self.net.api().publish(egress, subject, event);
     }
-}
-
-impl ParallelSegment for GatewaySegment {
-    type Report = SegmentReport;
 
     fn finish(mut self) -> SegmentReport {
         let probe = match self.probe.take() {

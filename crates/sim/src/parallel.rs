@@ -16,9 +16,10 @@
 //! index, and the receiving thread stable-merges incoming batches by
 //! `(collected_at, route)` — reproducing byte-for-byte the relay
 //! insertion order the serial lockstep driver ([`run_serial_windows`],
-//! the differential oracle) produces. Both drivers then flush due
-//! relays with the same stable sort, so traces, stats and experiment
-//! tables are identical regardless of the thread schedule.
+//! the differential oracle) produces. Both drivers then buffer relays
+//! in the same due-time order, ties in insertion order, and flush what
+//! has come due, so traces, stats and experiment tables are identical
+//! regardless of the thread schedule.
 //!
 //! The module also hosts [`pool_map`], the small hand-rolled worker
 //! pool the benchmark harness uses to shard independent experiment
@@ -59,10 +60,13 @@ pub struct Envelope<R> {
 /// every boundary `t`: advance the segment to `t`, drain the relays
 /// that surfaced on its outgoing routes (stamped `collected_at = t`),
 /// then apply whatever buffered envelopes have come due. The
-/// implementation must be deterministic given the call sequence.
-pub trait SegmentStep {
+/// implementation must be deterministic given the call sequence. Once
+/// the horizon is reached, `finish` turns the segment into its report.
+pub trait Segment: Sized {
     /// Payload type relayed between segments.
     type Relay: Send + 'static;
+    /// Per-segment result extracted after the run.
+    type Report: Send + 'static;
     /// Advance the segment's simulation to absolute time `t`.
     fn advance_to(&mut self, t: Time);
     /// Drain relays collected on this segment's outgoing routes since
@@ -71,13 +75,6 @@ pub trait SegmentStep {
     fn collect(&mut self, now: Time, out: &mut Vec<Envelope<Self::Relay>>);
     /// Apply one due relay to this segment.
     fn apply(&mut self, env: Envelope<Self::Relay>);
-}
-
-/// A segment that can run on its own thread and produce a final
-/// report once the horizon is reached.
-pub trait ParallelSegment: SegmentStep + Sized {
-    /// Per-segment result extracted after the run.
-    type Report: Send + 'static;
     /// Consume the segment and produce its report.
     fn finish(self) -> Self::Report;
 }
@@ -169,22 +166,18 @@ impl WindowConfig {
     }
 }
 
-/// Flush every buffered envelope due at or before `now` into `seg`,
-/// in stable due order — the exact order the serial bridge uses.
-pub fn flush_due<R: Send + 'static>(
-    seg: &mut dyn SegmentStep<Relay = R>,
-    pending: &mut Vec<Envelope<R>>,
-    now: Time,
-) {
-    if pending.iter().all(|e| e.due > now) {
-        return;
-    }
-    let (mut due, keep): (Vec<_>, Vec<_>) = std::mem::take(pending)
-        .into_iter()
-        .partition(|e| e.due <= now);
-    *pending = keep;
-    due.sort_by_key(|e| e.due); // stable: ties keep insertion order
-    for env in due {
+/// Buffer `env` behind every pending envelope due no later than it,
+/// so `pending` stays sorted by due time with ties in insertion order.
+fn enqueue<R>(pending: &mut Vec<Envelope<R>>, env: Envelope<R>) {
+    let at = pending.partition_point(|e| e.due <= env.due);
+    pending.insert(at, env);
+}
+
+/// Apply every buffered envelope due at or before `now` to `seg`, in
+/// stable due order: the sorted prefix [`enqueue`] maintains.
+fn flush_due<S: Segment>(seg: &mut S, pending: &mut Vec<Envelope<S::Relay>>, now: Time) {
+    let due = pending.partition_point(|e| e.due <= now);
+    for env in pending.drain(..due) {
         seg.apply(env);
     }
 }
@@ -192,27 +185,28 @@ pub fn flush_due<R: Send + 'static>(
 /// Advance every segment to boundary `t`, collect fresh relays into
 /// the per-target pending buffers (global route order), and flush what
 /// has come due — one lockstep boundary of the serial driver.
-pub fn step_boundary<R: Send + 'static>(
-    segs: &mut [&mut dyn SegmentStep<Relay = R>],
+/// `staged` is scratch, empty on entry and on return.
+fn step_boundary<S: Segment>(
+    segs: &mut [S],
     routing: &RoutingTable,
-    pending: &mut [Vec<Envelope<R>>],
+    pending: &mut [Vec<Envelope<S::Relay>>],
+    staged: &mut Vec<Envelope<S::Relay>>,
     t: Time,
 ) {
     for seg in segs.iter_mut() {
         seg.advance_to(t);
     }
-    let mut staged: Vec<Envelope<R>> = Vec::new();
     for seg in segs.iter_mut() {
-        seg.collect(t, &mut staged);
+        seg.collect(t, staged);
     }
     // Per-segment collects emit ascending local route ids; a stable
     // sort by route restores the single global insertion order.
     staged.sort_by_key(|e| e.route);
-    for env in staged {
-        pending[routing.target(env.route)].push(env);
+    for env in staged.drain(..) {
+        enqueue(&mut pending[routing.target(env.route)], env);
     }
-    for (i, seg) in segs.iter_mut().enumerate() {
-        flush_due(&mut **seg, &mut pending[i], t);
+    for (seg, pending) in segs.iter_mut().zip(pending) {
+        flush_due(seg, pending, t);
     }
 }
 
@@ -228,7 +222,7 @@ pub fn run_serial_windows<S, F>(
     until: Time,
 ) -> Vec<S::Report>
 where
-    S: ParallelSegment,
+    S: Segment,
     F: FnOnce() -> S,
 {
     assert_eq!(
@@ -240,14 +234,11 @@ where
     let mut segments: Vec<S> = factories.into_iter().map(|f| f()).collect();
     let mut pending: Vec<Vec<Envelope<S::Relay>>> =
         (0..segments.len()).map(|_| Vec::new()).collect();
+    let mut staged = Vec::new();
     let mut now = Time::ZERO;
     while now < until {
         let t = (now + cfg.quantum).min(until);
-        let mut refs: Vec<&mut dyn SegmentStep<Relay = S::Relay>> = segments
-            .iter_mut()
-            .map(|s| s as &mut dyn SegmentStep<Relay = S::Relay>)
-            .collect();
-        step_boundary(&mut refs, routing, &mut pending, t);
+        step_boundary(&mut segments, routing, &mut pending, &mut staged, t);
         now = t;
     }
     segments.into_iter().map(|s| s.finish()).collect()
@@ -267,17 +258,6 @@ pub struct ParallelStats {
     /// 0 when per-window work dominates, near `(n−1)/n` when one
     /// segment carries all the load and the speedup degrades to 1×.
     pub stall_s: f64,
-}
-
-impl ParallelStats {
-    /// Fraction of total thread time spent waiting at barriers.
-    pub fn stall_fraction(&self) -> f64 {
-        if self.busy_s > 0.0 {
-            self.stall_s / self.busy_s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Result of [`run_parallel`]: per-segment reports in segment order
@@ -326,7 +306,7 @@ pub fn run_parallel<S, F>(
     until: Time,
 ) -> ParallelRun<S::Report>
 where
-    S: ParallelSegment,
+    S: Segment,
     F: FnOnce() -> S + Send + 'static,
 {
     assert_eq!(
@@ -411,7 +391,7 @@ fn segment_thread<S, F>(
     until: Time,
 ) -> (S::Report, u64, f64, f64)
 where
-    S: ParallelSegment,
+    S: Segment,
     F: FnOnce() -> S,
 {
     let t0 = Instant::now();
@@ -469,7 +449,9 @@ where
             merged.extend(got.batch);
         }
         merged.sort_by_key(|e| (e.collected_at, e.route));
-        pending.extend(merged);
+        for env in merged {
+            enqueue(&mut pending, env);
+        }
         windows += 1;
     }
     let report = seg.finish();
@@ -541,8 +523,9 @@ mod tests {
         applied: Vec<(Time, u32, u64)>,
     }
 
-    impl SegmentStep for Toy {
+    impl Segment for Toy {
         type Relay = u64;
+        type Report = (u64, Vec<(Time, u32, u64)>);
         fn advance_to(&mut self, _t: Time) {
             self.ticks += 1;
         }
@@ -559,10 +542,6 @@ mod tests {
         fn apply(&mut self, env: Envelope<u64>) {
             self.applied.push((env.due, env.route, env.payload));
         }
-    }
-
-    impl ParallelSegment for Toy {
-        type Report = (u64, Vec<(Time, u32, u64)>);
         fn finish(self) -> Self::Report {
             (self.ticks, self.applied)
         }

@@ -15,8 +15,7 @@
 #![cfg(loom)]
 
 use rtec_sim::parallel::{
-    run_parallel, run_serial_windows, Envelope, ParallelSegment, RoutingTable, SegmentStep,
-    WindowConfig,
+    run_parallel, run_serial_windows, Envelope, RoutingTable, Segment, WindowConfig,
 };
 use rtec_sim::{Duration, Time};
 
@@ -30,8 +29,9 @@ struct Toy {
     applied: Vec<(Time, u32, u64)>,
 }
 
-impl SegmentStep for Toy {
+impl Segment for Toy {
     type Relay = u64;
+    type Report = (u64, Vec<(Time, u32, u64)>);
     fn advance_to(&mut self, _t: Time) {
         self.ticks += 1;
     }
@@ -48,10 +48,6 @@ impl SegmentStep for Toy {
     fn apply(&mut self, env: Envelope<u64>) {
         self.applied.push((env.due, env.route, env.payload));
     }
-}
-
-impl ParallelSegment for Toy {
-    type Report = (u64, Vec<(Time, u32, u64)>);
     fn finish(self) -> Self::Report {
         (self.ticks, self.applied)
     }
@@ -109,6 +105,7 @@ fn window_barrier_matches_serial_under_all_schedules() {
         assert!(par.stats.windows > 0, "at least one window barrier ran");
     });
     assert!(stats.executions >= 2, "exploration must branch: {stats:?}");
+    assert!(!stats.pruned, "exploration must be exhaustive: {stats:?}");
 }
 
 /// Bidirectional relay (a route each way): both directions cross the
@@ -138,4 +135,5 @@ fn bidirectional_relay_agrees_under_all_schedules() {
         assert_eq!(serial, par.reports, "bidirectional relay diverged");
     });
     assert!(stats.executions >= 2, "exploration must branch: {stats:?}");
+    assert!(!stats.pruned, "exploration must be exhaustive: {stats:?}");
 }
