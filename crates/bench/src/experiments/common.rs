@@ -87,16 +87,19 @@ pub fn etag(net: &Network, s: Subject) -> u16 {
     net.world().registry().etag_of(s).expect("subject bound")
 }
 
-/// Arm conformance checking on a freshly built network: when the run
-/// options ask for it, enable tracing so [`conformance_check`] has a
-/// trace to audit after the run.
+/// Arm conformance checking on a network that is set up — channels
+/// announced, calendar installed — and about to run: when the run
+/// options ask for it, trace the run into a streaming monitor that
+/// audits each record as it is emitted and keeps none.
 pub fn conformance_arm(opts: &crate::RunOpts, net: &mut Network) -> Option<rtec_sim::TraceSink> {
-    opts.conformance.then(|| net.enable_trace())
+    opts.conformance
+        .then(|| rtec_conformance::monitor_network(net))
 }
 
-/// Lint the network's configuration and audit the recorded trace;
-/// abort the experiment on any error-severity finding. Warnings are
-/// tolerated (sweeps deliberately visit stressed configurations).
+/// Lint the network's configuration and read the monitor's verdict on
+/// the run; abort the experiment on any error-severity finding.
+/// Warnings are tolerated (sweeps deliberately visit stressed
+/// configurations).
 pub fn conformance_check(net: &Network, sink: &Option<rtec_sim::TraceSink>, what: &str) {
     let Some(sink) = sink else { return };
     let report = rtec_conformance::check_network(net, sink);

@@ -18,7 +18,6 @@ use std::rc::Rc;
 
 fn rtec_sporadic_latency(opts: &RunOpts, mean_gap: Duration) -> (u64, f64, u64, u64) {
     let mut net = Network::builder().nodes(5).seed(opts.seed).build();
-    let sink = conformance_arm(opts, &mut net);
     {
         let mut api = net.api();
         for n in 1..=3u8 {
@@ -44,6 +43,7 @@ fn rtec_sporadic_latency(opts: &RunOpts, mean_gap: Duration) -> (u64, f64, u64, 
             let _ = api.publish(NodeId(n), s, Event::new(s, vec![n; 8]));
         }
     });
+    let sink = conformance_arm(opts, &mut net);
     net.run_for(opts.horizon(Duration::from_secs(5)));
     conformance_check(&net, &sink, "e11");
     let mut latencies = rtec_sim::Histogram::new();

@@ -31,9 +31,9 @@ fn run_one(opts: &RunOpts, deferred: bool) -> Outcome {
         .seed(opts.seed)
         .hrt_deferred_delivery(deferred)
         .build();
-    let sink = conformance_arm(opts, &mut net);
     let q = hrt_sensor(&mut net, Duration::from_ms(10), 2, 1.0, opts.seed);
     let _bg = srt_background(&mut net, NodeId(1), NodeId(3), Duration::from_us(137));
+    let sink = conformance_arm(opts, &mut net);
     net.run_for(opts.horizon(Duration::from_secs(2)));
     conformance_check(&net, &sink, "e1");
     let deliveries = q.drain();

@@ -26,7 +26,6 @@ fn rtec_run(opts: &RunOpts, use_prob: f64) -> (f64, f64) {
         .round(Duration::from_ms(5))
         .seed(opts.seed)
         .build();
-    let sink = conformance_arm(opts, &mut net);
     {
         let mut api = net.api();
         for i in 0..N_HRT {
@@ -61,6 +60,7 @@ fn rtec_run(opts: &RunOpts, use_prob: f64) -> (f64, f64) {
             }
         }
     });
+    let sink = conformance_arm(opts, &mut net);
     let horizon = opts.horizon(Duration::from_secs(2));
     net.run_for(horizon);
     conformance_check(&net, &sink, "e2");

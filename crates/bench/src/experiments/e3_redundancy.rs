@@ -25,8 +25,8 @@ fn rtec_extra_tx(opts: &RunOpts, omission_p: f64, k: u32) -> (f64, u64, u64) {
             omission_scope: OmissionScope::AllReceivers,
         })
         .build();
-    let sink = conformance_arm(opts, &mut net);
     let _q = hrt_sensor(&mut net, Duration::from_ms(10), k, 1.0, opts.seed);
+    let sink = conformance_arm(opts, &mut net);
     net.run_for(opts.horizon(Duration::from_secs(5)));
     conformance_check(&net, &sink, "e3");
     let ch = net.stats().channel(etag(&net, HRT_SUBJECT));

@@ -33,7 +33,6 @@ fn run_one(opts: &RunOpts, inject: u32) -> Outcome {
         .round(Duration::from_ms(10))
         .seed(opts.seed)
         .build();
-    let sink = conformance_arm(opts, &mut net);
     let q = {
         let mut api = net.api();
         api.announce(
@@ -65,6 +64,7 @@ fn run_one(opts: &RunOpts, inject: u32) -> Outcome {
         api.world_mut().bus.injector_mut().reset_runs();
         let _ = api.publish(NodeId(0), HRT_SUBJECT, Event::new(HRT_SUBJECT, vec![7; 8]));
     });
+    let sink = conformance_arm(opts, &mut net);
     net.run_for(opts.horizon(Duration::from_secs(2)));
     conformance_check(&net, &sink, "e6");
     let delivered = q.drain().len() as u64;

@@ -28,7 +28,6 @@ fn run_one(opts: &RunOpts, srt_storm: bool, nrt_bulk: bool) -> Outcome {
         .round(Duration::from_ms(10))
         .seed(opts.seed)
         .build();
-    let sink = conformance_arm(opts, &mut net);
     let q = hrt_sensor(&mut net, Duration::from_ms(10), 1, 1.0, opts.seed);
     if srt_storm {
         let _ = srt_background(&mut net, NodeId(1), NodeId(3), Duration::from_us(125));
@@ -50,6 +49,7 @@ fn run_one(opts: &RunOpts, srt_storm: bool, nrt_bulk: bool) -> Outcome {
             );
         });
     }
+    let sink = conformance_arm(opts, &mut net);
     let horizon = opts.horizon(Duration::from_secs(2));
     net.run_for(horizon);
     conformance_check(&net, &sink, "e7");

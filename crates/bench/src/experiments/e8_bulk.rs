@@ -26,26 +26,32 @@ struct Outcome {
     hrt_missing: u64,
 }
 
-fn run_one(opts: &RunOpts, n_hrt: bool, srt: bool) -> Outcome {
-    let mut net = Network::builder()
+/// What a run leaves to read: the HRT subscriber's queue and the
+/// transfer's start and completion instants.
+struct Probes {
+    hrt_q: Option<EventQueue>,
+    started_at: Rc<RefCell<Option<Time>>>,
+    done_at: Rc<RefCell<Option<Time>>>,
+}
+
+fn network(opts: &RunOpts) -> Network {
+    Network::builder()
         .nodes(6)
         .round(Duration::from_ms(10))
         .seed(opts.seed)
-        .build();
-    let sink = conformance_arm(opts, &mut net);
+        .build()
+}
+
+/// Announce the channels, install the calendar and schedule the
+/// sources: HRT and SRT load as asked, and the image 1 ms in.
+fn install(net: &mut Network, opts: &RunOpts, n_hrt: bool, srt: bool) -> Probes {
     let hrt_q = if n_hrt {
-        Some(hrt_sensor(
-            &mut net,
-            Duration::from_ms(10),
-            2,
-            1.0,
-            opts.seed,
-        ))
+        Some(hrt_sensor(net, Duration::from_ms(10), 2, 1.0, opts.seed))
     } else {
         None
     };
     if srt {
-        let _ = srt_background(&mut net, NodeId(1), NodeId(3), Duration::from_us(400));
+        let _ = srt_background(net, NodeId(1), NodeId(3), Duration::from_us(400));
     }
     let done_at: Rc<RefCell<Option<Time>>> = Rc::new(RefCell::new(None));
     let started_at: Rc<RefCell<Option<Time>>> = Rc::new(RefCell::new(None));
@@ -73,6 +79,21 @@ fn run_one(opts: &RunOpts, n_hrt: bool, srt: bool) -> Outcome {
         api.publish(NodeId(4), NRT_SUBJECT, Event::new(NRT_SUBJECT, image))
             .unwrap();
     });
+    Probes {
+        hrt_q,
+        started_at,
+        done_at,
+    }
+}
+
+fn run_one(opts: &RunOpts, n_hrt: bool, srt: bool) -> Outcome {
+    let mut net = network(opts);
+    let Probes {
+        hrt_q,
+        started_at,
+        done_at,
+    } = install(&mut net, opts, n_hrt, srt);
+    let sink = conformance_arm(opts, &mut net);
     // 64 KiB in ~13k fragments of ~91 bits ≈ 1.2 s on an idle 1 Mbit/s
     // bus; give head-room for loaded runs. Not shortened in quick mode
     // (the transfer must complete), but the claim sweep stays feasible.
@@ -146,4 +167,40 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
     ));
     t.note(format!("seed={}", opts.seed));
     vec![t]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtec_conformance::Monitor;
+
+    /// The monitor is armed after setup, so it must not miss a record
+    /// a trace armed right after the build keeps: setup emits none.
+    #[test]
+    fn a_monitor_armed_after_setup_sees_every_record() {
+        let opts = RunOpts {
+            quick: true,
+            ..RunOpts::default()
+        };
+        let run = Duration::from_ms(400);
+
+        let mut kept = network(&opts);
+        let sink = kept.enable_trace();
+        let _probes = install(&mut kept, &opts, true, true);
+        kept.run_for(run);
+
+        let mut streamed = network(&opts);
+        let _probes = install(&mut streamed, &opts, true, true);
+        let tap = conformance_arm(&opts, &mut streamed).expect("conformance is on");
+        streamed.run_for(run);
+
+        assert!(sink.len() > 5_000, "{} records", sink.len());
+        assert_eq!(
+            tap.with_tap(|m: &mut Monitor| m.records()),
+            Some(sink.len() as u64)
+        );
+        assert_eq!(tap.len(), 0, "the streaming sink keeps nothing");
+        let report = rtec_conformance::check_network(&streamed, &tap);
+        assert!(report.passes(), "{report}");
+    }
 }

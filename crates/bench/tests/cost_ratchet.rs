@@ -1,23 +1,29 @@
 //! Deterministic cost counts, ratcheted: hot paths whose steady state
-//! must not touch the heap, checked with a counting global allocator;
+//! must not touch the heap (fragment reassembly, trace recording, the
+//! conformance monitor), checked with a counting global allocator;
 //! the live runtime's lock-step turns per frame and the simulator's
 //! engine events on a `sim-stack`-shaped bus, pinned exactly.
 //!
 //! libtest runs tests on parallel threads, so the allocator counts per
 //! thread and each test reads only its own thread's count.
 
+use rtec_analysis::admission::{CalendarPlan, PlannedSlot, SlotRequest};
+use rtec_can::bits::BitTiming;
 use rtec_can::NodeId;
-use rtec_core::channel::{ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec};
+use rtec_conformance::{AuditContext, Monitor};
+use rtec_core::channel::{ChannelClass, ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec};
 use rtec_core::event::{Event, Subject};
 use rtec_core::frag::{fragment, Reassembler};
 use rtec_core::network::Network;
+use rtec_core::node::{pack_tag, TagKind};
 use rtec_live::broker::BrokerStats;
 use rtec_live::cluster::{Cluster, ClusterConfig};
 use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::Pace;
 use rtec_sim::parallel::{run_serial_windows, Envelope, RoutingTable, Segment, WindowConfig};
 use rtec_sim::trace::INLINE_FIELDS;
-use rtec_sim::{Duration, Time, TraceSink};
+use rtec_sim::{Duration, SourceId, Time, TraceSink};
+use std::collections::HashMap;
 
 /// Allocation-counting wrapper around the system allocator: the only
 /// `unsafe` in the workspace. It adds nothing but a thread-local
@@ -142,6 +148,86 @@ fn disabled_trace_sink_allocates_nothing() {
     let n = allocations_in(|| emit_burst(&sink));
     assert_eq!(n, 0, "a disabled sink allocated");
     assert!(sink.is_empty());
+}
+
+/// One 10 ms round of a monitored bus: an HRT frame in its slot and
+/// delivered at the slot deadline, and an SRT frame beside it, each
+/// with its arbitration, start and end records — 7 records.
+fn monitored_round(sink: &TraceSink, src: SourceId, round: u64, slot: &PlannedSlot) {
+    let base = round * 10_000_000;
+    let lst = base + slot.lst().as_ns();
+    let hrt_id = 16u64; // priority 0, node 0, etag 16
+    let srt_id = (50u64 << 21) | (3 << 14) | 20;
+    let hrt_tag = pack_tag(TagKind::Hrt, 16, round as u32);
+    let srt_tag = pack_tag(TagKind::Srt, 20, round as u32);
+    let cands = [
+        ("cand", hrt_id),
+        ("cand", (3 << 32) | srt_id),
+        ("win", hrt_id),
+    ];
+    sink.emit_fields(Time::from_ns(lst), src, "arb", &cands);
+    let hrt = [
+        ("id", hrt_id),
+        ("node", 0),
+        ("attempt", 1),
+        ("tag", hrt_tag),
+    ];
+    sink.emit_fields(Time::from_ns(lst), src, "tx_start", &hrt);
+    sink.emit_fields(Time::from_ns(lst + 130_000), src, "tx_end", &hrt);
+    let srt = [
+        ("id", srt_id),
+        ("node", 3),
+        ("attempt", 1),
+        ("tag", srt_tag),
+    ];
+    sink.emit_fields(Time::from_ns(lst + 130_000), src, "tx_start", &srt);
+    sink.emit_fields(Time::from_ns(lst + 260_000), src, "tx_end", &srt);
+    let arb = [("cand", (3 << 32) | srt_id), ("win", srt_id)];
+    sink.emit_fields(Time::from_ns(lst + 260_000), src, "arb", &arb);
+    let deliver = [
+        ("etag", 16),
+        ("round", round),
+        ("slot", 0),
+        ("node", 2),
+        ("wire", lst + 130_000),
+    ];
+    let at = base + slot.deadline().as_ns();
+    sink.emit_fields(Time::from_ns(at), src, "hrt_deliver", &deliver);
+}
+
+/// ROADMAP item 6's gate: a warm conformance monitor, fed through a
+/// tapped sink, checks every rule on a steady stream without touching
+/// the heap — no per-record copy, string or report.
+#[test]
+fn warm_conformance_monitor_allocates_nothing() {
+    let round = Duration::from_ms(10);
+    let request = SlotRequest {
+        etag: 16,
+        publisher: NodeId(0),
+        dlc: 8,
+        omission_degree: 2,
+        period: round,
+    };
+    let plan = CalendarPlan::plan(round, &[request], BitTiming::MBIT_1, Duration::from_us(40))
+        .expect("one slot fits");
+    let slot = plan.slots[0];
+    let ctx = AuditContext::from_parts(
+        plan,
+        Time::ZERO,
+        HashMap::from([(16, ChannelClass::Hrt), (20, ChannelClass::Srt)]),
+        HashMap::from([(16, round)]),
+    );
+    let sink = TraceSink::tapped(Monitor::new(&ctx));
+    let src = sink.intern("bus");
+    monitored_round(&sink, src, 0, &slot);
+    let n = allocations_in(|| (1..=1_500).for_each(|r| monitored_round(&sink, src, r, &slot)));
+    assert_eq!(n, 0, "a warm monitor allocated while checking records");
+    assert_eq!(sink.len(), 0);
+    let (records, report) = sink
+        .with_tap(|m: &mut Monitor| (m.records(), m.report()))
+        .expect("the sink holds the monitor");
+    assert_eq!(records, 7 * 1_501);
+    assert!(report.is_clean(), "{report}");
 }
 
 /// A toy segment that relays its tick count every boundary on its one

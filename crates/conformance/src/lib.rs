@@ -12,8 +12,10 @@
 //! * **[`lint`]** — rules `S1`..`S8` run *before* a simulation, over a
 //!   [`LintInput`] describing the calendar, channels and priority
 //!   parameters.
-//! * **[`audit`]** — rules `T1`..`T8` run *after* a simulation, over
-//!   the structured [`rtec_sim::TraceEvent`] stream it recorded.
+//! * **[`audit`]** — rules `T1`..`T9` run over the structured trace
+//!   records a run emits, as one streaming [`Monitor`]: inside the
+//!   emitter through a tapped [`rtec_sim::TraceSink`], or over a
+//!   recorded trace afterwards.
 //! * **[`srclint`]** — rules `C1`..`C6` run over the live runtime's
 //!   *source code*, rejecting concurrency-hygiene violations (sync
 //!   primitives bypassing the `rtec_live::sync` facade, unbounded
@@ -39,8 +41,10 @@ pub mod lint;
 pub mod net;
 pub mod srclint;
 
-pub use audit::{audit, handshake_anomalies, AuditContext};
+pub use audit::{audit, handshake_anomalies, AuditContext, Monitor};
 pub use diag::{Diagnostic, Report, RuleId, Severity};
 pub use lint::{lint, ChannelDecl, LintInput};
-pub use net::{audit_context, audit_network, check_network, lint_input, lint_network};
+pub use net::{
+    audit_context, audit_network, check_network, lint_input, lint_network, monitor_network,
+};
 pub use srclint::{lint_sources, lint_workspace, SrcFile};

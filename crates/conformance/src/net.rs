@@ -1,6 +1,7 @@
 //! Glue between the conformance passes and a live [`Network`]: derive a
 //! [`LintInput`] / [`AuditContext`] from the network's own configuration
-//! so harnesses can check any simulation with two calls:
+//! so harnesses can check any simulation with two calls. A retaining
+//! sink is audited after the run, straight from its ring:
 //!
 //! ```
 //! use rtec_core::prelude::*;
@@ -24,8 +25,12 @@
 //! let report = rtec_conformance::check_network(&net, &sink);
 //! assert!(report.passes(), "{report}");
 //! ```
+//!
+//! [`monitor_network`] instead audits each record as it is emitted and
+//! keeps no trace; arm it once the channels and the calendar are set
+//! up, and read its verdict with the same [`check_network`] call.
 
-use crate::audit::{audit, AuditContext};
+use crate::audit::{AuditContext, Monitor};
 use crate::diag::Report;
 use crate::lint::{lint, ChannelDecl, LintInput};
 use rtec_core::channel::ChannelSpec;
@@ -91,10 +96,25 @@ pub fn audit_context(net: &Network) -> AuditContext {
     ctx
 }
 
-/// Audit a recorded trace against a network's configuration (rules
-/// `T1`..`T8`).
+/// Trace `net` into a streaming [`Monitor`] built from its
+/// configuration as it stands, and return the tapped sink: it keeps no
+/// records, and [`check_network`] reads the monitor's verdict from it.
+pub fn monitor_network(net: &mut Network) -> TraceSink {
+    let sink = TraceSink::tapped(Monitor::new(&audit_context(net)));
+    net.set_trace(sink.clone());
+    sink
+}
+
+/// Audit a network's trace (rules `T1`..`T9`): the verdict of the
+/// monitor a [`monitor_network`] sink feeds, or else the sink's kept
+/// records, fed to a monitor straight from its ring.
 pub fn audit_network(net: &Network, sink: &TraceSink) -> Report {
-    audit(&audit_context(net), &sink.events())
+    sink.with_tap(|monitor: &mut Monitor| monitor.report())
+        .unwrap_or_else(|| {
+            let mut monitor = Monitor::new(&audit_context(net));
+            sink.replay(&mut monitor);
+            monitor.finish()
+        })
 }
 
 /// Lint the configuration *and* audit the trace; one merged report.

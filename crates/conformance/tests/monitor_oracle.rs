@@ -16,7 +16,7 @@ use rtec_analysis::admission::{CalendarPlan, SlotRequest};
 use rtec_can::bits::BitTiming;
 use rtec_can::fault::{FaultModel, OmissionScope};
 use rtec_can::NodeId;
-use rtec_conformance::{AuditContext, Diagnostic, Report, RuleId};
+use rtec_conformance::{AuditContext, Diagnostic, Monitor, Report, RuleId};
 use rtec_core::channel::{ChannelClass, HrtSpec};
 use rtec_core::node::{pack_tag, TagKind};
 use rtec_core::prelude::*;
@@ -981,15 +981,19 @@ fn mixed_network(seed: u64) -> Network {
     net
 }
 
-/// Run `net`, audit its trace both ways, and also audit a tampered
-/// copy: `tamper` edits the records, and the copy must fire `fires`.
+/// Run a network from `build` with a retaining sink and audit its
+/// trace both ways; run another from `build` with a streaming monitor
+/// and require its verdict to equal the post-hoc one; then audit a
+/// tampered copy of the trace: `tamper` edits the records, and the copy
+/// must fire `fires`.
 fn run_and_compare(
     what: &str,
-    mut net: Network,
+    build: impl Fn() -> Network,
     run: Duration,
     tamper: impl FnOnce(&mut Vec<TraceEvent>),
     fires: RuleId,
 ) {
+    let mut net = build();
     let sink = net.enable_trace();
     net.run_for(run);
     let ctx = rtec_conformance::audit_context(&net);
@@ -1002,6 +1006,22 @@ fn run_and_compare(
         canonical(&rtec_conformance::lint_network(&net)),
         "{what}: check_network adds audit findings to a clean trace"
     );
+
+    let mut streamed = build();
+    let tap = rtec_conformance::monitor_network(&mut streamed);
+    streamed.run_for(run);
+    assert_eq!(tap.len(), 0, "{what}: the streaming sink kept records");
+    assert_eq!(
+        canonical(&rtec_conformance::audit_network(&streamed, &tap)),
+        canonical(&posthoc::audit(&ctx, &events)),
+        "{what}: the streamed verdict differs from the post-hoc one"
+    );
+    assert_eq!(
+        tap.with_tap(|m: &mut Monitor| m.records()),
+        Some(events.len() as u64),
+        "{what}: the monitor missed records"
+    );
+
     tamper(&mut events);
     let rep = same(&format!("{what}, tampered"), &ctx, &events);
     assert!(rep.fired(fires), "{what}, tampered: {rep}");
@@ -1017,7 +1037,7 @@ fn set_field(ev: &mut TraceEvent, name: &str, value: u64) {
 fn end_to_end_networks_agree() {
     run_and_compare(
         "end-to-end mixed (seed 7)",
-        mixed_network(7),
+        || mixed_network(7),
         Duration::from_secs(2),
         // Every third HRT delivery shifted off the period grid.
         |evs| {
@@ -1027,7 +1047,7 @@ fn end_to_end_networks_agree() {
                 .enumerate()
             {
                 if i % 3 == 2 {
-                    e.time = e.time + Duration::from_us(400);
+                    e.time += Duration::from_us(400);
                 }
             }
         },
@@ -1035,7 +1055,7 @@ fn end_to_end_networks_agree() {
     );
     run_and_compare(
         "end-to-end mixed (seed 11)",
-        mixed_network(11),
+        || mixed_network(11),
         Duration::from_secs(1),
         // Every multi-contender arbitration won by a non-contender.
         |evs| {
@@ -1054,46 +1074,49 @@ fn integration_networks_agree() {
     let hard = Subject::new(1);
     let soft = Subject::new(2);
     let bulk = Subject::new(3);
-    let mut net = Network::builder()
-        .nodes(6)
-        .round(Duration::from_ms(10))
-        .build();
-    {
-        let mut api = net.api();
-        api.announce(
-            NodeId(0),
-            hard,
-            ChannelSpec::hrt(HrtSpec {
-                period: Duration::from_ms(10),
-                dlc: 8,
-                omission_degree: 1,
-                sporadic: false,
-            }),
-        )
-        .unwrap();
-        api.announce(NodeId(1), soft, ChannelSpec::srt(SrtSpec::default()))
+    let build = || {
+        let mut net = Network::builder()
+            .nodes(6)
+            .round(Duration::from_ms(10))
+            .build();
+        {
+            let mut api = net.api();
+            api.announce(
+                NodeId(0),
+                hard,
+                ChannelSpec::hrt(HrtSpec {
+                    period: Duration::from_ms(10),
+                    dlc: 8,
+                    omission_degree: 1,
+                    sporadic: false,
+                }),
+            )
             .unwrap();
-        api.announce(NodeId(2), bulk, ChannelSpec::nrt(NrtSpec::bulk()))
-            .unwrap();
-        for (node, s) in [(3, hard), (4, soft), (5, bulk)] {
-            api.subscribe(NodeId(node), s, SubscribeSpec::default())
+            api.announce(NodeId(1), soft, ChannelSpec::srt(SrtSpec::default()))
                 .unwrap();
+            api.announce(NodeId(2), bulk, ChannelSpec::nrt(NrtSpec::bulk()))
+                .unwrap();
+            for (node, s) in [(3, hard), (4, soft), (5, bulk)] {
+                api.subscribe(NodeId(node), s, SubscribeSpec::default())
+                    .unwrap();
+            }
+            api.install_calendar().unwrap();
         }
-        api.install_calendar().unwrap();
-    }
-    net.every(Duration::from_ms(10), Duration::from_us(100), move |api| {
-        let _ = api.publish(NodeId(0), hard, Event::new(hard, vec![1; 8]));
-    });
-    net.every(Duration::from_ms(2), Duration::from_us(333), move |api| {
-        let _ = api.publish(NodeId(1), soft, Event::new(soft, vec![2; 8]));
-    });
-    net.at(Time::from_ms(5), move |api| {
-        api.publish(NodeId(2), bulk, Event::new(bulk, vec![3; 3000]))
-            .unwrap();
-    });
+        net.every(Duration::from_ms(10), Duration::from_us(100), move |api| {
+            let _ = api.publish(NodeId(0), hard, Event::new(hard, vec![1; 8]));
+        });
+        net.every(Duration::from_ms(2), Duration::from_us(333), move |api| {
+            let _ = api.publish(NodeId(1), soft, Event::new(soft, vec![2; 8]));
+        });
+        net.at(Time::from_ms(5), move |api| {
+            api.publish(NodeId(2), bulk, Event::new(bulk, vec![3; 3000]))
+                .unwrap();
+        });
+        net
+    };
     run_and_compare(
         "integration: mixed classes",
-        net,
+        build,
         Duration::from_ms(500),
         // Drop every 50th fragment from the wire.
         |evs| {
@@ -1111,56 +1134,59 @@ fn integration_networks_agree() {
         RuleId::FragContiguity,
     );
 
-    let clocks = vec![
-        rtec_clock::ClockParams::PERFECT,
-        rtec_clock::ClockParams {
-            drift_ppm: 30.0,
-            initial_offset_ns: 2_000.0,
-        },
-        rtec_clock::ClockParams {
-            drift_ppm: -30.0,
-            initial_offset_ns: -1_500.0,
-        },
-        rtec_clock::ClockParams {
-            drift_ppm: 15.0,
-            initial_offset_ns: 500.0,
-        },
-    ];
-    let mut net = Network::builder()
-        .nodes(4)
-        .round(Duration::from_ms(10))
-        .clocks(clocks)
-        .build();
-    let s = Subject::new(77);
-    {
-        let mut api = net.api();
-        api.announce(
-            NodeId(1),
-            s,
-            ChannelSpec::hrt(HrtSpec {
-                period: Duration::from_ms(10),
-                dlc: 8,
-                omission_degree: 1,
-                sporadic: false,
-            }),
-        )
-        .unwrap();
-        api.subscribe(NodeId(2), s, SubscribeSpec::default())
+    let build = || {
+        let clocks = vec![
+            rtec_clock::ClockParams::PERFECT,
+            rtec_clock::ClockParams {
+                drift_ppm: 30.0,
+                initial_offset_ns: 2_000.0,
+            },
+            rtec_clock::ClockParams {
+                drift_ppm: -30.0,
+                initial_offset_ns: -1_500.0,
+            },
+            rtec_clock::ClockParams {
+                drift_ppm: 15.0,
+                initial_offset_ns: 500.0,
+            },
+        ];
+        let mut net = Network::builder()
+            .nodes(4)
+            .round(Duration::from_ms(10))
+            .clocks(clocks)
+            .build();
+        let s = Subject::new(77);
+        {
+            let mut api = net.api();
+            api.announce(
+                NodeId(1),
+                s,
+                ChannelSpec::hrt(HrtSpec {
+                    period: Duration::from_ms(10),
+                    dlc: 8,
+                    omission_degree: 1,
+                    sporadic: false,
+                }),
+            )
             .unwrap();
-        api.install_calendar().unwrap();
-    }
-    net.every(Duration::from_ms(10), Duration::from_us(100), move |api| {
-        let _ = api.publish(NodeId(1), s, Event::new(s, vec![1; 8]));
-    });
+            api.subscribe(NodeId(2), s, SubscribeSpec::default())
+                .unwrap();
+            api.install_calendar().unwrap();
+        }
+        net.every(Duration::from_ms(10), Duration::from_us(100), move |api| {
+            let _ = api.publish(NodeId(1), s, Event::new(s, vec![1; 8]));
+        });
+        net
+    };
     run_and_compare(
         "integration: drifting clocks",
-        net,
+        build,
         Duration::from_ms(300),
         // HRT frames moved 3 ms later, out of their slot.
         |evs| {
             for e in evs.iter_mut().filter(|e| e.kind == "tx_start") {
                 if e.field("id").is_some_and(|id| id >> 21 == 0) {
-                    e.time = e.time + Duration::from_ms(3);
+                    e.time += Duration::from_ms(3);
                 }
             }
         },
@@ -1171,58 +1197,61 @@ fn integration_networks_agree() {
 /// An E2-shaped run: five sporadic HRT channels under SRT background.
 #[test]
 fn e2_shaped_network_agrees() {
-    let mut net = Network::builder()
-        .nodes(8)
-        .round(Duration::from_ms(5))
-        .seed(42)
-        .build();
-    {
-        let mut api = net.api();
-        for i in 0..5u8 {
-            let s = Subject::new(0xE100 + u64::from(i));
+    let build = || {
+        let mut net = Network::builder()
+            .nodes(8)
+            .round(Duration::from_ms(5))
+            .seed(42)
+            .build();
+        {
+            let mut api = net.api();
+            for i in 0..5u8 {
+                let s = Subject::new(0xE100 + u64::from(i));
+                api.announce(
+                    NodeId(i),
+                    s,
+                    ChannelSpec::hrt(HrtSpec {
+                        period: Duration::from_ms(5),
+                        dlc: 8,
+                        omission_degree: 1,
+                        sporadic: true,
+                    }),
+                )
+                .unwrap();
+                api.subscribe(NodeId(6), s, SubscribeSpec::default())
+                    .unwrap();
+            }
             api.announce(
-                NodeId(i),
-                s,
-                ChannelSpec::hrt(HrtSpec {
-                    period: Duration::from_ms(5),
-                    dlc: 8,
-                    omission_degree: 1,
-                    sporadic: true,
+                NodeId(5),
+                SRT,
+                ChannelSpec::srt(SrtSpec {
+                    default_deadline: Duration::from_ms(20),
+                    default_expiration: Some(Duration::from_ms(60)),
+                    ..SrtSpec::default()
                 }),
             )
             .unwrap();
-            api.subscribe(NodeId(6), s, SubscribeSpec::default())
+            api.subscribe(NodeId(7), SRT, SubscribeSpec::default())
                 .unwrap();
+            api.install_calendar().unwrap();
         }
-        api.announce(
-            NodeId(5),
-            SRT,
-            ChannelSpec::srt(SrtSpec {
-                default_deadline: Duration::from_ms(20),
-                default_expiration: Some(Duration::from_ms(60)),
-                ..SrtSpec::default()
-            }),
-        )
-        .unwrap();
-        api.subscribe(NodeId(7), SRT, SubscribeSpec::default())
-            .unwrap();
-        api.install_calendar().unwrap();
-    }
-    net.every(Duration::from_us(120), Duration::from_us(7), |api| {
-        let _ = api.publish(NodeId(5), SRT, Event::new(SRT, vec![0x5A; 8]));
-    });
-    let rng = Rc::new(RefCell::new(Rng::seed_from_u64(42 ^ 0xE2)));
-    net.every(Duration::from_ms(5), Duration::from_us(50), move |api| {
-        for i in 0..5u8 {
-            if rng.borrow_mut().gen_bool(0.5) {
-                let s = Subject::new(0xE100 + u64::from(i));
-                let _ = api.publish(NodeId(i), s, Event::new(s, vec![i; 8]));
+        net.every(Duration::from_us(120), Duration::from_us(7), |api| {
+            let _ = api.publish(NodeId(5), SRT, Event::new(SRT, vec![0x5A; 8]));
+        });
+        let rng = Rc::new(RefCell::new(Rng::seed_from_u64(42 ^ 0xE2)));
+        net.every(Duration::from_ms(5), Duration::from_us(50), move |api| {
+            for i in 0..5u8 {
+                if rng.borrow_mut().gen_bool(0.5) {
+                    let s = Subject::new(0xE100 + u64::from(i));
+                    let _ = api.publish(NodeId(i), s, Event::new(s, vec![i; 8]));
+                }
             }
-        }
-    });
+        });
+        net
+    };
     run_and_compare(
         "E2-shaped",
-        net,
+        build,
         Duration::from_ms(400),
         // Every SRT frame also recorded as expired at its start.
         |evs| {
@@ -1255,57 +1284,60 @@ fn e2_shaped_network_agrees() {
 /// traffic, cut short.
 #[test]
 fn e8_shaped_network_agrees() {
-    let mut net = Network::builder()
-        .nodes(6)
-        .round(Duration::from_ms(10))
-        .seed(42)
-        .build();
-    {
-        let mut api = net.api();
-        api.announce(
-            NodeId(0),
-            HRT,
-            ChannelSpec::hrt(HrtSpec {
-                period: Duration::from_ms(10),
-                dlc: 8,
-                omission_degree: 2,
-                sporadic: false,
-            }),
-        )
-        .unwrap();
-        api.subscribe(NodeId(2), HRT, SubscribeSpec::default())
+    let build = || {
+        let mut net = Network::builder()
+            .nodes(6)
+            .round(Duration::from_ms(10))
+            .seed(42)
+            .build();
+        {
+            let mut api = net.api();
+            api.announce(
+                NodeId(0),
+                HRT,
+                ChannelSpec::hrt(HrtSpec {
+                    period: Duration::from_ms(10),
+                    dlc: 8,
+                    omission_degree: 2,
+                    sporadic: false,
+                }),
+            )
             .unwrap();
-        api.install_calendar().unwrap();
-        api.announce(
-            NodeId(1),
-            SRT,
-            ChannelSpec::srt(SrtSpec {
-                default_deadline: Duration::from_ms(20),
-                default_expiration: Some(Duration::from_ms(60)),
-                ..SrtSpec::default()
-            }),
-        )
-        .unwrap();
-        api.subscribe(NodeId(3), SRT, SubscribeSpec::default())
+            api.subscribe(NodeId(2), HRT, SubscribeSpec::default())
+                .unwrap();
+            api.install_calendar().unwrap();
+            api.announce(
+                NodeId(1),
+                SRT,
+                ChannelSpec::srt(SrtSpec {
+                    default_deadline: Duration::from_ms(20),
+                    default_expiration: Some(Duration::from_ms(60)),
+                    ..SrtSpec::default()
+                }),
+            )
             .unwrap();
-        api.announce(NodeId(4), NRT, ChannelSpec::nrt(NrtSpec::bulk()))
-            .unwrap();
-        api.subscribe(NodeId(5), NRT, SubscribeSpec::default())
-            .unwrap();
-    }
-    net.every(Duration::from_ms(10), Duration::from_us(100), |api| {
-        let _ = api.publish(NodeId(0), HRT, Event::new(HRT, vec![7; 8]));
-    });
-    net.every(Duration::from_us(400), Duration::from_us(7), |api| {
-        let _ = api.publish(NodeId(1), SRT, Event::new(SRT, vec![0x5A; 8]));
-    });
-    net.after(Duration::from_ms(1), |api| {
-        let image: Vec<u8> = (0..64 * 1024 - 1).map(|i| (i % 251) as u8).collect();
-        api.publish(NodeId(4), NRT, Event::new(NRT, image)).unwrap();
-    });
+            api.subscribe(NodeId(3), SRT, SubscribeSpec::default())
+                .unwrap();
+            api.announce(NodeId(4), NRT, ChannelSpec::nrt(NrtSpec::bulk()))
+                .unwrap();
+            api.subscribe(NodeId(5), NRT, SubscribeSpec::default())
+                .unwrap();
+        }
+        net.every(Duration::from_ms(10), Duration::from_us(100), |api| {
+            let _ = api.publish(NodeId(0), HRT, Event::new(HRT, vec![7; 8]));
+        });
+        net.every(Duration::from_us(400), Duration::from_us(7), |api| {
+            let _ = api.publish(NodeId(1), SRT, Event::new(SRT, vec![0x5A; 8]));
+        });
+        net.after(Duration::from_ms(1), |api| {
+            let image: Vec<u8> = (0..64 * 1024 - 1).map(|i| (i % 251) as u8).collect();
+            api.publish(NodeId(4), NRT, Event::new(NRT, image)).unwrap();
+        });
+        net
+    };
     run_and_compare(
         "E8-shaped",
-        net,
+        build,
         Duration::from_ms(300),
         // Fragments 100 and 101 swapped on the wire.
         |evs| {

@@ -1463,10 +1463,16 @@ impl Network {
     /// inspection or printing.
     pub fn enable_trace(&mut self) -> TraceSink {
         let sink = TraceSink::enabled();
+        self.set_trace(sink.clone());
+        sink
+    }
+
+    /// Emit every trace record of the nodes and the bus into `sink`
+    /// from now on — a retaining, bounded or tapped sink alike.
+    pub fn set_trace(&mut self, sink: TraceSink) {
         self.engine.model.trace = sink.clone();
         self.engine.model.rebuild_trace_srcs();
-        self.engine.model.bus.set_trace(sink.clone());
-        sink
+        self.engine.model.bus.set_trace(sink);
     }
 
     /// Network statistics collected so far.

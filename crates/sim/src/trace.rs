@@ -20,20 +20,35 @@
 //! * key/value fields are stored in an inline small-vector
 //!   ([`INLINE_FIELDS`] pairs on the stack; larger payloads spill to the
 //!   heap) — [`TraceSink::emit_fields`] copies from a borrowed slice.
-//! * records live in a ring buffer. The default enabled sink is
-//!   unbounded (audits need the complete trace); a bounded sink
-//!   ([`TraceSink::enabled_with_capacity`]) recycles the oldest record
-//!   once warm and counts what it dropped ([`TraceSink::dropped`]).
+//! * records live in a ring buffer. [`TraceSink::enabled`] keeps every
+//!   record; a bounded sink ([`TraceSink::enabled_with_capacity`])
+//!   recycles the oldest record once warm and counts what it dropped
+//!   ([`TraceSink::dropped`]).
+//!
+//! A *tapped* sink ([`TraceSink::tapped`]) keeps nothing: it hands each
+//! record, under the same lock, to a [`TraceTap`] — an observer such as
+//! the conformance monitor, which checks the trace as it is emitted.
+//! [`TraceSink::replay`] feeds a retaining sink's records to a tap the
+//! same way, straight from the ring.
 //!
 //! Queries are a **view layer**: [`TraceSink::events`] materializes
 //! plain [`TraceEvent`]s (owned `String` source, `Vec` fields) from the
-//! compact records, so auditors and tests keep the same API they had
-//! when the sink stored `TraceEvent`s directly.
+//! compact records, for tests and printing.
 
 use crate::time::Time;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// An observer a sink hands each record to as it is emitted.
+///
+/// A tap runs under the sink's lock, so it sees records in emission
+/// order and must not emit into the same sink.
+pub trait TraceTap: Any + Send {
+    /// One record: its instant, kind tag and key/value fields.
+    fn observe(&mut self, time: Time, kind: &'static str, fields: &[(&'static str, u64)]);
+}
 
 /// Interned `source` string handle, valid for the sink that issued it
 /// (and its clones — they share the intern table).
@@ -128,14 +143,27 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// The records and intern table behind an enabled sink.
-#[derive(Debug)]
+/// The records, tap and intern table behind an enabled sink.
 struct Ring {
     capacity: usize,
     records: VecDeque<Rec>,
     dropped: u64,
+    /// Set on a tapped sink, which hands records here instead of
+    /// keeping them.
+    tap: Option<Box<dyn TraceTap>>,
     names: Vec<Arc<str>>,
     ids: HashMap<Arc<str>, u32>,
+}
+
+impl fmt::Debug for Ring {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ring")
+            .field("capacity", &self.capacity)
+            .field("records", &self.records.len())
+            .field("dropped", &self.dropped)
+            .field("tapped", &self.tap.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Ring {
@@ -144,6 +172,7 @@ impl Ring {
             capacity,
             records: VecDeque::new(),
             dropped: 0,
+            tap: None,
             names: Vec::new(),
             ids: HashMap::new(),
         }
@@ -202,11 +231,21 @@ impl TraceSink {
         TraceSink::default()
     }
 
-    /// An enabled sink that records every event (unbounded — complete
-    /// traces are what the conformance auditor consumes).
+    /// An enabled sink that keeps every record.
     pub fn enabled() -> Self {
         TraceSink {
             ring: Some(Arc::new(Mutex::new(Ring::new(usize::MAX)))),
+        }
+    }
+
+    /// An enabled sink that keeps nothing and hands every record to
+    /// `tap` instead, under the lock a retaining sink pushes under.
+    /// Reach the tap again with [`TraceSink::with_tap`].
+    pub fn tapped(tap: impl TraceTap) -> Self {
+        let mut ring = Ring::new(0);
+        ring.tap = Some(Box::new(tap));
+        TraceSink {
+            ring: Some(Arc::new(Mutex::new(ring))),
         }
     }
 
@@ -259,13 +298,35 @@ impl TraceSink {
         kind: &'static str,
         fields: &[(&'static str, u64)],
     ) {
-        if let Some(mut ring) = self.lock() {
-            ring.push(Rec {
-                time,
-                source,
-                kind,
-                fields: FieldBuf::from_slice(fields),
-            });
+        if let Some(mut guard) = self.lock() {
+            let ring = &mut *guard;
+            match &mut ring.tap {
+                Some(tap) => tap.observe(time, kind, fields),
+                None => ring.push(Rec {
+                    time,
+                    source,
+                    kind,
+                    fields: FieldBuf::from_slice(fields),
+                }),
+            }
+        }
+    }
+
+    /// Run `f` on the sink's tap if it is a `T`; `None` for a sink
+    /// without a tap of that type.
+    pub fn with_tap<T: TraceTap, R>(&self, f: impl FnOnce(&mut T) -> R) -> Option<R> {
+        let mut ring = self.lock()?;
+        let tap: &mut dyn Any = ring.tap.as_deref_mut()?;
+        tap.downcast_mut::<T>().map(f)
+    }
+
+    /// Hand every kept record to `tap`, oldest first, straight from the
+    /// ring.
+    pub fn replay(&self, tap: &mut impl TraceTap) {
+        if let Some(ring) = self.lock() {
+            for r in &ring.records {
+                tap.observe(r.time, r.kind, r.fields.as_slice());
+            }
         }
     }
 
@@ -468,6 +529,59 @@ mod tests {
         }
         assert_eq!(sink.len(), 4);
         assert!(sink.events().iter().all(|e| e.source == "worker"));
+    }
+
+    /// Counts records and keeps the last one's `i` field.
+    #[derive(Default)]
+    struct Count {
+        seen: u64,
+        last: Option<(Time, &'static str, u64)>,
+    }
+
+    impl TraceTap for Count {
+        fn observe(&mut self, time: Time, kind: &'static str, fields: &[(&'static str, u64)]) {
+            self.seen += 1;
+            self.last = Some((time, kind, fields.first().map_or(0, |f| f.1)));
+        }
+    }
+
+    #[test]
+    fn tapped_sink_hands_records_over_and_keeps_none() {
+        let sink = TraceSink::tapped(Count::default());
+        let writer = sink.clone();
+        let src = writer.intern("bus");
+        for i in 0..5u64 {
+            writer.emit_fields(Time::from_ns(i), src, "tick", &[("i", i)]);
+        }
+        assert!(sink.is_enabled());
+        assert_eq!(sink.len(), 0);
+        assert_eq!(sink.dropped(), 0);
+        assert!(sink.events().is_empty());
+        let got = sink.with_tap(|c: &mut Count| (c.seen, c.last));
+        assert_eq!(got, Some((5, Some((Time::from_ns(4), "tick", 4)))));
+        // A tap of another type, and a sink without a tap, give None.
+        assert_eq!(sink.with_tap(|_: &mut Other| ()), None);
+        assert_eq!(TraceSink::enabled().with_tap(|c: &mut Count| c.seen), None);
+        assert_eq!(TraceSink::disabled().with_tap(|c: &mut Count| c.seen), None);
+    }
+
+    struct Other;
+    impl TraceTap for Other {
+        fn observe(&mut self, _: Time, _: &'static str, _: &[(&'static str, u64)]) {}
+    }
+
+    #[test]
+    fn replay_feeds_kept_records_in_order() {
+        let sink = TraceSink::enabled_with_capacity(3);
+        let src = sink.intern("bus");
+        for i in 0..5u64 {
+            sink.emit_fields(Time::from_ns(i), src, "tick", &[("i", i)]);
+        }
+        let mut count = Count::default();
+        sink.replay(&mut count);
+        assert_eq!(count.seen, 3);
+        assert_eq!(count.last, Some((Time::from_ns(4), "tick", 4)));
+        assert_eq!(sink.len(), 3, "replay keeps the records");
     }
 
     #[test]
