@@ -2,7 +2,7 @@
 //! N-segment topologies, seeds, and fault plans, the per-segment-thread
 //! driver must produce **byte-identical** results to the serial
 //! lockstep oracle — full traces, delivery logs (probes), forward
-//! counters, dispatch counts — and identical `T1`..`T8` audit verdicts
+//! counters, dispatch counts — and identical `T1`..`T9` audit verdicts
 //! on every segment's trace.
 //!
 //! Topologies are random *trees* rooted at segment 0 (relay routes
@@ -11,6 +11,12 @@
 //! outgoing route is distinct from the egress node of the incoming
 //! route — CAN controllers never receive their own frames, so equal
 //! identities would silently break the chain, not bias it.
+//!
+//! On top of the tree every plan draws one or two *fan-in* routes: each
+//! carries a subject of its own from any segment into a non-root
+//! segment, at a latency distinct from that segment's tree route, so a
+//! segment's relay buffer receives envelopes out of due order and must
+//! sort them.
 
 use proptest::prelude::*;
 use rtec_can::fault::{FaultModel, OmissionScope};
@@ -29,6 +35,9 @@ struct Plan {
     periods_us: Vec<u64>,
     /// Per-route gateway latency, in units of 100 µs (1..).
     latency_q: Vec<u64>,
+    /// Fan-in routes `(from, to, latency in 100 µs units)`: `to` is a
+    /// non-root segment and the latency differs from its tree route's.
+    fan_in: Vec<(usize, usize, u64)>,
     fault: FaultModel,
     fault_seed: u64,
 }
@@ -64,9 +73,23 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
         prop::collection::vec(1u64..=8, MAX_SEGS - 1),
         arb_fault(),
         any::<u64>(),
+        (
+            1usize..=2,
+            prop::collection::vec(any::<u64>(), 4),
+            prop::collection::vec(1u64..=8, 2),
+        ),
     )
         .prop_map(
-            |(n, parents_raw, mut seeds, mut periods_us, mut latency_q, fault, fault_seed)| {
+            |(
+                n,
+                parents_raw,
+                mut seeds,
+                mut periods_us,
+                mut latency_q,
+                fault,
+                fault_seed,
+                (fan_ins, ends_raw, fan_q),
+            )| {
                 // Tree shape: parent of segment i+1 is any segment <= i.
                 let parents = (0..n - 1)
                     .map(|i| (parents_raw[i] % (i as u64 + 1)) as usize)
@@ -74,11 +97,25 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
                 seeds.truncate(n);
                 periods_us.truncate(n);
                 latency_q.truncate(n - 1);
+                let fan_in = (0..fan_ins)
+                    .map(|k| {
+                        let to = 1 + (ends_raw[2 * k] % (n as u64 - 1)) as usize;
+                        let from = (to + 1 + (ends_raw[2 * k + 1] % (n as u64 - 1)) as usize) % n;
+                        let tree_q = latency_q[to - 1];
+                        let q = if fan_q[k] == tree_q {
+                            fan_q[k] % 8 + 1
+                        } else {
+                            fan_q[k]
+                        };
+                        (from, to, q)
+                    })
+                    .collect();
                 Plan {
                     parents,
                     seeds,
                     periods_us,
                     latency_q,
+                    fan_in,
                     fault,
                     fault_seed,
                 }
@@ -86,17 +123,20 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
         )
 }
 
-/// Build the topology a `Plan` describes. Six nodes per segment:
+/// Build the topology a `Plan` describes. Eight nodes per segment:
 /// node 0 publishes, node 1 subscribes, node 2 is the egress identity
-/// of the inbound route, and nodes 3..=5 are ingress identities for
-/// outbound routes — one per child edge, since a node may not
-/// subscribe to the same subject twice.
+/// of the inbound tree route, nodes 3..=5 are ingress identities for
+/// outbound tree routes — one per child edge, since a node may not
+/// subscribe to the same subject twice — and nodes 6 and 7 are the
+/// ingress and egress identities of fan-in routes, each of which
+/// relays its own subject `0x200 + k`, published by node 0 of its
+/// source segment.
 fn build(plan: &Plan) -> Topology {
     let n = plan.parents.len() + 1;
     let mut topo = Topology::new();
     for seg in 0..n {
         let config = NetworkConfig {
-            nodes: 6,
+            nodes: 8,
             seed: plan.seeds[seg],
             fault_model: plan.fault.clone(),
             ..NetworkConfig::default()
@@ -164,6 +204,30 @@ fn build(plan: &Plan) -> Topology {
             SrtSpec::default(),
         );
     }
+    // Fan-in routes, declared after the tree's so their indices follow.
+    for (k, &(from, to, q)) in plan.fan_in.iter().enumerate() {
+        let subject = Subject::new(0x200 + k as u64);
+        let period = Duration::from_us(611 + 97 * k as u64);
+        topo.setup(from, move |net| {
+            net.api()
+                .announce(NodeId(0), subject, ChannelSpec::srt(SrtSpec::default()))
+                .unwrap();
+            let mut n = 0u8;
+            net.every(period, Duration::from_us(59), move |api| {
+                n = n.wrapping_add(1);
+                let _ = api.publish(NodeId(0), subject, Event::new(subject, vec![k as u8, n]));
+            });
+        });
+        topo.forward_via(
+            subject,
+            from,
+            to,
+            NodeId(6),
+            NodeId(7),
+            Duration::from_us(100 * q),
+            SrtSpec::default(),
+        );
+    }
     topo
 }
 
@@ -198,7 +262,7 @@ proptest! {
         assert_identical(&serial, &parallel);
 
         // Not vacuous: the root's traffic really crossed every edge.
-        for route in 0..plan.parents.len() as u32 {
+        for route in 0..(plan.parents.len() + plan.fan_in.len()) as u32 {
             prop_assert!(
                 serial.forwarded(route) > 0,
                 "route {} never relayed anything", route
