@@ -125,8 +125,25 @@ fn field(fields: &[(&'static str, u64)], name: &str) -> Option<u64> {
     fields.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
 }
 
+/// `report` plus an error for each gap notice no resume covered (`T9`),
+/// sorted by rule.
+fn verdict(mut report: Report, uncovered_gaps: &[(u64, Time)]) -> Report {
+    for &(client, at) in uncovered_gaps {
+        report.error_at(
+            RuleId::ResumeSafety,
+            at,
+            format!("client {client} was sent a Gap notice with no prior resume on record"),
+            "gap notices may only be minted while a session resume replays",
+        );
+    }
+    report
+        .diagnostics
+        .sort_by_key(|d| RuleId::ALL.iter().position(|&r| r == d.rule));
+    report
+}
+
 /// The installed calendar, digested for `T2`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Calendar {
     start_ns: i128,
     round_ns: i128,
@@ -136,7 +153,7 @@ struct Calendar {
 }
 
 /// The trace rules `T1`..`T9` as one automaton over a record stream.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Monitor {
     records: u64,
     report: Report,
@@ -248,24 +265,14 @@ impl Monitor {
     /// The verdict on the records observed so far — what
     /// [`Monitor::finish`] would return now.
     pub fn report(&self) -> Report {
-        self.clone().finish()
+        verdict(self.report.clone(), &self.uncovered_gaps)
     }
 
     /// Close the open obligations and return the verdict, rule by rule
-    /// in [`RuleId::ALL`] order, each rule's findings in record order.
-    pub fn finish(mut self) -> Report {
-        for (client, at) in std::mem::take(&mut self.uncovered_gaps) {
-            self.report.error_at(
-                RuleId::ResumeSafety,
-                at,
-                format!("client {client} was sent a Gap notice with no prior resume on record"),
-                "gap notices may only be minted while a session resume replays",
-            );
-        }
-        self.report
-            .diagnostics
-            .sort_by_key(|d| RuleId::ALL.iter().position(|&r| r == d.rule));
-        self.report
+    /// in [`RuleId::ALL`] order, each rule's findings in the order they
+    /// were found.
+    pub fn finish(self) -> Report {
+        verdict(self.report, &self.uncovered_gaps)
     }
 
     /// T1 + T6: the winner must be the minimum contending identifier
