@@ -59,6 +59,7 @@ fi
 echo "== conformance fault-injection suite"
 cargo test -p rtec-conformance --test fault_injection -q
 cargo test -p rtec-conformance --test end_to_end -q
+cargo test -p rtec-conformance --test monitor_oracle -q
 
 echo "== live-runtime loopback smoke (demo + auditor, hard timeout)"
 # The live runtime is threads in lock-step over IPC: a protocol bug
@@ -75,7 +76,7 @@ timeout 300 benchmark/run.sh --quick
 
 echo "== chaos smoke (kill/restart 2 of 8 nodes, 5% datagram drop)"
 # Deterministic crash tolerance gate: both killed nodes must rejoin
-# with no double delivery, the merged trace must pass T1..T8, and a
+# with no double delivery, the merged trace must pass T1..T9, and a
 # same-seed rerun must be byte-identical. A supervision bug is a hang
 # (a node that never rejoins stalls the lock-step), so bound it hard.
 timeout 180 cargo run -p rtec-bench --bin experiments --release -- chaos --ci
