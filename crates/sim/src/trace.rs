@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 ///
 /// A tap runs under the sink's lock, so it sees records in emission
 /// order and must not emit into the same sink.
-pub trait TraceTap: Any + Send {
+pub trait TraceTap: Any + Send + fmt::Debug {
     /// One record: its instant, kind tag and key/value fields.
     fn observe(&mut self, time: Time, kind: &'static str, fields: &[(&'static str, u64)]);
 }
@@ -144,6 +144,7 @@ impl fmt::Display for TraceEvent {
 }
 
 /// The records, tap and intern table behind an enabled sink.
+#[derive(Debug)]
 struct Ring {
     capacity: usize,
     records: VecDeque<Rec>,
@@ -153,17 +154,6 @@ struct Ring {
     tap: Option<Box<dyn TraceTap>>,
     names: Vec<Arc<str>>,
     ids: HashMap<Arc<str>, u32>,
-}
-
-impl fmt::Debug for Ring {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Ring")
-            .field("capacity", &self.capacity)
-            .field("records", &self.records.len())
-            .field("dropped", &self.dropped)
-            .field("tapped", &self.tap.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 impl Ring {
@@ -532,7 +522,7 @@ mod tests {
     }
 
     /// Counts records and keeps the last one's `i` field.
-    #[derive(Default)]
+    #[derive(Debug, Default)]
     struct Count {
         seen: u64,
         last: Option<(Time, &'static str, u64)>,
@@ -565,6 +555,7 @@ mod tests {
         assert_eq!(TraceSink::disabled().with_tap(|c: &mut Count| c.seen), None);
     }
 
+    #[derive(Debug)]
     struct Other;
     impl TraceTap for Other {
         fn observe(&mut self, _: Time, _: &'static str, _: &[(&'static str, u64)]) {}
