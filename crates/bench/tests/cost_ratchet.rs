@@ -195,9 +195,9 @@ fn monitored_round(sink: &TraceSink, src: SourceId, round: u64, slot: &PlannedSl
     sink.emit_fields(Time::from_ns(at), src, "hrt_deliver", &deliver);
 }
 
-/// ROADMAP item 6's gate: a warm conformance monitor, fed through a
-/// tapped sink, checks every rule on a steady stream without touching
-/// the heap — no per-record copy, string or report.
+/// A warm conformance monitor, fed through a tapped sink, checks every
+/// rule on a steady stream without touching the heap — no per-record
+/// copy, string or report.
 #[test]
 fn warm_conformance_monitor_allocates_nothing() {
     let round = Duration::from_ms(10);
