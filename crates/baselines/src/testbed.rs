@@ -18,6 +18,7 @@
 use rtec_analysis::edf::PrioritySlotConfig;
 use rtec_can::{BusConfig, CanBus, CanEvent, FaultInjector, MapScheduler, NodeId, Notification};
 use rtec_can::{TxHandle, TxRequest};
+use rtec_core::binding::ETAG_FIRST_DYNAMIC;
 use rtec_core::channel::{ChannelException, ChannelSpec, SrtPriority, SrtSpec};
 use rtec_core::machine::{Input, MachineConfig, NodeMachine, Output, SrtTimer, SrtTx};
 use rtec_core::{Event, Subject};
@@ -26,8 +27,11 @@ use rtec_workloads::{ArrivalGen, StreamSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Offset so testbed etags avoid the reserved protocol range.
-const ETAG_BASE: u16 = 16;
+/// The etag of stream `idx`: what `Network`'s static binding assigns
+/// when the streams are announced in order.
+fn etag_of(idx: usize) -> u16 {
+    ETAG_FIRST_DYNAMIC + idx as u16
+}
 
 /// Testbed configuration.
 #[derive(Clone, Debug)]
@@ -182,14 +186,14 @@ impl SchedWorld {
                 })
             })
             .collect();
-        for (s, &priority) in config.streams.iter().zip(priorities) {
+        for (i, (s, &priority)) in config.streams.iter().zip(priorities).enumerate() {
             let spec = SrtSpec {
                 default_deadline: s.rel_deadline,
                 default_expiration: s.rel_expiration,
                 priority,
             };
             let subject = Subject::new(u64::from(s.id));
-            machines[s.node.index()].announce(ETAG_BASE + s.id, subject, ChannelSpec::Srt(spec));
+            machines[s.node.index()].announce(etag_of(i), subject, ChannelSpec::Srt(spec));
         }
         let streams_rng = RngStreams::new(config.seed);
         let gens: Vec<ArrivalGen> = config
@@ -274,7 +278,8 @@ impl SchedWorld {
     }
 
     fn stream_stats(&mut self, etag: u16) -> &mut StreamStats {
-        self.stats.per_stream.entry(etag - ETAG_BASE).or_default()
+        let id = self.streams[usize::from(etag - ETAG_FIRST_DYNAMIC)].id;
+        self.stats.per_stream.entry(id).or_default()
     }
 
     fn on_release(&mut self, ctx: &mut Ctx<TbEvent>, stream_idx: usize) {
@@ -287,7 +292,7 @@ impl SchedWorld {
             next.max(now + Duration::from_ns(1)),
             TbEvent::Release(stream_idx),
         );
-        let etag = ETAG_BASE + s.id;
+        let etag = etag_of(stream_idx);
         self.stats.released += 1;
         self.stream_stats(etag).released += 1;
         let content = vec![s.id as u8; usize::from(s.dlc)];
@@ -551,7 +556,7 @@ mod tests {
                 let m = &self.queues[n][idx];
                 let s = &self.streams[m.stream_idx];
                 let prio = self.policy.priority(s, m.deadline, now);
-                let etag = ETAG_BASE + s.id;
+                let etag = etag_of(m.stream_idx);
                 let payload = vec![s.id as u8; usize::from(s.dlc)];
                 let frame = Frame::new(CanId::new(prio, node.0, etag), &payload);
                 let (seq, deadline, stream_idx) = (m.seq, m.deadline, m.stream_idx);
@@ -629,7 +634,8 @@ mod tests {
                 let m = &self.queues[n][idx];
                 let s = &self.streams[m.stream_idx];
                 let new_prio = self.policy.priority(s, m.deadline, now);
-                let (etag, deadline, stream_idx) = (ETAG_BASE + s.id, m.deadline, m.stream_idx);
+                let (etag, deadline, stream_idx) =
+                    (etag_of(m.stream_idx), m.deadline, m.stream_idx);
                 if new_prio != cur_prio
                     && self
                         .bus

@@ -29,8 +29,9 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
         let mut li = rtec_conformance::LintInput::new(64, BitTiming::MBIT_1, Duration::from_ms(10));
         li.channels = base
             .iter()
-            .map(|s| rtec_conformance::ChannelDecl {
-                etag: 16 + s.id,
+            .enumerate()
+            .map(|(i, s)| rtec_conformance::ChannelDecl {
+                etag: rtec_core::binding::ETAG_FIRST_DYNAMIC + i as u16,
                 publisher: s.node,
                 spec: rtec_core::channel::ChannelSpec::srt(rtec_core::channel::SrtSpec {
                     default_deadline: s.rel_deadline,
