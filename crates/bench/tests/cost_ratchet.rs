@@ -2,14 +2,17 @@
 //! must not touch the heap (fragment reassembly, trace recording, the
 //! conformance monitor), checked with a counting global allocator;
 //! the live runtime's lock-step turns per frame and the simulator's
-//! engine events on a `sim-stack`-shaped bus, pinned exactly.
+//! engine events on a `sim-stack`-shaped bus and at one E5 load point,
+//! pinned exactly.
 //!
 //! libtest runs tests on parallel threads, so the allocator counts per
 //! thread and each test reads only its own thread's count.
 
 use rtec_analysis::admission::{CalendarPlan, PlannedSlot, SlotRequest};
+use rtec_analysis::edf::PrioritySlotConfig;
+use rtec_baselines::{policy, run_testbed, TestbedConfig};
 use rtec_can::bits::BitTiming;
-use rtec_can::NodeId;
+use rtec_can::{BusConfig, NodeId};
 use rtec_conformance::{AuditContext, Monitor};
 use rtec_core::channel::{ChannelClass, ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec};
 use rtec_core::event::{Event, Subject};
@@ -22,7 +25,8 @@ use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::Pace;
 use rtec_sim::parallel::{run_serial_windows, Envelope, RoutingTable, Segment, WindowConfig};
 use rtec_sim::trace::INLINE_FIELDS;
-use rtec_sim::{Duration, SourceId, Time, TraceSink};
+use rtec_sim::{telemetry, Duration, Rng, SourceId, Time, TraceSink};
+use rtec_workloads::{scale_load, set_utilization, uniform_srt_set};
 use std::collections::HashMap;
 
 /// Allocation-counting wrapper around the system allocator: the only
@@ -495,5 +499,51 @@ fn sim_stack_counts_are_pinned() {
         runs[0],
         (20_960, 3_374, 2_566, 478_120),
         "(dispatched, frames_ok, delivered, busy_us)"
+    );
+}
+
+/// One E5 load point, as the `e5` experiment builds it: the
+/// EDF+expiry column over the seed-42 stream set scaled to U = 1.2,
+/// for 200 ms of bus time — the lightest point where every count below
+/// is non-zero (at U = 1.05 nothing misses in 200 ms). Returns
+/// (released, completed, missed, dropped, backlog, stale backlog,
+/// inversions, engine events).
+fn e5_point_run() -> [u64; 8] {
+    let mut rng = Rng::seed_from_u64(42);
+    let base = uniform_srt_set(12, 6, Duration::from_ms(2), Duration::from_ms(50), &mut rng);
+    let set = scale_load(&base, 1.2 / set_utilization(&base, BitTiming::MBIT_1));
+    let config = TestbedConfig {
+        bus: BusConfig::default(),
+        streams: set.clone(),
+        seed: 42,
+        priority_slots: PrioritySlotConfig::paper_default(),
+    };
+    telemetry::reset();
+    let s = run_testbed(&policy::edf(&set), config, Duration::from_ms(200));
+    let events = telemetry::snapshot().dispatched;
+    let (backlog, stale) = (s.backlog, s.stale_backlog);
+    [
+        s.released,
+        s.completed,
+        s.missed,
+        s.dropped,
+        backlog,
+        stale,
+        s.inversions,
+        events,
+    ]
+}
+
+/// E5's counts at one load point are pinned like `sim-stack`'s, equal
+/// over three runs: a change to how the §4 policies are hosted must
+/// leave them equal.
+#[test]
+fn e5_counts_are_pinned() {
+    let runs: Vec<_> = (0..3).map(|_| e5_point_run()).collect();
+    assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
+    assert_eq!(
+        runs[0],
+        [1_465, 1_361, 378, 24, 80, 10, 378, 14_094],
+        "[released, completed, missed, dropped, backlog, stale, inversions, engine events]"
     );
 }
