@@ -100,8 +100,8 @@ pub enum NetEvent {
     SyncTick,
     /// A one-shot application closure.
     App(usize),
-    /// A recurring application closure.
-    Recurring(usize),
+    /// An application [`Source`] fires.
+    Source(usize),
 }
 
 /// Configuration of the in-network clock-synchronization service (the
@@ -206,14 +206,34 @@ impl std::fmt::Display for CalendarError {
 }
 impl std::error::Error for CalendarError {}
 
-/// A boxed recurring application closure.
-type RecurringFn = Box<dyn FnMut(&mut NetApi<'_>)>;
 /// A boxed one-shot application closure.
 type OneShotFn = Box<dyn FnOnce(&mut NetApi<'_>)>;
 
-struct RecurringTask {
+/// A repeating application task, armed by [`Network::source`]: each
+/// time it fires, the world first asks it for the instant of its next
+/// firing and schedules that, then lets it fire — so what it publishes
+/// is ordered after its own next firing at equal instants.
+pub trait Source {
+    /// The instant of the firing after the one at `now`; an instant not
+    /// after `now` is clamped to `now + 1 ns`.
+    fn next(&mut self, now: Time) -> Time;
+    /// Act at the current instant.
+    fn fire(&mut self, api: &mut NetApi<'_>);
+}
+
+/// [`Network::every`]'s source: a closure fired once per period.
+struct Every<F> {
     period: Duration,
-    f: Option<RecurringFn>,
+    f: F,
+}
+
+impl<F: FnMut(&mut NetApi<'_>)> Source for Every<F> {
+    fn next(&mut self, now: Time) -> Time {
+        now + self.period
+    }
+    fn fire(&mut self, api: &mut NetApi<'_>) {
+        (self.f)(api)
+    }
 }
 
 /// The simulation model: everything on (and above) the bus.
@@ -235,7 +255,8 @@ pub struct NetWorld {
     /// instead of formatting a `String` source per event.
     trace_srcs: Vec<[SourceId; 3]>,
     one_shots: Vec<Option<OneShotFn>>,
-    recurring: Vec<RecurringTask>,
+    /// Armed sources; a firing one is taken out while it runs.
+    sources: Vec<Option<Box<dyn Source>>>,
     /// Publish instants of staged HRT events, for latency accounting.
     hrt_publish_times: HashMap<(u16, u64, usize), Time>,
     /// Scratch buffer the node machines push their outputs into.
@@ -319,7 +340,7 @@ impl NetWorld {
             trace: TraceSink::disabled(),
             trace_srcs: Vec::new(),
             one_shots: Vec::new(),
-            recurring: Vec::new(),
+            sources: Vec::new(),
             hrt_publish_times: HashMap::new(),
             out: Vec::new(),
         }
@@ -1329,15 +1350,15 @@ impl Model for NetWorld {
                     f(&mut api);
                 }
             }
-            NetEvent::Recurring(idx) => {
-                let mut f = self.recurring[idx].f.take();
-                let period = self.recurring[idx].period;
-                if let Some(func) = f.as_mut() {
-                    let mut api = NetApi { world: self, ctx };
-                    func(&mut api);
-                }
-                self.recurring[idx].f = f;
-                ctx.after(period, NetEvent::Recurring(idx));
+            NetEvent::Source(idx) => {
+                let Some(mut source) = self.sources[idx].take() else {
+                    return;
+                };
+                let now = ctx.now();
+                let next = source.next(now).max(now + Duration::from_ns(1));
+                ctx.at(next, NetEvent::Source(idx));
+                source.fire(&mut NetApi { world: self, ctx });
+                self.sources[idx] = Some(source);
             }
         }
     }
@@ -1510,6 +1531,13 @@ impl Network {
         self.at(t, f);
     }
 
+    /// Arm `source`, first firing at `first`.
+    pub fn source(&mut self, first: Time, source: impl Source + 'static) {
+        let idx = self.engine.model.sources.len();
+        self.engine.model.sources.push(Some(Box::new(source)));
+        self.engine.schedule_at(first, NetEvent::Source(idx));
+    }
+
     /// Schedule a recurring application closure with the given period,
     /// first firing after `phase`.
     pub fn every(
@@ -1518,11 +1546,7 @@ impl Network {
         phase: Duration,
         f: impl FnMut(&mut NetApi<'_>) + 'static,
     ) {
-        let idx = self.engine.model.recurring.len();
-        self.engine.model.recurring.push(RecurringTask {
-            period,
-            f: Some(Box::new(f)),
-        });
-        self.engine.schedule_after(phase, NetEvent::Recurring(idx));
+        let first = self.engine.now() + phase;
+        self.source(first, Every { period, f });
     }
 }
