@@ -26,6 +26,6 @@ pub mod testbed;
 pub mod ttcan;
 pub mod ttpa;
 
-pub use testbed::{run_testbed, without_expiry, StreamStats, TestbedConfig, TestbedStats};
+pub use testbed::{run_testbed, without_expiry, StreamStats, TestbedStats};
 pub use ttcan::{run_ttcan, TtcanConfig, TtcanStats, Window, WindowKind};
 pub use ttpa::{round_wire_time, run_ttpa, TtpaConfig, TtpaStats};

@@ -1,51 +1,27 @@
-//! The message-scheduling testbed: identical workloads, interchangeable
-//! SRT priorities, one shared bus.
+//! The §4 comparison runner: identical workloads, interchangeable SRT
+//! priorities, one shared bus.
 //!
-//! The testbed is one more host of [`NodeMachine`], beside the
-//! simulator's `NetWorld` and the live runtime's `LiveNode`: one machine
-//! per node on a [`CanBus`], each stream an SRT channel of its node's
-//! machine. A policy is a choice of [`SrtPriority`] per stream (see
+//! [`run_testbed`] runs a stream set on the simulator's own host of the
+//! node machine, [`Network`]: each stream an SRT channel of its node,
+//! announced in stream order, whose releases a [`Source`] publishes. A
+//! policy is a choice of [`SrtPriority`] per stream (see
 //! [`crate::policy`]), so the send queue, the promotion timers and the
-//! withdraw-and-resubmit of a more urgent newcomer are the middleware's
-//! own. A release is an [`Input::Publish`]; the host arms every timer,
-//! answers aborts inline from the bus model and applies identifier
-//! rewrites. A stream with `rel_expiration: None` keeps its messages
-//! queued best-effort forever (the classic baseline behaviour); one with
-//! an expiration has them dropped when it passes. Deadline misses are
-//! judged at wire completion: a message whose transmission completes
-//! after its absolute deadline missed it.
+//! withdraw-and-resubmit of a more urgent newcomer are the
+//! middleware's own. A stream with `rel_expiration: None` keeps its
+//! messages queued best-effort forever (the classic baseline
+//! behaviour); one with an expiration has them dropped when it passes.
+//! Deadline misses are judged at wire completion
+//! ([`rtec_core::ChannelStats::completed_late`]): a message whose
+//! transmission completes after its absolute deadline missed it.
 
-use rtec_analysis::edf::PrioritySlotConfig;
-use rtec_can::{BusConfig, CanBus, CanEvent, FaultInjector, MapScheduler, NodeId, Notification};
-use rtec_can::{TxHandle, TxRequest};
-use rtec_core::binding::ETAG_FIRST_DYNAMIC;
-use rtec_core::channel::{ChannelException, ChannelSpec, SrtPriority, SrtSpec};
-use rtec_core::machine::{Input, MachineConfig, NodeMachine, Output, SrtTimer, SrtTx};
-use rtec_core::{Event, Subject};
-use rtec_sim::{Ctx, Duration, Engine, Histogram, Model, RngStreams, Time};
+use rtec_can::NodeId;
+use rtec_core::channel::{ChannelSpec, SrtPriority, SrtSpec};
+use rtec_core::network::{Network, NetworkConfig, Source};
+use rtec_core::{Event, NetApi, Subject};
+use rtec_sim::{Duration, Histogram, RngStreams, Time};
 use rtec_workloads::{ArrivalGen, StreamSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// The etag of stream `idx`: what `Network`'s static binding assigns
-/// when the streams are announced in order.
-fn etag_of(idx: usize) -> u16 {
-    ETAG_FIRST_DYNAMIC + idx as u16
-}
-
-/// Testbed configuration.
-#[derive(Clone, Debug)]
-pub struct TestbedConfig {
-    /// Bus parameters.
-    pub bus: BusConfig,
-    /// The workload.
-    pub streams: Vec<StreamSpec>,
-    /// Run seed (drives all arrival processes).
-    pub seed: u64,
-    /// The machines' deadline → priority mapping of
-    /// [`SrtPriority::Slots`] channels.
-    pub priority_slots: PrioritySlotConfig,
-}
 
 /// `set` with every expiration removed: its messages stay queued until
 /// they are sent, however late.
@@ -70,7 +46,7 @@ pub struct StreamStats {
     pub dropped: u64,
 }
 
-/// Aggregate testbed outcome.
+/// Aggregate outcome of a run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct TestbedStats {
     /// Messages released.
@@ -91,9 +67,9 @@ pub struct TestbedStats {
     /// somewhere on the bus — the bounded priority inversions caused by
     /// quantized priorities and non-preemption.
     pub inversions: u64,
-    /// Release → completion response times (ns).
+    /// Release → completion response times (ns), stream by stream.
     pub response_ns: Histogram,
-    /// Per-stream breakdown.
+    /// Per-stream breakdown of the streams that released a message.
     pub per_stream: HashMap<u16, StreamStats>,
 }
 
@@ -127,265 +103,101 @@ impl TestbedStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum TbEvent {
-    /// Bus activity.
-    Can(CanEvent),
-    /// A stream releases its next message.
-    Release(usize),
-    /// A timer `node`'s machine armed for message `seq` fired.
-    Timer {
-        node: NodeId,
-        timer: SrtTimer,
-        seq: u32,
-    },
+fn subject(s: &StreamSpec) -> Subject {
+    Subject::new(u64::from(s.id))
 }
 
-/// The testbed world: a bus and one node machine per node.
-struct SchedWorld {
-    bus: CanBus,
-    machines: Vec<NodeMachine>,
-    /// Per node, the bus handle of the machine's submitted SRT frame.
-    tx: Vec<Option<TxHandle>>,
-    streams: Vec<StreamSpec>,
-    gens: Vec<ArrivalGen>,
-    /// Scratch buffer the machines push their outputs into.
-    out: Vec<Output>,
-    stats: TestbedStats,
+/// A stream's releases: each firing publishes one `dlc`-byte message
+/// on the stream's channel.
+struct Release {
+    stream: StreamSpec,
+    arrivals: ArrivalGen,
 }
 
-fn wrap(ev: CanEvent) -> TbEvent {
-    TbEvent::Can(ev)
-}
-
-impl SchedWorld {
-    /// Build the engine with initial releases scheduled; `priorities`
-    /// holds each stream's, index-aligned with `config.streams`.
-    fn engine(priorities: &[SrtPriority], config: TestbedConfig) -> Engine<SchedWorld> {
-        assert_eq!(
-            priorities.len(),
-            config.streams.len(),
-            "one priority per stream"
-        );
-        let num_nodes = config
-            .streams
-            .iter()
-            .map(|s| s.node.index() + 1)
-            .max()
-            .unwrap_or(1);
-        let bus = CanBus::new(config.bus, num_nodes, FaultInjector::none());
-        let mut machines: Vec<NodeMachine> = (0..num_nodes)
-            .map(|i| {
-                NodeMachine::new(MachineConfig {
-                    node: NodeId(i as u8),
-                    priority_slots: config.priority_slots,
-                    timing: config.bus.timing,
-                    srt_queue_cap: usize::MAX,
-                    nrt_queue_cap: usize::MAX,
-                    hrt_deferred_delivery: true,
-                })
-            })
-            .collect();
-        for (i, (s, &priority)) in config.streams.iter().zip(priorities).enumerate() {
-            let spec = SrtSpec {
-                default_deadline: s.rel_deadline,
-                default_expiration: s.rel_expiration,
-                priority,
-            };
-            let subject = Subject::new(u64::from(s.id));
-            machines[s.node.index()].announce(etag_of(i), subject, ChannelSpec::Srt(spec));
-        }
-        let streams_rng = RngStreams::new(config.seed);
-        let gens: Vec<ArrivalGen> = config
-            .streams
-            .iter()
-            .map(|s| {
-                ArrivalGen::new(
-                    s.pattern,
-                    streams_rng.stream_indexed("arrivals", u64::from(s.id)),
-                )
-            })
-            .collect();
-        let n_streams = config.streams.len();
-        let world = SchedWorld {
-            bus,
-            machines,
-            tx: vec![None; num_nodes],
-            streams: config.streams,
-            gens,
-            out: Vec::new(),
-            stats: TestbedStats::default(),
-        };
-        let mut engine = Engine::new(world);
-        for i in 0..n_streams {
-            // First release of each stream.
-            let t = engine.model.gens[i].next_release();
-            engine.schedule_at(t, TbEvent::Release(i));
-        }
-        engine
+impl Source for Release {
+    fn next(&mut self, _now: Time) -> Time {
+        self.arrivals.next_release()
     }
 
-    /// Feed `input` to `node`'s machine and carry out its outputs in
-    /// order. An abort is answered inline from the bus model, so its
-    /// consequences (submitting the new head) land in the same event.
-    fn step(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, input: Input) {
-        let n = node.index();
-        let now = ctx.now();
-        let mut out = std::mem::take(&mut self.out);
-        let mut input = Some(input);
-        while let Some(next) = input.take() {
-            self.machines[n]
-                .handle(now, next, &mut out)
-                .expect("a testbed channel takes every publish");
-            for output in out.drain(..) {
-                match output {
-                    Output::Submit { frame, tag, .. } => {
-                        let request = TxRequest {
-                            frame,
-                            single_shot: false,
-                            tag,
-                        };
-                        let mut sched = MapScheduler::new(ctx, wrap);
-                        self.tx[n] = Some(self.bus.submit(&mut sched, node, request));
-                    }
-                    Output::Abort { class } => {
-                        let aborted = self.tx[n].is_some_and(|h| self.bus.abort(node, h));
-                        if aborted {
-                            self.tx[n] = None;
-                        }
-                        input = Some(Input::AbortResult { class, aborted });
-                    }
-                    Output::UpdateId { id } => {
-                        if let Some(handle) = self.tx[n] {
-                            self.bus.update_id(node, handle, id);
-                        }
-                    }
-                    Output::ArmTimer { at, timer, seq } => {
-                        ctx.at(at, TbEvent::Timer { node, timer, seq });
-                    }
-                    Output::Raise {
-                        etag,
-                        exc: ChannelException::Expired { .. },
-                    } => {
-                        self.stats.dropped += 1;
-                        self.stream_stats(etag).dropped += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        self.out = out;
-    }
-
-    fn stream_stats(&mut self, etag: u16) -> &mut StreamStats {
-        let id = self.streams[usize::from(etag - ETAG_FIRST_DYNAMIC)].id;
-        self.stats.per_stream.entry(id).or_default()
-    }
-
-    fn on_release(&mut self, ctx: &mut Ctx<TbEvent>, stream_idx: usize) {
-        let now = ctx.now();
-        let s = self.streams[stream_idx];
-        // Schedule the stream's next release first, so same-instant
-        // releases keep their order.
-        let next = self.gens[stream_idx].next_release();
-        ctx.at(
-            next.max(now + Duration::from_ns(1)),
-            TbEvent::Release(stream_idx),
-        );
-        let etag = etag_of(stream_idx);
-        self.stats.released += 1;
-        self.stream_stats(etag).released += 1;
-        let content = vec![s.id as u8; usize::from(s.dlc)];
-        let event = Event::new(Subject::new(u64::from(s.id)), content);
-        let publish = Input::Publish {
-            etag,
-            event,
-            stamp: now,
-        };
-        self.step(ctx, s.node, publish);
-    }
-
-    /// Account the completion of `tx`, the message a node had submitted.
-    fn on_completed(&mut self, now: Time, tx: SrtTx) {
-        // Priority inversion: some other queued message already had an
-        // earlier absolute deadline than the one that just completed. A
-        // channel's front is its earliest release and deadline, so the
-        // fronts decide.
-        let overtaken = (self.machines.iter())
-            .flat_map(|m| m.srt_queue().fronts())
-            .any(|o| o.deadline < tx.deadline && o.stamp < tx.stamp);
-        self.stats.inversions += u64::from(overtaken);
-        self.stats.completed += 1;
-        let response = now.saturating_since(tx.stamp).as_ns();
-        self.stats.response_ns.record(response);
-        let missed = now > tx.deadline;
-        self.stats.missed += u64::from(missed);
-        let ps = self.stream_stats(tx.etag);
-        ps.completed += 1;
-        ps.missed += u64::from(missed);
-    }
-
-    fn on_note(&mut self, ctx: &mut Ctx<TbEvent>, note: Notification) {
-        if let Notification::TxCompleted {
-            node,
-            handle,
-            tag,
-            all_received,
-            ..
-        } = note
-        {
-            let n = node.index();
-            if self.tx[n].take_if(|h| *h == handle).is_some() {
-                let tx = self.machines[n].srt_submitted();
-                self.on_completed(ctx.now(), tx.expect("a submitted frame completed"));
-            }
-            self.step(ctx, node, Input::TxDone { tag, all_received });
-        }
-    }
-
-    fn finalize(&mut self, horizon_end: Time) {
-        let queued = self.machines.iter().flat_map(|m| m.srt_queue().iter());
-        let (mut backlog, mut stale) = (0, 0);
-        for m in queued {
-            backlog += 1;
-            stale += u64::from(m.deadline < horizon_end);
-        }
-        self.stats.backlog = backlog;
-        self.stats.stale_backlog = stale;
+    fn fire(&mut self, api: &mut NetApi<'_>) {
+        let s = &self.stream;
+        let event = Event::new(subject(s), vec![s.id as u8; usize::from(s.dlc)]);
+        api.publish(s.node, subject(s), event)
+            .expect("a stream's channel takes every publish");
     }
 }
 
-impl Model for SchedWorld {
-    type Event = TbEvent;
-
-    fn handle(&mut self, ctx: &mut Ctx<TbEvent>, ev: TbEvent) {
-        match ev {
-            TbEvent::Can(can_ev) => {
-                let notes = {
-                    let mut sched = MapScheduler::new(ctx, wrap);
-                    self.bus.handle(&mut sched, can_ev)
-                };
-                for note in notes {
-                    self.on_note(ctx, note);
-                }
-            }
-            TbEvent::Release(i) => self.on_release(ctx, i),
-            TbEvent::Timer { node, timer, seq } => self.step(ctx, node, timer.input(seq)),
-        }
-    }
-}
-
-/// Run `config`'s workload for `horizon` of simulated time, each stream
-/// at its priority in `priorities`, and return the outcome.
+/// Run `streams` for `horizon` of simulated time on a [`Network`] built
+/// from `config` (its `nodes` replaced by the number of nodes the
+/// streams name), each stream at its priority in `priorities`, and
+/// return the outcome. `config.seed` drives every arrival process.
 pub fn run_testbed(
     priorities: &[SrtPriority],
-    config: TestbedConfig,
+    streams: &[StreamSpec],
+    config: &NetworkConfig,
     horizon: Duration,
 ) -> TestbedStats {
-    let mut engine = SchedWorld::engine(priorities, config);
-    engine.run_until(Time::ZERO + horizon);
-    engine.model.finalize(Time::ZERO + horizon);
-    engine.model.stats.clone()
+    assert_eq!(priorities.len(), streams.len(), "one priority per stream");
+    let nodes = streams.iter().map(|s| s.node.index() + 1).max();
+    let mut net = Network::with_config(NetworkConfig {
+        nodes: nodes.unwrap_or(1),
+        ..config.clone()
+    });
+    let mut api = net.api();
+    for (s, &priority) in streams.iter().zip(priorities) {
+        let spec = SrtSpec {
+            default_deadline: s.rel_deadline,
+            default_expiration: s.rel_expiration,
+            priority,
+        };
+        api.announce(s.node, subject(s), ChannelSpec::Srt(spec))
+            .expect("a stream's channel is announced");
+    }
+    let rng = RngStreams::new(config.seed);
+    for &stream in streams {
+        let rng = rng.stream_indexed("arrivals", u64::from(stream.id));
+        let mut arrivals = ArrivalGen::new(stream.pattern, rng);
+        let first = arrivals.next_release();
+        net.source(first, Release { stream, arrivals });
+    }
+    let end = Time::ZERO + horizon;
+    net.run_until(end);
+    outcome(&net, streams, end)
+}
+
+/// Read a finished run's outcome off the network's statistics and its
+/// nodes' SRT queues.
+fn outcome(net: &Network, streams: &[StreamSpec], end: Time) -> TestbedStats {
+    let (world, net_stats) = (net.world(), net.stats());
+    let mut stats = TestbedStats {
+        inversions: net_stats.srt_inversions,
+        ..TestbedStats::default()
+    };
+    for s in streams {
+        let etag = world.registry().etag_of(subject(s));
+        let ch = &net_stats.channels[&etag.expect("an announced stream is bound")];
+        let ps = StreamStats {
+            released: ch.published,
+            completed: ch.wire_transmissions,
+            missed: ch.completed_late,
+            dropped: ch.expired_drops,
+        };
+        stats.released += ps.released;
+        stats.completed += ps.completed;
+        stats.missed += ps.missed;
+        stats.dropped += ps.dropped;
+        stats.response_ns.merge(&ch.wire_latency_ns);
+        if ps.released > 0 {
+            stats.per_stream.insert(s.id, ps);
+        }
+    }
+    for node in 0..world.config().nodes {
+        for m in world.srt_queue(NodeId(node as u8)).iter() {
+            stats.backlog += 1;
+            stats.stale_backlog += u64::from(m.deadline < end);
+        }
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -393,7 +205,7 @@ mod tests {
     use super::*;
     use crate::policy::{deadline_monotonic, dual_priority, edf, no_promotion};
     use proptest::prelude::*;
-    use rtec_analysis::edf::{next_promotion_time, priority_for_deadline};
+    use rtec_analysis::edf::{next_promotion_time, priority_for_deadline, PrioritySlotConfig};
     use rtec_can::bits::BitTiming;
     use rtec_sim::Rng;
     use rtec_workloads::{set_utilization, uniform_srt_set, ArrivalPattern};
@@ -445,11 +257,19 @@ mod tests {
     mod flat {
         use super::super::*;
         use super::Ranks;
-        use rtec_can::{CanId, Frame};
+        use rtec_can::{CanBus, CanEvent, CanId, FaultInjector, Frame, MapScheduler, Notification};
+        use rtec_can::{TxHandle, TxRequest};
+        use rtec_core::binding::ETAG_FIRST_DYNAMIC;
+        use rtec_sim::{Ctx, Engine, Model};
 
-        /// Testbed events.
+        /// The etag of stream `idx`, as the network binds it.
+        fn etag_of(idx: usize) -> u16 {
+            ETAG_FIRST_DYNAMIC + idx as u16
+        }
+
+        /// Reference events.
         #[derive(Clone, Copy, Debug)]
-        pub(super) enum TbEvent {
+        pub(super) enum FlatEvent {
             /// Bus activity.
             Can(CanEvent),
             /// A stream releases its next message.
@@ -478,8 +298,8 @@ mod tests {
             deadline: Time,
         }
 
-        /// The testbed world.
-        pub(super) struct SchedWorld {
+        /// The reference world.
+        pub(super) struct FlatWorld {
             bus: CanBus,
             policy: Ranks,
             streams: Vec<StreamSpec>,
@@ -491,23 +311,25 @@ mod tests {
             stats: TestbedStats,
         }
 
-        fn wrap(ev: CanEvent) -> TbEvent {
-            TbEvent::Can(ev)
+        fn wrap(ev: CanEvent) -> FlatEvent {
+            FlatEvent::Can(ev)
         }
 
-        impl SchedWorld {
+        impl FlatWorld {
             /// Build the engine with initial releases scheduled.
-            fn engine(policy: Ranks, config: TestbedConfig) -> Engine<SchedWorld> {
-                let num_nodes = config
-                    .streams
+            fn engine(
+                policy: Ranks,
+                streams: Vec<StreamSpec>,
+                config: &NetworkConfig,
+            ) -> Engine<FlatWorld> {
+                let num_nodes = streams
                     .iter()
                     .map(|s| s.node.index() + 1)
                     .max()
                     .unwrap_or(1);
                 let bus = CanBus::new(config.bus, num_nodes, FaultInjector::none());
                 let streams_rng = RngStreams::new(config.seed);
-                let gens: Vec<ArrivalGen> = config
-                    .streams
+                let gens: Vec<ArrivalGen> = streams
                     .iter()
                     .map(|s| {
                         ArrivalGen::new(
@@ -516,11 +338,11 @@ mod tests {
                         )
                     })
                     .collect();
-                let n_streams = config.streams.len();
-                let world = SchedWorld {
+                let n_streams = streams.len();
+                let world = FlatWorld {
                     bus,
                     policy,
-                    streams: config.streams,
+                    streams,
                     gens,
                     queues: vec![Vec::new(); num_nodes],
                     inflight: vec![None; num_nodes],
@@ -531,7 +353,7 @@ mod tests {
                 for i in 0..n_streams {
                     // First release of each stream.
                     let t = engine.model.gens[i].next_release();
-                    engine.schedule_at(t, TbEvent::Release(i));
+                    engine.schedule_at(t, FlatEvent::Release(i));
                 }
                 engine
             }
@@ -544,7 +366,7 @@ mod tests {
                 })
             }
 
-            fn dispatch(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId) {
+            fn dispatch(&mut self, ctx: &mut Ctx<FlatEvent>, node: NodeId) {
                 let n = node.index();
                 if self.inflight[n].is_some() {
                     return;
@@ -575,11 +397,11 @@ mod tests {
                     .policy
                     .next_change(&self.streams[stream_idx], deadline, now)
                 {
-                    ctx.at(t.max(now), TbEvent::Promote { node, seq });
+                    ctx.at(t.max(now), FlatEvent::Promote { node, seq });
                 }
             }
 
-            fn reconsider(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId) {
+            fn reconsider(&mut self, ctx: &mut Ctx<FlatEvent>, node: NodeId) {
                 let n = node.index();
                 if let Some((seq, handle, _)) = self.inflight[n] {
                     if let Some(idx) = self.head_index(n, ctx.now()) {
@@ -591,14 +413,14 @@ mod tests {
                 self.dispatch(ctx, node);
             }
 
-            fn on_release(&mut self, ctx: &mut Ctx<TbEvent>, stream_idx: usize) {
+            fn on_release(&mut self, ctx: &mut Ctx<FlatEvent>, stream_idx: usize) {
                 let now = ctx.now();
                 let s = self.streams[stream_idx];
                 // Schedule the stream's next release.
                 let next = self.gens[stream_idx].next_release();
                 ctx.at(
                     next.max(now + Duration::from_ns(1)),
-                    TbEvent::Release(stream_idx),
+                    FlatEvent::Release(stream_idx),
                 );
                 // Enqueue this message.
                 let seq = self.next_seq;
@@ -614,12 +436,12 @@ mod tests {
                 self.stats.released += 1;
                 self.stats.per_stream.entry(s.id).or_default().released += 1;
                 if let Some(exp) = expiration {
-                    ctx.at(exp, TbEvent::Expire { node: s.node, seq });
+                    ctx.at(exp, FlatEvent::Expire { node: s.node, seq });
                 }
                 self.reconsider(ctx, s.node);
             }
 
-            fn on_promote(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, seq: u64) {
+            fn on_promote(&mut self, ctx: &mut Ctx<FlatEvent>, node: NodeId, seq: u64) {
                 let n = node.index();
                 let Some((cur_seq, handle, cur_prio)) = self.inflight[n] else {
                     return;
@@ -649,12 +471,12 @@ mod tests {
                 {
                     ctx.at(
                         t.max(now + Duration::from_ns(1)),
-                        TbEvent::Promote { node, seq },
+                        FlatEvent::Promote { node, seq },
                     );
                 }
             }
 
-            fn on_expire(&mut self, ctx: &mut Ctx<TbEvent>, node: NodeId, seq: u64) {
+            fn on_expire(&mut self, ctx: &mut Ctx<FlatEvent>, node: NodeId, seq: u64) {
                 let n = node.index();
                 let Some(idx) = self.queues[n].iter().position(|m| m.seq == seq) else {
                     return;
@@ -674,7 +496,7 @@ mod tests {
                 self.dispatch(ctx, node);
             }
 
-            fn on_note(&mut self, ctx: &mut Ctx<TbEvent>, note: Notification) {
+            fn on_note(&mut self, ctx: &mut Ctx<FlatEvent>, note: Notification) {
                 if let Notification::TxCompleted { node, tag, .. } = note {
                     let n = node.index();
                     let now = ctx.now();
@@ -721,12 +543,12 @@ mod tests {
             }
         }
 
-        impl Model for SchedWorld {
-            type Event = TbEvent;
+        impl Model for FlatWorld {
+            type Event = FlatEvent;
 
-            fn handle(&mut self, ctx: &mut Ctx<TbEvent>, ev: TbEvent) {
+            fn handle(&mut self, ctx: &mut Ctx<FlatEvent>, ev: FlatEvent) {
                 match ev {
-                    TbEvent::Can(can_ev) => {
+                    FlatEvent::Can(can_ev) => {
                         let notes = {
                             let mut sched = MapScheduler::new(ctx, wrap);
                             self.bus.handle(&mut sched, can_ev)
@@ -735,9 +557,9 @@ mod tests {
                             self.on_note(ctx, note);
                         }
                     }
-                    TbEvent::Release(i) => self.on_release(ctx, i),
-                    TbEvent::Promote { node, seq } => self.on_promote(ctx, node, seq),
-                    TbEvent::Expire { node, seq } => self.on_expire(ctx, node, seq),
+                    FlatEvent::Release(i) => self.on_release(ctx, i),
+                    FlatEvent::Promote { node, seq } => self.on_promote(ctx, node, seq),
+                    FlatEvent::Expire { node, seq } => self.on_expire(ctx, node, seq),
                 }
             }
         }
@@ -746,22 +568,21 @@ mod tests {
         /// time and return the outcome.
         pub(super) fn run_testbed(
             policy: Ranks,
-            config: TestbedConfig,
+            streams: Vec<StreamSpec>,
+            config: &NetworkConfig,
             horizon: Duration,
         ) -> TestbedStats {
-            let mut engine = SchedWorld::engine(policy, config);
+            let mut engine = FlatWorld::engine(policy, streams, config);
             engine.run_until(Time::ZERO + horizon);
             engine.model.finalize(Time::ZERO + horizon);
             engine.model.stats.clone()
         }
     }
 
-    fn config(streams: Vec<StreamSpec>) -> TestbedConfig {
-        TestbedConfig {
-            bus: BusConfig::default(),
-            streams,
+    fn config() -> NetworkConfig {
+        NetworkConfig {
             seed: 11,
-            priority_slots: PrioritySlotConfig::paper_default(),
+            ..NetworkConfig::default()
         }
     }
 
@@ -778,8 +599,8 @@ mod tests {
         let set = without_expiry(&set);
         assert!(set_utilization(&set, BitTiming::MBIT_1) < 0.2);
         let horizon = Duration::from_secs(2);
-        let edf = run_testbed(&edf(&set), config(set.clone()), horizon);
-        let dm = run_testbed(&deadline_monotonic(&set), config(set.clone()), horizon);
+        let edf = run_testbed(&edf(&set), &set, &config(), horizon);
+        let dm = run_testbed(&deadline_monotonic(&set), &set, &config(), horizon);
         assert!(edf.released > 100);
         assert_eq!(edf.missed, 0, "EDF misses at 20% load");
         assert_eq!(dm.missed, 0, "DM misses at 20% load");
@@ -792,8 +613,8 @@ mod tests {
         let set = uniform_srt_set(6, 3, Duration::from_ms(5), Duration::from_ms(50), &mut rng);
         let set = without_expiry(&set);
         let horizon = Duration::from_secs(1);
-        let a = run_testbed(&edf(&set), config(set.clone()), horizon);
-        let b = run_testbed(&deadline_monotonic(&set), config(set.clone()), horizon);
+        let a = run_testbed(&edf(&set), &set, &config(), horizon);
+        let b = run_testbed(&deadline_monotonic(&set), &set, &config(), horizon);
         assert_eq!(a.released, b.released, "same arrivals under both policies");
     }
 
@@ -810,7 +631,7 @@ mod tests {
                 rel_expiration: None,
             })
             .collect();
-        let stats = run_testbed(&edf(&set), config(set), Duration::from_ms(100));
+        let stats = run_testbed(&edf(&set), &set, &config(), Duration::from_ms(100));
         assert!(stats.missed > 0, "overload must miss deadlines");
         assert!(stats.backlog > 0, "overload builds a backlog");
         assert_eq!(stats.dropped, 0, "no expiration, no drop");
@@ -829,7 +650,7 @@ mod tests {
                 rel_expiration: Some(Duration::from_us(800)),
             })
             .collect();
-        let stats = run_testbed(&edf(&set), config(set), Duration::from_ms(100));
+        let stats = run_testbed(&edf(&set), &set, &config(), Duration::from_ms(100));
         assert!(stats.dropped > 0, "expired messages are dropped");
         assert!(
             stats.backlog <= 8,
@@ -849,8 +670,8 @@ mod tests {
             rtec_workloads::scale_load(&base, 0.92 / set_utilization(&base, BitTiming::MBIT_1));
         let set = without_expiry(&set);
         let horizon = Duration::from_secs(2);
-        let edf = run_testbed(&edf(&set), config(set.clone()), horizon);
-        let dm = run_testbed(&deadline_monotonic(&set), config(set.clone()), horizon);
+        let edf = run_testbed(&edf(&set), &set, &config(), horizon);
+        let dm = run_testbed(&deadline_monotonic(&set), &set, &config(), horizon);
         assert!(
             edf.miss_ratio() <= dm.miss_ratio(),
             "EDF {} vs DM {}",
@@ -869,7 +690,7 @@ mod tests {
             rel_deadline: Duration::from_ms(1),
             rel_expiration: None,
         }];
-        let stats = run_testbed(&edf(&set), config(set), Duration::from_ms(50));
+        let stats = run_testbed(&edf(&set), &set, &config(), Duration::from_ms(50));
         assert!(stats.response_ns.count() >= 40);
         // An uncontended 8-byte frame takes its exact wire time.
         assert!(stats.response_ns.min().unwrap() >= 130_000);
@@ -931,7 +752,9 @@ mod tests {
         })
     }
 
-    /// Every field of the outcome, in a form that compares.
+    /// Every field of the outcome, in a form that compares. The network
+    /// records response times per channel, so the samples compare as a
+    /// sorted multiset.
     fn observable(mut stats: TestbedStats) -> impl PartialEq + std::fmt::Debug {
         let mut per_stream: Vec<_> = stats
             .per_stream
@@ -942,7 +765,11 @@ mod tests {
         (
             (stats.released, stats.completed, stats.missed, stats.dropped),
             (stats.backlog, stats.stale_backlog, stats.inversions),
-            stats.response_ns.samples().to_vec(),
+            {
+                let mut samples = stats.response_ns.samples().to_vec();
+                samples.sort_unstable();
+                samples
+            },
             per_stream,
         )
     }
@@ -960,20 +787,20 @@ mod tests {
             let slots = PrioritySlotConfig::paper_default();
             for expiring in [false, true] {
                 let streams = if expiring { set.clone() } else { without_expiry(&set) };
-                let cfg = || TestbedConfig {
-                    bus: BusConfig::default(),
-                    streams: streams.clone(),
+                let cfg = NetworkConfig {
                     seed,
                     priority_slots: slots,
+                    ..NetworkConfig::default()
                 };
                 macro_rules! same {
                     ($priorities:expr) => {
                         let priorities = $priorities;
                         prop_assert_eq!(
-                            observable(run_testbed(&priorities, cfg(), horizon)),
+                            observable(run_testbed(&priorities, &streams, &cfg, horizon)),
                             observable(flat::run_testbed(
                                 Ranks::new(&streams, &priorities, slots),
-                                cfg(),
+                                streams.clone(),
+                                &cfg,
                                 horizon
                             )),
                             "expiring={}", expiring

@@ -10,9 +10,9 @@
 use crate::table::{f, Table};
 use crate::RunOpts;
 use rtec_analysis::edf::{expected_tie_fraction, time_horizon, PrioritySlotConfig};
-use rtec_baselines::{policy, run_testbed, without_expiry, TestbedConfig};
+use rtec_baselines::{policy, run_testbed, without_expiry};
 use rtec_can::bits::BitTiming;
-use rtec_can::BusConfig;
+use rtec_core::NetworkConfig;
 use rtec_sim::{Duration, Rng};
 use rtec_workloads::{scale_load, set_utilization, uniform_srt_set};
 
@@ -62,16 +62,12 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
         let dh = time_horizon(&cfg);
         let ties = expected_tie_fraction(set.len() as u64, deadline_window, &cfg);
         let beyond = set.iter().filter(|s| s.rel_deadline > dh).count();
-        let stats = run_testbed(
-            &policy::edf(&set),
-            TestbedConfig {
-                bus: BusConfig::default(),
-                streams: set.clone(),
-                seed: opts.seed,
-                priority_slots: cfg,
-            },
-            horizon,
-        );
+        let config = NetworkConfig {
+            priority_slots: cfg,
+            seed: opts.seed,
+            ..NetworkConfig::default()
+        };
+        let stats = run_testbed(&policy::edf(&set), &set, &config, horizon);
         t.row(vec![
             slot_us.to_string(),
             format!("{:.2}", dh.as_ms_f64()),

@@ -10,9 +10,9 @@
 use crate::table::{f, Table};
 use crate::RunOpts;
 use rtec_analysis::edf::PrioritySlotConfig;
-use rtec_baselines::{policy, run_testbed, without_expiry, TestbedConfig};
+use rtec_baselines::{policy, run_testbed, without_expiry};
 use rtec_can::bits::BitTiming;
-use rtec_can::BusConfig;
+use rtec_core::NetworkConfig;
 use rtec_sim::{Duration, Rng};
 use rtec_workloads::{scale_load, set_utilization, uniform_srt_set};
 
@@ -62,20 +62,19 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
     for load in [0.3, 0.5, 0.7, 0.85, 0.95, 1.05, 1.2, 1.5] {
         let set = scale_load(&base, load / base_util);
         let slots = PrioritySlotConfig::paper_default();
-        // Only the EDF+expiry column drops expired messages.
-        let cfg = |streams| TestbedConfig {
-            bus: BusConfig::default(),
-            streams,
-            seed: opts.seed,
+        let cfg = NetworkConfig {
             priority_slots: slots,
+            seed: opts.seed,
+            ..NetworkConfig::default()
         };
-        let keep = || cfg(without_expiry(&set));
-        let edf = run_testbed(&policy::edf(&set), keep(), horizon);
-        let dm = run_testbed(&policy::deadline_monotonic(&set), keep(), horizon);
-        let dual_prio = policy::dual_priority(&set, BitTiming::MBIT_1);
-        let dual = run_testbed(&dual_prio, keep(), horizon);
-        let edf_exp = run_testbed(&policy::edf(&set), cfg(set.clone()), horizon);
-        let edf_static = run_testbed(&policy::no_promotion(&set, &slots), keep(), horizon);
+        // Only the EDF+expiry column drops expired messages.
+        let keep = without_expiry(&set);
+        let run = |priorities: &[_], streams| run_testbed(priorities, streams, &cfg, horizon);
+        let edf = run(&policy::edf(&set), &keep);
+        let dm = run(&policy::deadline_monotonic(&set), &keep);
+        let dual = run(&policy::dual_priority(&set, BitTiming::MBIT_1), &keep);
+        let edf_exp = run(&policy::edf(&set), &set);
+        let edf_static = run(&policy::no_promotion(&set, &slots), &keep);
         t.row(vec![
             f(load),
             f(edf.miss_ratio()),

@@ -9,15 +9,14 @@
 //! thread and each test reads only its own thread's count.
 
 use rtec_analysis::admission::{CalendarPlan, PlannedSlot, SlotRequest};
-use rtec_analysis::edf::PrioritySlotConfig;
-use rtec_baselines::{policy, run_testbed, TestbedConfig};
+use rtec_baselines::{policy, run_testbed};
 use rtec_can::bits::BitTiming;
-use rtec_can::{BusConfig, NodeId};
+use rtec_can::NodeId;
 use rtec_conformance::{AuditContext, Monitor};
 use rtec_core::channel::{ChannelClass, ChannelSpec, HrtSpec, NrtSpec, SrtSpec, SubscribeSpec};
 use rtec_core::event::{Event, Subject};
 use rtec_core::frag::{fragment, Reassembler};
-use rtec_core::network::Network;
+use rtec_core::network::{Network, NetworkConfig};
 use rtec_core::node::{pack_tag, TagKind};
 use rtec_live::broker::BrokerStats;
 use rtec_live::cluster::{Cluster, ClusterConfig};
@@ -512,14 +511,12 @@ fn e5_point_run() -> [u64; 8] {
     let mut rng = Rng::seed_from_u64(42);
     let base = uniform_srt_set(12, 6, Duration::from_ms(2), Duration::from_ms(50), &mut rng);
     let set = scale_load(&base, 1.2 / set_utilization(&base, BitTiming::MBIT_1));
-    let config = TestbedConfig {
-        bus: BusConfig::default(),
-        streams: set.clone(),
+    let config = NetworkConfig {
         seed: 42,
-        priority_slots: PrioritySlotConfig::paper_default(),
+        ..NetworkConfig::default()
     };
     telemetry::reset();
-    let s = run_testbed(&policy::edf(&set), config, Duration::from_ms(200));
+    let s = run_testbed(&policy::edf(&set), &set, &config, Duration::from_ms(200));
     let events = telemetry::snapshot().dispatched;
     let (backlog, stale) = (s.backlog, s.stale_backlog);
     [

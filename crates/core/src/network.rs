@@ -34,11 +34,12 @@ use crate::channel::{
     ChannelSpec, SubscribeSpec,
 };
 use crate::event::{Delivery, Event, EventQueue, Subject};
-use crate::machine::{ChannelMeta, Input, MachineConfig, Output, PublishError, SrtTimer};
+use crate::machine::{ChannelMeta, Input, MachineConfig, Output, PublishError, SrtMsg, SrtTimer};
 use crate::node::{
     pack_tag, unpack_tag, ExcHandler, NodeState, NotifyHandler, PublisherState, SubscriptionState,
     TagKind,
 };
+use crate::policy::EdfQueue;
 use crate::stats::NetStats;
 use rtec_analysis::admission::{AdmissionError, CalendarPlan, SlotRequest};
 use rtec_analysis::edf::PrioritySlotConfig;
@@ -405,14 +406,9 @@ impl NetWorld {
         out
     }
 
-    /// Peak SRT queue length observed on a node.
-    pub fn srt_peak_queue(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].machine.srt_queue().peak()
-    }
-
-    /// Current SRT queue length on a node.
-    pub fn srt_queue_len(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].machine.srt_queue().len()
+    /// A node's SRT send queue, read-only.
+    pub fn srt_queue(&self, node: NodeId) -> &EdfQueue<SrtMsg> {
+        self.nodes[node.index()].machine.srt_queue()
     }
 
     // ------------------------------------------------------------------
@@ -1174,10 +1170,17 @@ impl NetWorld {
             }
             TagKind::Srt => {
                 if let Some(tx) = machine.srt_submitted().filter(|tx| tx.seq == seq) {
+                    // A channel's front is its earliest deadline and
+                    // publication, so the fronts decide an inversion.
+                    let overtaken = (self.nodes.iter())
+                        .flat_map(|ns| ns.machine.srt_queue().fronts())
+                        .any(|o| o.deadline < tx.deadline && o.stamp < tx.stamp);
+                    self.stats.srt_inversions += u64::from(overtaken);
                     let ch = self.stats.channel_mut(etag);
                     ch.wire_transmissions += 1;
                     ch.wire_latency_ns
                         .record(now.saturating_since(tx.stamp).as_ns());
+                    ch.completed_late += u64::from(now > tx.deadline);
                 }
                 ChannelClass::Srt
             }

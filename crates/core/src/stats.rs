@@ -24,6 +24,8 @@ pub struct ChannelStats {
     pub deadline_misses: u64,
     /// SRT: events dropped from the send queue at expiration.
     pub expired_drops: u64,
+    /// SRT: wire completions after the message's transmission deadline.
+    pub completed_late: u64,
     /// HRT subscriber: slots whose delivery deadline passed without an
     /// event on a periodic channel.
     pub missing_events: u64,
@@ -86,6 +88,10 @@ pub struct NetStats {
     /// from the slot's LST (ns) — the *on-bus* jitter that the
     /// deferred delivery hides from applications.
     pub hrt_wire_offset_ns: Histogram,
+    /// SRT completions that overtook a message queued at any node with
+    /// an earlier deadline and an earlier publication: the bounded
+    /// priority inversions of quantized priorities and non-preemption.
+    pub srt_inversions: u64,
     /// Exceptions raised, by coarse kind.
     pub exceptions: u64,
     /// Frames that could not be attributed to a known channel.

@@ -271,7 +271,7 @@ fn srt_expiration_drops_queued_messages() {
         net.stats().channel_etag_of(&net, S1).expired_drops,
         u64::from(dropped)
     );
-    assert_eq!(net.world().srt_queue_len(NodeId(0)), 0, "queue purged");
+    assert_eq!(net.world().srt_queue(NodeId(0)).len(), 0, "queue purged");
 }
 
 #[test]
@@ -608,6 +608,6 @@ fn srt_queue_peak_tracks_buildup() {
         }
     });
     net.run_for(Duration::from_ms(50));
-    assert_eq!(net.world().srt_peak_queue(NodeId(0)), 10);
-    assert_eq!(net.world().srt_queue_len(NodeId(0)), 0, "drained");
+    assert_eq!(net.world().srt_queue(NodeId(0)).peak(), 10);
+    assert_eq!(net.world().srt_queue(NodeId(0)).len(), 0, "drained");
 }

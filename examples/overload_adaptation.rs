@@ -135,7 +135,7 @@ fn main() {
     }
     println!(
         "  telemetry queue backlog at end: {}",
-        net.world().srt_queue_len(NodeId(0))
+        net.world().srt_queue(NodeId(0)).len()
     );
     assert!(
         !s.rate_changes.is_empty(),

@@ -3,12 +3,10 @@
 
 use proptest::prelude::*;
 use rtec::analysis::admission::{CalendarPlan, SlotRequest};
-use rtec::analysis::edf::PrioritySlotConfig;
 use rtec::analysis::npedf::{np_edf_breakdown, np_edf_feasible};
 use rtec::analysis::rta::{rta_feasible, total_utilization, MessageSpec};
-use rtec::baselines::{policy, run_testbed, TestbedConfig, TestbedStats};
+use rtec::baselines::{policy, run_testbed, TestbedStats};
 use rtec::can::bits::BitTiming;
-use rtec::can::BusConfig;
 use rtec::clock::ClockParams;
 use rtec::prelude::*;
 use rtec::sim::Rng;
@@ -131,14 +129,14 @@ fn rta_verdict_matches_simulation() {
     assert!(total_utilization(&specs, BitTiming::MBIT_1) < 0.3);
     let rta = rta_feasible(&specs, BitTiming::MBIT_1);
     assert!(rta.iter().all(|r| r.feasible), "analysis predicts feasible");
+    let config = NetworkConfig {
+        seed: 7,
+        ..NetworkConfig::default()
+    };
     let stats = run_testbed(
         &policy::deadline_monotonic(&streams),
-        TestbedConfig {
-            bus: BusConfig::default(),
-            streams,
-            seed: 7,
-            priority_slots: PrioritySlotConfig::paper_default(),
-        },
+        &streams,
+        &config,
         Duration::from_secs(1),
     );
     assert_eq!(stats.missed, 0, "simulation confirms the analysis");
@@ -160,16 +158,11 @@ fn np_edf_specs(set: &[StreamSpec]) -> Vec<MessageSpec> {
 
 /// `set` through the node machines at the paper's EDF priorities.
 fn run_machines_edf(set: Vec<StreamSpec>, seed: u64, horizon: Duration) -> TestbedStats {
-    run_testbed(
-        &policy::edf(&set),
-        TestbedConfig {
-            bus: BusConfig::default(),
-            streams: set,
-            seed,
-            priority_slots: PrioritySlotConfig::paper_default(),
-        },
-        horizon,
-    )
+    let config = NetworkConfig {
+        seed,
+        ..NetworkConfig::default()
+    };
+    run_testbed(&policy::edf(&set), &set, &config, horizon)
 }
 
 #[test]
@@ -349,16 +342,11 @@ fn edf_channels_and_testbed_agree_on_light_load() {
     // full middleware (SRTEC) and through the policy testbed.
     let mut rng = Rng::seed_from_u64(3);
     let set = uniform_srt_set(6, 3, Duration::from_ms(20), Duration::from_ms(80), &mut rng);
-    let tb = run_testbed(
-        &policy::edf(&set),
-        TestbedConfig {
-            bus: BusConfig::default(),
-            streams: set,
-            seed: 3,
-            priority_slots: PrioritySlotConfig::paper_default(),
-        },
-        Duration::from_secs(1),
-    );
+    let config = NetworkConfig {
+        seed: 3,
+        ..NetworkConfig::default()
+    };
+    let tb = run_testbed(&policy::edf(&set), &set, &config, Duration::from_secs(1));
     assert_eq!(tb.missed + tb.dropped, 0);
 
     let mut net = Network::builder().nodes(3).build();
