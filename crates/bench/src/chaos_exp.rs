@@ -168,7 +168,7 @@ fn check(report: &LiveReport, chaos_rep: &ChaosReport) -> Result<(), String> {
     let audit_rep = audit(&ctx, &report.trace);
     if !audit_rep.passes() {
         return Err(format!(
-            "T1..T8 audit failed on the merged trace:\n{:#?}",
+            "T1..T9 audit failed on the merged trace:\n{:#?}",
             audit_rep.errors().collect::<Vec<_>>()
         ));
     }

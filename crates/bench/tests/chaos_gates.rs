@@ -5,7 +5,7 @@
 use rtec_bench::{chaos_exp, gw_chaos_exp};
 
 /// `experiments chaos --ci`: both killed nodes rejoin with no double
-/// delivery, the merged trace passes T1..T8, and a same-seed rerun is
+/// delivery, the merged trace passes T1..T9, and a same-seed rerun is
 /// byte-identical.
 #[test]
 fn chaos_gate_passes() {

@@ -318,7 +318,7 @@ fn same_seed_gateway_runs_are_byte_identical() {
 }
 
 /// The gateway's trace records merge into the cluster's sink and the
-/// combined trace still satisfies the T1..T8 auditor.
+/// combined trace still satisfies the T1..T9 auditor.
 #[test]
 fn merged_gateway_trace_passes_conformance_audit() {
     let sink = TraceSink::enabled();

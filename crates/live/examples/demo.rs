@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p rtec-live --example demo            # loopback transport
 //! cargo run -p rtec-live --example demo -- --udp   # UDP sockets
-//! cargo run -p rtec-live --example demo -- --audit # + run T1..T8 auditor
+//! cargo run -p rtec-live --example demo -- --audit # + run T1..T9 auditor
 //! cargo run -p rtec-live --example demo -- --wall  # paced at 100x wall time
 //! ```
 //!

@@ -228,7 +228,7 @@ impl Cluster {
     ///
     /// Off-bus layers (the gateway's fanout workers) hand the same sink
     /// to their own emitters, so one merged, time-sorted trace covers
-    /// the bus *and* everything behind it and a single T1–T8 audit pass
+    /// the bus *and* everything behind it and a single T1–T9 audit pass
     /// sees the whole system. The sink decides enabled/disabled and
     /// capacity; the config's `trace` flag is ignored when this is set.
     pub fn use_sink(&mut self, sink: TraceSink) {

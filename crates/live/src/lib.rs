@@ -18,7 +18,7 @@
 //! spreading a cluster across processes).
 //!
 //! The runtime emits the same structured trace records as the
-//! simulator, so the `rtec-conformance` auditor (invariants T1–T8) runs
+//! simulator, so the `rtec-conformance` auditor (invariants T1–T9) runs
 //! unmodified on live traces.
 
 #![forbid(unsafe_code)]

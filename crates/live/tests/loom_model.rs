@@ -13,7 +13,7 @@
 //! ([`loom::Stats::pruned`] is asserted `false`).
 //!
 //! The invariants asserted are the model-checked counterparts of the
-//! dynamic T1–T8 trace auditor in `rtec-conformance`:
+//! dynamic T1–T9 trace auditor in `rtec-conformance`:
 //!
 //! * **arbitration tie order** (T1): when two nodes submit in the same
 //!   bus instant, the lower raw 29-bit identifier transmits first —

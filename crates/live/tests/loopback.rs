@@ -328,7 +328,7 @@ fn crash_plan() -> ChaosPlan {
 /// Killing the HRT subscriber mid-cycle (and the HRT source soon
 /// after) must leave the cluster live: both nodes restart, rejoin, and
 /// HRT samples keep flowing after the last recovery. The merged trace
-/// still satisfies T1..T8, no event is delivered twice across the
+/// still satisfies T1..T9, no event is delivered twice across the
 /// rejoin, and the supervision log pairs every Down with an Up.
 #[test]
 fn chaos_kills_recover_and_stay_live() {
