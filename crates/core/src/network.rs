@@ -1220,9 +1220,11 @@ impl NetWorld {
         };
         self.nodes[n].tx.release(class, handle);
         let _ = self.step(ctx, node, Input::TxDone { tag, all_received }, None);
-        let retx_now = self.nodes[n].machine.hrt_active(etag).map(|a| a.retx);
-        if hrt_retx.is_some() && retx_now > hrt_retx {
-            self.stats.channel_mut(etag).redundant_transmissions += 1;
+        if let Some(before) = hrt_retx {
+            let retx_now = self.nodes[n].machine.hrt_active(etag).map(|a| a.retx);
+            if retx_now > Some(before) {
+                self.stats.channel_mut(etag).redundant_transmissions += 1;
+            }
         }
     }
 
