@@ -7,9 +7,9 @@
 //!   identifiers; deadline-monotonic assignment per Tindell & Burns)
 //!   and the more flexible **dual-priority** scheme of Davis — each a
 //!   [`policy`] assigning every stream a per-channel SRT priority of
-//!   the middleware's own node machine; the message-scheduling
-//!   [`testbed`] hosts one machine per node and runs *identical
-//!   workloads* under each policy over the same simulated bus;
+//!   the middleware's own node machine; [`testbed`] runs *identical
+//!   workloads* under each policy on the simulator's `Network`, one
+//!   SRT channel per stream;
 //! * **time-triggered schemes** (TTCAN, TTP-like): [`ttcan`] models a
 //!   TTCAN-style system matrix of exclusive and arbitrating windows —
 //!   exclusive windows are wasted when unused, redundant transmissions

@@ -45,7 +45,8 @@ pub struct SaeMessage {
 }
 
 impl SaeMessage {
-    /// Convert to a scheduling-testbed stream spec (SRT semantics).
+    /// Convert to a stream spec of the §4 policy comparison (SRT
+    /// semantics).
     pub fn to_stream(&self, id: u16) -> StreamSpec {
         StreamSpec {
             id,

@@ -6,11 +6,12 @@ use rtec_can::NodeId;
 use rtec_sim::{Duration, Rng};
 use serde::{Deserialize, Serialize};
 
-/// One soft-real-time message stream for the scheduling testbed.
+/// One soft-real-time message stream of the §4 policy comparison: an
+/// SRT channel of its node.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct StreamSpec {
     /// Stream identity (stable across policies; also used to derive the
-    /// stream's RNG and its etag).
+    /// stream's RNG and its subject).
     pub id: u16,
     /// Publishing node.
     pub node: NodeId,
