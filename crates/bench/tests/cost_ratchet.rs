@@ -518,14 +518,13 @@ fn e5_point_run() -> [u64; 8] {
     telemetry::reset();
     let s = run_testbed(&policy::edf(&set), &set, &config, Duration::from_ms(200));
     let events = telemetry::snapshot().dispatched;
-    let (backlog, stale) = (s.backlog, s.stale_backlog);
     [
         s.released,
         s.completed,
         s.missed,
         s.dropped,
-        backlog,
-        stale,
+        s.backlog,
+        s.stale_backlog,
         s.inversions,
         events,
     ]

@@ -1356,9 +1356,9 @@ impl Model for NetWorld {
                 }
             }
             NetEvent::Source(idx) => {
-                let Some(mut source) = self.sources[idx].take() else {
-                    return;
-                };
+                let mut source = self.sources[idx]
+                    .take()
+                    .expect("a source fires once at a time");
                 let now = ctx.now();
                 let next = source.next(now).max(now + Duration::from_ns(1));
                 ctx.at(next, NetEvent::Source(idx));
