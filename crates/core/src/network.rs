@@ -258,8 +258,10 @@ pub struct NetWorld {
     one_shots: Vec<Option<OneShotFn>>,
     /// Armed sources; a firing one is taken out while it runs.
     sources: Vec<Option<Box<dyn Source>>>,
-    /// Publish instants of staged HRT events, for latency accounting.
-    hrt_publish_times: HashMap<(u16, u64, usize), Time>,
+    /// Per calendar slot, the round and instant its staged event was
+    /// taken at `SlotReady`, for latency accounting; every delivery of
+    /// that round reads it.
+    hrt_ready: Vec<Option<(u64, Time)>>,
     /// Scratch buffer the node machines push their outputs into.
     out: Vec<Output>,
 }
@@ -342,7 +344,7 @@ impl NetWorld {
             trace_srcs: Vec::new(),
             one_shots: Vec::new(),
             sources: Vec::new(),
-            hrt_publish_times: HashMap::new(),
+            hrt_ready: Vec::new(),
             out: Vec::new(),
         }
     }
@@ -550,6 +552,9 @@ impl NetWorld {
                 .get(delivery.event.attributes.origin?.index())?
                 .machine;
             match meta? {
+                m if m.class == ChannelClass::Hrt => sender
+                    .hrt_active(etag)
+                    .and_then(|a| self.hrt_ready_at(a.round, a.slot)),
                 m if m.class == ChannelClass::Srt => sender
                     .srt_submitted()
                     .filter(|msg| msg.etag == etag)
@@ -910,6 +915,7 @@ impl NetWorld {
             .map_err(CalendarError::Admission)?,
         );
         self.calendar_start = ctx.now() + self.config.calendar_start_delay;
+        self.hrt_ready = vec![None; plan.slots.len()];
         ctx.at(self.calendar_start, NetEvent::RoundStart { round: 0 });
         for ns in &mut self.nodes {
             ns.machine
@@ -980,24 +986,26 @@ impl NetWorld {
         let (etag, publisher) = self.slot_info(slot);
         let _ = self.step(ctx, publisher, Input::SlotReady { round, slot }, None);
         let machine = &self.nodes[publisher.index()].machine;
-        if machine
+        // Latency is measured from the staging's consumption.
+        self.hrt_ready[slot] = machine
             .hrt_active(etag)
             .is_some_and(|a| a.round == round && a.slot == slot)
-        {
-            // Latency is measured from the staging's consumption.
-            self.hrt_publish_times
-                .insert((etag, round, slot), ctx.now());
-        }
+            .then_some((round, ctx.now()));
+    }
+
+    /// When slot `slot`'s event of `round` was taken, if one was.
+    fn hrt_ready_at(&self, round: u64, slot: usize) -> Option<Time> {
+        self.hrt_ready[slot].and_then(|(r, t)| (r == round).then_some(t))
     }
 
     fn on_slot_deliver(&mut self, ctx: &mut Ctx<NetEvent>, round: u64, slot: usize, node: NodeId) {
-        let (etag, publisher) = self.slot_info(slot);
+        let publisher = self.slot_info(slot).1;
         if node == publisher {
             // Publisher-side slot cleanup.
             let _ = self.step(ctx, node, Input::SlotDeadline { round, slot }, None);
         } else if self.config.hrt_deferred_delivery {
             // Subscriber-side delivery at the deadline (jitter removal).
-            let published = self.hrt_publish_times.remove(&(etag, round, slot));
+            let published = self.hrt_ready_at(round, slot);
             let _ = self.step(ctx, node, Input::SlotDeliver { round, slot }, published);
         }
     }
@@ -1158,10 +1166,10 @@ impl NetWorld {
                     self.stats
                         .hrt_wire_offset_ns
                         .record(now.saturating_since(lst_true).as_ns());
+                    let published = self.hrt_ready_at(a.round, a.slot);
                     let ch = self.stats.channel_mut(etag);
                     ch.wire_transmissions += 1;
-                    let published = self.hrt_publish_times.get(&(etag, a.round, a.slot));
-                    if let (true, Some(&pt)) = (all_received, published) {
+                    if let (true, Some(pt)) = (all_received, published) {
                         ch.wire_latency_ns.record(now.saturating_since(pt).as_ns());
                     }
                     hrt_retx = Some(a.retx);
@@ -1351,6 +1359,10 @@ impl Model for NetWorld {
             NetEvent::SyncTick => self.on_sync_tick(ctx),
             NetEvent::App(idx) => {
                 if let Some(f) = self.one_shots.get_mut(idx).and_then(Option::take) {
+                    // A fired tail slot is free for the next `at`.
+                    while let Some(None) = self.one_shots.last() {
+                        self.one_shots.pop();
+                    }
                     let mut api = NetApi { world: self, ctx };
                     f(&mut api);
                 }
@@ -1553,5 +1565,47 @@ impl Network {
     ) {
         let first = self.engine.now() + phase;
         self.source(first, Every { period, f });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::channel::HrtSpec;
+    use crate::event::{Event, Subject};
+
+    #[test]
+    fn sequential_one_shots_reuse_their_slot() {
+        let mut net = Network::builder().nodes(2).build();
+        for _ in 0..10_000 {
+            net.after(Duration::from_us(1), |_| {});
+            net.run_for(Duration::from_us(2));
+            assert!(net.world().one_shots.len() <= 1);
+        }
+    }
+
+    #[test]
+    fn hrt_ready_instants_take_one_entry_per_slot() {
+        const S: Subject = Subject::new(0x2001);
+        // Neither a missing subscriber nor immediate delivery leaves a
+        // round's entry behind.
+        for deferred in [true, false] {
+            let mut net = Network::builder()
+                .nodes(2)
+                .round(Duration::from_ms(10))
+                .hrt_deferred_delivery(deferred)
+                .build();
+            let mut api = net.api();
+            api.announce(NodeId(0), S, ChannelSpec::hrt(HrtSpec::periodic_10ms()))
+                .unwrap();
+            api.install_calendar().unwrap();
+            net.every(Duration::from_ms(10), Duration::from_us(100), |api| {
+                let _ = api.publish(NodeId(0), S, Event::new(S, vec![1; 8]));
+            });
+            net.run_for(Duration::from_secs(1));
+            let etag = net.world().registry().etag_of(S).unwrap();
+            assert_eq!(net.stats().channel(etag).published, 100);
+            assert_eq!(net.world().hrt_ready.len(), 1);
+        }
     }
 }

@@ -517,3 +517,37 @@ fn hrt_latency_bounded_by_slot_deadline_offset() {
     assert_eq!(lat.min(), lat.max(), "deterministic latency");
     assert_eq!(lat.min().unwrap(), 680_000);
 }
+
+#[test]
+fn hrt_latency_is_sampled_for_every_delivery() {
+    // Every delivery is accounted against its slot's ready instant:
+    // with two subscribers each one's delivery is a sample, and so is
+    // an immediate (non-deferred) delivery on reception.
+    for deferred in [true, false] {
+        let mut net = Network::builder()
+            .nodes(4)
+            .round(Duration::from_ms(10))
+            .hrt_deferred_delivery(deferred)
+            .build();
+        let _queues = {
+            let mut api = net.api();
+            api.announce(NodeId(0), SENSOR, ChannelSpec::hrt(hrt_spec(10, 1)))
+                .unwrap();
+            let qs = [NodeId(2), NodeId(3)]
+                .map(|n| api.subscribe(n, SENSOR, SubscribeSpec::default()).unwrap());
+            api.install_calendar().unwrap();
+            qs
+        };
+        net.every(Duration::from_ms(10), Duration::from_us(100), |api| {
+            let _ = api.publish(NodeId(0), SENSOR, Event::new(SENSOR, vec![1; 8]));
+        });
+        net.run_for(Duration::from_secs(1));
+        let st = net.stats().channel(etag_of(&net, SENSOR));
+        assert!(st.delivered >= 198, "deferred {deferred}: {}", st.delivered);
+        assert_eq!(
+            st.latency_ns.count() as u64,
+            st.delivered,
+            "deferred {deferred}: one latency sample per delivery"
+        );
+    }
+}
