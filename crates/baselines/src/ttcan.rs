@@ -22,9 +22,8 @@ use rtec_can::{
     BusConfig, CanBus, CanEvent, CanId, FaultInjector, FaultModel, Frame, MapScheduler, NodeId,
     Notification, TxRequest, PRIO_HRT,
 };
-use rtec_sim::{Ctx, Duration, Engine, Histogram, Model, Rng, RngStreams, Time};
+use rtec_sim::{Ctx, Duration, Engine, Model, Rng, RngStreams, Time};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Kind of a system-matrix window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,8 +100,6 @@ pub struct TtcanStats {
     pub background_released: u64,
     /// Background messages completed.
     pub background_completed: u64,
-    /// Background release → completion latency (ns).
-    pub background_latency_ns: Histogram,
 }
 
 /// TTCAN world events.
@@ -129,7 +126,6 @@ pub struct TtcanWorld {
     config: TtcanConfig,
     rng: Rng,
     bg_gen_rng: Rng,
-    bg_queue: VecDeque<Time>,
     bg_inflight: bool,
     bg_frame_time: Duration,
     /// End of the current arbitrating window (background gate).
@@ -170,7 +166,6 @@ impl TtcanWorld {
             rng: streams.stream("exclusive-use"),
             bg_gen_rng: streams.stream("background"),
             config,
-            bg_queue: VecDeque::new(),
             bg_inflight: false,
             bg_frame_time,
             arb_until: None,
@@ -234,7 +229,8 @@ impl TtcanWorld {
     /// Submit the next background frame if the arbitrating window can
     /// still hold a complete transmission.
     fn pump_background(&mut self, ctx: &mut Ctx<TtEvent>) {
-        if self.bg_inflight || self.bg_queue.is_empty() {
+        let queued = self.stats.background_released - self.stats.background_completed;
+        if self.bg_inflight || queued == 0 {
             return;
         }
         let now = ctx.now();
@@ -242,7 +238,6 @@ impl TtcanWorld {
         if now + self.bg_frame_time > until {
             return; // would overrun into the next exclusive window
         }
-        self.bg_queue.front().copied().expect("non-empty");
         let frame = Frame::new(
             CanId::new(BG_PRIO, self.config.background_node.0, BG_ETAG),
             &vec![0u8; usize::from(self.config.background_dlc)],
@@ -265,7 +260,6 @@ impl TtcanWorld {
             return;
         };
         let now = ctx.now();
-        self.bg_queue.push_back(now);
         self.stats.background_released += 1;
         let gap = Duration::from_ns(self.bg_gen_rng.gen_exp(mean.as_ns() as f64).max(1.0) as u64);
         ctx.at(now + gap, TtEvent::BgRelease);
@@ -277,12 +271,7 @@ impl TtcanWorld {
             Notification::TxCompleted { tag, .. } => {
                 if tag == u64::from(BG_ETAG) {
                     self.bg_inflight = false;
-                    if let Some(released) = self.bg_queue.pop_front() {
-                        self.stats.background_completed += 1;
-                        self.stats
-                            .background_latency_ns
-                            .record(ctx.now().saturating_since(released).as_ns());
-                    }
+                    self.stats.background_completed += 1;
                     self.pump_background(ctx);
                 } else {
                     self.stats.exclusive_tx += 1;

@@ -436,14 +436,12 @@ fn stack_sources() -> Vec<StackSource> {
         .collect()
 }
 
-/// The shape of the `sim-stack` benchmark workload, for 500 ms of bus
-/// time at a fixed seed with trace off: one HRT channel (10 ms) on node
-/// 0 and the [`stack_sources`], all delivered to node 7, whose
+/// The shape of the `sim-stack` benchmark workload, run for 500 ms of
+/// bus time at a fixed seed with trace off: one HRT channel (10 ms) on
+/// node 0 and the [`stack_sources`], all delivered to node 7, whose
 /// application drains its queues once a round. The wire is busy 96 %
 /// of the horizon (`sim-stack` reads 92 % over 60 s).
-/// Returns (engine events, frames on the wire, events delivered, bus
-/// busy time in µs).
-fn sim_stack_run() -> (u64, u64, u64, u64) {
+fn sim_stack_net() -> Network {
     let mut net = Network::builder().nodes(8).seed(42).build();
     let sources = stack_sources();
     let mut api = net.api();
@@ -480,6 +478,13 @@ fn sim_stack_run() -> (u64, u64, u64, u64) {
         }
     });
     net.run_for(Duration::from_ms(500));
+    net
+}
+
+/// [`sim_stack_net`]'s (engine events, frames on the wire, events
+/// delivered, bus busy time in µs).
+fn sim_stack_run() -> (u64, u64, u64, u64) {
+    let net = sim_stack_net();
     let bus = net.world().bus.stats;
     let delivered = net.stats().total_delivered();
     let busy_us = bus.busy.as_ns() / 1_000;
@@ -499,6 +504,24 @@ fn sim_stack_counts_are_pinned() {
         (20_960, 3_374, 2_566, 478_120),
         "(dispatched, frames_ok, delivered, busy_us)"
     );
+}
+
+/// Run statistics keep samples only where a reader uses them: on a
+/// `sim-stack`-shaped bus that is each channel's delivery and wire
+/// latency, and nothing per delivery else. The pin is their sample
+/// count, equal over three runs; a statistic that starts keeping
+/// samples, or a change in what is delivered, moves it.
+#[test]
+fn sim_stack_retained_samples_are_pinned() {
+    let retained = |net: Network| -> usize {
+        let channels = net.stats().channels.values();
+        channels
+            .map(|c| c.latency_ns.count() + c.wire_latency_ns.count())
+            .sum()
+    };
+    let runs: Vec<_> = (0..3).map(|_| retained(sim_stack_net())).collect();
+    assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
+    assert_eq!(runs[0], 5_132, "latency plus wire-latency samples");
 }
 
 /// One E5 load point, as the `e5` experiment builds it: the

@@ -27,7 +27,7 @@ use rtec_can::{
     BusConfig, CanBus, CanEvent, CanId, FaultInjector, FilterMode, Frame, MapScheduler, NodeId,
     Notification, TxRequest,
 };
-use rtec_sim::{Ctx, Duration, Engine, Histogram, Model, Time};
+use rtec_sim::{Ctx, Duration, Engine, Extrema, Model, Time};
 use serde::{Deserialize, Serialize};
 
 /// Reserved etag for SYNC frames.
@@ -87,10 +87,10 @@ impl SyncConfig {
 /// Measured synchronization quality.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SyncStats {
-    /// Distribution of the instantaneous inter-node spread
+    /// Extremes of the instantaneous inter-node spread
     /// `max_i read_i − min_i read_i` (ns), sampled every
     /// `sample_period` after the first completed synchronization round.
-    pub spread_ns: Histogram,
+    pub spread_ns: Extrema,
     /// Number of completed synchronization rounds.
     pub rounds: u64,
 }

@@ -1,11 +1,13 @@
 //! Measurement collection for network runs.
 //!
-//! The experiment harness reads these counters and histograms after a
-//! run; every quantity the paper's claims are stated in (latency,
+//! The experiment harness reads these counters and distributions after
+//! a run; every quantity the paper's claims are stated in (latency,
 //! jitter, deadline-miss ratio, redundant transmissions, reclaimed
-//! bandwidth) is collected here per channel.
+//! bandwidth) is collected here per channel. A distribution keeps its
+//! samples ([`Histogram`]) only where a reader takes percentiles of
+//! them or compares them; the others are constant-space [`Extrema`].
 
-use rtec_sim::{Duration, Histogram};
+use rtec_sim::{Duration, Extrema, Histogram};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -40,14 +42,17 @@ pub struct ChannelStats {
     pub wire_transmissions: u64,
     /// HRT: redundant (middleware-initiated repeat) transmissions.
     pub redundant_transmissions: u64,
-    /// Publish → delivery latency per delivery (ns, true time).
+    /// Publish → delivery latency per delivery (ns, true time); an HRT
+    /// event is published when its slot takes it. Keeps its samples:
+    /// the benchmark reads them.
     pub latency_ns: Histogram,
     /// Publish → wire completion per first successful transmission
-    /// (ns, true time).
+    /// (ns, true time). Keeps its samples: E11 prints a percentile and
+    /// the §4 runner's oracle compares them as a multiset.
     pub wire_latency_ns: Histogram,
     /// Inter-delivery spacing per subscriber (ns) — for a periodic HRT
     /// channel its spread is the period jitter the paper bounds.
-    pub inter_delivery_ns: Histogram,
+    pub inter_delivery_ns: Extrema,
 }
 
 impl ChannelStats {
@@ -83,11 +88,11 @@ pub struct NetStats {
     pub channels: HashMap<u16, ChannelStats>,
     /// HRT: delay from a slot's LST to the first transmission attempt
     /// actually starting (ns) — bounded by `ΔT_wait` (§3.2, Fig. 3).
-    pub hrt_lst_blocking_ns: Histogram,
+    pub hrt_lst_blocking_ns: Extrema,
     /// HRT: offset of the wire completion inside the slot, measured
     /// from the slot's LST (ns) — the *on-bus* jitter that the
     /// deferred delivery hides from applications.
-    pub hrt_wire_offset_ns: Histogram,
+    pub hrt_wire_offset_ns: Extrema,
     /// SRT completions that overtook a message queued at any node with
     /// an earlier deadline and an earlier publication: the bounded
     /// priority inversions of quantized priorities and non-preemption.
@@ -107,10 +112,25 @@ impl NetStats {
         self.channels.entry(etag).or_default()
     }
 
-    /// Read-only access; default (empty) stats if the channel never
-    /// appeared.
-    pub fn channel(&self, etag: u16) -> ChannelStats {
-        self.channels.get(&etag).cloned().unwrap_or_default()
+    /// Read-only access; empty stats if the channel never appeared.
+    pub fn channel(&self, etag: u16) -> &ChannelStats {
+        static EMPTY: ChannelStats = ChannelStats {
+            published: 0,
+            delivered: 0,
+            filtered: 0,
+            deadline_misses: 0,
+            expired_drops: 0,
+            completed_late: 0,
+            missing_events: 0,
+            redundancy_exhausted: 0,
+            not_ready: 0,
+            wire_transmissions: 0,
+            redundant_transmissions: 0,
+            latency_ns: Histogram::new(),
+            wire_latency_ns: Histogram::new(),
+            inter_delivery_ns: Extrema::new(),
+        };
+        self.channels.get(&etag).unwrap_or(&EMPTY)
     }
 
     /// Sum of deliveries across all channels.

@@ -61,10 +61,10 @@ fn srt_multiple_subscribers_each_get_a_copy() {
 
 // Small helper since tests often need per-subject stats.
 trait StatsExt {
-    fn channel_etag_of(&self, net: &Network, s: Subject) -> rtec_core::ChannelStats;
+    fn channel_etag_of(&self, net: &Network, s: Subject) -> &rtec_core::ChannelStats;
 }
 impl StatsExt for rtec_core::NetStats {
-    fn channel_etag_of(&self, net: &Network, s: Subject) -> rtec_core::ChannelStats {
+    fn channel_etag_of(&self, net: &Network, s: Subject) -> &rtec_core::ChannelStats {
         let etag = net.world().registry().etag_of(s).expect("subject bound");
         self.channel(etag)
     }

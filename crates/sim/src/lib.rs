@@ -52,7 +52,7 @@ mod wheel;
 pub use engine::{Ctx, Engine, Model, TimerId};
 pub use reference::HeapScheduler;
 pub use rng::{Rng, RngStreams};
-pub use stats::{Histogram, OnlineStats};
+pub use stats::{Extrema, Histogram};
 pub use telemetry::EngineTelemetry;
 pub use time::{Duration, Time};
 pub use trace::{SharedTraceSink, SourceId, TraceEvent, TraceSink, TraceTap};

@@ -1,11 +1,21 @@
-//! Measurement collection: exact-percentile histograms and streaming
-//! moment estimators.
+//! Measurement collection: exact-sample histograms and constant-space
+//! extrema.
 //!
-//! Experiments record latencies and jitter as nanosecond counts. The
-//! [`Histogram`] keeps every sample (simulation runs are bounded, and
-//! exact percentiles matter when the claim under test is "jitter is
-//! zero"), sorting lazily on first query. [`OnlineStats`] is the
-//! constant-space Welford estimator for high-volume counters.
+//! A statistic keeps its samples only where a reader needs them: a
+//! printed percentile, or an oracle that compares samples. Those are
+//! [`Histogram`]s, which keep every sample (runs are bounded, and exact
+//! percentiles matter when the claim under test is "jitter is zero")
+//! and sort lazily on the first query: the network's publish →
+//! delivery and publish → wire latencies (the benchmark reads the
+//! former's samples; E11 prints the latter's p99 and the §4 runner's
+//! oracle compares it as a multiset) and TTP/A's sporadic latency
+//! (E11's percentiles).
+//!
+//! A statistic whose readers take only its count, minimum, maximum or
+//! spread is an [`Extrema`], three integers for the whole run: the
+//! inter-delivery spacing (the paper's HRT jitter is its spread, §3.2),
+//! HRT LST blocking and in-slot wire offset, and the clock-sync spread.
+//! As a histogram the spacing alone grew by one `u64` per delivery.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +29,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Create an empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Histogram {
             samples: Vec::new(),
             sorted: true,
@@ -134,112 +144,62 @@ impl Histogram {
     }
 }
 
-/// Constant-space streaming mean/variance (Welford's algorithm).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
+/// The count, smallest and largest of `u64` measurements, in constant
+/// space. Its methods answer exactly what [`Histogram`]'s methods of
+/// the same name answer for the same samples.
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+pub struct Extrema {
+    count: usize,
+    min: u64,
+    max: u64,
 }
 
-impl OnlineStats {
-    /// Create an empty estimator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+impl Extrema {
+    /// Create an empty summary.
+    pub const fn new() -> Self {
+        Extrema {
+            count: 0,
+            min: u64::MAX,
+            max: 0,
         }
     }
 
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+    /// Record one measurement.
+    pub fn record(&mut self, value: u64) {
+        self.count += 1;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
+    /// Number of recorded measurements.
+    pub fn count(&self) -> usize {
+        self.count
     }
 
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
+    /// `true` if no measurements were recorded.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
     }
 
-    /// Population variance (0 when fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
+    /// Smallest recorded value, `None` when empty.
+    pub fn min(&self) -> Option<u64> {
+        (!self.is_empty()).then_some(self.min)
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
+    /// Largest recorded value, `None` when empty.
+    pub fn max(&self) -> Option<u64> {
+        (!self.is_empty()).then_some(self.max)
     }
 
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
+    /// Peak-to-peak spread (`max - min`), `None` when empty.
+    pub fn spread(&self) -> Option<u64> {
+        Some(self.max()? - self.min()?)
     }
 }
 
-/// A ratio counter for hit/miss style statistics (deadline misses,
-/// drops, retransmissions...).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// Create a zeroed counter.
-    pub fn new() -> Self {
-        Ratio::default()
-    }
-
-    /// Record one trial; `hit` marks the numerator event.
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Numerator count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Denominator count.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// `hits / total` (0 when no trials).
-    pub fn value(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
+impl Default for Extrema {
+    fn default() -> Self {
+        Extrema::new()
     }
 }
 
@@ -314,43 +274,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), Some(3));
-    }
-
-    #[test]
-    fn online_stats_matches_exact() {
-        let mut s = OnlineStats::new();
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        for x in data {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_degenerate() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.variance(), 0.0);
-        let mut s1 = OnlineStats::new();
-        s1.record(3.0);
-        assert_eq!(s1.variance(), 0.0);
-        assert_eq!(s1.mean(), 3.0);
-    }
-
-    #[test]
-    fn ratio_counter() {
-        let mut r = Ratio::new();
-        assert_eq!(r.value(), 0.0);
-        r.record(true);
-        r.record(false);
-        r.record(false);
-        r.record(true);
-        assert_eq!(r.hits(), 2);
-        assert_eq!(r.total(), 4);
-        assert!((r.value() - 0.5).abs() < 1e-12);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the discrete-event engine and statistics.
 
 use proptest::prelude::*;
-use rtec_sim::{Ctx, Duration, Engine, HeapScheduler, Histogram, Model, OnlineStats, Time};
+use rtec_sim::{Ctx, Duration, Engine, Extrema, HeapScheduler, Histogram, Model, Time};
 
 /// A model that records the dispatch order of (time, id) events.
 struct Recorder {
@@ -134,19 +134,21 @@ proptest! {
         }
     }
 
-    /// Welford's streaming moments agree with the exact two-pass
-    /// computation.
+    /// Differential test: `Extrema` answers count, min, max and
+    /// spread exactly as a `Histogram` of the same samples does,
+    /// including when there are none.
     #[test]
-    fn online_stats_match_two_pass(samples in prop::collection::vec(-1e6f64..1e6, 2..300)) {
-        let mut s = OnlineStats::new();
-        for &x in &samples {
-            s.record(x);
+    fn extrema_matches_histogram(samples in prop::collection::vec(any::<u64>(), 0..300)) {
+        let (mut e, mut h) = (Extrema::new(), Histogram::new());
+        for &s in &samples {
+            e.record(s);
+            h.record(s);
         }
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance() - var).abs() < 1e-5 * (1.0 + var));
+        prop_assert_eq!(e.count(), h.count());
+        prop_assert_eq!(e.is_empty(), h.is_empty());
+        prop_assert_eq!(e.min(), h.min());
+        prop_assert_eq!(e.max(), h.max());
+        prop_assert_eq!(e.spread(), h.spread());
     }
 
     /// Differential test: the timing-wheel engine and the reference
