@@ -7,6 +7,15 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== lock files are current (root and benchmark/ workspaces)"
+# `--locked` exits 101 ("cannot update the lock file") when a manifest
+# edit would rewrite a lock file. benchmark/Cargo.lock resolves the
+# crates/ manifests too and changes only with benchmark/ itself, so a
+# dependency edit under crates/ must wait for such a change.
+cargo metadata --locked --offline --format-version 1 >/dev/null
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmark/Cargo.toml >/dev/null
+
 echo "== cargo clippy (workspace, warnings are errors)"
 # The vendor/ stand-ins for crates.io deps are excluded: they mirror
 # external code and are not held to the workspace lint bar.

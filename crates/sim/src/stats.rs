@@ -15,7 +15,6 @@
 //! spread is an [`Extrema`], three integers for the whole run: the
 //! inter-delivery spacing (the paper's HRT jitter is its spread, §3.2),
 //! HRT LST blocking and in-slot wire offset, and the clock-sync spread.
-//! As a histogram the spacing alone grew by one `u64` per delivery.
 
 use serde::{Deserialize, Serialize};
 
