@@ -1571,8 +1571,6 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::HrtSpec;
-    use crate::event::{Event, Subject};
 
     #[test]
     fn sequential_one_shots_reuse_their_slot() {
@@ -1581,31 +1579,6 @@ mod tests {
             net.after(Duration::from_us(1), |_| {});
             net.run_for(Duration::from_us(2));
             assert!(net.world().one_shots.len() <= 1);
-        }
-    }
-
-    #[test]
-    fn hrt_ready_instants_take_one_entry_per_slot() {
-        const S: Subject = Subject::new(0x2001);
-        // Neither a missing subscriber nor immediate delivery leaves a
-        // round's entry behind.
-        for deferred in [true, false] {
-            let mut net = Network::builder()
-                .nodes(2)
-                .round(Duration::from_ms(10))
-                .hrt_deferred_delivery(deferred)
-                .build();
-            let mut api = net.api();
-            api.announce(NodeId(0), S, ChannelSpec::hrt(HrtSpec::periodic_10ms()))
-                .unwrap();
-            api.install_calendar().unwrap();
-            net.every(Duration::from_ms(10), Duration::from_us(100), |api| {
-                let _ = api.publish(NodeId(0), S, Event::new(S, vec![1; 8]));
-            });
-            net.run_for(Duration::from_secs(1));
-            let etag = net.world().registry().etag_of(S).unwrap();
-            assert_eq!(net.stats().channel(etag).published, 100);
-            assert_eq!(net.world().hrt_ready.len(), 1);
         }
     }
 }
