@@ -1,9 +1,9 @@
 //! Deterministic cost counts, ratcheted: hot paths whose steady state
 //! must not touch the heap (fragment reassembly, trace recording, the
 //! conformance monitor), checked with a counting global allocator;
-//! the live runtime's lock-step turns per frame and the simulator's
-//! engine events on a `sim-stack`-shaped bus and at one E5 load point,
-//! pinned exactly.
+//! the live runtime's lock-step turns per frame, and the simulator's
+//! engine events and allocations on a `sim-stack`-shaped bus and its
+//! engine events at one E5 load point, pinned exactly.
 //!
 //! libtest runs tests on parallel threads, so the allocator counts per
 //! thread and each test reads only its own thread's count.
@@ -522,6 +522,22 @@ fn sim_stack_retained_samples_are_pinned() {
     let runs: Vec<_> = (0..3).map(|_| retained(sim_stack_net())).collect();
     assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
     assert_eq!(runs[0], 5_132, "latency plus wire-latency samples");
+}
+
+/// The frame path's heap traffic is a count too: building and running
+/// a `sim-stack`-shaped bus for its 500 ms makes exactly the pinned
+/// number of allocations, equal over three runs. Per frame that is
+/// the application's payload and the subscriber's copy of it, plus
+/// amortized growth; a change that allocates per frame or per engine
+/// event moves the pin by thousands, and one that removes allocations
+/// lowers it.
+#[test]
+fn sim_stack_allocations_are_pinned() {
+    let runs: Vec<u64> = (0..3)
+        .map(|_| allocations_in(|| drop(sim_stack_net())))
+        .collect();
+    assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
+    assert_eq!(runs[0], 9_473, "allocations building and running the bus");
 }
 
 /// One E5 load point, as the `e5` experiment builds it: the

@@ -203,26 +203,33 @@ const STUFF_BYTE: [[u8; 256]; 8] = {
 /// unstuffed tail (EOF + interframe space): the length of
 /// `stuff(&unstuffed_bits(frame))` plus [`TAIL_BITS`], built by neither.
 pub fn exact_frame_bits(frame: &Frame) -> u32 {
-    let (raw, len) = (u128::from(frame.id.raw()), frame.payload().len());
+    let (raw, payload) = (u128::from(frame.id.raw()), frame.payload());
+    let len = payload.len();
     // SOF | ID28..18 | SRR IDE | ID17..0 | RTR r1 r0 | DLC — 39 bits, SOF
     // the leading zero — then the payload.
-    let mut data = (raw >> 18) << 27 | 0b11 << 25 | (raw & 0x3FFFF) << 7 | len as u128;
-    for &byte in frame.payload() {
-        data = data << 8 | u128::from(byte);
-    }
-    // A zero-initialised CRC ignores leading zeros: round up to bytes.
-    let mut crc = 0u16;
-    for &byte in &data.to_be_bytes()[11 - len..] {
-        crc = ((crc << 8) & 0x7FFF) ^ CRC15_BYTE[usize::from((crc >> 7) as u8 ^ byte)];
-    }
+    let header = (raw >> 18) << 27 | 0b11 << 25 | (raw & 0x3FFFF) << 7 | len as u128;
+    let mut bytes = [0u8; 16];
+    bytes[16 - len..].copy_from_slice(payload);
+    let data = header << (8 * len) | u128::from_be_bytes(bytes);
     // `01` in front rounds the 54 + 8·len bits of the stuffed region up
     // to bytes and leaves the automaton where a frame starts: before
-    // SOF, after one recessive bit.
-    let wire = (1 << (39 + 8 * len) | data) << 15 | u128::from(crc);
-    let (mut state, mut stuff_bits) = (0, 0);
-    for &byte in &wire.to_be_bytes()[9 - len..] {
+    // SOF, after one recessive bit. All but the last two of those bytes
+    // precede the CRC, so they are stuffed in the same pass that
+    // computes it (a zero-initialised CRC ignores leading zeros: round
+    // up to bytes); the two dependency chains then run side by side.
+    let (crc_in, framed) = (data.to_be_bytes(), (1 << (39 + 8 * len) | data));
+    let head = (framed >> 1).to_be_bytes();
+    let (mut crc, mut state, mut stuff_bits) = (0u16, 0, 0);
+    let mut feed = |byte: u8| {
         let step = STUFF_BYTE[state][usize::from(byte)];
         (state, stuff_bits) = (usize::from(step & 7), stuff_bits + u32::from(step >> 3));
+    };
+    for i in 11 - len..16 {
+        crc = ((crc << 8) & 0x7FFF) ^ CRC15_BYTE[usize::from((crc >> 7) as u8 ^ crc_in[i])];
+        feed(head[i]);
+    }
+    for byte in ((framed as u16 & 1) << 15 | crc).to_be_bytes() {
+        feed(byte);
     }
     54 + 8 * len as u32 + stuff_bits + TAIL_BITS
 }

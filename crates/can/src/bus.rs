@@ -261,6 +261,9 @@ pub struct CanBus {
     candidates: Vec<(CanId, NodeId)>,
     arb_fields: Vec<(&'static str, u64)>,
     receivers: Vec<NodeId>,
+    /// The buffer [`CanBus::handle`] fills next: the one its caller
+    /// handed back through [`CanBus::recycle`], capacity and all.
+    spare: Vec<Notification>,
     trace: TraceSink,
     /// Interned `"bus"` source handle for the attached sink, so hot
     /// emit sites pass a `u32` instead of a string per event.
@@ -299,6 +302,7 @@ impl CanBus {
             candidates: Vec::with_capacity(num_nodes),
             arb_fields: Vec::with_capacity(num_nodes + 1),
             receivers: Vec::with_capacity(num_nodes),
+            spare: Vec::new(),
             trace_src: trace.intern("bus"),
             trace,
             stats: BusStats::default(),
@@ -396,7 +400,7 @@ impl CanBus {
             && self
                 .controllers
                 .iter()
-                .any(|c| c.can_transmit() && c.contending_id().is_some())
+                .any(|c| c.can_transmit() && c.queue_len() != 0)
         {
             sched.schedule_after(Duration::ZERO, CanEvent::Arbitrate);
             self.arb_scheduled = true;
@@ -404,22 +408,32 @@ impl CanBus {
     }
 
     /// Dispatch one bus event, producing notifications for the
-    /// embedding world.
+    /// embedding world. The buffer they come in is the one last handed
+    /// to [`CanBus::recycle`], if any: a host that hands each one back
+    /// allocates none per frame.
     pub fn handle(&mut self, sched: &mut impl CanScheduler, ev: CanEvent) -> Vec<Notification> {
+        let mut notes = std::mem::take(&mut self.spare);
         match ev {
-            CanEvent::Arbitrate => self.on_arbitrate(sched),
-            CanEvent::TxEnd => self.on_tx_end(sched),
-            CanEvent::TxError => self.on_tx_error(sched),
-            CanEvent::BusOffRecover(node) => self.on_bus_off_recover(sched, node),
+            CanEvent::Arbitrate => self.on_arbitrate(sched, &mut notes),
+            CanEvent::TxEnd => self.on_tx_end(sched, &mut notes),
+            CanEvent::TxError => self.on_tx_error(sched, &mut notes),
+            CanEvent::BusOffRecover(node) => self.on_bus_off_recover(sched, node, &mut notes),
         }
+        notes
     }
 
-    fn on_arbitrate(&mut self, sched: &mut impl CanScheduler) -> Vec<Notification> {
+    /// Hand back a buffer [`CanBus::handle`] returned, once its
+    /// notifications are dealt with, for the next event to fill.
+    pub fn recycle(&mut self, mut notes: Vec<Notification>) {
+        notes.clear();
+        self.spare = notes;
+    }
+
+    fn on_arbitrate(&mut self, sched: &mut impl CanScheduler, notes: &mut Vec<Notification>) {
         self.arb_scheduled = false;
         if self.inflight.is_some() {
-            return Vec::new(); // stale arbitration point
+            return; // stale arbitration point
         }
-        let mut notes = Vec::new();
         let now = sched.now();
         // Gather each transmit-capable controller's contending
         // identifier; error-passive nodes sit out their suspend pause.
@@ -448,7 +462,7 @@ impl CanBus {
                 sched.schedule_after(resume.saturating_since(now), CanEvent::Arbitrate);
                 self.arb_scheduled = true;
             }
-            return notes;
+            return;
         }
         candidates.sort_unstable();
         // Identifier uniqueness check (protocol invariant, §3.5).
@@ -494,16 +508,18 @@ impl CanBus {
         };
 
         self.receivers.clear();
-        self.receivers.extend(
-            self.controllers
-                .iter()
-                .filter(|c| {
-                    c.is_operational()
-                        && c.error_state() != crate::controller::ErrorState::BusOff
-                        && c.node() != winner_node
-                })
-                .map(|c| c.node()),
-        );
+        if !self.injector.is_fault_free() {
+            self.receivers.extend(
+                self.controllers
+                    .iter()
+                    .filter(|c| {
+                        c.is_operational()
+                            && c.error_state() != crate::controller::ErrorState::BusOff
+                            && c.node() != winner_node
+                    })
+                    .map(|c| c.node()),
+            );
+        }
         let decision = self.injector.decide(now, &frame, &self.receivers);
         let full_bits = exact_frame_bits(&frame);
         let duration = match &decision {
@@ -548,15 +564,11 @@ impl CanBus {
             bits: full_bits,
             decision,
         });
-        notes
     }
 
-    fn on_tx_end(&mut self, sched: &mut impl CanScheduler) -> Vec<Notification> {
+    fn on_tx_end(&mut self, sched: &mut impl CanScheduler, notes: &mut Vec<Notification>) {
         let fl = self.inflight.take().expect("TxEnd with no inflight frame");
         let now = sched.now();
-        // One `Rx` per *accepting* receiver plus the completion — a
-        // handful however many controllers listen, so grow from empty.
-        let mut notes = Vec::new();
         let victims: &[NodeId] = match &fl.decision {
             FaultDecision::Omit { victims } => victims,
             _ => &[],
@@ -647,16 +659,14 @@ impl CanBus {
             duration: fl.duration,
         });
         self.kick(sched);
-        notes
     }
 
-    fn on_tx_error(&mut self, sched: &mut impl CanScheduler) -> Vec<Notification> {
+    fn on_tx_error(&mut self, sched: &mut impl CanScheduler, notes: &mut Vec<Notification>) {
         let fl = self
             .inflight
             .take()
             .expect("TxError with no inflight frame");
         let now = sched.now();
-        let mut notes = Vec::new();
         self.stats.frames_corrupted += 1;
         self.stats.busy += fl.duration;
         self.stats.busy_by_band[BusStats::band_index(fl.frame.id.priority())] += fl.duration;
@@ -737,23 +747,23 @@ impl CanBus {
             self.suspend_until[fl.node.index()] = now + self.config.timing.duration_of(8);
         }
         self.kick(sched);
-        notes
     }
 
     fn on_bus_off_recover(
         &mut self,
         sched: &mut impl CanScheduler,
         node: NodeId,
-    ) -> Vec<Notification> {
+        notes: &mut Vec<Notification>,
+    ) {
         let c = &mut self.controllers[node.index()];
         if c.error_state() != crate::controller::ErrorState::BusOff {
-            return Vec::new();
+            return;
         }
         c.recover_from_bus_off();
-        let note = Notification::ErrorStateChanged {
+        notes.push(Notification::ErrorStateChanged {
             node,
             state: crate::controller::ErrorState::Active,
-        };
+        });
         self.trace.emit_fields(
             sched.now(),
             self.trace_src,
@@ -761,7 +771,6 @@ impl CanBus {
             &[("node", u64::from(node.0))],
         );
         self.kick(sched);
-        vec![note]
     }
 }
 
@@ -807,8 +816,9 @@ mod tests {
             let mut sched = MapScheduler::new(ctx, DrivenEvent::Can);
             match ev {
                 DrivenEvent::Can(c) => {
-                    let notes = self.bus.handle(&mut sched, c);
-                    self.log.extend(notes);
+                    let mut notes = self.bus.handle(&mut sched, c);
+                    self.log.append(&mut notes);
+                    self.bus.recycle(notes);
                 }
                 DrivenEvent::Submit(node, r) => {
                     let h = self.bus.submit(&mut sched, node, r);

@@ -22,9 +22,8 @@
 
 use crate::frame::Frame;
 use crate::id::NodeId;
-use rtec_sim::{Rng, Time};
+use rtec_sim::{IntMap, Rng, Time};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which receivers an omission fault strikes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,7 +111,7 @@ pub struct FaultInjector {
     /// Gilbert–Elliott state: `true` = bad.
     in_bad_state: bool,
     /// Per-etag attempt counters for [`FaultModel::OmitRun`].
-    run_counters: HashMap<u16, u32>,
+    run_counters: IntMap<u16, u32>,
     /// Total decisions taken (observability).
     decisions: u64,
     corruptions: u64,
@@ -126,7 +125,7 @@ impl FaultInjector {
             model,
             rng,
             in_bad_state: false,
-            run_counters: HashMap::new(),
+            run_counters: IntMap::default(),
             decisions: 0,
             corruptions: 0,
             omissions: 0,
@@ -136,6 +135,12 @@ impl FaultInjector {
     /// A fault-free injector.
     pub fn none() -> Self {
         FaultInjector::new(FaultModel::None, Rng::seed_from_u64(0))
+    }
+
+    /// Whether the installed model never injects a fault, so a
+    /// decision needs no receiver set.
+    pub fn is_fault_free(&self) -> bool {
+        matches!(self.model, FaultModel::None)
     }
 
     /// Replace the model (counters are kept).

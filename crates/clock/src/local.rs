@@ -77,8 +77,20 @@ impl LocalClock {
     /// global time). Readings are clamped at zero — a local clock never
     /// reads negative.
     pub fn read(&self, true_now: Time) -> Time {
+        if self.is_exact(true_now) {
+            return true_now;
+        }
         let local = true_now.as_ns() as f64 * (1.0 + self.rate) + self.offset_ns;
         Time::from_ns(local.max(0.0).round() as u64)
+    }
+
+    /// Whether both directions map `t` to itself without the float
+    /// arithmetic: no drift, no offset, and `t` below 2^53 ns (104 days),
+    /// where an `f64` holds every nanosecond exactly — so the shortcut
+    /// returns what the arithmetic would.
+    #[inline]
+    fn is_exact(&self, t: Time) -> bool {
+        self.rate == 0.0 && self.offset_ns == 0.0 && t.as_ns() < 1 << f64::MANTISSA_DIGITS
     }
 
     /// Signed error of this clock against true/global time at `true_now`
@@ -106,6 +118,9 @@ impl LocalClock {
     /// `g`. Returns [`Time::ZERO`] if that instant is already past at
     /// true time zero (callers guard against scheduling in the past).
     pub fn true_time_when_reads(&self, g: Time) -> Time {
+        if self.is_exact(g) {
+            return g;
+        }
         let t = (g.as_ns() as f64 - self.offset_ns) / (1.0 + self.rate);
         Time::from_ns(t.max(0.0).round() as u64)
     }
@@ -119,8 +134,9 @@ mod tests {
     #[test]
     fn perfect_clock_reads_true_time() {
         let c = LocalClock::perfect();
-        for t in [0u64, 1_000, 1_000_000_000] {
+        for t in [0u64, 1_000, 1_000_000_000, (1 << 53) - 1, 1 << 53] {
             assert_eq!(c.read(Time::from_ns(t)), Time::from_ns(t));
+            assert_eq!(c.true_time_when_reads(Time::from_ns(t)), Time::from_ns(t));
         }
         assert_eq!(c.error_ns(Time::from_secs(100)), 0.0);
     }

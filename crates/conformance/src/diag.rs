@@ -103,11 +103,14 @@ pub enum RuleId {
     /// one owner, its worker: it names no lock, atomic, channel, thread
     /// or I/O.
     SharedLaneState,
+    /// The frame path's tables hash their integer keys with
+    /// `rtec_sim::IntMap`, not std's SipHash.
+    SipHashOnFramePath,
 }
 
 impl RuleId {
     /// All rules: static configuration, then trace, then source lints.
-    pub const ALL: [RuleId; 27] = [
+    pub const ALL: [RuleId; 28] = [
         RuleId::SlotOverlap,
         RuleId::SlotSetupMargin,
         RuleId::PriorityBandPartition,
@@ -135,9 +138,10 @@ impl RuleId {
         RuleId::LiveCopiesBusModel,
         RuleId::HandRolledCodec,
         RuleId::SharedLaneState,
+        RuleId::SipHashOnFramePath,
     ];
 
-    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C10`).
+    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C11`).
     pub fn code(self) -> &'static str {
         match self {
             RuleId::SlotOverlap => "S1",
@@ -167,6 +171,7 @@ impl RuleId {
             RuleId::LiveCopiesBusModel => "C8",
             RuleId::HandRolledCodec => "C9",
             RuleId::SharedLaneState => "C10",
+            RuleId::SipHashOnFramePath => "C11",
         }
     }
 
@@ -201,6 +206,7 @@ impl RuleId {
                 "DESIGN.md §5"
             }
             RuleId::SharedLaneState => "DESIGN.md §9",
+            RuleId::SipHashOnFramePath => "DESIGN.md §4d",
         }
     }
 
@@ -261,6 +267,9 @@ impl RuleId {
             RuleId::SharedLaneState => {
                 "a gateway lane's state has one owner, its worker: no locks, atomics, \
                  channels, threads or I/O"
+            }
+            RuleId::SipHashOnFramePath => {
+                "the frame path hashes integer keys with rtec_sim::IntMap, not SipHash"
             }
         }
     }

@@ -3,8 +3,9 @@
 //! driver — the sans-IO contract (`C7`) of the channel-class machine
 //! they and the simulator host, the one-bus-model contract (`C8`) of
 //! the live runtime, the one-wire-kernel contract (`C9`) of the
-//! broker and gateway protocols, and the single-owner contract (`C10`)
-//! of a gateway lane's state.
+//! broker and gateway protocols, the single-owner contract (`C10`)
+//! of a gateway lane's state, and the integer-hashing contract (`C11`)
+//! of the simulated frame path.
 //!
 //! The loom model-check suites (see `crates/live/tests/loom_model.rs`
 //! and `crates/sim/tests/loom_model.rs`) only prove anything about
@@ -35,6 +36,9 @@
 //! | `C10`| `Mutex`, `RwLock`, `Condvar`, `atomic`/`Atomic`, `mpsc`,      |
 //! |      | `thread`, `std::net`, `std::io` in `crates/gateway/src/`     |
 //! |      | `session.rs` and `egress.rs`: the lane's state has one owner |
+//! | `C11`| `HashMap`, `HashSet`, `RandomState`, `DefaultHasher` in the  |
+//! |      | frame path's files (`FRAME_PATH_FILES`): std's SipHash costs |
+//! |      | more than the look-up; integer keys use `rtec_sim::IntMap`   |
 //!
 //! The pass is textual, not syntactic — deliberately: it must run in
 //! CI with no rustc internals and no third-party parser. To keep the
@@ -53,7 +57,10 @@
 //! `crates/live/src` and `crates/gateway/src`, and `C10` on the two
 //! gateway files that hold a lane's state, on top of `C1`..`C6` and
 //! `C9`. `Arc` stays allowed there: the frames a lane shares with the
-//! other lanes and its replay ring are immutable.
+//! other lanes and its replay ring are immutable. `C11` alone runs on
+//! the frame path's files of `rtec-core` and `rtec-can` (on top of
+//! `C7` for the machine): they are single-threaded, so `C1`..`C6`
+//! stay out.
 
 use crate::diag::{Report, RuleId};
 use std::fs;
@@ -408,13 +415,40 @@ const LANE_STATE_RULE: TextRule = TextRule {
     fix: "keep the state in the lane its worker owns; pass bus time and frames in as arguments",
 };
 
+/// The files `C11` guards: every table a simulated frame passes
+/// through, from publish to delivery.
+const FRAME_PATH_FILES: &[&str] = &[
+    MACHINE_PATH,
+    "crates/core/src/network.rs",
+    "crates/core/src/node.rs",
+    "crates/core/src/stats.rs",
+    "crates/core/src/policy.rs",
+    "crates/core/src/binding.rs",
+    "crates/can/src/bus.rs",
+    "crates/can/src/controller.rs",
+    "crates/can/src/fault.rs",
+];
+
+/// `C11`: std's hash tables, whose default hasher is SipHash under a
+/// random key.
+const FRAME_PATH_RULE: TextRule = TextRule {
+    id: RuleId::SipHashOnFramePath,
+    needles: &["HashMap", "HashSet", "RandomState", "DefaultHasher"],
+    allow_files: &[],
+    unless_on_line: None,
+    fix: "key the table with rtec_sim::IntMap, or index a Vec by the key",
+};
+
 /// Lint a set of already-loaded sources. Pure — the unit of testing.
 pub fn lint_sources(files: &[SrcFile]) -> Report {
     let mut report = Report::new();
     for file in files {
         let code = blank_test_blocks(&strip_noncode(&file.text));
+        let frame_path = FRAME_PATH_FILES.iter().any(|f| file.path.ends_with(f));
         let rules = if file.path.ends_with(MACHINE_PATH) {
             MACHINE_RULES
+        } else if frame_path {
+            &[]
         } else {
             RULES
         };
@@ -425,7 +459,13 @@ pub fn lint_sources(files: &[SrcFile]) -> Report {
             .iter()
             .any(|f| file.path.ends_with(f))
             .then_some(&LANE_STATE_RULE);
-        for rule in rules.iter().chain(live_only).chain(wire).chain(lane_state) {
+        let siphash = frame_path.then_some(&FRAME_PATH_RULE);
+        let extra = live_only
+            .into_iter()
+            .chain(wire)
+            .chain(lane_state)
+            .chain(siphash);
+        for rule in rules.iter().chain(extra) {
             if rule.allow_files.contains(&file.file_name()) {
                 continue;
             }
@@ -454,18 +494,15 @@ pub fn lint_sources(files: &[SrcFile]) -> Report {
 
 /// Lint the scoped sources under a workspace root: every `.rs` file
 /// below `crates/live/src` and `crates/gateway/src`, `rtec-sim`'s
-/// parallel driver and sync facade, and the channel-class machine, in
-/// path order.
+/// parallel driver and sync facade, and the frame path's files (the
+/// channel-class machine among them), in path order.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     for dir in ["crates/live/src", "crates/gateway/src"] {
         collect_rs(&root.join(dir), &mut files)?;
     }
-    for extra in [
-        "crates/sim/src/parallel.rs",
-        "crates/sim/src/sync.rs",
-        MACHINE_PATH,
-    ] {
+    let scoped = ["crates/sim/src/parallel.rs", "crates/sim/src/sync.rs"];
+    for extra in scoped.iter().chain(FRAME_PATH_FILES) {
         let path = root.join(extra);
         files.push(SrcFile {
             path: path.display().to_string(),
@@ -725,6 +762,48 @@ mod tests {
         // ... and the worker that owns the lane holds the locks.
         let rep = lint_gateway("gateway.rs", "sessions: Arc<Mutex<SessionStore>>,\n");
         assert!(!rep.fired(RuleId::SharedLaneState), "{rep}");
+    }
+
+    #[test]
+    fn c11_fires_on_siphash_tables_on_the_frame_path_only() {
+        for path in FRAME_PATH_FILES {
+            for stmt in [
+                "use std::collections::{HashMap, VecDeque};",
+                "pubs: HashMap<u16, Publication>,",
+                "let seen: HashSet<u64> = HashSet::new();",
+                "let s = std::collections::hash_map::RandomState::new();",
+                "let h = DefaultHasher::new();",
+            ] {
+                let rep = lint_sources(&[SrcFile::new(*path, stmt)]);
+                assert!(
+                    rep.fired(RuleId::SipHashOnFramePath),
+                    "{path}: {stmt}: {rep}"
+                );
+            }
+        }
+        // The integer-keyed map is the point, and the frame path's
+        // files are single-threaded: C1..C6 do not reach them ...
+        let rep = lint_sources(&[SrcFile::new(
+            "crates/core/src/network.rs",
+            concat!(
+                "use rtec_sim::{IntMap, TraceSink};\n",
+                "use std::sync::Arc;\n",
+                "pub(crate) channel_table: IntMap<u16, ChannelMeta>,\n",
+            ),
+        )]);
+        assert!(rep.passes(), "{rep}");
+        // ... tests may hash as they like ...
+        let rep = lint_sources(&[SrcFile::new(
+            "crates/can/src/fault.rs",
+            "#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n",
+        )]);
+        assert!(rep.passes(), "{rep}");
+        // ... and the rule stops at the frame path.
+        let rep = lint_sources(&[SrcFile::new(
+            "crates/core/src/frag.rs",
+            "partials: HashMap<K, Partial>,",
+        )]);
+        assert!(rep.passes(), "{rep}");
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! the registry rejects subject sets that collide in those bits.
 
 use crate::event::Subject;
+use rtec_sim::IntMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Reserved etag: clock sync (see `rtec-clock`).
 pub const ETAG_SYNC: u16 = 0;
@@ -155,8 +155,8 @@ impl BindReply {
 /// the dynamic binding agent.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SubjectRegistry {
-    by_subject48: HashMap<u64, u16>,
-    by_etag: HashMap<u16, u64>,
+    by_subject48: IntMap<u64, u16>,
+    by_etag: IntMap<u16, u64>,
     next: u16,
 }
 
@@ -164,8 +164,8 @@ impl SubjectRegistry {
     /// An empty registry starting at the first dynamic etag.
     pub fn new() -> Self {
         SubjectRegistry {
-            by_subject48: HashMap::new(),
-            by_etag: HashMap::new(),
+            by_subject48: IntMap::default(),
+            by_etag: IntMap::default(),
             next: ETAG_FIRST_DYNAMIC,
         }
     }

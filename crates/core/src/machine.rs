@@ -51,8 +51,8 @@ use rtec_analysis::edf::PrioritySlotConfig;
 use rtec_analysis::wctt::wcct_single;
 use rtec_can::bits::BitTiming;
 use rtec_can::{CanId, Frame, NodeId, PRIO_HRT};
-use rtec_sim::Time;
-use std::collections::{HashMap, VecDeque};
+use rtec_sim::{IntMap, Time};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Maximum inline (single-frame) event content.
@@ -283,21 +283,51 @@ pub enum Output {
         class: ChannelClass,
         /// Record kind.
         kind: &'static str,
-        /// Fields; only the first `len` are meaningful.
-        fields: [(&'static str, u64); MAX_TRACE_FIELDS],
-        /// Number of fields.
-        len: usize,
+        /// Its fields.
+        fields: TraceFields,
     },
 }
 
-fn trace(class: ChannelClass, kind: &'static str, fields: &[(&'static str, u64)]) -> Output {
-    let mut buf = [("", 0); MAX_TRACE_FIELDS];
-    buf[..fields.len()].copy_from_slice(fields);
+/// The fields of an [`Output::Trace`] record: static names and, in the
+/// same order, their values. Kept apart rather than as `(name, value)`
+/// pairs so that an [`Output`] stays small enough to move without a
+/// `memcpy` call: every output is moved twice, traced or not.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceFields {
+    names: &'static [&'static str],
+    values: [u64; MAX_TRACE_FIELDS],
+}
+
+impl TraceFields {
+    /// The fields as `(name, value)` pairs (the first `len` of them),
+    /// the shape a trace sink records.
+    pub fn pairs(&self) -> ([(&'static str, u64); MAX_TRACE_FIELDS], usize) {
+        let mut pairs = [("", 0); MAX_TRACE_FIELDS];
+        for (pair, (&name, &value)) in pairs.iter_mut().zip(self.names.iter().zip(&self.values)) {
+            *pair = (name, value);
+        }
+        (pairs, self.names.len())
+    }
+
+    /// The value of the field called `name`.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        let at = self.names.iter().position(|&n| n == name)?;
+        Some(self.values[at])
+    }
+}
+
+fn trace<const N: usize>(
+    class: ChannelClass,
+    kind: &'static str,
+    names: &'static [&'static str; N],
+    values: [u64; N],
+) -> Output {
+    let mut buf = [0; MAX_TRACE_FIELDS];
+    buf[..N].copy_from_slice(&values);
     Output::Trace {
         class,
         kind,
-        fields: buf,
-        len: fields.len(),
+        fields: TraceFields { names, values: buf },
     }
 }
 
@@ -398,7 +428,7 @@ struct Subscription {
     meta: Option<ChannelMeta>,
     /// HRT receptions held until the slot deadline, keyed by
     /// `(round, slot)`, with the host's wire-completion stamp.
-    buffer: HashMap<(u64, usize), (Event, Time)>,
+    buffer: IntMap<(u64, usize), (Event, Time)>,
 }
 
 /// A queued soft real-time message.
@@ -477,8 +507,8 @@ pub struct NrtTransfer {
 pub struct NodeMachine {
     cfg: MachineConfig,
     calendar: Option<(Arc<CalendarPlan>, Time)>,
-    pubs: HashMap<u16, Publication>,
-    subs: HashMap<u16, Subscription>,
+    pubs: IntMap<u16, Publication>,
+    subs: IntMap<u16, Subscription>,
     srt: EdfQueue<SrtMsg>,
     srt_next_seq: u32,
     /// The submitted SRT message.
@@ -499,8 +529,8 @@ impl NodeMachine {
         NodeMachine {
             cfg,
             calendar: None,
-            pubs: HashMap::new(),
-            subs: HashMap::new(),
+            pubs: IntMap::default(),
+            subs: IntMap::default(),
             srt: EdfQueue::new(),
             srt_next_seq: 0,
             srt_tx: None,
@@ -554,7 +584,7 @@ impl NodeMachine {
                 subject,
                 filter,
                 meta,
-                buffer: HashMap::new(),
+                buffer: IntMap::default(),
             },
         );
     }
@@ -774,12 +804,13 @@ impl NodeMachine {
                 out.push(trace(
                     ChannelClass::Nrt,
                     "nrt_enqueue",
-                    &[
-                        ("etag", u64::from(etag)),
-                        ("node", u64::from(self.cfg.node.0)),
-                        ("frags", payloads.len() as u64),
-                        ("bytes", event.content.len() as u64),
-                        ("fragmented", u64::from(n.fragmented)),
+                    &["etag", "node", "frags", "bytes", "fragmented"],
+                    [
+                        u64::from(etag),
+                        u64::from(self.cfg.node.0),
+                        payloads.len() as u64,
+                        event.content.len() as u64,
+                        u64::from(n.fragmented),
                     ],
                 ));
                 self.nrt_frames += payloads.len();
@@ -828,12 +859,8 @@ impl NodeMachine {
         out.push(trace(
             ChannelClass::Hrt,
             "slot_ready",
-            &[
-                ("etag", u64::from(etag)),
-                ("round", round),
-                ("slot", slot as u64),
-                ("node", self.node()),
-            ],
+            &["etag", "round", "slot", "node"],
+            [u64::from(etag), round, slot as u64, self.node()],
         ));
     }
 
@@ -956,13 +983,8 @@ impl NodeMachine {
                 out.push(trace(
                     ChannelClass::Hrt,
                     "hrt_deliver",
-                    &[
-                        ("etag", u64::from(etag)),
-                        ("round", round),
-                        ("slot", slot as u64),
-                        ("node", node),
-                        ("wire", wire.as_ns()),
-                    ],
+                    &["etag", "round", "slot", "node", "wire"],
+                    [u64::from(etag), round, slot as u64, node, wire.as_ns()],
                 ));
             }
             None if sub.meta.is_some_and(|m| !m.sporadic) => out.push(Output::Raise {
@@ -1107,11 +1129,12 @@ impl NodeMachine {
         out.push(trace(
             ChannelClass::Srt,
             "srt_expire",
-            &[
-                ("etag", u64::from(msg.etag)),
-                ("seq", u64::from(msg.seq)),
-                ("node", self.node()),
-                ("tag", pack_tag(TagKind::Srt, msg.etag, msg.seq)),
+            &["etag", "seq", "node", "tag"],
+            [
+                u64::from(msg.etag),
+                u64::from(msg.seq),
+                self.node(),
+                pack_tag(TagKind::Srt, msg.etag, msg.seq),
             ],
         ));
         out.push(Output::Raise {
@@ -1225,12 +1248,8 @@ impl NodeMachine {
                         out.push(trace(
                             ChannelClass::Nrt,
                             "nrt_complete",
-                            &[
-                                ("etag", u64::from(etag)),
-                                ("node", node),
-                                ("origin", o),
-                                ("bytes", data.len() as u64),
-                            ],
+                            &["etag", "node", "origin", "bytes"],
+                            [u64::from(etag), node, o, data.len() as u64],
                         ));
                         data
                     }
@@ -1239,7 +1258,8 @@ impl NodeMachine {
                         out.push(trace(
                             ChannelClass::Nrt,
                             "frag_error",
-                            &[("etag", u64::from(etag)), ("node", node), ("origin", o)],
+                            &["etag", "node", "origin"],
+                            [u64::from(etag), node, o],
                         ));
                         out.push(Output::Raise {
                             etag,

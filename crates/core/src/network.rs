@@ -48,8 +48,8 @@ use rtec_can::{
     MapScheduler, NodeId, Notification, TxHandle, TxRequest, PRIO_NRT_MIN,
 };
 use rtec_clock::{ClockParams, LocalClock};
-use rtec_sim::{Ctx, Duration, Engine, Model, RngStreams, SourceId, Time, TraceSink};
-use std::collections::{HashMap, VecDeque};
+use rtec_sim::{Ctx, Duration, Engine, IntMap, Model, RngStreams, SourceId, Time, TraceSink};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 pub use crate::machine::MAX_INLINE_CONTENT;
@@ -245,8 +245,8 @@ pub struct NetWorld {
     pub stats: NetStats,
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) registry: SubjectRegistry,
-    pub(crate) channel_table: HashMap<u16, ChannelMeta>,
-    pub(crate) subscribers: HashMap<u16, Vec<NodeId>>,
+    pub(crate) channel_table: IntMap<u16, ChannelMeta>,
+    pub(crate) subscribers: IntMap<u16, Vec<NodeId>>,
     pub(crate) calendar: Option<Arc<CalendarPlan>>,
     pub(crate) calendar_start: Time,
     pub(crate) config: NetworkConfig,
@@ -335,8 +335,8 @@ impl NetWorld {
             stats: NetStats::default(),
             nodes,
             registry: SubjectRegistry::new(),
-            channel_table: HashMap::new(),
-            subscribers: HashMap::new(),
+            channel_table: IntMap::default(),
+            subscribers: IntMap::default(),
             calendar: None,
             calendar_start: Time::ZERO,
             config,
@@ -512,11 +512,11 @@ impl NetWorld {
                         class,
                         kind,
                         fields,
-                        len,
                     } => {
                         if self.trace.is_enabled() {
                             let src = self.trace_srcs[n][class as usize];
-                            self.trace.emit_fields(now, src, kind, &fields[..len]);
+                            let (pairs, len) = fields.pairs();
+                            self.trace.emit_fields(now, src, kind, &pairs[..len]);
                         }
                     }
                 }
@@ -1336,13 +1336,14 @@ impl Model for NetWorld {
     fn handle(&mut self, ctx: &mut Ctx<NetEvent>, ev: NetEvent) {
         match ev {
             NetEvent::Can(can_ev) => {
-                let notes = {
+                let mut notes = {
                     let mut sched = MapScheduler::new(ctx, wrap_can);
                     self.bus.handle(&mut sched, can_ev)
                 };
-                for note in notes {
+                for note in notes.drain(..) {
                     self.on_notification(ctx, note);
                 }
+                self.bus.recycle(notes);
             }
             NetEvent::RoundStart { round } => self.on_round_start(ctx, round),
             NetEvent::SlotReady { round, slot } => self.on_slot_ready(ctx, round, slot),

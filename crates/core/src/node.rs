@@ -14,8 +14,8 @@ use crate::event::{Delivery, Event, EventQueue, Subject};
 use crate::machine::{MachineConfig, NodeMachine, TxSlots};
 use rtec_can::{NodeId, TxHandle};
 use rtec_clock::LocalClock;
-use rtec_sim::Time;
-use std::collections::{HashMap, VecDeque};
+use rtec_sim::{IntMap, Time};
+use std::collections::VecDeque;
 
 /// Callback invoked on event delivery (the paper's `not_handler`).
 pub type NotifyHandler = Box<dyn FnMut(&Delivery)>;
@@ -183,9 +183,9 @@ pub struct NodeState {
     /// Bus handles of the machine's outstanding transmissions.
     pub tx: TxSlots<TxHandle>,
     /// Publisher endpoints by subject uid.
-    pub publishers: HashMap<u64, PublisherState>,
+    pub publishers: IntMap<u64, PublisherState>,
     /// Subscription endpoints by subject uid.
-    pub subscriptions: HashMap<u64, SubscriptionState>,
+    pub subscriptions: IntMap<u64, SubscriptionState>,
     /// Outstanding dynamic-binding requests (head is on the wire).
     pub bind_pending: VecDeque<PendingBind>,
     /// Binding request sequence counter.
@@ -203,8 +203,8 @@ impl NodeState {
             clock,
             machine: NodeMachine::new(machine),
             tx: TxSlots::default(),
-            publishers: HashMap::new(),
-            subscriptions: HashMap::new(),
+            publishers: IntMap::default(),
+            subscriptions: IntMap::default(),
             bind_pending: VecDeque::new(),
             bind_seq: 0,
             sync_latch: None,

@@ -3,7 +3,8 @@
 //! The SRTEC send queue is EDF-ordered by each channel's
 //! [`SrtPriority`](crate::channel::SrtPriority): the head is the entry
 //! with the most urgent priority now, then the earliest transmission
-//! deadline, then the lowest sequence number.
+//! deadline, then the oldest entry (the lowest sequence number, counted
+//! from the oldest queued one).
 //! [`crate::machine::NodeMachine`] keeps one such queue per node and
 //! submits only its head (§3.4).
 //!
@@ -12,7 +13,7 @@
 //! channel's front is its most urgent entry and the head is read off
 //! the fronts: O(channels), whatever backlog overload piles up.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use rtec_sim::Time;
 
@@ -20,7 +21,8 @@ use rtec_sim::Time;
 pub trait EdfOrder {
     /// Absolute transmission deadline (global time).
     fn deadline(&self) -> Time;
-    /// Node-local sequence number (monotonic at enqueue).
+    /// Node-local sequence number: each entry pushed is newer than
+    /// every entry queued, counting modulo 2^32.
     fn seq(&self) -> u32;
     /// The channel the entry belongs to.
     fn channel(&self) -> u16;
@@ -28,13 +30,25 @@ pub trait EdfOrder {
 
 /// An earliest-deadline-first send queue, one deadline-ordered queue per
 /// channel. It tracks its own high-water mark for observability.
+///
+/// Entries are found by sequence number through a ring: slot `i` of
+/// `index` describes the entry numbered `base + i`. A node numbers its
+/// messages in publication order, so a new entry lands at the back and
+/// the oldest queued one sits at the front; slots emptied at either end
+/// are trimmed. The ring therefore spans the sequence numbers of the
+/// queued entries — oldest to newest, taken ones in between included —
+/// and ages compare as `seq − base`, which stays right when the node's
+/// counter wraps past `u32::MAX`.
 #[derive(Debug, Clone)]
 pub struct EdfQueue<M> {
     /// Each channel's entries in deadline order, FIFO among equals.
     channels: Vec<(u16, VecDeque<M>)>,
-    /// Where each queued entry is: sequence number → (channel index,
-    /// deadline).
-    index: BTreeMap<u32, (usize, Time)>,
+    /// Per sequence number from `base` on: the entry's channel index
+    /// and deadline, `None` once taken.
+    index: VecDeque<Option<(usize, Time)>>,
+    /// The sequence number of `index[0]`.
+    base: u32,
+    len: usize,
     peak: usize,
 }
 
@@ -42,7 +56,9 @@ impl<M> Default for EdfQueue<M> {
     fn default() -> Self {
         EdfQueue {
             channels: Vec::new(),
-            index: BTreeMap::new(),
+            index: VecDeque::new(),
+            base: 0,
+            len: 0,
             peak: 0,
         }
     }
@@ -56,6 +72,10 @@ impl<M: EdfOrder> EdfQueue<M> {
 
     /// Enqueue an entry behind its channel's entries of equal or earlier
     /// deadline.
+    ///
+    /// # Panics
+    /// If its sequence number is not newer than every queued entry's
+    /// (see [`EdfOrder::seq`]).
     pub fn push(&mut self, m: M) {
         let ch = match self.channels.iter().position(|(c, _)| *c == m.channel()) {
             Some(ch) => ch,
@@ -64,19 +84,31 @@ impl<M: EdfOrder> EdfQueue<M> {
                 self.channels.len() - 1
             }
         };
+        if self.index.is_empty() {
+            self.base = m.seq();
+        }
+        let slot = self.age(m.seq()) as usize;
+        assert!(slot >= self.index.len(), "sequence numbers must grow");
+        self.index.resize(slot, None);
+        self.index.push_back(Some((ch, m.deadline())));
         let queue = &mut self.channels[ch].1;
         let at = queue.partition_point(|e| e.deadline() <= m.deadline());
-        self.index.insert(m.seq(), (ch, m.deadline()));
         queue.insert(at, m);
-        self.peak = self.peak.max(self.index.len());
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+    }
+
+    /// How many sequence numbers `seq` is past the oldest slot.
+    fn age(&self, seq: u32) -> u32 {
+        seq.wrapping_sub(self.base)
     }
 
     /// The entry EDF serves first: the minimum of `(rank, deadline,
-    /// seq)` over the channel fronts, where `rank` is the entry's
+    /// age)` over the channel fronts, where `rank` is the entry's
     /// priority now.
     pub fn head(&self, rank: impl Fn(&M) -> u8) -> Option<&M> {
         self.fronts()
-            .min_by_key(|m| (rank(m), m.deadline(), m.seq()))
+            .min_by_key(|m| (rank(m), m.deadline(), self.age(m.seq())))
     }
 
     /// Each channel's earliest-deadline entry.
@@ -84,10 +116,15 @@ impl<M: EdfOrder> EdfQueue<M> {
         self.channels.iter().filter_map(|(_, q)| q.front())
     }
 
+    /// The ring slot of sequence number `seq`, if it is queued.
+    fn slot(&self, seq: u32) -> Option<(usize, Time)> {
+        *self.index.get(self.age(seq) as usize)?
+    }
+
     /// `(channel index, position)` of the entry with sequence number
     /// `seq`.
     fn locate(&self, seq: u32) -> Option<(usize, usize)> {
-        let &(ch, deadline) = self.index.get(&seq)?;
+        let (ch, deadline) = self.slot(seq)?;
         Some((ch, self.position(ch, deadline, seq)?))
     }
 
@@ -114,19 +151,28 @@ impl<M: EdfOrder> EdfQueue<M> {
 
     /// Remove and return the entry with sequence number `seq`.
     pub fn take(&mut self, seq: u32) -> Option<M> {
-        let (ch, deadline) = self.index.remove(&seq)?;
-        let at = self.position(ch, deadline, seq)?;
+        let (ch, at) = self.locate(seq)?;
+        let slot = self.age(seq) as usize;
+        self.index[slot] = None;
+        while let Some(None) = self.index.front() {
+            self.index.pop_front();
+            self.base = self.base.wrapping_add(1);
+        }
+        while let Some(None) = self.index.back() {
+            self.index.pop_back();
+        }
+        self.len -= 1;
         self.channels[ch].1.remove(at)
     }
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// High-water mark of the queue length since creation.
@@ -134,16 +180,20 @@ impl<M: EdfOrder> EdfQueue<M> {
         self.peak
     }
 
-    /// Iterate entries in sequence-number order.
+    /// Iterate entries oldest first (in sequence-number order).
     pub fn iter(&self) -> impl Iterator<Item = &M> {
-        self.index.keys().filter_map(|&seq| self.get(seq))
+        (self.index.iter().enumerate()).filter_map(|(i, slot)| {
+            let (ch, deadline) = (*slot)?;
+            let seq = self.base.wrapping_add(i as u32);
+            Some(&self.channels[ch].1[self.position(ch, deadline, seq)?])
+        })
     }
 
     /// The entry an overflow policy drops: the *latest* deadline, newest
     /// among equals (the entry EDF would serve last).
     pub fn overflow_victim(&self) -> Option<&M> {
         let backs = self.channels.iter().filter_map(|(_, q)| q.back());
-        backs.max_by_key(|m| (m.deadline(), m.seq()))
+        backs.max_by_key(|m| (m.deadline(), self.age(m.seq())))
     }
 }
 
@@ -250,5 +300,24 @@ mod tests {
         let seqs: Vec<u32> = q.iter().map(|m| m.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn order_survives_the_sequence_counter_wrapping() {
+        // Four entries of one deadline, numbered across u32::MAX: the
+        // oldest is served first, the newest dropped first, and
+        // iteration runs oldest to newest.
+        let seqs = [u32::MAX - 1, u32::MAX, 0, 1];
+        let mut q = EdfQueue::new();
+        for (i, &seq) in seqs.iter().enumerate() {
+            q.push(e(seq, 1 + (i % 2) as u16, 100));
+        }
+        assert_eq!(q.head(by_deadline).unwrap().seq, u32::MAX - 1);
+        assert_eq!(q.overflow_victim().unwrap().seq, 1);
+        let order: Vec<u32> = q.iter().map(|m| m.seq).collect();
+        assert_eq!(order, seqs);
+        assert_eq!(q.take(u32::MAX - 1).unwrap().seq, u32::MAX - 1);
+        assert_eq!(q.head(by_deadline).unwrap().seq, u32::MAX);
+        assert_eq!(q.get(0).unwrap().seq, 0);
     }
 }

@@ -7,9 +7,8 @@
 //! samples ([`Histogram`]) only where a reader takes percentiles of
 //! them or compares them; the others are constant-space [`Extrema`].
 
-use rtec_sim::{Duration, Extrema, Histogram};
+use rtec_sim::{Duration, Extrema, Histogram, IntMap};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-channel counters and distributions (keyed by etag in
 /// [`NetStats`]).
@@ -85,7 +84,7 @@ impl ChannelStats {
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct NetStats {
     /// Per-channel statistics, keyed by etag.
-    pub channels: HashMap<u16, ChannelStats>,
+    pub channels: IntMap<u16, ChannelStats>,
     /// HRT: delay from a slot's LST to the first transmission attempt
     /// actually starting (ns) — bounded by `ΔT_wait` (§3.2, Fig. 3).
     pub hrt_lst_blocking_ns: Extrema,

@@ -1,6 +1,6 @@
 //! Property-based tests of the middleware's pure kernels:
-//! fragmentation, tag packing, the binding wire formats and the SRT
-//! promotion chain.
+//! fragmentation, tag packing, the binding wire formats, the SRT
+//! promotion chain and the SRT send queue.
 
 use proptest::prelude::*;
 use rtec_analysis::edf::PrioritySlotConfig;
@@ -9,7 +9,9 @@ use rtec_core::channel::SrtPriority;
 use rtec_core::event::Subject;
 use rtec_core::frag::{fragment, fragment_count, Reassembler};
 use rtec_core::node::{pack_tag, unpack_tag, TagKind};
+use rtec_core::policy::{EdfOrder, EdfQueue};
 use rtec_sim::{Duration, Time};
+use std::collections::BTreeMap;
 
 fn arb_kind() -> impl Strategy<Value = TagKind> {
     prop_oneof![
@@ -189,5 +191,152 @@ proptest! {
         if let Some(chain) = policy.promote_chain(&slots, deadline, any) {
             prop_assert_eq!(follows(any, chain)?, visits(any));
         }
+    }
+}
+
+/// A queued entry: what the queue orders by, plus a payload `get_mut`
+/// may change.
+#[derive(Clone, Debug, PartialEq)]
+struct Entry {
+    seq: u32,
+    channel: u16,
+    deadline: Time,
+    payload: u32,
+}
+
+impl EdfOrder for Entry {
+    fn deadline(&self) -> Time {
+        self.deadline
+    }
+    fn seq(&self) -> u32 {
+        self.seq
+    }
+    fn channel(&self) -> u16 {
+        self.channel
+    }
+}
+
+#[derive(Clone, Debug)]
+enum QueueOp {
+    Push { channel: u16, deadline_us: u64 },
+    Take(usize),
+    Get(usize),
+    GetMut(usize, u32),
+    Head(u8),
+    Victim,
+    Iter,
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        (0u16..4, 0u64..40).prop_map(|(channel, deadline_us)| QueueOp::Push {
+            channel,
+            deadline_us
+        }),
+        (0u16..4, 0u64..40).prop_map(|(channel, deadline_us)| QueueOp::Push {
+            channel,
+            deadline_us
+        }),
+        any::<usize>().prop_map(QueueOp::Take),
+        any::<usize>().prop_map(QueueOp::Get),
+        (any::<usize>(), any::<u32>()).prop_map(|(i, v)| QueueOp::GetMut(i, v)),
+        any::<u8>().prop_map(QueueOp::Head),
+        Just(QueueOp::Victim),
+        Just(QueueOp::Iter),
+    ]
+}
+
+/// Where a node's SRT sequence counter starts: anywhere, or a few
+/// pushes short of wrapping past `u32::MAX`.
+fn first_seq() -> impl Strategy<Value = u32> {
+    prop_oneof![any::<u32>(), (u32::MAX - 40)..=u32::MAX]
+}
+
+proptest! {
+    /// The ring-indexed `EdfQueue` against a reference kept in a
+    /// `BTreeMap` by push order, which is what `seq − base` stands
+    /// for: the head is the least `(rank, deadline, age)`, the overflow
+    /// victim the greatest `(deadline, age)`, iteration runs oldest
+    /// first, and look-ups by sequence number find exactly the queued
+    /// entries — also while the counter wraps and while a starved
+    /// entry (a far deadline on a channel of its own, never taken)
+    /// holds the front so the ring spans every number pushed since.
+    #[test]
+    fn edf_queue_matches_a_btreemap_reference(
+        first in first_seq(),
+        starve in any::<bool>(),
+        ops in prop::collection::vec(queue_op(), 1..200),
+    ) {
+        let mut queue: EdfQueue<Entry> = EdfQueue::new();
+        // Push order → entry: an entry's age is its key.
+        let mut reference: BTreeMap<u64, Entry> = BTreeMap::new();
+        let mut pushed = 0u64;
+        let mut ops = ops;
+        if starve {
+            ops.insert(0, QueueOp::Push { channel: 9, deadline_us: 1_000_000 });
+        }
+        let starved = starve.then_some(first);
+        for op in ops {
+            // A queued sequence number other than the starved one, or
+            // (one draw in five) one that is not queued.
+            let next = first.wrapping_add(pushed as u32);
+            let pick = |i: usize| -> u32 {
+                let live: Vec<u32> = (reference.values().map(|e| e.seq))
+                    .filter(|&s| Some(s) != starved)
+                    .collect();
+                if live.is_empty() || i.is_multiple_of(5) {
+                    next.wrapping_add(i as u32 % 3).wrapping_sub(i as u32 % 7)
+                } else {
+                    live[i % live.len()]
+                }
+            };
+            match op {
+                QueueOp::Push { channel, deadline_us } => {
+                    let entry = Entry { seq: next, channel, deadline: Time::from_us(deadline_us), payload: 0 };
+                    queue.push(entry.clone());
+                    reference.insert(pushed, entry);
+                    pushed += 1;
+                }
+                QueueOp::Take(i) => {
+                    let seq = pick(i);
+                    let age = reference.iter().find(|(_, e)| e.seq == seq).map(|(&age, _)| age);
+                    let want = age.and_then(|age| reference.remove(&age));
+                    prop_assert_eq!(queue.take(seq), want);
+                }
+                QueueOp::Get(i) => {
+                    let seq = pick(i);
+                    prop_assert_eq!(queue.get(seq), reference.values().find(|e| e.seq == seq));
+                }
+                QueueOp::GetMut(i, payload) => {
+                    let seq = pick(i);
+                    let want = reference.values_mut().find(|e| e.seq == seq);
+                    let got = queue.get_mut(seq);
+                    prop_assert_eq!(got.is_some(), want.is_some());
+                    if let (Some(got), Some(want)) = (got, want) {
+                        got.payload = payload;
+                        want.payload = payload;
+                    }
+                }
+                QueueOp::Head(salt) => {
+                    // Any rank that is constant per channel keeps each
+                    // channel's front its most urgent entry.
+                    let rank = |e: &Entry| (e.channel as u8).wrapping_mul(salt) % 3;
+                    let want = reference.iter().min_by_key(|(age, e)| (rank(e), e.deadline, **age));
+                    prop_assert_eq!(queue.head(rank), want.map(|(_, e)| e));
+                }
+                QueueOp::Victim => {
+                    let want = reference.iter().max_by_key(|(age, e)| (e.deadline, **age));
+                    prop_assert_eq!(queue.overflow_victim(), want.map(|(_, e)| e));
+                }
+                QueueOp::Iter => {
+                    let got: Vec<&Entry> = queue.iter().collect();
+                    let want: Vec<&Entry> = reference.values().collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(queue.len(), reference.len());
+            prop_assert_eq!(queue.is_empty(), reference.is_empty());
+        }
+        prop_assert!(queue.peak() >= queue.len());
     }
 }

@@ -679,7 +679,8 @@ impl<T: BrokerTransport> Broker<T> {
             }
             ok
         };
-        for note in self.bus.handle(&mut self.agenda, ev) {
+        let mut notes = self.bus.handle(&mut self.agenda, ev);
+        for note in notes.drain(..) {
             match note {
                 Notification::Rx { node, frame, .. } => {
                     let msg = ToNode::Deliver {
@@ -749,6 +750,7 @@ impl<T: BrokerTransport> Broker<T> {
                 Notification::ErrorStateChanged { .. } | Notification::DuplicateId { .. } => {}
             }
         }
+        self.bus.recycle(notes);
         for node in turn.drain(..) {
             if let Err(fault) = self.drain(node) {
                 faults.push((node, fault));

@@ -676,12 +676,12 @@ impl NodeCore {
                 class,
                 kind,
                 fields,
-                len,
             } => {
                 let src = self.srcs[class as usize];
+                let (pairs, len) = fields.pairs();
                 self.shared
                     .sink
-                    .emit_fields(self.now, src, kind, &fields[..len]);
+                    .emit_fields(self.now, src, kind, &pairs[..len]);
                 Ok(())
             }
         }

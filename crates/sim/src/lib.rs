@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
+pub mod intmap;
 pub mod parallel;
 pub mod reference;
 pub mod rng;
@@ -50,6 +51,7 @@ pub mod trace;
 mod wheel;
 
 pub use engine::{Ctx, Engine, Model, TimerId};
+pub use intmap::IntMap;
 pub use reference::HeapScheduler;
 pub use rng::{Rng, RngStreams};
 pub use stats::{Extrema, Histogram};

@@ -398,6 +398,11 @@ where
     let mut seg = factory();
     let mut pending: Vec<Envelope<S::Relay>> = Vec::new();
     let mut staged: Vec<Envelope<S::Relay>> = Vec::new();
+    // Per-window scratch, cleared rather than rebuilt each window. The
+    // batches themselves still travel: each send hands its `Vec` to
+    // the peer thread.
+    let mut per_dst: Vec<Vec<Envelope<S::Relay>>> = outs.iter().map(|_| Vec::new()).collect();
+    let mut merged: Vec<Envelope<S::Relay>> = Vec::new();
     let mut now = Time::ZERO;
     let mut windows = 0u64;
     let mut stall_s = 0.0f64;
@@ -416,7 +421,6 @@ where
         // peers' batches into the pending buffer in the same key
         // order. Empty batches still flow: they are the null messages.
         staged.sort_by_key(|e| (e.collected_at, e.route));
-        let mut per_dst: Vec<Vec<Envelope<S::Relay>>> = outs.iter().map(|_| Vec::new()).collect();
         for env in staged.drain(..) {
             let dst = routing.target(env.route);
             let slot = outs
@@ -437,7 +441,6 @@ where
                 panic!("segment {index}: window {windows} batch receiver vanished");
             }
         }
-        let mut merged: Vec<Envelope<S::Relay>> = Vec::new();
         for (src, rx) in &ins {
             let wait = Instant::now();
             let got = match rx.recv() {
@@ -449,7 +452,7 @@ where
             merged.extend(got.batch);
         }
         merged.sort_by_key(|e| (e.collected_at, e.route));
-        for env in merged {
+        for env in merged.drain(..) {
             enqueue(&mut pending, env);
         }
         windows += 1;

@@ -8,12 +8,15 @@
 //!
 //! Layout
 //!
-//! * Time is binned into **granules** of `2^GRANULE_BITS` ns = 1024 ns,
-//!   i.e. one CAN bit time at 1 Mbit/s (1000 ns) rounded to a power of
-//!   two so slot indexing is a shift, not a division.
+//! * Time is binned into **granules** of `2^GRANULE_BITS` ns = 4096 ns,
+//!   about four CAN bit times at 1 Mbit/s, a power of two so slot
+//!   indexing is a shift, not a division. Level 0 then spans 262 µs,
+//!   two maximal frames: a frame's completion, scheduled when it wins
+//!   arbitration, is filed straight into its level-0 slot instead of
+//!   cascading down from level 1 (DESIGN §4d has the measurement).
 //! * Level `k` (`k = 0..LEVELS`) has 64 slots of `2^(GRANULE_BITS +
 //!   6k)` ns each; level 0 slots are single granules, level 8 slots
-//!   span `2^58` ns. Together the levels cover the full `u64`
+//!   span `2^60` ns. Together the levels cover the full `u64`
 //!   nanosecond range, so no timer is ever out of horizon.
 //! * Timers inside the *current* granule live in a tiny `imminent`
 //!   binary heap ordered by `(time, seq)`, which is what preserves the
@@ -50,13 +53,13 @@ use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// log2 of the granule size in ns: 1024 ns ≈ one CAN bit time @ 1 Mbit/s.
-pub(crate) const GRANULE_BITS: u32 = 10;
+/// log2 of the granule size in ns: 4096 ns ≈ four CAN bit times @ 1 Mbit/s.
+pub(crate) const GRANULE_BITS: u32 = 12;
 /// log2 of the slot count per level.
 const LEVEL_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed to cover all 64 time bits: 10 + 9·6 = 64.
+/// Levels needed to cover all 64 time bits: 12 + 9·6 ≥ 64.
 const LEVELS: usize = 9;
 
 /// One slab cell. `gen` is bumped on every free, invalidating
