@@ -537,7 +537,7 @@ fn sim_stack_allocations_are_pinned() {
         .map(|_| allocations_in(|| drop(sim_stack_net())))
         .collect();
     assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
-    assert_eq!(runs[0], 9_473, "allocations building and running the bus");
+    assert_eq!(runs[0], 9_355, "allocations building and running the bus");
 }
 
 /// One E5 load point, as the `e5` experiment builds it: the

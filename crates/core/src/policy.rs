@@ -14,6 +14,7 @@
 //! the fronts: O(channels), whatever backlog overload piles up.
 
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 use rtec_sim::Time;
 
@@ -43,13 +44,37 @@ pub trait EdfOrder {
 pub struct EdfQueue<M> {
     /// Each channel's entries in deadline order, FIFO among equals.
     channels: Vec<(u16, VecDeque<M>)>,
-    /// Per sequence number from `base` on: the entry's channel index
-    /// and deadline, `None` once taken.
-    index: VecDeque<Option<(usize, Time)>>,
+    /// Per sequence number from `base` on: where the entry is, `None`
+    /// once taken.
+    index: VecDeque<Option<Slot>>,
     /// The sequence number of `index[0]`.
     base: u32,
     len: usize,
     peak: usize,
+}
+
+/// Where a queued entry is: its channel's index (stored plus one, so
+/// that `Option<Slot>` is 16 bytes, not 24) and its deadline.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    channel: NonZeroU32,
+    deadline: Time,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Slot>>() == 16);
+
+impl Slot {
+    fn new(channel: usize, deadline: Time) -> Self {
+        let channel = u32::try_from(channel + 1).expect("fewer than 2^32 channels");
+        Slot {
+            channel: NonZeroU32::new(channel).expect("one more than an index"),
+            deadline,
+        }
+    }
+
+    fn get(self) -> (usize, Time) {
+        (self.channel.get() as usize - 1, self.deadline)
+    }
 }
 
 impl<M> Default for EdfQueue<M> {
@@ -90,7 +115,7 @@ impl<M: EdfOrder> EdfQueue<M> {
         let slot = self.age(m.seq()) as usize;
         assert!(slot >= self.index.len(), "sequence numbers must grow");
         self.index.resize(slot, None);
-        self.index.push_back(Some((ch, m.deadline())));
+        self.index.push_back(Some(Slot::new(ch, m.deadline())));
         let queue = &mut self.channels[ch].1;
         let at = queue.partition_point(|e| e.deadline() <= m.deadline());
         queue.insert(at, m);
@@ -116,9 +141,10 @@ impl<M: EdfOrder> EdfQueue<M> {
         self.channels.iter().filter_map(|(_, q)| q.front())
     }
 
-    /// The ring slot of sequence number `seq`, if it is queued.
+    /// Channel index and deadline of sequence number `seq`, if it is
+    /// queued.
     fn slot(&self, seq: u32) -> Option<(usize, Time)> {
-        *self.index.get(self.age(seq) as usize)?
+        self.index.get(self.age(seq) as usize)?.map(Slot::get)
     }
 
     /// `(channel index, position)` of the entry with sequence number
@@ -183,7 +209,7 @@ impl<M: EdfOrder> EdfQueue<M> {
     /// Iterate entries oldest first (in sequence-number order).
     pub fn iter(&self) -> impl Iterator<Item = &M> {
         (self.index.iter().enumerate()).filter_map(|(i, slot)| {
-            let (ch, deadline) = (*slot)?;
+            let (ch, deadline) = slot.map(Slot::get)?;
             let seq = self.base.wrapping_add(i as u32);
             Some(&self.channels[ch].1[self.position(ch, deadline, seq)?])
         })

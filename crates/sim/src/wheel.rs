@@ -101,10 +101,6 @@ pub(crate) struct TimerWheel<E> {
     due: Vec<(u64, u64, u32, u32)>,
     /// The wheel's own cursor, in ns. Always ≤ the earliest live timer.
     wheel_now: u64,
-    /// Spare buffer swapped into a slot being drained, so steady-state
-    /// cascading never allocates: buffers rotate between the slots and
-    /// this scratch space, keeping their capacity.
-    scratch: Vec<(u32, u32)>,
 }
 
 impl<E> TimerWheel<E> {
@@ -117,7 +113,6 @@ impl<E> TimerWheel<E> {
             imminent: BinaryHeap::new(),
             due: Vec::new(),
             wheel_now: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -268,10 +263,11 @@ impl<E> TimerWheel<E> {
             if slot_start > limit_ns {
                 return None;
             }
-            let mut refs = std::mem::replace(
-                &mut self.levels[level].slots[slot],
-                std::mem::take(&mut self.scratch),
-            );
+            // The slot's buffer is lent out while it drains and handed
+            // back, capacity kept, so steady-state cascading never
+            // allocates. Nothing files into it meanwhile: a live entry
+            // moves the cursor onto it first (invariant 2).
+            let mut refs = std::mem::take(&mut self.levels[level].slots[slot]);
             self.levels[level].occupied &= !(1u64 << slot);
             let mut advanced = false;
             if level == 0 {
@@ -315,7 +311,8 @@ impl<E> TimerWheel<E> {
                 }
             }
             refs.clear();
-            self.scratch = refs;
+            debug_assert!(self.levels[level].slots[slot].is_empty());
+            self.levels[level].slots[slot] = refs;
             // Dead-only slot: bit cleared, cursor unmoved; keep looking.
         }
     }
