@@ -26,7 +26,7 @@ cargo clippy --workspace \
 
 echo "== cargo test (every crate outside vendor/)"
 # The root [workspace] lists default-members, so this is tier-1. It
-# includes the source lints C1..C10 (srclint's
+# includes the source lints C1..C11 (srclint's
 # `the_real_runtime_is_clean`, the same pass as `rtec-verify .`), both
 # experiment goldens (E4/E5 run on the simulator host, core::Network),
 # both chaos gates, the cost ratchet (zero-allocation paths and pinned

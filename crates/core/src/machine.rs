@@ -308,12 +308,6 @@ impl TraceFields {
         }
         (pairs, self.names.len())
     }
-
-    /// The value of the field called `name`.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        let at = self.names.iter().position(|&n| n == name)?;
-        Some(self.values[at])
-    }
 }
 
 fn trace<const N: usize>(

@@ -518,7 +518,7 @@ impl Harness {
                     fields,
                     ..
                 } => {
-                    let seq = fields.get("seq").expect("srt_expire names its seq") as u32;
+                    let seq = fields.pairs().0[1].1 as u32;
                     prop_assert!(!self.srt_sent.contains(&seq), "sent and expired: {seq}");
                     prop_assert!(self.srt_expired.insert(seq), "expired twice: {seq}");
                     let tx = self
