@@ -112,8 +112,14 @@ impl<M: EdfOrder> EdfQueue<M> {
         if self.index.is_empty() {
             self.base = m.seq();
         }
-        let slot = self.age(m.seq()) as usize;
-        assert!(slot >= self.index.len(), "sequence numbers must grow");
+        // A number older than `base` wraps to an age past half the
+        // counter: refuse it rather than grow the ring towards 2^32.
+        let age = self.age(m.seq());
+        let slot = age as usize;
+        assert!(
+            slot >= self.index.len() && age < 1 << 31,
+            "sequence numbers must grow"
+        );
         self.index.resize(slot, None);
         self.index.push_back(Some(Slot::new(ch, m.deadline())));
         let queue = &mut self.channels[ch].1;
@@ -326,6 +332,14 @@ mod tests {
         let seqs: Vec<u32> = q.iter().map(|m| m.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence numbers must grow")]
+    fn an_older_sequence_number_is_refused() {
+        let mut q = EdfQueue::new();
+        q.push(e(10, 1, 100));
+        q.push(e(9, 1, 100));
     }
 
     #[test]
