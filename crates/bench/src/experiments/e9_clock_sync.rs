@@ -7,8 +7,44 @@
 
 use crate::table::Table;
 use crate::RunOpts;
-use rtec_clock::sync::{measure, required_gap, SyncConfig};
-use rtec_sim::Duration;
+use rtec_clock::sync::{required_gap, SyncConfig, SyncWorld};
+use rtec_sim::{Duration, Time};
+
+/// Oscillator drift bounds E9 sweeps (±ppm).
+pub const DRIFTS_PPM: [f64; 4] = [10.0, 50.0, 100.0, 200.0];
+/// Resynchronization periods E9 sweeps (ms).
+pub const PERIODS_MS: [u64; 3] = [10, 50, 200];
+
+/// What one E9 cell measures.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SyncCell {
+    /// Completed synchronization rounds.
+    pub rounds: u64,
+    /// Spread samples, one per millisecond once a round has completed.
+    pub samples: u64,
+    /// The worst sampled spread between any two node clocks (ns): the
+    /// achieved precision Π.
+    pub precision_ns: u64,
+}
+
+/// The synchronized bus of one E9 cell: `nodes` clocks, node 0 the
+/// master, the slaves' drifts spread evenly over ±`drift_ppm`,
+/// resynchronized every `period`.
+pub fn sync_network(nodes: usize, drift_ppm: f64, period: Duration) -> SyncConfig {
+    SyncConfig::typical(nodes, drift_ppm, period)
+}
+
+/// Run one cell for `horizon`.
+pub fn measure(config: SyncConfig, horizon: Duration) -> SyncCell {
+    let mut engine = SyncWorld::engine(config);
+    engine.run_until(Time::ZERO + horizon);
+    let stats = &engine.model.stats;
+    SyncCell {
+        rounds: stats.rounds,
+        samples: stats.spread_ns.count() as u64,
+        precision_ns: stats.spread_ns.max().unwrap_or(0),
+    }
+}
 
 /// Run E9.
 pub fn run(opts: &RunOpts) -> Vec<Table> {
@@ -33,11 +69,13 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
         ));
         assert!(report.passes(), "e9 lint:\n{report}");
     }
-    for drift in [10.0, 50.0, 100.0, 200.0] {
-        for period_ms in [10u64, 50, 200] {
-            let cfg = SyncConfig::typical(8, drift, Duration::from_ms(period_ms));
-            let stats = measure(cfg, horizon);
-            let precision = stats.precision();
+    for drift in DRIFTS_PPM {
+        for period_ms in PERIODS_MS {
+            let cell = measure(
+                sync_network(8, drift, Duration::from_ms(period_ms)),
+                horizon,
+            );
+            let precision = Duration::from_ns(cell.precision_ns);
             let gap = required_gap(precision, Duration::from_us(1));
             t.row(vec![
                 format!("{drift:.0}"),

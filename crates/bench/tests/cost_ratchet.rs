@@ -3,13 +3,15 @@
 //! conformance monitor), checked with a counting global allocator;
 //! the live runtime's lock-step turns per frame, and the simulator's
 //! engine events and allocations on a `sim-stack`-shaped bus and its
-//! engine events at one E5 load point, pinned exactly.
+//! engine events at one E5 load point and in every E9 cell, pinned
+//! exactly.
 //!
 //! libtest runs tests on parallel threads, so the allocator counts per
 //! thread and each test reads only its own thread's count.
 
 use rtec_analysis::admission::{CalendarPlan, PlannedSlot, SlotRequest};
 use rtec_baselines::{policy, run_testbed};
+use rtec_bench::experiments::e9_clock_sync as e9;
 use rtec_can::bits::BitTiming;
 use rtec_can::NodeId;
 use rtec_conformance::{AuditContext, Monitor};
@@ -580,5 +582,45 @@ fn e5_counts_are_pinned() {
         runs[0],
         [1_465, 1_361, 378, 24, 80, 10, 378, 14_094],
         "[released, completed, missed, dropped, backlog, stale, inversions, engine events]"
+    );
+}
+
+/// E9's twelve (drift, resync period) cells as the `e9` experiment
+/// runs them, 8 nodes for 5 s each: engine events, sync rounds, spread
+/// samples and the worst spread (ns). The protocol is deterministic, so
+/// a change to how it is hosted must leave every count equal.
+#[test]
+fn e9_counts_are_pinned() {
+    let mut cells = Vec::new();
+    for drift in e9::DRIFTS_PPM {
+        for period_ms in e9::PERIODS_MS {
+            telemetry::reset();
+            let net = e9::sync_network(8, drift, Duration::from_ms(period_ms));
+            let cell = e9::measure(net, Duration::from_secs(5));
+            let events = telemetry::snapshot().dispatched;
+            cells.push([events, cell.rounds, cell.samples, cell.precision_ns]);
+        }
+    }
+    assert_eq!(
+        cells,
+        [
+            // ±10 ppm: 10, 50, 200 ms
+            [7_503, 500, 5_000, 169],
+            [5_503, 100, 5_000, 855],
+            [5_128, 25, 5_000, 3_426],
+            // ±50 ppm
+            [7_503, 500, 5_000, 844],
+            [5_503, 100, 5_000, 4_273],
+            [5_128, 25, 5_000, 17_130],
+            // ±100 ppm
+            [7_503, 500, 5_000, 1_689],
+            [5_503, 100, 5_000, 8_546],
+            [5_128, 25, 5_000, 34_260],
+            // ±200 ppm
+            [7_503, 500, 5_000, 3_378],
+            [5_503, 100, 5_000, 17_092],
+            [5_128, 25, 5_000, 68_520],
+        ],
+        "[engine events, sync rounds, spread samples, precision ns] per (drift, period)"
     );
 }
