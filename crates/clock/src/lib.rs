@@ -1,4 +1,4 @@
-//! # rtec-clock — drifting local clocks and CAN clock synchronization
+//! # rtec-clock — drifting local clocks
 //!
 //! The HRT reservation scheme of the paper rests on a *global time base*
 //! (§3.2): every node must agree, to within a known precision Π, on when
@@ -7,26 +7,19 @@
 //! inter-slot gap `ΔG_min = 40 µs` derived from the quality and
 //! frequency of synchronization.
 //!
-//! This crate supplies the two pieces:
-//!
-//! * [`LocalClock`] — a node's oscillator with a constant drift rate
-//!   (ppm) and an adjustable offset; reading it converts *true*
-//!   (simulation) time into the node's estimate of global time, and the
-//!   inverse lets a node schedule an action at a *global* instant using
-//!   its imperfect local clock.
-//! * [`sync`] — a master-based synchronization protocol over the
-//!   simulated bus, following the Gergeleit/Streich two-frame scheme:
-//!   the timestamp of a sync frame's *completion* (which all nodes
-//!   observe simultaneously — the bus is a broadcast medium) is
-//!   distributed in a follow-up frame, so slaves learn the master time
-//!   of an event they latched locally. Achieved precision is measured,
-//!   and [`sync::required_gap`] converts it into the `ΔG_min` slot gap.
+//! This crate supplies the oscillator, [`LocalClock`]: a node's clock
+//! with a constant drift rate (ppm) and an adjustable offset. Reading it
+//! converts *true* (simulation) time into the node's estimate of global
+//! time, the inverse lets a node schedule an action at a *global*
+//! instant using its imperfect local clock, and [`LocalClock::slew`] is
+//! the correction a synchronization round applies. The protocol itself
+//! — SYNC, FOLLOW-UP, latch and slew over the bus — is
+//! `rtec_core::network`'s in-network service (`ClockSyncConfig`), and
+//! experiment E9 measures its precision Π.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod local;
-pub mod sync;
 
 pub use local::{ClockParams, LocalClock};
-pub use sync::{required_gap, SyncConfig, SyncStats, SyncWorld};

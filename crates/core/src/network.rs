@@ -1037,15 +1037,11 @@ impl NetWorld {
 
     /// Largest disagreement between any two node clocks right now (ns).
     pub fn clock_spread(&self, true_now: Time) -> u64 {
-        let readings: Vec<u64> = self
-            .nodes
-            .iter()
-            .map(|n| n.clock.read(true_now).as_ns())
-            .collect();
-        match (readings.iter().max(), readings.iter().min()) {
-            (Some(max), Some(min)) => max - min,
-            _ => 0,
-        }
+        let (min, max) = self.nodes.iter().fold((u64::MAX, 0), |(min, max), n| {
+            let ns = n.clock.read(true_now).as_ns();
+            (min.min(ns), max.max(ns))
+        });
+        max.saturating_sub(min)
     }
 
     // ------------------------------------------------------------------
@@ -1223,6 +1219,9 @@ impl NetWorld {
                     let tag = pack_tag(TagKind::Sync, ETAG_FOLLOW_UP, 0);
                     self.submit(ctx, sync.master, follow, tag);
                 }
+                // Only the master sends sync frames; its FOLLOW-UP
+                // completes a round.
+                self.stats.sync_rounds += u64::from(etag == ETAG_FOLLOW_UP);
                 return;
             }
         };

@@ -103,6 +103,9 @@ pub struct NetStats {
     /// Bus notifications about an identifier contended by several nodes
     /// at once — TxNode uniqueness (§3.5) violated by the configuration.
     pub duplicate_ids: u64,
+    /// Clock-synchronization rounds completed: the master's FOLLOW-UP
+    /// left the wire.
+    pub sync_rounds: u64,
 }
 
 impl NetStats {
