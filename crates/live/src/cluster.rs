@@ -32,7 +32,7 @@ use rtec_analysis::edf::PrioritySlotConfig;
 use rtec_can::bits::BitTiming;
 use rtec_can::id::TXNODE_MAX;
 use rtec_can::NodeId;
-use rtec_core::binding::ETAG_FIRST_DYNAMIC;
+use rtec_core::binding::SubjectRegistry;
 use rtec_core::channel::{ChannelClass, ChannelSpec};
 use rtec_core::event::Subject;
 use rtec_sim::{Duration, Rng, Time, TraceEvent, TraceSink};
@@ -356,18 +356,17 @@ impl Cluster {
         }
 
         // Static binding: subjects get etags in declaration order.
+        let mut registry = SubjectRegistry::new();
         let mut etags: HashMap<u64, u16> = HashMap::new();
         let mut channels: HashMap<u16, ChannelClass> = HashMap::new();
         let mut hrt_periods: HashMap<u16, Duration> = HashMap::new();
-        let mut next_etag = ETAG_FIRST_DYNAMIC;
         let mut requests: Vec<SlotRequest> = Vec::new();
         for (node, def) in self.nodes.iter().enumerate() {
             for (subject, spec) in def.publishes.iter().chain(def.subscribes.iter()) {
-                let etag = *etags.entry(subject.uid()).or_insert_with(|| {
-                    let e = next_etag;
-                    next_etag = next_etag.wrapping_add(1);
-                    e
-                });
+                let etag = registry
+                    .bind(*subject)
+                    .map_err(|_| LiveError::Config("etag space exhausted".into()))?;
+                etags.insert(subject.uid(), etag);
                 channels.insert(etag, spec.class());
             }
             for (subject, spec) in &def.publishes {
@@ -386,10 +385,6 @@ impl Cluster {
                 }
             }
         }
-        if usize::from(next_etag) < usize::from(ETAG_FIRST_DYNAMIC) + etags.len() {
-            return Err(LiveError::Config("etag space exhausted".into()));
-        }
-
         let calendar = Arc::new(CalendarPlan::plan(
             cfg.round, &requests, cfg.timing, cfg.gap,
         )?);

@@ -12,6 +12,7 @@ use rtec_live::cluster::{Cluster, ClusterConfig, LiveReport};
 use rtec_live::node::{Behavior, NodeCtx};
 use rtec_live::{ChaosPlan, LiveError, NodeTransport, Pace, ToBroker, ToNode, TransportError};
 use rtec_sim::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 const HRT_SUBJECT: Subject = Subject(0x1001);
@@ -706,4 +707,31 @@ fn node_count_out_of_range_is_an_empty_report_or_an_error_never_a_panic() {
             "129 nodes exceed the CAN TxNode field (128)".into()
         ))
     );
+}
+
+/// The etag field is 14 bits wide and etags 0..=3 are reserved, so a
+/// cluster binds at most 16 380 subjects. One more is refused before
+/// any node thread starts, instead of wrapping an etag onto SYNC's.
+#[test]
+fn a_subject_past_the_etag_space_is_refused_before_any_node_starts() {
+    struct Started(Arc<AtomicBool>);
+    impl Behavior for Started {
+        fn on_start(&mut self, _ctx: &mut NodeCtx<'_>) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let started = Arc::new(AtomicBool::new(false));
+    let mut cluster = Cluster::new(ClusterConfig::default());
+    let node = cluster.add_node(Box::new(Started(Arc::clone(&started))));
+    for uid in 0..16_381 {
+        let spec = ChannelSpec::nrt(NrtSpec::default());
+        cluster.subscribe(node, Subject::new(0x7000_0000 + uid), spec);
+    }
+    let result = cluster.run_for(Duration::from_ms(5));
+    assert!(
+        matches!(result, Err(LiveError::Config(_))),
+        "{:?}",
+        result.map(|r| r.broker)
+    );
+    assert!(!started.load(Ordering::SeqCst), "a node thread started");
 }
