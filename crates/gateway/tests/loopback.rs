@@ -709,6 +709,109 @@ fn severed_tcp_client_resumes_with_exact_hrt_replay() {
     assert_eq!(gw.sessions.gap_frames, 0);
 }
 
+/// Parks one socket session's lane at a fixed bus time, as a dead
+/// connection's reader would: later deliveries wait in the lane for a
+/// resume instead of going out on the connection.
+struct Detacher {
+    gw: Gateway,
+    client: u32,
+    at: Duration,
+}
+
+impl Behavior for Detacher {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        ctx.set_timer(ctx.now() + self.at, 0).unwrap();
+    }
+
+    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _payload: u64) {
+        self.gw.detach_session(self.client, 0);
+    }
+}
+
+/// A [`ReconnectingClient`] whose gateway stops writing mid-stream
+/// sees its stream go idle, re-dials with its watermarks and receives
+/// the rest: its `recv` reads every HRT sequence number exactly once,
+/// across one reconnect that resumed the session.
+#[test]
+fn reconnecting_client_resumes_a_stream_severed_mid_way() {
+    use rtec_gateway::{ReconnectPolicy, ReconnectingClient, Target};
+
+    let hrt_subject = Subject::new(0x1001);
+    let cfg = ClusterConfig {
+        pace: Pace::Virtual,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(cfg);
+    let n0 = cluster.add_node(Box::new(HrtSource {
+        subject: hrt_subject,
+        counter: 0,
+        period: Duration::from_ms(10),
+    }));
+    let hrt = ChannelSpec::Hrt(HrtSpec::periodic_10ms());
+    cluster.publish(n0, hrt_subject, hrt);
+
+    let gateway = Gateway::new(GatewayConfig::default());
+    gateway.bind(hrt_subject, &hrt);
+    let acceptor = Acceptor::tcp(
+        gateway.clone(),
+        "127.0.0.1:0",
+        SlowConsumerPolicy::ShedNrtFirst,
+    )
+    .unwrap();
+    let policy = ReconnectPolicy {
+        idle_timeout: Some(std::time::Duration::from_millis(500)),
+        ..ReconnectPolicy::default()
+    };
+    let mut client =
+        ReconnectingClient::connect(Target::Tcp(acceptor.addr()), &[hrt_subject], policy).unwrap();
+    // The gateway's first client id is 0.
+    assert_eq!(gateway.session_stats().opened, 1);
+
+    let gw_node = cluster.add_node(gateway.behavior());
+    cluster.subscribe(gw_node, hrt_subject, hrt);
+    cluster.add_node(Box::new(Detacher {
+        gw: gateway.clone(),
+        client: 0,
+        at: Duration::from_ms(25),
+    }));
+    let report = cluster.run_for(Duration::from_ms(65)).unwrap();
+    let delivered = report.log.iter().filter(|r| r.node == gw_node).count() as u32;
+    assert!(delivered > 4, "too few deliveries: {delivered}");
+
+    // The frames written before the detach, then an idle stream, a
+    // re-dial and the replay of the rest.
+    let mut seqs = Vec::new();
+    let mut before_sever = 0;
+    while seqs.len() < delivered as usize {
+        if let ToClient::Event(e) = client.recv().unwrap() {
+            seqs.push(e.seq);
+            before_sever += u32::from(client.stats().reconnects == 0);
+        }
+    }
+    let stats = client.stats();
+    assert_eq!((stats.reconnects, stats.resumed), (1, 1), "{stats:?}");
+    assert_eq!(seqs, (0..delivered).collect::<Vec<_>>());
+    assert!(
+        (1..delivered).contains(&before_sever),
+        "{before_sever} of {delivered} read before the sever"
+    );
+
+    // A goodbye from the gateway is surfaced, not retried.
+    let gw = gateway.finish();
+    acceptor.stop();
+    loop {
+        match client.recv().unwrap() {
+            ToClient::Disconnect {
+                reason: Reason::Shutdown,
+            } => break,
+            ToClient::Event(e) => panic!("an event past the last delivery: {}", e.seq),
+            _ => {}
+        }
+    }
+    assert_eq!(client.stats(), stats);
+    assert_eq!(gw.sessions.resumed, 1);
+}
+
 /// `Bye` and an abrupt drop end differently: a clean goodbye spends
 /// the session token (a later resume is refused), while a sever parks
 /// the session and its token resumes within the TTL.
