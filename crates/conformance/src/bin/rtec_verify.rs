@@ -1,9 +1,11 @@
 //! `rtec-verify` — the source lint pass, as a CI gate.
 //!
-//! Runs rules `C1`..`C11` (see [`rtec_conformance::srclint`]) over the
+//! Runs rules `C1`..`C12` (see [`rtec_conformance::srclint`]) over the
 //! concurrent runtimes, their wire protocols, the gateway lane's state,
-//! the channel-class machine and the frame path's tables under the given workspace root (default: the current
-//! directory) and exits non-zero on any error-severity finding. ci.sh runs this alongside the test suite; the rules it
+//! the channel-class machine, the frame path's tables and every crate's
+//! sources (for the one sync protocol) under the given workspace root
+//! (default: the current directory) and exits non-zero on any
+//! error-severity finding. ci.sh runs this alongside the test suite; the rules it
 //! enforces are what make the `cfg(loom)` model-check suite's coverage
 //! claims meaningful.
 //!

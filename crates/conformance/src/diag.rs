@@ -106,11 +106,14 @@ pub enum RuleId {
     /// The frame path's tables hash their integer keys with
     /// `rtec_sim::IntMap`, not std's SipHash.
     SipHashOnFramePath,
+    /// The clock-synchronization protocol (SYNC, FOLLOW-UP, latch and
+    /// slew) is stated once, in `rtec_core::network`.
+    SyncProtocolRestated,
 }
 
 impl RuleId {
     /// All rules: static configuration, then trace, then source lints.
-    pub const ALL: [RuleId; 28] = [
+    pub const ALL: [RuleId; 29] = [
         RuleId::SlotOverlap,
         RuleId::SlotSetupMargin,
         RuleId::PriorityBandPartition,
@@ -139,9 +142,10 @@ impl RuleId {
         RuleId::HandRolledCodec,
         RuleId::SharedLaneState,
         RuleId::SipHashOnFramePath,
+        RuleId::SyncProtocolRestated,
     ];
 
-    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C11`).
+    /// Stable short code (`S1`..`S8`, `T1`..`T9`, `C1`..`C12`).
     pub fn code(self) -> &'static str {
         match self {
             RuleId::SlotOverlap => "S1",
@@ -172,6 +176,7 @@ impl RuleId {
             RuleId::HandRolledCodec => "C9",
             RuleId::SharedLaneState => "C10",
             RuleId::SipHashOnFramePath => "C11",
+            RuleId::SyncProtocolRestated => "C12",
         }
     }
 
@@ -207,6 +212,7 @@ impl RuleId {
             }
             RuleId::SharedLaneState => "DESIGN.md §9",
             RuleId::SipHashOnFramePath => "DESIGN.md §4d",
+            RuleId::SyncProtocolRestated => "DESIGN.md §6",
         }
     }
 
@@ -270,6 +276,9 @@ impl RuleId {
             }
             RuleId::SipHashOnFramePath => {
                 "the frame path hashes integer keys with rtec_sim::IntMap, not SipHash"
+            }
+            RuleId::SyncProtocolRestated => {
+                "the clock-sync protocol is stated once, in rtec_core::network"
             }
         }
     }

@@ -25,9 +25,10 @@
 //!   than a second copy of it, `C9` keeps the broker and gateway
 //!   protocols on the one wire kernel of `rtec_can::codec`, `C10`
 //!   keeps locks, atomics, channels, threads and I/O out of the
-//!   gateway lane's single-owner state, and `C11` keeps SipHash off
-//!   the simulated frame path. The `rtec-verify` binary drives this
-//!   pass in CI.
+//!   gateway lane's single-owner state, `C11` keeps SipHash off
+//!   the simulated frame path, and `C12` keeps the clock-sync
+//!   protocol in `rtec_core::network` alone. The `rtec-verify` binary
+//!   drives this pass in CI.
 //!
 //! Both return a [`Report`] of [`Diagnostic`]s — rule ID, severity,
 //! message and fix hint — and never panic on broken input. The

@@ -4,8 +4,9 @@
 //! they and the simulator host, the one-bus-model contract (`C8`) of
 //! the live runtime, the one-wire-kernel contract (`C9`) of the
 //! broker and gateway protocols, the single-owner contract (`C10`)
-//! of a gateway lane's state, and the integer-hashing contract (`C11`)
-//! of the simulated frame path.
+//! of a gateway lane's state, the integer-hashing contract (`C11`)
+//! of the simulated frame path, and the one-sync-protocol contract
+//! (`C12`) of the whole workspace.
 //!
 //! The loom model-check suites (see `crates/live/tests/loom_model.rs`
 //! and `crates/sim/tests/loom_model.rs`) only prove anything about
@@ -39,6 +40,9 @@
 //! | `C11`| `HashMap`, `HashSet`, `RandomState`, `DefaultHasher` in the  |
 //! |      | frame path's files (`FRAME_PATH_FILES`): std's SipHash costs |
 //! |      | more than the look-up; integer keys use `rtec_sim::IntMap`   |
+//! | `C12`| `ETAG_SYNC`, `ETAG_FOLLOW_UP`, `.slew(` under any            |
+//! |      | `crates/*/src` but `core/src/{network,binding}.rs` and       |
+//! |      | `clock/src/local.rs`: the sync protocol is stated once       |
 //!
 //! The pass is textual, not syntactic — deliberately: it must run in
 //! CI with no rustc internals and no third-party parser. To keep the
@@ -60,7 +64,7 @@
 //! other lanes and its replay ring are immutable. `C11` alone runs on
 //! the frame path's files of `rtec-core` and `rtec-can` (on top of
 //! `C7` for the machine): they are single-threaded, so `C1`..`C6`
-//! stay out.
+//! stay out. `C12` runs on every file under `crates/*/src`.
 
 use crate::diag::{Report, RuleId};
 use std::fs;
@@ -439,32 +443,54 @@ const FRAME_PATH_RULE: TextRule = TextRule {
     fix: "key the table with rtec_sim::IntMap, or index a Vec by the key",
 };
 
+/// The files `C12` lets name the sync protocol: the one host that runs
+/// it, the module that reserves its etags, and the clock that defines
+/// `slew`.
+const SYNC_PROTOCOL_FILES: &[&str] = &[
+    "crates/core/src/network.rs",
+    "crates/core/src/binding.rs",
+    "crates/clock/src/local.rs",
+];
+
+/// `C12`: what only a second implementation of the sync protocol needs.
+const SYNC_PROTOCOL_RULE: TextRule = TextRule {
+    id: RuleId::SyncProtocolRestated,
+    needles: &["ETAG_SYNC", "ETAG_FOLLOW_UP", ".slew("],
+    allow_files: &[],
+    unless_on_line: None,
+    fix: "run the network's sync service (NetworkBuilder::clock_sync) and read NetStats",
+};
+
+/// The concurrent files of `rtec-sim`, which `C1`..`C6` guard beside
+/// the live runtime and the gateway.
+const SIM_CONCURRENT_FILES: &[&str] = &["crates/sim/src/parallel.rs", "crates/sim/src/sync.rs"];
+
 /// Lint a set of already-loaded sources. Pure — the unit of testing.
 pub fn lint_sources(files: &[SrcFile]) -> Report {
+    let has = |file: &SrcFile, paths: &[&str]| paths.iter().any(|p| file.path.ends_with(p));
     let mut report = Report::new();
     for file in files {
         let code = blank_test_blocks(&strip_noncode(&file.text));
-        let frame_path = FRAME_PATH_FILES.iter().any(|f| file.path.ends_with(f));
+        let live = file.path.contains(LIVE_DIR);
+        let gateway = file.path.contains(GATEWAY_DIR);
         let rules = if file.path.ends_with(MACHINE_PATH) {
             MACHINE_RULES
-        } else if frame_path {
-            &[]
-        } else {
+        } else if live || gateway || has(file, SIM_CONCURRENT_FILES) {
             RULES
+        } else {
+            &[]
         };
-        let live = file.path.contains(LIVE_DIR);
         let live_only = live.then_some(&BUS_COPY_RULE);
-        let wire = (live || file.path.contains(GATEWAY_DIR)).then_some(&CODEC_RULE);
-        let lane_state = LANE_STATE_FILES
-            .iter()
-            .any(|f| file.path.ends_with(f))
-            .then_some(&LANE_STATE_RULE);
-        let siphash = frame_path.then_some(&FRAME_PATH_RULE);
+        let wire = (live || gateway).then_some(&CODEC_RULE);
+        let lane_state = has(file, LANE_STATE_FILES).then_some(&LANE_STATE_RULE);
+        let siphash = has(file, FRAME_PATH_FILES).then_some(&FRAME_PATH_RULE);
+        let sync = (!has(file, SYNC_PROTOCOL_FILES)).then_some(&SYNC_PROTOCOL_RULE);
         let extra = live_only
             .into_iter()
             .chain(wire)
             .chain(lane_state)
-            .chain(siphash);
+            .chain(siphash)
+            .chain(sync);
         for rule in rules.iter().chain(extra) {
             if rule.allow_files.contains(&file.file_name()) {
                 continue;
@@ -492,22 +518,15 @@ pub fn lint_sources(files: &[SrcFile]) -> Report {
     report
 }
 
-/// Lint the scoped sources under a workspace root: every `.rs` file
-/// below `crates/live/src` and `crates/gateway/src`, `rtec-sim`'s
-/// parallel driver and sync facade, and the frame path's files (the
-/// channel-class machine among them), in path order.
+/// Lint every `.rs` file below a workspace root's `crates/*/src`, in
+/// path order; each rule picks its own files out of them.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
-    for dir in ["crates/live/src", "crates/gateway/src"] {
-        collect_rs(&root.join(dir), &mut files)?;
-    }
-    let scoped = ["crates/sim/src/parallel.rs", "crates/sim/src/sync.rs"];
-    for extra in scoped.iter().chain(FRAME_PATH_FILES) {
-        let path = root.join(extra);
-        files.push(SrcFile {
-            path: path.display().to_string(),
-            text: fs::read_to_string(&path)?,
-        });
+    for krate in fs::read_dir(root.join("crates"))? {
+        let src = krate?.path().join("src");
+        if src.is_dir() {
+            collect_rs(&src, &mut files)?;
+        }
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
     // Diagnostics cite workspace-relative paths.
@@ -807,6 +826,54 @@ mod tests {
     }
 
     #[test]
+    fn c12_fires_on_the_sync_protocol_outside_its_one_host() {
+        for path in [
+            "crates/clock/src/sync.rs",
+            "crates/live/src/node.rs",
+            "crates/core/src/node.rs",
+            "crates/bench/src/experiments/e9_clock_sync.rs",
+        ] {
+            for stmt in [
+                "pub const ETAG_SYNC: u16 = 0;",
+                "use rtec_core::binding::ETAG_FOLLOW_UP;",
+                "self.clocks[i].slew(delta);",
+            ] {
+                let rep = lint_sources(&[SrcFile::new(path, stmt)]);
+                assert!(
+                    rep.fired(RuleId::SyncProtocolRestated),
+                    "{path}: {stmt}: {rep}"
+                );
+            }
+        }
+        // The network runs the protocol, binding reserves its etags and
+        // the clock defines the correction ...
+        for (path, stmt) in [
+            ("crates/core/src/network.rs", "if etag == ETAG_SYNC {"),
+            (
+                "crates/core/src/network.rs",
+                "self.nodes[i].clock.slew(delta);",
+            ),
+            (
+                "crates/core/src/binding.rs",
+                "pub const ETAG_FOLLOW_UP: u16 = 1;",
+            ),
+            (
+                "crates/clock/src/local.rs",
+                "pub fn slew(&mut self, delta_ns: f64) {",
+            ),
+        ] {
+            let rep = lint_sources(&[SrcFile::new(path, stmt)]);
+            assert!(rep.passes(), "{path}: {rep}");
+        }
+        // ... and a test may drive a clock by hand.
+        let rep = lint_sources(&[SrcFile::new(
+            "crates/clock/src/lib.rs",
+            "#[cfg(test)]\nmod tests {\n    fn t(c: &mut LocalClock) { c.slew(250.0); }\n}\n",
+        )]);
+        assert!(rep.passes(), "{rep}");
+    }
+
+    #[test]
     fn comments_and_strings_do_not_fire() {
         let rep = lint_one(
             "node.rs",
@@ -876,7 +943,7 @@ mod tests {
             .nth(2)
             .expect("workspace root")
             .to_path_buf();
-        let rep = lint_workspace(&root).expect("walk crates/live/src");
+        let rep = lint_workspace(&root).expect("walk crates/*/src");
         assert!(rep.passes(), "{rep}");
         // The walk really reaches the machine: planting a violation in
         // a copy of it is caught by the same entry point's rules.
