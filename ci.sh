@@ -26,11 +26,12 @@ cargo clippy --workspace \
 
 echo "== cargo test (every crate outside vendor/)"
 # The root [workspace] lists default-members, so this is tier-1. It
-# includes the source lints C1..C11 (srclint's
+# includes the source lints C1..C12 (srclint's
 # `the_real_runtime_is_clean`, the same pass as `rtec-verify .`), both
-# experiment goldens (E4/E5 run on the simulator host, core::Network),
-# both chaos gates, the cost ratchet (zero-allocation paths and pinned
-# event counts, E5's included; crates/bench/tests/) and the flat-queue
+# experiment goldens (E4/E5 and E9 run on the simulator host,
+# core::Network), both chaos gates, the cost ratchet (zero-allocation
+# paths and pinned event counts, E5's and E9's included;
+# crates/bench/tests/) and the flat-queue
 # reference of the E4/E5 runner (rtec-baselines'
 # `machine_matches_flat_reference`).
 cargo test -q
